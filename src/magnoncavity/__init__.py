@@ -59,6 +59,7 @@ from .model import (
 from .scattering import (
     ComplexSpectrum,
     SweepMap,
+    amplitudes,
     dispersion_branches,
     principal_phase,
     eta_resonant,
@@ -88,6 +89,7 @@ __all__ = [
     "ScalingFitResult",
     "SweepMap",
     "WalkerModeQuery",
+    "amplitudes",
     "apply_params",
     "assoc_legendre",
     "collective_coupling",

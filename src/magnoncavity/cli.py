@@ -70,21 +70,17 @@ def cmd_spectrum(args) -> int:
     B = _single_field(config)
     f = _frequency_grid(config)
 
+    s21, s31 = scattering.amplitudes(f, system, B)
+    amplitudes = {"s21": s21, "s11": 1.0 + s21, **{f"s31_{label}": values for label, values in s31.items()}}
     columns: dict[str, np.ndarray] = {"f_hz": f}
-    for name, values in (("s21", scattering.s21(f, system, B)), ("s11", scattering.s11(f, system, B))):
-        values = np.atleast_1d(values)
+    eta = np.zeros_like(f)
+    for name, values in amplitudes.items():
         columns[f"re_{name}"] = values.real
         columns[f"im_{name}"] = values.imag
         columns[f"abs2_{name}"] = np.abs(values) ** 2
         columns[f"arg_{name}"] = scattering.principal_phase(values)
-    eta = np.zeros_like(f)
-    for mode in system.modes:
-        values = np.atleast_1d(scattering.s31_mode(f, system, B, mode.label))
-        columns[f"re_s31_{mode.label}"] = values.real
-        columns[f"im_s31_{mode.label}"] = values.imag
-        columns[f"abs2_s31_{mode.label}"] = np.abs(values) ** 2
-        columns[f"arg_s31_{mode.label}"] = scattering.principal_phase(values)
-        eta = eta + np.abs(values) ** 2
+        if name.startswith("s31_"):
+            eta = eta + columns[f"abs2_{name}"]
     columns["eta"] = eta
 
     if args.unwrap:

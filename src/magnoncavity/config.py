@@ -160,9 +160,8 @@ def _parse_mode(data, index: int) -> MagnonMode:
         raise ConfigError(f"{where}: expected a mapping")
     if "label" not in data:
         raise ConfigError(f"{where}: missing label")
-    walker = data.get("walker_indices")
-    if walker is not None:
-        walker = (_as_int(walker[0], where), _as_int(walker[1], where))
+    # A legacy "walker_indices" key is accepted and ignored: a mode's (i, j)
+    # identity is its field map's.
     try:
         return MagnonMode(
             label=str(data["label"]),
@@ -171,7 +170,6 @@ def _parse_mode(data, index: int) -> MagnonMode:
             delta=_as_float(data.get("delta", 0.0), f"{where}.delta"),
             beta=_as_float(data.get("beta", 1.0), f"{where}.beta"),
             field_map=_parse_field_map(data.get("field_map"), f"{where}.field_map"),
-            walker_indices=walker,
         )
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -346,7 +344,6 @@ def dump_config(config: RunConfig) -> dict:
                         )
                         if value is not None
                     },
-                    **({"walker_indices": list(m.walker_indices)} if m.walker_indices else {}),
                 }
                 for m in system.modes
             ],

@@ -63,8 +63,8 @@ class FieldMap:
     ``kind`` selects the rule:
 
     * ``"kittel"`` -- uniform-precession mode, linear in B.
-    * ``"walker"`` -- closed-form magnetostatic-mode frequency for index
-      patterns i = |j| or i = |j| + 1 (requires ``i`` and ``j``).
+    * ``"walker"`` -- closed-form magnetostatic-mode frequency for the
+      index families i = j or i = j + 1 with j >= 1 (requires ``i`` and ``j``).
     * ``"msm20"`` -- the (2,0) magnetostatic mode closed form.
     * ``"fixed"`` -- constant frequency, independent of B (requires
       ``frequency``).
@@ -83,6 +83,8 @@ class FieldMap:
         if self.kind == "walker":
             if self.i is None or self.j is None:
                 raise ValueError("walker field map requires indices i, j")
+            if self.j < 1 or self.i not in (self.j, self.j + 1):
+                raise ValueError(f"walker field map needs j >= 1 and i in (j, j + 1), got ({self.i}, {self.j})")
         if self.kind == "fixed":
             if self.frequency is None or not math.isfinite(self.frequency):
                 raise ValueError("fixed field map requires a finite frequency")
@@ -109,8 +111,6 @@ class MagnonMode:
         coefficient (detection-chain gain); defaults to 1.
     field_map : FieldMap
         Bias-field-to-frequency rule.
-    walker_indices : tuple[int, int] | None
-        Optional (i, j) mode identity; constrained to i >= 1, -i <= j <= i.
     """
 
     label: str
@@ -119,7 +119,6 @@ class MagnonMode:
     delta: float = 0.0
     beta: float = 1.0
     field_map: FieldMap = field(default_factory=FieldMap)
-    walker_indices: tuple[int, int] | None = None
 
     def __post_init__(self):
         if not self.label:
@@ -134,10 +133,6 @@ class MagnonMode:
             raise ValueError("delta must be non-negative")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-        if self.walker_indices is not None:
-            i, j = self.walker_indices
-            if i < 1 or not -i <= j <= i:
-                raise ValueError(f"walker indices ({i}, {j}) out of range")
 
 
 @dataclass(frozen=True)

@@ -81,54 +81,59 @@ class SweepMap:
         object.__setattr__(self, "values", v)
 
 
-def _resolved_frequencies(system: HybridSystem, B: float) -> list[float]:
-    return [magnetostatics.mode_frequency(m.field_map, B, system.material) for m in system.modes]
-
-
 def shared_denominator(f, system: HybridSystem, B: float):
-    """D(f) = (f - f_c) + i*kappa_t - sum_m g_m^2 chi_m(f)."""
+    """D(f) = (f - f_c) + i*kappa_t - sum_m g_m^2 chi_m(f), and the chi_m in mode order."""
     if not np.all(np.isfinite(f)):
         raise ValueError("f must be finite")
     cav = system.cavity
     d = (np.asarray(f, dtype=float) - cav.f_c) + 1j * cav.kappa_t
-    for mode, f_m in zip(system.modes, _resolved_frequencies(system, B)):
-        d = d - mode.g**2 * susceptibility_magnon(f, mode, f_m)
-    return d
+    chis = []
+    for mode in system.modes:
+        f_m = magnetostatics.mode_frequency(mode.field_map, B, system.material)
+        chi = susceptibility_magnon(f, mode, f_m)
+        d = d - mode.g**2 * chi
+        chis.append(chi)
+    return d, chis
 
 
-def s21(f, system: HybridSystem, B: float = 0.0):
-    """Transmission amplitude -i * 2*kappa_e / D(f).
+def amplitudes(f, system: HybridSystem, B: float = 0.0):
+    """Transmission and every mode's conversion amplitude over one shared denominator.
+
+    Returns ``(s21, s31)``: S21(f) = -i * 2*kappa_e / D(f), and ``s31``
+    maps each mode label, in mode order, to
+    S31_m(f) = -i * g_m * chi_m(f) * sqrt(beta_m*delta_m/kappa_e) * S21(f),
+    which is algebraically identical to the closed two-mode coefficients
+    (their numerator dressing factor collapses into the shared
+    denominator) and extends them to any number of modes.
 
     Supports any number of magnon modes, including zero (bare cavity).
     ``B`` resolves the mode frequencies and is irrelevant for a bare
     cavity or fixed-frequency modes.
     """
-    return -1j * 2.0 * system.cavity.kappa_e / shared_denominator(f, system, B)
+    d, chis = shared_denominator(f, system, B)
+    kappa_e = system.cavity.kappa_e
+    t = -1j * 2.0 * kappa_e / d
+    s31 = {
+        mode.label: -1j * mode.g * chi * math.sqrt(mode.beta * mode.delta / kappa_e) * t
+        for mode, chi in zip(system.modes, chis)
+    }
+    return t, s31
+
+
+def s21(f, system: HybridSystem, B: float = 0.0):
+    """Transmission amplitude -i * 2*kappa_e / D(f) (see :func:`amplitudes`)."""
+    return amplitudes(f, system, B)[0]
 
 
 def s11(f, system: HybridSystem, B: float = 0.0):
-    """Reflection amplitude 1 - i * 2*kappa_e / D(f) (same denominator as s21)."""
-    return 1.0 - 1j * 2.0 * system.cavity.kappa_e / shared_denominator(f, system, B)
-
-
-def _s31_prefactor(mode: MagnonMode, cavity: CavityParams) -> float:
-    if cavity.kappa_e == 0:
-        raise ValueError("s31 requires kappa_e > 0")
-    return math.sqrt(mode.beta * mode.delta / cavity.kappa_e)
+    """Reflection amplitude 1 + S21(f) = 1 - i * 2*kappa_e / D(f)."""
+    return 1.0 + s21(f, system, B)
 
 
 def s31_mode(f, system: HybridSystem, B: float, mode_label: str):
-    """Microwave-to-optical conversion amplitude for one magnon mode.
-
-    Evaluated as S31_m(f) = -i * g_m * chi_m(f) * sqrt(beta_m*delta_m/kappa_e) * S21(f),
-    which is algebraically identical to the closed two-mode coefficients
-    (their numerator dressing factor collapses into the shared
-    denominator) and extends them to any number of modes.
-    """
-    mode = system.mode(mode_label)
-    f_m = magnetostatics.mode_frequency(mode.field_map, B, system.material)
-    chi_m = susceptibility_magnon(f, mode, f_m)
-    return -1j * mode.g * chi_m * _s31_prefactor(mode, system.cavity) * s21(f, system, B)
+    """Microwave-to-optical conversion amplitude S31_m of one magnon mode (see :func:`amplitudes`)."""
+    system.mode(mode_label)  # KeyError for an unknown label, before any work
+    return amplitudes(f, system, B)[1][mode_label]
 
 
 def eta_spectrum(f, system: HybridSystem, B: float = 0.0):
@@ -136,8 +141,8 @@ def eta_spectrum(f, system: HybridSystem, B: float = 0.0):
     if not system.modes:
         raise ValueError("conversion requires at least one magnon mode")
     total = 0.0
-    for mode in system.modes:
-        total = total + np.abs(s31_mode(f, system, B, mode.label)) ** 2
+    for values in amplitudes(f, system, B)[1].values():
+        total = total + np.abs(values) ** 2
     return total
 
 

@@ -262,6 +262,14 @@ class TestExitCodes:
         path.write_text("system:\n  cavity: {f_c: -1.0, kappa_e: 2.1e+6, kappa_i: 0.0}\n")
         assert run(["spectrum", path]) == 2
 
+    @pytest.mark.parametrize("walker_indices", [5, [1, 1], "x"])
+    def test_legacy_walker_indices_key_is_ignored(self, tmp_path, walker_indices):
+        config = yaml.safe_load((CONFIG_DIR / "sphere_0p45mm_spectrum.yaml").read_text())
+        config["system"]["modes"][0]["walker_indices"] = walker_indices
+        path = tmp_path / "legacy.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run(["spectrum", path, "--out", tmp_path / "x.csv"]) == 0
+
     def test_numeric_domain_error(self, tmp_path):
         config = yaml.safe_load((CONFIG_DIR / "sphere_0p75mm_map.yaml").read_text())
         # drive the (2,0) closed form below its validity range

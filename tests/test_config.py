@@ -30,7 +30,7 @@ def test_parse_minimal_config():
     assert config.system.cavity.kappa_t == 2.7e6
     assert config.system.modes[0].label == "kittel"
     assert config.system.modes[0].beta == 1.0  # default amplification
-    assert config.system.modes[0].walker_indices == (1, 1)
+    assert "walker_indices" not in dump_config(config)["system"]["modes"][0]  # accepted, ignored
     assert config.field_grid.count == 5
     assert config.seed == 7
     f = config.frequency_grid.values()
@@ -94,6 +94,7 @@ def test_grid_validation():
         lambda d: d["system"]["modes"].append({"g": 1e6, "gamma": 1e6}),  # no label
         lambda d: d["system"]["modes"][0].update(gamma=-1.0),
         lambda d: d["sweep"].update(field={"start": 0.4, "stop": 0.3, "count": 5}),
+        lambda d: d["system"]["modes"][0].update(field_map={"kind": "walker", "i": 3, "j": 0}),
     ],
 )
 def test_malformed_configs_raise_config_error(mutate):

@@ -108,9 +108,6 @@ def test_cavity_params_validation(kwargs):
         dict(g=1e6, gamma=0.0),
         dict(g=1e6, gamma=1e6, delta=-1.0),
         dict(g=1e6, gamma=1e6, beta=0.0),
-        dict(g=1e6, gamma=1e6, walker_indices=(0, 0)),
-        dict(g=1e6, gamma=1e6, walker_indices=(2, 3)),
-        dict(g=1e6, gamma=1e6, walker_indices=(2, -3)),
     ],
 )
 def test_magnon_mode_validation(kwargs):
@@ -159,6 +156,12 @@ def test_field_map_validation():
         mc.FieldMap(kind="nope")
     with pytest.raises(ValueError):
         mc.FieldMap(kind="walker")  # indices required
+    # only the closed-form families i = j and i = j + 1 with j >= 1
+    for i, j in ((3, 0), (1, 0), (0, 0), (2, -1), (1, 2), (4, 2)):
+        with pytest.raises(ValueError):
+            mc.FieldMap(kind="walker", i=i, j=j)
+    for i, j in ((1, 1), (2, 1), (3, 3), (4, 3)):
+        assert mc.FieldMap(kind="walker", i=i, j=j).i == i
     with pytest.raises(ValueError):
         mc.FieldMap(kind="fixed")  # frequency required
     assert mc.FieldMap(kind="fixed", frequency=1e9).frequency == 1e9

@@ -68,7 +68,7 @@ class TestReflection:
         # s11 = 1 - i*2*kappa_e/D and s21 = -i*2*kappa_e/D, so s11 = 1 + s21
         sys_ = two_mode_system("1.0mm", f_M=CAVITY.f_c + 40e6)
         f = np.linspace(10.4e9, 10.9e9, 501)
-        assert np.allclose(mc.s11(f, sys_), 1.0 + mc.s21(f, sys_), rtol=1e-13)
+        np.testing.assert_array_equal(mc.s11(f, sys_), 1.0 + mc.s21(f, sys_))
 
 
 class TestConversion:
@@ -119,6 +119,25 @@ class TestConversion:
         assert np.allclose(
             mc.eta_spectrum(f, boosted, 0.0), 1000.0 * mc.eta_spectrum(f, sys_, 0.0), rtol=1e-12
         )
+
+    def test_eta_is_sum_of_mode_conversion_powers(self):
+        sys_ = two_mode_system("0.75mm", f_M=CAVITY.f_c + 55e6)
+        f = np.linspace(10.55e9, 10.7e9, 301)
+        total = 0.0
+        for mode in sys_.modes:
+            total = total + np.abs(mc.s31_mode(f, sys_, 0.0, mode.label)) ** 2
+        np.testing.assert_array_equal(mc.eta_spectrum(f, sys_, 0.0), total)
+
+    def test_kernel_returns_transmission_and_every_mode(self):
+        sys_ = two_mode_system("0.75mm", f_M=CAVITY.f_c + 55e6)
+        f = np.linspace(10.55e9, 10.7e9, 301)
+        s21, s31 = mc.amplitudes(f, sys_, 0.0)
+        np.testing.assert_array_equal(s21, mc.s21(f, sys_, 0.0))
+        assert list(s31) == ["kittel", "msm"]
+        for label, values in s31.items():
+            np.testing.assert_array_equal(values, mc.s31_mode(f, sys_, 0.0, label))
+        s21, s31 = mc.amplitudes(f, mc.HybridSystem(cavity=CAVITY))
+        assert s31 == {} and s21.shape == f.shape
 
 
 class TestResonantEfficiency:
@@ -261,6 +280,39 @@ class TestSweepMap:
         by_label = mc.sweep_map(sys_, [0.38], f, "s31_phase", mode_label="msm")
         expected = np.angle(mc.s31_mode(f, sys_, 0.38, "msm"))
         assert np.allclose(by_label.values[0], expected)
+
+    @pytest.mark.parametrize("observable", mc.scattering.OBSERVABLES)
+    def test_rows_equal_point_functions(self, observable):
+        a = ASSEMBLIES["0.75mm"]
+        sys_ = mc.HybridSystem(
+            cavity=CAVITY,
+            modes=(
+                mc.MagnonMode(label="kittel", g=a["g_K"], gamma=a["gamma_K"], delta=a["delta_K"]),
+                mc.MagnonMode(
+                    label="msm", g=a["g_M"], gamma=a["gamma_M"], delta=a["delta_M"],
+                    field_map=mc.FieldMap(kind="msm20"),
+                ),
+            ),
+            material=mc.MaterialParams(diameter=a["diameter"]),
+        )
+        B = np.array([0.3797, 0.3808, 0.3818])
+        f = np.linspace(CAVITY.f_c - 150e6, CAVITY.f_c + 150e6, 301)
+        point = {
+            "s21_power": lambda b: np.abs(mc.s21(f, sys_, b)) ** 2,
+            "s11_power": lambda b: np.abs(mc.s11(f, sys_, b)) ** 2,
+            "eta": lambda b: mc.eta_spectrum(f, sys_, b),
+            "s21_phase": lambda b: mc.principal_phase(mc.s21(f, sys_, b)),
+            "s31_phase": lambda b: mc.principal_phase(mc.s31_mode(f, sys_, b, "kittel")),
+        }[observable]
+        swept = mc.sweep_map(sys_, B, f, observable)
+        for k, b in enumerate(B):
+            np.testing.assert_array_equal(swept.values[k], point(b))
+
+    def test_conversion_maps_need_a_mode(self):
+        bare = mc.HybridSystem(cavity=CAVITY)
+        for observable in ("eta", "s31_phase"):
+            with pytest.raises(ValueError):
+                mc.sweep_map(bare, [0.38], [10.6e9], observable)
 
     def test_map_validation_rejects_negative_power(self):
         with pytest.raises(ValueError):
