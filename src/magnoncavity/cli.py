@@ -12,7 +12,8 @@ import argparse
 import csv
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -31,13 +32,43 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-@contextmanager
-def _open_output(path: str | None):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield handle
+def _fmt_column(values) -> list[str]:
+    return list(map(_fmt, np.asarray(values, dtype=float).tolist()))
+
+
+def _write_csv(out: str | None, header, rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV to the path ``out``, or to stdout for None or "-".
+
+    ``rows`` may be a generator: it is consumed one row at a time.
+    """
+    try:
+        if out is None or out == "-":
+            target = nullcontext(sys.stdout)
+        else:
+            target = open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out}: {exc}") from None
+    with target as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path: str, required) -> list[dict]:
+    """The rows of a data CSV as dicts keyed by its header, which must name every ``required`` column."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
+                raise ConfigError(f"data file {path} lacks columns {sorted(required)}")
+            rows = list(reader)
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file {path}: {exc}") from None
+    if not rows:
+        raise ConfigError(f"data file {path} contains no rows")
+    if any(None in row.values() for row in rows):
+        raise ConfigError(f"data file {path} has rows with missing cells")
+    return rows
 
 
 def _apply_beta_db(system: HybridSystem, beta_db: float | None) -> HybridSystem:
@@ -88,11 +119,7 @@ def cmd_spectrum(args) -> int:
             if name.startswith("arg_"):
                 columns[name] = np.unwrap(columns[name])
 
-    with _open_output(args.out) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns.keys())
-        for k in range(f.size):
-            writer.writerow(_fmt(columns[name][k]) for name in columns)
+    _write_csv(args.out, columns.keys(), zip(*map(_fmt_column, columns.values())))
     return EXIT_OK
 
 
@@ -108,12 +135,12 @@ def cmd_map(args) -> int:
     if args.unwrap and config.observable.endswith("_phase"):
         values = np.unwrap(values, axis=1)
 
-    with _open_output(args.out) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["B_T", "f_hz", "value"])
-        for k, B in enumerate(sweep.fields):
-            for l, f in enumerate(sweep.frequencies):
-                writer.writerow([_fmt(B), _fmt(f), _fmt(values[k, l])])
+    # one B row at a time: the frequency column is formatted once, the grid never as a whole
+    f_cells = _fmt_column(sweep.frequencies)
+    rows = chain.from_iterable(
+        zip(repeat(_fmt(B)), f_cells, _fmt_column(row)) for B, row in zip(sweep.fields, values)
+    )
+    _write_csv(args.out, ["B_T", "f_hz", "value"], rows)
     return EXIT_OK
 
 
@@ -133,9 +160,7 @@ def cmd_modes(args) -> int:
     spec = config.modes_table
     material = config.system.material
 
-    with _open_output(args.out) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["B_T", "i", "j", "sign_branch", "f_closed_hz", "f_solver_hz", "rel_diff"])
+    def rows():
         for B in spec.field_grid.values():
             for (i, j) in spec.indices:
                 closed = _closed_form(i, j, B, material)
@@ -147,9 +172,9 @@ def cmd_modes(args) -> int:
                     window = (closed - half, closed + half)
                 root = magnetostatics.solve_walker_mode(q, material, window)
                 rel = "" if closed is None else _fmt(abs(root - closed) / closed)
-                writer.writerow(
-                    [_fmt(B), i, j, spec.sign_branch, "" if closed is None else _fmt(closed), _fmt(root), rel]
-                )
+                yield [_fmt(B), i, j, spec.sign_branch, "" if closed is None else _fmt(closed), _fmt(root), rel]
+
+    _write_csv(args.out, ["B_T", "i", "j", "sign_branch", "f_closed_hz", "f_solver_hz", "rel_diff"], rows())
     return EXIT_OK
 
 
@@ -165,9 +190,7 @@ def cmd_derive(args) -> int:
     if not system.modes:
         raise ConfigError("derive needs at least one mode with measured g and gamma")
 
-    with _open_output(args.out) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["mode", "quantity", "derived", "reference", "rel_dev"])
+    def rows():
         for mode in system.modes:
             params = derived.derive_mode_params(
                 g=mode.g,
@@ -182,32 +205,14 @@ def cmd_derive(args) -> int:
             for name in _DERIVED_FIELDS:
                 value = getattr(params, name)
                 if name in reference:
-                    ref = float(reference[name])
+                    ref = reference[name]
                     dev = abs(value - ref) / abs(ref) if ref != 0 else math.inf
-                    writer.writerow([mode.label, name, _fmt(value), _fmt(ref), _fmt(dev)])
+                    yield [mode.label, name, _fmt(value), _fmt(ref), _fmt(dev)]
                 else:
-                    writer.writerow([mode.label, name, _fmt(value), "", ""])
+                    yield [mode.label, name, _fmt(value), "", ""]
+
+    _write_csv(args.out, ["mode", "quantity", "derived", "reference", "rel_dev"], rows())
     return EXIT_OK
-
-
-def _read_spectrum_csv(path: str, observable: str) -> scattering.ComplexSpectrum:
-    field, _, label = observable.partition(".")
-    column = field if field in ("s21", "s11") else f"s31_{label}"
-    frequencies, values = [], []
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            required = {"f_hz", f"re_{column}", f"im_{column}"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ConfigError(f"data file {path} lacks columns {sorted(required)}")
-            for row in reader:
-                frequencies.append(float(row["f_hz"]))
-                values.append(complex(float(row[f"re_{column}"]), float(row[f"im_{column}"])))
-    except OSError as exc:
-        raise ConfigError(f"cannot read data file {path}: {exc}") from None
-    if not frequencies:
-        raise ConfigError(f"data file {path} contains no rows")
-    return scattering.ComplexSpectrum(np.array(frequencies), np.array(values))
 
 
 def cmd_fit(args) -> int:
@@ -215,7 +220,13 @@ def cmd_fit(args) -> int:
     if config.fit is None:
         raise ConfigError("config must provide a fit section")
     spec = config.fit
-    observed = _read_spectrum_csv(args.data, spec.observable)
+    field, _, label = spec.observable.partition(".")
+    column = field if field in ("s21", "s11") else f"s31_{label}"
+    rows = _read_csv(args.data, ("f_hz", f"re_{column}", f"im_{column}"))
+    observed = scattering.ComplexSpectrum(
+        np.array([float(row["f_hz"]) for row in rows]),
+        np.array([complex(float(row[f"re_{column}"]), float(row[f"im_{column}"])) for row in rows]),
+    )
     problem = fitting.FitProblem(
         observed=observed,
         system=config.system,
@@ -227,18 +238,16 @@ def cmd_fit(args) -> int:
     init = {name: _template_value(config.system, name, spec.B) for name in spec.free}
     result = fitting.fit_spectrum(problem, init)
 
-    with _open_output(args.out) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["kind", "name", "value"])
-        for name in sorted(result.estimates):
-            writer.writerow(["estimate", name, _fmt(result.estimates[name])])
-        writer.writerow(["stat", "rms_residual", _fmt(result.rms_residual)])
-        writer.writerow(["stat", "iterations", str(result.iterations)])
-        writer.writerow(["stat", "converged", str(result.converged).lower()])
-        writer.writerow(["stat", "jacobian_condition_estimate", _fmt(result.jacobian_condition_estimate)])
-        writer.writerow(["stat", "loss", result.loss])
-        for k, rms in enumerate(result.residual_trace):
-            writer.writerow(["trace", str(k), _fmt(rms)])
+    rows = [
+        *(["estimate", name, _fmt(result.estimates[name])] for name in sorted(result.estimates)),
+        ["stat", "rms_residual", _fmt(result.rms_residual)],
+        ["stat", "iterations", result.iterations],
+        ["stat", "converged", str(result.converged).lower()],
+        ["stat", "jacobian_condition_estimate", _fmt(result.jacobian_condition_estimate)],
+        ["stat", "loss", result.loss],
+        *(["trace", k, _fmt(rms)] for k, rms in enumerate(result.residual_trace)),
+    ]
+    _write_csv(args.out, ["kind", "name", "value"], rows)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -252,29 +261,13 @@ def _template_value(system: HybridSystem, name: str, B: float) -> float:
     return getattr(mode, field)
 
 
-def _read_points_csv(path: str):
-    points, include = [], []
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None or not {"diameter_m", "value"}.issubset(reader.fieldnames):
-                raise ConfigError(f"points file {path} must have columns diameter_m,value[,include]")
-            has_include = "include" in reader.fieldnames
-            for row in reader:
-                points.append((float(row["diameter_m"]), float(row["value"])))
-                include.append(bool(int(row["include"])) if has_include else True)
-    except OSError as exc:
-        raise ConfigError(f"cannot read points file {path}: {exc}") from None
-    if not points:
-        raise ConfigError(f"points file {path} contains no rows")
-    return points, include
-
-
 def cmd_scaling(args) -> int:
     config = load_config(args.config)
     if config.scaling is None:
         raise ConfigError("config must provide a scaling section")
-    points, include = _read_points_csv(args.data)
+    rows = _read_csv(args.data, ("diameter_m", "value"))
+    points = [(float(row["diameter_m"]), float(row["value"])) for row in rows]
+    include = [bool(int(row["include"])) if "include" in row else True for row in rows]
     if config.scaling.include is not None:
         if len(config.scaling.include) != len(points):
             raise ConfigError("scaling.include length must match the number of points")
@@ -284,16 +277,14 @@ def cmd_scaling(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    with _open_output(args.out) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["kind", "name", "value"])
-        writer.writerow(["fit", "model", result.model])
-        for k, coefficient in enumerate(result.coefficients):
-            writer.writerow(["fit", f"c{k}", _fmt(coefficient)])
-        writer.writerow(["fit", "rms_residual", _fmt(result.rms_residual)])
-        for k, ((diameter, value), used) in enumerate(zip(points, result.included_points)):
-            writer.writerow(["point", f"included_{k}", str(int(used))])
-            writer.writerow(["point", f"predicted_{k}", _fmt(result.predict(diameter))])
+    rows = [
+        ["fit", "model", result.model],
+        *(["fit", f"c{k}", _fmt(coefficient)] for k, coefficient in enumerate(result.coefficients)),
+        ["fit", "rms_residual", _fmt(result.rms_residual)],
+    ]
+    for k, ((diameter, _), used) in enumerate(zip(points, result.included_points)):
+        rows += [["point", f"included_{k}", int(used)], ["point", f"predicted_{k}", _fmt(result.predict(diameter))]]
+    _write_csv(args.out, ["kind", "name", "value"], rows)
     return EXIT_OK
 
 

@@ -40,10 +40,16 @@ def _as_float(value, where: str) -> float:
 
 
 def _as_int(value, where: str) -> int:
+    """An integer; integral floats and numeric strings are accepted, fractional values rejected."""
+    if isinstance(value, int):
+        return int(value)
     try:
-        out = int(value)
-    except (TypeError, ValueError):
+        number = float(value)
+        out = int(number)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
+    if out != number:
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return out
 
 
@@ -51,6 +57,13 @@ def _section(data: dict, key: str, where: str) -> dict:
     value = data.get(key)
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: missing or malformed section {key!r}")
+    return value
+
+
+def _checked(value, kind: type, where: str):
+    """``value`` if it is a ``kind`` (dict or list), else a ConfigError."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where}: expected a {'mapping' if kind is dict else 'list'}, got {value!r}")
     return value
 
 
@@ -183,7 +196,7 @@ def _parse_system(data: dict) -> HybridSystem:
             kappa_e=_as_float(cav.get("kappa_e"), "system.cavity.kappa_e"),
             kappa_i=_as_float(cav.get("kappa_i", 0.0), "system.cavity.kappa_i"),
         )
-        material_data = data.get("material", {})
+        material_data = _checked(data.get("material", {}), dict, "system.material")
         material = MaterialParams(
             mu0_Ms=_as_float(material_data.get("mu0_Ms", 0.178), "system.material.mu0_Ms"),
             gamma_e=_as_float(material_data.get("gamma_e", 28.0e9), "system.material.gamma_e"),
@@ -192,12 +205,12 @@ def _parse_system(data: dict) -> HybridSystem:
             diameter=_as_float(material_data.get("diameter", 0.45e-3), "system.material.diameter"),
             xi=_as_float(material_data.get("xi", 1.0), "system.material.xi"),
         )
-        optical_data = data.get("optical", {})
+        optical_data = _checked(data.get("optical", {}), dict, "system.optical")
         optical = OpticalDrive(
             wavelength=_as_float(optical_data.get("wavelength", 1.55e-6), "system.optical.wavelength"),
             power=_as_float(optical_data.get("power", 15e-3), "system.optical.power"),
         )
-        modes = tuple(_parse_mode(m, k) for k, m in enumerate(data.get("modes", [])))
+        modes = tuple(_parse_mode(m, k) for k, m in enumerate(_checked(data.get("modes", []), list, "system.modes")))
         return HybridSystem(cavity=cavity, modes=modes, material=material, optical=optical)
     except ConfigError:
         raise
@@ -237,7 +250,8 @@ def parse_config(data: dict) -> RunConfig:
     if "modes_table" in data:
         mt = _section(data, "modes_table", "config")
         indices_raw = mt.get("indices")
-        if not isinstance(indices_raw, list) or not indices_raw:
+        pairs = isinstance(indices_raw, list) and all(isinstance(p, list) and len(p) == 2 for p in indices_raw)
+        if not pairs or not indices_raw:
             raise ConfigError("modes_table.indices must be a non-empty list of [i, j] pairs")
         indices = tuple(
             (_as_int(pair[0], "modes_table.indices"), _as_int(pair[1], "modes_table.indices"))
@@ -256,10 +270,17 @@ def parse_config(data: dict) -> RunConfig:
     if "derive" in data:
         dv = _section(data, "derive", "config")
         g_B = dv.get("g_B")
+        reference = _checked(dv.get("reference") or {}, dict, "derive.reference")
         derive = DeriveSpec(
             cavity_volume=_as_float(dv.get("cavity_volume"), "derive.cavity_volume"),
             g_B=None if g_B is None else _as_float(g_B, "derive.g_B"),
-            reference=dv.get("reference", {}) or {},
+            reference={
+                label: {
+                    name: _as_float(value, f"derive.reference.{label}.{name}")
+                    for name, value in _checked(cells, dict, f"derive.reference.{label}").items()
+                }
+                for label, cells in reference.items()
+            },
         )
 
     fit = None
@@ -289,7 +310,7 @@ def parse_config(data: dict) -> RunConfig:
         include = sc.get("include")
         scaling = ScalingSpec(
             model=str(sc.get("model", "")),
-            include=None if include is None else tuple(bool(v) for v in include),
+            include=None if include is None else tuple(bool(v) for v in _checked(include, list, "scaling.include")),
         )
 
     return RunConfig(

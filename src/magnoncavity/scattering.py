@@ -140,10 +140,12 @@ def eta_spectrum(f, system: HybridSystem, B: float = 0.0):
     """Total conversion efficiency: sum over modes of |S31_m(f)|^2."""
     if not system.modes:
         raise ValueError("conversion requires at least one magnon mode")
-    total = 0.0
-    for values in amplitudes(f, system, B)[1].values():
-        total = total + np.abs(values) ** 2
-    return total
+    return _eta(amplitudes(f, system, B)[1])
+
+
+def _eta(s31: dict):
+    """sum_m |S31_m|^2, summed in mode order from 0.0."""
+    return sum((np.abs(values) ** 2 for values in s31.values()), 0.0)
 
 
 def eta_resonant(system: HybridSystem) -> float:
@@ -222,22 +224,20 @@ def sweep_map(
     if B_grid.size == 0 or f_grid.size == 0:
         raise ValueError("grids must be non-empty")
 
+    if observable in ("eta", "s31_phase") and not system.modes:
+        raise ValueError(f"{observable} requires at least one magnon mode")
     if observable == "s31_phase":
-        if not system.modes:
-            raise ValueError("s31_phase requires at least one magnon mode")
         label = mode_label if mode_label is not None else system.modes[0].label
+        system.mode(label)  # KeyError for an unknown label, before any work
+    reduce = {
+        "s21_power": lambda t, s31: np.abs(t) ** 2,
+        "s11_power": lambda t, s31: np.abs(1.0 + t) ** 2,
+        "eta": lambda t, s31: _eta(s31),
+        "s21_phase": lambda t, s31: principal_phase(t),
+        "s31_phase": lambda t, s31: principal_phase(s31[label]),
+    }[observable]
 
-    rows = []
-    for B in B_grid:
-        if observable == "s21_power":
-            row = np.abs(s21(f_grid, system, B)) ** 2
-        elif observable == "s11_power":
-            row = np.abs(s11(f_grid, system, B)) ** 2
-        elif observable == "eta":
-            row = eta_spectrum(f_grid, system, B)
-        elif observable == "s21_phase":
-            row = principal_phase(s21(f_grid, system, B))
-        else:
-            row = principal_phase(s31_mode(f_grid, system, B, label))
-        rows.append(np.atleast_1d(row))
-    return SweepMap(B_grid, f_grid, np.vstack(rows), observable)
+    values = np.empty((B_grid.size, f_grid.size))
+    for k, B in enumerate(B_grid):
+        values[k] = reduce(*amplitudes(f_grid, system, B))
+    return SweepMap(B_grid, f_grid, values, observable)

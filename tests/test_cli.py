@@ -229,6 +229,11 @@ class TestFitCommand:
         bad.write_text("f_hz,magnitude\n1.0,2.0\n")
         assert run(["fit", CONFIG_DIR / "fit_0p45mm.yaml", "--data", bad, "--out", tmp_path / "r.csv"]) == 2
 
+    def test_short_data_row_is_config_error(self, tmp_path):
+        bad = tmp_path / "short.csv"
+        bad.write_text("f_hz,re_s21,im_s21\n1.0,2.0,3.0\n2.0,2.0\n")
+        assert run(["fit", CONFIG_DIR / "fit_0p45mm.yaml", "--data", bad, "--out", tmp_path / "r.csv"]) == 2
+
 
 class TestScalingCommand:
     def test_linear_coupling_fit(self, tmp_path):
@@ -270,6 +275,27 @@ class TestExitCodes:
         path.write_text(yaml.safe_dump(config))
         assert run(["spectrum", path, "--out", tmp_path / "x.csv"]) == 0
 
+    @pytest.mark.parametrize(
+        "command, name, mutate",
+        [
+            ("spectrum", "sphere_0p45mm_spectrum.yaml", lambda d: d["system"].update(modes=None)),
+            ("spectrum", "sphere_0p45mm_spectrum.yaml", lambda d: d["system"].update(material=3)),
+            ("modes", "walker_modes.yaml", lambda d: d["modes_table"].update(indices=[5, [1, 1]])),
+            ("derive", "derive_0p45mm.yaml", lambda d: d["derive"].update(reference=[1, 2])),
+            ("map", "sphere_0p45mm_map.yaml", lambda d: d["sweep"]["frequency"].update(count=2.7)),
+        ],
+    )
+    def test_malformed_section_is_config_error(self, tmp_path, command, name, mutate):
+        config = yaml.safe_load((CONFIG_DIR / name).read_text())
+        mutate(config)
+        path = tmp_path / "malformed.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run([command, path, "--out", tmp_path / "x.csv"]) == 2
+
+    def test_unwritable_output_is_config_error(self, tmp_path):
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert run(["derive", CONFIG_DIR / "derive_0p45mm.yaml", "--out", out]) == 2
+
     def test_numeric_domain_error(self, tmp_path):
         config = yaml.safe_load((CONFIG_DIR / "sphere_0p75mm_map.yaml").read_text())
         # drive the (2,0) closed form below its validity range
@@ -283,3 +309,127 @@ class TestExitCodes:
         assert run(["scaling", CONFIG_DIR / "scaling_g_kittel.yaml", "--data", CONFIG_DIR / "points_g_kittel.csv"]) == 0
         captured = capsys.readouterr().out
         assert captured.startswith("kind,name,value")
+
+
+class TestCsvContract:
+    """Bytes of the CSV every subcommand writes: .17g cells, \r\n rows, minimal quoting."""
+
+    def test_map_bytes_equal_a_row_by_row_reference(self, tmp_path):
+        config = yaml.safe_load((CONFIG_DIR / "sphere_0p75mm_map.yaml").read_text())
+        config["observable"] = "s21_phase"
+        config["sweep"]["field"]["count"] = 3
+        config["sweep"]["frequency"]["count"] = 7
+        path = tmp_path / "small_map.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "map.csv"
+        assert run(["map", path, "--out", out]) == 0
+        config = mc.load_config(path)
+        sweep = mc.sweep_map(
+            config.system, config.field_grid.values(), config.frequency_grid.values(), config.observable
+        )
+        with open(tmp_path / "reference.csv", "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["B_T", "f_hz", "value"])
+            for k, B in enumerate(sweep.fields):
+                for l, f in enumerate(sweep.frequencies):
+                    writer.writerow([format(float(v), ".17g") for v in (B, f, sweep.values[k, l])])
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        cells = [float(r["value"]) for r in read_csv(out)]
+        assert cells == sweep.values.ravel().tolist()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", CONFIG_DIR / "sphere_0p45mm_spectrum.yaml"],
+            ["map", CONFIG_DIR / "sphere_0p45mm_map.yaml"],
+            ["modes", CONFIG_DIR / "walker_modes.yaml"],
+            ["derive", CONFIG_DIR / "derive_0p45mm.yaml"],
+            ["scaling", CONFIG_DIR / "scaling_g_kittel.yaml", "--data", CONFIG_DIR / "points_g_kittel.csv"],
+        ],
+        ids=["spectrum", "map", "modes", "derive", "scaling"],
+    )
+    def test_rows_end_in_crlf(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", out]) == 0
+        data = out.read_bytes()
+        assert data.endswith(b"\r\n")
+        assert data.count(b"\n") == data.count(b"\r\n") == len(read_csv(out)) + 1
+
+    def test_float_cells_round_trip_exactly(self, tmp_path):
+        from magnoncavity import cli
+
+        values = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1 / 3, -2.5e300, 0.1, 10.632e9, math.pi]
+        out = tmp_path / "floats.csv"
+        cli._write_csv(str(out), ["value"], zip(cli._fmt_column(np.array(values))))
+        cells = [row["value"] for row in read_csv(out)]
+        assert [float(cell) for cell in cells] == values
+        assert [math.copysign(1.0, float(cell)) for cell in cells] == [math.copysign(1.0, v) for v in values]
+        assert cells[:3] == ["-0", "0", "4.9406564584124654e-324"]
+
+    def test_spectrum_cells_round_trip_exactly(self, tmp_path):
+        out = tmp_path / "spectrum.csv"
+        assert run(["spectrum", CONFIG_DIR / "sphere_0p45mm_spectrum.yaml", "--out", out]) == 0
+        rows = read_csv(out)
+        config = mc.load_config(CONFIG_DIR / "sphere_0p45mm_spectrum.yaml")
+        f = config.frequency_grid.values()
+        s21 = mc.s21(f, config.system, float(config.field_grid.values()[0]))
+        assert [float(r["f_hz"]) for r in rows] == f.tolist()
+        assert [float(r["re_s21"]) for r in rows] == s21.real.tolist()
+        assert [float(r["im_s21"]) for r in rows] == s21.imag.tolist()
+
+    def test_derive_label_with_comma_and_quote_is_quoted(self, tmp_path):
+        config = yaml.safe_load((CONFIG_DIR / "derive_0p45mm.yaml").read_text())
+        label = 'ms"m, (2,0)'
+        config["system"]["modes"][1]["label"] = label
+        config["derive"]["reference"] = {label: {"N": 0.0}}
+        path = tmp_path / "quoted.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "derive.csv"
+        assert run(["derive", path, "--out", out]) == 0
+        lines = out.read_bytes().split(b"\r\n")
+        assert lines[0] == b"mode,quantity,derived,reference,rel_dev"
+        assert lines[1].startswith(b"kittel,g_B,")
+        assert lines[1].endswith(b",,")  # no reference cell: empty reference and rel_dev
+        quoted = [line for line in lines if line.startswith(b'"ms""m, (2,0)",')]
+        assert len(quoted) == 7
+        assert quoted[1].startswith(b'"ms""m, (2,0)",N,') and quoted[1].endswith(b",0,inf")
+        assert {r["mode"] for r in read_csv(out)} == {"kittel", label}
+
+    def test_modes_without_closed_form_have_empty_cells(self, tmp_path):
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        config["modes_table"]["indices"] = [[1, 1], [4, 0]]  # (4, 0) has no closed form
+        config["modes_table"]["field"]["count"] = 2
+        path = tmp_path / "open.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "modes.csv"
+        assert run(["modes", path, "--out", out]) == 0
+        rows = read_csv(out)
+        assert [(r["i"], r["j"]) for r in rows] == [("1", "1"), ("4", "0")] * 2
+        for row in rows:
+            no_closed_form = row["i"] == "4"
+            assert (row["f_closed_hz"] == "") == no_closed_form
+            assert (row["rel_diff"] == "") == no_closed_form
+            assert float(row["f_solver_hz"]) > 0
+        lines = out.read_bytes().split(b"\r\n")
+        assert lines[2].startswith(b"0.29999999999999999,4,0,plus,,")
+        assert lines[2].endswith(b",")
+
+    def test_fit_rows_are_estimates_then_stats_then_trace(self, tmp_path):
+        data = TestFitCommand().synthesize_data(tmp_path)
+        out = tmp_path / "fit.csv"
+        assert run(["fit", CONFIG_DIR / "fit_0p45mm.yaml", "--data", data, "--out", out]) == 0
+        rows = read_csv(out)
+        free = sorted(yaml.safe_load((CONFIG_DIR / "fit_0p45mm.yaml").read_text())["fit"]["free"])
+        stats = ["rms_residual", "iterations", "converged", "jacobian_condition_estimate", "loss"]
+        n_trace = len(rows) - len(free) - len(stats)
+        assert n_trace >= 2
+        assert [(r["kind"], r["name"]) for r in rows] == (
+            [("estimate", name) for name in free]
+            + [("stat", name) for name in stats]
+            + [("trace", str(k)) for k in range(n_trace)]
+        )
+        by_name = {r["name"]: r["value"] for r in rows}
+        assert by_name["converged"] == "true"
+        assert by_name["loss"] == "complex_residual"
+        assert int(by_name["iterations"]) == n_trace - 1
+        assert float(by_name["rms_residual"]) == float(rows[-1]["value"])

@@ -95,6 +95,14 @@ def test_grid_validation():
         lambda d: d["system"]["modes"][0].update(gamma=-1.0),
         lambda d: d["sweep"].update(field={"start": 0.4, "stop": 0.3, "count": 5}),
         lambda d: d["system"]["modes"][0].update(field_map={"kind": "walker", "i": 3, "j": 0}),
+        lambda d: d["system"].update(modes=None),
+        lambda d: d["system"].update(modes=5),
+        lambda d: d["system"].update(material=3),
+        lambda d: d["system"].update(optical="x"),
+        lambda d: d.update(modes_table={"field": {"start": 0.3, "stop": 0.4, "count": 2}, "indices": [5, [1, 1]]}),
+        lambda d: d.update(scaling={"model": "linear_in_sqrtV", "include": 5}),
+        lambda d: d.update(derive={"cavity_volume": 1.6e-6, "reference": [1, 2]}),
+        lambda d: d.update(derive={"cavity_volume": 1.6e-6, "reference": {"kittel": {"N": "many"}}}),
     ],
 )
 def test_malformed_configs_raise_config_error(mutate):
@@ -104,6 +112,53 @@ def test_malformed_configs_raise_config_error(mutate):
     mutate(data)
     with pytest.raises(ConfigError):
         parse_config(data)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["sweep"]["frequency"].update(count=2.7),
+        lambda d: d.update(seed=0.9),
+        lambda d: d.update(seed="1.5"),
+        lambda d: d.update(seed=float("nan")),
+        lambda d: d.update(seed=float("inf")),
+        lambda d: d.update(modes_table={"field": {"start": 0.3, "stop": 0.4, "count": 2}, "indices": [[1.5, 1]]}),
+    ],
+)
+def test_integer_fields_reject_fractions(mutate):
+    import copy
+
+    data = copy.deepcopy(MINIMAL)
+    mutate(data)
+    with pytest.raises(ConfigError, match="expected an integer"):
+        parse_config(data)
+
+
+def test_integer_fields_accept_integral_floats_and_strings():
+    import copy
+
+    data = copy.deepcopy(MINIMAL)
+    data["sweep"]["frequency"]["count"] = 4.01e+2
+    data["sweep"]["field"]["count"] = "5"
+    data["seed"] = "3e0"
+    data["modes_table"] = {"field": {"start": 0.3, "stop": 0.4, "count": 2.0}, "indices": [["2", 1.0]]}
+    config = parse_config(data)
+    assert config.frequency_grid.count == 401 and type(config.frequency_grid.count) is int
+    assert config.field_grid.count == 5
+    assert config.seed == 3
+    assert config.modes_table.field_grid.count == 2
+    assert config.modes_table.indices == ((2, 1),)
+    assert all(type(v) is int for v in config.modes_table.indices[0])
+
+
+def test_derive_reference_cells_are_numbers():
+    import copy
+
+    data = copy.deepcopy(MINIMAL)
+    data["derive"] = {"cavity_volume": 1.6e-6, "reference": {"kittel": {"N": "1.51e17", "C": 132}}}
+    assert parse_config(data).derive.reference == {"kittel": {"N": 1.51e17, "C": 132.0}}
+    data["derive"]["reference"] = None
+    assert parse_config(data).derive.reference == {}
 
 
 def test_fit_section_validation():
