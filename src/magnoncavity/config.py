@@ -17,7 +17,7 @@ import yaml
 
 from .derived import SCALING_MODELS
 from .errors import ConfigError
-from .fitting import LOSSES
+from .fitting import LOSSES, validate_names
 from .model import (
     CavityParams,
     FieldMap,
@@ -303,6 +303,10 @@ def parse_config(data: dict) -> RunConfig:
             observable=str(ft.get("observable", "s21")),
             loss=str(ft.get("loss", "complex_residual")),
         )
+        try:
+            validate_names(system, fit.free, fit.observable)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"fit: {exc.args[0]}") from None
 
     scaling = None
     if "scaling" in data:

@@ -4,6 +4,14 @@ Replaces by-hand lineshape fitting with a damped (Levenberg-Marquardt
 style) least-squares loop over named system parameters. Strictly positive
 parameters are fitted in log space so positivity never needs active bound
 handling; bounds act as a validity box checked on the way in and out.
+
+The Jacobian is analytic. S21 = -2i*kappa_e/D and
+S31_m = -i*g_m*chi_m*sqrt(beta_m*delta_m/kappa_e)*S21 depend on the
+parameters only through kappa_e, D and the chi_m, so every column
+dS/dtheta = S * dlog S/dtheta follows in closed form from the same
+shared denominator D and susceptibilities chi_m that the model value is
+built from: one model evaluation per Levenberg-Marquardt trial gives both
+the residuals and their Jacobian.
 """
 
 from __future__ import annotations
@@ -44,6 +52,17 @@ def _validate_name(name: str, system: HybridSystem) -> None:
         if field not in _MODE_PARAMS:
             raise ValueError(f"unknown mode parameter {name!r}")
         system.mode(label)  # raises KeyError for unknown labels
+
+
+def validate_names(system: HybridSystem, names, observable: str) -> None:
+    """Check that every parameter name and ``observable`` address ``system``.
+
+    Raises ValueError for an unknown parameter or observable and KeyError
+    for a mode label ``system`` does not have.
+    """
+    for name in names:
+        _validate_name(name, system)
+    _observed_mode(observable, system)
 
 
 def apply_params(system: HybridSystem, values: dict[str, float]) -> HybridSystem:
@@ -96,15 +115,14 @@ class FitProblem:
     def __post_init__(self):
         if not self.free:
             raise ValueError("at least one free parameter is required")
+        validate_names(self.system, self.free, self.observable)
         for name, (lo, hi) in self.free.items():
-            _validate_name(name, self.system)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"bounds for {name!r} must be finite")
             if not lo < hi:
                 raise ValueError(f"bounds for {name!r} must satisfy lower < upper")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}; choose from {LOSSES}")
-        _model_fn(self.observable, self.system)  # validates the observable
 
 
 @dataclass(frozen=True)
@@ -125,16 +143,24 @@ class FitResult:
     residual_trace: tuple[float, ...]
 
 
-def _model_fn(observable: str, system: HybridSystem):
-    if observable == "s21":
-        return lambda f, sys_, B: scattering.s21(f, sys_, B)
-    if observable == "s11":
-        return lambda f, sys_, B: scattering.s11(f, sys_, B)
+def _observed_mode(observable: str, system: HybridSystem) -> str | None:
+    """The mode label of an ``s31.<label>`` observable, None for ``s21`` and ``s11``."""
+    if observable in ("s21", "s11"):
+        return None
     field, label = _split_name(observable)
     if field == "s31" and label is not None:
-        system.mode(label)
-        return lambda f, sys_, B: scattering.s31_mode(f, sys_, B, label)
-    raise ValueError(f"unknown observable {observable!r}")
+        system.mode(label)  # raises KeyError for unknown labels
+        return label
+    raise ValueError(f"unknown observable {observable!r}; choose s21, s11 or s31.<mode label>")
+
+
+def _observed_values(observable: str, s21, s31: dict):
+    """The amplitude ``observable`` names, from the ``(s21, s31)`` of :func:`scattering.amplitudes`."""
+    if observable == "s21":
+        return s21
+    if observable == "s11":
+        return 1.0 + s21
+    return s31[_split_name(observable)[1]]
 
 
 def synthesize_noisy_spectrum(
@@ -155,7 +181,8 @@ def synthesize_noisy_spectrum(
     f_grid = np.asarray(f_grid, dtype=float)
     if f_grid.size == 0:
         raise ValueError("frequency grid must be non-empty")
-    values = np.asarray(_model_fn(observable, system)(f_grid, system, B), dtype=complex)
+    _observed_mode(observable, system)
+    values = _observed_values(observable, *scattering.amplitudes(f_grid, system, B))
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         sigma = noise_sigma * np.max(np.abs(values))
@@ -187,20 +214,77 @@ def _residual_vector(problem: FitProblem, model_values: np.ndarray) -> np.ndarra
     return np.concatenate([power, phase])
 
 
-def parameter_scales(names, f_grid: np.ndarray) -> np.ndarray:
-    """Step scale per internal parameter: log-space rates move by a pure
-    relative amount (scale 1), frequencies by a fraction of the measured
-    band, so the finite-difference step stays meaningful for both."""
-    span = float(f_grid[-1] - f_grid[0]) if f_grid.size > 1 else max(abs(float(f_grid[0])), 1.0)
-    scales = []
-    for name in names:
-        field, _ = _split_name(name)
-        scales.append(1.0 if field in _LOG_FIELDS else span)
-    return np.asarray(scales)
+def _residual_jacobian(loss: str, model_values: np.ndarray, d_model: np.ndarray) -> np.ndarray:
+    """Jacobian of :func:`_residual_vector` from ``d_model``, the model's derivative rows (one per parameter).
+
+    A power row is 2*Re(conj(S)*dS) and a phase row Im(dS/S): the offsets
+    ``np.unwrap`` adds are piecewise constant and drop out of the derivative.
+    """
+    if loss == "complex_residual":
+        return np.concatenate([d_model.real, d_model.imag], axis=1).T
+    power = 2.0 * (model_values.conj() * d_model).real
+    phase = (d_model / model_values).imag
+    return np.concatenate([power, phase], axis=1).T
+
+
+def _log_derivative(name: str, system: HybridSystem, inv_d, chis: dict, observed_mode: str | None):
+    """d log S / du for the internal parameter u of ``name``, over the grid.
+
+    S is S21 for ``observed_mode`` None and S31 of that mode otherwise;
+    ``inv_d`` is 1/D and ``chis`` maps each label to its chi_m, all of
+    ``system``. With dD/df_c = -1, dD/dkappa = i, dD/dg_m = -2*g_m*chi_m,
+    dchi_m/dgamma_m = -i*chi_m^2 and dchi_m/df_m = chi_m^2, the S21 forms
+    are d log S21/dtheta = d log kappa_e/dtheta - (dD/dtheta)/D; S31_m adds
+    d log(g_m*chi_m*sqrt(beta_m*delta_m/kappa_e))/dtheta. A log-space
+    parameter's column is theta * d log S/dtheta, so no form divides by
+    theta.
+    """
+    field, label = _split_name(name)
+    if label is None:
+        if field == "f_c":
+            return inv_d
+        if field == "kappa_i":
+            return -1j * system.cavity.kappa_i * inv_d
+        # kappa_e: S21 is proportional to kappa_e, S31_m to sqrt(kappa_e)
+        return (1.0 if observed_mode is None else 0.5) - 1j * system.cavity.kappa_e * inv_d
+    mode = system.mode(label)
+    chi = chis[label]
+    own = label == observed_mode
+    if field in ("delta", "beta"):
+        return np.full(inv_d.shape, 0.5 if own else 0.0, dtype=complex)
+    if field == "g":
+        return 2.0 * mode.g**2 * chi * inv_d + (1.0 if own else 0.0)
+    shift = mode.g**2 * chi**2 * inv_d  # -dD/df_m
+    if field == "gamma":
+        return -1j * mode.gamma * (shift + (chi if own else 0.0))
+    return shift + (chi if own else 0.0)  # f_m
+
+
+def _residuals_and_jacobian(problem: FitProblem, names):
+    """``evaluate(u) -> (residuals, jacobian)`` at internal values ``u`` of ``names``, from one model evaluation."""
+    observed_mode = _observed_mode(problem.observable, problem.system)
+    f_grid = problem.observed.frequencies
+
+    def evaluate(u: np.ndarray):
+        sys_ = apply_params(problem.system, {n: _from_internal(n, ui) for n, ui in zip(names, u)})
+        d, chis = scattering.shared_denominator(f_grid, sys_, problem.B)
+        s21, s31 = scattering.amplitudes_from_denominator(d, chis, sys_)
+        model_values = _observed_values(problem.observable, s21, s31)
+        inv_d = 1.0 / d
+        chi_of = {mode.label: chi for mode, chi in zip(sys_.modes, chis)}
+        d_log = np.array([_log_derivative(n, sys_, inv_d, chi_of, observed_mode) for n in names])
+        # dS11 = dS21, so S11 differentiates through S21's logarithm
+        base = s21 if observed_mode is None else s31[observed_mode]
+        return _residual_vector(problem, model_values), _residual_jacobian(problem.loss, model_values, base * d_log)
+
+    return evaluate
 
 
 def finite_difference_jacobian(fun, u: np.ndarray, scales=None, rel_step: float = JACOBIAN_REL_STEP) -> np.ndarray:
-    """Central-difference Jacobian of ``fun`` at ``u``, step ``rel_step * scale``."""
+    """Central-difference Jacobian of ``fun`` at ``u``, step ``rel_step * scale``.
+
+    A reference for checking the analytic Jacobian; :func:`fit_spectrum` does not use it.
+    """
     if scales is None:
         scales = np.maximum(np.abs(u), 1.0)
     r0 = fun(u)
@@ -218,9 +302,11 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
     """Damped least-squares extraction of the free parameters.
 
     Starts from ``init`` (which must lie inside the bounds), iterates
-    Levenberg-Marquardt steps with a central-difference Jacobian, accepts
-    only cost-non-increasing steps, and stops when the gradient norm
-    drops below 1e-10 of its initial value or after 200 iterations.
+    Levenberg-Marquardt steps, accepts only cost-non-increasing steps,
+    and stops when the gradient norm drops below 1e-10 of its initial
+    value or after 200 iterations. Each trial step evaluates the model
+    once and gets the residuals together with their analytic Jacobian
+    (see the module docstring); an accepted step keeps that Jacobian.
     Singular normal equations end the fit with ``converged=False`` and a
     large condition estimate instead of raising.
     """
@@ -232,22 +318,13 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
         if not lo <= init[name] <= hi:
             raise ValueError(f"init for {name!r} is outside its bounds")
 
-    model = _model_fn(problem.observable, problem.system)
-    f_grid = problem.observed.frequencies
-
-    def residuals(u: np.ndarray) -> np.ndarray:
-        values = {n: _from_internal(n, ui) for n, ui in zip(names, u)}
-        sys_ = apply_params(problem.system, values)
-        return _residual_vector(problem, np.asarray(model(f_grid, sys_, problem.B), dtype=complex))
-
+    evaluate = _residuals_and_jacobian(problem, names)
     u = np.array([_to_internal(n, init[n]) for n in names])
-    scales = parameter_scales(names, f_grid)
-    r = residuals(u)
+    r, jac = evaluate(u)
     cost = float(r @ r)
     n_points = r.size
     trace = [math.sqrt(cost / n_points)]
 
-    jac = finite_difference_jacobian(residuals, u, scales)
     grad = jac.T @ r
     grad0 = np.linalg.norm(grad)
     lam = 1e-3
@@ -274,13 +351,13 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
                 break
             u_try = u + step
             try:
-                r_try = residuals(u_try)
+                r_try, jac_try = evaluate(u_try)
             except (ValueError, OverflowError):
                 r_try = None
             if r_try is not None and np.all(np.isfinite(r_try)):
                 cost_try = float(r_try @ r_try)
                 if cost_try <= cost:
-                    u, r, cost = u_try, r_try, cost_try
+                    u, r, jac, cost = u_try, r_try, jac_try, cost_try
                     lam = max(lam / 3.0, 1e-12)
                     accepted = True
                     break
@@ -290,7 +367,6 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
         if not accepted:
             break  # damping exhausted without progress; gradient check decides below
         trace.append(math.sqrt(cost / n_points))
-        jac = finite_difference_jacobian(residuals, u, scales)
         grad = jac.T @ r
         if np.linalg.norm(grad) < GRADIENT_RTOL * grad0:
             converged = True

@@ -110,7 +110,11 @@ def amplitudes(f, system: HybridSystem, B: float = 0.0):
     ``B`` resolves the mode frequencies and is irrelevant for a bare
     cavity or fixed-frequency modes.
     """
-    d, chis = shared_denominator(f, system, B)
+    return amplitudes_from_denominator(*shared_denominator(f, system, B), system)
+
+
+def amplitudes_from_denominator(d, chis, system: HybridSystem):
+    """``(s21, s31)`` of :func:`amplitudes` from an already built ``(D, chis)`` of ``system``."""
     kappa_e = system.cavity.kappa_e
     t = -1j * 2.0 * kappa_e / d
     s31 = {

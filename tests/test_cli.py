@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 import magnoncavity as mc
+from magnoncavity import cli
 from magnoncavity.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -291,6 +292,32 @@ class TestExitCodes:
         path = tmp_path / "malformed.yaml"
         path.write_text(yaml.safe_dump(config))
         assert run([command, path, "--out", tmp_path / "x.csv"]) == 2
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d["fit"]["free"].update({"g.ghost": [1.0e6, 1.0e9]}),
+            lambda d: d["fit"].update(observable="s31.ghost"),
+            lambda d: d["fit"].update(observable="s41"),
+        ],
+        ids=["free_label", "observable_label", "observable"],
+    )
+    def test_unknown_fit_names_are_config_errors(self, tmp_path, capsys, mutate):
+        config = yaml.safe_load((CONFIG_DIR / "fit_0p45mm.yaml").read_text())
+        mutate(config)
+        path = tmp_path / "unknown.yaml"
+        path.write_text(yaml.safe_dump(config))
+        # rejected when the config is parsed, before the data file is read
+        assert run(["fit", path, "--data", tmp_path / "absent.csv", "--out", tmp_path / "r.csv"]) == 2
+        assert capsys.readouterr().err.startswith("config error: fit: ")
+
+    def test_key_error_inside_a_command_propagates(self, monkeypatch):
+        def broken(args):
+            raise KeyError("a bug, not a config error")
+
+        monkeypatch.setattr(cli, "cmd_map", broken)
+        with pytest.raises(KeyError):
+            run(["map", CONFIG_DIR / "sphere_0p45mm_map.yaml"])
 
     def test_unwritable_output_is_config_error(self, tmp_path):
         out = tmp_path / "missing_dir" / "x.csv"

@@ -103,6 +103,13 @@ def test_grid_validation():
         lambda d: d.update(scaling={"model": "linear_in_sqrtV", "include": 5}),
         lambda d: d.update(derive={"cavity_volume": 1.6e-6, "reference": [1, 2]}),
         lambda d: d.update(derive={"cavity_volume": 1.6e-6, "reference": {"kittel": {"N": "many"}}}),
+        lambda d: d.update(fit={"free": {"g.kittel": [1e6, 1e9]}, "observable": "s41"}),
+        lambda d: d.update(fit={"free": {"g.kittel": [1e6, 1e9]}, "observable": "s31"}),
+        lambda d: d.update(fit={"free": {"g.kittel": [1e6, 1e9]}, "observable": "s31.ghost"}),
+        lambda d: d.update(fit={"free": {"g.ghost": [1e6, 1e9]}}),
+        lambda d: d.update(fit={"free": {"q_factor": [1.0, 2.0]}}),
+        lambda d: d.update(fit={"free": {"gamma": [1e4, 1e8]}}),  # a mode parameter needs a label
+        lambda d: d.update(fit={"free": {"f_c.kittel": [10.0e9, 11.0e9]}}),
     ],
 )
 def test_malformed_configs_raise_config_error(mutate):
@@ -112,6 +119,18 @@ def test_malformed_configs_raise_config_error(mutate):
     mutate(data)
     with pytest.raises(ConfigError):
         parse_config(data)
+
+
+@pytest.mark.parametrize("observable", ["s21", "s11", "s31.kittel"])
+def test_fit_section_accepts_every_observable_and_parameter_kind(observable):
+    import copy
+
+    data = copy.deepcopy(MINIMAL)
+    names = ["f_c", "kappa_e", "kappa_i", "g.kittel", "gamma.kittel", "f_m.kittel", "delta.kittel", "beta.kittel"]
+    data["fit"] = {"free": {name: [1e-3, 1e12] for name in names}, "observable": observable}
+    config = parse_config(data)
+    assert config.fit.observable == observable
+    assert sorted(config.fit.free) == sorted(names)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import magnoncavity as mc
-from magnoncavity.fitting import finite_difference_jacobian
+from magnoncavity import fitting, scattering
+from magnoncavity.fitting import LOSSES, _residuals_and_jacobian, _to_internal, finite_difference_jacobian
 
 from conftest import ASSEMBLIES, CAVITY, kittel_system, two_mode_system
 
@@ -269,43 +270,87 @@ class TestFitSpectrum:
             mc.fit_spectrum(problem, {})  # missing init
 
 
-def test_jacobian_matches_four_point_stencil():
-    truth = truth_system()
-    observed = mc.synthesize_noisy_spectrum(truth, 0.0, F_GRID)
-    problem = make_problem(observed, truth, WIDE)
+# Two modes off degeneracy, with kappa_i, delta and beta all non-trivial, so
+# every parameter kind has its own column; the evaluation point is 5% (rates)
+# or 2 MHz (frequencies) away from the truth the noisy data came from.
+JACOBIAN_TRUTH = mc.apply_params(
+    two_mode_system("0.75mm", f_K=CAVITY.f_c - 6e6, f_M=CAVITY.f_c + 55e6),
+    {"beta.kittel": 0.5, "beta.msm": 2.0},
+)
+JACOBIAN_GRID = np.linspace(CAVITY.f_c - 250e6, CAVITY.f_c + 250e6, 801)
+CAVITY_KINDS = ("f_c", "kappa_e", "kappa_i")
+MODE_KINDS = ("g", "gamma", "f_m", "delta", "beta")
 
-    # rebuild the internal residual function the same way fit_spectrum does
-    from magnoncavity.fitting import _from_internal, _residual_vector, _to_internal, parameter_scales
 
-    names = sorted(WIDE)
-    point = {
-        "f_c": CAVITY.f_c + 8e6,
-        "kappa_e": 2.4e6,
-        "g.kittel": 26e6,
-        "gamma.kittel": 2.1e6,
-        "f_m.kittel": CAVITY.f_c - 6e6,
+def offset_value(system, name):
+    field, _, label = name.partition(".")
+    if field in ("f_c", "f_m"):
+        base = system.cavity.f_c if not label else system.mode(label).field_map.frequency
+        return base + 2e6
+    return 1.05 * getattr(system.cavity if not label else system.mode(label), field)
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("observable", ["s21", "s11", "s31.kittel"])
+@pytest.mark.parametrize("kind", CAVITY_KINDS + MODE_KINDS)
+def test_analytic_jacobian_matches_four_point_stencil(kind, observable, loss):
+    names = [kind] if kind in CAVITY_KINDS else [f"{kind}.kittel", f"{kind}.msm"]
+    observed = mc.synthesize_noisy_spectrum(JACOBIAN_TRUTH, 0.0, JACOBIAN_GRID, observable, noise_sigma=0.01, seed=2)
+    problem = mc.FitProblem(
+        observed=observed, system=JACOBIAN_TRUTH, free={n: (1e-9, 1e12) for n in names},
+        observable=observable, loss=loss,
+    )
+    evaluate = _residuals_and_jacobian(problem, names)
+    u0 = np.array([_to_internal(n, offset_value(JACOBIAN_TRUTH, n)) for n in names])
+    r0, analytic = evaluate(u0)
+
+    # Richardson extrapolation of two central differences is the four-point stencil
+    def residuals(u):
+        return evaluate(u)[0]
+
+    scales = np.array([JACOBIAN_GRID[-1] - JACOBIAN_GRID[0] if kind in ("f_c", "f_m") else 1.0] * len(names))
+    h = 1e-5
+    four_point = (
+        4.0 * finite_difference_jacobian(residuals, u0, scales, h) - finite_difference_jacobian(residuals, u0, scales, 2 * h)
+    ) / 3.0
+
+    for k, name in enumerate(names):
+        # delta and beta enter only the observed mode's S31: elsewhere the column is exactly zero
+        invisible = kind in ("delta", "beta") and name != f"{kind}.{observable.partition('.')[2]}"
+        assert np.any(analytic[:, k]) != invisible, name
+        # element by element, plus an absolute allowance far above the stencil's
+        # round-off, taken per half of the residual vector (re/im or power/phase)
+        for rows in np.split(np.arange(r0.size), 2):
+            error = np.abs(analytic[rows, k] - four_point[rows, k])
+            allowance = 1e-8 * np.max(np.abs(r0[rows])) / scales[k]
+            assert np.all(error <= 1e-4 * np.abs(four_point[rows, k]) + allowance), name
+
+
+def test_converged_fit_builds_one_denominator_per_trial(monkeypatch):
+    truth = two_mode_system("0.75mm", f_M=CAVITY.f_c + 55e6)
+    grid = np.linspace(CAVITY.f_c - 250e6, CAVITY.f_c + 250e6, 1501)
+    observed = mc.synthesize_noisy_spectrum(truth, 0.0, grid, noise_sigma=1e-3, seed=8)
+    free = dict(WIDE)
+    free.update({"g.msm": (1e5, 1e8), "gamma.msm": (1e4, 1e8), "f_m.msm": (10.3e9, 11.0e9)})
+    problem = mc.FitProblem(observed=observed, system=truth, free=free, B=0.0)
+    init = {
+        "f_c": CAVITY.f_c + 1.5e6, "kappa_e": 2.3e6,
+        "g.kittel": 65e6, "gamma.kittel": 1.2e6, "f_m.kittel": CAVITY.f_c - 2e6,
+        "g.msm": 3.8e6, "gamma.msm": 1.4e6, "f_m.msm": CAVITY.f_c + 53e6,
     }
 
-    def residuals(u):
-        values = {n: _from_internal(n, ui) for n, ui in zip(names, u)}
-        sys_ = mc.apply_params(truth, values)
-        return _residual_vector(problem, np.asarray(mc.s21(F_GRID, sys_, 0.0), dtype=complex))
+    calls = []
+    original = scattering.shared_denominator
 
-    u0 = np.array([_to_internal(n, point[n]) for n in names])
-    scales = parameter_scales(names, F_GRID)
-    two_point = finite_difference_jacobian(residuals, u0, scales)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
 
-    four_point = np.empty_like(two_point)
-    for k in range(u0.size):
-        h = 1e-6 * scales[k]
-        up2, up1, um1, um2 = (u0.copy() for _ in range(4))
-        up2[k] += 2 * h
-        up1[k] += h
-        um1[k] -= h
-        um2[k] -= 2 * h
-        four_point[:, k] = (-residuals(up2) + 8 * residuals(up1) - 8 * residuals(um1) + residuals(um2)) / (12 * h)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit_spectrum must not take finite differences")
 
-    scale = np.max(np.abs(four_point), axis=0, keepdims=True)
-    mask = np.abs(four_point) > 1e-3 * scale
-    rel = np.abs(two_point[mask] - four_point[mask]) / np.abs(four_point[mask])
-    assert np.max(rel) <= 1e-4
+    monkeypatch.setattr(scattering, "shared_denominator", counted)
+    monkeypatch.setattr(fitting, "finite_difference_jacobian", forbidden)
+    result = mc.fit_spectrum(problem, init)
+    assert result.converged and len(free) == 8
+    assert 0 < len(calls) <= 2 * result.iterations + 1
