@@ -304,7 +304,9 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
     Starts from ``init`` (which must lie inside the bounds), iterates
     Levenberg-Marquardt steps, accepts only cost-non-increasing steps,
     and stops when the gradient norm drops below 1e-10 of its initial
-    value or after 200 iterations. Each trial step evaluates the model
+    value, when an accepted step leaves the cost exactly unchanged (the
+    cost is then at its round-off floor; both count as converged), or
+    after 200 iterations. Each trial step evaluates the model
     once and gets the residuals together with their analytic Jacobian
     (see the module docstring); an accepted step keeps that Jacobian.
     Singular normal equations end the fit with ``converged=False`` and a
@@ -357,6 +359,8 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
             if r_try is not None and np.all(np.isfinite(r_try)):
                 cost_try = float(r_try @ r_try)
                 if cost_try <= cost:
+                    # an accepted step that leaves the cost unchanged has reached its round-off floor
+                    stalled = cost_try == cost
                     u, r, jac, cost = u_try, r_try, jac_try, cost_try
                     lam = max(lam / 3.0, 1e-12)
                     accepted = True
@@ -365,10 +369,10 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
         if singular:
             break
         if not accepted:
-            break  # damping exhausted without progress; gradient check decides below
+            break  # damping exhausted without progress: not converged
         trace.append(math.sqrt(cost / n_points))
         grad = jac.T @ r
-        if np.linalg.norm(grad) < GRADIENT_RTOL * grad0:
+        if stalled or np.linalg.norm(grad) < GRADIENT_RTOL * grad0:
             converged = True
 
     if singular:

@@ -18,7 +18,13 @@ import numpy as np
 
 
 def _require_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
+    """Reject a non-finite scalar; ``math.isfinite`` because fits rebuild parameters on every trial."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+
+
+def _require_finite_array(name: str, values) -> None:
+    if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} must be finite")
 
 
@@ -214,7 +220,7 @@ def susceptibility_cavity(f, cavity: CavityParams):
     ``f`` may be a scalar or an ndarray of probe frequencies [Hz]. Finite
     for every real f because kappa_t > 0.
     """
-    _require_finite("f", f)
+    _require_finite_array("f", f)
     return 1.0 / ((np.asarray(f, dtype=float) - cavity.f_c) + 1j * cavity.kappa_t)
 
 
@@ -224,8 +230,8 @@ def susceptibility_magnon(f, mode: MagnonMode, f_m):
     ``f_m`` is the mode frequency already resolved at the bias field of
     interest. Finite for every real f because gamma > 0.
     """
-    _require_finite("f", f)
-    _require_finite("f_m", f_m)
+    _require_finite_array("f", f)
+    _require_finite_array("f_m", f_m)
     return 1.0 / ((np.asarray(f, dtype=float) - f_m) + 1j * mode.gamma)
 
 

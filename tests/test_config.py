@@ -110,6 +110,9 @@ def test_grid_validation():
         lambda d: d.update(fit={"free": {"q_factor": [1.0, 2.0]}}),
         lambda d: d.update(fit={"free": {"gamma": [1e4, 1e8]}}),  # a mode parameter needs a label
         lambda d: d.update(fit={"free": {"f_c.kittel": [10.0e9, 11.0e9]}}),
+        lambda d: d["system"]["modes"][0].update(label=None),
+        lambda d: d.update(scaling={"model": "linear_in_sqrtV", "include": ["0", "false", 0.5, None]}),
+        lambda d: d["system"]["cavity"].update(f_c=10**400),  # a YAML integer too large for a float
     ],
 )
 def test_malformed_configs_raise_config_error(mutate):
@@ -119,6 +122,51 @@ def test_malformed_configs_raise_config_error(mutate):
     mutate(data)
     with pytest.raises(ConfigError):
         parse_config(data)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["system"]["modes"][0].update(field_map={"kind": "walker", "i": 1.5, "j": 1}),
+         "system.modes[0].field_map.i: expected an integer, got 1.5"),
+        (lambda d: d["system"]["cavity"].pop("f_c"), "system.cavity: missing f_c"),
+        (lambda d: d["sweep"].update(field={"start": 0.4, "stop": 0.3, "count": 5}),
+         "sweep.field: grid range must be non-degenerate (stop > start)"),
+        (lambda d: d.update(scaling={"model": "linear_in_sqrtV", "include": [True, 2]}),
+         "scaling.include[1]: expected true, false, 0 or 1, got 2"),
+    ],
+    ids=["field_map", "cavity", "sweep", "include"],
+)
+def test_errors_name_their_path_once(mutate, message):
+    import copy
+
+    data = copy.deepcopy(MINIMAL)
+    mutate(data)
+    with pytest.raises(ConfigError) as info:
+        parse_config(data)
+    assert str(info.value) == message
+
+
+def test_absent_keys_take_the_dataclass_defaults():
+    data = {
+        "system": {"cavity": {"f_c": 10.6e9, "kappa_e": 2e6}, "modes": [{"label": "m", "gamma": 1e6}]},
+        "sweep": {"field": {"start": 0.38, "stop": 0.38}},
+    }
+    system = mc.HybridSystem(
+        cavity=mc.CavityParams(f_c=10.6e9, kappa_e=2e6, kappa_i=0.0),
+        modes=(mc.MagnonMode(label="m", g=0.0, gamma=1e6),),
+    )
+    assert parse_config(data) == mc.RunConfig(system=system, field_grid=GridSpec(start=0.38, stop=0.38))
+
+
+def test_unknown_keys_are_ignored():
+    import copy
+
+    data = copy.deepcopy(MINIMAL)
+    data["field_grid"] = {"start": 1.0}  # a field name, not a config key
+    data["system"]["cavity"]["q_factor"] = 5000
+    data["sweep"]["time"] = None
+    assert parse_config(data) == parse_config(MINIMAL)
 
 
 @pytest.mark.parametrize("observable", ["s21", "s11", "s31.kittel"])
@@ -213,6 +261,9 @@ def test_load_config_from_file(tmp_path):
         mc.load_config(tmp_path / "missing.yaml")
     bad = tmp_path / "bad.yaml"
     bad.write_text("system: [unclosed")
+    with pytest.raises(ConfigError):
+        mc.load_config(bad)
+    bad.write_text("seed: " + "1" * 5000)  # beyond Python's int() digit limit
     with pytest.raises(ConfigError):
         mc.load_config(bad)
 

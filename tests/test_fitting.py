@@ -223,6 +223,35 @@ class TestFitSpectrum:
         assert result.estimates["g.msm"] == pytest.approx(4.0e6, rel=0.05)
         assert result.estimates["g.kittel"] == pytest.approx(67.3e6, rel=0.01)
 
+    def test_fit_at_the_cost_floor_stops_as_converged(self):
+        # Kittel mode and the (2,0) mode of the 1.0 mm offset assembly at
+        # noise 1e-2: this fit reaches the noise floor within 20 iterations,
+        # then its steps leave the cost bit-identical while the gradient stays
+        # above GRADIENT_RTOL of its start; such a step must end the fit.
+        kittel = mc.MagnonMode(label="kittel", g=83.4e6, gamma=1.1e6, field_map=mc.FieldMap(kind="fixed", frequency=10.632e9))
+        msm = mc.MagnonMode(label="msm20", g=25.0e6, gamma=0.5e6, field_map=mc.FieldMap(kind="fixed", frequency=10.781e9))
+        truth = mc.HybridSystem(cavity=CAVITY, modes=(kittel, msm))
+        grid = np.linspace(10.382e9, 10.882e9, 1501)
+        observed = mc.synthesize_noisy_spectrum(truth, 0.0, grid, noise_sigma=1e-2, seed=32)
+        free = dict(WIDE)
+        free.update({"g.msm20": (1e5, 1e9), "gamma.msm20": (1e4, 1e8), "f_m.msm20": (10.0e9, 11.2e9)})
+        init = {
+            "f_c": 10.637e9,
+            "kappa_e": 2.4e6,
+            "g.kittel": 93.3e6,
+            "gamma.kittel": 0.96e6,
+            "f_m.kittel": 10.627e9,
+            "g.msm20": 28.0e6,
+            "gamma.msm20": 0.43e6,
+            "f_m.msm20": 10.776e9,
+        }
+        result = mc.fit_spectrum(mc.FitProblem(observed=observed, system=truth, free=free, B=0.0), init)
+        assert result.converged
+        assert result.iterations < 30
+        assert result.residual_trace[-1] == result.residual_trace[-2]
+        assert result.estimates["g.kittel"] == pytest.approx(83.4e6, rel=0.01)
+        assert result.estimates["g.msm20"] == pytest.approx(25.0e6, rel=0.05)
+
     def test_power_and_phase_loss_also_recovers(self):
         truth = truth_system()
         observed = mc.synthesize_noisy_spectrum(truth, 0.0, F_GRID, noise_sigma=0.0)
