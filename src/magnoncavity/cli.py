@@ -154,6 +154,36 @@ def _closed_form(i: int, j: int, B: float, material) -> float | None:
     return None
 
 
+def _modes_rows(i: int, j: int, fields, sign_branch: str, material) -> list:
+    """The `modes` rows of index pair (i, j), one per bias field, from one batched solve.
+
+    A row that cannot be computed holds the ValueError (DomainError
+    included) that computing it raises, so the caller raises it only when
+    the row's turn comes.
+    """
+    half = 0.03 * material.gamma_e * material.mu0_Ms
+    rows: list = []
+    solvable = []  # (row index, query, closed form)
+    for B in fields:
+        try:
+            closed = _closed_form(i, j, B, material)
+            q = magnetostatics.WalkerModeQuery(i=i, j=j, B_ext=B, sign_branch=sign_branch)
+        except ValueError as exc:
+            rows.append(exc)
+            continue
+        solvable.append((len(rows), q, closed))
+        rows.append(None)
+    windows = [None if closed is None else (closed - half, closed + half) for _, _, closed in solvable]
+    solved = magnetostatics.solve_walker_modes([q for _, q, _ in solvable], material, windows)
+    for (k, q, closed), root in zip(solvable, solved.outcomes):
+        if isinstance(root, DomainError):
+            rows[k] = root
+            continue
+        closed_cell, rel = ("", "") if closed is None else (_fmt(closed), _fmt(abs(root - closed) / closed))
+        rows[k] = [_fmt(q.B_ext), i, j, sign_branch, closed_cell, _fmt(root), rel]
+    return rows
+
+
 def cmd_modes(args) -> int:
     config = load_config(args.config)
     if config.modes_table is None:
@@ -162,18 +192,12 @@ def cmd_modes(args) -> int:
     material = config.system.material
 
     def rows():
-        for B in spec.field_grid.values():
-            for (i, j) in spec.indices:
-                closed = _closed_form(i, j, B, material)
-                q = magnetostatics.WalkerModeQuery(i=i, j=j, B_ext=float(B), sign_branch=spec.sign_branch)
-                if closed is None:
-                    window = None
-                else:
-                    half = 0.03 * material.gamma_e * material.mu0_Ms
-                    window = (closed - half, closed + half)
-                root = magnetostatics.solve_walker_mode(q, material, window)
-                rel = "" if closed is None else _fmt(abs(root - closed) / closed)
-                yield [_fmt(B), i, j, spec.sign_branch, "" if closed is None else _fmt(closed), _fmt(root), rel]
+        fields = spec.field_grid.values().tolist()
+        columns = [_modes_rows(i, j, fields, spec.sign_branch, material) for (i, j) in spec.indices]
+        for row in chain.from_iterable(zip(*columns)):  # B-major, index pairs in config order
+            if isinstance(row, ValueError):
+                raise row
+            yield row
 
     _write_csv(args.out, ["B_T", "i", "j", "sign_branch", "f_closed_hz", "f_solver_hz", "rel_diff"], rows())
     return EXIT_OK

@@ -201,7 +201,7 @@ def _to_internal(name: str, value: float) -> float:
 
 def _from_internal(name: str, value: float) -> float:
     field, _ = _split_name(name)
-    return math.exp(value) if field in _LOG_FIELDS else value
+    return math.exp(value) if field in _LOG_FIELDS else float(value)
 
 
 def _residual_vector(problem: FitProblem, model_values: np.ndarray) -> np.ndarray:

@@ -15,8 +15,11 @@ dimensionless, so frequencies come out in Hz directly.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError
@@ -27,6 +30,16 @@ from .model import FieldMap, MaterialParams
 # many orders of magnitude larger.
 _ROOT_RESIDUAL_TOL = 1e-4
 _IMAG_TOL = 1e-9
+# Probe frequencies with |gamma_e^2 B_i^2 - f^2| below this fraction of the
+# larger square are treated as the susceptibility pole itself.
+_POLE_GUARD = 1e-12
+# The array residual of the panel scan differs from the scalar one in its
+# last bits (numpy's complex sqrt and division are not CPython's), so a
+# panel whose array endpoints come this close to zero is rechecked in scalar.
+_SCAN_SLACK = 1e-9
+# Bias fields scanned per array call: bounds the scan's temporaries to
+# _SCAN_BLOCK * (n_panels + 1) complex values whatever the table size.
+_SCAN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -115,15 +128,16 @@ def msm20_frequency(B_ext: float, material: MaterialParams) -> float:
     return material.gamma_e * material.mu0_Ms * math.sqrt(radicand)
 
 
-def _legendre_pair(i: int, j: int, z: complex) -> tuple[complex, complex]:
+def _legendre_pair(i: int, j: int, z):
     """P_i^j(z) and dP_i^j/dz for 0 <= j <= i via forward recurrences.
 
     Complex-capable: the seed (1 - z^2)^{j/2} uses the principal branch,
     and value and derivative share it, so ratios are branch-independent.
     Includes the Condon-Shortley phase (matches scipy.special.lpmv on
-    real arguments in (-1, 1)).
+    real arguments in (-1, 1)). Plain arithmetic, so ``z`` may be a complex
+    scalar or a complex array; at z = +/-1 the derivative is singular, and
+    the caller raises (:func:`_legendre_pair_at`) or masks the point.
     """
-    z = complex(z)
     somx2 = (1.0 - z * z) ** 0.5
     p_jj = 1.0 + 0.0j
     for k in range(1, j + 1):
@@ -135,11 +149,16 @@ def _legendre_pair(i: int, j: int, z: complex) -> tuple[complex, complex]:
         for n in range(j + 2, i + 1):
             p_prev, p_curr = p_curr, ((2 * n - 1) * z * p_curr - (n - 1 + j) * p_prev) / (n - j)
         p_im1, p_i = p_prev, p_curr
-    zz1 = z * z - 1.0
-    if zz1 == 0:
-        raise DomainError("Legendre derivative is singular at z = +/-1")
-    dp = (i * z * p_i - (i + j) * p_im1) / zz1
+    dp = (i * z * p_i - (i + j) * p_im1) / (z * z - 1.0)
     return p_i, dp
+
+
+def _legendre_pair_at(i: int, j: int, z) -> tuple[complex, complex]:
+    """:func:`_legendre_pair` at one point, with z = +/-1 reported as a DomainError."""
+    z = complex(z)
+    if z * z - 1.0 == 0:
+        raise DomainError("Legendre derivative is singular at z = +/-1")
+    return _legendre_pair(i, j, z)
 
 
 def assoc_legendre(i: int, j: int, x):
@@ -157,7 +176,7 @@ def assoc_legendre(i: int, j: int, x):
     if not (isinstance(x, complex) or math.isfinite(x)):
         raise ValueError("x must be finite")
     m = abs(j)
-    p, dp = _legendre_pair(i, m, x)
+    p, dp = _legendre_pair_at(i, m, x)
     if j < 0:
         scale = (-1) ** m * math.factorial(i - m) / math.factorial(i + m)
         p, dp = scale * p, scale * dp
@@ -175,7 +194,7 @@ def _polder_components(f: float, q: WalkerModeQuery, material: MaterialParams) -
     f_M = material.gamma_e * material.mu0_Ms
     den = x * x - f * f
     # |x^2 - f^2| ~ 2*x*|x - f|; guard against the susceptibility pole
-    if abs(den) < 1e-12 * max(x * x, f * f):
+    if abs(den) < _POLE_GUARD * max(x * x, f * f):
         raise DomainError(f"characteristic equation has a pole at f = {x:.6e} Hz (gamma_e * B_internal)")
     chi1 = f_M * x / den
     chi2 = f_M * f / den
@@ -196,7 +215,7 @@ def walker_characteristic(f: float, q: WalkerModeQuery, material: MaterialParams
     if chi1 == 0:
         raise DomainError("chi1 vanished; characteristic equation undefined")
     xi0 = complex(1.0 + 1.0 / chi1) ** 0.5
-    p, dp = _legendre_pair(q.i, abs(q.j), xi0)
+    p, dp = _legendre_pair_at(q.i, abs(q.j), xi0)
     if p == 0:
         raise DomainError(f"P_i^j vanishes at xi0 = {xi0}; residual has a pole here")
     ratio = xi0 * dp / p
@@ -213,6 +232,175 @@ def default_search_window(q: WalkerModeQuery, material: MaterialParams) -> tuple
     return max(center - half, 1.0), center + half
 
 
+def _characteristic_grid(f, B_ext, i: int, j: int, sign: int, material: MaterialParams):
+    """:func:`walker_characteristic` on an array of probe frequencies.
+
+    ``f`` and ``B_ext`` broadcast against each other (one row of
+    frequencies per bias field). The result is NaN wherever the scalar
+    function raises DomainError: at the pole guard, for chi1 == 0,
+    xi0 = +/-1, P_i^j == 0, and a residual that is not real.
+    """
+    x = material.gamma_e * internal_field(B_ext, material)
+    f_M = material.gamma_e * material.mu0_Ms
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = x * x - f * f
+        undefined = np.abs(den) < _POLE_GUARD * np.maximum(x * x, f * f)
+        chi1 = f_M * x / den
+        chi2 = f_M * f / den
+        undefined |= chi1 == 0
+        xi0 = (1.0 + 1.0 / chi1).astype(complex) ** 0.5
+        undefined |= xi0 * xi0 - 1.0 == 0
+        p, dp = _legendre_pair(i, abs(j), xi0)
+        undefined |= p == 0
+        value = (i + 1) + xi0 * dp / p + sign * j * chi2
+        undefined |= np.abs(value.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(value.real))
+    return np.where(undefined, np.nan, value.real)
+
+
+@dataclass(frozen=True)
+class WalkerSolutions:
+    """What one :func:`solve_walker_modes` call found, and how.
+
+    ``outcomes`` holds, per query in order, its root in Hz or the
+    DomainError that solving it alone raises. The counters sum over the
+    queries: panels the array scan selected for scalar refinement, Brent
+    refinements run, candidates rejected as pole crossings (a residual
+    above the root tolerance, or a refinement that walked into the pole
+    guard), and accepted roots merged into an earlier one within 10*f_tol.
+    """
+
+    outcomes: tuple[float | DomainError, ...]
+    panels_selected: int = 0
+    brent_calls: int = 0
+    poles_rejected: int = 0
+    duplicates_merged: int = 0
+
+    def root(self, k: int) -> float:
+        """The root of query ``k``; raises its DomainError if it has none or several."""
+        outcome = self.outcomes[k]
+        if isinstance(outcome, DomainError):
+            raise outcome
+        return outcome
+
+
+def _refine(
+    q: WalkerModeQuery,
+    material: MaterialParams,
+    edges: list[float],
+    panels: list[int],
+    f_tol: float,
+    counts: Counter,
+) -> list[float]:
+    """The roots that scalar refinement finds in one query's selected panels.
+
+    Brent's method only ever sees the scalar residual: both endpoints of a
+    selected panel are evaluated again in scalar and must bracket a root
+    there, so the roots do not depend on the array scan's last bits.
+    """
+
+    def residual(f: float) -> float:
+        return walker_characteristic(f, q, material)
+
+    def scalar(f: float) -> float:
+        try:
+            return residual(f)
+        except DomainError:
+            return math.nan
+
+    roots: list[float] = []
+    for k in panels:
+        fa, fb = edges[k], edges[k + 1]
+        ra, rb = scalar(fa), scalar(fb)
+        if math.isnan(ra) or math.isnan(rb) or (ra == 0 and rb == 0):
+            continue
+        try:
+            if ra == 0:
+                candidate = fa
+            elif rb == 0:
+                candidate = fb
+            elif ra * rb < 0:
+                counts["brent_calls"] += 1
+                candidate = brentq(residual, fa, fb, xtol=f_tol)
+            else:
+                continue
+            if abs(residual(candidate)) > _ROOT_RESIDUAL_TOL:
+                counts["poles_rejected"] += 1
+                continue  # sign change straddles a pole, not a root
+        except DomainError:
+            counts["poles_rejected"] += 1
+            continue  # refinement walked into the pole guard: not a root
+        if any(abs(candidate - r) <= 10 * f_tol for r in roots):
+            counts["duplicates_merged"] += 1
+        else:
+            roots.append(candidate)
+    return roots
+
+
+def solve_walker_modes(
+    queries: Sequence[WalkerModeQuery],
+    material: MaterialParams,
+    windows: Sequence[tuple[float, float] | None],
+    n_panels: int = 64,
+    f_tol: float = 1.0,
+) -> WalkerSolutions:
+    """Roots of the characteristic equation for many bias fields of one mode.
+
+    Every query must share one (i, j, sign_branch); ``windows`` gives each
+    query's search window, or None for :func:`default_search_window`. Each
+    window is split into ``n_panels`` panels, and the residual at every
+    panel edge of a block of fields is evaluated in one array call. A panel
+    is refined in scalar (:func:`_refine`) when its array endpoints change
+    sign, touch zero or come within ``_SCAN_SLACK`` of it: each sign change
+    is refined by Brent's method to ``f_tol`` (absolute, Hz) and kept only
+    if the residual there is small, which weeds out sign flips across
+    poles of the residual (the chi pole and zeros of P_i^j). A query must
+    keep exactly one root; otherwise its outcome is the DomainError that
+    reports an empty or ambiguous window.
+    """
+    queries = list(queries)
+    windows = list(windows)
+    if len(windows) != len(queries):
+        raise ValueError(f"{len(queries)} queries but {len(windows)} search windows")
+    if len({(q.i, q.j, q.sign_branch) for q in queries}) > 1:
+        raise ValueError("queries of one solve must share (i, j, sign_branch)")
+    bounds = []
+    for q, window in zip(queries, windows):
+        lo, hi = default_search_window(q, material) if window is None else window
+        if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
+            raise ValueError(f"invalid search window ({lo}, {hi})")
+        bounds.append((lo, hi))
+
+    counts: Counter = Counter()
+    outcomes: list[float | DomainError] = []
+    steps = np.arange(n_panels + 1, dtype=float)
+    for start in range(0, len(queries), _SCAN_BLOCK):
+        block, block_bounds = queries[start : start + _SCAN_BLOCK], bounds[start : start + _SCAN_BLOCK]
+        lows, highs = np.array(block_bounds).T
+        # the scalar edges lo + (hi - lo) * k / n_panels, bit for bit
+        edges = lows[:, None] + (highs - lows)[:, None] * steps / n_panels
+        mode = block[0]
+        values = _characteristic_grid(
+            edges, np.array([q.B_ext for q in block])[:, None], mode.i, mode.j, mode.sign, material
+        )
+        near_zero = np.abs(values) <= _SCAN_SLACK
+        with np.errstate(over="ignore"):
+            selected = (values[:, :-1] * values[:, 1:] <= 0) | near_zero[:, :-1] | near_zero[:, 1:]
+        counts["panels_selected"] += int(selected.sum())
+        for q, (lo, hi), row, panels in zip(block, block_bounds, edges.tolist(), selected):
+            roots = _refine(q, material, row, np.flatnonzero(panels).tolist(), f_tol, counts)
+            if not roots:
+                outcomes.append(DomainError(
+                    f"no root of the ({q.i},{q.j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz"
+                ))
+            elif len(roots) > 1:
+                outcomes.append(DomainError(
+                    f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(roots)} roots for ({q.i},{q.j}); narrow it"
+                ))
+            else:
+                outcomes.append(roots[0])
+    return WalkerSolutions(outcomes=tuple(outcomes), **counts)
+
+
 def solve_walker_mode(
     q: WalkerModeQuery,
     material: MaterialParams,
@@ -222,59 +410,10 @@ def solve_walker_mode(
 ) -> float:
     """Root of the characteristic equation inside a frequency window.
 
-    The window is split into ``n_panels`` panels; each sign change is
-    refined by Brent's method to ``f_tol`` (absolute, Hz) and kept only if
-    the residual there is small, which weeds out sign flips across poles
-    of the residual (the chi pole and zeros of P_i^j). Exactly one
-    accepted root must remain, otherwise a DomainError reports an empty
-    or ambiguous window.
+    A one-query :func:`solve_walker_modes`; raises DomainError when the
+    window holds no root or more than one.
     """
-    if search_window is None:
-        search_window = default_search_window(q, material)
-    lo, hi = search_window
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise ValueError(f"invalid search window ({lo}, {hi})")
-
-    def residual(f: float) -> float:
-        return walker_characteristic(f, q, material)
-
-    edges = [lo + (hi - lo) * k / n_panels for k in range(n_panels + 1)]
-    values = []
-    for f in edges:
-        try:
-            values.append(residual(f))
-        except DomainError:
-            values.append(math.nan)
-
-    roots: list[float] = []
-    for (fa, ra), (fb, rb) in zip(zip(edges, values), zip(edges[1:], values[1:])):
-        if math.isnan(ra) or math.isnan(rb) or (ra == 0 and rb == 0):
-            continue
-        try:
-            if ra == 0:
-                candidate = fa
-            elif rb == 0:
-                candidate = fb
-            elif ra * rb < 0:
-                candidate = brentq(residual, fa, fb, xtol=f_tol)
-            else:
-                continue
-            if abs(residual(candidate)) > _ROOT_RESIDUAL_TOL:
-                continue  # sign change straddles a pole, not a root
-        except DomainError:
-            continue  # refinement walked into the pole guard: not a root
-        if not any(abs(candidate - r) <= 10 * f_tol for r in roots):
-            roots.append(candidate)
-
-    if not roots:
-        raise DomainError(
-            f"no root of the ({q.i},{q.j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz"
-        )
-    if len(roots) > 1:
-        raise DomainError(
-            f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(roots)} roots for ({q.i},{q.j}); narrow it"
-        )
-    return roots[0]
+    return solve_walker_modes([q], material, [search_window], n_panels, f_tol).root(0)
 
 
 def matching_sign_branch(i: int, j: int, material: MaterialParams, B_ext: float = 0.38) -> str:
@@ -289,11 +428,8 @@ def matching_sign_branch(i: int, j: int, material: MaterialParams, B_ext: float 
     window = (target - half, target + half)
     for branch in ("plus", "minus"):
         q = WalkerModeQuery(i=i, j=j, B_ext=B_ext, sign_branch=branch)
-        try:
-            root = solve_walker_mode(q, material, window, n_panels=16)
-        except DomainError:
-            continue
-        if abs(root - target) <= 1e-6 * target:
+        root = solve_walker_modes([q], material, [window], n_panels=16).outcomes[0]
+        if not isinstance(root, DomainError) and abs(root - target) <= 1e-6 * target:
             return branch
     raise DomainError(f"neither sign branch reproduces the closed form for ({i}, {j})")
 

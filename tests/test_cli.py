@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from magnoncavity import cli
 from magnoncavity.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 
 
 def read_csv(path):
@@ -154,6 +157,34 @@ class TestModesCommand:
         path = tmp_path / "ambiguous.yaml"
         path.write_text(yaml.safe_dump(config))
         assert run(["modes", path, "--out", tmp_path / "x.csv"]) == 3
+
+    def test_output_matches_the_golden_digest(self, tmp_path):
+        # bench/golden.json is read, never rewritten, here
+        expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["configs"]["walker_modes"]
+        out = tmp_path / "modes.csv"
+        assert run(["modes", CONFIG_DIR / "walker_modes.yaml", "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+    @pytest.mark.parametrize(
+        "failing, message",
+        [
+            ([3, 1], "window (9.240000e+08, 1.587600e+10) Hz contains 2 roots for (3,1); narrow it"),
+            ([2, -1], "no root of the (2,-1) characteristic equation in (9.240000e+08, 1.587600e+10) Hz"),
+        ],
+    )
+    def test_failing_row_ends_the_table_where_it_stands(self, tmp_path, capsys, failing, message):
+        # rows are B-major: the first field's (1, 1) row is written, then the failing pair's row raises
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        config["modes_table"]["indices"] = [[1, 1], failing, [2, 2]]
+        path = tmp_path / "failing.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run(["modes", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"numeric domain error: {message}\n"
+        assert run(["modes", CONFIG_DIR / "walker_modes.yaml"]) == 0
+        header, first_row = capsys.readouterr().out.splitlines(keepends=True)[:2]
+        assert first_row.startswith("0.29999999999999999,1,1,")
+        assert captured.out == header + first_row
 
 
 class TestDeriveCommand:

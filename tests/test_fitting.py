@@ -355,7 +355,8 @@ def test_analytic_jacobian_matches_four_point_stencil(kind, observable, loss):
             assert np.all(error <= 1e-4 * np.abs(four_point[rows, k]) + allowance), name
 
 
-def test_converged_fit_builds_one_denominator_per_trial(monkeypatch):
+def eight_parameter_problem():
+    """A noisy two-mode spectrum with every cavity and mode parameter but kappa_i free, and a start."""
     truth = two_mode_system("0.75mm", f_M=CAVITY.f_c + 55e6)
     grid = np.linspace(CAVITY.f_c - 250e6, CAVITY.f_c + 250e6, 1501)
     observed = mc.synthesize_noisy_spectrum(truth, 0.0, grid, noise_sigma=1e-3, seed=8)
@@ -367,6 +368,20 @@ def test_converged_fit_builds_one_denominator_per_trial(monkeypatch):
         "g.kittel": 65e6, "gamma.kittel": 1.2e6, "f_m.kittel": CAVITY.f_c - 2e6,
         "g.msm": 3.8e6, "gamma.msm": 1.4e6, "f_m.msm": CAVITY.f_c + 53e6,
     }
+    return problem, init
+
+
+def test_estimates_are_plain_floats():
+    # linear-space parameters (f_c, f_m.*) once leaked numpy scalars
+    problem, init = eight_parameter_problem()
+    result = mc.fit_spectrum(problem, init)
+    assert len(result.estimates) == 8
+    assert all(type(value) is float for value in result.estimates.values()), result.estimates
+
+
+def test_converged_fit_builds_one_denominator_per_trial(monkeypatch):
+    problem, init = eight_parameter_problem()
+    free = problem.free
 
     calls = []
     original = scattering.shared_denominator

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import lpmv
 
 import magnoncavity as mc
+from magnoncavity import magnetostatics
 from magnoncavity.errors import DomainError
-from magnoncavity.magnetostatics import default_search_window
+from magnoncavity.magnetostatics import default_search_window, solve_walker_modes
 
 MAT = mc.MaterialParams()
 F_M = MAT.gamma_e * MAT.mu0_Ms  # 4.984 GHz for the default material
@@ -238,6 +242,148 @@ class TestSolver:
         for window in ((9.4e9, 9.8e9), (10.8e9, 11.1e9)):
             root = mc.solve_walker_mode(q, MAT, window)
             assert abs(mc.walker_characteristic(root, q, MAT)) < 1e-6
+
+
+def scalar_scan_reference(q, window, n_panels=64, f_tol=1.0):
+    """The Walker solve as one scalar loop: every panel edge through walker_characteristic.
+
+    The batched solver must return exactly this root, or raise exactly
+    this error.
+    """
+    lo, hi = default_search_window(q, MAT) if window is None else window
+
+    def residual(f):
+        return mc.walker_characteristic(f, q, MAT)
+
+    edges = [lo + (hi - lo) * k / n_panels for k in range(n_panels + 1)]
+    values = []
+    for f in edges:
+        try:
+            values.append(residual(f))
+        except DomainError:
+            values.append(math.nan)
+    roots = []
+    for (fa, ra), (fb, rb) in zip(zip(edges, values), zip(edges[1:], values[1:])):
+        if math.isnan(ra) or math.isnan(rb) or (ra == 0 and rb == 0):
+            continue
+        try:
+            if ra == 0:
+                candidate = fa
+            elif rb == 0:
+                candidate = fb
+            elif ra * rb < 0:
+                candidate = brentq(residual, fa, fb, xtol=f_tol)
+            else:
+                continue
+            if abs(residual(candidate)) > 1e-4:
+                continue
+        except DomainError:
+            continue
+        if not any(abs(candidate - r) <= 10 * f_tol for r in roots):
+            roots.append(candidate)
+    if not roots:
+        raise DomainError(f"no root of the ({q.i},{q.j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz")
+    if len(roots) > 1:
+        raise DomainError(f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(roots)} roots for ({q.i},{q.j}); narrow it")
+    return roots[0]
+
+
+def outcome(solve, *args):
+    try:
+        return solve(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+@st.composite
+def residual_points(draw):
+    """A Walker query and a probe frequency: in its default window, or next to the chi pole."""
+    i = draw(st.integers(1, 4))
+    j = draw(st.integers(-i, i))
+    B = draw(st.floats(0.07, 0.6))
+    q = mc.WalkerModeQuery(i=i, j=j, B_ext=B, sign_branch=draw(st.sampled_from(("plus", "minus"))))
+    if draw(st.booleans()):
+        # relative offsets below about 5e-13 fall inside the pole guard
+        pole = MAT.gamma_e * mc.internal_field(B, MAT)
+        return q, pole * (1.0 + draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** -draw(st.floats(2.0, 13.0)))
+    lo, hi = default_search_window(q, MAT)
+    return q, lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+
+
+class TestBatchedSolver:
+    @settings(max_examples=150, deadline=None)
+    @given(residual_points())
+    def test_array_residual_is_nan_exactly_where_the_scalar_one_raises(self, point):
+        q, f = point
+        grid = float(magnetostatics._characteristic_grid(np.array(f), np.array(q.B_ext), q.i, q.j, q.sign, MAT))
+        try:
+            r = mc.walker_characteristic(f, q, MAT)
+        except DomainError:
+            assert math.isnan(grid)
+            return
+        chi1 = magnetostatics._polder_components(f, q, MAT)[0]
+        # round-off is amplified by chi1 = 1/(xi0^2 - 1) next to the chi pole,
+        # and by the residual itself next to a zero of P_i^j
+        assert abs(grid - r) <= 1e-12 * max(1.0, abs(r)) * max(1.0, abs(r), abs(chi1))
+        # what the panel scan relies on: the signs agree outside the rechecked band
+        assert abs(grid) <= magnetostatics._SCAN_SLACK or (grid > 0) == (r > 0)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize(
+        "ij, branch, narrow",
+        [((2, 2), "plus", True), ((3, 1), "plus", False), ((2, -1), "plus", False), ((2, 0), "plus", True),
+         ((1, 1), "plus", False), ((3, 2), "minus", True)],
+    )
+    def test_roots_equal_the_scalar_scan_at_any_block_size(self, monkeypatch, block, ij, branch, narrow):
+        monkeypatch.setattr(magnetostatics, "_SCAN_BLOCK", block)
+        fields = np.linspace(0.25, 0.5, 7).tolist()
+        queries = [mc.WalkerModeQuery(i=ij[0], j=ij[1], B_ext=B, sign_branch=branch) for B in fields]
+        half = 0.03 * F_M
+        windows = [(mc.kittel_frequency(q.B_ext, MAT) - half, mc.kittel_frequency(q.B_ext, MAT) + 9 * half)
+                   if narrow else None for q in queries]
+        solved = solve_walker_modes(queries, MAT, windows)
+        expected = [outcome(scalar_scan_reference, q, w) for q, w in zip(queries, windows)]
+        assert [outcome(solved.root, k) for k in range(len(queries))] == expected
+        assert [outcome(mc.solve_walker_mode, q, MAT, w) for q, w in zip(queries, windows)] == expected
+
+    def test_counters_report_the_rejected_pole_crossing(self):
+        # the default window of (1,1) at 0.38 T holds the chi pole at gamma_e * B_internal
+        q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.38)
+        lo, hi = default_search_window(q, MAT)
+        assert lo < MAT.gamma_e * mc.internal_field(0.38, MAT) < hi
+        solved = solve_walker_modes([q], MAT, [None])
+        assert solved.root(0) == scalar_scan_reference(q, None)
+        assert solved.brent_calls == 2  # two sign changes: the root and the pole crossing
+        assert solved.poles_rejected == 1
+        assert solved.duplicates_merged == 0
+        # the root sits on the window's centre edge, whose array residual
+        # (1.3e-15) selects the panel beyond it for a scalar recheck too
+        assert solved.panels_selected == 3
+
+    def test_counters_sum_over_queries(self):
+        queries = [mc.WalkerModeQuery(i=1, j=1, B_ext=B) for B in (0.38, 0.38)]
+        solved = solve_walker_modes(queries, MAT, [None, None])
+        assert solved.outcomes == (solved.root(0), solved.root(0))
+        assert (solved.panels_selected, solved.brent_calls, solved.poles_rejected) == (6, 4, 2)
+
+    def test_a_root_on_a_panel_edge_is_merged_not_doubled(self):
+        # at 0.375 T the scalar (3,3) residual is exactly 0.0 at the closed form,
+        # which is the centre edge of its window: both panels it bounds yield it
+        q = mc.WalkerModeQuery(i=3, j=3, B_ext=0.375)
+        closed = mc.msm_frequency_linear(q, MAT)
+        assert mc.walker_characteristic(closed, q, MAT) == 0.0
+        window = (closed - 0.03 * F_M, closed + 0.03 * F_M)
+        solved = solve_walker_modes([q], MAT, [window])
+        assert solved.root(0) == closed == scalar_scan_reference(q, window)
+        assert (solved.panels_selected, solved.brent_calls, solved.duplicates_merged) == (2, 0, 1)
+
+    def test_queries_must_share_indices_and_branch(self):
+        mixed = [mc.WalkerModeQuery(i=2, j=2, B_ext=0.38), mc.WalkerModeQuery(i=2, j=1, B_ext=0.38)]
+        with pytest.raises(ValueError, match="share"):
+            solve_walker_modes(mixed, MAT, [None, None])
+        with pytest.raises(ValueError, match="windows"):
+            solve_walker_modes(mixed[:1], MAT, [])
+        assert solve_walker_modes([], MAT, []).outcomes == ()
 
 
 def test_matching_sign_branch_is_plus_for_closed_form_families():

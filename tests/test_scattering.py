@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import magnoncavity as mc
 
@@ -365,3 +367,53 @@ def test_unit_scale_invariance_of_scattering(lam):
     theirs = mc.s21(f * lam, scaled, 0.0)
     assert np.max(np.abs(ours - theirs) / np.abs(ours)) <= 1e-12
     assert mc.eta_resonant(scaled) == pytest.approx(mc.eta_resonant(sys_), rel=1e-12)
+
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def fixed_systems(draw, resonant=False):
+    """One to three magnon modes pinned near (or, if ``resonant``, at) a random cavity."""
+    cavity = mc.CavityParams(
+        f_c=CAVITY.f_c, kappa_e=draw(st.floats(1e5, 1e7)), kappa_i=draw(st.floats(0.0, 1e7))
+    )
+    modes = tuple(
+        mc.MagnonMode(
+            label=f"m{k}",
+            g=draw(st.floats(1e5, 2e8)),
+            gamma=draw(st.floats(1e4, 2e7)),
+            delta=draw(st.floats(1e-4, 5.0)),
+            beta=draw(st.floats(0.2, 5.0)),
+            field_map=mc.FieldMap(
+                kind="fixed", frequency=CAVITY.f_c + (0.0 if resonant else draw(st.floats(-3e8, 3e8)))
+            ),
+        )
+        for k in range(draw(st.integers(1, 3)))
+    )
+    return mc.HybridSystem(cavity=cavity, modes=modes)
+
+
+detunings = st.lists(st.floats(-5e8, 5e8), min_size=1, max_size=8)
+
+
+@PROPERTY
+@given(fixed_systems(), detunings)
+def test_reflection_is_one_plus_transmission(sys_, detuning):
+    f = CAVITY.f_c + np.array(detuning)
+    np.testing.assert_array_equal(mc.s11(f, sys_), 1.0 + mc.s21(f, sys_))
+
+
+@PROPERTY
+@given(fixed_systems(), detunings, st.floats(1e-3, 1e3))
+def test_powers_are_invariant_under_one_unit_scale(sys_, detuning, lam):
+    f = CAVITY.f_c + np.array(detuning)
+    scaled = scaled_system(sys_, lam)
+    np.testing.assert_allclose(np.abs(mc.s21(f * lam, scaled)) ** 2, np.abs(mc.s21(f, sys_)) ** 2, rtol=1e-9)
+    np.testing.assert_allclose(mc.eta_spectrum(f * lam, scaled), mc.eta_spectrum(f, sys_), rtol=1e-9)
+
+
+@PROPERTY
+@given(fixed_systems(resonant=True))
+def test_spectrum_at_triple_resonance_equals_the_closed_form(sys_):
+    assert float(mc.eta_spectrum(CAVITY.f_c, sys_)) == pytest.approx(mc.eta_resonant(sys_), rel=1e-10)
