@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from contextlib import nullcontext
 from itertools import chain, repeat
@@ -37,10 +38,33 @@ def _fmt_column(values) -> list[str]:
     return list(map(format, np.asarray(values, dtype=float).tolist(), repeat(".17g")))
 
 
-def _write_csv(out: str | None, header, rows) -> None:
-    """Write ``header`` and then ``rows`` as CSV to the path ``out``, or to stdout for None or "-".
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+_QUOTE_OR_BREAK = re.compile(r'["\r\n]').search
 
-    ``rows`` may be a generator: it is consumed one row at a time.
+
+def _csv_line(cells) -> str:
+    """One CSV row ending in \r\n: the text ``csv.writer`` writes with minimal quoting.
+
+    A cell is quoted only if it holds a comma, a quote or a line break, and a
+    quote inside it is doubled. A row of one empty cell is written ``""``, so
+    that it does not read back as an empty line.
+    """
+    texts = list(map(str, cells))
+    line = ",".join(texts)
+    # most rows need no quoting: one scan of the joined row tells, and only then is each cell searched
+    if line.count(",") >= len(texts) or _QUOTE_OR_BREAK(line):
+        line = ",".join(['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES(t) else t for t in texts])
+    elif texts == [""]:
+        line = '""'
+    return line + "\r\n"
+
+
+def _write_csv(out: str | None, header, lines) -> None:
+    """Write the CSV row ``header`` and then the text blocks ``lines`` to the path ``out`` (stdout for None or "-").
+
+    Each block is one or more whole rows, each ending in \r\n (see
+    ``_csv_line``). ``lines`` may be a generator: it is consumed one block at
+    a time, so the blocks before one that raises are already written.
     """
     try:
         if out is None or out == "-":
@@ -50,9 +74,8 @@ def _write_csv(out: str | None, header, rows) -> None:
     except OSError as exc:
         raise ConfigError(f"cannot write output file {out}: {exc}") from None
     with target as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(_csv_line(header))
+        handle.writelines(lines)
 
 
 def _read_csv(path: str, required) -> list[dict]:
@@ -69,6 +92,8 @@ def _read_csv(path: str, required) -> list[dict]:
         raise ConfigError(f"data file {path} contains no rows")
     if any(None in row.values() for row in rows):
         raise ConfigError(f"data file {path} has rows with missing cells")
+    if any(None in row for row in rows):  # DictReader files cells past the header under the key None
+        raise ConfigError(f"data file {path} has rows with extra cells")
     return rows
 
 
@@ -120,7 +145,7 @@ def cmd_spectrum(args) -> int:
             if name.startswith("arg_"):
                 columns[name] = np.unwrap(columns[name])
 
-    _write_csv(args.out, columns.keys(), zip(*map(_fmt_column, columns.values())))
+    _write_csv(args.out, columns.keys(), map(_csv_line, zip(*map(_fmt_column, columns.values()))))
     return EXIT_OK
 
 
@@ -136,12 +161,16 @@ def cmd_map(args) -> int:
     if args.unwrap and config.observable.endswith("_phase"):
         values = np.unwrap(values, axis=1)
 
-    # one B row at a time: the frequency column is formatted once, the grid never as a whole
-    f_cells = _fmt_column(sweep.frequencies)
-    rows = chain.from_iterable(
-        zip(repeat(_fmt(B)), f_cells, _fmt_column(row)) for B, row in zip(sweep.fields, values)
+    # One text block per B row, from one template that holds the formatted
+    # frequency cells and marks the B cell with "\0": "%.17g" % x is
+    # format(x, ".17g"), and a .17g cell holds no "%", no "\0" and nothing
+    # that needs quoting.
+    template = "".join(["\0," + f_cell + ",%.17g\r\n" for f_cell in _fmt_column(sweep.frequencies)])
+    blocks = (
+        template.replace("\0", _fmt(B)) % tuple(row.tolist())
+        for B, row in zip(sweep.fields, values)
     )
-    _write_csv(args.out, ["B_T", "f_hz", "value"], rows)
+    _write_csv(args.out, ["B_T", "f_hz", "value"], blocks)
     return EXIT_OK
 
 
@@ -197,7 +226,7 @@ def cmd_modes(args) -> int:
         for row in chain.from_iterable(zip(*columns)):  # B-major, index pairs in config order
             if isinstance(row, ValueError):
                 raise row
-            yield row
+            yield _csv_line(row)
 
     _write_csv(args.out, ["B_T", "i", "j", "sign_branch", "f_closed_hz", "f_solver_hz", "rel_diff"], rows())
     return EXIT_OK
@@ -232,9 +261,9 @@ def cmd_derive(args) -> int:
                 if name in reference:
                     ref = reference[name]
                     dev = abs(value - ref) / abs(ref) if ref != 0 else math.inf
-                    yield [mode.label, name, _fmt(value), _fmt(ref), _fmt(dev)]
+                    yield _csv_line([mode.label, name, _fmt(value), _fmt(ref), _fmt(dev)])
                 else:
-                    yield [mode.label, name, _fmt(value), "", ""]
+                    yield _csv_line([mode.label, name, _fmt(value), "", ""])
 
     _write_csv(args.out, ["mode", "quantity", "derived", "reference", "rel_dev"], rows())
     return EXIT_OK
@@ -272,7 +301,7 @@ def cmd_fit(args) -> int:
         ["stat", "loss", result.loss],
         *(["trace", k, _fmt(rms)] for k, rms in enumerate(result.residual_trace)),
     ]
-    _write_csv(args.out, ["kind", "name", "value"], rows)
+    _write_csv(args.out, ["kind", "name", "value"], map(_csv_line, rows))
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -286,13 +315,26 @@ def _template_value(system: HybridSystem, name: str, B: float) -> float:
     return getattr(mode, field)
 
 
+def _include_flag(path: str, k: int, cell: str) -> bool:
+    """The ``include`` cell of data row ``k`` (counted from 1 after the header): 0 or 1, as in scaling.include."""
+    try:
+        flag = int(cell)
+    except ValueError:
+        flag = None
+    if flag not in (0, 1):
+        raise ConfigError(f"data file {path} row {k}: include must be 0 or 1, got {cell!r}")
+    return bool(flag)
+
+
 def cmd_scaling(args) -> int:
     config = load_config(args.config)
     if config.scaling is None:
         raise ConfigError("config must provide a scaling section")
     rows = _read_csv(args.data, ("diameter_m", "value"))
     points = [(float(row["diameter_m"]), float(row["value"])) for row in rows]
-    include = [bool(int(row["include"])) if "include" in row else True for row in rows]
+    include = [
+        _include_flag(args.data, k, row["include"]) if "include" in row else True for k, row in enumerate(rows, 1)
+    ]
     if config.scaling.include is not None:
         if len(config.scaling.include) != len(points):
             raise ConfigError("scaling.include length must match the number of points")
@@ -309,7 +351,7 @@ def cmd_scaling(args) -> int:
     ]
     for k, ((diameter, _), used) in enumerate(zip(points, result.included_points)):
         rows += [["point", f"included_{k}", int(used)], ["point", f"predicted_{k}", _fmt(result.predict(diameter))]]
-    _write_csv(args.out, ["kind", "name", "value"], rows)
+    _write_csv(args.out, ["kind", "name", "value"], map(_csv_line, rows))
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -7,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import magnoncavity as mc
 from magnoncavity import cli
 from magnoncavity.cli import main
+from magnoncavity.scattering import OBSERVABLES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
@@ -266,6 +270,21 @@ class TestFitCommand:
         bad.write_text("f_hz,re_s21,im_s21\n1.0,2.0,3.0\n2.0,2.0\n")
         assert run(["fit", CONFIG_DIR / "fit_0p45mm.yaml", "--data", bad, "--out", tmp_path / "r.csv"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, config, text",
+        [
+            ("fit", "fit_0p45mm.yaml", "f_hz,re_s21,im_s21\n1.0,2.0,3.0\n2.0,2.0,3.0,4.0\n"),
+            ("scaling", "scaling_g_kittel.yaml", "diameter_m,value,include\n0.45e-3,28.6,1\n1.0e-3,100e6,1,9\n"),
+            ("scaling", "scaling_g_kittel.yaml", "diameter_m,value\n0.45e-3,28.6,\n"),
+        ],
+        ids=["fit", "scaling", "scaling_trailing_comma"],
+    )
+    def test_long_data_row_is_config_error(self, tmp_path, capsys, command, config, text):
+        bad = tmp_path / "long.csv"
+        bad.write_text(text)
+        assert run([command, CONFIG_DIR / config, "--data", bad, "--out", tmp_path / "r.csv"]) == 2
+        assert capsys.readouterr().err == f"config error: data file {bad} has rows with extra cells\n"
+
 
 class TestScalingCommand:
     def test_linear_coupling_fit(self, tmp_path):
@@ -288,6 +307,16 @@ class TestScalingCommand:
         included = [r["value"] for r in rows if r["name"].startswith("included_")]
         assert c0 == pytest.approx(22.19, rel=0.01)
         assert included == ["0", "1", "1"]
+
+    @pytest.mark.parametrize("cell", ["7", "-1", "2", "", "yes", "1.0", "true"])
+    def test_include_column_takes_only_0_or_1(self, tmp_path, capsys, cell):
+        data = tmp_path / "points.csv"
+        data.write_text(f"diameter_m,value,include\n0.45e-3,28.6,1\n0.75e-3,67.3,{cell}\n1.0e-3,91.0,0\n")
+        out = tmp_path / "r.csv"
+        assert run(["scaling", CONFIG_DIR / "scaling_g_kittel.yaml", "--data", data, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: data file {data} row 2: include must be 0 or 1, got {cell!r}\n"
+        )
 
 
 class TestExitCodes:
@@ -372,28 +401,47 @@ class TestExitCodes:
 class TestCsvContract:
     """Bytes of the CSV every subcommand writes: .17g cells, \r\n rows, minimal quoting."""
 
-    def test_map_bytes_equal_a_row_by_row_reference(self, tmp_path):
+    @pytest.mark.parametrize("n_fields, n_frequencies", [(1, 1), (3, 7)], ids=["1x1", "3x7"])
+    @pytest.mark.parametrize(
+        "observable, unwrap",
+        [(name, False) for name in OBSERVABLES] + [(name, True) for name in OBSERVABLES if name.endswith("_phase")],
+        ids=lambda value: {True: "unwrap", False: "wrapped"}.get(value, value),
+    )
+    def test_map_bytes_equal_a_row_by_row_reference(self, tmp_path, observable, unwrap, n_fields, n_frequencies):
         config = yaml.safe_load((CONFIG_DIR / "sphere_0p75mm_map.yaml").read_text())
-        config["observable"] = "s21_phase"
-        config["sweep"]["field"]["count"] = 3
-        config["sweep"]["frequency"]["count"] = 7
+        config["observable"] = observable
+        config["sweep"]["field"]["count"] = n_fields
+        config["sweep"]["frequency"]["count"] = n_frequencies
+        if n_fields == 1:
+            config["sweep"]["field"]["stop"] = config["sweep"]["field"]["start"]
+        if n_frequencies == 1:
+            config["sweep"]["frequency"]["stop"] = config["sweep"]["frequency"]["start"]
         path = tmp_path / "small_map.yaml"
         path.write_text(yaml.safe_dump(config))
         out = tmp_path / "map.csv"
-        assert run(["map", path, "--out", out]) == 0
+        assert run(["map", path, "--out", out] + ["--unwrap"] * unwrap) == 0
         config = mc.load_config(path)
         sweep = mc.sweep_map(
             config.system, config.field_grid.values(), config.frequency_grid.values(), config.observable
         )
+        values = np.unwrap(sweep.values, axis=1) if unwrap else sweep.values
         with open(tmp_path / "reference.csv", "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["B_T", "f_hz", "value"])
             for k, B in enumerate(sweep.fields):
                 for l, f in enumerate(sweep.frequencies):
-                    writer.writerow([format(float(v), ".17g") for v in (B, f, sweep.values[k, l])])
+                    writer.writerow([format(float(v), ".17g") for v in (B, f, values[k, l])])
         assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
         cells = [float(r["value"]) for r in read_csv(out)]
-        assert cells == sweep.values.ravel().tolist()
+        assert cells == values.ravel().tolist()
+        assert len(cells) == n_fields * n_frequencies
+
+    def test_map_to_stdout_gives_the_file_bytes(self, tmp_path, capsysbinary):
+        out = tmp_path / "map.csv"
+        assert run(["map", CONFIG_DIR / "sphere_0p45mm_map.yaml", "--out", out]) == 0
+        capsysbinary.readouterr()
+        assert run(["map", CONFIG_DIR / "sphere_0p45mm_map.yaml", "--out", "-"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
     @pytest.mark.parametrize(
         "argv",
@@ -418,11 +466,42 @@ class TestCsvContract:
 
         values = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1 / 3, -2.5e300, 0.1, 10.632e9, math.pi]
         out = tmp_path / "floats.csv"
-        cli._write_csv(str(out), ["value"], zip(cli._fmt_column(np.array(values))))
+        cli._write_csv(str(out), ["value"], map(cli._csv_line, zip(cli._fmt_column(np.array(values)))))
         cells = [row["value"] for row in read_csv(out)]
         assert [float(cell) for cell in cells] == values
         assert [math.copysign(1.0, float(cell)) for cell in cells] == [math.copysign(1.0, v) for v in values]
         assert cells[:3] == ["-0", "0", "4.9406564584124654e-324"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(st.one_of(st.sampled_from(',"\r\n '), st.characters()), max_size=6),
+                st.integers(),
+            ),
+            max_size=6,
+        )
+    )
+    @example([""])
+    @example([])
+    @example(["", ""])
+    @example(['ms"m, (2,0)', "ü", "a\r\nb", 7])
+    def test_csv_line_writes_the_csv_writer_text(self, row):
+        reference = io.StringIO()
+        csv.writer(reference).writerow(row)
+        assert cli._csv_line(row) == reference.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats())
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.2250738585072014e-308 / 3)
+    @example(1.7976931348623157e308)
+    @example(-1.7976931348623157e308)
+    def test_percent_format_is_the_format_of_a_cell(self, x):
+        # map builds its rows with "%.17g" % x; every other cell is format(x, ".17g")
+        assert "%.17g" % x == format(x, ".17g") == cli._fmt(x)
 
     def test_spectrum_cells_round_trip_exactly(self, tmp_path):
         out = tmp_path / "spectrum.csv"

@@ -3,7 +3,8 @@
 Valid configs are generated with every section and optional key either
 present or absent; parse -> dump -> parse must give back the same
 RunConfig. Malformed configs are generated from valid ones; parsing them
-must raise ConfigError (exit code 2) and never any other exception.
+must raise ConfigError (exit code 2) and never any other exception, and
+every subcommand run on them must exit 2 or 3.
 """
 
 import copy
@@ -14,6 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magnoncavity import cli
 from magnoncavity.config import dump_config, parse_config
 from magnoncavity.derived import SCALING_MODELS
 from magnoncavity.errors import ConfigError
@@ -224,6 +226,16 @@ def _node(data, path):
     return data
 
 
+def _broken(data, path, key, value):
+    """A copy of ``data`` with ``key`` of the mapping at ``path`` set to ``value``, or deleted for DELETE."""
+    broken = copy.deepcopy(data)
+    if value is DELETE:  # only required keys are deleted, and a full config has them all
+        del _node(broken, path)[key]
+    else:
+        _node(broken, path)[key] = value
+    return broken
+
+
 def _location(path) -> str:
     """``path`` as a config error names it, e.g. system.modes[0]."""
     return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
@@ -233,12 +245,7 @@ def _location(path) -> str:
 @pytest.mark.parametrize("path, key, bad", BREAKS, ids=[".".join(map(str, p + (k,))) for p, k, _ in BREAKS])
 @given(data=configs(full=True), draw=st.data())
 def test_malformed_sections_raise_config_error(path, key, bad, data, draw):
-    broken = copy.deepcopy(data)
-    value = draw.draw(bad)
-    if value is DELETE:  # only required keys are deleted, and a full config has them all
-        del _node(broken, path)[key]
-    else:
-        _node(broken, path)[key] = value
+    broken = _broken(data, path, key, draw.draw(bad))
     with pytest.raises(ConfigError) as info:
         parse_config(broken)
     assert str(info.value).startswith(_location(path))  # rejected for this break, not another
@@ -276,3 +283,24 @@ def test_any_value_anywhere_parses_or_is_a_config_error(data, draw):
         parse_config(broken)
     except ConfigError:
         pass
+
+
+COMMANDS = ("spectrum", "map", "modes", "derive", "fit", "scaling")
+not_yaml = st.sampled_from(["system: [1, 2", "{a: 1", "key: 'unclosed", "\t- x", "a: !!python/object:os.system x"])
+not_a_mapping = st.one_of(st.just(""), st.integers().map(str), st.lists(st.integers(), max_size=2).map(yaml.safe_dump))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=configs(full=True), draw=st.data(), command=st.sampled_from(COMMANDS))
+def test_every_command_exits_2_or_3_on_a_malformed_config(tmp_path_factory, data, draw, command):
+    if draw.draw(st.booleans()):
+        path, key, bad = draw.draw(st.sampled_from(BREAKS))
+        text = yaml.safe_dump(_broken(data, path, key, draw.draw(bad)))
+    else:
+        text = draw.draw(st.one_of(not_yaml, not_a_mapping))
+    work = tmp_path_factory.getbasetemp()
+    config = work / "malformed.yaml"
+    config.write_text(text, encoding="utf-8")
+    # the data file is never read: the config is rejected first
+    argv = [command, str(config), "--out", str(work / "out.csv"), "--data", str(work / "absent.csv")]
+    assert cli.main(argv if command in ("fit", "scaling") else argv[:4]) in (2, 3)
