@@ -42,6 +42,18 @@ _SCAN_SLACK = 1e-9
 _SCAN_BLOCK = 256
 
 
+def _all_finite(B_ext) -> bool:
+    """Whether a bias field, or every one of an array of them, is finite."""
+    if isinstance(B_ext, (int, float)):
+        return math.isfinite(B_ext)
+    return bool(np.all(np.isfinite(B_ext)))
+
+
+def _all_positive_finite(B_ext) -> bool:
+    """Whether a bias field, or every one of an array of them, is positive and finite."""
+    return _all_finite(B_ext) and bool(np.all(np.asarray(B_ext) > 0))
+
+
 @dataclass(frozen=True)
 class WalkerModeQuery:
     """One magnetostatic-mode request: indices, sign branch, bias field.
@@ -76,13 +88,13 @@ def internal_field(B_ext: float, material: MaterialParams) -> float:
     return B_ext - material.mu0_Ms / 3.0
 
 
-def kittel_frequency(B_ext: float, material: MaterialParams) -> float:
+def kittel_frequency(B_ext, material: MaterialParams):
     """Uniform-precession mode frequency, linear in the external field.
 
     f = gamma_e * B_ext; the sphere's demagnetizing field drops out for
-    uniform precession.
+    uniform precession. ``B_ext`` may be an array of fields.
     """
-    if not math.isfinite(B_ext):
+    if not _all_finite(B_ext):
         raise ValueError("B_ext must be finite")
     return material.gamma_e * B_ext
 
@@ -100,7 +112,11 @@ def msm_frequency_linear(q: WalkerModeQuery, material: MaterialParams) -> float:
 
     The (1, 1) case reduces exactly to the Kittel frequency.
     """
-    i, j = q.i, q.j
+    return _linear_closed_form(q.i, q.j, q.B_ext, material)
+
+
+def _linear_closed_form(i: int, j: int, B_ext, material: MaterialParams):
+    """:func:`msm_frequency_linear` at a bias field or an array of them."""
     if j < 1:
         raise ValueError("closed forms require j >= 1")
     f_M = material.gamma_e * material.mu0_Ms
@@ -110,22 +126,26 @@ def msm_frequency_linear(q: WalkerModeQuery, material: MaterialParams) -> float:
         offset = (j / (2 * j + 3) - 1.0 / 3.0) * f_M
     else:
         raise ValueError(f"no linear closed form for indices ({i}, {j})")
-    return material.gamma_e * q.B_ext + offset
+    return material.gamma_e * B_ext + offset
 
 
-def msm20_frequency(B_ext: float, material: MaterialParams) -> float:
+def msm20_frequency(B_ext, material: MaterialParams):
     """Closed form for the (2, 0) mode.
 
     f = gamma_e*mu0_Ms * sqrt((r - 1/3)(r + 7/15)) with r = B_ext/mu0_Ms;
-    requires r > 1/3 so the radicand is positive.
+    requires r > 1/3 so the radicand is positive. ``B_ext`` may be an
+    array of fields; the DomainError then reports the first one, in
+    row-major order, whose radicand is not positive.
     """
-    if not math.isfinite(B_ext):
+    if not _all_finite(B_ext):
         raise ValueError("B_ext must be finite")
     r = B_ext / material.mu0_Ms
     radicand = (r - 1.0 / 3.0) * (r + 7.0 / 15.0)
-    if radicand <= 0:
-        raise DomainError(f"(2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = {r:g}")
-    return material.gamma_e * material.mu0_Ms * math.sqrt(radicand)
+    outside = np.flatnonzero(radicand <= 0)
+    if outside.size:
+        raise DomainError(f"(2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = {np.ravel(r)[outside[0]]:g}")
+    f = material.gamma_e * material.mu0_Ms * np.sqrt(radicand)
+    return f if np.ndim(f) else float(f)
 
 
 def _legendre_pair(i: int, j: int, z):
@@ -434,13 +454,22 @@ def matching_sign_branch(i: int, j: int, material: MaterialParams, B_ext: float 
     raise DomainError(f"neither sign branch reproduces the closed form for ({i}, {j})")
 
 
-def mode_frequency(field_map: FieldMap, B_ext: float, material: MaterialParams) -> float:
-    """Evaluate a mode's field map at bias field B_ext."""
+def mode_frequency(field_map: FieldMap, B_ext, material: MaterialParams):
+    """Evaluate a mode's field map at bias field B_ext.
+
+    Every field map is a closed form, so ``B_ext`` may also be an array of
+    fields: the result has its shape and equals the scalar calls element
+    for element, and a scalar call returns a float. A failing array raises
+    the error of its first failing field in row-major order.
+    """
     if field_map.kind == "kittel":
         return kittel_frequency(B_ext, material)
     if field_map.kind == "walker":
-        q = WalkerModeQuery(i=field_map.i, j=field_map.j, B_ext=B_ext)
-        return msm_frequency_linear(q, material)
+        if not _all_positive_finite(B_ext):
+            raise ValueError("B_ext must be positive and finite")
+        return _linear_closed_form(field_map.i, field_map.j, B_ext, material)
     if field_map.kind == "msm20":
         return msm20_frequency(B_ext, material)
-    return field_map.frequency
+    if isinstance(B_ext, (int, float)):
+        return field_map.frequency
+    return np.full(np.shape(B_ext), field_map.frequency)

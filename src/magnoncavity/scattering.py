@@ -22,6 +22,11 @@ from . import magnetostatics
 from .model import CavityParams, HybridSystem, MagnonMode, susceptibility_magnon
 
 OBSERVABLES = ("s21_power", "s11_power", "eta", "s21_phase", "s31_phase")
+# Grid cells per shared-denominator call of sweep_map: each block of
+# max(1, _SWEEP_CELLS // f.size) bias fields is one call, which bounds the
+# kernel's temporaries to about _SWEEP_CELLS complex values per mode
+# whatever the grid size. Larger blocks fall out of the cache and run slower.
+_SWEEP_CELLS = 12_000
 
 
 @dataclass(frozen=True)
@@ -64,10 +69,7 @@ class SweepMap:
         B = np.asarray(self.fields, dtype=float)
         f = np.asarray(self.frequencies, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if B.ndim != 1 or f.ndim != 1 or B.size == 0 or f.size == 0:
-            raise ValueError("grids must be non-empty 1D arrays")
-        if np.any(np.diff(B) <= 0) or np.any(np.diff(f) <= 0):
-            raise ValueError("grids must be strictly ascending")
+        _check_grids(B, f)
         if v.shape != (B.size, f.size):
             raise ValueError(f"values shape {v.shape} does not match grids ({B.size}, {f.size})")
         if not np.all(np.isfinite(v)):
@@ -81,12 +83,31 @@ class SweepMap:
         object.__setattr__(self, "values", v)
 
 
-def shared_denominator(f, system: HybridSystem, B: float):
-    """D(f) = (f - f_c) + i*kappa_t - sum_m g_m^2 chi_m(f), and the chi_m in mode order."""
+def _check_grids(B: np.ndarray, f: np.ndarray) -> None:
+    """Reject bias-field and frequency grids that are not non-empty, 1-D, finite and strictly ascending."""
+    if B.ndim != 1 or f.ndim != 1 or B.size == 0 or f.size == 0:
+        raise ValueError("grids must be non-empty 1D arrays")
+    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(f))):
+        raise ValueError("grids must be finite")
+    if np.any(np.diff(B) <= 0) or np.any(np.diff(f) <= 0):
+        raise ValueError("grids must be strictly ascending")
+
+
+def shared_denominator(f, system: HybridSystem, B):
+    """D(f) = (f - f_c) + i*kappa_t - sum_m g_m^2 chi_m(f), and the chi_m in mode order.
+
+    ``f`` and ``B`` broadcast against each other, and ``D`` and every
+    ``chi_m`` take their broadcast shape: a scalar ``B`` gives spectra of
+    ``f``'s shape, and ``f`` of shape (rows, F) with ``B`` of shape
+    (rows, 1) gives one spectrum per bias field. Element for element the
+    values equal those of the scalar-``B`` calls.
+    """
     if not np.all(np.isfinite(f)):
         raise ValueError("f must be finite")
     cav = system.cavity
     d = (np.asarray(f, dtype=float) - cav.f_c) + 1j * cav.kappa_t
+    if not system.modes and np.ndim(B):
+        d = d + np.zeros(np.shape(B))  # no chi_m carries B's shape into D
     chis = []
     for mode in system.modes:
         f_m = magnetostatics.mode_frequency(mode.field_map, B, system.material)
@@ -220,6 +241,10 @@ def sweep_map(
 
     ``mode_label`` selects the mode for ``s31_phase`` (defaults to the
     first mode). Rows follow ``B_grid`` order, columns ``f_grid`` order.
+    Both grids must be finite, 1-D and strictly ascending; they are checked
+    before any kernel work. The kernel runs on blocks of bias fields (see
+    ``_SWEEP_CELLS``), so its temporaries stay bounded by the block and
+    not the grid; every value equals the one-field evaluation bit for bit.
     """
     if observable not in OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}; choose from {OBSERVABLES}")
@@ -227,6 +252,7 @@ def sweep_map(
     f_grid = np.atleast_1d(np.asarray(f_grid, dtype=float))
     if B_grid.size == 0 or f_grid.size == 0:
         raise ValueError("grids must be non-empty")
+    _check_grids(B_grid, f_grid)
 
     if observable in ("eta", "s31_phase") and not system.modes:
         raise ValueError(f"{observable} requires at least one magnon mode")
@@ -242,6 +268,19 @@ def sweep_map(
     }[observable]
 
     values = np.empty((B_grid.size, f_grid.size))
-    for k, B in enumerate(B_grid):
-        values[k] = reduce(*amplitudes(f_grid, system, B))
+    rows = max(1, _SWEEP_CELLS // f_grid.size)
+    for start in range(0, B_grid.size, rows):
+        B_block = B_grid[start : start + rows]
+        # f at the block's full shape: one frequency point per output cell
+        f_block = np.broadcast_to(f_grid, (B_block.size, f_grid.size))
+        try:
+            d, chis = shared_denominator(f_block, system, B_block[:, None])
+        except ValueError:
+            # The block resolves mode by mode, the one-field kernel field by
+            # field: replay the block one field at a time, so that the first
+            # failing (field, mode) in row-major order raises, as it always has.
+            for B in B_block:
+                shared_denominator(f_grid, system, B)
+            raise
+        values[start : start + B_block.size] = reduce(*amplitudes_from_denominator(d, chis, system))
     return SweepMap(B_grid, f_grid, values, observable)

@@ -29,6 +29,32 @@ def run(args):
     return main([str(a) for a in args])
 
 
+# bench/golden.json is read, never rewritten, here
+GOLDEN_DIGESTS = json.loads(GOLDEN.read_text(encoding="utf-8"))["configs"]
+# The command behind each recorded digest, as argv with paths relative to configs/.
+GOLDEN_ARGV = {
+    "bare_cavity": ["spectrum", "bare_cavity.yaml"],
+    "sphere_0p45mm_spectrum": ["spectrum", "sphere_0p45mm_spectrum.yaml"],
+    "sphere_0p45mm_map": ["map", "sphere_0p45mm_map.yaml"],
+    "sphere_0p75mm_map": ["map", "sphere_0p75mm_map.yaml"],
+    "sphere_1p0mm_offset_map": ["map", "sphere_1p0mm_offset_map.yaml"],
+    "walker_modes": ["modes", "walker_modes.yaml"],
+    "derive_0p45mm": ["derive", "derive_0p45mm.yaml"],
+    "derive_0p75mm": ["derive", "derive_0p75mm.yaml"],
+    "derive_1p0mm": ["derive", "derive_1p0mm.yaml"],
+    "scaling_g_kittel": ["scaling", "scaling_g_kittel.yaml", "--data", "points_g_kittel.csv"],
+    "scaling_g_msm": ["scaling", "scaling_g_kittel.yaml", "--data", "points_g_msm.csv"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS))
+def test_output_matches_the_golden_digest(tmp_path, key):
+    args = [CONFIG_DIR / a if a.endswith((".yaml", ".csv")) else a for a in GOLDEN_ARGV[key]]
+    out = tmp_path / "out.csv"
+    assert run(args + ["--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[key]
+
+
 class TestSpectrumCommand:
     def test_bare_cavity_lorentzian(self, tmp_path):
         out = tmp_path / "bare.csv"
@@ -145,6 +171,45 @@ class TestMapCommand:
         assert all(float(r["value"]) == 0.0 for r in read_csv(out))
 
 
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize(
+        "start, code, message",
+        [
+            (0.01, 3, "numeric domain error: (2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = 0.0561798"),
+            # msm20 holds at -0.1 T (r < -7/15) and fails from 0 T; walker fails at -0.1 T, the first field
+            (-0.1, 2, "config error: B_ext must be positive and finite"),
+        ],
+        ids=["from_0.01T", "from_-0.1T"],
+    )
+    def test_failing_field_reports_the_first_failing_row_and_mode(
+        self, tmp_path, capsys, monkeypatch, rows, start, code, message
+    ):
+        config = {
+            "system": {
+                "cavity": {"f_c": 10.632e9, "kappa_e": 2.1e6, "kappa_i": 0.6e6},
+                "modes": [
+                    {"label": "kittel", "g": 67.3e6, "gamma": 1.1e6, "field_map": {"kind": "kittel"}},
+                    {"label": "msm20", "g": 4.0e6, "gamma": 1.5e6, "field_map": {"kind": "msm20"}},
+                    {"label": "w22", "g": 6.0e6, "gamma": 1.2e6, "field_map": {"kind": "walker", "i": 2, "j": 2}},
+                ],
+                "material": {"diameter": 0.75e-3},
+            },
+            "sweep": {
+                "field": {"start": start, "stop": 0.5, "count": 7},
+                "frequency": {"start": 10.5e9, "stop": 10.7e9, "count": 5},
+            },
+            "observable": "eta",
+        }
+        if rows is not None:
+            monkeypatch.setattr(mc.scattering, "_SWEEP_CELLS", rows * 5)
+        path = tmp_path / "failing.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "map.csv"
+        assert run(["map", path, "--out", out]) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+
 class TestModesCommand:
     def test_closed_forms_and_solver_agree(self, tmp_path):
         out = tmp_path / "modes.csv"
@@ -161,13 +226,6 @@ class TestModesCommand:
         path = tmp_path / "ambiguous.yaml"
         path.write_text(yaml.safe_dump(config))
         assert run(["modes", path, "--out", tmp_path / "x.csv"]) == 3
-
-    def test_output_matches_the_golden_digest(self, tmp_path):
-        # bench/golden.json is read, never rewritten, here
-        expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["configs"]["walker_modes"]
-        out = tmp_path / "modes.csv"
-        assert run(["modes", CONFIG_DIR / "walker_modes.yaml", "--out", out]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
     @pytest.mark.parametrize(
         "failing, message",

@@ -239,6 +239,35 @@ class TestDispersion:
             mc.dispersion_branches(sys_, 0.38)
 
 
+MIXED_SYSTEM = mc.HybridSystem(
+    cavity=CAVITY,
+    modes=(
+        mc.MagnonMode(label="kittel", g=67.3e6, gamma=1.1e6, delta=1.80e-3),
+        mc.MagnonMode(label="msm20", g=4.0e6, gamma=1.5e6, delta=0.512, field_map=mc.FieldMap(kind="msm20")),
+        mc.MagnonMode(
+            label="w32", g=2.5e6, gamma=0.9e6, delta=0.40, field_map=mc.FieldMap(kind="walker", i=3, j=2)
+        ),
+        mc.MagnonMode(
+            label="spur", g=2.0e6, gamma=2.0e6, delta=0.05, field_map=mc.FieldMap(kind="fixed", frequency=10.7e9)
+        ),
+    ),
+    material=mc.MaterialParams(diameter=0.75e-3),
+)
+
+
+def counting_denominator(monkeypatch) -> list:
+    """Wrap ``scattering.shared_denominator``; the returned list gets ``np.size(f)`` of every call."""
+    points = []
+    kernel = mc.scattering.shared_denominator
+
+    def counted(f, system, B):
+        points.append(np.size(f))
+        return kernel(f, system, B)
+
+    monkeypatch.setattr(mc.scattering, "shared_denominator", counted)
+    return points
+
+
 class TestSweepMap:
     def test_single_point_grid_reduces_to_point_operation(self):
         sys_ = kittel_system("0.45mm")
@@ -283,22 +312,18 @@ class TestSweepMap:
         expected = np.angle(mc.s31_mode(f, sys_, 0.38, "msm"))
         assert np.allclose(by_label.values[0], expected)
 
-    @pytest.mark.parametrize("observable", mc.scattering.OBSERVABLES)
-    def test_rows_equal_point_functions(self, observable):
-        a = ASSEMBLIES["0.75mm"]
-        sys_ = mc.HybridSystem(
-            cavity=CAVITY,
-            modes=(
-                mc.MagnonMode(label="kittel", g=a["g_K"], gamma=a["gamma_K"], delta=a["delta_K"]),
-                mc.MagnonMode(
-                    label="msm", g=a["g_M"], gamma=a["gamma_M"], delta=a["delta_M"],
-                    field_map=mc.FieldMap(kind="msm20"),
-                ),
-            ),
-            material=mc.MaterialParams(diameter=a["diameter"]),
-        )
-        B = np.array([0.3797, 0.3808, 0.3818])
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["rows1", "rows3", "default"])
+    @pytest.mark.parametrize(
+        "observable, system",
+        [(o, "modes") for o in mc.scattering.OBSERVABLES] + [("s21_power", "bare"), ("s11_power", "bare")],
+    )
+    def test_rows_equal_point_functions(self, observable, system, rows, monkeypatch):
+        # 7 fields in blocks of 1, of 3 (the last block holds one field) and in the default block
+        sys_ = MIXED_SYSTEM if system == "modes" else mc.HybridSystem(cavity=CAVITY)
+        B = np.linspace(0.3797, 0.3818, 7)
         f = np.linspace(CAVITY.f_c - 150e6, CAVITY.f_c + 150e6, 301)
+        if rows is not None:
+            monkeypatch.setattr(mc.scattering, "_SWEEP_CELLS", rows * f.size)
         point = {
             "s21_power": lambda b: np.abs(mc.s21(f, sys_, b)) ** 2,
             "s11_power": lambda b: np.abs(mc.s11(f, sys_, b)) ** 2,
@@ -308,7 +333,48 @@ class TestSweepMap:
         }[observable]
         swept = mc.sweep_map(sys_, B, f, observable)
         for k, b in enumerate(B):
-            np.testing.assert_array_equal(swept.values[k], point(b))
+            assert np.array_equal(swept.values[k], point(b))
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_denominator_sees_each_cell_once(self, rows, monkeypatch):
+        f = np.linspace(CAVITY.f_c - 150e6, CAVITY.f_c + 150e6, 301)
+        if rows is not None:
+            monkeypatch.setattr(mc.scattering, "_SWEEP_CELLS", rows * f.size)
+        points = counting_denominator(monkeypatch)
+        B = np.linspace(0.3797, 0.3818, 7)
+        mc.sweep_map(MIXED_SYSTEM, B, f, "eta")
+        assert sum(points) == B.size * f.size
+        assert len(points) == (7 if rows == 1 else 3 if rows == 3 else 1)
+
+    @pytest.mark.parametrize(
+        "B, f, message",
+        [
+            ([0.3818, 0.3797], [10.6e9, 10.7e9], "grids must be strictly ascending"),
+            ([0.3797, 0.3797], [10.6e9, 10.7e9], "grids must be strictly ascending"),
+            ([0.3797, 0.3818], [10.7e9, 10.6e9], "grids must be strictly ascending"),
+            ([0.3797, np.nan], [10.6e9, 10.7e9], "grids must be finite"),
+            ([0.3797, 0.3818], [10.6e9, np.inf], "grids must be finite"),
+            ([[0.3797, 0.3818]], [10.6e9, 10.7e9], "grids must be non-empty 1D arrays"),
+        ],
+    )
+    def test_bad_grids_are_rejected_before_any_kernel_work(self, B, f, message, monkeypatch):
+        points = counting_denominator(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            mc.sweep_map(MIXED_SYSTEM, B, f, "s21_power")
+        assert points == []
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_failing_block_raises_the_first_failing_field_and_mode(self, rows, monkeypatch):
+        # msm20 fails for B/mu0_Ms in (-7/15, 1/3], walker for B <= 0: at -0.1 T only walker fails,
+        # so the first failing (field, mode) is the walker mode at the first field, not msm20 at 0 T
+        f = np.linspace(10.5e9, 10.7e9, 5)
+        if rows is not None:
+            monkeypatch.setattr(mc.scattering, "_SWEEP_CELLS", rows * f.size)
+        with pytest.raises(ValueError, match="B_ext must be positive and finite") as raised:
+            mc.sweep_map(MIXED_SYSTEM, np.linspace(-0.1, 0.5, 7), f, "eta")
+        assert not isinstance(raised.value, mc.DomainError)
+        with pytest.raises(mc.DomainError, match=r"got r = 0\.0561798"):
+            mc.sweep_map(MIXED_SYSTEM, np.linspace(0.01, 0.5, 7), f, "eta")
 
     def test_conversion_maps_need_a_mode(self):
         bare = mc.HybridSystem(cavity=CAVITY)
