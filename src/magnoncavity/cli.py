@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import re
 import sys
 from contextlib import nullcontext
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -31,11 +32,6 @@ EXIT_NO_CONVERGENCE = 4
 
 def _fmt(value) -> str:
     return format(float(value), ".17g")
-
-
-def _fmt_column(values) -> list[str]:
-    """``_fmt`` of every value, without a Python call per cell."""
-    return list(map(format, np.asarray(values, dtype=float).tolist(), repeat(".17g")))
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
@@ -130,22 +126,18 @@ def cmd_spectrum(args) -> int:
     s21, s31 = scattering.amplitudes(f, system, B)
     amplitudes = {"s21": s21, "s11": 1.0 + s21, **{f"s31_{label}": values for label, values in s31.items()}}
     columns: dict[str, np.ndarray] = {"f_hz": f}
-    eta = np.zeros_like(f)
     for name, values in amplitudes.items():
         columns[f"re_{name}"] = values.real
         columns[f"im_{name}"] = values.imag
         columns[f"abs2_{name}"] = np.abs(values) ** 2
-        columns[f"arg_{name}"] = scattering.principal_phase(values)
-        if name.startswith("s31_"):
-            eta = eta + columns[f"abs2_{name}"]
-    columns["eta"] = eta
+        phase = scattering.principal_phase(values)
+        columns[f"arg_{name}"] = np.unwrap(phase) if args.unwrap else phase
+    columns["eta"] = np.broadcast_to(scattering.eta_from_amplitudes(s31), f.shape)  # 0.0 for a bare cavity
 
-    if args.unwrap:
-        for name in columns:
-            if name.startswith("arg_"):
-                columns[name] = np.unwrap(columns[name])
-
-    _write_csv(args.out, columns.keys(), map(_csv_line, zip(*map(_fmt_column, columns.values()))))
+    # every cell is a number: one "%.17g" template per row, as in `map`
+    template = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    rows = np.column_stack(list(columns.values())).tolist()
+    _write_csv(args.out, columns.keys(), (template % tuple(row) for row in rows))
     return EXIT_OK
 
 
@@ -165,22 +157,13 @@ def cmd_map(args) -> int:
     # frequency cells and marks the B cell with "\0": "%.17g" % x is
     # format(x, ".17g"), and a .17g cell holds no "%", no "\0" and nothing
     # that needs quoting.
-    template = "".join(["\0," + f_cell + ",%.17g\r\n" for f_cell in _fmt_column(sweep.frequencies)])
+    template = "".join(["\0," + _fmt(f) + ",%.17g\r\n" for f in sweep.frequencies.tolist()])
     blocks = (
         template.replace("\0", _fmt(B)) % tuple(row.tolist())
         for B, row in zip(sweep.fields, values)
     )
     _write_csv(args.out, ["B_T", "f_hz", "value"], blocks)
     return EXIT_OK
-
-
-def _closed_form(i: int, j: int, B: float, material) -> float | None:
-    if (i, j) == (2, 0):
-        return magnetostatics.msm20_frequency(B, material)
-    if j >= 1 and i in (j, j + 1):
-        q = magnetostatics.WalkerModeQuery(i=i, j=j, B_ext=B)
-        return magnetostatics.msm_frequency_linear(q, material)
-    return None
 
 
 def _modes_rows(i: int, j: int, fields, sign_branch: str, material) -> list:
@@ -190,19 +173,21 @@ def _modes_rows(i: int, j: int, fields, sign_branch: str, material) -> list:
     included) that computing it raises, so the caller raises it only when
     the row's turn comes.
     """
-    half = 0.03 * material.gamma_e * material.mu0_Ms
+    closed_map = magnetostatics.closed_form_map(i, j)
     rows: list = []
     solvable = []  # (row index, query, closed form)
     for B in fields:
         try:
-            closed = _closed_form(i, j, B, material)
+            closed = None if closed_map is None else magnetostatics.mode_frequency(closed_map, B, material)
             q = magnetostatics.WalkerModeQuery(i=i, j=j, B_ext=B, sign_branch=sign_branch)
         except ValueError as exc:
             rows.append(exc)
             continue
         solvable.append((len(rows), q, closed))
         rows.append(None)
-    windows = [None if closed is None else (closed - half, closed + half) for _, _, closed in solvable]
+    windows = [
+        None if closed is None else magnetostatics.closed_form_window(closed, material) for _, _, closed in solvable
+    ]
     solved = magnetostatics.solve_walker_modes([q for _, q, _ in solvable], material, windows)
     for (k, q, closed), root in zip(solvable, solved.outcomes):
         if isinstance(root, DomainError):
@@ -232,9 +217,6 @@ def cmd_modes(args) -> int:
     return EXIT_OK
 
 
-_DERIVED_FIELDS = ("g_B", "N", "C", "V_m", "n", "G", "delta")
-
-
 def cmd_derive(args) -> int:
     config = load_config(args.config)
     if config.derive is None:
@@ -256,8 +238,7 @@ def cmd_derive(args) -> int:
                 g_B=spec.g_B,
             )
             reference = spec.reference.get(mode.label, {})
-            for name in _DERIVED_FIELDS:
-                value = getattr(params, name)
+            for name, value in dataclasses.asdict(params).items():
                 if name in reference:
                     ref = reference[name]
                     dev = abs(value - ref) / abs(ref) if ref != 0 else math.inf
@@ -289,8 +270,7 @@ def cmd_fit(args) -> int:
         observable=spec.observable,
         loss=spec.loss,
     )
-    init = {name: _template_value(config.system, name, spec.B) for name in spec.free}
-    result = fitting.fit_spectrum(problem, init)
+    result = fitting.fit_spectrum(problem, fitting.read_params(config.system, spec.free, spec.B))
 
     rows = [
         *(["estimate", name, _fmt(result.estimates[name])] for name in sorted(result.estimates)),
@@ -303,16 +283,6 @@ def cmd_fit(args) -> int:
     ]
     _write_csv(args.out, ["kind", "name", "value"], map(_csv_line, rows))
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
-
-
-def _template_value(system: HybridSystem, name: str, B: float) -> float:
-    field, _, label = name.partition(".")
-    if not label:
-        return getattr(system.cavity, field)
-    mode = system.mode(label)
-    if field == "f_m":
-        return magnetostatics.mode_frequency(mode.field_map, B, system.material)
-    return getattr(mode, field)
 
 
 def _include_flag(path: str, k: int, cell: str) -> bool:

@@ -153,7 +153,6 @@ class RunConfig:
     field_grid: GridSpec | None = None
     frequency_grid: GridSpec | None = None
     observable: str = "s21_power"
-    seed: int = 0
     modes_table: ModesTableSpec | None = None
     derive: DeriveSpec | None = None
     fit: FitSpec | None = None

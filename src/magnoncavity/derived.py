@@ -11,7 +11,7 @@ sphere diameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,9 +45,9 @@ class DerivedParams:
     delta: float
 
     def __post_init__(self):
-        for name in ("g_B", "N", "C", "V_m", "n", "G", "delta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
 
 @dataclass(frozen=True)

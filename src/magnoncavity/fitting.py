@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scattering
+from . import magnetostatics, scattering
 from .model import FieldMap, HybridSystem
 from .scattering import ComplexSpectrum
 
@@ -93,6 +93,23 @@ def apply_params(system: HybridSystem, values: dict[str, float]) -> HybridSystem
             mode = dataclasses.replace(mode, **updates)
         modes.append(mode)
     return dataclasses.replace(system, cavity=cavity, modes=tuple(modes))
+
+
+def read_params(system: HybridSystem, names, B: float) -> dict[str, float]:
+    """The values of the named parameters in ``system``: the inverse of :func:`apply_params`.
+
+    ``f_m.<label>`` reads that mode's frequency off its field map at bias field ``B``.
+    """
+    values = {}
+    for name in names:
+        _validate_name(name, system)
+        field, label = _split_name(name)
+        owner = system.cavity if label is None else system.mode(label)
+        if field == "f_m":
+            values[name] = magnetostatics.mode_frequency(owner.field_map, B, system.material)
+        else:
+            values[name] = getattr(owner, field)
+    return values
 
 
 @dataclass(frozen=True)
@@ -374,9 +391,6 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
         grad = jac.T @ r
         if stalled or np.linalg.norm(grad) < GRADIENT_RTOL * grad0:
             converged = True
-
-    if singular:
-        converged = False
 
     with np.errstate(all="ignore"):
         try:

@@ -51,6 +51,8 @@ def _all_finite(B_ext) -> bool:
 
 def _all_positive_finite(B_ext) -> bool:
     """Whether a bias field, or every one of an array of them, is positive and finite."""
+    if isinstance(B_ext, (int, float)):
+        return 0 < B_ext < math.inf  # NaN fails both comparisons
     return _all_finite(B_ext) and bool(np.all(np.asarray(B_ext) > 0))
 
 
@@ -110,23 +112,10 @@ def msm_frequency_linear(q: WalkerModeQuery, material: MaterialParams) -> float:
     f = gamma_e*B_ext + (j/(2j+1) - 1/3) * gamma_e*mu0_Ms   for i = j,
     f = gamma_e*B_ext + (j/(2j+3) - 1/3) * gamma_e*mu0_Ms   for i = j + 1.
 
-    The (1, 1) case reduces exactly to the Kittel frequency.
+    The (1, 1) case reduces exactly to the Kittel frequency. Other indices
+    raise the ValueError of their :class:`FieldMap`.
     """
-    return _linear_closed_form(q.i, q.j, q.B_ext, material)
-
-
-def _linear_closed_form(i: int, j: int, B_ext, material: MaterialParams):
-    """:func:`msm_frequency_linear` at a bias field or an array of them."""
-    if j < 1:
-        raise ValueError("closed forms require j >= 1")
-    f_M = material.gamma_e * material.mu0_Ms
-    if i == j:
-        offset = (j / (2 * j + 1) - 1.0 / 3.0) * f_M
-    elif i == j + 1:
-        offset = (j / (2 * j + 3) - 1.0 / 3.0) * f_M
-    else:
-        raise ValueError(f"no linear closed form for indices ({i}, {j})")
-    return material.gamma_e * B_ext + offset
+    return mode_frequency(FieldMap("walker", q.i, q.j), q.B_ext, material)
 
 
 def msm20_frequency(B_ext, material: MaterialParams):
@@ -436,16 +425,34 @@ def solve_walker_mode(
     return solve_walker_modes([q], material, [search_window], n_panels, f_tol).root(0)
 
 
+def closed_form_map(i: int, j: int) -> FieldMap | None:
+    """The field map of the closed form for mode (i, j), or None where there is none.
+
+    (2, 0) has the msm20 form; a Walker family map is returned for the
+    indices :class:`FieldMap` accepts.
+    """
+    if (i, j) == (2, 0):
+        return FieldMap("msm20")
+    try:
+        return FieldMap("walker", i, j)
+    except ValueError:
+        return None
+
+
+def closed_form_window(f_closed: float, material: MaterialParams) -> tuple[float, float]:
+    """Search window of the solver root that matches a closed form: f_closed +/- 0.03 * gamma_e*mu0_Ms."""
+    half = 0.03 * material.gamma_e * material.mu0_Ms
+    return f_closed - half, f_closed + half
+
+
 def matching_sign_branch(i: int, j: int, material: MaterialParams, B_ext: float = 0.38) -> str:
     """Which sign branch reproduces the linear closed form for (i, j).
 
     Determined by solving both branches near the closed-form frequency
     rather than assumed; returns "plus" or "minus".
     """
-    probe = WalkerModeQuery(i=i, j=j, B_ext=B_ext, sign_branch="plus")
-    target = msm_frequency_linear(probe, material)
-    half = 0.03 * material.gamma_e * material.mu0_Ms
-    window = (target - half, target + half)
+    target = msm_frequency_linear(WalkerModeQuery(i=i, j=j, B_ext=B_ext), material)
+    window = closed_form_window(target, material)
     for branch in ("plus", "minus"):
         q = WalkerModeQuery(i=i, j=j, B_ext=B_ext, sign_branch=branch)
         root = solve_walker_modes([q], material, [window], n_panels=16).outcomes[0]
@@ -464,10 +471,13 @@ def mode_frequency(field_map: FieldMap, B_ext, material: MaterialParams):
     """
     if field_map.kind == "kittel":
         return kittel_frequency(B_ext, material)
-    if field_map.kind == "walker":
+    if field_map.kind == "walker":  # see msm_frequency_linear
         if not _all_positive_finite(B_ext):
             raise ValueError("B_ext must be positive and finite")
-        return _linear_closed_form(field_map.i, field_map.j, B_ext, material)
+        j = field_map.j
+        f_M = material.gamma_e * material.mu0_Ms
+        offset = (j / (2 * j + (1 if field_map.i == j else 3)) - 1.0 / 3.0) * f_M
+        return material.gamma_e * B_ext + offset
     if field_map.kind == "msm20":
         return msm20_frequency(B_ext, material)
     if isinstance(B_ext, (int, float)):

@@ -43,10 +43,10 @@ class ComplexSpectrum:
             raise ValueError("frequency grid must be a non-empty 1D array")
         if v.shape != f.shape:
             raise ValueError("values must match the frequency grid length")
-        if not np.all(np.diff(f) > 0):
-            raise ValueError("frequency grid must be strictly ascending")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(v))):
             raise ValueError("spectrum contains non-finite entries")
+        if not np.all(np.diff(f) > 0):
+            raise ValueError("frequency grid must be strictly ascending")
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "values", v)
 
@@ -165,11 +165,14 @@ def eta_spectrum(f, system: HybridSystem, B: float = 0.0):
     """Total conversion efficiency: sum over modes of |S31_m(f)|^2."""
     if not system.modes:
         raise ValueError("conversion requires at least one magnon mode")
-    return _eta(amplitudes(f, system, B)[1])
+    return eta_from_amplitudes(amplitudes(f, system, B)[1])
 
 
-def _eta(s31: dict):
-    """sum_m |S31_m|^2, summed in mode order from 0.0."""
+def eta_from_amplitudes(s31: dict):
+    """Total conversion efficiency sum_m |S31_m|^2 of the ``s31`` that :func:`amplitudes` returns.
+
+    Summed in mode order from 0.0, so no modes give the scalar 0.0.
+    """
     return sum((np.abs(values) ** 2 for values in s31.values()), 0.0)
 
 
@@ -250,8 +253,6 @@ def sweep_map(
         raise ValueError(f"unknown observable {observable!r}; choose from {OBSERVABLES}")
     B_grid = np.atleast_1d(np.asarray(B_grid, dtype=float))
     f_grid = np.atleast_1d(np.asarray(f_grid, dtype=float))
-    if B_grid.size == 0 or f_grid.size == 0:
-        raise ValueError("grids must be non-empty")
     _check_grids(B_grid, f_grid)
 
     if observable in ("eta", "s31_phase") and not system.modes:
@@ -262,7 +263,7 @@ def sweep_map(
     reduce = {
         "s21_power": lambda t, s31: np.abs(t) ** 2,
         "s11_power": lambda t, s31: np.abs(1.0 + t) ** 2,
-        "eta": lambda t, s31: _eta(s31),
+        "eta": lambda t, s31: eta_from_amplitudes(s31),
         "s21_phase": lambda t, s31: principal_phase(t),
         "s31_phase": lambda t, s31: principal_phase(s31[label]),
     }[observable]

@@ -228,25 +228,41 @@ class TestModesCommand:
         assert run(["modes", path, "--out", tmp_path / "x.csv"]) == 3
 
     @pytest.mark.parametrize(
-        "failing, message",
+        "start, failing, code, message",
         [
-            ([3, 1], "window (9.240000e+08, 1.587600e+10) Hz contains 2 roots for (3,1); narrow it"),
-            ([2, -1], "no root of the (2,-1) characteristic equation in (9.240000e+08, 1.587600e+10) Hz"),
+            (
+                0.3, [3, 1], 3,
+                "numeric domain error: window (9.240000e+08, 1.587600e+10) Hz contains 2 roots for (3,1); narrow it",
+            ),
+            (
+                0.3, [2, -1], 3,
+                "numeric domain error: no root of the (2,-1) characteristic equation in (9.240000e+08, 1.587600e+10) Hz",
+            ),
+            (0.01, [2, 0], 3, "numeric domain error: (2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = 0.0561798"),
+            (0.3, [0, 0], 2, "config error: mode index i must be >= 1"),
+            (0.3, [2, 3], 2, "config error: mode index j must satisfy -i <= j <= i, got (2, 3)"),
+            # the Walker family (1, 1) itself fails at the first field, so only the header is written
+            (-0.1, [2, 2], 2, "config error: B_ext must be positive and finite"),
         ],
+        ids=["3_1_two_roots", "2_-1_no_root", "2_0_closed_form_domain", "0_0", "2_3", "walker_from_-0.1T"],
     )
-    def test_failing_row_ends_the_table_where_it_stands(self, tmp_path, capsys, failing, message):
+    def test_failing_row_ends_the_table_where_it_stands(self, tmp_path, capsys, start, failing, code, message):
         # rows are B-major: the first field's (1, 1) row is written, then the failing pair's row raises
         config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        config["modes_table"]["field"]["start"] = start
         config["modes_table"]["indices"] = [[1, 1], failing, [2, 2]]
         path = tmp_path / "failing.yaml"
         path.write_text(yaml.safe_dump(config))
-        assert run(["modes", path]) == 3
+        assert run(["modes", path]) == code
         captured = capsys.readouterr()
-        assert captured.err == f"numeric domain error: {message}\n"
-        assert run(["modes", CONFIG_DIR / "walker_modes.yaml"]) == 0
-        header, first_row = capsys.readouterr().out.splitlines(keepends=True)[:2]
-        assert first_row.startswith("0.29999999999999999,1,1,")
-        assert captured.out == header + first_row
+        assert captured.err == message + "\n"
+        config["modes_table"]["indices"] = [[1, 1]]
+        path.write_text(yaml.safe_dump(config))
+        assert run(["modes", path]) == (0 if start > 0 else 2)
+        header_and_first_row = capsys.readouterr().out.splitlines(keepends=True)[:2]
+        assert header_and_first_row[0].startswith("B_T,i,j,")
+        assert len(header_and_first_row) == (2 if start > 0 else 1)
+        assert captured.out == "".join(header_and_first_row)
 
 
 class TestDeriveCommand:
@@ -494,6 +510,34 @@ class TestCsvContract:
         assert cells == values.ravel().tolist()
         assert len(cells) == n_fields * n_frequencies
 
+    @pytest.mark.parametrize("flags", [[], ["--unwrap", "--beta-db", "20"]], ids=["plain", "unwrap_beta_db_20"])
+    @pytest.mark.parametrize("name", ["bare_cavity", "sphere_0p45mm_spectrum"])
+    def test_spectrum_bytes_equal_a_row_by_row_reference(self, tmp_path, name, flags):
+        out = tmp_path / "spectrum.csv"
+        assert run(["spectrum", CONFIG_DIR / f"{name}.yaml", "--out", out] + flags) == 0
+        config = mc.load_config(CONFIG_DIR / f"{name}.yaml")
+        system = config.system
+        if flags:
+            system = mc.apply_params(system, {f"beta.{m.label}": 10.0 ** (20 / 10) for m in system.modes})
+        f = config.frequency_grid.values()
+        s21, s31 = mc.amplitudes(f, system, float(config.field_grid.values()[0]) if config.field_grid else 0.0)
+        columns = {"f_hz": f}
+        for label, values in {"s21": s21, "s11": 1.0 + s21, **{f"s31_{k}": v for k, v in s31.items()}}.items():
+            phase = mc.principal_phase(values)
+            columns.update({
+                f"re_{label}": values.real,
+                f"im_{label}": values.imag,
+                f"abs2_{label}": np.abs(values) ** 2,
+                f"arg_{label}": np.unwrap(phase) if flags else phase,
+            })
+        columns["eta"] = sum((np.abs(v) ** 2 for v in s31.values()), np.zeros_like(f))
+        with open(tmp_path / "reference.csv", "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(columns)
+            for k in range(f.size):
+                writer.writerow([format(float(column[k]), ".17g") for column in columns.values()])
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_map_to_stdout_gives_the_file_bytes(self, tmp_path, capsysbinary):
         out = tmp_path / "map.csv"
         assert run(["map", CONFIG_DIR / "sphere_0p45mm_map.yaml", "--out", out]) == 0
@@ -524,7 +568,7 @@ class TestCsvContract:
 
         values = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1 / 3, -2.5e300, 0.1, 10.632e9, math.pi]
         out = tmp_path / "floats.csv"
-        cli._write_csv(str(out), ["value"], map(cli._csv_line, zip(cli._fmt_column(np.array(values)))))
+        cli._write_csv(str(out), ["value"], map(cli._csv_line, zip(map(cli._fmt, np.array(values)))))
         cells = [row["value"] for row in read_csv(out)]
         assert [float(cell) for cell in cells] == values
         assert [math.copysign(1.0, float(cell)) for cell in cells] == [math.copysign(1.0, v) for v in values]

@@ -32,7 +32,7 @@ def test_parse_minimal_config():
     assert config.system.modes[0].beta == 1.0  # default amplification
     assert "walker_indices" not in dump_config(config)["system"]["modes"][0]  # accepted, ignored
     assert config.field_grid.count == 5
-    assert config.seed == 7
+    assert "seed" not in dump_config(config)  # accepted, ignored
     f = config.frequency_grid.values()
     assert f.size == 301 and f[0] == 10.5e9 and f[-1] == 10.8e9
 
@@ -185,10 +185,10 @@ def test_fit_section_accepts_every_observable_and_parameter_kind(observable):
     "mutate",
     [
         lambda d: d["sweep"]["frequency"].update(count=2.7),
-        lambda d: d.update(seed=0.9),
-        lambda d: d.update(seed="1.5"),
-        lambda d: d.update(seed=float("nan")),
-        lambda d: d.update(seed=float("inf")),
+        lambda d: d["sweep"]["field"].update(count=0.9),
+        lambda d: d["sweep"]["field"].update(count="1.5"),
+        lambda d: d["sweep"]["field"].update(count=float("nan")),
+        lambda d: d["sweep"]["field"].update(count=float("inf")),
         lambda d: d.update(modes_table={"field": {"start": 0.3, "stop": 0.4, "count": 2}, "indices": [[1.5, 1]]}),
     ],
 )
@@ -207,15 +207,15 @@ def test_integer_fields_accept_integral_floats_and_strings():
     data = copy.deepcopy(MINIMAL)
     data["sweep"]["frequency"]["count"] = 4.01e+2
     data["sweep"]["field"]["count"] = "5"
-    data["seed"] = "3e0"
     data["modes_table"] = {"field": {"start": 0.3, "stop": 0.4, "count": 2.0}, "indices": [["2", 1.0]]}
     config = parse_config(data)
     assert config.frequency_grid.count == 401 and type(config.frequency_grid.count) is int
     assert config.field_grid.count == 5
-    assert config.seed == 3
     assert config.modes_table.field_grid.count == 2
     assert config.modes_table.indices == ((2, 1),)
     assert all(type(v) is int for v in config.modes_table.indices[0])
+    data["sweep"]["field"]["count"] = "3e0"
+    assert parse_config(data).field_grid.count == 3
 
 
 def test_derive_reference_cells_are_numbers():

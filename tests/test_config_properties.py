@@ -114,7 +114,7 @@ def configs(draw, full=False):
     sections = {
         "sweep": subsets({"field": grids(), "frequency": grids()}, full),
         "observable": st.sampled_from(OBSERVABLES),
-        "seed": st.integers(min_value=-(2**31), max_value=2**31),
+        "seed": st.integers(min_value=-(2**31), max_value=2**31),  # a retired key: accepted and ignored
         "modes_table": st.fixed_dictionaries(
             {
                 "field": grids(),
@@ -199,7 +199,6 @@ BREAKS = [
     (("sweep", "frequency"), "start", required(not_number)),
     (("sweep", "frequency"), "count", st.one_of(not_integer, st.integers(max_value=0))),
     ((), "observable", words_except(*OBSERVABLES)),
-    ((), "seed", not_integer),
     ((), "modes_table", not_mapping),
     (("modes_table",), "field", required(not_mapping)),
     (("modes_table",), "indices", st.one_of(st.just(DELETE), not_list, st.just([]), st.just([[1, 2, 3]]))),

@@ -391,6 +391,37 @@ def test_matching_sign_branch_is_plus_for_closed_form_families():
         assert mc.matching_sign_branch(i, j, MAT) == "plus"
 
 
+@pytest.mark.parametrize("i", range(6))
+def test_closed_form_map_covers_exactly_the_closed_form_indices(i):
+    for j in range(-6, 7):
+        field_map = mc.closed_form_map(i, j)
+        if (i, j) == (2, 0):
+            assert field_map == mc.FieldMap("msm20")
+            expected = [mc.msm20_frequency(B, MAT) for B in (0.3, 0.38, 0.45)]
+        elif j >= 1 and i in (j, j + 1):
+            assert field_map == mc.FieldMap("walker", i, j)
+            expected = [mc.msm_frequency_linear(mc.WalkerModeQuery(i=i, j=j, B_ext=B), MAT) for B in (0.3, 0.38, 0.45)]
+        else:
+            assert field_map is None
+            continue
+        # bit for bit, and a float like the closed forms
+        got = [mc.mode_frequency(field_map, B, MAT) for B in (0.3, 0.38, 0.45)]
+        assert got == expected and all(type(value) is float for value in got)
+
+
+def test_closed_form_window_is_three_percent_of_the_magnetization_frequency():
+    lo, hi = magnetostatics.closed_form_window(10.0e9, MAT)
+    assert (lo, hi) == (10.0e9 - 0.03 * F_M, 10.0e9 + 0.03 * F_M)
+
+
+def test_walker_closed_form_checks_scalar_fields():
+    walker = mc.FieldMap("walker", 2, 2)
+    for B in (0, 0.0, -0.1, math.nan, math.inf, np.float64("nan")):
+        with pytest.raises(ValueError, match="B_ext must be positive and finite"):
+            mc.mode_frequency(walker, B, MAT)
+    assert mc.mode_frequency(walker, 1, MAT) == mc.mode_frequency(walker, 1.0, MAT)
+
+
 def test_default_window_covers_tabulated_offsets():
     q = mc.WalkerModeQuery(i=5, j=5, B_ext=0.38)
     lo, hi = default_search_window(q, MAT)

@@ -302,7 +302,7 @@ class TestSweepMap:
         assert np.all(swept.values > -np.pi) and np.all(swept.values <= np.pi)
         with pytest.raises(ValueError):
             mc.sweep_map(sys_, [0.38], [10.6e9], "s12_power")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grids must be non-empty 1D arrays"):
             mc.sweep_map(sys_, [], [10.6e9], "s21_power")
 
     def test_s31_phase_uses_selected_mode(self):
@@ -413,6 +413,9 @@ def test_complex_spectrum_validation():
         mc.ComplexSpectrum(f, np.zeros(2, dtype=complex))
     with pytest.raises(ValueError):
         mc.ComplexSpectrum(f, np.array([1.0, np.nan, 2.0], dtype=complex))
+    # a NaN frequency is reported as what it is, not as a grid out of order
+    with pytest.raises(ValueError, match="non-finite"):
+        mc.ComplexSpectrum(np.array([1.0, np.nan, 3.0]), np.zeros(3, dtype=complex))
 
 
 def test_phase_of_rotated_transmission_confined_to_lower_half():
