@@ -169,17 +169,19 @@ def cmd_map(args) -> int:
 def _modes_rows(i: int, j: int, fields, sign_branch: str, material) -> list:
     """The `modes` rows of index pair (i, j), one per bias field, from one batched solve.
 
-    A row that cannot be computed holds the ValueError (DomainError
-    included) that computing it raises, so the caller raises it only when
-    the row's turn comes.
+    The minus branch of (i, j) is the mode (i, -j): its closed form, if it
+    has one, and its roots. A row that cannot be computed holds the
+    ValueError (DomainError included) that computing it raises, so the
+    caller raises it only when the row's turn comes.
     """
-    closed_map = magnetostatics.closed_form_map(i, j)
+    signed_j = j if sign_branch == "plus" else -j
+    closed_map = magnetostatics.closed_form_map(i, signed_j)
     rows: list = []
     solvable = []  # (row index, query, closed form)
     for B in fields:
         try:
             closed = None if closed_map is None else magnetostatics.mode_frequency(closed_map, B, material)
-            q = magnetostatics.WalkerModeQuery(i=i, j=j, B_ext=B, sign_branch=sign_branch)
+            q = magnetostatics.WalkerModeQuery(i=i, j=signed_j, B_ext=B)
         except ValueError as exc:
             rows.append(exc)
             continue
@@ -204,9 +206,9 @@ def cmd_modes(args) -> int:
         raise ConfigError("config must provide a modes_table section")
     spec = config.modes_table
     material = config.system.material
+    fields = spec.field_grid.values().tolist()
 
     def rows():
-        fields = spec.field_grid.values().tolist()
         columns = [_modes_rows(i, j, fields, spec.sign_branch, material) for (i, j) in spec.indices]
         for row in chain.from_iterable(zip(*columns)):  # B-major, index pairs in config order
             if isinstance(row, ValueError):
@@ -367,7 +369,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:  # MemoryError: a grid too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

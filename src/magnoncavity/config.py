@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 import yaml
 
-from .derived import SCALING_MODELS
+from .derived import SCALING_MODELS, DerivedParams
 from .errors import ConfigError
 from .fitting import LOSSES, validate_names
 from .model import (
@@ -112,8 +112,9 @@ class DeriveSpec:
     """Inputs for the derived-parameter report of one assembly.
 
     ``g_B`` optionally overrides the single-spin coupling computed from
-    the cavity geometry; ``reference`` holds optional per-mode expected
-    values (keys N, C, V_m, n, G, delta) to report deviations against.
+    the cavity geometry; ``reference`` holds optional expected values to
+    report deviations against, keyed by mode label and then by the name of
+    a :class:`DerivedParams` field.
     """
 
     cavity_volume: float
@@ -240,10 +241,19 @@ def _indices(raw, where: str) -> tuple[tuple[int, int], ...]:
     return tuple((_as_int(i, where), _as_int(j, where)) for i, j in raw)
 
 
+_QUANTITIES = tuple(f.name for f in fields(DerivedParams))
+
+
+def _quantity(name, value, where: str) -> float:
+    if name not in _QUANTITIES:
+        raise ConfigError(f"{where}: unknown quantity; expected one of {', '.join(_QUANTITIES)}")
+    return _as_float(value, where)
+
+
 def _reference(raw, where: str) -> dict:
     return {
         label: {
-            name: _as_float(value, f"{where}.{label}.{name}")
+            name: _quantity(name, value, f"{where}.{label}.{name}")
             for name, value in _checked(cells, dict, f"{where}.{label}").items()
         }
         for label, cells in _checked({} if raw is None else raw, dict, where).items()
@@ -292,6 +302,11 @@ def parse_config(data: dict) -> RunConfig:
         fit=partial(_record, FitSpec, free=_free),
         scaling=partial(_record, ScalingSpec, include=_include),
     )
+    if config.derive is not None:
+        labels = {mode.label for mode in config.system.modes}
+        for label in config.derive.reference:
+            if label not in labels:
+                raise ConfigError(f"derive.reference.{label}: no mode labeled {label!r}")
     if config.fit is not None:
         try:
             validate_names(config.system, config.fit.free, config.fit.observable)

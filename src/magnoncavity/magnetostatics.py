@@ -4,12 +4,13 @@ Provides the uniform-precession (Kittel) frequency, closed-form mode
 frequencies for index patterns i - |j| in {0, 1} and for the (2, 0) mode,
 and a general solver for the magnetostatic characteristic equation
 
-    i + 1 + xi0 * P_i^j'(xi0) / P_i^j(xi0) +/- j * chi2 = 0,
+    i + 1 + xi0 * P_i^j'(xi0) / P_i^j(xi0) + j * chi2 = 0,
 
 where xi0^2 = 1 + 1/chi1 and chi1, chi2 are the circuit-free Polder
 susceptibility components of the sphere. All fields are flux densities in
 tesla and the gyromagnetic ratio is in Hz/T, which makes chi1 and chi2
-dimensionless, so frequencies come out in Hz directly.
+dimensionless, so frequencies come out in Hz directly. The sign of j is
+the sign branch of the j * chi2 term.
 """
 
 from __future__ import annotations
@@ -38,8 +39,12 @@ _POLE_GUARD = 1e-12
 # panel whose array endpoints come this close to zero is rechecked in scalar.
 _SCAN_SLACK = 1e-9
 # Bias fields scanned per array call: bounds the scan's temporaries to
-# _SCAN_BLOCK * (n_panels + 1) complex values whatever the table size.
+# _SCAN_BLOCK * (_N_PANELS + 1) complex values whatever the table size.
 _SCAN_BLOCK = 256
+# Panels per search window, and the absolute tolerance (Hz) of Brent's
+# method; accepted roots closer than 10 * _F_TOL are one root.
+_N_PANELS = 64
+_F_TOL = 1.0
 
 
 def _all_finite(B_ext) -> bool:
@@ -58,31 +63,24 @@ def _all_positive_finite(B_ext) -> bool:
 
 @dataclass(frozen=True)
 class WalkerModeQuery:
-    """One magnetostatic-mode request: indices, sign branch, bias field.
+    """One magnetostatic-mode request: indices and bias field.
 
-    ``sign_branch`` selects the sign in front of the j*chi2 term of the
-    characteristic equation ("plus" reproduces the closed forms for the
-    i = j and i = j + 1 families, see :func:`matching_sign_branch`).
+    ``j`` carries the sign branch: the characteristic equation's
+    +/-|j|*chi2 term is j*chi2. The closed forms of the i = j and i = j + 1
+    families are roots for positive j, not for their (i, -j) twins.
     """
 
     i: int
     j: int
     B_ext: float
-    sign_branch: str = "plus"
 
     def __post_init__(self):
         if self.i < 1:
             raise ValueError("mode index i must be >= 1")
         if not -self.i <= self.j <= self.i:
             raise ValueError(f"mode index j must satisfy -i <= j <= i, got ({self.i}, {self.j})")
-        if self.sign_branch not in ("plus", "minus"):
-            raise ValueError("sign_branch must be 'plus' or 'minus'")
         if not math.isfinite(self.B_ext) or self.B_ext <= 0:
             raise ValueError("B_ext must be positive and finite")
-
-    @property
-    def sign(self) -> int:
-        return +1 if self.sign_branch == "plus" else -1
 
 
 def internal_field(B_ext: float, material: MaterialParams) -> float:
@@ -228,7 +226,7 @@ def walker_characteristic(f: float, q: WalkerModeQuery, material: MaterialParams
     if p == 0:
         raise DomainError(f"P_i^j vanishes at xi0 = {xi0}; residual has a pole here")
     ratio = xi0 * dp / p
-    value = (q.i + 1) + ratio + q.sign * q.j * chi2
+    value = (q.i + 1) + ratio + q.j * chi2
     if abs(value.imag) > _IMAG_TOL * max(1.0, abs(value.real)):
         raise DomainError(f"characteristic residual is not real at f = {f:.6e} Hz (imag {value.imag:.3e})")
     return value.real
@@ -241,7 +239,7 @@ def default_search_window(q: WalkerModeQuery, material: MaterialParams) -> tuple
     return max(center - half, 1.0), center + half
 
 
-def _characteristic_grid(f, B_ext, i: int, j: int, sign: int, material: MaterialParams):
+def _characteristic_grid(f, B_ext, i: int, j: int, material: MaterialParams):
     """:func:`walker_characteristic` on an array of probe frequencies.
 
     ``f`` and ``B_ext`` broadcast against each other (one row of
@@ -261,7 +259,7 @@ def _characteristic_grid(f, B_ext, i: int, j: int, sign: int, material: Material
         undefined |= xi0 * xi0 - 1.0 == 0
         p, dp = _legendre_pair(i, abs(j), xi0)
         undefined |= p == 0
-        value = (i + 1) + xi0 * dp / p + sign * j * chi2
+        value = (i + 1) + xi0 * dp / p + j * chi2
         undefined |= np.abs(value.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(value.real))
     return np.where(undefined, np.nan, value.real)
 
@@ -275,7 +273,7 @@ class WalkerSolutions:
     queries: panels the array scan selected for scalar refinement, Brent
     refinements run, candidates rejected as pole crossings (a residual
     above the root tolerance, or a refinement that walked into the pole
-    guard), and accepted roots merged into an earlier one within 10*f_tol.
+    guard), and accepted roots merged into an earlier one within 10 * _F_TOL.
     """
 
     outcomes: tuple[float | DomainError, ...]
@@ -297,7 +295,6 @@ def _refine(
     material: MaterialParams,
     edges: list[float],
     panels: list[int],
-    f_tol: float,
     counts: Counter,
 ) -> list[float]:
     """The roots that scalar refinement finds in one query's selected panels.
@@ -329,7 +326,7 @@ def _refine(
                 candidate = fb
             elif ra * rb < 0:
                 counts["brent_calls"] += 1
-                candidate = brentq(residual, fa, fb, xtol=f_tol)
+                candidate = brentq(residual, fa, fb, xtol=_F_TOL)
             else:
                 continue
             if abs(residual(candidate)) > _ROOT_RESIDUAL_TOL:
@@ -338,7 +335,7 @@ def _refine(
         except DomainError:
             counts["poles_rejected"] += 1
             continue  # refinement walked into the pole guard: not a root
-        if any(abs(candidate - r) <= 10 * f_tol for r in roots):
+        if any(abs(candidate - r) <= 10 * _F_TOL for r in roots):
             counts["duplicates_merged"] += 1
         else:
             roots.append(candidate)
@@ -349,18 +346,16 @@ def solve_walker_modes(
     queries: Sequence[WalkerModeQuery],
     material: MaterialParams,
     windows: Sequence[tuple[float, float] | None],
-    n_panels: int = 64,
-    f_tol: float = 1.0,
 ) -> WalkerSolutions:
     """Roots of the characteristic equation for many bias fields of one mode.
 
-    Every query must share one (i, j, sign_branch); ``windows`` gives each
-    query's search window, or None for :func:`default_search_window`. Each
-    window is split into ``n_panels`` panels, and the residual at every
+    Every query must share one (i, j); ``windows`` gives each query's
+    search window, or None for :func:`default_search_window`. Each window
+    is split into ``_N_PANELS`` panels, and the residual at every
     panel edge of a block of fields is evaluated in one array call. A panel
     is refined in scalar (:func:`_refine`) when its array endpoints change
     sign, touch zero or come within ``_SCAN_SLACK`` of it: each sign change
-    is refined by Brent's method to ``f_tol`` (absolute, Hz) and kept only
+    is refined by Brent's method to ``_F_TOL`` and kept only
     if the residual there is small, which weeds out sign flips across
     poles of the residual (the chi pole and zeros of P_i^j). A query must
     keep exactly one root; otherwise its outcome is the DomainError that
@@ -370,8 +365,8 @@ def solve_walker_modes(
     windows = list(windows)
     if len(windows) != len(queries):
         raise ValueError(f"{len(queries)} queries but {len(windows)} search windows")
-    if len({(q.i, q.j, q.sign_branch) for q in queries}) > 1:
-        raise ValueError("queries of one solve must share (i, j, sign_branch)")
+    if len({(q.i, q.j) for q in queries}) > 1:
+        raise ValueError("queries of one solve must share (i, j)")
     bounds = []
     for q, window in zip(queries, windows):
         lo, hi = default_search_window(q, material) if window is None else window
@@ -381,22 +376,20 @@ def solve_walker_modes(
 
     counts: Counter = Counter()
     outcomes: list[float | DomainError] = []
-    steps = np.arange(n_panels + 1, dtype=float)
+    steps = np.arange(_N_PANELS + 1, dtype=float)
     for start in range(0, len(queries), _SCAN_BLOCK):
         block, block_bounds = queries[start : start + _SCAN_BLOCK], bounds[start : start + _SCAN_BLOCK]
         lows, highs = np.array(block_bounds).T
-        # the scalar edges lo + (hi - lo) * k / n_panels, bit for bit
-        edges = lows[:, None] + (highs - lows)[:, None] * steps / n_panels
+        # the scalar edges lo + (hi - lo) * k / _N_PANELS, bit for bit
+        edges = lows[:, None] + (highs - lows)[:, None] * steps / _N_PANELS
         mode = block[0]
-        values = _characteristic_grid(
-            edges, np.array([q.B_ext for q in block])[:, None], mode.i, mode.j, mode.sign, material
-        )
+        values = _characteristic_grid(edges, np.array([q.B_ext for q in block])[:, None], mode.i, mode.j, material)
         near_zero = np.abs(values) <= _SCAN_SLACK
         with np.errstate(over="ignore"):
             selected = (values[:, :-1] * values[:, 1:] <= 0) | near_zero[:, :-1] | near_zero[:, 1:]
         counts["panels_selected"] += int(selected.sum())
         for q, (lo, hi), row, panels in zip(block, block_bounds, edges.tolist(), selected):
-            roots = _refine(q, material, row, np.flatnonzero(panels).tolist(), f_tol, counts)
+            roots = _refine(q, material, row, np.flatnonzero(panels).tolist(), counts)
             if not roots:
                 outcomes.append(DomainError(
                     f"no root of the ({q.i},{q.j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz"
@@ -414,15 +407,13 @@ def solve_walker_mode(
     q: WalkerModeQuery,
     material: MaterialParams,
     search_window: tuple[float, float] | None = None,
-    n_panels: int = 64,
-    f_tol: float = 1.0,
 ) -> float:
     """Root of the characteristic equation inside a frequency window.
 
     A one-query :func:`solve_walker_modes`; raises DomainError when the
     window holds no root or more than one.
     """
-    return solve_walker_modes([q], material, [search_window], n_panels, f_tol).root(0)
+    return solve_walker_modes([q], material, [search_window]).root(0)
 
 
 def closed_form_map(i: int, j: int) -> FieldMap | None:
@@ -443,22 +434,6 @@ def closed_form_window(f_closed: float, material: MaterialParams) -> tuple[float
     """Search window of the solver root that matches a closed form: f_closed +/- 0.03 * gamma_e*mu0_Ms."""
     half = 0.03 * material.gamma_e * material.mu0_Ms
     return f_closed - half, f_closed + half
-
-
-def matching_sign_branch(i: int, j: int, material: MaterialParams, B_ext: float = 0.38) -> str:
-    """Which sign branch reproduces the linear closed form for (i, j).
-
-    Determined by solving both branches near the closed-form frequency
-    rather than assumed; returns "plus" or "minus".
-    """
-    target = msm_frequency_linear(WalkerModeQuery(i=i, j=j, B_ext=B_ext), material)
-    window = closed_form_window(target, material)
-    for branch in ("plus", "minus"):
-        q = WalkerModeQuery(i=i, j=j, B_ext=B_ext, sign_branch=branch)
-        root = solve_walker_modes([q], material, [window], n_panels=16).outcomes[0]
-        if not isinstance(root, DomainError) and abs(root - target) <= 1e-6 * target:
-            return branch
-    raise DomainError(f"neither sign branch reproduces the closed form for ({i}, {j})")
 
 
 def mode_frequency(field_map: FieldMap, B_ext, material: MaterialParams):

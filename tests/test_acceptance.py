@@ -127,7 +127,7 @@ def test_06_walker_solver_matches_closed_forms():
     worst = 0.0
     for B in np.linspace(0.30, 0.45, 20):
         for (i, j) in pairs:
-            q = mc.WalkerModeQuery(i=i, j=j, B_ext=float(B), sign_branch="plus")
+            q = mc.WalkerModeQuery(i=i, j=j, B_ext=float(B))
             target = mc.msm_frequency_linear(q, MAT)
             root = mc.solve_walker_mode(q, MAT, (target - half, target + half))
             worst = max(worst, abs(root - target) / target)

@@ -264,6 +264,40 @@ class TestModesCommand:
         assert len(header_and_first_row) == (2 if start > 0 else 1)
         assert captured.out == "".join(header_and_first_row)
 
+    @pytest.mark.parametrize("ij", [(4, 1), (3, 1), (2, 0), (2, 2)], ids=["4_1", "3_1", "2_0", "2_2"])
+    def test_minus_branch_is_the_plus_table_of_the_negated_j(self, tmp_path, capsys, ij):
+        # the branch sign multiplies j in the characteristic equation, so a minus
+        # row of (i, j) solves (i, -j): same roots, windows and errors
+        i, j = ij
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        path = tmp_path / "table.yaml"
+
+        def table(signed_j, branch):
+            config["modes_table"].update(indices=[[i, signed_j]], sign_branch=branch)
+            path.write_text(yaml.safe_dump(config))
+            code = run(["modes", path])
+            captured = capsys.readouterr()
+            return code, captured.err, [line.split(",") for line in captured.out.splitlines()]
+
+        minus_code, minus_err, minus_rows = table(j, "minus")
+        plus_code, plus_err, plus_rows = table(-j, "plus")
+        assert (minus_code, minus_err) == (plus_code, plus_err)
+        assert len(minus_rows) == len(plus_rows) >= 1
+        for minus, plus in zip(minus_rows[1:], plus_rows[1:]):
+            assert minus[1:4] == [str(i), str(j), "minus"]
+            assert minus[:2] + minus[4:] == plus[:2] + plus[4:]
+
+    def test_minus_branch_of_the_walker_table_has_no_kittel_root(self, tmp_path, capsys):
+        # minus (1, 1) is (1, -1), which has no root in the default window at 0.3 T
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        config["modes_table"]["sign_branch"] = "minus"
+        path = tmp_path / "minus.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run(["modes", path]) == 3
+        assert capsys.readouterr().err == (
+            "numeric domain error: no root of the (1,-1) characteristic equation in (9.240000e+08, 1.587600e+10) Hz\n"
+        )
+
 
 class TestDeriveCommand:
     @pytest.mark.parametrize("name", ["derive_0p45mm.yaml", "derive_0p75mm.yaml", "derive_1p0mm.yaml"])
@@ -392,6 +426,21 @@ class TestScalingCommand:
             f"config error: data file {data} row 2: include must be 0 or 1, got {cell!r}\n"
         )
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("column", ["diameter_m", "value"])
+    def test_non_finite_point_is_config_error(self, tmp_path, capfd, column, cell):
+        data = tmp_path / "points.csv"
+        diameter, value = ("1.0e-3", cell) if column == "value" else (cell, "91.0")
+        data.write_text(f"diameter_m,value\n0.45e-3,28.6\n0.75e-3,67.3\n{diameter},{value}\n")
+        assert run(["scaling", CONFIG_DIR / "scaling_g_kittel.yaml", "--data", data]) == 2
+        # capfd, not capsys: LAPACK would write to the file descriptor directly
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: point 2: diameter and value must be finite, got "
+            f"({float(diameter)}, {float(value)})\n"
+        )
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
@@ -444,6 +493,22 @@ class TestExitCodes:
         # rejected when the config is parsed, before the data file is read
         assert run(["fit", path, "--data", tmp_path / "absent.csv", "--out", tmp_path / "r.csv"]) == 2
         assert capsys.readouterr().err.startswith("config error: fit: ")
+
+    @pytest.mark.parametrize(
+        "command, name, grid",
+        [("map", "sphere_0p45mm_map.yaml", ("sweep", "field")), ("modes", "walker_modes.yaml", ("modes_table", "field"))],
+        ids=["map", "modes"],
+    )
+    def test_grid_too_large_to_allocate_is_config_error(self, tmp_path, capsys, command, name, grid):
+        # 8 TB of float64: numpy fails at once without reserving it; never use a count that could be allocated
+        config = yaml.safe_load((CONFIG_DIR / name).read_text())
+        config[grid[0]][grid[1]]["count"] = 10**12
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: Unable to allocate ")
 
     def test_key_error_inside_a_command_propagates(self, monkeypatch):
         def broken(args):

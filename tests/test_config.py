@@ -134,8 +134,12 @@ def test_malformed_configs_raise_config_error(mutate):
          "sweep.field: grid range must be non-degenerate (stop > start)"),
         (lambda d: d.update(scaling={"model": "linear_in_sqrtV", "include": [True, 2]}),
          "scaling.include[1]: expected true, false, 0 or 1, got 2"),
+        (lambda d: d.update(derive={"cavity_volume": 1.6e-6, "reference": {"kittel": {"Nspins": 1.51e17}}}),
+         "derive.reference.kittel.Nspins: unknown quantity; expected one of g_B, N, C, V_m, n, G, delta"),
+        (lambda d: d.update(derive={"cavity_volume": 1.6e-6, "reference": {"kitel": {"N": 1.51e17}}}),
+         "derive.reference.kitel: no mode labeled 'kitel'"),
     ],
-    ids=["field_map", "cavity", "sweep", "include"],
+    ids=["field_map", "cavity", "sweep", "include", "reference_quantity", "reference_label"],
 )
 def test_errors_name_their_path_once(mutate, message):
     import copy
@@ -222,8 +226,8 @@ def test_derive_reference_cells_are_numbers():
     import copy
 
     data = copy.deepcopy(MINIMAL)
-    data["derive"] = {"cavity_volume": 1.6e-6, "reference": {"kittel": {"N": "1.51e17", "C": 132}}}
-    assert parse_config(data).derive.reference == {"kittel": {"N": 1.51e17, "C": 132.0}}
+    data["derive"] = {"cavity_volume": 1.6e-6, "reference": {"kittel": {"N": "1.51e17", "C": 132, "g_B": 0.0329}}}
+    assert parse_config(data).derive.reference == {"kittel": {"N": 1.51e17, "C": 132.0, "g_B": 0.0329}}
     data["derive"]["reference"] = None
     assert parse_config(data).derive.reference == {}
 

@@ -9,6 +9,7 @@ every subcommand run on them must exit 2 or 3.
 
 import copy
 import string
+from dataclasses import fields
 
 import pytest
 import yaml
@@ -17,12 +18,13 @@ from hypothesis import strategies as st
 
 from magnoncavity import cli
 from magnoncavity.config import dump_config, parse_config
-from magnoncavity.derived import SCALING_MODELS
+from magnoncavity.derived import SCALING_MODELS, DerivedParams
 from magnoncavity.errors import ConfigError
 from magnoncavity.fitting import LOSSES
 from magnoncavity.scattering import OBSERVABLES
 
 PROPERTY = settings(deadline=None)
+QUANTITIES = [f.name for f in fields(DerivedParams)]
 
 positive = st.floats(min_value=1e-6, max_value=1e12)
 non_negative = st.one_of(st.just(0.0), positive)
@@ -111,6 +113,9 @@ def configs(draw, full=False):
     if labels or draw(st.booleans()):
         system["modes"] = [draw(modes(label)) for label in labels]
     system.update(draw(subsets({"material": materials, "optical": opticals}, full)))
+    # reference labels must name modes: a config without modes has only empty references
+    cells = st.dictionaries(st.sampled_from(QUANTITIES), written(finite))
+    references = st.dictionaries(st.sampled_from(labels), cells) if labels else st.just({})
     sections = {
         "sweep": subsets({"field": grids(), "frequency": grids()}, full),
         "observable": st.sampled_from(OBSERVABLES),
@@ -122,17 +127,12 @@ def configs(draw, full=False):
             },
             optional={"sign_branch": st.sampled_from(["plus", "minus"])},
         ),
+        # a full derive section always has a reference mapping, which may be empty
         "derive": st.fixed_dictionaries(
-            {"cavity_volume": positive},
+            {"cavity_volume": positive, **({"reference": references} if full else {})},
             optional={
                 "g_B": st.one_of(st.none(), positive),
-                "reference": st.one_of(
-                    st.none(),
-                    st.dictionaries(
-                        st.sampled_from(labels or ["kittel"]),
-                        st.dictionaries(st.sampled_from(["N", "C", "V_m", "n", "G", "delta"]), written(finite)),
-                    ),
-                ),
+                **({} if full else {"reference": st.one_of(st.none(), references)}),
             },
         ),
         "fit": fits(labels),
@@ -206,6 +206,14 @@ BREAKS = [
     ((), "derive", not_mapping),
     (("derive",), "cavity_volume", required(not_number)),
     (("derive",), "reference", st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers()))),
+    # generated labels are lowercase letters only, so no mode is labeled "ghost_mode"
+    (("derive", "reference"), "ghost_mode", st.dictionaries(st.sampled_from(QUANTITIES), written(finite))),
+    # an unknown quantity is rejected whatever its label
+    (
+        ("derive", "reference"),
+        "typo",
+        st.dictionaries(st.text(max_size=8).filter(lambda s: s not in QUANTITIES), written(finite), min_size=1),
+    ),
     ((), "fit", not_mapping),
     (("fit",), "free", st.one_of(st.just(DELETE), not_mapping, st.just({}))),
     (("fit",), "loss", words_except(*LOSSES)),

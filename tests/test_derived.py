@@ -226,6 +226,16 @@ class TestScalingFits:
         with pytest.raises(ValueError):
             mc.fit_scaling_laws([(0.45e-3, 1.0), (0.75e-3, 2.0)], "linear_in_sqrtV", [True])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_points_are_rejected_by_index(self, bad, column):
+        points = [(0.45e-3, 28.6), (0.75e-3, 67.3), (1.0e-3, 91.0)]
+        points[2] = (bad, 91.0) if column == 0 else (1.0e-3, bad)
+        # masked out or not, a non-finite point is an error that names it
+        for include in (None, [True, True, False]):
+            with pytest.raises(ValueError, match="^point 2: diameter and value must be finite"):
+                mc.fit_scaling_laws(points, "linear_in_sqrtV", include)
+
 
 def test_derived_params_validation():
     with pytest.raises(ValueError):

@@ -158,20 +158,18 @@ class TestClosedForms:
             mc.WalkerModeQuery(i=2, j=3, B_ext=0.38)
         with pytest.raises(ValueError):
             mc.WalkerModeQuery(i=2, j=1, B_ext=-0.1)
-        with pytest.raises(ValueError):
-            mc.WalkerModeQuery(i=2, j=1, B_ext=0.38, sign_branch="both")
 
 
 class TestCharacteristicEquation:
     def test_residual_vanishes_at_kittel_frequency(self):
-        q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.38, sign_branch="plus")
+        q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.38)
         f0 = mc.kittel_frequency(0.38, MAT)
         assert abs(mc.walker_characteristic(f0, q, MAT)) < 1e-9
 
     @pytest.mark.parametrize("ij", [(2, 2), (3, 3), (2, 1), (3, 2)])
     def test_residual_sign_change_brackets_closed_forms(self, ij):
         i, j = ij
-        q = mc.WalkerModeQuery(i=i, j=j, B_ext=0.38, sign_branch="plus")
+        q = mc.WalkerModeQuery(i=i, j=j, B_ext=0.38)
         f0 = mc.msm_frequency_linear(q, MAT)
         w = 0.02 * F_M
         left = mc.walker_characteristic(f0 - w, q, MAT)
@@ -200,7 +198,7 @@ class TestSolver:
     def test_matches_linear_closed_forms(self, ij):
         i, j = ij
         for B in (0.31, 0.38, 0.44):
-            q = mc.WalkerModeQuery(i=i, j=j, B_ext=B, sign_branch="plus")
+            q = mc.WalkerModeQuery(i=i, j=j, B_ext=B)
             target = mc.msm_frequency_linear(q, MAT)
             w = 0.03 * F_M
             root = mc.solve_walker_mode(q, MAT, (target - w, target + w))
@@ -301,7 +299,7 @@ def residual_points(draw):
     i = draw(st.integers(1, 4))
     j = draw(st.integers(-i, i))
     B = draw(st.floats(0.07, 0.6))
-    q = mc.WalkerModeQuery(i=i, j=j, B_ext=B, sign_branch=draw(st.sampled_from(("plus", "minus"))))
+    q = mc.WalkerModeQuery(i=i, j=j, B_ext=B)
     if draw(st.booleans()):
         # relative offsets below about 5e-13 fall inside the pole guard
         pole = MAT.gamma_e * mc.internal_field(B, MAT)
@@ -315,7 +313,7 @@ class TestBatchedSolver:
     @given(residual_points())
     def test_array_residual_is_nan_exactly_where_the_scalar_one_raises(self, point):
         q, f = point
-        grid = float(magnetostatics._characteristic_grid(np.array(f), np.array(q.B_ext), q.i, q.j, q.sign, MAT))
+        grid = float(magnetostatics._characteristic_grid(np.array(f), np.array(q.B_ext), q.i, q.j, MAT))
         try:
             r = mc.walker_characteristic(f, q, MAT)
         except DomainError:
@@ -330,14 +328,13 @@ class TestBatchedSolver:
 
     @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize(
-        "ij, branch, narrow",
-        [((2, 2), "plus", True), ((3, 1), "plus", False), ((2, -1), "plus", False), ((2, 0), "plus", True),
-         ((1, 1), "plus", False), ((3, 2), "minus", True)],
+        "ij, narrow",
+        [((2, 2), True), ((3, 1), False), ((2, -1), False), ((2, 0), True), ((1, 1), False), ((3, -2), True)],
     )
-    def test_roots_equal_the_scalar_scan_at_any_block_size(self, monkeypatch, block, ij, branch, narrow):
+    def test_roots_equal_the_scalar_scan_at_any_block_size(self, monkeypatch, block, ij, narrow):
         monkeypatch.setattr(magnetostatics, "_SCAN_BLOCK", block)
         fields = np.linspace(0.25, 0.5, 7).tolist()
-        queries = [mc.WalkerModeQuery(i=ij[0], j=ij[1], B_ext=B, sign_branch=branch) for B in fields]
+        queries = [mc.WalkerModeQuery(i=ij[0], j=ij[1], B_ext=B) for B in fields]
         half = 0.03 * F_M
         windows = [(mc.kittel_frequency(q.B_ext, MAT) - half, mc.kittel_frequency(q.B_ext, MAT) + 9 * half)
                    if narrow else None for q in queries]
@@ -377,7 +374,7 @@ class TestBatchedSolver:
         assert solved.root(0) == closed == scalar_scan_reference(q, window)
         assert (solved.panels_selected, solved.brent_calls, solved.duplicates_merged) == (2, 0, 1)
 
-    def test_queries_must_share_indices_and_branch(self):
+    def test_queries_must_share_indices(self):
         mixed = [mc.WalkerModeQuery(i=2, j=2, B_ext=0.38), mc.WalkerModeQuery(i=2, j=1, B_ext=0.38)]
         with pytest.raises(ValueError, match="share"):
             solve_walker_modes(mixed, MAT, [None, None])
@@ -386,9 +383,14 @@ class TestBatchedSolver:
         assert solve_walker_modes([], MAT, []).outcomes == ()
 
 
-def test_matching_sign_branch_is_plus_for_closed_form_families():
-    for (i, j) in [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2)]:
-        assert mc.matching_sign_branch(i, j, MAT) == "plus"
+@pytest.mark.parametrize("ij", [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2)])
+def test_the_negated_j_twin_has_no_root_at_the_closed_form(ij):
+    # the closed form is the root for +j only: the minus branch of (i, j) is (i, -j)
+    i, j = ij
+    for B in (0.31, 0.38, 0.44):
+        window = magnetostatics.closed_form_window(mc.msm_frequency_linear(mc.WalkerModeQuery(i, j, B), MAT), MAT)
+        with pytest.raises(DomainError, match=f"no root of the \\({i},{-j}\\) characteristic equation"):
+            mc.solve_walker_mode(mc.WalkerModeQuery(i, -j, B), MAT, window)
 
 
 @pytest.mark.parametrize("i", range(6))
