@@ -25,6 +25,7 @@ import yaml
 from .derived import SCALING_MODELS, DerivedParams
 from .errors import ConfigError
 from .fitting import LOSSES, validate_names
+from .magnetostatics import check_mode_indices
 from .model import (
     CavityParams,
     FieldMap,
@@ -105,6 +106,12 @@ class ModesTableSpec:
     def __post_init__(self):
         if self.sign_branch not in ("plus", "minus"):
             raise ConfigError("sign_branch must be 'plus' or 'minus'")
+        # the pair as written: under "minus" the solver's j is -j, which obeys the same bounds
+        for k, (i, j) in enumerate(self.indices):
+            try:
+                check_mode_indices(i, j)
+            except ValueError as exc:
+                raise ConfigError(f"indices[{k}]: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -199,7 +206,9 @@ def _record(cls, raw, where: str, **parse):
     any other scalar field (float, int, str, or one of them ``| None``,
     which also takes null) is coerced from its key. No other field is read
     from ``raw``. An absent key leaves the dataclass default; a missing
-    required key, or a value ``cls`` rejects, is a ConfigError at ``where``.
+    required key, or a value ``cls`` rejects, is a ConfigError at ``where``,
+    or at ``where.indices[1]`` when ``cls`` names the element of one of its
+    fields that it rejects (``"indices[1]: ..."``).
     """
     name = where or "config"
     data = {**_CONFIG_DEFAULTS.get(cls, {}), **_checked(raw, dict, name)}
@@ -221,7 +230,9 @@ def _record(cls, raw, where: str, **parse):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+        text = str(exc)
+        located = text.partition("[")[0] in {f.name for f in fields(cls)}
+        raise ConfigError(f"{name}.{text}" if located else f"{name}: {text}") from None
 
 
 def _field_map(raw, where: str) -> FieldMap:

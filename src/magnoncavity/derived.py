@@ -179,7 +179,7 @@ def fit_scaling_laws(points, model: str, include=None) -> ScalingFitResult:
     ``include`` optionally masks points out of the fit (they are still
     recorded in the result); values carry whatever unit the caller uses,
     so the coefficients inherit it. Every point, masked or not, must be
-    finite.
+    finite and have a positive diameter.
     """
     if model not in SCALING_MODELS:
         raise ValueError(f"unknown scaling model {model!r}; choose from {sorted(SCALING_MODELS)}")
@@ -187,6 +187,8 @@ def fit_scaling_laws(points, model: str, include=None) -> ScalingFitResult:
     for k, (diameter, value) in enumerate(points):
         if not (math.isfinite(diameter) and math.isfinite(value)):
             raise ValueError(f"point {k}: diameter and value must be finite, got ({diameter}, {value})")
+        if diameter <= 0:
+            raise ValueError(f"point {k}: diameter must be positive, got {diameter}")
     if include is None:
         include = [True] * len(points)
     include = [bool(v) for v in include]

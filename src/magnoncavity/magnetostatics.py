@@ -16,12 +16,12 @@ the sign branch of the j * chi2 term.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
 from .model import FieldMap, MaterialParams
@@ -45,6 +45,9 @@ _SCAN_BLOCK = 256
 # method; accepted roots closer than 10 * _F_TOL are one root.
 _N_PANELS = 64
 _F_TOL = 1.0
+# Relative tolerance and iteration cap of :func:`brentq`: scipy's defaults.
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
 
 def _all_finite(B_ext) -> bool:
@@ -61,6 +64,14 @@ def _all_positive_finite(B_ext) -> bool:
     return _all_finite(B_ext) and bool(np.all(np.asarray(B_ext) > 0))
 
 
+def check_mode_indices(i: int, j: int) -> None:
+    """Raise ValueError unless (i, j) indexes a Walker mode: i >= 1 and -i <= j <= i."""
+    if i < 1:
+        raise ValueError(f"mode index i must be >= 1, got ({i}, {j})")
+    if not -i <= j <= i:
+        raise ValueError(f"mode index j must satisfy -i <= j <= i, got ({i}, {j})")
+
+
 @dataclass(frozen=True)
 class WalkerModeQuery:
     """One magnetostatic-mode request: indices and bias field.
@@ -75,10 +86,7 @@ class WalkerModeQuery:
     B_ext: float
 
     def __post_init__(self):
-        if self.i < 1:
-            raise ValueError("mode index i must be >= 1")
-        if not -self.i <= self.j <= self.i:
-            raise ValueError(f"mode index j must satisfy -i <= j <= i, got ({self.i}, {self.j})")
+        check_mode_indices(self.i, self.j)
         if not math.isfinite(self.B_ext) or self.B_ext <= 0:
             raise ValueError("B_ext must be positive and finite")
 
@@ -273,7 +281,8 @@ class WalkerSolutions:
     queries: panels the array scan selected for scalar refinement, Brent
     refinements run, candidates rejected as pole crossings (a residual
     above the root tolerance, or a refinement that walked into the pole
-    guard), and accepted roots merged into an earlier one within 10 * _F_TOL.
+    guard or that Brent's method could not finish), and accepted roots
+    merged into an earlier one within 10 * _F_TOL.
     """
 
     outcomes: tuple[float | DomainError, ...]
@@ -288,6 +297,70 @@ class WalkerSolutions:
         if isinstance(outcome, DomainError):
             raise outcome
         return outcome
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """A root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-by-line port of scipy's ``Zeros/brentq.c``, with its relative
+    tolerance ``_BRENT_RTOL`` and at most ``_BRENT_MAXITER`` iterations, so
+    it returns the float that ``scipy.optimize.brentq(f, a, b, xtol=xtol)``
+    returns. Where scipy raises, this raises DomainError: f(a) and f(b) of
+    the same sign, a NaN value of ``f``, and no convergence.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise DomainError(f"Brent's method met a NaN residual at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):  # no zero and no NaN left: the signbit test of brentq.c
+        raise DomainError(f"Brent bracket ({xpre!r}, {xcur!r}) does not change sign")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C's division by zero gives +-inf or NaN, and either fails the step test: bisect
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise DomainError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations (last x = {xcur!r})")
 
 
 def _refine(
@@ -334,7 +407,7 @@ def _refine(
                 continue  # sign change straddles a pole, not a root
         except DomainError:
             counts["poles_rejected"] += 1
-            continue  # refinement walked into the pole guard: not a root
+            continue  # refinement walked into the pole guard, or Brent failed: not a root
         if any(abs(candidate - r) <= 10 * _F_TOL for r in roots):
             counts["duplicates_merged"] += 1
         else:

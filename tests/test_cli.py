@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,15 @@ def test_output_matches_the_golden_digest(tmp_path, key):
     out = tmp_path / "out.csv"
     assert run(args + ["--out", out]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[key]
+
+
+def test_importing_the_cli_leaves_scipy_out():
+    # scipy is a test-only dependency: importing it would add about 0.6 s to every command's start-up
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import sys, magnoncavity.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 class TestSpectrumCommand:
@@ -239,12 +251,10 @@ class TestModesCommand:
                 "numeric domain error: no root of the (2,-1) characteristic equation in (9.240000e+08, 1.587600e+10) Hz",
             ),
             (0.01, [2, 0], 3, "numeric domain error: (2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = 0.0561798"),
-            (0.3, [0, 0], 2, "config error: mode index i must be >= 1"),
-            (0.3, [2, 3], 2, "config error: mode index j must satisfy -i <= j <= i, got (2, 3)"),
             # the Walker family (1, 1) itself fails at the first field, so only the header is written
             (-0.1, [2, 2], 2, "config error: B_ext must be positive and finite"),
         ],
-        ids=["3_1_two_roots", "2_-1_no_root", "2_0_closed_form_domain", "0_0", "2_3", "walker_from_-0.1T"],
+        ids=["3_1_two_roots", "2_-1_no_root", "2_0_closed_form_domain", "walker_from_-0.1T"],
     )
     def test_failing_row_ends_the_table_where_it_stands(self, tmp_path, capsys, start, failing, code, message):
         # rows are B-major: the first field's (1, 1) row is written, then the failing pair's row raises
@@ -263,6 +273,28 @@ class TestModesCommand:
         assert header_and_first_row[0].startswith("B_T,i,j,")
         assert len(header_and_first_row) == (2 if start > 0 else 1)
         assert captured.out == "".join(header_and_first_row)
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize(
+        "failing, branch, message",
+        [
+            ([0, 0], "plus", "mode index i must be >= 1, got (0, 0)"),
+            ([2, 3], "plus", "mode index j must satisfy -i <= j <= i, got (2, 3)"),
+            ([2, 3], "minus", "mode index j must satisfy -i <= j <= i, got (2, 3)"),  # the j as written
+        ],
+        ids=["0_0", "2_3", "2_3_minus"],
+    )
+    def test_bad_index_pair_is_a_config_error_before_any_output(
+        self, tmp_path, capsys, failing, branch, message, to_file
+    ):
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        config["modes_table"].update(indices=[[1, 1], failing, [2, 2]], sign_branch=branch)
+        path = tmp_path / "bad_pair.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "modes.csv"
+        assert run(["modes", path] + (["--out", out] if to_file else [])) == 2
+        assert capsys.readouterr() == ("", f"config error: modes_table.indices[1]: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("ij", [(4, 1), (3, 1), (2, 0), (2, 2)], ids=["4_1", "3_1", "2_0", "2_2"])
     def test_minus_branch_is_the_plus_table_of_the_negated_j(self, tmp_path, capsys, ij):
@@ -440,6 +472,15 @@ class TestScalingCommand:
             "config error: point 2: diameter and value must be finite, got "
             f"({float(diameter)}, {float(value)})\n"
         )
+
+    @pytest.mark.parametrize("include", ["1", "0"], ids=["included", "masked"])
+    def test_non_positive_diameter_is_config_error_naming_its_point(self, tmp_path, capsys, include):
+        data = tmp_path / "points.csv"
+        data.write_text(f"diameter_m,value,include\n0.45e-3,28.6,1\n0.75e-3,67.3,1\n-1e-3,91.0,{include}\n")
+        out = tmp_path / "r.csv"
+        assert run(["scaling", CONFIG_DIR / "scaling_g_kittel.yaml", "--data", data, "--out", out]) == 2
+        assert capsys.readouterr() == ("", "config error: point 2: diameter must be positive, got -0.001\n")
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -138,8 +138,10 @@ def test_malformed_configs_raise_config_error(mutate):
          "derive.reference.kittel.Nspins: unknown quantity; expected one of g_B, N, C, V_m, n, G, delta"),
         (lambda d: d.update(derive={"cavity_volume": 1.6e-6, "reference": {"kitel": {"N": 1.51e17}}}),
          "derive.reference.kitel: no mode labeled 'kitel'"),
+        (lambda d: d.update(modes_table={"field": {"start": 0.3, "stop": 0.4, "count": 2}, "indices": [[1, 1], [2, -3]]}),
+         "modes_table.indices[1]: mode index j must satisfy -i <= j <= i, got (2, -3)"),
     ],
-    ids=["field_map", "cavity", "sweep", "include", "reference_quantity", "reference_label"],
+    ids=["field_map", "cavity", "sweep", "include", "reference_quantity", "reference_label", "index_pair"],
 )
 def test_errors_name_their_path_once(mutate, message):
     import copy

@@ -98,6 +98,10 @@ def subsets(entries, full):
     return st.fixed_dictionaries(entries) if full else st.fixed_dictionaries({}, optional=entries)
 
 
+# valid modes_table pairs [i, j]: i >= 1 and -i <= j <= i
+index_pairs = st.integers(1, 9).flatmap(lambda i: st.tuples(st.just(i), st.integers(-i, i)).map(list))
+
+
 @st.composite
 def configs(draw, full=False):
     """Valid config mappings; ``full`` ones have every section and sub-section and at least one mode."""
@@ -123,7 +127,7 @@ def configs(draw, full=False):
         "modes_table": st.fixed_dictionaries(
             {
                 "field": grids(),
-                "indices": st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=2), min_size=1, max_size=4),
+                "indices": st.lists(index_pairs, min_size=1, max_size=4),
             },
             optional={"sign_branch": st.sampled_from(["plus", "minus"])},
         ),
@@ -201,7 +205,18 @@ BREAKS = [
     ((), "observable", words_except(*OBSERVABLES)),
     ((), "modes_table", not_mapping),
     (("modes_table",), "field", required(not_mapping)),
-    (("modes_table",), "indices", st.one_of(st.just(DELETE), not_list, st.just([]), st.just([[1, 2, 3]]))),
+    (
+        ("modes_table",),
+        "indices",
+        st.one_of(
+            st.just(DELETE),
+            not_list,
+            st.just([]),
+            st.just([[1, 2, 3]]),
+            # a pair outside i >= 1, -i <= j <= i, after valid ones
+            st.sampled_from([[0, 0], [2, 3], [3, -4], [-1, 0]]).map(lambda bad: [[1, 1], [2, -1], bad]),
+        ),
+    ),
     (("modes_table",), "sign_branch", words_except("plus", "minus")),
     ((), "derive", not_mapping),
     (("derive",), "cavity_volume", required(not_number)),

@@ -236,6 +236,13 @@ class TestScalingFits:
             with pytest.raises(ValueError, match="^point 2: diameter and value must be finite"):
                 mc.fit_scaling_laws(points, "linear_in_sqrtV", include)
 
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1e-3])
+    def test_non_positive_diameters_are_rejected_by_index(self, bad):
+        points = [(0.45e-3, 28.6), (0.75e-3, 67.3), (bad, 91.0)]
+        for include in (None, [True, True, False]):
+            with pytest.raises(ValueError, match=f"^point 2: diameter must be positive, got {bad}$"):
+                mc.fit_scaling_laws(points, "linear_in_sqrtV", include)
+
 
 def test_derived_params_validation():
     with pytest.raises(ValueError):

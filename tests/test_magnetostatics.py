@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import lpmv
@@ -381,6 +381,126 @@ class TestBatchedSolver:
         with pytest.raises(ValueError, match="windows"):
             solve_walker_modes(mixed[:1], MAT, [])
         assert solve_walker_modes([], MAT, []).outcomes == ()
+
+
+def brent_run(solve, f, a, b):
+    """The points ``solve(f, a, b)`` evaluates f at, and the bits of its root or what it raised."""
+    calls = []
+
+    def traced(x):
+        calls.append(x.hex())
+        return f(x)
+
+    try:
+        result = solve(traced, a, b).hex()
+    except (ValueError, RuntimeError) as exc:  # scipy's own errors; DomainError is a ValueError
+        result = exc
+    return calls, result
+
+
+def assert_port_is_scipy(f, a, b, xtol, maxiter=magnetostatics._BRENT_MAXITER):
+    """The port takes scipy's path to scipy's root bits, and raises DomainError exactly where scipy raises."""
+    ours_calls, ours = brent_run(lambda g, a, b: magnetostatics.brentq(g, a, b, xtol), f, a, b)
+    ref_calls, ref = brent_run(lambda g, a, b: brentq(g, a, b, xtol=xtol, maxiter=maxiter), f, a, b)
+    assert ours_calls == ref_calls
+    if isinstance(ref, str):
+        assert ours == ref
+        return "root"
+    assert isinstance(ours, DomainError), ours
+    if isinstance(ref, DomainError):  # raised by f itself, at the same point
+        assert str(ours) == str(ref)
+        return "f raised"
+    return type(ref).__name__
+
+
+@st.composite
+def walker_panels(draw):
+    """A panel of a default Walker search window whose scalar residuals change sign: a root or a pole crossing."""
+    i = draw(st.integers(1, 5))
+    q = mc.WalkerModeQuery(i=i, j=draw(st.integers(-i, i)), B_ext=draw(st.floats(0.05, 0.6)))
+    lo, hi = default_search_window(q, MAT)
+    n = magnetostatics._N_PANELS
+    edges = [lo + (hi - lo) * k / n for k in range(n + 1)]
+    values = [outcome(mc.walker_characteristic, f, q, MAT) for f in edges]
+    panels = [
+        k for k in range(n)
+        if not isinstance(values[k], str) and not isinstance(values[k + 1], str) and values[k] * values[k + 1] < 0
+    ]
+    assume(panels)
+    k = draw(st.sampled_from(panels))
+    return q, edges[k], edges[k + 1]
+
+
+def smooth(kind, r, s, nan_above):
+    """A smooth test function with a root at r (kind "exp": where e^(s x) = e^(s r)), NaN above ``nan_above``."""
+    shapes = {
+        "line": lambda x: s * (x - r),
+        "cubic": lambda x: (x - r) ** 3 + s * (x - r),
+        "exp": lambda x: math.exp(s * x) - math.exp(s * r),
+        "tanh": lambda x: math.tanh(s * (x - r)),
+    }
+    shape = shapes[kind]
+    return lambda x: math.nan if x > nan_above else shape(x)
+
+
+smooth_cases = st.tuples(
+    st.sampled_from(["line", "cubic", "exp", "tanh"]),
+    st.floats(-5.0, 5.0),
+    st.floats(0.05, 3.0),
+    st.one_of(st.just(math.inf), st.floats(-10.0, 10.0)),
+    st.floats(-10.0, 10.0),
+    st.floats(-10.0, 10.0),
+    st.sampled_from([1e-12, 1e-6, 1e-3, 1.0]),
+)
+
+
+class TestBrent:
+    @settings(max_examples=300, deadline=None)
+    @given(walker_panels())
+    def test_port_equals_scipy_on_walker_panels(self, panel):
+        q, fa, fb = panel
+        assert_port_is_scipy(lambda f: mc.walker_characteristic(f, q, MAT), fa, fb, magnetostatics._F_TOL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(smooth_cases)
+    def test_port_equals_scipy_on_smooth_functions(self, case):
+        kind, r, s, nan_above, a, b, xtol = case
+        assert_port_is_scipy(smooth(kind, r, s, nan_above), a, b, xtol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(smooth_cases, st.integers(0, 6))
+    def test_port_stops_where_scipy_stops_at_a_lower_iteration_cap(self, case, maxiter):
+        kind, r, s, nan_above, a, b, xtol = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(magnetostatics, "_BRENT_MAXITER", maxiter)
+            assert_port_is_scipy(smooth(kind, r, s, nan_above), a, b, xtol, maxiter)
+
+    @pytest.mark.parametrize(
+        "case, maxiter, reason",
+        [
+            (("cubic", 0.0, 1.0, math.inf, 1.0, 2.0, 1e-12), 100, "ValueError"),
+            (("tanh", 0.3, 1.0, 0.5, -2.0, 2.0, 1e-12), 100, "ValueError"),
+            (("exp", 0.3, 1.0, -1.0, -2.0, 2.0, 1e-12), 100, "ValueError"),
+            (("cubic", 0.0, 1.0, math.inf, -2.0, 3.0, 1e-12), 2, "RuntimeError"),
+            (("cubic", 0.0, 1.0, math.inf, -2.0, 3.0, 1e-12), 100, "root"),
+            # |sbis| == delta on the first iteration: not yet converged
+            (("line", 1 / 64, 1.0, math.inf, -31 / 32, 1 / 32, 1.0), 100, "root"),
+        ],
+        ids=["same_sign", "nan_while_iterating", "nan_at_b", "iteration_cap", "converges", "half_step_is_delta"],
+    )
+    def test_each_scipy_error_is_a_domain_error(self, monkeypatch, case, maxiter, reason):
+        monkeypatch.setattr(magnetostatics, "_BRENT_MAXITER", maxiter)
+        kind, r, s, nan_above, a, b, xtol = case
+        assert assert_port_is_scipy(smooth(kind, r, s, nan_above), a, b, xtol, maxiter) == reason
+
+    def test_failed_refinement_is_a_rejected_candidate_not_a_root(self, monkeypatch):
+        # one Brent iteration cannot refine the (1,1) panel at 0.38 T to 1 Hz
+        monkeypatch.setattr(magnetostatics, "_BRENT_MAXITER", 1)
+        q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.38)
+        solved = solve_walker_modes([q], MAT, [None])
+        assert (solved.brent_calls, solved.poles_rejected) == (2, 2)
+        with pytest.raises(DomainError, match=r"no root of the \(1,1\) characteristic equation"):
+            solved.root(0)
 
 
 @pytest.mark.parametrize("ij", [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2)])
