@@ -228,27 +228,27 @@ def cmd_derive(args) -> int:
     if not system.modes:
         raise ConfigError("derive needs at least one mode with measured g and gamma")
 
-    def rows():
-        for mode in system.modes:
-            params = derived.derive_mode_params(
-                g=mode.g,
-                gamma=mode.gamma,
-                cavity=system.cavity,
-                material=system.material,
-                optical=system.optical,
-                V_c=spec.cavity_volume,
-                g_B=spec.g_B,
-            )
-            reference = spec.reference.get(mode.label, {})
-            for name, value in dataclasses.asdict(params).items():
-                if name in reference:
-                    ref = reference[name]
-                    dev = abs(value - ref) / abs(ref) if ref != 0 else math.inf
-                    yield _csv_line([mode.label, name, _fmt(value), _fmt(ref), _fmt(dev)])
-                else:
-                    yield _csv_line([mode.label, name, _fmt(value), "", ""])
+    rows = []  # every row is built before the output is opened, so a failing mode writes nothing
+    for mode in system.modes:
+        params = derived.derive_mode_params(
+            g=mode.g,
+            gamma=mode.gamma,
+            cavity=system.cavity,
+            material=system.material,
+            optical=system.optical,
+            V_c=spec.cavity_volume,
+            g_B=spec.g_B,
+        )
+        reference = spec.reference.get(mode.label, {})
+        for name, value in dataclasses.asdict(params).items():
+            if name in reference:
+                ref = reference[name]
+                dev = abs(value - ref) / abs(ref) if ref != 0 else math.inf
+                rows.append([mode.label, name, _fmt(value), _fmt(ref), _fmt(dev)])
+            else:
+                rows.append([mode.label, name, _fmt(value), "", ""])
 
-    _write_csv(args.out, ["mode", "quantity", "derived", "reference", "rel_dev"], rows())
+    _write_csv(args.out, ["mode", "quantity", "derived", "reference", "rel_dev"], map(_csv_line, rows))
     return EXIT_OK
 
 
@@ -366,7 +366,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:  # OverflowError: a float ** out of range
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ConfigError, ValueError, MemoryError) as exc:  # MemoryError: a grid too large to allocate

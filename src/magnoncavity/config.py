@@ -16,6 +16,7 @@ field's default; unknown keys are ignored.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 
@@ -106,6 +107,9 @@ class ModesTableSpec:
     def __post_init__(self):
         if self.sign_branch not in ("plus", "minus"):
             raise ConfigError("sign_branch must be 'plus' or 'minus'")
+        # the grid ascends, so its start is its least field; the Walker solver needs B_ext > 0
+        if self.field_grid.start <= 0:
+            raise ConfigError(f"field: bias fields must be positive, got start {self.field_grid.start!r}")
         # the pair as written: under "minus" the solver's j is -j, which obeys the same bounds
         for k, (i, j) in enumerate(self.indices):
             try:
@@ -207,8 +211,9 @@ def _record(cls, raw, where: str, **parse):
     which also takes null) is coerced from its key. No other field is read
     from ``raw``. An absent key leaves the dataclass default; a missing
     required key, or a value ``cls`` rejects, is a ConfigError at ``where``,
-    or at ``where.indices[1]`` when ``cls`` names the element of one of its
-    fields that it rejects (``"indices[1]: ..."``).
+    or at ``where.field`` or ``where.indices[1]`` when ``cls`` names the key
+    or the element of one of its fields that it rejects (``"field: ..."``,
+    ``"indices[1]: ..."``).
     """
     name = where or "config"
     data = {**_CONFIG_DEFAULTS.get(cls, {}), **_checked(raw, dict, name)}
@@ -231,7 +236,8 @@ def _record(cls, raw, where: str, **parse):
         return cls(**values)
     except ValueError as exc:
         text = str(exc)
-        located = text.partition("[")[0] in {f.name for f in fields(cls)}
+        head = re.match(r"\w+(?=[\[:])", text)
+        located = head is not None and head.group() in {".".join(_key(cls, f.name)) for f in fields(cls)}
         raise ConfigError(f"{name}.{text}" if located else f"{name}: {text}") from None
 
 

@@ -284,7 +284,7 @@ def _residuals_and_jacobian(problem: FitProblem, names):
 
     def evaluate(u: np.ndarray):
         sys_ = apply_params(problem.system, {n: _from_internal(n, ui) for n, ui in zip(names, u)})
-        d, chis = scattering.shared_denominator(f_grid, sys_, problem.B)
+        d, chis = scattering.shared_denominator(f_grid, sys_, scattering.mode_frequencies(sys_, problem.B))
         s21, s31 = scattering.amplitudes_from_denominator(d, chis, sys_)
         model_values = _observed_values(problem.observable, s21, s31)
         inv_d = 1.0 / d

@@ -93,24 +93,37 @@ def _check_grids(B: np.ndarray, f: np.ndarray) -> None:
         raise ValueError("grids must be strictly ascending")
 
 
-def shared_denominator(f, system: HybridSystem, B):
+def mode_frequencies(system: HybridSystem, B) -> list:
+    """Every mode's frequency at the scalar bias field ``B``, in mode order.
+
+    The one place where the amplitude kernel's field maps are resolved. The
+    first failing mode raises: its field map's error, or ValueError for a
+    non-finite frequency.
+    """
+    f_ms = []
+    for mode in system.modes:
+        f_m = magnetostatics.mode_frequency(mode.field_map, B, system.material)
+        if not math.isfinite(f_m):
+            raise ValueError("f_m must be finite")
+        f_ms.append(f_m)
+    return f_ms
+
+
+def shared_denominator(f, system: HybridSystem, f_ms):
     """D(f) = (f - f_c) + i*kappa_t - sum_m g_m^2 chi_m(f), and the chi_m in mode order.
 
-    ``f`` and ``B`` broadcast against each other, and ``D`` and every
-    ``chi_m`` take their broadcast shape: a scalar ``B`` gives spectra of
-    ``f``'s shape, and ``f`` of shape (rows, F) with ``B`` of shape
-    (rows, 1) gives one spectrum per bias field. Element for element the
-    values equal those of the scalar-``B`` calls.
+    ``f_ms`` holds every mode's resolved frequency, in mode order (see
+    :func:`mode_frequencies`), each broadcasting against ``f``: scalars give
+    spectra of ``f``'s shape, and ``f`` of shape (rows, F) with each
+    ``f_m`` of shape (rows, 1) gives one spectrum per bias field. Element
+    for element the values equal those of the scalar-``f_m`` calls.
     """
     if not np.all(np.isfinite(f)):
         raise ValueError("f must be finite")
     cav = system.cavity
     d = (np.asarray(f, dtype=float) - cav.f_c) + 1j * cav.kappa_t
-    if not system.modes and np.ndim(B):
-        d = d + np.zeros(np.shape(B))  # no chi_m carries B's shape into D
     chis = []
-    for mode in system.modes:
-        f_m = magnetostatics.mode_frequency(mode.field_map, B, system.material)
+    for mode, f_m in zip(system.modes, f_ms, strict=True):
         chi = susceptibility_magnon(f, mode, f_m)
         d = d - mode.g**2 * chi
         chis.append(chi)
@@ -131,7 +144,7 @@ def amplitudes(f, system: HybridSystem, B: float = 0.0):
     ``B`` resolves the mode frequencies and is irrelevant for a bare
     cavity or fixed-frequency modes.
     """
-    return amplitudes_from_denominator(*shared_denominator(f, system, B), system)
+    return amplitudes_from_denominator(*shared_denominator(f, system, mode_frequencies(system, B)), system)
 
 
 def amplitudes_from_denominator(d, chis, system: HybridSystem):
@@ -245,9 +258,12 @@ def sweep_map(
     ``mode_label`` selects the mode for ``s31_phase`` (defaults to the
     first mode). Rows follow ``B_grid`` order, columns ``f_grid`` order.
     Both grids must be finite, 1-D and strictly ascending; they are checked
-    before any kernel work. The kernel runs on blocks of bias fields (see
-    ``_SWEEP_CELLS``), so its temporaries stay bounded by the block and
-    not the grid; every value equals the one-field evaluation bit for bit.
+    before any kernel work. Every mode's frequency at every field is then
+    resolved once, so a failing field map raises the error of the first
+    failing (field, mode) in row-major order, still before any kernel work.
+    The kernel runs on blocks of bias fields (see ``_SWEEP_CELLS``), so its
+    temporaries stay bounded by the block and not the grid; every value
+    equals the one-field evaluation bit for bit.
     """
     if observable not in OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}; choose from {OBSERVABLES}")
@@ -268,20 +284,15 @@ def sweep_map(
         "s31_phase": lambda t, s31: principal_phase(s31[label]),
     }[observable]
 
+    # every (field, mode) frequency, field by field, so the first failing one
+    # in row-major order raises before any kernel work: shape (modes, fields)
+    f_ms = np.array([mode_frequencies(system, B) for B in B_grid.tolist()], dtype=float).T
     values = np.empty((B_grid.size, f_grid.size))
     rows = max(1, _SWEEP_CELLS // f_grid.size)
     for start in range(0, B_grid.size, rows):
-        B_block = B_grid[start : start + rows]
+        stop = min(start + rows, B_grid.size)
         # f at the block's full shape: one frequency point per output cell
-        f_block = np.broadcast_to(f_grid, (B_block.size, f_grid.size))
-        try:
-            d, chis = shared_denominator(f_block, system, B_block[:, None])
-        except ValueError:
-            # The block resolves mode by mode, the one-field kernel field by
-            # field: replay the block one field at a time, so that the first
-            # failing (field, mode) in row-major order raises, as it always has.
-            for B in B_block:
-                shared_denominator(f_grid, system, B)
-            raise
-        values[start : start + B_block.size] = reduce(*amplitudes_from_denominator(d, chis, system))
+        f_block = np.broadcast_to(f_grid, (stop - start, f_grid.size))
+        d, chis = shared_denominator(f_block, system, f_ms[:, start:stop, None])
+        values[start:stop] = reduce(*amplitudes_from_denominator(d, chis, system))
     return SweepMap(B_grid, f_grid, values, observable)

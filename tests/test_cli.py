@@ -251,10 +251,8 @@ class TestModesCommand:
                 "numeric domain error: no root of the (2,-1) characteristic equation in (9.240000e+08, 1.587600e+10) Hz",
             ),
             (0.01, [2, 0], 3, "numeric domain error: (2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = 0.0561798"),
-            # the Walker family (1, 1) itself fails at the first field, so only the header is written
-            (-0.1, [2, 2], 2, "config error: B_ext must be positive and finite"),
         ],
-        ids=["3_1_two_roots", "2_-1_no_root", "2_0_closed_form_domain", "walker_from_-0.1T"],
+        ids=["3_1_two_roots", "2_-1_no_root", "2_0_closed_form_domain"],
     )
     def test_failing_row_ends_the_table_where_it_stands(self, tmp_path, capsys, start, failing, code, message):
         # rows are B-major: the first field's (1, 1) row is written, then the failing pair's row raises
@@ -268,10 +266,9 @@ class TestModesCommand:
         assert captured.err == message + "\n"
         config["modes_table"]["indices"] = [[1, 1]]
         path.write_text(yaml.safe_dump(config))
-        assert run(["modes", path]) == (0 if start > 0 else 2)
+        assert run(["modes", path]) == 0
         header_and_first_row = capsys.readouterr().out.splitlines(keepends=True)[:2]
         assert header_and_first_row[0].startswith("B_T,i,j,")
-        assert len(header_and_first_row) == (2 if start > 0 else 1)
         assert captured.out == "".join(header_and_first_row)
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
@@ -294,6 +291,22 @@ class TestModesCommand:
         out = tmp_path / "modes.csv"
         assert run(["modes", path] + (["--out", out] if to_file else [])) == 2
         assert capsys.readouterr() == ("", f"config error: modes_table.indices[1]: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize(
+        "grid", [{"start": -0.1, "stop": 0.5, "count": 7}, {"start": 0.0, "stop": 0.0}], ids=["from_-0.1T", "at_0T"]
+    )
+    def test_field_grid_reaching_zero_is_a_config_error_before_any_output(self, tmp_path, capsys, grid, to_file):
+        # the Walker family (1, 1) would fail at the first field: the grid is rejected when the config is parsed
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        config["modes_table"].update(field=grid, indices=[[1, 1], [2, 2]])
+        path = tmp_path / "low_field.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "modes.csv"
+        assert run(["modes", path] + (["--out", out] if to_file else [])) == 2
+        message = f"config error: modes_table.field: bias fields must be positive, got start {grid['start']!r}\n"
+        assert capsys.readouterr() == ("", message)
         assert not out.exists()
 
     @pytest.mark.parametrize("ij", [(4, 1), (3, 1), (2, 0), (2, 2)], ids=["4_1", "3_1", "2_0", "2_2"])
@@ -353,6 +366,18 @@ class TestDeriveCommand:
         path = tmp_path / "off.yaml"
         path.write_text(yaml.safe_dump(config))
         assert run(["derive", path, "--out", tmp_path / "r.csv"]) == 0
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_failing_second_mode_writes_nothing(self, tmp_path, capsys, to_file):
+        # a mode without g (default 0) has no spins: the first mode's rows must not be written either
+        config = yaml.safe_load((CONFIG_DIR / "derive_0p45mm.yaml").read_text())
+        config["system"]["modes"].append({"label": "uncoupled", "gamma": 1.0e6})
+        path = tmp_path / "uncoupled.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "derive.csv"
+        assert run(["derive", path] + (["--out", out] if to_file else [])) == 2
+        assert capsys.readouterr() == ("", "config error: spin density must be positive\n")
+        assert not out.exists()
 
 
 class TestFitCommand:
@@ -571,6 +596,32 @@ class TestExitCodes:
         path = tmp_path / "low_field.yaml"
         path.write_text(yaml.safe_dump(config))
         assert run(["map", path, "--out", tmp_path / "x.csv"]) == 3
+
+    @pytest.mark.parametrize(
+        "command, name, key, value",
+        [
+            ("map", "sphere_0p45mm_map.yaml", "g", 1e200),  # g**2 in the kernel
+            ("spectrum", "sphere_0p45mm_spectrum.yaml", "g", 1e200),
+            ("derive", "derive_0p45mm.yaml", "g", 1e153),  # (g/g_B)**2
+            ("scaling", "scaling_g_kittel.yaml", "diameter_m", 1e102),  # the sphere volume's cube
+        ],
+        ids=["map", "spectrum", "derive", "scaling"],
+    )
+    def test_float_overflow_is_a_domain_error(self, tmp_path, capsys, command, name, key, value):
+        config = yaml.safe_load((CONFIG_DIR / name).read_text())
+        data = tmp_path / "points.csv"
+        if key == "g":
+            config["system"]["modes"][0]["g"] = value
+        else:
+            data.write_text(f"diameter_m,value\n{value!r},28.6\n0.75e-3,67.3\n")
+        path = tmp_path / "overflow.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "out.csv"
+        assert run([command, path, "--out", out] + (["--data", data] if command == "scaling" else [])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric domain error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_stdout_output(self, capsys):
         assert run(["scaling", CONFIG_DIR / "scaling_g_kittel.yaml", "--data", CONFIG_DIR / "points_g_kittel.csv"]) == 0
