@@ -177,21 +177,21 @@ def _modes_rows(i: int, j: int, fields, sign_branch: str, material) -> list:
     signed_j = j if sign_branch == "plus" else -j
     closed_map = magnetostatics.closed_form_map(i, signed_j)
     rows: list = []
-    solvable = []  # (row index, query, closed form)
+    solvable = []  # (row index, query, closed form, search window)
     for B in fields:
         try:
             closed = None if closed_map is None else magnetostatics.mode_frequency(closed_map, B, material)
             q = magnetostatics.WalkerModeQuery(i=i, j=signed_j, B_ext=B)
+            window = None if closed is None else magnetostatics.closed_form_window(closed, material)
         except ValueError as exc:
             rows.append(exc)
             continue
-        solvable.append((len(rows), q, closed))
+        solvable.append((len(rows), q, closed, window))
         rows.append(None)
-    windows = [
-        None if closed is None else magnetostatics.closed_form_window(closed, material) for _, _, closed in solvable
-    ]
-    solved = magnetostatics.solve_walker_modes([q for _, q, _ in solvable], material, windows)
-    for (k, q, closed), root in zip(solvable, solved.outcomes):
+    solved = magnetostatics.solve_walker_modes(
+        [q for _, q, _, _ in solvable], material, [window for _, _, _, window in solvable]
+    )
+    for (k, q, closed, _), root in zip(solvable, solved.outcomes):
         if isinstance(root, DomainError):
             rows[k] = root
             continue

@@ -45,6 +45,10 @@ _SCAN_BLOCK = 256
 # method; accepted roots closer than 10 * _F_TOL are one root.
 _N_PANELS = 64
 _F_TOL = 1.0
+# Lowest edge (Hz) of a search window. The (2,0) residual has no j*chi2
+# term and is even in f, so a window reaching below zero can hold the
+# mirror root -f of a positive one.
+_WINDOW_FLOOR = 1.0
 # Relative tolerance and iteration cap of :func:`brentq`: scipy's defaults.
 _BRENT_RTOL = 4 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
@@ -240,11 +244,20 @@ def walker_characteristic(f: float, q: WalkerModeQuery, material: MaterialParams
     return value.real
 
 
+def _positive_window(center: float, half: float) -> tuple[float, float]:
+    """Search window center +/- half with its lower edge raised to _WINDOW_FLOOR.
+
+    Raises DomainError when nothing of the window lies above the floor.
+    """
+    lo, hi = max(center - half, _WINDOW_FLOOR), center + half
+    if not lo < hi:
+        raise DomainError(f"search window {center:.6e} +/- {half:.6e} Hz lies below {_WINDOW_FLOOR:g} Hz")
+    return lo, hi
+
+
 def default_search_window(q: WalkerModeQuery, material: MaterialParams) -> tuple[float, float]:
-    """Kittel frequency +/- 1.5 * gamma_e*mu0_Ms; covers all low-order mode offsets."""
-    center = kittel_frequency(q.B_ext, material)
-    half = 1.5 * material.gamma_e * material.mu0_Ms
-    return max(center - half, 1.0), center + half
+    """Kittel frequency +/- 1.5 * gamma_e*mu0_Ms, above _WINDOW_FLOOR; covers all low-order mode offsets."""
+    return _positive_window(kittel_frequency(q.B_ext, material), 1.5 * material.gamma_e * material.mu0_Ms)
 
 
 def _characteristic_grid(f, B_ext, i: int, j: int, material: MaterialParams):
@@ -281,8 +294,9 @@ class WalkerSolutions:
     queries: panels the array scan selected for scalar refinement, Brent
     refinements run, candidates rejected as pole crossings (a residual
     above the root tolerance, or a refinement that walked into the pole
-    guard or that Brent's method could not finish), and accepted roots
-    merged into an earlier one within 10 * _F_TOL.
+    guard or that Brent's method could not finish), accepted roots
+    merged into an earlier one within 10 * _F_TOL, and scalar residuals
+    evaluated (each distinct probe frequency of a query once).
     """
 
     outcomes: tuple[float | DomainError, ...]
@@ -290,6 +304,7 @@ class WalkerSolutions:
     brent_calls: int = 0
     poles_rejected: int = 0
     duplicates_merged: int = 0
+    residual_evals: int = 0
 
     def root(self, k: int) -> float:
         """The root of query ``k``; raises its DomainError if it has none or several."""
@@ -374,11 +389,27 @@ def _refine(
 
     Brent's method only ever sees the scalar residual: both endpoints of a
     selected panel are evaluated again in scalar and must bracket a root
-    there, so the roots do not depend on the array scan's last bits.
+    there, so the roots do not depend on the array scan's last bits. Each
+    probe frequency is evaluated at most once per call.
     """
 
+    # every probe of this query, with its residual or the DomainError raised
+    # there: walker_characteristic is a pure function of (f, q, material), so
+    # a repeated probe (a panel edge Brent starts from, Brent's last point,
+    # an edge two panels share) is evaluated once
+    seen: dict[float, float | DomainError] = {}
+
     def residual(f: float) -> float:
-        return walker_characteristic(f, q, material)
+        if f not in seen:
+            counts["residual_evals"] += 1
+            try:
+                seen[f] = walker_characteristic(f, q, material)
+            except DomainError as exc:
+                seen[f] = exc
+        value = seen[f]
+        if isinstance(value, DomainError):
+            raise value
+        return value
 
     def scalar(f: float) -> float:
         try:
@@ -504,9 +535,12 @@ def closed_form_map(i: int, j: int) -> FieldMap | None:
 
 
 def closed_form_window(f_closed: float, material: MaterialParams) -> tuple[float, float]:
-    """Search window of the solver root that matches a closed form: f_closed +/- 0.03 * gamma_e*mu0_Ms."""
-    half = 0.03 * material.gamma_e * material.mu0_Ms
-    return f_closed - half, f_closed + half
+    """Search window of the solver root that matches a closed form: f_closed +/- 0.03 * gamma_e*mu0_Ms.
+
+    Its lower edge is kept at _WINDOW_FLOOR, and a closed form too far
+    below zero leaves no window: DomainError.
+    """
+    return _positive_window(f_closed, 0.03 * material.gamma_e * material.mu0_Ms)
 
 
 def mode_frequency(field_map: FieldMap, B_ext, material: MaterialParams):

@@ -147,13 +147,18 @@ def amplitudes(f, system: HybridSystem, B: float = 0.0):
     return amplitudes_from_denominator(*shared_denominator(f, system, mode_frequencies(system, B)), system)
 
 
-def amplitudes_from_denominator(d, chis, system: HybridSystem):
-    """``(s21, s31)`` of :func:`amplitudes` from an already built ``(D, chis)`` of ``system``."""
+def amplitudes_from_denominator(d, chis, system: HybridSystem, labels=None):
+    """``(s21, s31)`` of :func:`amplitudes` from an already built ``(D, chis)`` of ``system``.
+
+    ``labels``, if given, names the modes whose S31 is formed; ``s31`` then
+    holds only those, in mode order. None forms every mode's.
+    """
     kappa_e = system.cavity.kappa_e
     t = -1j * 2.0 * kappa_e / d
     s31 = {
         mode.label: -1j * mode.g * chi * math.sqrt(mode.beta * mode.delta / kappa_e) * t
         for mode, chi in zip(system.modes, chis)
+        if labels is None or mode.label in labels
     }
     return t, s31
 
@@ -273,9 +278,11 @@ def sweep_map(
 
     if observable in ("eta", "s31_phase") and not system.modes:
         raise ValueError(f"{observable} requires at least one magnon mode")
+    reads = None if observable == "eta" else ()  # the modes whose S31 the observable reads
     if observable == "s31_phase":
         label = mode_label if mode_label is not None else system.modes[0].label
         system.mode(label)  # KeyError for an unknown label, before any work
+        reads = (label,)
     reduce = {
         "s21_power": lambda t, s31: np.abs(t) ** 2,
         "s11_power": lambda t, s31: np.abs(1.0 + t) ** 2,
@@ -294,5 +301,5 @@ def sweep_map(
         # f at the block's full shape: one frequency point per output cell
         f_block = np.broadcast_to(f_grid, (stop - start, f_grid.size))
         d, chis = shared_denominator(f_block, system, f_ms[:, start:stop, None])
-        values[start:stop] = reduce(*amplitudes_from_denominator(d, chis, system))
+        values[start:stop] = reduce(*amplitudes_from_denominator(d, chis, system, reads))
     return SweepMap(B_grid, f_grid, values, observable)

@@ -332,6 +332,34 @@ class TestModesCommand:
             assert minus[1:4] == [str(i), str(j), "minus"]
             assert minus[:2] + minus[4:] == plus[:2] + plus[4:]
 
+    def test_a_window_reaching_below_zero_keeps_the_positive_root(self, tmp_path, capsys):
+        # (2,0) is even in f; from a window reaching below zero the solver
+        # returned the mirror root -f_closed at 0.05935 T
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        config["modes_table"].update(indices=[[2, 0]], field={"start": 0.05935, "stop": 0.0594, "count": 2})
+        path = tmp_path / "low_2_0.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run(["modes", path]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["B_T"] for row in rows] == ["0.05935", "0.059400000000000001"]
+        for row in rows:
+            closed, root = float(row["f_closed_hz"]), float(row["f_solver_hz"])
+            assert 0 < root and abs(root - closed) <= 1e-6 * closed
+            assert float(row["rel_diff"]) <= 1e-6
+
+    def test_a_closed_form_below_every_positive_window_ends_the_table(self, tmp_path, capsys):
+        # the (2,1) closed form is -5.2e8 Hz at 0.005 T: no window is left above 1 Hz
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        config["modes_table"].update(indices=[[1, 1], [2, 1]], field={"start": 0.005, "stop": 0.3, "count": 3})
+        path = tmp_path / "low_2_1.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run(["modes", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "numeric domain error: search window -5.245333e+08 +/- 1.495200e+08 Hz lies below 1 Hz\n"
+        # B-major: the (1, 1) row of the first field is written before the (2, 1) row raises
+        rows = [line.split(",")[:3] for line in captured.out.splitlines()]
+        assert rows == [["B_T", "i", "j"], ["0.0050000000000000001", "1", "1"]]
+
     def test_minus_branch_of_the_walker_table_has_no_kittel_root(self, tmp_path, capsys):
         # minus (1, 1) is (1, -1), which has no root in the default window at 0.3 T
         config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())

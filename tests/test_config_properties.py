@@ -5,6 +5,8 @@ present or absent; parse -> dump -> parse must give back the same
 RunConfig. Malformed configs are generated from valid ones; parsing them
 must raise ConfigError (exit code 2) and never any other exception, and
 every subcommand run on them must exit 2 or 3; exit 2 writes nothing.
+Valid configs that a command rejects in its own work (a section it needs
+is absent, its data file is malformed) exit 2 and write nothing too.
 """
 
 import contextlib
@@ -341,3 +343,63 @@ def test_every_command_exits_2_or_3_on_a_malformed_config(tmp_path_factory, data
     if code == 2:  # a config error writes nothing
         assert stdout.getvalue() == ""
         assert not out.exists()
+
+
+def _data_columns(data, command):
+    """The columns `command` requires of its data file under the config mapping ``data``."""
+    if command == "scaling":
+        return ["diameter_m", "value"]
+    field, _, label = data.get("fit", {}).get("observable", "s21").partition(".")
+    column = field if field in ("s21", "s11") else f"s31_{label}"
+    return ["f_hz", f"re_{column}", f"im_{column}"]
+
+
+# Faults that parse_config accepts and the command itself rejects: (command,
+# section path and key deleted from the config or None, data-file fault or
+# None, what the error says).
+COMMAND_BREAKS = {
+    "map_without_sweep_field": ("map", (("sweep",), "field"), None, "config must provide sweep.field"),
+    "modes_without_section": ("modes", ((), "modes_table"), None, "config must provide a modes_table section"),
+    "derive_without_section": ("derive", ((), "derive"), None, "config must provide a derive section"),
+    "fit_without_section": ("fit", ((), "fit"), None, "config must provide a fit section"),
+    "scaling_without_section": ("scaling", ((), "scaling"), None, "config must provide a scaling section"),
+    "fit_data_lacks_a_column": ("fit", None, "lacks_column", "lacks columns"),
+    "scaling_data_lacks_a_column": ("scaling", None, "lacks_column", "lacks columns"),
+    "scaling_data_bad_include_cell": ("scaling", None, "bad_include", "include must be 0 or 1, got"),
+}
+
+
+@settings(max_examples=10, deadline=None)
+@pytest.mark.parametrize("case", sorted(COMMAND_BREAKS))
+@given(data=configs(full=True), draw=st.data())
+def test_a_command_that_rejects_a_parsed_config_exits_2_and_writes_nothing(tmp_path_factory, case, data, draw):
+    command, deleted, data_fault, message = COMMAND_BREAKS[case]
+    if deleted is not None:
+        data = _broken(data, *deleted, DELETE)
+    parse_config(data)  # the config itself is valid
+    columns = _data_columns(data, command)
+    rows = [[repr(draw.draw(positive)) for _ in columns] for _ in range(draw.draw(st.integers(1, 3)))]
+    if data_fault == "lacks_column":
+        dropped = draw.draw(st.integers(0, len(columns) - 1))
+        columns = columns[:dropped] + columns[dropped + 1 :]
+        rows = [row[:dropped] + row[dropped + 1 :] for row in rows]
+    elif data_fault == "bad_include":
+        columns = columns + ["include"]
+        rows = [row + ["1"] for row in rows]
+        rows[draw.draw(st.integers(0, len(rows) - 1))][-1] = draw.draw(st.sampled_from(["2", "-1", "0.5", "yes", ""]))
+    work = tmp_path_factory.getbasetemp()
+    config = work / "parsed.yaml"
+    config.write_text(yaml.safe_dump(data), encoding="utf-8")
+    points = work / "points.csv"
+    points.write_text("\n".join(",".join(row) for row in [columns] + rows) + "\n", encoding="utf-8")
+    out = work / "out.csv"
+    out.unlink(missing_ok=True)  # left by an earlier example
+    argv = [command, str(config)] + (["--data", str(points)] if command in ("fit", "scaling") else [])
+    if draw.draw(st.booleans()):
+        argv += ["--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(io.StringIO()) as stderr:
+        code = cli.main(argv)
+    assert code == 2
+    assert message in stderr.getvalue()  # rejected for this fault, not another
+    assert stdout.getvalue() == ""
+    assert not out.exists()

@@ -374,6 +374,53 @@ class TestBatchedSolver:
         assert solved.root(0) == closed == scalar_scan_reference(q, window)
         assert (solved.panels_selected, solved.brent_calls, solved.duplicates_merged) == (2, 0, 1)
 
+    @pytest.mark.parametrize("ij", [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (2, 0), (3, 1), (4, 1)])
+    def test_each_probe_of_a_query_is_evaluated_once(self, monkeypatch, ij):
+        calls = []
+
+        def recorded(f, q, material):
+            calls.append((q, f))
+            return mc.walker_characteristic(f, q, material)
+
+        monkeypatch.setattr(magnetostatics, "walker_characteristic", recorded)
+        queries = [mc.WalkerModeQuery(i=ij[0], j=ij[1], B_ext=B) for B in (0.3, 0.375, 0.38, 0.45)]
+        closed_map = magnetostatics.closed_form_map(*ij)
+        # the default windows (two roots, or a rejected pole crossing at 0.38 T),
+        # and the closed-form windows where there is a closed form
+        window_sets = [[None] * len(queries)]
+        if closed_map is not None:
+            window_sets.append([
+                magnetostatics.closed_form_window(mc.mode_frequency(closed_map, q.B_ext, MAT), MAT) for q in queries
+            ])
+        for windows in window_sets:
+            calls.clear()
+            solved = solve_walker_modes(queries, MAT, windows)
+            assert calls and len(set(calls)) == len(calls)
+            assert solved.residual_evals == len(calls)
+            assert [outcome(solved.root, k) for k in range(len(queries))] == [
+                outcome(scalar_scan_reference, q, w) for q, w in zip(queries, windows)
+            ]
+
+    def test_a_probe_that_raises_is_evaluated_once_and_raises_again(self, monkeypatch):
+        # the (3,3) root at 0.375 T is the edge two selected panels share (see above);
+        # make the residual raise there, so both panels drop out
+        q = mc.WalkerModeQuery(i=3, j=3, B_ext=0.375)
+        closed = mc.msm_frequency_linear(q, MAT)
+        calls = []
+
+        def raising(f, q, material):
+            calls.append(f)
+            if f == closed:
+                raise DomainError("raised at the shared edge")
+            return mc.walker_characteristic(f, q, material)
+
+        monkeypatch.setattr(magnetostatics, "walker_characteristic", raising)
+        solved = solve_walker_modes([q], MAT, [magnetostatics.closed_form_window(closed, MAT)])
+        assert calls.count(closed) == 1
+        assert (solved.panels_selected, solved.brent_calls, solved.residual_evals) == (2, 0, len(calls))
+        with pytest.raises(DomainError, match=r"no root of the \(3,3\) characteristic equation"):
+            solved.root(0)
+
     def test_queries_must_share_indices(self):
         mixed = [mc.WalkerModeQuery(i=2, j=2, B_ext=0.38), mc.WalkerModeQuery(i=2, j=1, B_ext=0.38)]
         with pytest.raises(ValueError, match="share"):
@@ -534,6 +581,18 @@ def test_closed_form_map_covers_exactly_the_closed_form_indices(i):
 def test_closed_form_window_is_three_percent_of_the_magnetization_frequency():
     lo, hi = magnetostatics.closed_form_window(10.0e9, MAT)
     assert (lo, hi) == (10.0e9 - 0.03 * F_M, 10.0e9 + 0.03 * F_M)
+
+
+def test_every_search_window_stays_above_one_hertz():
+    # (2,0) is even in f: a window reaching below zero would hold the mirror root -f
+    # (the CLI test of this field checks the root)
+    closed = mc.msm20_frequency(0.05935, MAT)
+    assert closed < 0.03 * F_M
+    assert magnetostatics.closed_form_window(closed, MAT) == (1.0, closed + 0.03 * F_M)
+    assert default_search_window(mc.WalkerModeQuery(i=1, j=1, B_ext=0.05), MAT) == (1.0, 0.05 * MAT.gamma_e + 1.5 * F_M)
+    # nothing of the window is left above the floor
+    with pytest.raises(DomainError, match=r"search window -5\.245333e\+08 \+/- 1\.495200e\+08 Hz lies below 1 Hz"):
+        magnetostatics.closed_form_window(-5.245333e8, MAT)
 
 
 def test_walker_closed_form_checks_scalar_fields():

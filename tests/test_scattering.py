@@ -335,6 +335,37 @@ class TestSweepMap:
         for k, b in enumerate(B):
             assert np.array_equal(swept.values[k], point(b))
 
+    @pytest.mark.parametrize(
+        "observable, label, formed",
+        [
+            ("s21_power", None, []),
+            ("s11_power", None, []),
+            ("s21_phase", None, []),
+            ("eta", None, ["kittel", "msm20", "w32", "spur"]),
+            ("s31_phase", None, ["kittel"]),
+            ("s31_phase", "w32", ["w32"]),
+        ],
+    )
+    def test_only_the_s31_the_observable_reads_is_formed(self, observable, label, formed, monkeypatch):
+        kernel = mc.scattering.amplitudes_from_denominator
+        seen = []
+
+        def recorded(*args):
+            t, s31 = kernel(*args)
+            seen.append(list(s31))
+            return t, s31
+
+        monkeypatch.setattr(mc.scattering, "_SWEEP_CELLS", 3 * 101)
+        monkeypatch.setattr(mc.scattering, "amplitudes_from_denominator", recorded)
+        B = np.linspace(0.3797, 0.3818, 7)
+        f = np.linspace(CAVITY.f_c - 150e6, CAVITY.f_c + 150e6, 101)
+        swept = mc.sweep_map(MIXED_SYSTEM, B, f, observable, mode_label=label)
+        assert seen == [formed] * 3
+        if label is not None:
+            for k, b in enumerate(B):
+                expected = mc.principal_phase(mc.s31_mode(f, MIXED_SYSTEM, b, label))
+                assert np.array_equal(swept.values[k], expected)
+
     @pytest.mark.parametrize("rows", [1, 3, None])
     def test_denominator_sees_each_cell_once(self, rows, monkeypatch):
         f = np.linspace(CAVITY.f_c - 150e6, CAVITY.f_c + 150e6, 301)
