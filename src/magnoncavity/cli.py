@@ -75,9 +75,13 @@ def _write_csv(out: str | None, header, lines) -> None:
 
 
 def _read_csv(path: str, required) -> list[dict]:
-    """The rows of a data CSV as dicts keyed by its header, which must name every ``required`` column."""
+    """The rows of a data CSV as dicts keyed by its header, which must name every ``required`` column.
+
+    The ``required`` cells are read as floats; other cells stay text. A
+    leading UTF-8 byte-order mark is dropped.
+    """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
                 raise ConfigError(f"data file {path} lacks columns {sorted(required)}")
@@ -90,6 +94,12 @@ def _read_csv(path: str, required) -> list[dict]:
         raise ConfigError(f"data file {path} has rows with missing cells")
     if any(None in row for row in rows):  # DictReader files cells past the header under the key None
         raise ConfigError(f"data file {path} has rows with extra cells")
+    for k, row in enumerate(rows, 1):  # counted from 1 after the header, as in _include_flag
+        for column in required:
+            try:
+                row[column] = float(row[column])
+            except ValueError:
+                raise ConfigError(f"data file {path} row {k}: {column} must be a number, got {row[column]!r}") from None
     return rows
 
 
@@ -261,8 +271,8 @@ def cmd_fit(args) -> int:
     column = field if field in ("s21", "s11") else f"s31_{label}"
     rows = _read_csv(args.data, ("f_hz", f"re_{column}", f"im_{column}"))
     observed = scattering.ComplexSpectrum(
-        np.array([float(row["f_hz"]) for row in rows]),
-        np.array([complex(float(row[f"re_{column}"]), float(row[f"im_{column}"])) for row in rows]),
+        np.array([row["f_hz"] for row in rows]),
+        np.array([complex(row[f"re_{column}"], row[f"im_{column}"]) for row in rows]),
     )
     problem = fitting.FitProblem(
         observed=observed,
@@ -303,7 +313,7 @@ def cmd_scaling(args) -> int:
     if config.scaling is None:
         raise ConfigError("config must provide a scaling section")
     rows = _read_csv(args.data, ("diameter_m", "value"))
-    points = [(float(row["diameter_m"]), float(row["value"])) for row in rows]
+    points = [(row["diameter_m"], row["value"]) for row in rows]
     include = [
         _include_flag(args.data, k, row["include"]) if "include" in row else True for k, row in enumerate(rows, 1)
     ]

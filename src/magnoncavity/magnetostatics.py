@@ -54,20 +54,6 @@ _BRENT_RTOL = 4 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
 
-def _all_finite(B_ext) -> bool:
-    """Whether a bias field, or every one of an array of them, is finite."""
-    if isinstance(B_ext, (int, float)):
-        return math.isfinite(B_ext)
-    return bool(np.all(np.isfinite(B_ext)))
-
-
-def _all_positive_finite(B_ext) -> bool:
-    """Whether a bias field, or every one of an array of them, is positive and finite."""
-    if isinstance(B_ext, (int, float)):
-        return 0 < B_ext < math.inf  # NaN fails both comparisons
-    return _all_finite(B_ext) and bool(np.all(np.asarray(B_ext) > 0))
-
-
 def check_mode_indices(i: int, j: int) -> None:
     """Raise ValueError unless (i, j) indexes a Walker mode: i >= 1 and -i <= j <= i."""
     if i < 1:
@@ -100,13 +86,13 @@ def internal_field(B_ext: float, material: MaterialParams) -> float:
     return B_ext - material.mu0_Ms / 3.0
 
 
-def kittel_frequency(B_ext, material: MaterialParams):
+def kittel_frequency(B_ext: float, material: MaterialParams) -> float:
     """Uniform-precession mode frequency, linear in the external field.
 
     f = gamma_e * B_ext; the sphere's demagnetizing field drops out for
-    uniform precession. ``B_ext`` may be an array of fields.
+    uniform precession.
     """
-    if not _all_finite(B_ext):
+    if not math.isfinite(B_ext):
         raise ValueError("B_ext must be finite")
     return material.gamma_e * B_ext
 
@@ -128,23 +114,19 @@ def msm_frequency_linear(q: WalkerModeQuery, material: MaterialParams) -> float:
     return mode_frequency(FieldMap("walker", q.i, q.j), q.B_ext, material)
 
 
-def msm20_frequency(B_ext, material: MaterialParams):
+def msm20_frequency(B_ext: float, material: MaterialParams) -> float:
     """Closed form for the (2, 0) mode.
 
     f = gamma_e*mu0_Ms * sqrt((r - 1/3)(r + 7/15)) with r = B_ext/mu0_Ms;
-    requires r > 1/3 so the radicand is positive. ``B_ext`` may be an
-    array of fields; the DomainError then reports the first one, in
-    row-major order, whose radicand is not positive.
+    requires r > 1/3 so the radicand is positive.
     """
-    if not _all_finite(B_ext):
+    if not math.isfinite(B_ext):
         raise ValueError("B_ext must be finite")
     r = B_ext / material.mu0_Ms
     radicand = (r - 1.0 / 3.0) * (r + 7.0 / 15.0)
-    outside = np.flatnonzero(radicand <= 0)
-    if outside.size:
-        raise DomainError(f"(2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = {np.ravel(r)[outside[0]]:g}")
-    f = material.gamma_e * material.mu0_Ms * np.sqrt(radicand)
-    return f if np.ndim(f) else float(f)
+    if radicand <= 0:
+        raise DomainError(f"(2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = {r:g}")
+    return material.gamma_e * material.mu0_Ms * math.sqrt(radicand)
 
 
 def _legendre_pair(i: int, j: int, z):
@@ -543,18 +525,12 @@ def closed_form_window(f_closed: float, material: MaterialParams) -> tuple[float
     return _positive_window(f_closed, 0.03 * material.gamma_e * material.mu0_Ms)
 
 
-def mode_frequency(field_map: FieldMap, B_ext, material: MaterialParams):
-    """Evaluate a mode's field map at bias field B_ext.
-
-    Every field map is a closed form, so ``B_ext`` may also be an array of
-    fields: the result has its shape and equals the scalar calls element
-    for element, and a scalar call returns a float. A failing array raises
-    the error of its first failing field in row-major order.
-    """
+def mode_frequency(field_map: FieldMap, B_ext: float, material: MaterialParams) -> float:
+    """Evaluate a mode's field map at the one bias field B_ext."""
     if field_map.kind == "kittel":
         return kittel_frequency(B_ext, material)
     if field_map.kind == "walker":  # see msm_frequency_linear
-        if not _all_positive_finite(B_ext):
+        if not (math.isfinite(B_ext) and B_ext > 0):
             raise ValueError("B_ext must be positive and finite")
         j = field_map.j
         f_M = material.gamma_e * material.mu0_Ms
@@ -562,6 +538,4 @@ def mode_frequency(field_map: FieldMap, B_ext, material: MaterialParams):
         return material.gamma_e * B_ext + offset
     if field_map.kind == "msm20":
         return msm20_frequency(B_ext, material)
-    if isinstance(B_ext, (int, float)):
-        return field_map.frequency
-    return np.full(np.shape(B_ext), field_map.frequency)
+    return field_map.frequency

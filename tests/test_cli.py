@@ -478,6 +478,34 @@ class TestFitCommand:
         assert run([command, CONFIG_DIR / config, "--data", bad, "--out", tmp_path / "r.csv"]) == 2
         assert capsys.readouterr().err == f"config error: data file {bad} has rows with extra cells\n"
 
+    def test_a_data_file_with_a_byte_order_mark_gives_the_plain_bytes(self, tmp_path):
+        data = self.synthesize_data(tmp_path)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+        outs = [tmp_path / "plain_fit.csv", tmp_path / "marked_fit.csv"]
+        for path, out in zip((data, marked), outs):
+            assert run(["fit", CONFIG_DIR / "fit_0p45mm.yaml", "--data", path, "--out", out]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, config, text, row, column",
+    [
+        ("fit", "fit_0p45mm.yaml", "f_hz,re_s21,im_s21\n1.0,2.0,3.0\n2.0,abc,3.0\n", 2, "re_s21"),
+        ("fit", "fit_0p45mm.yaml", "f_hz,re_s21,im_s21\nabc,2.0,3.0\n", 1, "f_hz"),
+        ("scaling", "scaling_g_kittel.yaml", "diameter_m,value\n0.45e-3,28.6\n0.75e-3,abc\n", 2, "value"),
+        ("scaling", "scaling_g_kittel.yaml", "diameter_m,value,include\nabc,28.6,1\n", 1, "diameter_m"),
+    ],
+    ids=["fit_value", "fit_frequency", "scaling_value", "scaling_diameter"],
+)
+def test_a_non_numeric_data_cell_names_its_file_row_and_column(tmp_path, capsys, command, config, text, row, column):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    out = tmp_path / "r.csv"
+    assert run([command, CONFIG_DIR / config, "--data", data, "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"config error: data file {data} row {row}: {column} must be a number, got 'abc'\n")
+    assert not out.exists()
+
 
 class TestScalingCommand:
     def test_linear_coupling_fit(self, tmp_path):
@@ -500,6 +528,14 @@ class TestScalingCommand:
         included = [r["value"] for r in rows if r["name"].startswith("included_")]
         assert c0 == pytest.approx(22.19, rel=0.01)
         assert included == ["0", "1", "1"]
+
+    def test_a_data_file_with_a_byte_order_mark_gives_the_plain_bytes(self, tmp_path):
+        marked = tmp_path / "points.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (CONFIG_DIR / "points_g_kittel.csv").read_bytes())
+        outs = [tmp_path / "plain.csv", tmp_path / "marked.csv"]
+        for path, out in zip((CONFIG_DIR / "points_g_kittel.csv", marked), outs):
+            assert run(["scaling", CONFIG_DIR / "scaling_g_kittel.yaml", "--data", path, "--out", out]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("cell", ["7", "-1", "2", "", "yes", "1.0", "true"])
     def test_include_column_takes_only_0_or_1(self, tmp_path, capsys, cell):
