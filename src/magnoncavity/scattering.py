@@ -14,19 +14,25 @@ finite and the phase of i*S21 stays inside (-pi, 0).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import magnetostatics
-from .model import CavityParams, HybridSystem, MagnonMode, susceptibility_magnon
+from .model import CavityParams, HybridSystem, MagnonMode
+from .model import susceptibility_magnon  # noqa: F401  (bench/tracer.py wraps scattering.susceptibility_magnon)
 
 OBSERVABLES = ("s21_power", "s11_power", "eta", "s21_phase", "s31_phase")
 # Grid cells per shared-denominator call of sweep_map: each block of
-# max(1, _SWEEP_CELLS // f.size) bias fields is one call, which bounds the
-# kernel's temporaries to about _SWEEP_CELLS complex values per mode
-# whatever the grid size. Larger blocks fall out of the cache and run slower.
-_SWEEP_CELLS = 12_000
+# max(1, _SWEEP_CELLS // f.size) bias fields is one call, which bounds each
+# worker's kernel buffers to about _SWEEP_CELLS complex values per mode
+# whatever the grid size. On two x86-64 CPUs (two workers) the 8-mode eta
+# map took 27.6 ms at 401 x 1501 and 12.0 ms at 401 x 601 with 24 000; 48 000
+# took 27.0 and 13.1 ms, 12 000 34 and 15 ms, and 6 000 52 and 20 ms, where the
+# per-block Python work of the workers contends for the interpreter.
+_SWEEP_CELLS = 24_000
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,34 @@ def mode_frequencies(system: HybridSystem, B) -> list:
     return f_ms
 
 
-def shared_denominator(f, system: HybridSystem, f_ms):
+class KernelBuffers(NamedTuple):
+    """Arrays that one kernel call fills in place instead of allocating its results.
+
+    :func:`shared_denominator` writes D into ``d`` and chi_m into
+    ``chis[m]``, with ``scratch`` and ``real`` as its temporaries;
+    :func:`amplitudes_from_denominator` then overwrites D with S21 and each
+    formed chi_m with S31_m. Every array has the kernel's broadcast shape.
+    """
+
+    d: np.ndarray
+    chis: list
+    scratch: np.ndarray
+    real: np.ndarray
+
+    @classmethod
+    def empty(cls, shape, n_modes: int) -> KernelBuffers:
+        """Uninitialised buffers of ``shape`` for a system of ``n_modes`` modes."""
+        return cls(
+            np.empty(shape, complex), [np.empty(shape, complex) for _ in range(n_modes)],
+            np.empty(shape, complex), np.empty(shape),
+        )
+
+    def head(self, rows: int) -> KernelBuffers:
+        """Views of the first ``rows`` rows, for a block shorter than the buffers."""
+        return KernelBuffers(self.d[:rows], [chi[:rows] for chi in self.chis], self.scratch[:rows], self.real[:rows])
+
+
+def shared_denominator(f, system: HybridSystem, f_ms, *, out: KernelBuffers | None = None):
     """D(f) = (f - f_c) + i*kappa_t - sum_m g_m^2 chi_m(f), and the chi_m in mode order.
 
     ``f_ms`` holds every mode's resolved frequency, in mode order (see
@@ -117,15 +150,24 @@ def shared_denominator(f, system: HybridSystem, f_ms):
     spectra of ``f``'s shape, and ``f`` of shape (rows, F) with each
     ``f_m`` of shape (rows, 1) gives one spectrum per bias field. Element
     for element the values equal those of the scalar-``f_m`` calls.
+    chi_m = 1 / ((f - f_m) + i*gamma_m) is
+    :func:`~magnoncavity.model.susceptibility_magnon`'s value, without its
+    per-mode check of ``f``: ``f`` is checked once per call. With ``out``
+    the results are written into its arrays (see :class:`KernelBuffers`);
+    the values are the same bit for bit.
     """
     if not np.all(np.isfinite(f)):
         raise ValueError("f must be finite")
+    f = np.asarray(f, dtype=float)
     cav = system.cavity
-    d = (np.asarray(f, dtype=float) - cav.f_c) + 1j * cav.kappa_t
+    d_out, chi_outs, scratch, real = (None, [None] * len(system.modes), None, None) if out is None else out
+    d = np.add(np.subtract(f, cav.f_c, out=real), 1j * cav.kappa_t, out=d_out)
     chis = []
-    for mode, f_m in zip(system.modes, f_ms, strict=True):
-        chi = susceptibility_magnon(f, mode, f_m)
-        d = d - mode.g**2 * chi
+    for mode, f_m, chi in zip(system.modes, f_ms, chi_outs, strict=True):
+        if not np.all(np.isfinite(f_m)):
+            raise ValueError("f_m must be finite")
+        chi = np.divide(1.0, np.add(np.subtract(f, f_m, out=real), 1j * mode.gamma, out=chi), out=chi)
+        d = np.subtract(d, np.multiply(mode.g**2, chi, out=scratch), out=d_out)
         chis.append(chi)
     return d, chis
 
@@ -147,19 +189,23 @@ def amplitudes(f, system: HybridSystem, B: float = 0.0):
     return amplitudes_from_denominator(*shared_denominator(f, system, mode_frequencies(system, B)), system)
 
 
-def amplitudes_from_denominator(d, chis, system: HybridSystem, labels=None):
+def amplitudes_from_denominator(d, chis, system: HybridSystem, labels=None, *, out: KernelBuffers | None = None):
     """``(s21, s31)`` of :func:`amplitudes` from an already built ``(D, chis)`` of ``system``.
 
     ``labels``, if given, names the modes whose S31 is formed; ``s31`` then
-    holds only those, in mode order. None forms every mode's.
+    holds only those, in mode order. None forms every mode's. ``out``, the
+    buffers :func:`shared_denominator` filled, takes S21 in place of D and
+    each formed S31_m in place of its chi_m.
     """
     kappa_e = system.cavity.kappa_e
-    t = -1j * 2.0 * kappa_e / d
-    s31 = {
-        mode.label: -1j * mode.g * chi * math.sqrt(mode.beta * mode.delta / kappa_e) * t
-        for mode, chi in zip(system.modes, chis)
-        if labels is None or mode.label in labels
-    }
+    t_out, chi_outs = (None, [None] * len(system.modes)) if out is None else (out.d, out.chis)
+    t = np.divide(-1j * 2.0 * kappa_e, d, out=t_out)
+    s31 = {}
+    for mode, chi, s31_out in zip(system.modes, chis, chi_outs):
+        if labels is None or mode.label in labels:
+            s = np.multiply(-1j * mode.g, chi, out=s31_out)
+            s = np.multiply(s, math.sqrt(mode.beta * mode.delta / kappa_e), out=s31_out)
+            s31[mode.label] = np.multiply(s, t, out=s31_out)
     return t, s31
 
 
@@ -186,12 +232,24 @@ def eta_spectrum(f, system: HybridSystem, B: float = 0.0):
     return eta_from_amplitudes(amplitudes(f, system, B)[1])
 
 
-def eta_from_amplitudes(s31: dict):
+def eta_from_amplitudes(s31: dict, out=None, scratch=None):
     """Total conversion efficiency sum_m |S31_m|^2 of the ``s31`` that :func:`amplitudes` returns.
 
-    Summed in mode order from 0.0, so no modes give the scalar 0.0.
+    Summed in mode order from 0.0, so no modes give the scalar 0.0. ``out``
+    and ``scratch``, real arrays of the amplitudes' shape, if given, take the
+    sum and each |S31_m|^2.
     """
-    return sum((np.abs(values) ** 2 for values in s31.values()), 0.0)
+    total = 0.0
+    for values in s31.values():
+        total = np.add(total, _power(values, scratch), out=out)
+    return total
+
+
+def _power(values, out=None):
+    """|values|^2, into ``out`` if given, computed as ``np.abs(values) ** 2`` computes it."""
+    power = np.abs(values, out=out)
+    power **= 2
+    return power
 
 
 def eta_resonant(system: HybridSystem) -> float:
@@ -245,10 +303,19 @@ def dispersion_branches(system: HybridSystem, B: float, f_K: float | None = None
     return center + half_gap, center - half_gap
 
 
-def principal_phase(values) -> np.ndarray:
-    """Phase as a principal value in (-pi, pi] (no unwrapping)."""
-    phase = np.angle(values)
-    return np.where(phase == -np.pi, np.pi, phase)
+def principal_phase(values, out=None) -> np.ndarray:
+    """Phase as a principal value in (-pi, pi] (no unwrapping), into ``out`` if given."""
+    # np.angle's arctan2, into an array even for a scalar
+    phase = np.arctan2(np.imag(values), np.real(values), out=np.empty(np.shape(values)) if out is None else out)
+    np.copyto(phase, np.pi, where=phase == -np.pi)
+    return phase
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, or every CPU where there is no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sweep_map(
@@ -266,9 +333,14 @@ def sweep_map(
     before any kernel work. Every mode's frequency at every field is then
     resolved once, so a failing field map raises the error of the first
     failing (field, mode) in row-major order, still before any kernel work.
-    The kernel runs on blocks of bias fields (see ``_SWEEP_CELLS``), so its
-    temporaries stay bounded by the block and not the grid; every value
-    equals the one-field evaluation bit for bit.
+    The kernel runs on blocks of bias fields (see ``_SWEEP_CELLS``), spread
+    round-robin over min(CPUs this process may run on, blocks) worker
+    threads. Each worker fills one set of kernel buffers per call, so the
+    temporaries stay bounded by workers x block and not the grid, and writes
+    each block into its own rows of the result. Every value equals the
+    one-field evaluation bit for bit, whatever the worker count. An
+    exception raised in a block reaches the caller once every worker has
+    stopped.
     """
     if observable not in OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}; choose from {OBSERVABLES}")
@@ -283,23 +355,38 @@ def sweep_map(
         label = mode_label if mode_label is not None else system.modes[0].label
         system.mode(label)  # KeyError for an unknown label, before any work
         reads = (label,)
+    # each writes a block's values into `out`; `t` and `s31` are buffers it may overwrite
     reduce = {
-        "s21_power": lambda t, s31: np.abs(t) ** 2,
-        "s11_power": lambda t, s31: np.abs(1.0 + t) ** 2,
-        "eta": lambda t, s31: eta_from_amplitudes(s31),
-        "s21_phase": lambda t, s31: principal_phase(t),
-        "s31_phase": lambda t, s31: principal_phase(s31[label]),
+        "s21_power": lambda t, s31, out, real: _power(t, out),
+        "s11_power": lambda t, s31, out, real: _power(np.add(1.0, t, out=t), out),
+        "eta": lambda t, s31, out, real: eta_from_amplitudes(s31, out, real),
+        "s21_phase": lambda t, s31, out, real: principal_phase(t, out),
+        "s31_phase": lambda t, s31, out, real: principal_phase(s31[label], out),
     }[observable]
 
     # every (field, mode) frequency, field by field, so the first failing one
     # in row-major order raises before any kernel work: shape (modes, fields)
     f_ms = np.array([mode_frequencies(system, B) for B in B_grid.tolist()], dtype=float).T
     values = np.empty((B_grid.size, f_grid.size))
-    rows = max(1, _SWEEP_CELLS // f_grid.size)
-    for start in range(0, B_grid.size, rows):
-        stop = min(start + rows, B_grid.size)
-        # f at the block's full shape: one frequency point per output cell
-        f_block = np.broadcast_to(f_grid, (stop - start, f_grid.size))
-        d, chis = shared_denominator(f_block, system, f_ms[:, start:stop, None])
-        values[start:stop] = reduce(*amplitudes_from_denominator(d, chis, system, reads))
+    rows = min(max(1, _SWEEP_CELLS // f_grid.size), B_grid.size)
+    starts = range(0, B_grid.size, rows)
+
+    def run_blocks(share):
+        buffers = KernelBuffers.empty((rows, f_grid.size), len(system.modes))
+        for start in share:
+            stop = min(start + rows, B_grid.size)
+            out = buffers.head(stop - start)
+            # f at the block's full shape: one frequency point per output cell
+            f_block = np.broadcast_to(f_grid, (stop - start, f_grid.size))
+            d, chis = shared_denominator(f_block, system, f_ms[:, start:stop, None], out=out)
+            t, s31 = amplitudes_from_denominator(d, chis, system, reads, out=out)
+            reduce(t, s31, values[start:stop], out.real)
+
+    # imported here so that importing the package does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = min(_cpu_count(), len(starts))
+    with ThreadPoolExecutor(workers) as pool:  # leaving the block joins every worker
+        for share in [pool.submit(run_blocks, starts[k::workers]) for k in range(workers)]:
+            share.result()
     return SweepMap(B_grid, f_grid, values, observable)

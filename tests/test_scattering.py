@@ -1,3 +1,7 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,9 +264,9 @@ def counting_denominator(monkeypatch) -> list:
     points = []
     kernel = mc.scattering.shared_denominator
 
-    def counted(f, system, B):
+    def counted(f, *args, **kwargs):
         points.append(np.size(f))
-        return kernel(f, system, B)
+        return kernel(f, *args, **kwargs)
 
     monkeypatch.setattr(mc.scattering, "shared_denominator", counted)
     return points
@@ -350,8 +354,8 @@ class TestSweepMap:
         kernel = mc.scattering.amplitudes_from_denominator
         seen = []
 
-        def recorded(*args):
-            t, s31 = kernel(*args)
+        def recorded(*args, **kwargs):
+            t, s31 = kernel(*args, **kwargs)
             seen.append(list(s31))
             return t, s31
 
@@ -418,6 +422,182 @@ class TestSweepMap:
             mc.SweepMap(np.array([0.1]), np.array([1.0]), np.array([[-1.0]]), "s21_power")
         # phases may be negative
         mc.SweepMap(np.array([0.1]), np.array([1.0]), np.array([[-1.0]]), "s21_phase")
+
+
+def recording_executor(monkeypatch) -> list:
+    """Record the ``max_workers`` of every thread pool ``sweep_map`` opens."""
+    import concurrent.futures
+
+    pools = []
+
+    class Recorded(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    return pools
+
+
+class TestSweepWorkers:
+    B = np.linspace(0.3797, 0.3818, 7)
+    f = np.linspace(CAVITY.f_c - 150e6, CAVITY.f_c + 150e6, 101)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("rows, blocks", [(1, 7), (3, 3), (None, 1)])
+    def test_worker_count_is_the_smaller_of_cpus_and_blocks(self, cpus, rows, blocks, monkeypatch):
+        monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
+        if rows is not None:
+            monkeypatch.setattr(mc.scattering, "_SWEEP_CELLS", rows * self.f.size)
+        pools = recording_executor(monkeypatch)
+        points = counting_denominator(monkeypatch)
+        mc.sweep_map(MIXED_SYSTEM, self.B, self.f, "eta")
+        assert pools == [min(cpus, blocks)]
+        assert len(points) == blocks
+
+    def test_cpu_count_is_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(mc.scattering.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        monkeypatch.setattr(mc.scattering.os, "cpu_count", lambda: 64)
+        assert mc.scattering._cpu_count() == 3
+        monkeypatch.delattr(mc.scattering.os, "sched_getaffinity")
+        assert mc.scattering._cpu_count() == 64
+        monkeypatch.setattr(mc.scattering.os, "cpu_count", lambda: None)
+        assert mc.scattering._cpu_count() == 1
+
+    def test_more_workers_than_cores_with_fast_thread_switches(self, monkeypatch):
+        # one-row blocks on 4 workers, switching threads as often as the interpreter allows
+        monkeypatch.setattr(mc.scattering, "_SWEEP_CELLS", self.f.size)
+        B = np.linspace(0.3797, 0.3818, 41)
+        monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: 1)
+        expected = mc.sweep_map(MIXED_SYSTEM, B, self.f, "eta").values
+        monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert mc.sweep_map(MIXED_SYSTEM, B, self.f, "eta").values.tobytes() == expected.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_no_thread_outlives_the_sweep(self, cpus, monkeypatch):
+        monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(mc.scattering, "_SWEEP_CELLS", self.f.size)
+        before = threading.active_count()
+        mc.sweep_map(MIXED_SYSTEM, self.B, self.f, "eta")
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_a_block_exception_reaches_the_caller_unchanged(self, cpus, monkeypatch):
+        monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(mc.scattering, "_SWEEP_CELLS", self.f.size)
+        kernel = mc.scattering.shared_denominator
+        calls = itertools.count()
+        error = ArithmeticError("second block")
+
+        def second_block_raises(*args, **kwargs):
+            if next(calls) == 1:
+                raise error
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(mc.scattering, "shared_denominator", second_block_raises)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as raised:
+            mc.sweep_map(MIXED_SYSTEM, self.B, self.f, "eta")
+        assert raised.value is error
+        assert threading.active_count() == before
+
+
+def test_a_scalar_frequency_gives_the_bits_of_the_array_call():
+    # the kernel runs the same ufunc loops for a scalar f as for an array
+    f = np.linspace(CAVITY.f_c - 150e6, CAVITY.f_c + 150e6, 31)
+    t, s31 = mc.amplitudes(f, MIXED_SYSTEM, 0.38)
+    eta = mc.eta_spectrum(f, MIXED_SYSTEM, 0.38)
+    for k, f_k in enumerate(f):
+        t_k, s31_k = mc.amplitudes(f_k, MIXED_SYSTEM, 0.38)
+        assert t_k == t[k]
+        assert [s31_k[label] for label in s31] == [values[k] for values in s31.values()]
+        assert mc.eta_spectrum(f_k, MIXED_SYSTEM, 0.38) == eta[k]
+
+
+def test_kernel_buffers_give_the_allocated_values():
+    f = np.broadcast_to(np.linspace(CAVITY.f_c - 150e6, CAVITY.f_c + 150e6, 41), (3, 41))
+    f_ms = np.array([mc.scattering.mode_frequencies(MIXED_SYSTEM, b) for b in (0.379, 0.380, 0.381)]).T[:, :, None]
+    d, chis = mc.scattering.shared_denominator(f, MIXED_SYSTEM, f_ms)
+    t, s31 = mc.scattering.amplitudes_from_denominator(d, chis, MIXED_SYSTEM)
+    out = mc.scattering.KernelBuffers.empty((5, 41), len(MIXED_SYSTEM.modes)).head(3)
+    d_out, chis_out = mc.scattering.shared_denominator(f, MIXED_SYSTEM, f_ms, out=out)
+    assert d_out is out.d and all(a is b for a, b in zip(chis_out, out.chis))
+    assert d_out.tobytes() == d.tobytes() and [c.tobytes() for c in chis_out] == [c.tobytes() for c in chis]
+    t_out, s31_out = mc.scattering.amplitudes_from_denominator(d_out, chis_out, MIXED_SYSTEM, out=out)
+    assert t_out is out.d and t_out.tobytes() == t.tobytes()
+    assert {k: v.tobytes() for k, v in s31_out.items()} == {k: v.tobytes() for k, v in s31.items()}
+    eta = mc.scattering.eta_from_amplitudes(s31)
+    assert mc.scattering.eta_from_amplitudes(s31_out, np.empty((3, 41)), out.real).tobytes() == eta.tobytes()
+
+
+def test_the_kernel_checks_f_and_each_f_m():
+    f = np.array([10.5e9, np.nan])
+    with pytest.raises(ValueError, match="^f must be finite$"):
+        mc.scattering.shared_denominator(f, MIXED_SYSTEM, [10.6e9] * 4)
+    with pytest.raises(ValueError, match="^f_m must be finite$"):
+        mc.scattering.shared_denominator(f[:1], MIXED_SYSTEM, [10.6e9, 10.6e9, np.inf, 10.6e9])
+
+
+@st.composite
+def field_mapped_systems(draw):
+    """Zero to four magnon modes that draw every field-map kind, around the reference cavity."""
+    maps = st.one_of(
+        st.just(mc.FieldMap()),
+        st.just(mc.FieldMap(kind="msm20")),
+        st.integers(1, 4).flatmap(
+            lambda j: st.sampled_from([j, j + 1]).map(lambda i: mc.FieldMap(kind="walker", i=i, j=j))
+        ),
+        st.floats(10.4e9, 10.9e9).map(lambda f_m: mc.FieldMap(kind="fixed", frequency=f_m)),
+    )
+    modes = tuple(
+        mc.MagnonMode(
+            label=f"m{k}",
+            g=draw(st.floats(0.0, 1e8)),
+            gamma=draw(st.floats(1e5, 1e7)),
+            delta=draw(st.floats(0.0, 3.0)),
+            beta=draw(st.floats(0.2, 5.0)),
+            field_map=draw(maps),
+        )
+        for k in range(draw(st.integers(0, 4)))
+    )
+    return mc.HybridSystem(cavity=CAVITY, modes=modes, material=mc.MaterialParams(diameter=0.75e-3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sys_=field_mapped_systems(),
+    n_fields=st.integers(1, 8),
+    n_freqs=st.integers(1, 40),
+    rows=st.sampled_from([1, 3, None]),
+)
+def test_sweep_values_do_not_depend_on_the_worker_count(sys_, n_fields, n_freqs, rows):
+    B = np.linspace(0.37, 0.39, n_fields)
+    f = np.linspace(CAVITY.f_c - 200e6, CAVITY.f_c + 200e6, n_freqs)
+    label = sys_.modes[0].label if sys_.modes else None
+    point = {
+        "s21_power": lambda b: np.abs(mc.s21(f, sys_, b)) ** 2,
+        "s11_power": lambda b: np.abs(mc.s11(f, sys_, b)) ** 2,
+        "eta": lambda b: mc.eta_spectrum(f, sys_, b),
+        "s21_phase": lambda b: mc.principal_phase(mc.s21(f, sys_, b)),
+        "s31_phase": lambda b: mc.principal_phase(mc.s31_mode(f, sys_, b, label)),
+    }
+    for observable in mc.scattering.OBSERVABLES:
+        if not sys_.modes and observable in ("eta", "s31_phase"):
+            continue
+        expected = np.array([point[observable](b) for b in B])
+        for cpus in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
+                if rows is not None:
+                    patch.setattr(mc.scattering, "_SWEEP_CELLS", rows * f.size)
+                swept = mc.sweep_map(sys_, B, f, observable)
+            assert swept.values.tobytes() == expected.tobytes(), (observable, cpus)
 
 
 def test_degenerate_mode_frequencies_stay_finite():
