@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -60,18 +61,30 @@ def _write_csv(out: str | None, header, lines) -> None:
 
     Each block is one or more whole rows, each ending in \r\n (see
     ``_csv_line``). ``lines`` may be a generator: it is consumed one block at
-    a time, so the blocks before one that raises are already written.
+    a time, so the blocks before one that raises are already written. An
+    OSError while writing (a full disk, a reader that closed the pipe) is a
+    ConfigError: a partial ``out`` file is removed, and a failed stdout is
+    pointed at os.devnull, so that the interpreter's last flush is silent.
     """
+    to_stdout = out is None or out == "-"
     try:
-        if out is None or out == "-":
-            target = nullcontext(sys.stdout)
-        else:
-            target = open(out, "w", encoding="utf-8", newline="")
+        handle = sys.stdout if to_stdout else open(out, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write output file {out}: {exc}") from None
-    with target as handle:
-        handle.write(_csv_line(header))
-        handle.writelines(lines)
+    try:
+        with nullcontext(handle) if to_stdout else handle:
+            handle.write(_csv_line(header))
+            handle.writelines(lines)
+            handle.flush()
+    except OSError as exc:
+        if to_stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ConfigError(f"cannot write output to stdout: {exc}") from None
+        if os.path.isfile(out):  # not a device such as /dev/full
+            os.remove(out)
+        raise ConfigError(f"cannot write output file {out}: {exc}") from None
 
 
 def _read_csv(path: str, required) -> list[dict]:

@@ -34,12 +34,8 @@ _IMAG_TOL = 1e-9
 # Probe frequencies with |gamma_e^2 B_i^2 - f^2| below this fraction of the
 # larger square are treated as the susceptibility pole itself.
 _POLE_GUARD = 1e-12
-# The array residual of the panel scan differs from the scalar one in its
-# last bits (numpy's complex sqrt and division are not CPython's), so a
-# panel whose array endpoints come this close to zero is rechecked in scalar.
-_SCAN_SLACK = 1e-9
-# Bias fields scanned per array call: bounds the scan's temporaries to
-# _SCAN_BLOCK * (_N_PANELS + 1) complex values whatever the table size.
+# Bias fields scanned and refined together: bounds the scan's temporaries
+# to _SCAN_BLOCK * (_N_PANELS + 1) complex values whatever the table size.
 _SCAN_BLOCK = 256
 # Panels per search window, and the absolute tolerance (Hz) of Brent's
 # method; accepted roots closer than 10 * _F_TOL are one root.
@@ -49,7 +45,7 @@ _F_TOL = 1.0
 # term and is even in f, so a window reaching below zero can hold the
 # mirror root -f of a positive one.
 _WINDOW_FLOOR = 1.0
-# Relative tolerance and iteration cap of :func:`brentq`: scipy's defaults.
+# Relative tolerance and iteration cap of :func:`_brent`: scipy's defaults.
 _BRENT_RTOL = 4 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
@@ -137,7 +133,7 @@ def _legendre_pair(i: int, j: int, z):
     Includes the Condon-Shortley phase (matches scipy.special.lpmv on
     real arguments in (-1, 1)). Plain arithmetic, so ``z`` may be a complex
     scalar or a complex array; at z = +/-1 the derivative is singular, and
-    the caller raises (:func:`_legendre_pair_at`) or masks the point.
+    the caller raises or masks the point.
     """
     somx2 = (1.0 - z * z) ** 0.5
     p_jj = 1.0 + 0.0j
@@ -154,14 +150,6 @@ def _legendre_pair(i: int, j: int, z):
     return p_i, dp
 
 
-def _legendre_pair_at(i: int, j: int, z) -> tuple[complex, complex]:
-    """:func:`_legendre_pair` at one point, with z = +/-1 reported as a DomainError."""
-    z = complex(z)
-    if z * z - 1.0 == 0:
-        raise DomainError("Legendre derivative is singular at z = +/-1")
-    return _legendre_pair(i, j, z)
-
-
 def assoc_legendre(i: int, j: int, x):
     """Associated Legendre function P_i^j and its first derivative at x.
 
@@ -176,8 +164,11 @@ def assoc_legendre(i: int, j: int, x):
         raise ValueError("order j must satisfy -i <= j <= i")
     if not (isinstance(x, complex) or math.isfinite(x)):
         raise ValueError("x must be finite")
+    z = complex(x)
+    if z * z - 1.0 == 0:
+        raise DomainError("Legendre derivative is singular at z = +/-1")
     m = abs(j)
-    p, dp = _legendre_pair_at(i, m, x)
+    p, dp = _legendre_pair(i, m, z)
     if j < 0:
         scale = (-1) ** m * math.factorial(i - m) / math.factorial(i + m)
         p, dp = scale * p, scale * dp
@@ -188,42 +179,48 @@ def assoc_legendre(i: int, j: int, x):
     return p, dp
 
 
-def _polder_components(f: float, q: WalkerModeQuery, material: MaterialParams) -> tuple[float, float, float]:
-    """chi1, chi2 and the pole frequency gamma_e*B_i at probe frequency f."""
-    B_i = internal_field(q.B_ext, material)
-    x = material.gamma_e * B_i
+def _characteristic_grid(f, B_ext, i: int, j: int, material: MaterialParams):
+    """Left side of the characteristic equation on arrays of probe frequencies.
+
+    ``f`` and ``B_ext`` broadcast against each other: one row of frequencies
+    per bias field in the panel scan, one field per probe in Brent's rounds.
+    chi1 may put xi0^2 = 1 + 1/chi1 below zero inside the magnetostatic
+    band; the Legendre ratio xi0*P'/P is an even function of xi0 and hence
+    real for any real xi0^2, so the residual is evaluated on a complex path
+    and its (verified negligible) imaginary part discarded. The result is
+    NaN where the residual is undefined: at the pole guard, for chi1 == 0,
+    xi0 = +/-1, P_i^j == 0, and a residual that is not real. Each element's
+    bits depend only on its own f and B_ext, not on the arrays' sizes.
+    """
+    x = material.gamma_e * internal_field(B_ext, material)
     f_M = material.gamma_e * material.mu0_Ms
-    den = x * x - f * f
-    # |x^2 - f^2| ~ 2*x*|x - f|; guard against the susceptibility pole
-    if abs(den) < _POLE_GUARD * max(x * x, f * f):
-        raise DomainError(f"characteristic equation has a pole at f = {x:.6e} Hz (gamma_e * B_internal)")
-    chi1 = f_M * x / den
-    chi2 = f_M * f / den
-    return chi1, chi2, x
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = x * x - f * f
+        # |x^2 - f^2| ~ 2*x*|x - f|; guard against the susceptibility pole
+        undefined = np.abs(den) < _POLE_GUARD * np.maximum(x * x, f * f)
+        chi1, chi2 = f_M * x / den, f_M * f / den
+        undefined |= chi1 == 0
+        xi0 = (1.0 + 1.0 / chi1).astype(complex) ** 0.5
+        undefined |= xi0 * xi0 - 1.0 == 0
+        p, dp = _legendre_pair(i, abs(j), xi0)
+        undefined |= p == 0
+        value = (i + 1) + xi0 * dp / p + j * chi2
+        undefined |= np.abs(value.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(value.real))
+    return np.where(undefined, np.nan, value.real)
 
 
 def walker_characteristic(f: float, q: WalkerModeQuery, material: MaterialParams) -> float:
-    """Left side of the sphere's magnetostatic characteristic equation.
+    """Left side of the sphere's magnetostatic characteristic equation at one probe frequency.
 
-    chi1 may put xi0^2 = 1 + 1/chi1 below zero inside the magnetostatic
-    band; the Legendre ratio xi0*P'/P is an even function of xi0 and hence
-    real for any real xi0^2, so the residual is evaluated on a complex
-    path and its (verified negligible) imaginary part discarded.
+    A one-point :func:`_characteristic_grid`, so it returns the bits the
+    solver sees; raises DomainError where the residual is undefined.
     """
     if not math.isfinite(f):
         raise ValueError("f must be finite")
-    chi1, chi2, _ = _polder_components(f, q, material)
-    if chi1 == 0:
-        raise DomainError("chi1 vanished; characteristic equation undefined")
-    xi0 = complex(1.0 + 1.0 / chi1) ** 0.5
-    p, dp = _legendre_pair_at(q.i, abs(q.j), xi0)
-    if p == 0:
-        raise DomainError(f"P_i^j vanishes at xi0 = {xi0}; residual has a pole here")
-    ratio = xi0 * dp / p
-    value = (q.i + 1) + ratio + q.j * chi2
-    if abs(value.imag) > _IMAG_TOL * max(1.0, abs(value.real)):
-        raise DomainError(f"characteristic residual is not real at f = {f:.6e} Hz (imag {value.imag:.3e})")
-    return value.real
+    value = _characteristic_grid(np.array([f], dtype=float), np.array([q.B_ext]), q.i, q.j, material).item()
+    if math.isnan(value):
+        raise DomainError(f"characteristic residual of ({q.i},{q.j}) is undefined at f = {f:.6e} Hz")
+    return value
 
 
 def _positive_window(center: float, half: float) -> tuple[float, float]:
@@ -242,43 +239,17 @@ def default_search_window(q: WalkerModeQuery, material: MaterialParams) -> tuple
     return _positive_window(kittel_frequency(q.B_ext, material), 1.5 * material.gamma_e * material.mu0_Ms)
 
 
-def _characteristic_grid(f, B_ext, i: int, j: int, material: MaterialParams):
-    """:func:`walker_characteristic` on an array of probe frequencies.
-
-    ``f`` and ``B_ext`` broadcast against each other (one row of
-    frequencies per bias field). The result is NaN wherever the scalar
-    function raises DomainError: at the pole guard, for chi1 == 0,
-    xi0 = +/-1, P_i^j == 0, and a residual that is not real.
-    """
-    x = material.gamma_e * internal_field(B_ext, material)
-    f_M = material.gamma_e * material.mu0_Ms
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = x * x - f * f
-        undefined = np.abs(den) < _POLE_GUARD * np.maximum(x * x, f * f)
-        chi1 = f_M * x / den
-        chi2 = f_M * f / den
-        undefined |= chi1 == 0
-        xi0 = (1.0 + 1.0 / chi1).astype(complex) ** 0.5
-        undefined |= xi0 * xi0 - 1.0 == 0
-        p, dp = _legendre_pair(i, abs(j), xi0)
-        undefined |= p == 0
-        value = (i + 1) + xi0 * dp / p + j * chi2
-        undefined |= np.abs(value.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(value.real))
-    return np.where(undefined, np.nan, value.real)
-
-
 @dataclass(frozen=True)
 class WalkerSolutions:
     """What one :func:`solve_walker_modes` call found, and how.
 
     ``outcomes`` holds, per query in order, its root in Hz or the
     DomainError that solving it alone raises. The counters sum over the
-    queries: panels the array scan selected for scalar refinement, Brent
-    refinements run, candidates rejected as pole crossings (a residual
-    above the root tolerance, or a refinement that walked into the pole
-    guard or that Brent's method could not finish), accepted roots
-    merged into an earlier one within 10 * _F_TOL, and scalar residuals
-    evaluated (each distinct probe frequency of a query once).
+    queries: panels whose scanned edge residuals change sign or touch zero,
+    Brent refinements run (strict sign changes), candidates rejected as
+    pole crossings (a residual above the root tolerance, or a refinement
+    that met a NaN residual or did not converge), accepted roots merged
+    into an earlier one within 10 * _F_TOL, and Brent's probes evaluated.
     """
 
     outcomes: tuple[float | DomainError, ...]
@@ -296,30 +267,31 @@ class WalkerSolutions:
         return outcome
 
 
-def brentq(f, a: float, b: float, xtol: float) -> float:
-    """A root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+def _probe(x: float):
+    """Yield the probe x and return the value of f sent back; a NaN value raises DomainError."""
+    fx = yield x
+    if math.isnan(fx):
+        raise DomainError(f"Brent's method met a NaN residual at x = {x!r}")
+    return fx
 
-    A line-by-line port of scipy's ``Zeros/brentq.c``, with its relative
-    tolerance ``_BRENT_RTOL`` and at most ``_BRENT_MAXITER`` iterations, so
-    it returns the float that ``scipy.optimize.brentq(f, a, b, xtol=xtol)``
-    returns. Where scipy raises, this raises DomainError: f(a) and f(b) of
-    the same sign, a NaN value of ``f``, and no convergence.
+
+def _brent(a: float, b: float, xtol: float):
+    """Brent's method (Brent 1973, ch. 4) as a generator: it yields each probe x, a and b first.
+
+    Sent f(x) back, it returns (root, f(root)). A line-by-line port of
+    scipy's ``Zeros/brentq.c``, with its relative tolerance ``_BRENT_RTOL``
+    and at most ``_BRENT_MAXITER`` iterations. Where scipy raises, this
+    raises DomainError: f(a) and f(b) of the same sign, a NaN value of f,
+    and no convergence.
     """
-
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise DomainError(f"Brent's method met a NaN residual at x = {x!r}")
-        return fx
-
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
+    fpre = yield from _probe(xpre)
+    fcur = yield from _probe(xcur)
     if fpre == 0:
-        return xpre
+        return xpre, fpre
     if fcur == 0:
-        return xcur
+        return xcur, fcur
     if (fpre < 0) == (fcur < 0):  # no zero and no NaN left: the signbit test of brentq.c
         raise DomainError(f"Brent bracket ({xpre!r}, {xcur!r}) does not change sign")
     for _ in range(_BRENT_MAXITER):
@@ -333,7 +305,7 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
         delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
@@ -356,76 +328,23 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = yield from _probe(xcur)
     raise DomainError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations (last x = {xcur!r})")
 
 
-def _refine(
-    q: WalkerModeQuery,
-    material: MaterialParams,
-    edges: list[float],
-    panels: list[int],
-    counts: Counter,
-) -> list[float]:
-    """The roots that scalar refinement finds in one query's selected panels.
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """A root of the scalar function ``f`` in [a, b] by Brent's method (:func:`_brent`).
 
-    Brent's method only ever sees the scalar residual: both endpoints of a
-    selected panel are evaluated again in scalar and must bracket a root
-    there, so the roots do not depend on the array scan's last bits. Each
-    probe frequency is evaluated at most once per call.
+    It evaluates f where ``scipy.optimize.brentq(f, a, b, xtol=xtol)`` does
+    and returns the same float; where scipy raises, it raises DomainError.
     """
-
-    # every probe of this query, with its residual or the DomainError raised
-    # there: walker_characteristic is a pure function of (f, q, material), so
-    # a repeated probe (a panel edge Brent starts from, Brent's last point,
-    # an edge two panels share) is evaluated once
-    seen: dict[float, float | DomainError] = {}
-
-    def residual(f: float) -> float:
-        if f not in seen:
-            counts["residual_evals"] += 1
-            try:
-                seen[f] = walker_characteristic(f, q, material)
-            except DomainError as exc:
-                seen[f] = exc
-        value = seen[f]
-        if isinstance(value, DomainError):
-            raise value
-        return value
-
-    def scalar(f: float) -> float:
-        try:
-            return residual(f)
-        except DomainError:
-            return math.nan
-
-    roots: list[float] = []
-    for k in panels:
-        fa, fb = edges[k], edges[k + 1]
-        ra, rb = scalar(fa), scalar(fb)
-        if math.isnan(ra) or math.isnan(rb) or (ra == 0 and rb == 0):
-            continue
-        try:
-            if ra == 0:
-                candidate = fa
-            elif rb == 0:
-                candidate = fb
-            elif ra * rb < 0:
-                counts["brent_calls"] += 1
-                candidate = brentq(residual, fa, fb, xtol=_F_TOL)
-            else:
-                continue
-            if abs(residual(candidate)) > _ROOT_RESIDUAL_TOL:
-                counts["poles_rejected"] += 1
-                continue  # sign change straddles a pole, not a root
-        except DomainError:
-            counts["poles_rejected"] += 1
-            continue  # refinement walked into the pole guard, or Brent failed: not a root
-        if any(abs(candidate - r) <= 10 * _F_TOL for r in roots):
-            counts["duplicates_merged"] += 1
-        else:
-            roots.append(candidate)
-    return roots
+    search = _brent(a, b, xtol)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(float(f(x)))
+    except StopIteration as done:
+        return done.value[0]
 
 
 def solve_walker_modes(
@@ -437,18 +356,17 @@ def solve_walker_modes(
 
     Every query must share one (i, j); ``windows`` gives each query's
     search window, or None for :func:`default_search_window`. Each window
-    is split into ``_N_PANELS`` panels, and the residual at every
-    panel edge of a block of fields is evaluated in one array call. A panel
-    is refined in scalar (:func:`_refine`) when its array endpoints change
-    sign, touch zero or come within ``_SCAN_SLACK`` of it: each sign change
-    is refined by Brent's method to ``_F_TOL`` and kept only
-    if the residual there is small, which weeds out sign flips across
-    poles of the residual (the chi pole and zeros of P_i^j). A query must
-    keep exactly one root; otherwise its outcome is the DomainError that
+    is split into ``_N_PANELS`` panels, and the residual at every panel
+    edge of a block of fields is evaluated in one array call. Every panel
+    whose edge residuals change sign or touch zero is refined from them by
+    Brent's method to ``_F_TOL``, with one array call per round for the
+    probes of all of the block's refinements. A root is kept only if the
+    residual there is small, which weeds out sign flips across poles of
+    the residual (the chi pole and zeros of P_i^j). A query must keep
+    exactly one root; otherwise its outcome is the DomainError that
     reports an empty or ambiguous window.
     """
-    queries = list(queries)
-    windows = list(windows)
+    queries, windows = list(queries), list(windows)
     if len(windows) != len(queries):
         raise ValueError(f"{len(queries)} queries but {len(windows)} search windows")
     if len({(q.i, q.j) for q in queries}) > 1:
@@ -468,24 +386,64 @@ def solve_walker_modes(
         lows, highs = np.array(block_bounds).T
         # the scalar edges lo + (hi - lo) * k / _N_PANELS, bit for bit
         edges = lows[:, None] + (highs - lows)[:, None] * steps / _N_PANELS
+        fields = np.array([q.B_ext for q in block])
         mode = block[0]
-        values = _characteristic_grid(edges, np.array([q.B_ext for q in block])[:, None], mode.i, mode.j, material)
-        near_zero = np.abs(values) <= _SCAN_SLACK
-        with np.errstate(over="ignore"):
-            selected = (values[:, :-1] * values[:, 1:] <= 0) | near_zero[:, :-1] | near_zero[:, 1:]
-        counts["panels_selected"] += int(selected.sum())
-        for q, (lo, hi), row, panels in zip(block, block_bounds, edges.tolist(), selected):
-            roots = _refine(q, material, row, np.flatnonzero(panels).tolist(), counts)
-            if not roots:
+        values = _characteristic_grid(edges, fields[:, None], mode.i, mode.j, material)
+        signs = np.sign(values)  # NaN edges select nothing
+        crossing = signs[:, :-1] * signs[:, 1:]
+        counts["panels_selected"] += int((crossing <= 0).sum())
+        counts["brent_calls"] += int((crossing < 0).sum())
+
+        # one Brent search per selected panel, in query then panel order, sent
+        # the scan's edge values: the left one here, the right one in round one
+        rows, panels = (index.tolist() for index in np.nonzero(crossing <= 0))
+        edges, values = edges.tolist(), values.tolist()
+        pending = []  # (search number, Brent search, value of f at its last probe)
+        for s, (row, k) in enumerate(zip(rows, panels)):
+            search = _brent(edges[row][k], edges[row][k + 1], _F_TOL)
+            next(search)
+            search.send(values[row][k])
+            pending.append((s, search, values[row][k + 1]))
+        found: list[float | None] = [None] * len(rows)  # the accepted root of each search
+        while pending:
+            probes = []
+            for s, search, fx in pending:
+                try:
+                    probes.append((s, search, search.send(fx)))
+                except StopIteration as done:
+                    root, f_root = done.value
+                    if abs(f_root) <= _ROOT_RESIDUAL_TOL:
+                        found[s] = root
+                    else:
+                        counts["poles_rejected"] += 1  # sign change straddles a pole, not a root
+                except DomainError:
+                    counts["poles_rejected"] += 1  # a NaN residual or no convergence: not a root
+            if not probes:
+                break
+            counts["residual_evals"] += len(probes)
+            x = np.array([x for _, _, x in probes])
+            fx = _characteristic_grid(x, fields[[rows[s] for s, _, _ in probes]], mode.i, mode.j, material)
+            pending = [(s, search, f) for (s, search, _), f in zip(probes, fx.tolist())]
+
+        roots: list[list[float]] = [[] for _ in block]
+        for row, root in zip(rows, found):
+            if root is None:
+                continue
+            if any(abs(root - r) <= 10 * _F_TOL for r in roots[row]):
+                counts["duplicates_merged"] += 1
+            else:
+                roots[row].append(root)
+        for q, (lo, hi), q_roots in zip(block, block_bounds, roots):
+            if not q_roots:
                 outcomes.append(DomainError(
                     f"no root of the ({q.i},{q.j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz"
                 ))
-            elif len(roots) > 1:
+            elif len(q_roots) > 1:
                 outcomes.append(DomainError(
-                    f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(roots)} roots for ({q.i},{q.j}); narrow it"
+                    f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(q_roots)} roots for ({q.i},{q.j}); narrow it"
                 ))
             else:
-                outcomes.append(roots[0])
+                outcomes.append(q_roots[0])
     return WalkerSolutions(outcomes=tuple(outcomes), **counts)
 
 

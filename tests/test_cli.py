@@ -893,3 +893,56 @@ class TestCsvContract:
         assert by_name["loss"] == "complex_residual"
         assert int(by_name["iterations"]) == n_trace - 1
         assert float(by_name["rms_residual"]) == float(rows[-1]["value"])
+
+
+CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+
+
+def cli_argv(args):
+    """The argv of the CLI in a child interpreter on this checkout's package."""
+    return [sys.executable, "-m", "magnoncavity.cli", *map(str, args)]
+
+
+def run_process(args, **kwargs):
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run(cli_argv(args), env=CLI_ENV, text=True, **kwargs)
+
+
+class TestWriteErrors:
+    """A write that fails after its target opened exits 2 with one line and no traceback."""
+
+    MAP = ["map", CONFIG_DIR / "sphere_0p45mm_map.yaml"]  # 0.7 MB of CSV, more than a pipe holds
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", [MAP, ["modes", CONFIG_DIR / "walker_modes.yaml"]], ids=["map", "modes"])
+    def test_a_full_device_is_a_config_error(self, command):
+        done = run_process(command + ["--out", "/dev/full"])
+        assert (done.returncode, done.stderr) == (
+            2, "config error: cannot write output file /dev/full: [Errno 28] No space left on device\n"
+        )
+        with open("/dev/full", "w") as full:
+            done = run_process(command, stdout=full)
+        assert (done.returncode, done.stderr) == (
+            2, "config error: cannot write output to stdout: [Errno 28] No space left on device\n"
+        )
+        assert Path("/dev/full").is_char_device()
+
+    def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(self):
+        argv = cli_argv(self.MAP)
+        with subprocess.Popen(argv, env=CLI_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+            assert child.stdout.readline() == "B_T,f_hz,value\n"
+            child.stdout.close()
+            stderr = child.stderr.read()
+        assert (child.returncode, stderr) == (2, "config error: cannot write output to stdout: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
+    def test_a_failed_out_write_leaves_no_partial_file(self, tmp_path):
+        import resource
+
+        def small_files():  # in the child: files stop growing at 64 KiB, and a write past it fails with EFBIG
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+        out = tmp_path / "map.csv"
+        done = run_process(self.MAP + ["--out", out], preexec_fn=small_files)
+        assert (done.returncode, done.stderr) == (2, f"config error: cannot write output file {out}: [Errno 27] File too large\n")
+        assert not out.exists()

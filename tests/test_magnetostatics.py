@@ -254,25 +254,13 @@ def scalar_scan_reference(q, window, n_panels=64, f_tol=1.0):
         return mc.walker_characteristic(f, q, MAT)
 
     edges = [lo + (hi - lo) * k / n_panels for k in range(n_panels + 1)]
-    values = []
-    for f in edges:
-        try:
-            values.append(residual(f))
-        except DomainError:
-            values.append(math.nan)
+    values = [math.nan if isinstance(r, str) else r for r in (outcome(residual, f) for f in edges)]
     roots = []
     for (fa, ra), (fb, rb) in zip(zip(edges, values), zip(edges[1:], values[1:])):
-        if math.isnan(ra) or math.isnan(rb) or (ra == 0 and rb == 0):
+        if not np.sign(ra) * np.sign(rb) <= 0:  # no sign change, or a NaN edge
             continue
         try:
-            if ra == 0:
-                candidate = fa
-            elif rb == 0:
-                candidate = fb
-            elif ra * rb < 0:
-                candidate = brentq(residual, fa, fb, xtol=f_tol)
-            else:
-                continue
+            candidate = brentq(residual, fa, fb, xtol=f_tol)  # returns an edge where the residual is 0
             if abs(residual(candidate)) > 1e-4:
                 continue
         except DomainError:
@@ -293,6 +281,61 @@ def outcome(solve, *args):
         return str(exc)
 
 
+def _oracle_legendre_pair(i, m, z):
+    """P_i^m(z) and dP_i^m/dz for 0 <= m <= i in CPython complex arithmetic (forward recurrences)."""
+    p_mm = 1.0 + 0.0j
+    for k in range(1, m + 1):
+        p_mm *= -(2 * k - 1) * (1.0 - z * z) ** 0.5
+    p_prev, p_curr = 0.0 + 0.0j, p_mm
+    for n in range(m + 1, i + 1):
+        p_prev, p_curr = p_curr, ((2 * n - 1) * z * p_curr - (n - 1 + m) * p_prev) / (n - m)
+    return p_curr, (i * z * p_curr - (i + m) * p_prev) / (z * z - 1.0)
+
+
+def scalar_residual_oracle(f, q):
+    """The characteristic residual at one point in CPython float and complex arithmetic.
+
+    Returns the residual and chi1, or None where it is undefined: at the
+    pole guard, for chi1 == 0, xi0 = +/-1, P_i^j == 0, and a residual that
+    is not real.
+    """
+    x = MAT.gamma_e * mc.internal_field(q.B_ext, MAT)
+    den = x * x - f * f
+    if abs(den) < 1e-12 * max(x * x, f * f):
+        return None
+    chi1, chi2 = F_M * x / den, F_M * f / den
+    if chi1 == 0:
+        return None
+    xi0 = complex(1.0 + 1.0 / chi1) ** 0.5
+    if xi0 * xi0 - 1.0 == 0:
+        return None
+    p, dp = _oracle_legendre_pair(q.i, abs(q.j), xi0)
+    if p == 0:
+        return None
+    value = (q.i + 1) + xi0 * dp / p + q.j * chi2
+    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
+        return None
+    return value.real, chi1
+
+
+def record_grid(monkeypatch, nan_at=()):
+    """Record every (B_ext, f) point each call of the array residual evaluates, in a list of calls.
+
+    The residual is NaN at the frequencies in ``nan_at``.
+    """
+    calls = []
+    grid = magnetostatics._characteristic_grid
+
+    def recorded(f, B_ext, i, j, material):
+        fs, fields = np.broadcast_arrays(f, B_ext)
+        calls.append(list(zip(fields.ravel().tolist(), fs.ravel().tolist())))
+        values = grid(f, B_ext, i, j, material)
+        return np.where(np.isin(fs, list(nan_at)), np.nan, values)
+
+    monkeypatch.setattr(magnetostatics, "_characteristic_grid", recorded)
+    return calls
+
+
 @st.composite
 def residual_points(draw):
     """A Walker query and a probe frequency: in its default window, or next to the chi pole."""
@@ -308,23 +351,40 @@ def residual_points(draw):
     return q, lo + (hi - lo) * draw(st.floats(0.0, 1.0))
 
 
+# (2,2) at 0.367 T: the array residual is exactly 0.0 at the closed form,
+# which is the centre edge of its closed-form window
+EDGE_ROOT = mc.WalkerModeQuery(i=2, j=2, B_ext=0.367)
+
+
 class TestBatchedSolver:
     @settings(max_examples=150, deadline=None)
     @given(residual_points())
     def test_array_residual_is_nan_exactly_where_the_scalar_one_raises(self, point):
         q, f = point
-        grid = float(magnetostatics._characteristic_grid(np.array(f), np.array(q.B_ext), q.i, q.j, MAT))
-        try:
-            r = mc.walker_characteristic(f, q, MAT)
-        except DomainError:
+        grid = magnetostatics._characteristic_grid(np.array([f]), np.array([q.B_ext]), q.i, q.j, MAT).item()
+        oracle = scalar_residual_oracle(f, q)
+        if oracle is None:
             assert math.isnan(grid)
+            with pytest.raises(DomainError, match=r"characteristic residual of .* is undefined at f = "):
+                mc.walker_characteristic(f, q, MAT)
             return
-        chi1 = magnetostatics._polder_components(f, q, MAT)[0]
+        r, chi1 = oracle
         # round-off is amplified by chi1 = 1/(xi0^2 - 1) next to the chi pole,
         # and by the residual itself next to a zero of P_i^j
         assert abs(grid - r) <= 1e-12 * max(1.0, abs(r)) * max(1.0, abs(r), abs(chi1))
-        # what the panel scan relies on: the signs agree outside the rechecked band
-        assert abs(grid) <= magnetostatics._SCAN_SLACK or (grid > 0) == (r > 0)
+        assert mc.walker_characteristic(f, q, MAT) == grid
+
+    def test_array_residual_bits_do_not_depend_on_the_array_size(self):
+        q = mc.WalkerModeQuery(i=3, j=2, B_ext=0.38)
+        lo, hi = default_search_window(q, MAT)
+        f = np.linspace(lo, hi, 3000)
+        whole = magnetostatics._characteristic_grid(f, np.full(f.shape, q.B_ext), q.i, q.j, MAT)
+        for size in (1, 3, 7, 17):
+            for start in range(0, 400, size):
+                part = magnetostatics._characteristic_grid(
+                    f[start : start + size], np.full(size, q.B_ext), q.i, q.j, MAT
+                )
+                np.testing.assert_array_equal(part, whole[start : start + size])
 
     @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize(
@@ -353,36 +413,30 @@ class TestBatchedSolver:
         assert solved.brent_calls == 2  # two sign changes: the root and the pole crossing
         assert solved.poles_rejected == 1
         assert solved.duplicates_merged == 0
-        # the root sits on the window's centre edge, whose array residual
-        # (1.3e-15) selects the panel beyond it for a scalar recheck too
-        assert solved.panels_selected == 3
+        # the root sits near the window's centre edge, but no panel is picked for that alone
+        assert solved.panels_selected == 2
 
     def test_counters_sum_over_queries(self):
         queries = [mc.WalkerModeQuery(i=1, j=1, B_ext=B) for B in (0.38, 0.38)]
         solved = solve_walker_modes(queries, MAT, [None, None])
         assert solved.outcomes == (solved.root(0), solved.root(0))
-        assert (solved.panels_selected, solved.brent_calls, solved.poles_rejected) == (6, 4, 2)
+        assert (solved.panels_selected, solved.brent_calls, solved.poles_rejected) == (4, 4, 2)
 
     def test_a_root_on_a_panel_edge_is_merged_not_doubled(self):
-        # at 0.375 T the scalar (3,3) residual is exactly 0.0 at the closed form,
-        # which is the centre edge of its window: both panels it bounds yield it
-        q = mc.WalkerModeQuery(i=3, j=3, B_ext=0.375)
+        # the residual is exactly 0.0 at the centre edge: both panels it bounds yield it
+        q = EDGE_ROOT
         closed = mc.msm_frequency_linear(q, MAT)
         assert mc.walker_characteristic(closed, q, MAT) == 0.0
-        window = (closed - 0.03 * F_M, closed + 0.03 * F_M)
+        window = magnetostatics.closed_form_window(closed, MAT)
+        assert window[0] + (window[1] - window[0]) * 32 / 64 == closed
         solved = solve_walker_modes([q], MAT, [window])
         assert solved.root(0) == closed == scalar_scan_reference(q, window)
         assert (solved.panels_selected, solved.brent_calls, solved.duplicates_merged) == (2, 0, 1)
+        assert solved.residual_evals == 0
 
     @pytest.mark.parametrize("ij", [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (2, 0), (3, 1), (4, 1)])
     def test_each_probe_of_a_query_is_evaluated_once(self, monkeypatch, ij):
-        calls = []
-
-        def recorded(f, q, material):
-            calls.append((q, f))
-            return mc.walker_characteristic(f, q, material)
-
-        monkeypatch.setattr(magnetostatics, "walker_characteristic", recorded)
+        calls = record_grid(monkeypatch)
         queries = [mc.WalkerModeQuery(i=ij[0], j=ij[1], B_ext=B) for B in (0.3, 0.375, 0.38, 0.45)]
         closed_map = magnetostatics.closed_form_map(*ij)
         # the default windows (two roots, or a rejected pole crossing at 0.38 T),
@@ -395,30 +449,36 @@ class TestBatchedSolver:
         for windows in window_sets:
             calls.clear()
             solved = solve_walker_modes(queries, MAT, windows)
-            assert calls and len(set(calls)) == len(calls)
-            assert solved.residual_evals == len(calls)
-            assert [outcome(solved.root, k) for k in range(len(queries))] == [
-                outcome(scalar_scan_reference, q, w) for q, w in zip(queries, windows)
-            ]
+            points = [point for call in calls for point in call]
+            assert len(calls) > 1 and len(set(points)) == len(points)
+            # the first call is the panel scan; every later one holds Brent's probes
+            assert len(calls[0]) == len(queries) * (magnetostatics._N_PANELS + 1)
+            assert solved.residual_evals == len(points) - len(calls[0])
+            expected = [outcome(scalar_scan_reference, q, w) for q, w in zip(queries, windows)]
+            assert [outcome(solved.root, k) for k in range(len(queries))] == expected
 
-    def test_a_probe_that_raises_is_evaluated_once_and_raises_again(self, monkeypatch):
-        # the (3,3) root at 0.375 T is the edge two selected panels share (see above);
-        # make the residual raise there, so both panels drop out
-        q = mc.WalkerModeQuery(i=3, j=3, B_ext=0.375)
+    def test_a_nan_residual_is_evaluated_once_and_rejects_its_panels(self, monkeypatch):
+        # NaN at the edge two selected panels share (see above): neither is selected
+        q = EDGE_ROOT
         closed = mc.msm_frequency_linear(q, MAT)
-        calls = []
-
-        def raising(f, q, material):
-            calls.append(f)
-            if f == closed:
-                raise DomainError("raised at the shared edge")
-            return mc.walker_characteristic(f, q, material)
-
-        monkeypatch.setattr(magnetostatics, "walker_characteristic", raising)
+        calls = record_grid(monkeypatch, nan_at=[closed])
         solved = solve_walker_modes([q], MAT, [magnetostatics.closed_form_window(closed, MAT)])
-        assert calls.count(closed) == 1
-        assert (solved.panels_selected, solved.brent_calls, solved.residual_evals) == (2, 0, len(calls))
-        with pytest.raises(DomainError, match=r"no root of the \(3,3\) characteristic equation"):
+        assert [f for call in calls for _, f in call].count(closed) == 1
+        assert (solved.panels_selected, solved.brent_calls, solved.residual_evals) == (0, 0, 0)
+        with pytest.raises(DomainError, match=r"no root of the \(2,2\) characteristic equation"):
+            solved.root(0)
+
+    def test_a_nan_brent_probe_rejects_its_panel_as_a_pole_crossing(self, monkeypatch):
+        q = mc.WalkerModeQuery(i=2, j=2, B_ext=0.38)
+        window = magnetostatics.closed_form_window(mc.msm_frequency_linear(q, MAT), MAT)
+        calls = record_grid(monkeypatch)
+        solve_walker_modes([q], MAT, [window])
+        first_probe = calls[1][0][1]
+        calls = record_grid(monkeypatch, nan_at=[first_probe])
+        solved = solve_walker_modes([q], MAT, [window])
+        assert len(calls) == 2  # the scan and one Brent round, which stops at the NaN
+        assert (solved.brent_calls, solved.poles_rejected, solved.residual_evals) == (1, 1, 1)
+        with pytest.raises(DomainError, match=r"no root of the \(2,2\) characteristic equation"):
             solved.root(0)
 
     def test_queries_must_share_indices(self):
@@ -508,6 +568,30 @@ class TestBrent:
         q, fa, fb = panel
         assert_port_is_scipy(lambda f: mc.walker_characteristic(f, q, MAT), fa, fb, magnetostatics._F_TOL)
 
+    @settings(max_examples=200, deadline=None)
+    @given(walker_panels())
+    def test_batched_solve_takes_the_probes_and_root_of_brentq_on_the_one_point_residual(self, panel):
+        q, fa, fb = panel
+        fb = fa + (fb - fa) * 1.0 / 1  # the one edge of a one-panel window, as the scan forms it
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_grid(patch)
+            patch.setattr(magnetostatics, "_N_PANELS", 1)
+            solved = solve_walker_modes([q], MAT, [(fa, fb)])
+            probes = [f for call in calls[1:] for _, f in call]
+            calls.clear()
+            ref_probes, ref = brent_run(
+                lambda g, a, b: magnetostatics.brentq(g, a, b, magnetostatics._F_TOL),
+                lambda f: mc.walker_characteristic(f, q, MAT), fa, fb,
+            )
+        # brentq starts by evaluating both edges; the solve takes them from its scan
+        assert [f.hex() for f in probes] == ref_probes[2:]
+        if isinstance(ref, str) and abs(mc.walker_characteristic(float.fromhex(ref), q, MAT)) <= 1e-4:
+            assert solved.root(0).hex() == ref
+        else:  # a pole crossing, or a refinement that failed
+            assert solved.poles_rejected == 1
+            with pytest.raises(DomainError, match="no root"):
+                solved.root(0)
+
     @settings(max_examples=300, deadline=None)
     @given(smooth_cases)
     def test_port_equals_scipy_on_smooth_functions(self, case):
@@ -576,6 +660,21 @@ def test_closed_form_map_covers_exactly_the_closed_form_indices(i):
         # bit for bit, and a float like the closed forms
         got = [mc.mode_frequency(field_map, B, MAT) for B in (0.3, 0.38, 0.45)]
         assert got == expected and all(type(value) is float for value in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(2, 0)] + [(j + d, j) for j in range(1, 5) for d in (0, 1)]),
+    st.floats(0.1, 0.25),
+    st.floats(27.0e9, 29.0e9),
+    st.floats(0.5, 3.0),
+)
+def test_the_solver_root_in_the_closed_form_window_is_the_closed_form(ij, mu0_Ms, gamma_e, r):
+    material = mc.MaterialParams(mu0_Ms=mu0_Ms, gamma_e=gamma_e)
+    B = r * mu0_Ms  # saturated: B / mu0_Ms > 1/3
+    closed = mc.mode_frequency(mc.closed_form_map(*ij), B, material)
+    root = mc.solve_walker_mode(mc.WalkerModeQuery(*ij, B), material, magnetostatics.closed_form_window(closed, material))
+    assert root == pytest.approx(closed, rel=1e-9)
 
 
 def test_closed_form_window_is_three_percent_of_the_magnetization_frequency():

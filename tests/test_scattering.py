@@ -697,3 +697,24 @@ def test_powers_are_invariant_under_one_unit_scale(sys_, detuning, lam):
 @given(fixed_systems(resonant=True))
 def test_spectrum_at_triple_resonance_equals_the_closed_form(sys_):
     assert float(mc.eta_spectrum(CAVITY.f_c, sys_)) == pytest.approx(mc.eta_resonant(sys_), rel=1e-10)
+
+
+@PROPERTY
+@given(field_mapped_systems(), st.floats(0.3, 0.45), detunings)
+def test_power_balance_holds_for_any_set_of_modes(sys_, B, detuning):
+    # Im D = kappa_t + sum_m g_m^2 gamma_m |chi_m|^2 >= kappa_e for real f, hence
+    # 1 - |S11|^2 = |S21|^2 (kappa_i + sum_m g_m^2 gamma_m |chi_m|^2) / kappa_e
+    # and |S31_m|^2 = (beta_m delta_m / kappa_e) g_m^2 |chi_m|^2 |S21|^2
+    f = CAVITY.f_c + np.array(detuning)
+    s21, s31 = mc.amplitudes(f, sys_, B)
+    _, chis = mc.scattering.shared_denominator(f, sys_, mc.scattering.mode_frequencies(sys_, B))
+    kappa_e = sys_.cavity.kappa_e
+    p21 = np.abs(s21) ** 2
+    dressed = [mode.g**2 * np.abs(chi) ** 2 for mode, chi in zip(sys_.modes, chis)]
+    loss = sys_.cavity.kappa_i + sum(mode.gamma * d for mode, d in zip(sys_.modes, dressed))
+    s11 = mc.s11(f, sys_, B)
+    # 1 - |S11|^2 carries the round-off of |S11|^2, which is about 1
+    np.testing.assert_allclose(1.0 - np.abs(s11) ** 2, p21 * loss / kappa_e, rtol=1e-9, atol=1e-14)
+    assert np.all(np.abs(s11) <= 1.0 + 1e-15)
+    for mode, d in zip(sys_.modes, dressed):
+        np.testing.assert_allclose(np.abs(s31[mode.label]) ** 2, mode.beta * mode.delta / kappa_e * d * p21, rtol=1e-12)
