@@ -193,12 +193,16 @@ def _modes_rows(i: int, j: int, fields, sign_branch: str, material) -> list:
     """The `modes` rows of index pair (i, j), one per bias field, from one batched solve.
 
     The minus branch of (i, j) is the mode (i, -j): its closed form, if it
-    has one, and its roots. A row that cannot be computed holds the
-    ValueError (DomainError included) that computing it raises, so the
-    caller raises it only when the row's turn comes.
+    has one, and its roots. Each row is its CSV text, filled into one
+    "%.17g" template per index pair (a .17g cell needs no quoting), with
+    empty closed-form cells where the pair has no closed form. A row that
+    cannot be computed holds the ValueError (DomainError included) that
+    computing it raises, so the caller raises it only when the row's turn
+    comes.
     """
     signed_j = j if sign_branch == "plus" else -j
     closed_map = magnetostatics.closed_form_map(i, signed_j)
+    template = f"%.17g,{i},{j},{sign_branch}," + (",%.17g,\r\n" if closed_map is None else "%.17g,%.17g,%.17g\r\n")
     rows: list = []
     solvable = []  # (row index, query, closed form, search window)
     for B in fields:
@@ -217,9 +221,10 @@ def _modes_rows(i: int, j: int, fields, sign_branch: str, material) -> list:
     for (k, q, closed, _), root in zip(solvable, solved.outcomes):
         if isinstance(root, DomainError):
             rows[k] = root
-            continue
-        closed_cell, rel = ("", "") if closed is None else (_fmt(closed), _fmt(abs(root - closed) / closed))
-        rows[k] = [_fmt(q.B_ext), i, j, sign_branch, closed_cell, _fmt(root), rel]
+        elif closed is None:
+            rows[k] = template % (q.B_ext, root)
+        else:
+            rows[k] = template % (q.B_ext, closed, root, abs(root - closed) / closed)
     return rows
 
 
@@ -236,7 +241,7 @@ def cmd_modes(args) -> int:
         for row in chain.from_iterable(zip(*columns)):  # B-major, index pairs in config order
             if isinstance(row, ValueError):
                 raise row
-            yield _csv_line(row)
+            yield row
 
     _write_csv(args.out, ["B_T", "i", "j", "sign_branch", "f_closed_hz", "f_solver_hz", "rel_diff"], rows())
     return EXIT_OK

@@ -45,9 +45,11 @@ _F_TOL = 1.0
 # term and is even in f, so a window reaching below zero can hold the
 # mirror root -f of a positive one.
 _WINDOW_FLOOR = 1.0
-# Relative tolerance and iteration cap of :func:`_brent`: scipy's defaults.
+# Relative tolerance and iteration cap of :func:`_lockstep_brent`: scipy's
+# defaults; and the ways one of its searches ends.
 _BRENT_RTOL = 4 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
+_ROOT, _NAN, _NO_CONVERGENCE, _SAME_SIGN = range(4)
 
 
 def check_mode_indices(i: int, j: int) -> None:
@@ -267,84 +269,99 @@ class WalkerSolutions:
         return outcome
 
 
-def _probe(x: float):
-    """Yield the probe x and return the value of f sent back; a NaN value raises DomainError."""
-    fx = yield x
-    if math.isnan(fx):
-        raise DomainError(f"Brent's method met a NaN residual at x = {x!r}")
-    return fx
+def _lockstep_brent(f, xa, xb, fa, fb, xtol: float):
+    """Brent's method (Brent 1973, ch. 4) on many brackets at once, in lock-step rounds.
 
-
-def _brent(a: float, b: float, xtol: float):
-    """Brent's method (Brent 1973, ch. 4) as a generator: it yields each probe x, a and b first.
-
-    Sent f(x) back, it returns (root, f(root)). A line-by-line port of
-    scipy's ``Zeros/brentq.c``, with its relative tolerance ``_BRENT_RTOL``
-    and at most ``_BRENT_MAXITER`` iterations. Where scipy raises, this
-    raises DomainError: f(a) and f(b) of the same sign, a NaN value of f,
-    and no convergence.
+    Bracket k is [xa[k], xb[k]] with the values fa[k], fb[k] of f at its
+    edges. A line-by-line port of scipy's ``Zeros/brentq.c`` with its
+    relative tolerance ``_BRENT_RTOL`` and at most ``_BRENT_MAXITER``
+    iterations, whose state (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
+    is held as float64 arrays over the unfinished brackets. Each round
+    advances every one of them by one probe, and ``f(x, live)`` evaluates
+    the probes ``x`` of the brackets numbered ``live`` in one call. Every
+    branch of brentq.c is an ``np.where`` over the same expression, and
+    numpy's + - * / abs min give CPython's doubles, so each bracket takes the
+    probes and root bits of a search of its own. Returns the arrays (x,
+    f(x), outcome), where outcome is _ROOT (x is the root), _NAN (x is where
+    f was NaN), _NO_CONVERGENCE (x is the last probe) or _SAME_SIGN.
     """
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = yield from _probe(xpre)
-    fcur = yield from _probe(xcur)
-    if fpre == 0:
-        return xpre, fpre
-    if fcur == 0:
-        return xcur, fcur
-    if (fpre < 0) == (fcur < 0):  # no zero and no NaN left: the signbit test of brentq.c
-        raise DomainError(f"Brent bracket ({xpre!r}, {xcur!r}) does not change sign")
+    xpre, xcur, fpre, fcur = (np.array(v, dtype=float) for v in (xa, xb, fa, fb))
+    nan_a = np.isnan(fpre)
+    # the edge that decides a NaN or a zero: a before b, a NaN before a zero
+    at_b = ~nan_a & (np.isnan(fcur) | (fpre != 0))
+    x, f_x = np.where(at_b, xcur, xpre), np.where(at_b, fcur, fpre)
+    outcome = np.select(  # the signbit test of brentq.c, once NaNs and zeros are out
+        [nan_a | np.isnan(fcur), (fpre == 0) | (fcur == 0), (fpre < 0) == (fcur < 0)],
+        [_NAN, _ROOT, _SAME_SIGN],
+        _NO_CONVERGENCE,
+    )
+    live = np.flatnonzero(outcome == _NO_CONVERGENCE)
+    xpre, xcur, fpre, fcur = xpre[live], xcur[live], fpre[live], fcur[live]
+    xblk = fblk = spre = scur = np.zeros(live.size)
     for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
+        flip = (fpre != 0) & (fcur != 0) & ((fpre < 0) != (fcur < 0))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
 
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, fcur
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        x[live[done]], f_x[live[done]], outcome[live[done]] = xcur[done], fcur[done], _ROOT
 
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # C's division by zero gives +-inf or NaN, and either fails the step test: bisect
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
+        with np.errstate(all="ignore"):  # the branch not taken may divide 0 by 0
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            # a zero denominator gives +-inf or NaN, as in C, and either fails the step test: bisect
+            stry = np.where(
+                xpre == xblk,
+                -fcur * (xcur - xpre) / (fcur - fpre),  # interpolate
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),  # extrapolate
+            )
+            good = (  # a good short step
+                (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta))
+            )
+        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
         xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = yield from _probe(xcur)
-    raise DomainError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations (last x = {xcur!r})")
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+
+        live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
+            v[~done] for v in (live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
+        )
+        if not live.size:
+            break
+        fcur = f(xcur, live)
+        nan = np.isnan(fcur)
+        x[live[nan]], outcome[live[nan]] = xcur[nan], _NAN
+        live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
+            v[~nan] for v in (live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
+        )
+    x[live], f_x[live] = xcur, fcur  # no convergence: the last probe
+    return x, f_x, outcome
 
 
 def brentq(f, a: float, b: float, xtol: float) -> float:
-    """A root of the scalar function ``f`` in [a, b] by Brent's method (:func:`_brent`).
+    """A root of the scalar function ``f`` in [a, b] by Brent's method: a one-bracket :func:`_lockstep_brent`.
 
     It evaluates f where ``scipy.optimize.brentq(f, a, b, xtol=xtol)`` does
-    and returns the same float; where scipy raises, it raises DomainError.
+    (f(a), then f(b) unless f(a) is NaN, then each probe) and returns the
+    same float; where scipy raises, it raises DomainError.
     """
-    search = _brent(a, b, xtol)
-    try:
-        x = next(search)
-        while True:
-            x = search.send(float(f(x)))
-    except StopIteration as done:
-        return done.value[0]
+    a, b = float(a), float(b)
+    fa = float(f(a))
+    fb = math.nan if math.isnan(fa) else float(f(b))
+    x, _, outcome = _lockstep_brent(lambda probe, _: np.array([float(f(probe.item()))]), [a], [b], [fa], [fb], xtol)
+    x, outcome = x.item(), outcome.item()
+    if outcome == _NAN:
+        raise DomainError(f"Brent's method met a NaN residual at x = {x!r}")
+    if outcome == _SAME_SIGN:
+        raise DomainError(f"Brent bracket ({a!r}, {b!r}) does not change sign")
+    if outcome == _NO_CONVERGENCE:
+        raise DomainError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations (last x = {x!r})")
+    return x
 
 
 def solve_walker_modes(
@@ -358,9 +375,9 @@ def solve_walker_modes(
     search window, or None for :func:`default_search_window`. Each window
     is split into ``_N_PANELS`` panels, and the residual at every panel
     edge of a block of fields is evaluated in one array call. Every panel
-    whose edge residuals change sign or touch zero is refined from them by
-    Brent's method to ``_F_TOL``, with one array call per round for the
-    probes of all of the block's refinements. A root is kept only if the
+    whose edge residuals change sign or touch zero is refined from them to
+    ``_F_TOL`` by one lock-step Brent search over all of the block's panels
+    (:func:`_lockstep_brent`), one array call per round. A root is kept only if the
     residual there is small, which weeds out sign flips across poles of
     the residual (the chi pole and zeros of P_i^j). A query must keep
     exactly one root; otherwise its outcome is the DomainError that
@@ -394,41 +411,22 @@ def solve_walker_modes(
         counts["panels_selected"] += int((crossing <= 0).sum())
         counts["brent_calls"] += int((crossing < 0).sum())
 
-        # one Brent search per selected panel, in query then panel order, sent
-        # the scan's edge values: the left one here, the right one in round one
-        rows, panels = (index.tolist() for index in np.nonzero(crossing <= 0))
-        edges, values = edges.tolist(), values.tolist()
-        pending = []  # (search number, Brent search, value of f at its last probe)
-        for s, (row, k) in enumerate(zip(rows, panels)):
-            search = _brent(edges[row][k], edges[row][k + 1], _F_TOL)
-            next(search)
-            search.send(values[row][k])
-            pending.append((s, search, values[row][k + 1]))
-        found: list[float | None] = [None] * len(rows)  # the accepted root of each search
-        while pending:
-            probes = []
-            for s, search, fx in pending:
-                try:
-                    probes.append((s, search, search.send(fx)))
-                except StopIteration as done:
-                    root, f_root = done.value
-                    if abs(f_root) <= _ROOT_RESIDUAL_TOL:
-                        found[s] = root
-                    else:
-                        counts["poles_rejected"] += 1  # sign change straddles a pole, not a root
-                except DomainError:
-                    counts["poles_rejected"] += 1  # a NaN residual or no convergence: not a root
-            if not probes:
-                break
-            counts["residual_evals"] += len(probes)
-            x = np.array([x for _, _, x in probes])
-            fx = _characteristic_grid(x, fields[[rows[s] for s, _, _ in probes]], mode.i, mode.j, material)
-            pending = [(s, search, f) for (s, search, _), f in zip(probes, fx.tolist())]
+        # one Brent search per selected panel, in query then panel order, from the scan's edge values
+        rows, panels = np.nonzero(crossing <= 0)
+
+        def residual(x, live):
+            counts["residual_evals"] += x.size
+            return _characteristic_grid(x, fields[rows[live]], mode.i, mode.j, material)
+
+        found, f_found, outcome = _lockstep_brent(
+            residual, edges[rows, panels], edges[rows, panels + 1], values[rows, panels], values[rows, panels + 1], _F_TOL
+        )
+        # a sign change across a pole, a NaN residual or no convergence: not a root
+        accepted = (outcome == _ROOT) & (np.abs(f_found) <= _ROOT_RESIDUAL_TOL)
+        counts["poles_rejected"] += int((~accepted).sum())
 
         roots: list[list[float]] = [[] for _ in block]
-        for row, root in zip(rows, found):
-            if root is None:
-                continue
+        for row, root in zip(rows[accepted].tolist(), found[accepted].tolist()):
             if any(abs(root - r) <= 10 * _F_TOL for r in roots[row]):
                 counts["duplicates_merged"] += 1
             else:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magnoncavity as mc
-from magnoncavity import cli
+from magnoncavity import cli, magnetostatics
 from magnoncavity.cli import main
 from magnoncavity.scattering import OBSERVABLES
 
@@ -730,6 +730,56 @@ class TestCsvContract:
         cells = [float(r["value"]) for r in read_csv(out)]
         assert cells == values.ravel().tolist()
         assert len(cells) == n_fields * n_frequencies
+
+    @pytest.mark.parametrize(
+        "indices, branch, field, code",
+        [
+            ([[1, 1], [2, 0], [2, 1]], "plus", (0.3, 0.45, 7), 0),
+            ([[2, 0], [4, 1]], "minus", (0.3, 0.45, 7), 0),  # (4,-1) has no closed form
+            ([[2, 0], [3, 1], [4, 1]], "plus", (0.06, 0.3, 9), 3),  # two (4,1) roots in the third field's window
+            ([[2, 0], [4, 1], [3, 1]], "minus", (0.3, 0.45, 9), 3),  # no (3,-1) root in the first field's window
+        ],
+        ids=["closed_forms", "minus_bare_row", "plus_stops_with_exit_3", "minus_stops_with_exit_3"],
+    )
+    def test_modes_bytes_equal_a_row_by_row_reference(self, tmp_path, capsysbinary, indices, branch, field, code):
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        start, stop, count = field
+        config["modes_table"] = {
+            "field": {"start": start, "stop": stop, "count": count}, "indices": indices, "sign_branch": branch
+        }
+        path = tmp_path / "table.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run(["modes", path]) == code
+        stdout, stderr = capsysbinary.readouterr()
+
+        # each row from its own one-query solve, until the first row that raises
+        parsed = mc.load_config(path)
+        material = parsed.system.material
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(["B_T", "i", "j", "sign_branch", "f_closed_hz", "f_solver_hz", "rel_diff"])
+        error = None
+        for B in parsed.modes_table.field_grid.values().tolist():
+            for i, j in indices:
+                signed_j = j if branch == "plus" else -j
+                closed_map = magnetostatics.closed_form_map(i, signed_j)
+                try:
+                    closed = None if closed_map is None else mc.mode_frequency(closed_map, B, material)
+                    window = None if closed is None else magnetostatics.closed_form_window(closed, material)
+                    root = mc.solve_walker_mode(mc.WalkerModeQuery(i, signed_j, B), material, window)
+                except mc.DomainError as exc:
+                    error = exc
+                    break
+                closed_cell, rel = ("", "") if closed is None else (closed, abs(root - closed) / closed)
+                writer.writerow([format(B, ".17g"), i, j, branch] + [
+                    cell if cell == "" else format(cell, ".17g") for cell in (closed_cell, root, rel)
+                ])
+            if error is not None:
+                break
+        assert (error is None) == (code == 0)
+        assert stderr.decode() == ("" if error is None else f"numeric domain error: {error}\n")
+        assert stdout == reference.getvalue().encode()
+        assert stdout.count(b"\r\n") > 1
 
     @pytest.mark.parametrize("flags", [[], ["--unwrap", "--beta-db", "20"]], ids=["plain", "unwrap_beta_db_20"])
     @pytest.mark.parametrize("name", ["bare_cavity", "sphere_0p45mm_spectrum"])

@@ -561,7 +561,78 @@ smooth_cases = st.tuples(
 )
 
 
+@st.composite
+def smooth_brackets(draw):
+    """A smooth_cases function and bracket (its xtol left out): the function and the bracket's edges.
+
+    The root is often moved inside the bracket or onto an edge, and the
+    function is often NaN on a band around an inner root that leaves both
+    edges out, so a search meets the NaN partway.
+    """
+    kind, r, s, nan_above, a, b, _ = draw(smooth_cases)
+    where = draw(st.sampled_from(["drawn", "inside", "at_a", "at_b", "nan_band"]))
+    r = {"drawn": r, "at_a": a, "at_b": b}.get(where, a + (b - a) * draw(st.floats(0.0, 1.0)))
+    f = smooth(kind, r, s, nan_above)
+    if where != "nan_band":
+        return f, a, b
+    half = min(abs(r - a), abs(r - b)) * draw(st.floats(0.0, 0.99))
+    return (lambda x: math.nan if abs(x - r) < half else f(x)), a, b
+
+
+# what brentq raises where the lock-step search ends without a root
+BRENT_FAILURES = {
+    magnetostatics._NAN: "met a NaN residual at x = {x!r}",
+    magnetostatics._NO_CONVERGENCE: "did not converge in {maxiter} iterations (last x = {x!r})",
+    magnetostatics._SAME_SIGN: "Brent bracket ({a!r}, {b!r}) does not change sign",
+}
+
+
 class TestBrent:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(smooth_brackets(), min_size=1, max_size=12),
+        st.sampled_from([1e-12, 1e-6, 1e-3, 1.0]),
+        st.sampled_from([0, 1, 2, 3, 6, magnetostatics._BRENT_MAXITER]),
+    )
+    def test_lockstep_brackets_each_take_the_path_of_brentq_alone(self, brackets, xtol, maxiter):
+        functions, a, b = (list(column) for column in zip(*brackets))
+        fa = [f(x) for f, x in zip(functions, a)]
+        fb = [math.nan if math.isnan(y) else f(x) for f, x, y in zip(functions, b, fa)]
+        probes = [[] for _ in brackets]
+        rounds = []
+
+        def all_at_once(x, live):
+            rounds.append(live.tolist())
+            for k, xk in zip(live.tolist(), x.tolist()):
+                probes[k].append(xk.hex())
+            return np.array([functions[k](xk) for k, xk in zip(live.tolist(), x.tolist())])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(magnetostatics, "_BRENT_MAXITER", maxiter)
+            x, f_x, outcome = magnetostatics._lockstep_brent(all_at_once, a, b, fa, fb, xtol)
+            alone = [
+                brent_run(lambda g, a, b: magnetostatics.brentq(g, a, b, xtol), f, ak, bk)
+                for f, ak, bk in zip(functions, a, b)
+            ]
+        assert len(rounds) <= maxiter
+        for k, (calls, result) in enumerate(alone):
+            edges = [a[k].hex()] + ([] if math.isnan(fa[k]) else [b[k].hex()])
+            assert edges + probes[k] == calls
+            scipy_calls, scipy_result = brent_run(
+                lambda g, a, b: brentq(g, a, b, xtol=xtol, maxiter=maxiter), functions[k], a[k], b[k]
+            )
+            assert calls == scipy_calls
+            if isinstance(scipy_result, str):
+                assert (outcome[k], x[k].hex(), result) == (magnetostatics._ROOT, scipy_result, scipy_result)
+                assert f_x[k] == functions[k](x[k])
+            else:
+                assert outcome[k] != magnetostatics._ROOT
+                text = BRENT_FAILURES[outcome[k]].format(x=x[k].item(), a=a[k], b=b[k], maxiter=maxiter)
+                assert text in str(result)
+        # lock-step: each round probes every bracket that still has a probe to come, in bracket order
+        for r, live in enumerate(rounds):
+            assert live == [k for k in range(len(brackets)) if len(probes[k]) > r]
+
     @settings(max_examples=300, deadline=None)
     @given(walker_panels())
     def test_port_equals_scipy_on_walker_panels(self, panel):
