@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import math
 import os
-import re
 import sys
 from contextlib import nullcontext
 from itertools import chain
@@ -35,32 +35,19 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
-_QUOTE_OR_BREAK = re.compile(r'["\r\n]').search
-
-
-def _csv_line(cells) -> str:
-    """One CSV row ending in \r\n: the text ``csv.writer`` writes with minimal quoting.
-
-    A cell is quoted only if it holds a comma, a quote or a line break, and a
-    quote inside it is doubled. A row of one empty cell is written ``""``, so
-    that it does not read back as an empty line.
-    """
-    texts = list(map(str, cells))
-    line = ",".join(texts)
-    # most rows need no quoting: one scan of the joined row tells, and only then is each cell searched
-    if line.count(",") >= len(texts) or _QUOTE_OR_BREAK(line):
-        line = ",".join(['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES(t) else t for t in texts])
-    elif texts == [""]:
-        line = '""'
-    return line + "\r\n"
+def _csv_text(rows) -> str:
+    """The text ``csv.writer`` writes for ``rows``: minimal quoting, each row ending in \r\n."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
 
 
 def _write_csv(out: str | None, header, lines) -> None:
     """Write the CSV row ``header`` and then the text blocks ``lines`` to the path ``out`` (stdout for None or "-").
 
-    Each block is one or more whole rows, each ending in \r\n (see
-    ``_csv_line``). ``lines`` may be a generator: it is consumed one block at
+    The header goes through ``csv.writer`` (see ``_csv_text``). Each block is
+    one or more whole rows, each ending in \r\n: ``csv.writer`` text, or a
+    "%.17g" template's. ``lines`` may be a generator: it is consumed one block at
     a time, so the blocks before one that raises are already written. An
     OSError while writing (a full disk, a reader that closed the pipe) is a
     ConfigError: a partial ``out`` file is removed, and a failed stdout is
@@ -73,7 +60,7 @@ def _write_csv(out: str | None, header, lines) -> None:
         raise ConfigError(f"cannot write output file {out}: {exc}") from None
     try:
         with nullcontext(handle) if to_stdout else handle:
-            handle.write(_csv_line(header))
+            handle.write(_csv_text([header]))
             handle.writelines(lines)
             handle.flush()
     except OSError as exc:
@@ -276,7 +263,7 @@ def cmd_derive(args) -> int:
             else:
                 rows.append([mode.label, name, _fmt(value), "", ""])
 
-    _write_csv(args.out, ["mode", "quantity", "derived", "reference", "rel_dev"], map(_csv_line, rows))
+    _write_csv(args.out, ["mode", "quantity", "derived", "reference", "rel_dev"], [_csv_text(rows)])
     return EXIT_OK
 
 
@@ -311,7 +298,7 @@ def cmd_fit(args) -> int:
         ["stat", "loss", result.loss],
         *(["trace", k, _fmt(rms)] for k, rms in enumerate(result.residual_trace)),
     ]
-    _write_csv(args.out, ["kind", "name", "value"], map(_csv_line, rows))
+    _write_csv(args.out, ["kind", "name", "value"], [_csv_text(rows)])
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -351,7 +338,7 @@ def cmd_scaling(args) -> int:
     ]
     for k, ((diameter, _), used) in enumerate(zip(points, result.included_points)):
         rows += [["point", f"included_{k}", int(used)], ["point", f"predicted_{k}", _fmt(result.predict(diameter))]]
-    _write_csv(args.out, ["kind", "name", "value"], map(_csv_line, rows))
+    _write_csv(args.out, ["kind", "name", "value"], [_csv_text(rows)])
     return EXIT_OK
 
 

@@ -121,7 +121,8 @@ class KernelBuffers(NamedTuple):
     :func:`shared_denominator` writes D into ``d`` and chi_m into
     ``chis[m]``, with ``scratch`` and ``real`` as its temporaries;
     :func:`amplitudes_from_denominator` then overwrites D with S21 and each
-    formed chi_m with S31_m. Every array has the kernel's broadcast shape.
+    formed chi_m with S31_m, again through ``scratch``. Every array has the
+    kernel's broadcast shape.
     """
 
     d: np.ndarray
@@ -154,7 +155,7 @@ def shared_denominator(f, system: HybridSystem, f_ms, *, out: KernelBuffers | No
     :func:`~magnoncavity.model.susceptibility_magnon`'s value, without its
     per-mode check of ``f``: ``f`` is checked once per call. With ``out``
     the results are written into its arrays (see :class:`KernelBuffers`);
-    the values are the same bit for bit.
+    the values are the same bit for bit, for a one-cell block too.
     """
     if not np.all(np.isfinite(f)):
         raise ValueError("f must be finite")
@@ -195,16 +196,21 @@ def amplitudes_from_denominator(d, chis, system: HybridSystem, labels=None, *, o
     ``labels``, if given, names the modes whose S31 is formed; ``s31`` then
     holds only those, in mode order. None forms every mode's. ``out``, the
     buffers :func:`shared_denominator` filled, takes S21 in place of D and
-    each formed S31_m in place of its chi_m.
+    each formed S31_m in place of its chi_m, with ``scratch`` as its
+    temporary; the values are those of the allocating call bit for bit.
     """
     kappa_e = system.cavity.kappa_e
-    t_out, chi_outs = (None, [None] * len(system.modes)) if out is None else (out.d, out.chis)
+    t_out, chi_outs, scratch = (
+        (None, [None] * len(system.modes), None) if out is None else (out.d, out.chis, out.scratch)
+    )
     t = np.divide(-1j * 2.0 * kappa_e, d, out=t_out)
     s31 = {}
     for mode, chi, s31_out in zip(system.modes, chis, chi_outs):
         if labels is None or mode.label in labels:
-            s = np.multiply(-1j * mode.g, chi, out=s31_out)
-            s = np.multiply(s, math.sqrt(mode.beta * mode.delta / kappa_e), out=s31_out)
+            # no complex product is taken in place: numpy's in-place loop
+            # may round a one-element array differently in the last bit
+            s = np.multiply(-1j * mode.g, chi, out=scratch)
+            s = np.multiply(s, math.sqrt(mode.beta * mode.delta / kappa_e), out=scratch)
             s31[mode.label] = np.multiply(s, t, out=s31_out)
     return t, s31
 

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -24,7 +26,7 @@ GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 
 
 def read_csv(path):
-    with open(path, newline="") as handle:
+    with open(path, encoding="utf-8", newline="") as handle:
         return list(csv.DictReader(handle))
 
 
@@ -693,6 +695,62 @@ class TestExitCodes:
         assert captured.startswith("kind,name,value")
 
 
+# mode labels that need quoting in a CSV cell, or are not ASCII
+mode_labels = st.text(st.one_of(st.sampled_from(',"\r\n '), st.characters(codec="utf-8")), min_size=1, max_size=6)
+
+
+def spectrum_reference(path, flags=()) -> str:
+    """The text `spectrum` writes for the config at ``path``, built row by row with ``csv.writer``.
+
+    Any ``flags`` stand for ``--unwrap --beta-db 20``.
+    """
+    config = mc.load_config(path)
+    system = config.system
+    if flags:
+        system = mc.apply_params(system, {f"beta.{m.label}": 10.0 ** (20 / 10) for m in system.modes})
+    f = config.frequency_grid.values()
+    s21, s31 = mc.amplitudes(f, system, float(config.field_grid.values()[0]) if config.field_grid else 0.0)
+    columns = {"f_hz": f}
+    for label, values in {"s21": s21, "s11": 1.0 + s21, **{f"s31_{k}": v for k, v in s31.items()}}.items():
+        phase = mc.principal_phase(values)
+        columns.update({
+            f"re_{label}": values.real,
+            f"im_{label}": values.imag,
+            f"abs2_{label}": np.abs(values) ** 2,
+            f"arg_{label}": np.unwrap(phase) if flags else phase,
+        })
+    columns["eta"] = sum((np.abs(v) ** 2 for v in s31.values()), np.zeros_like(f))
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    for k in range(f.size):
+        writer.writerow([format(float(column[k]), ".17g") for column in columns.values()])
+    return text.getvalue()
+
+
+def derive_reference(path) -> str:
+    """The text `derive` writes for the config at ``path``, built row by row with ``csv.writer``."""
+    config = mc.load_config(path)
+    system, spec = config.system, config.derive
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["mode", "quantity", "derived", "reference", "rel_dev"])
+    for mode in system.modes:
+        params = mc.derive_mode_params(
+            g=mode.g, gamma=mode.gamma, cavity=system.cavity, material=system.material,
+            optical=system.optical, V_c=spec.cavity_volume, g_B=spec.g_B,
+        )
+        reference = spec.reference.get(mode.label, {})
+        for name, value in dataclasses.asdict(params).items():
+            if name in reference:
+                ref = reference[name]
+                cells = [value, ref, abs(value - ref) / abs(ref) if ref != 0 else math.inf]
+                writer.writerow([mode.label, name] + [format(cell, ".17g") for cell in cells])
+            else:
+                writer.writerow([mode.label, name, format(value, ".17g"), "", ""])
+    return text.getvalue()
+
+
 class TestCsvContract:
     """Bytes of the CSV every subcommand writes: .17g cells, \r\n rows, minimal quoting."""
 
@@ -786,28 +844,7 @@ class TestCsvContract:
     def test_spectrum_bytes_equal_a_row_by_row_reference(self, tmp_path, name, flags):
         out = tmp_path / "spectrum.csv"
         assert run(["spectrum", CONFIG_DIR / f"{name}.yaml", "--out", out] + flags) == 0
-        config = mc.load_config(CONFIG_DIR / f"{name}.yaml")
-        system = config.system
-        if flags:
-            system = mc.apply_params(system, {f"beta.{m.label}": 10.0 ** (20 / 10) for m in system.modes})
-        f = config.frequency_grid.values()
-        s21, s31 = mc.amplitudes(f, system, float(config.field_grid.values()[0]) if config.field_grid else 0.0)
-        columns = {"f_hz": f}
-        for label, values in {"s21": s21, "s11": 1.0 + s21, **{f"s31_{k}": v for k, v in s31.items()}}.items():
-            phase = mc.principal_phase(values)
-            columns.update({
-                f"re_{label}": values.real,
-                f"im_{label}": values.imag,
-                f"abs2_{label}": np.abs(values) ** 2,
-                f"arg_{label}": np.unwrap(phase) if flags else phase,
-            })
-        columns["eta"] = sum((np.abs(v) ** 2 for v in s31.values()), np.zeros_like(f))
-        with open(tmp_path / "reference.csv", "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            for k in range(f.size):
-                writer.writerow([format(float(column[k]), ".17g") for column in columns.values()])
-        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert out.read_bytes() == spectrum_reference(CONFIG_DIR / f"{name}.yaml", flags).encode()
 
     def test_map_to_stdout_gives_the_file_bytes(self, tmp_path, capsysbinary):
         out = tmp_path / "map.csv"
@@ -839,30 +876,39 @@ class TestCsvContract:
 
         values = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1 / 3, -2.5e300, 0.1, 10.632e9, math.pi]
         out = tmp_path / "floats.csv"
-        cli._write_csv(str(out), ["value"], map(cli._csv_line, zip(map(cli._fmt, np.array(values)))))
+        cli._write_csv(str(out), ["value"], [cli._csv_text(zip(map(cli._fmt, np.array(values))))])
         cells = [row["value"] for row in read_csv(out)]
         assert [float(cell) for cell in cells] == values
         assert [math.copysign(1.0, float(cell)) for cell in cells] == [math.copysign(1.0, v) for v in values]
         assert cells[:3] == ["-0", "0", "4.9406564584124654e-324"]
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.text(st.one_of(st.sampled_from(',"\r\n '), st.characters()), max_size=6),
-                st.integers(),
-            ),
-            max_size=6,
-        )
-    )
-    @example([""])
-    @example([])
-    @example(["", ""])
-    @example(['ms"m, (2,0)', "ü", "a\r\nb", 7])
-    def test_csv_line_writes_the_csv_writer_text(self, row):
-        reference = io.StringIO()
-        csv.writer(reference).writerow(row)
-        assert cli._csv_line(row) == reference.getvalue()
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(mode_labels, min_size=2, max_size=2, unique=True))
+    @example(['ms"m, (2,0)', "a\r\nb"])
+    @example(["ü ", '"'])
+    def test_text_cells_are_written_as_csv_writer_writes_them(self, tmp_path_factory, labels):
+        # one config for both commands: derive's two modes, with a short spectrum sweep
+        config = yaml.safe_load((CONFIG_DIR / "derive_0p45mm.yaml").read_text())
+        config["sweep"] = yaml.safe_load((CONFIG_DIR / "sphere_0p45mm_spectrum.yaml").read_text())["sweep"]
+        config["sweep"]["frequency"]["count"] = 5
+        reference = config["derive"]["reference"]
+        for mode, label in zip(config["system"]["modes"], labels):
+            reference[label] = reference.pop(mode["label"])
+            mode["label"] = label
+        work = tmp_path_factory.getbasetemp()
+        path = work / "labels.yaml"
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        for command, expected in [("spectrum", spectrum_reference(path)), ("derive", derive_reference(path))]:
+            out = work / f"{command}.csv"
+            with contextlib.redirect_stdout(io.StringIO(newline="")) as stdout:
+                assert run([command, path]) == 0
+            assert stdout.getvalue() == expected
+            assert run([command, path, "--out", out]) == 0
+            assert out.read_bytes() == expected.encode()
+        with open(work / "spectrum.csv", encoding="utf-8", newline="") as handle:
+            names = csv.DictReader(handle).fieldnames
+        assert [name for name in names if name.startswith("re_s31_")] == [f"re_s31_{label}" for label in labels]
+        assert list(dict.fromkeys(row["mode"] for row in read_csv(work / "derive.csv"))) == labels
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats())

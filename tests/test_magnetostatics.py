@@ -550,6 +550,11 @@ def smooth(kind, r, s, nan_above):
     return lambda x: math.nan if x > nan_above else shape(x)
 
 
+def tanh_with_nan_band(x):
+    """tanh(x - 0.3), NaN on the band (0.4, 0.5) only: Brent on [-2, 2] meets it at its second step."""
+    return math.nan if 0.4 < x < 0.5 else math.tanh(x - 0.3)
+
+
 smooth_cases = st.tuples(
     st.sampled_from(["line", "cubic", "exp", "tanh"]),
     st.floats(-5.0, 5.0),
@@ -678,22 +683,30 @@ class TestBrent:
             assert_port_is_scipy(smooth(kind, r, s, nan_above), a, b, xtol, maxiter)
 
     @pytest.mark.parametrize(
-        "case, maxiter, reason",
+        "f, a, b, xtol, maxiter, reason",
         [
-            (("cubic", 0.0, 1.0, math.inf, 1.0, 2.0, 1e-12), 100, "ValueError"),
-            (("tanh", 0.3, 1.0, 0.5, -2.0, 2.0, 1e-12), 100, "ValueError"),
-            (("exp", 0.3, 1.0, -1.0, -2.0, 2.0, 1e-12), 100, "ValueError"),
-            (("cubic", 0.0, 1.0, math.inf, -2.0, 3.0, 1e-12), 2, "RuntimeError"),
-            (("cubic", 0.0, 1.0, math.inf, -2.0, 3.0, 1e-12), 100, "root"),
+            (smooth("cubic", 0.0, 1.0, math.inf), 1.0, 2.0, 1e-12, 100, "ValueError"),
+            (tanh_with_nan_band, -2.0, 2.0, 1e-12, 100, "ValueError"),
+            (smooth("exp", 0.3, 1.0, -1.0), -2.0, 2.0, 1e-12, 100, "ValueError"),
+            (smooth("cubic", 0.0, 1.0, math.inf), -2.0, 3.0, 1e-12, 2, "RuntimeError"),
+            (smooth("cubic", 0.0, 1.0, math.inf), -2.0, 3.0, 1e-12, 100, "root"),
             # |sbis| == delta on the first iteration: not yet converged
-            (("line", 1 / 64, 1.0, math.inf, -31 / 32, 1 / 32, 1.0), 100, "root"),
+            (smooth("line", 1 / 64, 1.0, math.inf), -31 / 32, 1 / 32, 1.0, 100, "root"),
         ],
         ids=["same_sign", "nan_while_iterating", "nan_at_b", "iteration_cap", "converges", "half_step_is_delta"],
     )
-    def test_each_scipy_error_is_a_domain_error(self, monkeypatch, case, maxiter, reason):
+    def test_each_scipy_error_is_a_domain_error(self, monkeypatch, f, a, b, xtol, maxiter, reason):
         monkeypatch.setattr(magnetostatics, "_BRENT_MAXITER", maxiter)
-        kind, r, s, nan_above, a, b, xtol = case
-        assert assert_port_is_scipy(smooth(kind, r, s, nan_above), a, b, xtol, maxiter) == reason
+        assert assert_port_is_scipy(f, a, b, xtol, maxiter) == reason
+
+    def test_the_mid_search_nan_comes_after_both_edges_and_a_finite_step(self):
+        calls, result = brent_run(
+            lambda g, a, b: magnetostatics.brentq(g, a, b, 1e-12), tanh_with_nan_band, -2.0, 2.0
+        )
+        assert calls[:2] == [(-2.0).hex(), (2.0).hex()]
+        values = [tanh_with_nan_band(float.fromhex(x)) for x in calls]
+        assert [math.isnan(y) for y in values] == [False, False, False, True]
+        assert isinstance(result, DomainError)
 
     def test_failed_refinement_is_a_rejected_candidate_not_a_root(self, monkeypatch):
         # one Brent iteration cannot refine the (1,1) panel at 0.38 T to 1 Hz

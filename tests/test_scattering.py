@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magnoncavity as mc
@@ -569,6 +569,16 @@ def field_mapped_systems(draw):
     return mc.HybridSystem(cavity=CAVITY, modes=modes, material=mc.MaterialParams(diameter=0.75e-3))
 
 
+MSM20 = mc.FieldMap(kind="msm20")
+
+
+def one_mode_system(**mode):
+    """A field_mapped_systems() draw with the one mode ``mode``."""
+    return mc.HybridSystem(
+        cavity=CAVITY, modes=(mc.MagnonMode(label="m0", **mode),), material=mc.MaterialParams(diameter=0.75e-3)
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     sys_=field_mapped_systems(),
@@ -576,6 +586,9 @@ def field_mapped_systems(draw):
     n_freqs=st.integers(1, 40),
     rows=st.sampled_from([1, 3, None]),
 )
+# one-cell blocks: numpy may round an in-place complex product of one element differently
+@example(sys_=one_mode_system(g=234.0, gamma=1e5, delta=1.0, beta=1.0), n_fields=1, n_freqs=1, rows=1)
+@example(sys_=one_mode_system(g=1.0, gamma=170987.0, delta=1.5, beta=2.5), n_fields=1, n_freqs=1, rows=1)
 def test_sweep_values_do_not_depend_on_the_worker_count(sys_, n_fields, n_freqs, rows):
     B = np.linspace(0.37, 0.39, n_fields)
     f = np.linspace(CAVITY.f_c - 200e6, CAVITY.f_c + 200e6, n_freqs)
@@ -701,6 +714,9 @@ def test_spectrum_at_triple_resonance_equals_the_closed_form(sys_):
 
 @PROPERTY
 @given(field_mapped_systems(), st.floats(0.3, 0.45), detunings)
+# both sides of the S31 balance underflow to the smallest subnormals
+@example(one_mode_system(g=2115.0, gamma=1e5, delta=2.225073858507e-311, beta=5.0, field_map=MSM20), 0.375, [0.0])
+@example(one_mode_system(g=7776.0, gamma=1e5, delta=2.2250738585072014e-308, beta=5.0, field_map=MSM20), 0.3125, [0.0])
 def test_power_balance_holds_for_any_set_of_modes(sys_, B, detuning):
     # Im D = kappa_t + sum_m g_m^2 gamma_m |chi_m|^2 >= kappa_e for real f, hence
     # 1 - |S11|^2 = |S21|^2 (kappa_i + sum_m g_m^2 gamma_m |chi_m|^2) / kappa_e
@@ -717,4 +733,6 @@ def test_power_balance_holds_for_any_set_of_modes(sys_, B, detuning):
     np.testing.assert_allclose(1.0 - np.abs(s11) ** 2, p21 * loss / kappa_e, rtol=1e-9, atol=1e-14)
     assert np.all(np.abs(s11) <= 1.0 + 1e-15)
     for mode, d in zip(sys_.modes, dressed):
-        np.testing.assert_allclose(np.abs(s31[mode.label]) ** 2, mode.beta * mode.delta / kappa_e * d * p21, rtol=1e-12)
+        # below the smallest normal double a relative comparison means nothing
+        expected = mode.beta * mode.delta / kappa_e * d * p21
+        np.testing.assert_allclose(np.abs(s31[mode.label]) ** 2, expected, rtol=1e-12, atol=np.finfo(float).tiny)
