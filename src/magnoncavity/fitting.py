@@ -10,20 +10,20 @@ S31_m = -i*g_m*chi_m*sqrt(beta_m*delta_m/kappa_e)*S21 depend on the
 parameters only through kappa_e, D and the chi_m, so every column
 dS/dtheta = S * dlog S/dtheta follows in closed form from the same
 shared denominator D and susceptibilities chi_m that the model value is
-built from: one model evaluation per Levenberg-Marquardt trial gives both
-the residuals and their Jacobian.
+built from. Each Levenberg-Marquardt trial evaluates the model once for
+its residuals; the Jacobian is formed only at the start point and for
+accepted steps, from the model evaluation that gave their residuals.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import magnetostatics, scattering
-from .model import FieldMap, HybridSystem
+from .model import CavityParams, FieldMap, HybridSystem, MagnonMode
 from .scattering import ComplexSpectrum
 
 MAX_ITERATIONS = 200
@@ -43,7 +43,12 @@ def _split_name(name: str) -> tuple[str, str | None]:
     return field, (label or None)
 
 
-def _validate_name(name: str, system: HybridSystem) -> None:
+def _parse_name(name: str, system: HybridSystem) -> tuple[str, str | None]:
+    """``(field, label)`` of the parameter ``name`` of ``system``; label None for a cavity parameter.
+
+    Raises ValueError for an unknown parameter and KeyError for a mode
+    label ``system`` does not have.
+    """
     field, label = _split_name(name)
     if label is None:
         if field not in _CAVITY_PARAMS:
@@ -52,6 +57,7 @@ def _validate_name(name: str, system: HybridSystem) -> None:
         if field not in _MODE_PARAMS:
             raise ValueError(f"unknown mode parameter {name!r}")
         system.mode(label)  # raises KeyError for unknown labels
+    return field, label
 
 
 def validate_names(system: HybridSystem, names, observable: str) -> None:
@@ -61,7 +67,7 @@ def validate_names(system: HybridSystem, names, observable: str) -> None:
     for a mode label ``system`` does not have.
     """
     for name in names:
-        _validate_name(name, system)
+        _parse_name(name, system)
     _observed_mode(observable, system)
 
 
@@ -70,29 +76,36 @@ def apply_params(system: HybridSystem, values: dict[str, float]) -> HybridSystem
 
     Cavity parameters are addressed as ``f_c``, ``kappa_e``, ``kappa_i``;
     mode parameters as ``<field>.<label>``, e.g. ``g.kittel``. Setting
-    ``f_m.<label>`` pins that mode to a fixed frequency.
+    ``f_m.<label>`` pins that mode to a fixed frequency. Every name is
+    checked before anything is built; the new cavity and modes are then
+    built by their constructors, which validate the values, cavity first
+    and modes in order.
     """
     cavity_updates: dict[str, float] = {}
     mode_updates: dict[str, dict[str, float]] = {}
     for name, value in values.items():
-        _validate_name(name, system)
-        field, label = _split_name(name)
+        field, label = _parse_name(name, system)
         if label is None:
             cavity_updates[field] = float(value)
         else:
             mode_updates.setdefault(label, {})[field] = float(value)
 
-    cavity = dataclasses.replace(system.cavity, **cavity_updates) if cavity_updates else system.cavity
+    cavity = system.cavity
+    if cavity_updates:
+        get = cavity_updates.get
+        cavity = CavityParams(get("f_c", cavity.f_c), get("kappa_e", cavity.kappa_e), get("kappa_i", cavity.kappa_i))
     modes = []
     for mode in system.modes:
-        updates = mode_updates.get(mode.label, {})
-        if "f_m" in updates:
-            f_m = updates.pop("f_m")
-            mode = dataclasses.replace(mode, field_map=FieldMap(kind="fixed", frequency=f_m))
+        updates = mode_updates.get(mode.label)
         if updates:
-            mode = dataclasses.replace(mode, **updates)
+            get = updates.get
+            field_map = FieldMap(kind="fixed", frequency=updates["f_m"]) if "f_m" in updates else mode.field_map
+            mode = MagnonMode(
+                mode.label, get("g", mode.g), get("gamma", mode.gamma),
+                get("delta", mode.delta), get("beta", mode.beta), field_map,
+            )
         modes.append(mode)
-    return dataclasses.replace(system, cavity=cavity, modes=tuple(modes))
+    return HybridSystem(cavity, tuple(modes), system.material, system.optical)
 
 
 def read_params(system: HybridSystem, names, B: float) -> dict[str, float]:
@@ -102,8 +115,7 @@ def read_params(system: HybridSystem, names, B: float) -> dict[str, float]:
     """
     values = {}
     for name in names:
-        _validate_name(name, system)
-        field, label = _split_name(name)
+        field, label = _parse_name(name, system)
         owner = system.cavity if label is None else system.mode(label)
         if field == "f_m":
             values[name] = magnetostatics.mode_frequency(owner.field_map, B, system.material)
@@ -221,18 +233,28 @@ def _from_internal(name: str, value: float) -> float:
     return math.exp(value) if field in _LOG_FIELDS else float(value)
 
 
-def _residual_vector(problem: FitProblem, model_values: np.ndarray) -> np.ndarray:
-    data = problem.observed.values
-    if problem.loss == "complex_residual":
-        diff = model_values - data
-        return np.concatenate([diff.real, diff.imag])
-    power = np.abs(model_values) ** 2 - np.abs(data) ** 2
-    phase = np.unwrap(np.angle(model_values)) - np.unwrap(np.angle(data))
-    return np.concatenate([power, phase])
+def _residual_function(data: np.ndarray, loss: str):
+    """``model_values -> residuals`` of ``loss`` against the observed ``data``.
+
+    The terms that depend on the data alone are formed here, once.
+    """
+    if loss == "complex_residual":
+        def residuals(model_values):
+            diff = model_values - data
+            return np.concatenate([diff.real, diff.imag])
+        return residuals
+    power_data = np.abs(data) ** 2
+    phase_data = np.unwrap(np.angle(data))
+
+    def residuals(model_values):
+        power = np.abs(model_values) ** 2 - power_data
+        phase = np.unwrap(np.angle(model_values)) - phase_data
+        return np.concatenate([power, phase])
+    return residuals
 
 
 def _residual_jacobian(loss: str, model_values: np.ndarray, d_model: np.ndarray) -> np.ndarray:
-    """Jacobian of :func:`_residual_vector` from ``d_model``, the model's derivative rows (one per parameter).
+    """Jacobian of the residuals of :func:`_residual_function` from ``d_model``, the model's derivative rows (one per parameter).
 
     A power row is 2*Re(conj(S)*dS) and a phase row Im(dS/S): the offsets
     ``np.unwrap`` adds are piecewise constant and drop out of the derivative.
@@ -244,8 +266,10 @@ def _residual_jacobian(loss: str, model_values: np.ndarray, d_model: np.ndarray)
     return np.concatenate([power, phase], axis=1).T
 
 
-def _log_derivative(name: str, system: HybridSystem, inv_d, chis: dict, observed_mode: str | None):
-    """d log S / du for the internal parameter u of ``name``, over the grid.
+def _log_derivative(
+    field: str, label: str | None, system: HybridSystem, inv_d, chis: dict, observed_mode: str | None, d_f: dict
+):
+    """d log S / du for the internal parameter u of the parameter ``(field, label)``, over the grid.
 
     S is S21 for ``observed_mode`` None and S31 of that mode otherwise;
     ``inv_d`` is 1/D and ``chis`` maps each label to its chi_m, all of
@@ -254,9 +278,9 @@ def _log_derivative(name: str, system: HybridSystem, inv_d, chis: dict, observed
     are d log S21/dtheta = d log kappa_e/dtheta - (dD/dtheta)/D; S31_m adds
     d log(g_m*chi_m*sqrt(beta_m*delta_m/kappa_e))/dtheta. A log-space
     parameter's column is theta * d log S/dtheta, so no form divides by
-    theta.
+    theta. ``d_f`` caches each mode's d log S/df_m, which its f_m and gamma
+    columns share: pass one empty dict per ``inv_d``.
     """
-    field, label = _split_name(name)
     if label is None:
         if field == "f_c":
             return inv_d
@@ -271,28 +295,51 @@ def _log_derivative(name: str, system: HybridSystem, inv_d, chis: dict, observed
         return np.full(inv_d.shape, 0.5 if own else 0.0, dtype=complex)
     if field == "g":
         return 2.0 * mode.g**2 * chi * inv_d + (1.0 if own else 0.0)
-    shift = mode.g**2 * chi**2 * inv_d  # -dD/df_m
+    if label not in d_f:
+        # -dD/df_m = g_m^2*chi_m^2, and S31_m's own chi_m adds chi_m
+        d_f[label] = mode.g**2 * chi**2 * inv_d + (chi if own else 0.0)
     if field == "gamma":
-        return -1j * mode.gamma * (shift + (chi if own else 0.0))
-    return shift + (chi if own else 0.0)  # f_m
+        return -1j * mode.gamma * d_f[label]
+    return d_f[label]  # f_m
 
 
 def _residuals_and_jacobian(problem: FitProblem, names):
-    """``evaluate(u) -> (residuals, jacobian)`` at internal values ``u`` of ``names``, from one model evaluation."""
-    observed_mode = _observed_mode(problem.observable, problem.system)
+    """``evaluate(u) -> (residuals, jacobian)`` at internal values ``u`` of ``names``.
+
+    ``evaluate`` builds the model once and returns its residuals and
+    ``jacobian``, a zero-argument function that forms their Jacobian from
+    that evaluation's D, chi_m and S; a caller that rejects ``u`` never
+    calls it. The names are parsed once here, not per evaluation.
+    """
+    system = problem.system
+    parsed = [_parse_name(n, system) for n in names]
+    logs = [field in _LOG_FIELDS for field, _ in parsed]
+    observed_mode = _observed_mode(problem.observable, system)
+    # only the observed mode's S31 is formed: none for s21 and s11
+    labels = () if observed_mode is None else (observed_mode,)
+    s11 = problem.observable == "s11"
     f_grid = problem.observed.frequencies
+    residuals = _residual_function(problem.observed.values, problem.loss)
 
     def evaluate(u: np.ndarray):
-        sys_ = apply_params(problem.system, {n: _from_internal(n, ui) for n, ui in zip(names, u)})
+        sys_ = apply_params(system, {n: math.exp(ui) if log else ui for n, ui, log in zip(names, u.tolist(), logs)})
         d, chis = scattering.shared_denominator(f_grid, sys_, scattering.mode_frequencies(sys_, problem.B))
-        s21, s31 = scattering.amplitudes_from_denominator(d, chis, sys_)
-        model_values = _observed_values(problem.observable, s21, s31)
-        inv_d = 1.0 / d
-        chi_of = {mode.label: chi for mode, chi in zip(sys_.modes, chis)}
-        d_log = np.array([_log_derivative(n, sys_, inv_d, chi_of, observed_mode) for n in names])
+        s21, s31 = scattering.amplitudes_from_denominator(d, chis, sys_, labels)
         # dS11 = dS21, so S11 differentiates through S21's logarithm
         base = s21 if observed_mode is None else s31[observed_mode]
-        return _residual_vector(problem, model_values), _residual_jacobian(problem.loss, model_values, base * d_log)
+        model_values = 1.0 + s21 if s11 else base
+
+        def jacobian() -> np.ndarray:
+            inv_d = 1.0 / d
+            chi_of = {mode.label: chi for mode, chi in zip(sys_.modes, chis)}
+            d_f = {}
+            d_model = np.empty((len(parsed), f_grid.size), dtype=complex)
+            for row, (field, label) in zip(d_model, parsed):
+                # S first: with fused multiply-adds the operand order sets the last bits
+                np.multiply(base, _log_derivative(field, label, sys_, inv_d, chi_of, observed_mode, d_f), out=row)
+            return _residual_jacobian(problem.loss, model_values, d_model)
+
+        return residuals(model_values), jacobian
 
     return evaluate
 
@@ -324,8 +371,9 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
     value, when an accepted step leaves the cost exactly unchanged (the
     cost is then at its round-off floor; both count as converged), or
     after 200 iterations. Each trial step evaluates the model
-    once and gets the residuals together with their analytic Jacobian
-    (see the module docstring); an accepted step keeps that Jacobian.
+    once for its residuals. The analytic Jacobian (see the module
+    docstring) is formed only at the start point and for accepted steps,
+    from the model evaluation that gave their residuals.
     Singular normal equations end the fit with ``converged=False`` and a
     large condition estimate instead of raising.
     """
@@ -339,7 +387,8 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
 
     evaluate = _residuals_and_jacobian(problem, names)
     u = np.array([_to_internal(n, init[n]) for n in names])
-    r, jac = evaluate(u)
+    r, jacobian = evaluate(u)
+    jac = jacobian()
     cost = float(r @ r)
     n_points = r.size
     trace = [math.sqrt(cost / n_points)]
@@ -354,8 +403,8 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
     while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
         jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
-        if np.any(diag == 0.0) or not np.all(np.isfinite(jtj)):
+        diag = jtj.diagonal().copy()
+        if (diag == 0.0).any() or not np.isfinite(jtj).all():
             singular = True  # a parameter the data cannot see, or a blown-up column
             break
         accepted = False
@@ -365,20 +414,21 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
             except np.linalg.LinAlgError:
                 singular = True
                 break
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 singular = True
                 break
             u_try = u + step
             try:
-                r_try, jac_try = evaluate(u_try)
+                r_try, jacobian = evaluate(u_try)
             except (ValueError, OverflowError):
                 r_try = None
-            if r_try is not None and np.all(np.isfinite(r_try)):
+            if r_try is not None and np.isfinite(r_try).all():
                 cost_try = float(r_try @ r_try)
                 if cost_try <= cost:
                     # an accepted step that leaves the cost unchanged has reached its round-off floor
                     stalled = cost_try == cost
-                    u, r, jac, cost = u_try, r_try, jac_try, cost_try
+                    u, r, cost = u_try, r_try, cost_try
+                    jac = jacobian()
                     lam = max(lam / 3.0, 1e-12)
                     accepted = True
                     break

@@ -1,9 +1,21 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import magnoncavity as mc
 from magnoncavity import fitting, scattering
-from magnoncavity.fitting import LOSSES, _residuals_and_jacobian, _to_internal, finite_difference_jacobian
+from magnoncavity.fitting import (
+    LOSSES,
+    _from_internal,
+    _log_derivative,
+    _residuals_and_jacobian,
+    _to_internal,
+    finite_difference_jacobian,
+)
 
 from conftest import ASSEMBLIES, CAVITY, kittel_system, two_mode_system
 
@@ -82,6 +94,80 @@ class TestApplyParams:
             mc.apply_params(sys_, {"q_factor": 1.0})
         with pytest.raises(KeyError):
             mc.apply_params(sys_, {"g.ghost": 1.0})
+
+
+def replace_params(system, values):
+    """apply_params built with nested ``dataclasses.replace``: the reference for its direct constructors."""
+    cavity_updates, mode_updates = {}, {}
+    for name, value in values.items():
+        field, _, label = name.partition(".")
+        if label:
+            mode_updates.setdefault(label, {})[field] = float(value)
+        else:
+            cavity_updates[field] = float(value)
+    cavity = dataclasses.replace(system.cavity, **cavity_updates) if cavity_updates else system.cavity
+    modes = []
+    for mode in system.modes:
+        updates = mode_updates.get(mode.label, {})
+        if "f_m" in updates:
+            mode = dataclasses.replace(mode, field_map=mc.FieldMap(kind="fixed", frequency=updates.pop("f_m")))
+        if updates:
+            mode = dataclasses.replace(mode, **updates)
+        modes.append(mode)
+    return dataclasses.replace(system, cavity=cavity, modes=tuple(modes))
+
+
+PARAMETER_NAMES = ("f_c", "kappa_e", "kappa_i") + tuple(
+    f"{field}.{label}" for field in ("g", "gamma", "f_m", "delta", "beta") for label in ("kittel", "msm")
+)
+parameter_names = st.sampled_from(PARAMETER_NAMES)
+valid_values = st.floats(min_value=1e-3, max_value=2e10)
+# values that some constructor rejects: non-finite, negative (g, delta,
+# kappa_i < 0) and zero (gamma, beta, kappa_e, f_m, f_c <= 0)
+invalid_values = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, -2.5e6, math.nan, math.inf, -math.inf]), st.floats(max_value=-1e-300)
+)
+
+
+class TestApplyParamsMatchesReplace:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(parameter_names, valid_values),
+        st.dictionaries(parameter_names, invalid_values, max_size=3),
+    )
+    def test_same_system_or_same_error(self, valid, invalid):
+        values = {**valid, **invalid}
+        system = two_mode_system()
+        try:
+            expected = replace_params(system, values)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                mc.apply_params(system, values)
+            assert str(raised.value) == str(error)
+        else:
+            built = mc.apply_params(system, values)
+            assert built == expected
+            assert built.cavity == expected.cavity and built.modes == expected.modes
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.dictionaries(parameter_names, valid_values),
+        st.sampled_from([("q_factor", ValueError), ("tau.kittel", ValueError), ("g.ghost", KeyError)]),
+        st.data(),
+    )
+    def test_unknown_names_fail_before_anything_is_built(self, values, unknown, data):
+        name, error = unknown
+        items = list(values.items())
+        items.insert(data.draw(st.integers(0, len(items))), (name, 1.0))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built before every name was checked")
+
+        with pytest.MonkeyPatch.context() as patch:
+            for constructor in ("CavityParams", "MagnonMode", "FieldMap", "HybridSystem"):
+                patch.setattr(fitting, constructor, forbidden)
+            with pytest.raises(error):
+                mc.apply_params(two_mode_system(), dict(items))
 
 
 def make_problem(observed, system, free, loss="complex_residual"):
@@ -331,7 +417,8 @@ def test_analytic_jacobian_matches_four_point_stencil(kind, observable, loss):
     )
     evaluate = _residuals_and_jacobian(problem, names)
     u0 = np.array([_to_internal(n, offset_value(JACOBIAN_TRUTH, n)) for n in names])
-    r0, analytic = evaluate(u0)
+    r0, jacobian = evaluate(u0)
+    analytic = jacobian()
 
     # Richardson extrapolation of two central differences is the four-point stencil
     def residuals(u):
@@ -353,6 +440,75 @@ def test_analytic_jacobian_matches_four_point_stencil(kind, observable, loss):
             error = np.abs(analytic[rows, k] - four_point[rows, k])
             allowance = 1e-8 * np.max(np.abs(r0[rows])) / scales[k]
             assert np.all(error <= 1e-4 * np.abs(four_point[rows, k]) + allowance), name
+
+
+def eager_residuals_and_jacobian(problem, names, u):
+    """Residuals and Jacobian at ``u`` from one model evaluation that forms every column at once."""
+    system = mc.apply_params(problem.system, {n: _from_internal(n, ui) for n, ui in zip(names, u)})
+    d, chis = scattering.shared_denominator(
+        problem.observed.frequencies, system, scattering.mode_frequencies(system, problem.B)
+    )
+    s21, s31 = scattering.amplitudes_from_denominator(d, chis, system)
+    observed_mode = problem.observable.partition(".")[2] or None
+    base = s21 if observed_mode is None else s31[observed_mode]
+    model = 1.0 + s21 if problem.observable == "s11" else base
+    inv_d = 1.0 / d
+    chi_of = {mode.label: chi for mode, chi in zip(system.modes, chis)}
+    d_f = {}
+    d_log = np.array([
+        _log_derivative(field, label or None, system, inv_d, chi_of, observed_mode, d_f)
+        for field, _, label in (n.partition(".") for n in names)
+    ])
+    d_model = base * d_log
+    data = problem.observed.values
+    if problem.loss == "complex_residual":
+        diff = model - data
+        residuals = np.concatenate([diff.real, diff.imag])
+        jacobian = np.concatenate([d_model.real, d_model.imag], axis=1).T
+    else:
+        power = np.abs(model) ** 2 - np.abs(data) ** 2
+        phase = np.unwrap(np.angle(model)) - np.unwrap(np.angle(data))
+        residuals = np.concatenate([power, phase])
+        jacobian = np.concatenate([2.0 * (model.conj() * d_model).real, (d_model / model).imag], axis=1).T
+    return residuals, jacobian
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def internal_point(names, rng):
+    """Internal values of ``names`` around JACOBIAN_TRUTH: rates within a factor 2, frequencies within 30 MHz."""
+    u = []
+    for name in names:
+        field, _, label = name.partition(".")
+        if field in ("f_c", "f_m"):
+            base = JACOBIAN_TRUTH.cavity.f_c if not label else JACOBIAN_TRUTH.mode(label).field_map.frequency
+            u.append(base + rng.uniform(-30e6, 30e6))
+        else:
+            owner = JACOBIAN_TRUTH.cavity if not label else JACOBIAN_TRUTH.mode(label)
+            u.append(math.log(rng.uniform(0.5, 2.0) * getattr(owner, field)))
+    return np.array(u)
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("observable", ["s21", "s11", "s31.kittel", "s31.msm"])
+def test_lazy_jacobian_matches_an_eager_build(observable, loss):
+    names = sorted(PARAMETER_NAMES)
+    observed = mc.synthesize_noisy_spectrum(JACOBIAN_TRUTH, 0.0, JACOBIAN_GRID, observable, noise_sigma=0.01, seed=4)
+    problem = mc.FitProblem(
+        observed=observed, system=JACOBIAN_TRUTH, free={n: (1e-9, 1e12) for n in names},
+        observable=observable, loss=loss,
+    )
+    evaluate = _residuals_and_jacobian(problem, names)
+    rng = np.random.default_rng(5)
+    points = [internal_point(names, rng) for _ in range(20)]
+    evaluations = [evaluate(u) for u in points]
+    # each jacobian() belongs to its own evaluation, even when later ones were made since
+    for u, (residuals, jacobian) in reversed(list(zip(points, evaluations))):
+        expected_residuals, expected_jacobian = eager_residuals_and_jacobian(problem, names, u)
+        assert same_bits(residuals, expected_residuals)
+        assert same_bits(jacobian(), expected_jacobian)
 
 
 def eight_parameter_problem():
@@ -398,3 +554,25 @@ def test_converged_fit_builds_one_denominator_per_trial(monkeypatch):
     result = mc.fit_spectrum(problem, init)
     assert result.converged and len(free) == 8
     assert 0 < len(calls) <= 2 * result.iterations + 1
+
+
+def test_jacobian_is_formed_once_per_accepted_step(monkeypatch):
+    problem, init = eight_parameter_problem()
+    jacobians, evaluations = [], []
+    residual_jacobian, apply_params = fitting._residual_jacobian, fitting.apply_params
+
+    def counted_jacobian(*args):
+        jacobians.append(1)
+        return residual_jacobian(*args)
+
+    def counted_evaluation(*args):
+        evaluations.append(1)
+        return apply_params(*args)
+
+    monkeypatch.setattr(fitting, "_residual_jacobian", counted_jacobian)
+    monkeypatch.setattr(fitting, "apply_params", counted_evaluation)
+    result = mc.fit_spectrum(problem, init)
+    assert result.converged
+    # the fit rejected some trials, and formed no Jacobian for them
+    assert len(evaluations) > result.iterations + 1
+    assert len(jacobians) == result.iterations + 1
