@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import math
 import os
 import sys
 from contextlib import nullcontext
-from itertools import chain
 
 import numpy as np
 
@@ -176,42 +176,49 @@ def cmd_map(args) -> int:
     return EXIT_OK
 
 
-def _modes_rows(i: int, j: int, fields, sign_branch: str, material) -> list:
-    """The `modes` rows of index pair (i, j), one per bias field, from one batched solve.
+def _modes_rows(fields, indices, sign_branch: str, material) -> list:
+    """The `modes` rows in output order (B-major, index pairs in config order), from one batched solve.
 
     The minus branch of (i, j) is the mode (i, -j): its closed form, if it
-    has one, and its roots. Each row is its CSV text, filled into one
-    "%.17g" template per index pair (a .17g cell needs no quoting), with
-    empty closed-form cells where the pair has no closed form. A row that
-    cannot be computed holds the ValueError (DomainError included) that
-    computing it raises, so the caller raises it only when the row's turn
-    comes.
+    has one, and its roots. Each row is its CSV text: the B cell, formatted
+    once per field, and the index pair's cells, then a "%.17g" template
+    filled with the closed form, the root and their relative difference (a
+    .17g cell needs no quoting), with empty closed-form cells where the
+    pair has no closed form. A row that cannot be computed holds the
+    ValueError (DomainError included) that computing it raises, so the
+    caller raises it only when the row's turn comes.
     """
-    signed_j = j if sign_branch == "plus" else -j
-    closed_map = magnetostatics.closed_form_map(i, signed_j)
-    template = f"%.17g,{i},{j},{sign_branch}," + (",%.17g,\r\n" if closed_map is None else "%.17g,%.17g,%.17g\r\n")
+    pairs = []  # (i, signed j, closed-form map, row template after the B cell)
+    for i, j in indices:
+        signed_j = j if sign_branch == "plus" else -j
+        closed_map = magnetostatics.closed_form_map(i, signed_j)
+        tail = ",%.17g,\r\n" if closed_map is None else "%.17g,%.17g,%.17g\r\n"
+        pairs.append((i, signed_j, closed_map, f",{i},{j},{sign_branch},{tail}"))
     rows: list = []
-    solvable = []  # (row index, query, closed form, search window)
+    solvable = []  # (row index, row template, closed form) of each query
+    queries, windows = [], []
     for B in fields:
-        try:
-            closed = None if closed_map is None else magnetostatics.mode_frequency(closed_map, B, material)
-            q = magnetostatics.WalkerModeQuery(i=i, j=signed_j, B_ext=B)
-            window = None if closed is None else magnetostatics.closed_form_window(closed, material)
-        except ValueError as exc:
-            rows.append(exc)
-            continue
-        solvable.append((len(rows), q, closed, window))
-        rows.append(None)
-    solved = magnetostatics.solve_walker_modes(
-        [q for _, q, _, _ in solvable], material, [window for _, _, _, window in solvable]
-    )
-    for (k, q, closed, _), root in zip(solvable, solved.outcomes):
+        B_cell = _fmt(B)
+        for i, signed_j, closed_map, tail in pairs:
+            try:
+                closed = None if closed_map is None else magnetostatics.mode_frequency(closed_map, B, material)
+                q = magnetostatics.WalkerModeQuery(i=i, j=signed_j, B_ext=B)
+                window = None if closed is None else magnetostatics.closed_form_window(closed, material)
+            except ValueError as exc:
+                rows.append(exc)
+                continue
+            solvable.append((len(rows), B_cell + tail, closed))
+            queries.append(q)
+            windows.append(window)
+            rows.append(None)
+    solved = magnetostatics.solve_walker_modes(queries, material, windows)
+    for (k, template, closed), root in zip(solvable, solved.outcomes):
         if isinstance(root, DomainError):
             rows[k] = root
         elif closed is None:
-            rows[k] = template % (q.B_ext, root)
+            rows[k] = template % root
         else:
-            rows[k] = template % (q.B_ext, closed, root, abs(root - closed) / closed)
+            rows[k] = template % (closed, root, abs(root - closed) / closed)
     return rows
 
 
@@ -220,12 +227,10 @@ def cmd_modes(args) -> int:
     if config.modes_table is None:
         raise ConfigError("config must provide a modes_table section")
     spec = config.modes_table
-    material = config.system.material
     fields = spec.field_grid.values().tolist()
 
     def rows():
-        columns = [_modes_rows(i, j, fields, spec.sign_branch, material) for (i, j) in spec.indices]
-        for row in chain.from_iterable(zip(*columns)):  # B-major, index pairs in config order
+        for row in _modes_rows(fields, spec.indices, spec.sign_branch, config.system.material):
             if isinstance(row, ValueError):
                 raise row
             yield row
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_: str, data: bool = False, sweep_flags: bool = False):
+    def add(name: str, help_: str, data: bool = False, sweep_flags: bool = False):
         p = sub.add_parser(name, help=help_)
         p.add_argument("config", help="path to the YAML configuration file")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
@@ -365,22 +370,26 @@ def build_parser() -> argparse.ArgumentParser:
                 dest="beta_db",
                 help="set every mode's amplification factor to 10^(x/10)",
             )
-        p.set_defaults(func=func)
-        return p
 
-    add("spectrum", cmd_spectrum, "frequency cross-section of all S-parameters at one bias field", sweep_flags=True)
-    add("map", cmd_map, "2D (field x frequency) map of one observable, long CSV format", sweep_flags=True)
-    add("modes", cmd_modes, "Walker mode frequency table: closed forms vs. characteristic-equation solver")
-    add("derive", cmd_derive, "derived parameter report (spin counts, densities, optical coupling, ...)")
-    add("fit", cmd_fit, "extract system parameters from a measured spectrum CSV", data=True)
-    add("scaling", cmd_scaling, "fit a size-scaling law to (diameter, value) points", data=True)
+    add("spectrum", "frequency cross-section of all S-parameters at one bias field", sweep_flags=True)
+    add("map", "2D (field x frequency) map of one observable, long CSV format", sweep_flags=True)
+    add("modes", "Walker mode frequency table: closed forms vs. characteristic-equation solver")
+    add("derive", "derived parameter report (spin counts, densities, optical coupling, ...)")
+    add("fit", "extract system parameters from a measured spectrum CSV", data=True)
+    add("scaling", "fit a size-scaling law to (diameter, value) points", data=True)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and reused by later calls in the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
+    args = _parser().parse_args(argv)
+    try:  # cmd_<command> is looked up when it runs: the reused parser holds no command function
+        return globals()[f"cmd_{args.command}"](args)
     except (DomainError, OverflowError) as exc:  # OverflowError: a float ** out of range
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

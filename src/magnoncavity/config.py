@@ -333,10 +333,14 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Read and parse a YAML/JSON configuration file."""
+    """Read and parse a YAML/JSON configuration file.
+
+    The file is parsed by libyaml where PyYAML was built with it, and by
+    PyYAML's pure-Python safe loader otherwise; both give the same data.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer too long for int()

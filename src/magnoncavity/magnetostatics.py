@@ -34,8 +34,10 @@ _IMAG_TOL = 1e-9
 # Probe frequencies with |gamma_e^2 B_i^2 - f^2| below this fraction of the
 # larger square are treated as the susceptibility pole itself.
 _POLE_GUARD = 1e-12
-# Bias fields scanned and refined together: bounds the scan's temporaries
-# to _SCAN_BLOCK * (_N_PANELS + 1) complex values whatever the table size.
+# Bias fields of one index pair scanned together: bounds the scan's
+# temporaries to _SCAN_BLOCK * (_N_PANELS + 1) complex values whatever the
+# table size. Brent's state is not bounded by it: it grows with the number
+# of panels the whole solve selects.
 _SCAN_BLOCK = 256
 # Panels per search window, and the absolute tolerance (Hz) of Brent's
 # method; accepted roots closer than 10 * _F_TOL are one root.
@@ -277,8 +279,8 @@ def _lockstep_brent(f, xa, xb, fa, fb, xtol: float):
     relative tolerance ``_BRENT_RTOL`` and at most ``_BRENT_MAXITER``
     iterations, whose state (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
     is held as float64 arrays over the unfinished brackets. Each round
-    advances every one of them by one probe, and ``f(x, live)`` evaluates
-    the probes ``x`` of the brackets numbered ``live`` in one call. Every
+    advances every one of them by one probe, and one ``f(x, live)`` call per
+    round evaluates the probes ``x`` of the brackets numbered ``live``. Every
     branch of brentq.c is an ``np.where`` over the same expression, and
     numpy's + - * / abs min give CPython's doubles, so each bracket takes the
     probes and root bits of a search of its own. Returns the arrays (x,
@@ -369,79 +371,104 @@ def solve_walker_modes(
     material: MaterialParams,
     windows: Sequence[tuple[float, float] | None],
 ) -> WalkerSolutions:
-    """Roots of the characteristic equation for many bias fields of one mode.
+    """Roots of the characteristic equation for many queries, of one index pair or of several.
 
-    Every query must share one (i, j); ``windows`` gives each query's
-    search window, or None for :func:`default_search_window`. Each window
-    is split into ``_N_PANELS`` panels, and the residual at every panel
-    edge of a block of fields is evaluated in one array call. Every panel
-    whose edge residuals change sign or touch zero is refined from them to
-    ``_F_TOL`` by one lock-step Brent search over all of the block's panels
-    (:func:`_lockstep_brent`), one array call per round. A root is kept only if the
-    residual there is small, which weeds out sign flips across poles of
-    the residual (the chi pole and zeros of P_i^j). A query must keep
-    exactly one root; otherwise its outcome is the DomainError that
-    reports an empty or ambiguous window.
+    ``windows`` gives each query's search window, or None for
+    :func:`default_search_window`. Each window is split into ``_N_PANELS``
+    panels. The queries of each index pair are scanned in blocks of
+    ``_SCAN_BLOCK``: the residual at every panel edge of a block is
+    evaluated in one array call. Every panel whose edge residuals change
+    sign or touch zero is refined from them to ``_F_TOL`` by one lock-step
+    Brent search over the selected panels of the whole call
+    (:func:`_lockstep_brent`), whose rounds evaluate their probes in one
+    array call per index pair that still has live probes. A root is kept
+    only if the residual there is small, which weeds out sign flips across
+    poles of the residual (the chi pole and zeros of P_i^j). A query must
+    keep exactly one root; otherwise its outcome is the DomainError that
+    reports an empty or ambiguous window. Each element of the residual
+    depends only on its own probe and field, so outcomes and counters are
+    those of one call per index pair.
     """
     queries, windows = list(queries), list(windows)
     if len(windows) != len(queries):
         raise ValueError(f"{len(queries)} queries but {len(windows)} search windows")
-    if len({(q.i, q.j) for q in queries}) > 1:
-        raise ValueError("queries of one solve must share (i, j)")
+    if not queries:
+        return WalkerSolutions(outcomes=())
     bounds = []
     for q, window in zip(queries, windows):
         lo, hi = default_search_window(q, material) if window is None else window
         if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
             raise ValueError(f"invalid search window ({lo}, {hi})")
         bounds.append((lo, hi))
+    lows, highs = np.array(bounds, dtype=float).T
+    fields = np.array([q.B_ext for q in queries], dtype=float)
+    index_pairs: dict[tuple[int, int], int] = {}  # numbered in order of first appearance
+    pair_of = np.array([index_pairs.setdefault((q.i, q.j), len(index_pairs)) for q in queries])
 
     counts: Counter = Counter()
-    outcomes: list[float | DomainError] = []
     steps = np.arange(_N_PANELS + 1, dtype=float)
-    for start in range(0, len(queries), _SCAN_BLOCK):
-        block, block_bounds = queries[start : start + _SCAN_BLOCK], bounds[start : start + _SCAN_BLOCK]
-        lows, highs = np.array(block_bounds).T
-        # the scalar edges lo + (hi - lo) * k / _N_PANELS, bit for bit
-        edges = lows[:, None] + (highs - lows)[:, None] * steps / _N_PANELS
-        fields = np.array([q.B_ext for q in block])
-        mode = block[0]
-        values = _characteristic_grid(edges, fields[:, None], mode.i, mode.j, material)
-        signs = np.sign(values)  # NaN edges select nothing
-        crossing = signs[:, :-1] * signs[:, 1:]
-        counts["panels_selected"] += int((crossing <= 0).sum())
-        counts["brent_calls"] += int((crossing < 0).sum())
+    # per selected panel, in pair, query then panel order: its query, and its edges with their residuals
+    selected: list[tuple] = []
+    for pair, (i, j) in enumerate(index_pairs):
+        members = np.flatnonzero(pair_of == pair)
+        for start in range(0, members.size, _SCAN_BLOCK):
+            block = members[start : start + _SCAN_BLOCK]
+            # the scalar edges lo + (hi - lo) * k / _N_PANELS, bit for bit
+            edges = lows[block, None] + (highs - lows)[block, None] * steps / _N_PANELS
+            values = _characteristic_grid(edges, fields[block, None], i, j, material)
+            signs = np.sign(values)  # NaN edges select nothing
+            crossing = signs[:, :-1] * signs[:, 1:]
+            counts["panels_selected"] += int((crossing <= 0).sum())
+            counts["brent_calls"] += int((crossing < 0).sum())
+            rows, panels = np.nonzero(crossing <= 0)
+            selected.append((block[rows], edges[rows, panels], edges[rows, panels + 1],
+                             values[rows, panels], values[rows, panels + 1]))
+    query_of, xa, xb, fa, fb = (np.concatenate(column) for column in zip(*selected))
+    pairs = list(index_pairs)
 
-        # one Brent search per selected panel, in query then panel order, from the scan's edge values
-        rows, panels = np.nonzero(crossing <= 0)
+    def residual(x, live):
+        counts["residual_evals"] += x.size
+        f_x = np.empty(x.size)
+        live_queries = query_of[live]
+        live_pairs = pair_of[live_queries]
+        for pair in np.unique(live_pairs).tolist():
+            here = live_pairs == pair
+            i, j = pairs[pair]
+            f_x[here] = _characteristic_grid(x[here], fields[live_queries[here]], i, j, material)
+        return f_x
 
-        def residual(x, live):
-            counts["residual_evals"] += x.size
-            return _characteristic_grid(x, fields[rows[live]], mode.i, mode.j, material)
+    found, f_found, outcome = _lockstep_brent(residual, xa, xb, fa, fb, _F_TOL)
+    # a sign change across a pole, a NaN residual or no convergence: not a root
+    accepted = (outcome == _ROOT) & (np.abs(f_found) <= _ROOT_RESIDUAL_TOL)
+    counts["poles_rejected"] += int((~accepted).sum())
 
-        found, f_found, outcome = _lockstep_brent(
-            residual, edges[rows, panels], edges[rows, panels + 1], values[rows, panels], values[rows, panels + 1], _F_TOL
-        )
-        # a sign change across a pole, a NaN residual or no convergence: not a root
-        accepted = (outcome == _ROOT) & (np.abs(f_found) <= _ROOT_RESIDUAL_TOL)
-        counts["poles_rejected"] += int((~accepted).sum())
-
-        roots: list[list[float]] = [[] for _ in block]
-        for row, root in zip(rows[accepted].tolist(), found[accepted].tolist()):
-            if any(abs(root - r) <= 10 * _F_TOL for r in roots[row]):
-                counts["duplicates_merged"] += 1
-            else:
-                roots[row].append(root)
-        for q, (lo, hi), q_roots in zip(block, block_bounds, roots):
-            if not q_roots:
-                outcomes.append(DomainError(
-                    f"no root of the ({q.i},{q.j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz"
-                ))
-            elif len(q_roots) > 1:
-                outcomes.append(DomainError(
-                    f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(q_roots)} roots for ({q.i},{q.j}); narrow it"
-                ))
-            else:
-                outcomes.append(q_roots[0])
+    owner, candidates = query_of[accepted], found[accepted]
+    # a query with one candidate has it as its root; the candidates of the
+    # others are merged in panel order, and a query left with none or several fails
+    n_candidates = np.bincount(owner, minlength=len(queries))
+    sole = np.zeros(len(queries))
+    sole[owner] = candidates
+    outcomes: list[float | DomainError] = sole.tolist()
+    kept: dict[int, list[float]] = {}
+    several = n_candidates[owner] > 1
+    for k, root in zip(owner[several].tolist(), candidates[several].tolist()):
+        roots = kept.setdefault(k, [])
+        if any(abs(root - r) <= 10 * _F_TOL for r in roots):
+            counts["duplicates_merged"] += 1
+        else:
+            roots.append(root)
+    for k in np.flatnonzero(n_candidates != 1).tolist():
+        q, (lo, hi), roots = queries[k], bounds[k], kept.get(k, [])
+        if len(roots) == 1:
+            outcomes[k] = roots[0]
+        elif not roots:
+            outcomes[k] = DomainError(
+                f"no root of the ({q.i},{q.j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz"
+            )
+        else:
+            outcomes[k] = DomainError(
+                f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(roots)} roots for ({q.i},{q.j}); narrow it"
+            )
     return WalkerSolutions(outcomes=tuple(outcomes), **counts)
 
 

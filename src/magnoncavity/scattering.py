@@ -157,7 +157,7 @@ def shared_denominator(f, system: HybridSystem, f_ms, *, out: KernelBuffers | No
     the results are written into its arrays (see :class:`KernelBuffers`);
     the values are the same bit for bit, for a one-cell block too.
     """
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValueError("f must be finite")
     f = np.asarray(f, dtype=float)
     cav = system.cavity
@@ -165,7 +165,7 @@ def shared_denominator(f, system: HybridSystem, f_ms, *, out: KernelBuffers | No
     d = np.add(np.subtract(f, cav.f_c, out=real), 1j * cav.kappa_t, out=d_out)
     chis = []
     for mode, f_m, chi in zip(system.modes, f_ms, chi_outs, strict=True):
-        if not np.all(np.isfinite(f_m)):
+        if not np.isfinite(f_m).all():
             raise ValueError("f_m must be finite")
         chi = np.divide(1.0, np.add(np.subtract(f, f_m, out=real), 1j * mode.gamma, out=chi), out=chi)
         d = np.subtract(d, np.multiply(mode.g**2, chi, out=scratch), out=d_out)

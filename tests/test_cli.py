@@ -796,8 +796,13 @@ class TestCsvContract:
             ([[2, 0], [4, 1]], "minus", (0.3, 0.45, 7), 0),  # (4,-1) has no closed form
             ([[2, 0], [3, 1], [4, 1]], "plus", (0.06, 0.3, 9), 3),  # two (4,1) roots in the third field's window
             ([[2, 0], [4, 1], [3, 1]], "minus", (0.3, 0.45, 9), 3),  # no (3,-1) root in the first field's window
+            ([[2, 0], [3, 0], [4, 0], [4, 1]], "minus", (0.3, 0.45, 9), 0),  # one closed form, three bare pairs
+            ([[2, 0], [4, 1], [4, 2], [3, 0]], "minus", (0.3, 0.45, 9), 3),  # no (4,-2) root in the third field's
         ],
-        ids=["closed_forms", "minus_bare_row", "plus_stops_with_exit_3", "minus_stops_with_exit_3"],
+        ids=[
+            "closed_forms", "minus_bare_row", "plus_stops_with_exit_3", "minus_stops_with_exit_3",
+            "minus_four_pairs", "minus_four_pairs_stop_at_the_third_field",
+        ],
     )
     def test_modes_bytes_equal_a_row_by_row_reference(self, tmp_path, capsysbinary, indices, branch, field, code):
         config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
@@ -1042,3 +1047,43 @@ class TestWriteErrors:
         done = run_process(self.MAP + ["--out", out], preexec_fn=small_files)
         assert (done.returncode, done.stderr) == (2, f"config error: cannot write output file {out}: [Errno 27] File too large\n")
         assert not out.exists()
+
+
+class TestParserReuse:
+    """main() builds its parser once per process, and later calls behave as they do in a fresh process."""
+
+    CALLS = [
+        ["modes", CONFIG_DIR / "walker_modes.yaml"],
+        ["derive", CONFIG_DIR / "derive_0p45mm.yaml"],
+        ["map", CONFIG_DIR / "sphere_0p45mm_map.yaml", "--beta-db", "loud"],  # argparse: exit 2, usage on stderr
+        ["--version"],
+        [],  # no command: exit 2
+        ["scaling", CONFIG_DIR / "scaling_g_kittel.yaml", "--data", CONFIG_DIR / "points_g_msm.csv"],
+        ["spectrum", CONFIG_DIR / "bare_cavity.yaml", "--unwrap"],
+        ["modes", CONFIG_DIR / "walker_modes.yaml"],
+    ]
+
+    def test_calls_in_one_process_behave_as_in_a_fresh_one(self, monkeypatch, capsysbinary):
+        cli._parser.cache_clear()
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        in_process = []
+        for args in self.CALLS:
+            try:
+                code = run(args)
+            except SystemExit as exc:
+                code = exc.code
+            in_process.append((code, *capsysbinary.readouterr()))
+        assert len(builds) == 1
+
+        fresh = []
+        for args in self.CALLS:
+            done = subprocess.run(cli_argv(args), env=CLI_ENV, capture_output=True)
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert in_process == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 2, 0, 0, 0]
+        assert fresh[2][2].startswith(b"usage: magnoncavity map ")
+        assert b"argument --beta-db: invalid float value: 'loud'" in fresh[2][2]
+        assert fresh[3][1:] == (f"magnoncavity {mc.__version__}\n".encode(), b"")
+        assert fresh[0] == fresh[-1]

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
 import magnoncavity as mc
+from magnoncavity import cli
 from magnoncavity.config import GridSpec, dump_config, parse_config
 from magnoncavity.errors import ConfigError
 
@@ -275,9 +278,67 @@ def test_load_config_from_file(tmp_path):
 
 
 def test_shipped_configs_parse(repo_configs=None):
-    from pathlib import Path
-
     config_dir = Path(__file__).resolve().parent.parent / "configs"
     for path in sorted(config_dir.glob("*.yaml")):
         config = mc.load_config(path)
         assert config.system.cavity.f_c > 0, path.name
+
+
+ROOT = Path(__file__).resolve().parent.parent
+YAML_FILES = sorted([*(ROOT / "configs").glob("*.yaml"), *(ROOT / "bench" / "inputs").glob("*.yaml")])
+
+
+def loaders_used(monkeypatch):
+    """The loader class of each yaml.load call from here on, in a list."""
+    used = []
+    load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda stream, Loader: used.append(Loader) or load(stream, Loader))
+    return used
+
+
+def force_pure_python_yaml(monkeypatch):
+    """PyYAML as installed without libyaml: no CSafeLoader."""
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml: one loader only")
+@pytest.mark.parametrize("path", YAML_FILES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_libyaml_and_the_pure_python_loader_give_the_same_data(monkeypatch, path):
+    text = path.read_text(encoding="utf-8")
+    libyaml = yaml.CSafeLoader
+    assert yaml.load(text, Loader=libyaml) == yaml.load(text, Loader=yaml.SafeLoader)
+    used = loaders_used(monkeypatch)
+    fast = dump_config(mc.load_config(path))
+    force_pure_python_yaml(monkeypatch)
+    assert dump_config(mc.load_config(path)) == fast
+    assert used == [libyaml, yaml.SafeLoader]
+
+
+@pytest.mark.parametrize("loader", ["libyaml", "pure_python"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"system: [unclosed\n",
+        b"system: cavity: 1\n",
+        b"system:\n\t- 1\n",
+        b"\x07system: 1\n",
+        b"- &a 1\n- *b\n",
+        b"system: !!python/object/apply:os.system ['true']\n",
+        b"seed: " + b"1" * 5000 + b"\n",
+        b"\xff\xfesystem: 1\n",
+    ],
+    ids=["unclosed", "nested_mapping", "tab", "control_character", "unknown_alias", "python_tag", "long_int",
+         "not_utf_8"],
+)
+def test_a_malformed_file_exits_2_under_either_loader(tmp_path, monkeypatch, capsys, loader, text):
+    if loader == "pure_python":
+        force_pure_python_yaml(monkeypatch)
+    elif not yaml.__with_libyaml__:
+        pytest.skip("PyYAML is built without libyaml")
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(text)
+    used = loaders_used(monkeypatch)
+    assert cli.main(["derive", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: config file {path} is not valid YAML: ")
+    assert used == [yaml.SafeLoader if loader == "pure_python" else yaml.CSafeLoader]

@@ -481,13 +481,34 @@ class TestBatchedSolver:
         with pytest.raises(DomainError, match=r"no root of the \(2,2\) characteristic equation"):
             solved.root(0)
 
-    def test_queries_must_share_indices(self):
+    @pytest.mark.parametrize("block", [256, 50])
+    def test_a_mixed_pair_solve_gives_the_one_pair_solves(self, monkeypatch, block):
+        # queries B-major, as `modes` passes them; the default windows hold roots, pairs of roots,
+        # empty windows and pole crossings
+        monkeypatch.setattr(magnetostatics, "_SCAN_BLOCK", block)
+        pairs = [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (2, 0), (3, 1), (2, -1)]
+        queries = [mc.WalkerModeQuery(i, j, B) for B in np.linspace(0.3, 0.45, 201).tolist() for i, j in pairs]
+        mixed = solve_walker_modes(queries, MAT, [None] * len(queries))
+        counters = ("panels_selected", "brent_calls", "poles_rejected", "duplicates_merged", "residual_evals")
+        totals = dict.fromkeys(counters, 0)
+        kinds = set()
+        for pair in pairs:
+            ks = [k for k, q in enumerate(queries) if (q.i, q.j) == pair]
+            alone = solve_walker_modes([queries[k] for k in ks], MAT, [None] * len(ks))
+            expected = [outcome(alone.root, n) for n in range(len(ks))]
+            assert [outcome(mixed.root, k) for k in ks] == expected, pair
+            kinds |= {type(e) for e in expected}
+            for name in counters:
+                totals[name] += getattr(alone, name)
+        assert kinds == {float, str}  # roots and errors both
+        assert {name: getattr(mixed, name) for name in counters} == totals
+        assert min(totals.values()) > 0
+
+    def test_the_windows_must_match_the_queries_and_an_empty_call_finds_nothing(self):
         mixed = [mc.WalkerModeQuery(i=2, j=2, B_ext=0.38), mc.WalkerModeQuery(i=2, j=1, B_ext=0.38)]
-        with pytest.raises(ValueError, match="share"):
-            solve_walker_modes(mixed, MAT, [None, None])
         with pytest.raises(ValueError, match="windows"):
-            solve_walker_modes(mixed[:1], MAT, [])
-        assert solve_walker_modes([], MAT, []).outcomes == ()
+            solve_walker_modes(mixed, MAT, [None])
+        assert solve_walker_modes([], MAT, []) == magnetostatics.WalkerSolutions(outcomes=())
 
 
 def brent_run(solve, f, a, b):
