@@ -176,50 +176,59 @@ def cmd_map(args) -> int:
     return EXIT_OK
 
 
-def _modes_rows(fields, indices, sign_branch: str, material) -> list:
-    """The `modes` rows in output order (B-major, index pairs in config order), from one batched solve.
+def _modes_rows(fields, indices, sign_branch: str, material):
+    """The `modes` rows as text blocks, one per bias field (index pairs in config order), from one batched solve.
 
     The minus branch of (i, j) is the mode (i, -j): its closed form, if it
-    has one, and its roots. Each row is its CSV text: the B cell, formatted
-    once per field, and the index pair's cells, then a "%.17g" template
-    filled with the closed form, the root and their relative difference (a
-    .17g cell needs no quoting), with empty closed-form cells where the
-    pair has no closed form. A row that cannot be computed holds the
-    ValueError (DomainError included) that computing it raises, so the
-    caller raises it only when the row's turn comes.
+    has one, and its roots. Closed forms and windows are found per index
+    pair over the whole ``fields`` array; a row found unsolvable is computed
+    again by the scalar functions, which raise its ValueError (DomainError
+    included), and only the rows before it are solved. A field's block fills
+    one "%.17g" template of every pair's row (a .17g cell needs no quoting),
+    with empty closed-form cells where a pair has none. The first row that
+    fails ends the rows: the blocks before it are yielded, then it raises.
     """
-    pairs = []  # (i, signed j, closed-form map, row template after the B cell)
-    for i, j in indices:
-        signed_j = j if sign_branch == "plus" else -j
-        closed_map = magnetostatics.closed_form_map(i, signed_j)
-        tail = ",%.17g,\r\n" if closed_map is None else "%.17g,%.17g,%.17g\r\n"
-        pairs.append((i, signed_j, closed_map, f",{i},{j},{sign_branch},{tail}"))
-    rows: list = []
-    solvable = []  # (row index, row template, closed form) of each query
-    queries, windows = [], []
-    for B in fields:
-        B_cell = _fmt(B)
-        for i, signed_j, closed_map, tail in pairs:
-            try:
-                closed = None if closed_map is None else magnetostatics.mode_frequency(closed_map, B, material)
-                q = magnetostatics.WalkerModeQuery(i=i, j=signed_j, B_ext=B)
-                window = None if closed is None else magnetostatics.closed_form_window(closed, material)
-            except ValueError as exc:
-                rows.append(exc)
-                continue
-            solvable.append((len(rows), B_cell + tail, closed))
-            queries.append(q)
-            windows.append(window)
-            rows.append(None)
-    solved = magnetostatics.solve_walker_modes(queries, material, windows)
-    for (k, template, closed), root in zip(solvable, solved.outcomes):
-        if isinstance(root, DomainError):
-            rows[k] = root
-        elif closed is None:
-            rows[k] = template % root
-        else:
-            rows[k] = template % (closed, root, abs(root - closed) / closed)
-    return rows
+    pairs = [(i, j if sign_branch == "plus" else -j) for i, j in indices]
+    n_pairs = len(pairs)
+    # B-major (field, pair) arrays flattened to rows: closed form (NaN without one), window edges, solvable
+    columns = [magnetostatics._table_rows(i, signed_j, fields, material) for i, signed_j in pairs]
+    closed, lows, highs, valid = (np.column_stack(column).ravel() for column in zip(*columns))
+    stop, error = valid.size, None
+    for k in np.flatnonzero(~valid).tolist():
+        i, signed_j = pairs[k % n_pairs]
+        try:
+            closed[k], lows[k], highs[k] = magnetostatics._table_row(i, signed_j, fields[k // n_pairs], material)
+        except ValueError as exc:
+            stop, error = k, exc
+            break
+    roots, failures, _ = magnetostatics._solve_walker_arrays(
+        pairs, np.arange(stop) % n_pairs, np.repeat(fields, n_pairs)[:stop], lows[:stop], highs[:stop], material
+    )
+    if failures:
+        stop = min(failures)
+        error = failures[stop]
+    closed, roots = closed[:stop], roots[:stop]
+
+    # per row: closed form, root and relative difference, of which a pair without a closed form writes the root
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells = np.column_stack([closed, roots, np.abs(roots - closed) / closed])
+    has_closed = [magnetostatics.closed_form_map(i, signed_j) is not None for i, signed_j in pairs]
+    tails = [
+        f",{i},{j},{sign_branch}," + ("%.17g,%.17g,%.17g\r\n" if closed_form else ",%.17g,\r\n")
+        for (i, j), closed_form in zip(indices, has_closed)
+    ]
+    written = np.array([[closed_form, True, closed_form] for closed_form in has_closed])
+    # "\0" marks the B cell, as in `map`
+    template = "\0" + "\0".join(tails)
+    n_full, partial = divmod(stop, n_pairs)
+    values = cells[: n_full * n_pairs].reshape(n_full, n_pairs, 3)[:, written]
+    for B, row in zip(fields[:n_full].tolist(), values.tolist()):
+        yield template.replace("\0", _fmt(B)) % tuple(row)
+    if partial:  # the rows of the failing row's field before it
+        head = cells[n_full * n_pairs : stop][written[:partial]]
+        yield ("\0" + "\0".join(tails[:partial])).replace("\0", _fmt(fields[n_full])) % tuple(head.tolist())
+    if error is not None:
+        raise error
 
 
 def cmd_modes(args) -> int:
@@ -227,15 +236,8 @@ def cmd_modes(args) -> int:
     if config.modes_table is None:
         raise ConfigError("config must provide a modes_table section")
     spec = config.modes_table
-    fields = spec.field_grid.values().tolist()
-
-    def rows():
-        for row in _modes_rows(fields, spec.indices, spec.sign_branch, config.system.material):
-            if isinstance(row, ValueError):
-                raise row
-            yield row
-
-    _write_csv(args.out, ["B_T", "i", "j", "sign_branch", "f_closed_hz", "f_solver_hz", "rel_diff"], rows())
+    rows = _modes_rows(spec.field_grid.values(), spec.indices, spec.sign_branch, config.system.material)
+    _write_csv(args.out, ["B_T", "i", "j", "sign_branch", "f_closed_hz", "f_solver_hz", "rel_diff"], rows)
     return EXIT_OK
 
 

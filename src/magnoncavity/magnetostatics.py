@@ -34,10 +34,10 @@ _IMAG_TOL = 1e-9
 # Probe frequencies with |gamma_e^2 B_i^2 - f^2| below this fraction of the
 # larger square are treated as the susceptibility pole itself.
 _POLE_GUARD = 1e-12
-# Bias fields of one index pair scanned together: bounds the scan's
-# temporaries to _SCAN_BLOCK * (_N_PANELS + 1) complex values whatever the
-# table size. Brent's state is not bounded by it: it grows with the number
-# of panels the whole solve selects.
+# Queries of one index pair that :func:`_solve_walker_arrays` scans
+# together: bounds the scan's temporaries to _SCAN_BLOCK * (_N_PANELS + 1)
+# complex values whatever the table size. Brent's state is not bounded by
+# it: it grows with the number of panels the whole solve selects.
 _SCAN_BLOCK = 256
 # Panels per search window, and the absolute tolerance (Hz) of Brent's
 # method; accepted roots closer than 10 * _F_TOL are one root.
@@ -47,6 +47,10 @@ _F_TOL = 1.0
 # term and is even in f, so a window reaching below zero can hold the
 # mirror root -f of a positive one.
 _WINDOW_FLOOR = 1.0
+# Half-widths, in units of gamma_e*mu0_Ms, of the default search window
+# (around the Kittel frequency) and of the window around a closed form.
+_DEFAULT_HALF_WIDTH = 1.5
+_CLOSED_FORM_HALF_WIDTH = 0.03
 # Relative tolerance and iteration cap of :func:`_lockstep_brent`: scipy's
 # defaults; and the ways one of its searches ends.
 _BRENT_RTOL = 4 * sys.float_info.epsilon
@@ -114,6 +118,18 @@ def msm_frequency_linear(q: WalkerModeQuery, material: MaterialParams) -> float:
     return mode_frequency(FieldMap("walker", q.i, q.j), q.B_ext, material)
 
 
+def _walker_closed_form(i: int, j: int, B_ext, material: MaterialParams):
+    """The i = j or i = j + 1 closed form of :func:`msm_frequency_linear` at a float or an array ``B_ext``."""
+    offset = (j / (2 * j + (1 if i == j else 3)) - 1.0 / 3.0) * (material.gamma_e * material.mu0_Ms)
+    return material.gamma_e * B_ext + offset
+
+
+def _msm20_radicand(B_ext, material: MaterialParams):
+    """r = B_ext/mu0_Ms and the (2, 0) radicand (r - 1/3)(r + 7/15), at a float or an array ``B_ext``."""
+    r = B_ext / material.mu0_Ms
+    return r, (r - 1.0 / 3.0) * (r + 7.0 / 15.0)
+
+
 def msm20_frequency(B_ext: float, material: MaterialParams) -> float:
     """Closed form for the (2, 0) mode.
 
@@ -122,8 +138,7 @@ def msm20_frequency(B_ext: float, material: MaterialParams) -> float:
     """
     if not math.isfinite(B_ext):
         raise ValueError("B_ext must be finite")
-    r = B_ext / material.mu0_Ms
-    radicand = (r - 1.0 / 3.0) * (r + 7.0 / 15.0)
+    r, radicand = _msm20_radicand(B_ext, material)
     if radicand <= 0:
         raise DomainError(f"(2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = {r:g}")
     return material.gamma_e * material.mu0_Ms * math.sqrt(radicand)
@@ -137,7 +152,7 @@ def _legendre_pair(i: int, j: int, z):
     Includes the Condon-Shortley phase (matches scipy.special.lpmv on
     real arguments in (-1, 1)). Plain arithmetic, so ``z`` may be a complex
     scalar or a complex array; at z = +/-1 the derivative is singular, and
-    the caller raises or masks the point.
+    the caller masks the point.
     """
     somx2 = (1.0 - z * z) ** 0.5
     p_jj = 1.0 + 0.0j
@@ -152,35 +167,6 @@ def _legendre_pair(i: int, j: int, z):
         p_im1, p_i = p_prev, p_curr
     dp = (i * z * p_i - (i + j) * p_im1) / (z * z - 1.0)
     return p_i, dp
-
-
-def assoc_legendre(i: int, j: int, x):
-    """Associated Legendre function P_i^j and its first derivative at x.
-
-    Negative j is mapped through the proportionality
-    P_i^{-m} = (-1)^m (i-m)!/(i+m)! P_i^m. Real input yields real output
-    whenever the function is real there (always for even j, and for odd j
-    when \\|x\\| <= 1); otherwise a complex pair is returned.
-    """
-    if i < 1:
-        raise ValueError("degree i must be >= 1")
-    if not -i <= j <= i:
-        raise ValueError("order j must satisfy -i <= j <= i")
-    if not (isinstance(x, complex) or math.isfinite(x)):
-        raise ValueError("x must be finite")
-    z = complex(x)
-    if z * z - 1.0 == 0:
-        raise DomainError("Legendre derivative is singular at z = +/-1")
-    m = abs(j)
-    p, dp = _legendre_pair(i, m, z)
-    if j < 0:
-        scale = (-1) ** m * math.factorial(i - m) / math.factorial(i + m)
-        p, dp = scale * p, scale * dp
-    if not isinstance(x, complex):
-        mag = max(abs(p), abs(dp), 1.0)
-        if abs(p.imag) <= 1e-13 * mag and abs(dp.imag) <= 1e-13 * mag:
-            return p.real, dp.real
-    return p, dp
 
 
 def _characteristic_grid(f, B_ext, i: int, j: int, material: MaterialParams):
@@ -238,9 +224,20 @@ def _positive_window(center: float, half: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _positive_windows(center, half: float):
+    """:func:`_positive_window` at each element of the array ``center``: (lo, hi, valid).
+
+    The same operations, so a valid element has the scalar edges' bits;
+    ``valid`` is False exactly where the scalar call raises.
+    """
+    lo, hi = np.maximum(center - half, _WINDOW_FLOOR), center + half
+    return lo, hi, lo < hi
+
+
 def default_search_window(q: WalkerModeQuery, material: MaterialParams) -> tuple[float, float]:
     """Kittel frequency +/- 1.5 * gamma_e*mu0_Ms, above _WINDOW_FLOOR; covers all low-order mode offsets."""
-    return _positive_window(kittel_frequency(q.B_ext, material), 1.5 * material.gamma_e * material.mu0_Ms)
+    half = _DEFAULT_HALF_WIDTH * material.gamma_e * material.mu0_Ms
+    return _positive_window(kittel_frequency(q.B_ext, material), half)
 
 
 @dataclass(frozen=True)
@@ -374,20 +371,13 @@ def solve_walker_modes(
     """Roots of the characteristic equation for many queries, of one index pair or of several.
 
     ``windows`` gives each query's search window, or None for
-    :func:`default_search_window`. Each window is split into ``_N_PANELS``
-    panels. The queries of each index pair are scanned in blocks of
-    ``_SCAN_BLOCK``: the residual at every panel edge of a block is
-    evaluated in one array call. Every panel whose edge residuals change
-    sign or touch zero is refined from them to ``_F_TOL`` by one lock-step
-    Brent search over the selected panels of the whole call
-    (:func:`_lockstep_brent`), whose rounds evaluate their probes in one
-    array call per index pair that still has live probes. A root is kept
-    only if the residual there is small, which weeds out sign flips across
-    poles of the residual (the chi pole and zeros of P_i^j). A query must
-    keep exactly one root; otherwise its outcome is the DomainError that
-    reports an empty or ambiguous window. Each element of the residual
-    depends only on its own probe and field, so outcomes and counters are
-    those of one call per index pair.
+    :func:`default_search_window`. The index pairs are numbered in order of
+    first appearance, and the queries go to :func:`_solve_walker_arrays` as
+    arrays of pair numbers, fields and window edges. A query must keep
+    exactly one root; otherwise its outcome is the DomainError that reports
+    an empty or ambiguous window. Each element of the residual depends only
+    on its own probe and field, so outcomes and counters are those of one
+    call per index pair.
     """
     queries, windows = list(queries), list(windows)
     if len(windows) != len(queries):
@@ -402,14 +392,41 @@ def solve_walker_modes(
         bounds.append((lo, hi))
     lows, highs = np.array(bounds, dtype=float).T
     fields = np.array([q.B_ext for q in queries], dtype=float)
-    index_pairs: dict[tuple[int, int], int] = {}  # numbered in order of first appearance
+    index_pairs: dict[tuple[int, int], int] = {}
     pair_of = np.array([index_pairs.setdefault((q.i, q.j), len(index_pairs)) for q in queries])
+    roots, failures, counts = _solve_walker_arrays(list(index_pairs), pair_of, fields, lows, highs, material)
+    outcomes: list[float | DomainError] = roots.tolist()
+    for k, error in failures.items():
+        outcomes[k] = error
+    return WalkerSolutions(outcomes=tuple(outcomes), **counts)
 
+
+def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: MaterialParams):
+    """The array core of :func:`solve_walker_modes`: the queries as arrays of pair numbers, fields and windows.
+
+    Query k is the index pair ``pairs[pair_of[k]]`` at the bias field
+    ``fields[k]``, searched in the finite window (``lows[k]``, ``highs[k]``)
+    with lo < hi; error texts are built from these arrays. Each window is
+    split into ``_N_PANELS`` panels. The queries of each index pair are
+    scanned in blocks of ``_SCAN_BLOCK``: the residual at every panel edge
+    of a block is evaluated in one array call. Every panel whose edge
+    residuals change sign or touch zero is refined from them to ``_F_TOL``
+    by one lock-step Brent search over the selected panels of the whole call
+    (:func:`_lockstep_brent`), whose rounds evaluate their probes in one
+    array call per index pair that still has live probes. A root is kept
+    only if the residual there is small, which weeds out sign flips across
+    poles of the residual (the chi pole and zeros of P_i^j). Candidates of
+    one query within 10 * _F_TOL are one root. Returns (roots, failures,
+    counts): the roots in query order (unspecified for a failed query), a
+    dict from each query left with no root or several to its
+    DomainError, and the :class:`WalkerSolutions` counters.
+    """
     counts: Counter = Counter()
     steps = np.arange(_N_PANELS + 1, dtype=float)
     # per selected panel, in pair, query then panel order: its query, and its edges with their residuals
-    selected: list[tuple] = []
-    for pair, (i, j) in enumerate(index_pairs):
+    # (an empty first entry, so that a call without queries concatenates to empty arrays)
+    selected: list[tuple] = [(np.empty(0, dtype=int),) + (np.empty(0),) * 4]
+    for pair, (i, j) in enumerate(pairs):
         members = np.flatnonzero(pair_of == pair)
         for start in range(0, members.size, _SCAN_BLOCK):
             block = members[start : start + _SCAN_BLOCK]
@@ -424,7 +441,6 @@ def solve_walker_modes(
             selected.append((block[rows], edges[rows, panels], edges[rows, panels + 1],
                              values[rows, panels], values[rows, panels + 1]))
     query_of, xa, xb, fa, fb = (np.concatenate(column) for column in zip(*selected))
-    pairs = list(index_pairs)
 
     def residual(x, live):
         counts["residual_evals"] += x.size
@@ -445,31 +461,29 @@ def solve_walker_modes(
     owner, candidates = query_of[accepted], found[accepted]
     # a query with one candidate has it as its root; the candidates of the
     # others are merged in panel order, and a query left with none or several fails
-    n_candidates = np.bincount(owner, minlength=len(queries))
-    sole = np.zeros(len(queries))
-    sole[owner] = candidates
-    outcomes: list[float | DomainError] = sole.tolist()
+    n_candidates = np.bincount(owner, minlength=pair_of.size)
+    roots = np.zeros(pair_of.size)
+    roots[owner] = candidates
     kept: dict[int, list[float]] = {}
     several = n_candidates[owner] > 1
     for k, root in zip(owner[several].tolist(), candidates[several].tolist()):
-        roots = kept.setdefault(k, [])
-        if any(abs(root - r) <= 10 * _F_TOL for r in roots):
+        merged = kept.setdefault(k, [])
+        if any(abs(root - r) <= 10 * _F_TOL for r in merged):
             counts["duplicates_merged"] += 1
         else:
-            roots.append(root)
+            merged.append(root)
+    failures: dict[int, DomainError] = {}
     for k in np.flatnonzero(n_candidates != 1).tolist():
-        q, (lo, hi), roots = queries[k], bounds[k], kept.get(k, [])
-        if len(roots) == 1:
-            outcomes[k] = roots[0]
-        elif not roots:
-            outcomes[k] = DomainError(
-                f"no root of the ({q.i},{q.j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz"
-            )
+        (i, j), lo, hi, merged = pairs[pair_of[k]], lows[k], highs[k], kept.get(k, [])
+        if len(merged) == 1:
+            roots[k] = merged[0]
+        elif not merged:
+            failures[k] = DomainError(f"no root of the ({i},{j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz")
         else:
-            outcomes[k] = DomainError(
-                f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(roots)} roots for ({q.i},{q.j}); narrow it"
+            failures[k] = DomainError(
+                f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(merged)} roots for ({i},{j}); narrow it"
             )
-    return WalkerSolutions(outcomes=tuple(outcomes), **counts)
+    return roots, failures, counts
 
 
 def solve_walker_mode(
@@ -505,7 +519,7 @@ def closed_form_window(f_closed: float, material: MaterialParams) -> tuple[float
     Its lower edge is kept at _WINDOW_FLOOR, and a closed form too far
     below zero leaves no window: DomainError.
     """
-    return _positive_window(f_closed, 0.03 * material.gamma_e * material.mu0_Ms)
+    return _positive_window(f_closed, _CLOSED_FORM_HALF_WIDTH * material.gamma_e * material.mu0_Ms)
 
 
 def mode_frequency(field_map: FieldMap, B_ext: float, material: MaterialParams) -> float:
@@ -515,10 +529,68 @@ def mode_frequency(field_map: FieldMap, B_ext: float, material: MaterialParams) 
     if field_map.kind == "walker":  # see msm_frequency_linear
         if not (math.isfinite(B_ext) and B_ext > 0):
             raise ValueError("B_ext must be positive and finite")
-        j = field_map.j
-        f_M = material.gamma_e * material.mu0_Ms
-        offset = (j / (2 * j + (1 if field_map.i == j else 3)) - 1.0 / 3.0) * f_M
-        return material.gamma_e * B_ext + offset
+        return _walker_closed_form(field_map.i, field_map.j, B_ext, material)
     if field_map.kind == "msm20":
         return msm20_frequency(B_ext, material)
     return field_map.frequency
+
+
+def _mode_frequency_grid(field_map: FieldMap, B_ext, material: MaterialParams):
+    """:func:`mode_frequency` at each element of the float array ``B_ext``: (frequencies, valid).
+
+    The same IEEE operations in the same order as the scalar call, so each
+    valid element has its bits; ``valid`` is False exactly where the scalar
+    call raises, and the frequency there is unspecified.
+    """
+    finite = np.isfinite(B_ext)
+    with np.errstate(over="ignore", invalid="ignore"):  # the scalar call overflows to inf silently too
+        if field_map.kind == "kittel":
+            return material.gamma_e * B_ext, finite
+        if field_map.kind == "walker":
+            return _walker_closed_form(field_map.i, field_map.j, B_ext, material), finite & (B_ext > 0)
+        if field_map.kind == "msm20":
+            _, radicand = _msm20_radicand(B_ext, material)
+            valid = finite & (radicand > 0)
+            return material.gamma_e * material.mu0_Ms * np.sqrt(np.where(valid, radicand, 0.0)), valid
+    return np.full(B_ext.shape, field_map.frequency, dtype=float), np.ones(B_ext.shape, dtype=bool)
+
+
+def _table_row(i: int, j: int, B_ext: float, material: MaterialParams) -> tuple[float, float, float]:
+    """Closed form (NaN where (i, j) has none) and search window (lo, hi) of one Walker table row.
+
+    The window is :func:`closed_form_window` around the closed form, or
+    :func:`default_search_window` where there is none. Raises the ValueError
+    (DomainError included) of the first of :func:`mode_frequency`,
+    :class:`WalkerModeQuery` and the window that fails.
+    """
+    closed_map = closed_form_map(i, j)
+    closed = math.nan if closed_map is None else mode_frequency(closed_map, B_ext, material)
+    q = WalkerModeQuery(i=i, j=j, B_ext=B_ext)
+    lo, hi = default_search_window(q, material) if closed_map is None else closed_form_window(closed, material)
+    return closed, lo, hi
+
+
+def _table_rows(i: int, j: int, B_ext, material: MaterialParams):
+    """:func:`_table_row` at each element of the float array ``B_ext``: (closed, lo, hi, valid).
+
+    The indices are checked once. Each valid element has the bits of the
+    scalar row; ``valid`` is False exactly where the scalar row raises.
+    """
+    try:
+        check_mode_indices(i, j)
+    except ValueError:
+        valid = np.zeros(B_ext.shape, dtype=bool)
+    else:
+        valid = np.isfinite(B_ext) & (B_ext > 0)  # WalkerModeQuery's field check
+    closed_map = closed_form_map(i, j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if closed_map is None:
+            closed = np.full(B_ext.shape, math.nan)
+            half = _DEFAULT_HALF_WIDTH * material.gamma_e * material.mu0_Ms
+            lo, hi, in_window = _positive_windows(material.gamma_e * B_ext, half)
+        else:
+            closed, has_closed = _mode_frequency_grid(closed_map, B_ext, material)
+            half = _CLOSED_FORM_HALF_WIDTH * material.gamma_e * material.mu0_Ms
+            lo, hi, in_window = _positive_windows(closed, half)
+            valid &= has_closed
+    return closed, lo, hi, valid & in_window

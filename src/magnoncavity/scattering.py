@@ -370,9 +370,17 @@ def sweep_map(
         "s31_phase": lambda t, s31, out, real: principal_phase(s31[label], out),
     }[observable]
 
-    # every (field, mode) frequency, field by field, so the first failing one
-    # in row-major order raises before any kernel work: shape (modes, fields)
-    f_ms = np.array([mode_frequencies(system, B) for B in B_grid.tolist()], dtype=float).T
+    # every (field, mode) frequency before any kernel work, one array call per
+    # mode: shape (modes, fields). A field where some mode fails is resolved
+    # again by mode_frequencies, so the first failing (field, mode) in
+    # row-major order raises the scalar path's error.
+    f_ms = np.empty((len(system.modes), B_grid.size))
+    valid = np.ones(B_grid.size, dtype=bool)
+    for f_m, mode in zip(f_ms, system.modes):
+        f_m[:], ok = magnetostatics._mode_frequency_grid(mode.field_map, B_grid, system.material)
+        valid &= ok & np.isfinite(f_m)
+    for k in np.flatnonzero(~valid).tolist():
+        f_ms[:, k] = mode_frequencies(system, B_grid[k].item())
     values = np.empty((B_grid.size, f_grid.size))
     rows = min(max(1, _SWEEP_CELLS // f_grid.size), B_grid.size)
     starts = range(0, B_grid.size, rows)

@@ -751,6 +751,56 @@ def derive_reference(path) -> str:
     return text.getvalue()
 
 
+def modes_reference(path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `modes` on ``path``, each row from its own one-query solve.
+
+    The rows stop at the first one that raises, as the command's do.
+    """
+    try:
+        parsed = mc.load_config(path)
+    except mc.ConfigError as exc:
+        return 2, "", f"config error: {exc}\n"
+    spec, material = parsed.modes_table, parsed.system.material
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(["B_T", "i", "j", "sign_branch", "f_closed_hz", "f_solver_hz", "rel_diff"])
+    for B in spec.field_grid.values().tolist():
+        for i, j in spec.indices:
+            signed_j = j if spec.sign_branch == "plus" else -j
+            closed_map = magnetostatics.closed_form_map(i, signed_j)
+            try:
+                closed = None if closed_map is None else mc.mode_frequency(closed_map, B, material)
+                window = None if closed is None else magnetostatics.closed_form_window(closed, material)
+                root = mc.solve_walker_mode(mc.WalkerModeQuery(i, signed_j, B), material, window)
+            except mc.DomainError as exc:
+                return 3, reference.getvalue(), f"numeric domain error: {exc}\n"
+            except ValueError as exc:
+                return 2, reference.getvalue(), f"config error: {exc}\n"
+            closed_cell, rel = ("", "") if closed is None else (closed, abs(root - closed) / closed)
+            writer.writerow([format(B, ".17g"), i, j, spec.sign_branch] + [
+                cell if cell == "" else format(cell, ".17g") for cell in (closed_cell, root, rel)
+            ])
+    return 0, reference.getvalue(), ""
+
+
+# index pairs of generated `modes` tables: (2,0), the closed-form families and pairs without a closed form
+MODES_PAIRS = [(1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2)]
+
+
+@st.composite
+def modes_tables(draw):
+    """(indices, sign_branch, (start, stop, count)) of a `modes` table.
+
+    Its field grid lies above mu0_Ms/3 (0.0593 T for the default material),
+    crosses it, or starts at or below 0 T.
+    """
+    indices = draw(st.lists(st.sampled_from(MODES_PAIRS).map(list), min_size=1, max_size=6))
+    start = draw(st.one_of(st.floats(0.3, 0.45), st.floats(0.01, 0.0593), st.floats(-0.1, 0.0)))
+    count = draw(st.integers(1, 9))
+    stop = start if count == 1 else start + draw(st.floats(0.005, 0.3))
+    return indices, draw(st.sampled_from(["plus", "minus"])), (start, stop, count)
+
+
 class TestCsvContract:
     """Bytes of the CSV every subcommand writes: .17g cells, \r\n rows, minimal quoting."""
 
@@ -789,60 +839,29 @@ class TestCsvContract:
         assert cells == values.ravel().tolist()
         assert len(cells) == n_fields * n_frequencies
 
-    @pytest.mark.parametrize(
-        "indices, branch, field, code",
-        [
-            ([[1, 1], [2, 0], [2, 1]], "plus", (0.3, 0.45, 7), 0),
-            ([[2, 0], [4, 1]], "minus", (0.3, 0.45, 7), 0),  # (4,-1) has no closed form
-            ([[2, 0], [3, 1], [4, 1]], "plus", (0.06, 0.3, 9), 3),  # two (4,1) roots in the third field's window
-            ([[2, 0], [4, 1], [3, 1]], "minus", (0.3, 0.45, 9), 3),  # no (3,-1) root in the first field's window
-            ([[2, 0], [3, 0], [4, 0], [4, 1]], "minus", (0.3, 0.45, 9), 0),  # one closed form, three bare pairs
-            ([[2, 0], [4, 1], [4, 2], [3, 0]], "minus", (0.3, 0.45, 9), 3),  # no (4,-2) root in the third field's
-        ],
-        ids=[
-            "closed_forms", "minus_bare_row", "plus_stops_with_exit_3", "minus_stops_with_exit_3",
-            "minus_four_pairs", "minus_four_pairs_stop_at_the_third_field",
-        ],
-    )
-    def test_modes_bytes_equal_a_row_by_row_reference(self, tmp_path, capsysbinary, indices, branch, field, code):
+    @settings(max_examples=60, deadline=None)
+    @given(modes_tables())
+    @example(([[1, 1], [2, 0], [2, 1]], "plus", (0.3, 0.45, 7)))  # closed forms: exit 0
+    @example(([[2, 0], [4, 1]], "minus", (0.3, 0.45, 7)))  # (4,-1) has no closed form: exit 0
+    @example(([[2, 0], [3, 1], [4, 1]], "plus", (0.06, 0.3, 9)))  # two (4,1) roots at the second field: exit 3
+    @example(([[2, 0], [4, 1], [3, 1]], "minus", (0.3, 0.45, 9)))  # no (3,-1) root at the first field: exit 3
+    @example(([[2, 0], [3, 0], [4, 0], [4, 1]], "minus", (0.3, 0.45, 9)))  # one closed form, three bare pairs: exit 0
+    @example(([[2, 0], [4, 1], [4, 2], [3, 0]], "minus", (0.3, 0.45, 9)))  # no (4,-2) root at the third field: exit 3
+    # a later (3,1) default window collapses (at 5e29 T): the first field's failing (3,1) row still ends the table
+    @example(([[2, 2], [3, 1]], "plus", (0.3, 1e30, 3)))
+    def test_modes_bytes_equal_a_row_by_row_reference(self, tmp_path_factory, table):
+        indices, branch, (start, stop, count) = table
         config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
-        start, stop, count = field
         config["modes_table"] = {
             "field": {"start": start, "stop": stop, "count": count}, "indices": indices, "sign_branch": branch
         }
-        path = tmp_path / "table.yaml"
+        path = tmp_path_factory.getbasetemp() / "table.yaml"
         path.write_text(yaml.safe_dump(config))
-        assert run(["modes", path]) == code
-        stdout, stderr = capsysbinary.readouterr()
+        with contextlib.redirect_stdout(io.StringIO(newline="")) as stdout:
+            with contextlib.redirect_stderr(io.StringIO()) as stderr:
+                code = run(["modes", path])
+        assert (code, stdout.getvalue(), stderr.getvalue()) == modes_reference(path)
 
-        # each row from its own one-query solve, until the first row that raises
-        parsed = mc.load_config(path)
-        material = parsed.system.material
-        reference = io.StringIO(newline="")
-        writer = csv.writer(reference)
-        writer.writerow(["B_T", "i", "j", "sign_branch", "f_closed_hz", "f_solver_hz", "rel_diff"])
-        error = None
-        for B in parsed.modes_table.field_grid.values().tolist():
-            for i, j in indices:
-                signed_j = j if branch == "plus" else -j
-                closed_map = magnetostatics.closed_form_map(i, signed_j)
-                try:
-                    closed = None if closed_map is None else mc.mode_frequency(closed_map, B, material)
-                    window = None if closed is None else magnetostatics.closed_form_window(closed, material)
-                    root = mc.solve_walker_mode(mc.WalkerModeQuery(i, signed_j, B), material, window)
-                except mc.DomainError as exc:
-                    error = exc
-                    break
-                closed_cell, rel = ("", "") if closed is None else (closed, abs(root - closed) / closed)
-                writer.writerow([format(B, ".17g"), i, j, branch] + [
-                    cell if cell == "" else format(cell, ".17g") for cell in (closed_cell, root, rel)
-                ])
-            if error is not None:
-                break
-        assert (error is None) == (code == 0)
-        assert stderr.decode() == ("" if error is None else f"numeric domain error: {error}\n")
-        assert stdout == reference.getvalue().encode()
-        assert stdout.count(b"\r\n") > 1
 
     @pytest.mark.parametrize("flags", [[], ["--unwrap", "--beta-db", "20"]], ids=["plain", "unwrap_beta_db_20"])
     @pytest.mark.parametrize("name", ["bare_cavity", "sphere_0p45mm_spectrum"])

@@ -38,13 +38,53 @@ LEGENDRE_TABLE = {
 }
 
 
+def _oracle_legendre_pair(i, m, z):
+    """P_i^m(z) and dP_i^m/dz for 0 <= m <= i in CPython complex arithmetic (forward recurrences)."""
+    p_mm = 1.0 + 0.0j
+    for k in range(1, m + 1):
+        p_mm *= -(2 * k - 1) * (1.0 - z * z) ** 0.5
+    p_prev, p_curr = 0.0 + 0.0j, p_mm
+    for n in range(m + 1, i + 1):
+        p_prev, p_curr = p_curr, ((2 * n - 1) * z * p_curr - (n - 1 + m) * p_prev) / (n - m)
+    return p_curr, (i * z * p_curr - (i + m) * p_prev) / (z * z - 1.0)
+
+
+def assoc_legendre(i: int, j: int, x):
+    """Associated Legendre function P_i^j and its first derivative at x, from the recurrence of the residual oracle.
+
+    Negative j is mapped through the proportionality
+    P_i^{-m} = (-1)^m (i-m)!/(i+m)! P_i^m. Real input yields real output
+    whenever the function is real there (always for even j, and for odd j
+    when |x| <= 1); otherwise a complex pair is returned.
+    """
+    if i < 1:
+        raise ValueError("degree i must be >= 1")
+    if not -i <= j <= i:
+        raise ValueError("order j must satisfy -i <= j <= i")
+    if not (isinstance(x, complex) or math.isfinite(x)):
+        raise ValueError("x must be finite")
+    z = complex(x)
+    if z * z - 1.0 == 0:
+        raise DomainError("Legendre derivative is singular at z = +/-1")
+    m = abs(j)
+    p, dp = _oracle_legendre_pair(i, m, z)
+    if j < 0:
+        scale = (-1) ** m * math.factorial(i - m) / math.factorial(i + m)
+        p, dp = scale * p, scale * dp
+    if not isinstance(x, complex):
+        mag = max(abs(p), abs(dp), 1.0)
+        if abs(p.imag) <= 1e-13 * mag and abs(dp.imag) <= 1e-13 * mag:
+            return p.real, dp.real
+    return p, dp
+
+
 class TestAssocLegendre:
     @pytest.mark.parametrize("ij", sorted(LEGENDRE_TABLE))
     def test_against_explicit_closed_forms(self, ij):
         i, j = ij
         p_ref, dp_ref = LEGENDRE_TABLE[ij]
         for x in (-0.9, -0.35, 0.12, 0.5, 0.83):
-            p, dp = mc.assoc_legendre(i, j, x)
+            p, dp = assoc_legendre(i, j, x)
             assert p == pytest.approx(p_ref(x), rel=1e-12, abs=1e-14)
             assert dp == pytest.approx(dp_ref(x), rel=1e-12, abs=1e-12)
 
@@ -52,29 +92,29 @@ class TestAssocLegendre:
     def test_against_scipy_reference(self, ij):
         i, j = ij
         for x in np.linspace(-0.95, 0.95, 7):
-            p, _ = mc.assoc_legendre(i, j, float(x))
+            p, _ = assoc_legendre(i, j, float(x))
             assert p == pytest.approx(float(lpmv(j, i, x)), rel=1e-10, abs=1e-12)
 
     def test_polynomial_orders_outside_unit_interval(self):
-        p, dp = mc.assoc_legendre(2, 0, 2.0)
+        p, dp = assoc_legendre(2, 0, 2.0)
         assert p == 5.5
         assert dp == 6.0
-        p, dp = mc.assoc_legendre(1, 0, 0.3)
+        p, dp = assoc_legendre(1, 0, 0.3)
         assert (p, dp) == (0.3, 1.0)
 
     def test_derivative_consistent_with_central_differences(self):
         h = 1e-6
         for (i, j) in [(2, 2), (3, 1), (4, 2), (5, 4)]:
             for x in (-0.6, 0.2, 0.7):
-                _, dp = mc.assoc_legendre(i, j, x)
-                pp, _ = mc.assoc_legendre(i, j, x + h)
-                pm, _ = mc.assoc_legendre(i, j, x - h)
+                _, dp = assoc_legendre(i, j, x)
+                pp, _ = assoc_legendre(i, j, x + h)
+                pm, _ = assoc_legendre(i, j, x - h)
                 assert dp == pytest.approx((pp - pm) / (2 * h), rel=1e-7)
 
     def test_negative_order_proportionality(self):
         for x in (-0.4, 0.25, 0.8):
-            p_pos, dp_pos = mc.assoc_legendre(2, 1, x)
-            p_neg, dp_neg = mc.assoc_legendre(2, -1, x)
+            p_pos, dp_pos = assoc_legendre(2, 1, x)
+            p_neg, dp_neg = assoc_legendre(2, -1, x)
             scale = -math.factorial(1) / math.factorial(3)
             assert p_neg == pytest.approx(scale * p_pos, rel=1e-12)
             assert dp_neg == pytest.approx(scale * dp_pos, rel=1e-12)
@@ -83,17 +123,31 @@ class TestAssocLegendre:
         # the characteristic equation evaluates these when xi0^2 < 0
         for (i, j) in [(4, 4), (5, 5), (5, 4)]:
             z = 0.37j
-            p, dp = mc.assoc_legendre(i, j, z)
+            p, dp = assoc_legendre(i, j, z)
             ratio = z * dp / p
             assert abs(ratio.imag) < 1e-12 * max(1.0, abs(ratio.real))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            mc.assoc_legendre(0, 0, 0.5)
+            assoc_legendre(0, 0, 0.5)
         with pytest.raises(ValueError):
-            mc.assoc_legendre(2, 3, 0.5)
+            assoc_legendre(2, 3, 0.5)
         with pytest.raises(ValueError):
-            mc.assoc_legendre(2, 1, float("nan"))
+            assoc_legendre(2, 1, float("nan"))
+
+
+@pytest.mark.parametrize("i", range(1, 7))
+def test_legendre_pair_on_arrays_matches_scipy(i):
+    # the residual's recurrence, on a complex array of real arguments, against lpmv and its central differences
+    x, h = np.linspace(-0.95, 0.95, 39), 1e-6
+    for j in range(i + 1):
+        p, dp = magnetostatics._legendre_pair(i, j, x.astype(complex))
+        reference = lpmv(j, i, x)
+        scale = np.abs(reference).max()
+        assert np.all(np.abs(p.imag) <= 1e-13 * scale) and np.all(np.abs(dp.imag) <= 1e-13 * scale)
+        np.testing.assert_allclose(p.real, reference, rtol=1e-10, atol=1e-12 * scale)
+        central = (lpmv(j, i, x + h) - lpmv(j, i, x - h)) / (2 * h)
+        np.testing.assert_allclose(dp.real, central, rtol=1e-6, atol=1e-6 * scale)
 
 
 class TestClosedForms:
@@ -279,17 +333,6 @@ def outcome(solve, *args):
         return solve(*args)
     except DomainError as exc:
         return str(exc)
-
-
-def _oracle_legendre_pair(i, m, z):
-    """P_i^m(z) and dP_i^m/dz for 0 <= m <= i in CPython complex arithmetic (forward recurrences)."""
-    p_mm = 1.0 + 0.0j
-    for k in range(1, m + 1):
-        p_mm *= -(2 * k - 1) * (1.0 - z * z) ** 0.5
-    p_prev, p_curr = 0.0 + 0.0j, p_mm
-    for n in range(m + 1, i + 1):
-        p_prev, p_curr = p_curr, ((2 * n - 1) * z * p_curr - (n - 1 + m) * p_prev) / (n - m)
-    return p_curr, (i * z * p_curr - (i + m) * p_prev) / (z * z - 1.0)
 
 
 def scalar_residual_oracle(f, q):
@@ -852,3 +895,68 @@ class TestModeFrequencyDispatch:
 
     def test_internal_field_definition(self):
         assert mc.internal_field(0.38, MAT) == pytest.approx(0.38 - 0.178 / 3, rel=1e-14)
+
+
+# index pairs of Walker table rows: every closed-form family, (2,0), pairs without a closed form and bad indices
+TABLE_PAIRS = [(i, j) for i in range(1, 5) for j in range(-i, i + 1)] + [(0, 0), (2, 3)]
+
+
+def ulps_from(x: float, steps: int) -> float:
+    """x moved by ``steps`` units in the last place, down for negative steps."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def materials_and_fields(draw):
+    """A material, a table index pair and bias fields at the edges where the closed forms or windows fail.
+
+    The fields include B <= 0 and non-finite ones, fields a few ulps from
+    mu0_Ms/3 (the (2,0) radicand's zero) and from where the closed-form
+    window's edges meet the 1 Hz floor, and fields drawn at random.
+    """
+    material = mc.MaterialParams(mu0_Ms=draw(st.floats(0.1, 0.25)), gamma_e=draw(st.floats(27.0e9, 29.0e9)))
+    ij = draw(st.sampled_from(TABLE_PAIRS))
+    half = magnetostatics._CLOSED_FORM_HALF_WIDTH * material.gamma_e * material.mu0_Ms
+    anchors = [0.0, material.mu0_Ms / 3]
+    if mc.closed_form_map(*ij) is not None and ij != (2, 0):
+        # where closed + half and closed - half cross the floor: the window vanishes, and its lower edge is clamped
+        offset = magnetostatics._walker_closed_form(*ij, 0.0, material)
+        anchors += [(1.0 - half - offset) / material.gamma_e, (1.0 + half - offset) / material.gamma_e]
+    near = st.builds(ulps_from, st.sampled_from(anchors), st.integers(-4, 4))
+    fields = st.one_of(near, st.floats(-0.1, 1.0), st.sampled_from([-0.0, math.inf, -math.inf, math.nan]))
+    return material, ij, draw(st.lists(fields, min_size=1, max_size=12))
+
+
+def float_bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def scalar_or_error(function, *args):
+    try:
+        return function(*args)
+    except ValueError as exc:  # DomainError included
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(materials_and_fields())
+def test_array_closed_forms_and_windows_are_the_scalar_ones_bit_for_bit(drawn):
+    material, (i, j), fields = drawn
+    B = np.array(fields)
+    field_maps = [mc.FieldMap("kittel"), mc.FieldMap("msm20"), mc.FieldMap("fixed", frequency=10.632e9)]
+    field_maps += [mc.closed_form_map(i, j)] if mc.closed_form_map(i, j) is not None else []
+    for field_map in field_maps:
+        values, valid = magnetostatics._mode_frequency_grid(field_map, B, material)
+        for k, B_k in enumerate(fields):
+            expected = scalar_or_error(mc.mode_frequency, field_map, B_k, material)
+            assert valid[k] == (not isinstance(expected, ValueError)), (field_map, B_k)
+            if valid[k]:
+                assert float_bits(values[k]) == float_bits(expected), (field_map, B_k)
+    closed, lo, hi, valid = magnetostatics._table_rows(i, j, B, material)
+    for k, B_k in enumerate(fields):
+        expected = scalar_or_error(magnetostatics._table_row, i, j, B_k, material)
+        assert valid[k] == (not isinstance(expected, ValueError)), ((i, j), B_k, expected)
+        if valid[k]:
+            assert [float_bits(x) for x in (closed[k], lo[k], hi[k])] == [float_bits(x) for x in expected]

@@ -410,6 +410,9 @@ class TestSweepMap:
         assert not isinstance(raised.value, mc.DomainError)
         with pytest.raises(mc.DomainError, match=r"got r = 0\.0561798"):
             mc.sweep_map(MIXED_SYSTEM, np.linspace(0.01, 0.5, 7), f, "eta")
+        # every field map overflows to inf at 1e300 T: the first mode's frequency is not finite
+        with pytest.raises(ValueError, match="^f_m must be finite$"):
+            mc.sweep_map(MIXED_SYSTEM, [0.38, 1e300], f, "eta")
 
     def test_conversion_maps_need_a_mode(self):
         bare = mc.HybridSystem(cavity=CAVITY)
