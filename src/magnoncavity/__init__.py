@@ -13,7 +13,6 @@ from .config import GridSpec, RunConfig, dump_config, load_config, parse_config
 from .derived import (
     DerivedParams,
     ScalingFitResult,
-    collective_coupling,
     cooperativity,
     derive_mode_params,
     faraday_coefficient,
@@ -54,18 +53,13 @@ from .model import (
     MagnonMode,
     MaterialParams,
     OpticalDrive,
-    dressing_factor,
-    susceptibility_cavity,
-    susceptibility_magnon,
 )
 from .scattering import (
     ComplexSpectrum,
     SweepMap,
     amplitudes,
-    dispersion_branches,
     principal_phase,
     eta_resonant,
-    eta_single_resonant,
     eta_spectrum,
     s11,
     s21,
@@ -95,14 +89,10 @@ __all__ = [
     "amplitudes",
     "apply_params",
     "closed_form_map",
-    "collective_coupling",
     "cooperativity",
     "derive_mode_params",
-    "dispersion_branches",
-    "dressing_factor",
     "dump_config",
     "eta_resonant",
-    "eta_single_resonant",
     "eta_spectrum",
     "faraday_coefficient",
     "field_for_frequency",
@@ -127,8 +117,6 @@ __all__ = [
     "solve_walker_mode",
     "solve_walker_modes",
     "spins_from_coupling",
-    "susceptibility_cavity",
-    "susceptibility_magnon",
     "sweep_map",
     "synthesize_noisy_spectrum",
     "walker_characteristic",

@@ -83,15 +83,8 @@ def single_spin_coupling(cavity: CavityParams, material: MaterialParams, V_c: fl
     return material.xi * material.gamma_e / 2.0 * math.sqrt(HBAR * omega_c * MU0 / V_c)
 
 
-def collective_coupling(N: float, g_B: float, s: float) -> float:
-    """Collective coupling g = g_B * sqrt(2*N*s) of N spins of spin number s."""
-    if N < 0:
-        raise ValueError("spin count must be non-negative")
-    return g_B * math.sqrt(2.0 * N * s)
-
-
 def spins_from_coupling(g: float, g_B: float, s: float) -> float:
-    """Net spin count N = (g/g_B)^2 / (2s); inverse of :func:`collective_coupling`."""
+    """Net spin count N = (g/g_B)^2 / (2s) of the collective coupling g = g_B * sqrt(2*N*s)."""
     if g_B <= 0:
         raise ValueError("g_B must be positive")
     if s <= 0:

@@ -216,11 +216,14 @@ def walker_characteristic(f: float, q: WalkerModeQuery, material: MaterialParams
 def _positive_window(center: float, half: float) -> tuple[float, float]:
     """Search window center +/- half with its lower edge raised to _WINDOW_FLOOR.
 
-    Raises DomainError when nothing of the window lies above the floor.
+    Raises DomainError when nothing of the window lies above the floor, or
+    when its edges round to one frequency.
     """
     lo, hi = max(center - half, _WINDOW_FLOOR), center + half
     if not lo < hi:
-        raise DomainError(f"search window {center:.6e} +/- {half:.6e} Hz lies below {_WINDOW_FLOOR:g} Hz")
+        if hi <= _WINDOW_FLOOR:
+            raise DomainError(f"search window {center:.6e} +/- {half:.6e} Hz lies below {_WINDOW_FLOOR:g} Hz")
+        raise DomainError(f"search window {center:.6e} +/- {half:.6e} Hz has no width: both edges round to {hi:.6e} Hz")
     return lo, hi
 
 

@@ -214,16 +214,6 @@ class HybridSystem:
         raise KeyError(f"no mode labeled {label!r}")
 
 
-def susceptibility_cavity(f, cavity: CavityParams):
-    """Complex cavity susceptibility 1 / ((f - f_c) + i*kappa_t) [1/Hz].
-
-    ``f`` may be a scalar or an ndarray of probe frequencies [Hz]. Finite
-    for every real f because kappa_t > 0.
-    """
-    _require_finite_array("f", f)
-    return 1.0 / ((np.asarray(f, dtype=float) - cavity.f_c) + 1j * cavity.kappa_t)
-
-
 def susceptibility_magnon(f, mode: MagnonMode, f_m):
     """Complex magnon susceptibility 1 / ((f - f_m) + i*gamma) [1/Hz].
 
@@ -233,15 +223,3 @@ def susceptibility_magnon(f, mode: MagnonMode, f_m):
     _require_finite_array("f", f)
     _require_finite_array("f_m", f_m)
     return 1.0 / ((np.asarray(f, dtype=float) - f_m) + 1j * mode.gamma)
-
-
-def dressing_factor(f, mode: MagnonMode, f_m, cavity: CavityParams):
-    """Mode dressing factor 1 / (1 - g^2 * chi_m * chi_c) (dimensionless).
-
-    Satisfies 1 + g^2*chi_m*chi_c*T = T identically; equals 1 for an
-    uncoupled mode (g = 0) and 1/(1 + C) at triple resonance, where
-    C = g^2/(kappa_t*gamma) is the cooperativity.
-    """
-    chi_c = susceptibility_cavity(f, cavity)
-    chi_m = susceptibility_magnon(f, mode, f_m)
-    return 1.0 / (1.0 - mode.g**2 * chi_m * chi_c)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import magnetostatics
-from .model import CavityParams, HybridSystem, MagnonMode
+from .model import HybridSystem
 from .model import susceptibility_magnon  # noqa: F401  (bench/tracer.py wraps scattering.susceptibility_magnon)
 
 OBSERVABLES = ("s21_power", "s11_power", "eta", "s21_phase", "s31_phase")
@@ -102,9 +102,10 @@ def _check_grids(B: np.ndarray, f: np.ndarray) -> None:
 def mode_frequencies(system: HybridSystem, B) -> list:
     """Every mode's frequency at the scalar bias field ``B``, in mode order.
 
-    The one place where the amplitude kernel's field maps are resolved. The
-    first failing mode raises: its field map's error, or ValueError for a
-    non-finite frequency.
+    The amplitude kernel's one-field resolution of its field maps;
+    :func:`sweep_map` resolves whole field arrays and hands a failing field
+    back here. The first failing mode raises: its field map's error, or
+    ValueError for a non-finite frequency.
     """
     f_ms = []
     for mode in system.modes:
@@ -272,41 +273,6 @@ def eta_resonant(system: HybridSystem) -> float:
     total_c = sum(m.g**2 / (kappa_t * m.gamma) for m in system.modes)
     acc = sum(m.beta * m.delta * m.g**2 / (kappa_t * m.gamma) ** 2 for m in system.modes)
     return 4.0 * system.cavity.kappa_e / (1.0 + total_c) ** 2 * acc
-
-
-def eta_single_resonant(g: float, gamma: float, delta: float, cavity: CavityParams) -> float:
-    """Single-mode resonant conversion efficiency.
-
-    eta = (2*sqrt(delta*kappa_e) * C / (g*(1 + C)))^2 with
-    C = g^2/(kappa_t*gamma). Saturates at 4*delta*kappa_e/g^2 for large C.
-    """
-    if g <= 0:
-        raise ValueError("single-mode resonant efficiency requires g > 0")
-    c = g * g / (cavity.kappa_t * gamma)
-    return (2.0 * math.sqrt(delta * cavity.kappa_e) * c / (g * (1.0 + c))) ** 2
-
-
-def _kittel_mode(system: HybridSystem) -> MagnonMode:
-    for mode in system.modes:
-        if mode.field_map.kind == "kittel":
-            return mode
-    raise ValueError("system has no Kittel-mapped mode")
-
-
-def dispersion_branches(system: HybridSystem, B: float, f_K: float | None = None):
-    """Hybridized branch frequencies (f_plus, f_minus) of cavity + Kittel mode.
-
-    f_pm = (f_c + f_K)/2 +/- sqrt(4 g_K^2 + (f_c - f_K)^2)/2. The gap at
-    degeneracy (f_K = f_c) equals 2*g_K. If ``f_K`` is omitted it is
-    resolved from the Kittel mode's field map at ``B``.
-    """
-    mode = _kittel_mode(system)
-    if f_K is None:
-        f_K = magnetostatics.mode_frequency(mode.field_map, B, system.material)
-    f_c = system.cavity.f_c
-    center = 0.5 * (f_c + f_K)
-    half_gap = 0.5 * math.hypot(2.0 * mode.g, f_c - f_K)
-    return center + half_gap, center - half_gap
 
 
 def principal_phase(values, out=None) -> np.ndarray:

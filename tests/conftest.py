@@ -74,6 +74,16 @@ def two_mode_system(name="0.75mm", f_K=None, f_M=None, cavity=CAVITY):
     return mc.HybridSystem(cavity=cavity, modes=modes, material=mc.MaterialParams(diameter=a["diameter"]))
 
 
+def cavity_susceptibility(f, cavity):
+    """chi_c = 1 / ((f - f_c) + i*kappa_t), written out here rather than taken from the package."""
+    return 1.0 / ((np.asarray(f, dtype=float) - cavity.f_c) + 1j * cavity.kappa_t)
+
+
+def magnon_susceptibility(f, mode, f_m):
+    """chi_m = 1 / ((f - f_m) + i*gamma_m), written out here rather than taken from the package."""
+    return 1.0 / ((np.asarray(f, dtype=float) - f_m) + 1j * mode.gamma)
+
+
 def two_mode_direct_conversion(f, system, B, label):
     """Independent oracle: the closed two-mode conversion coefficients.
 
@@ -84,11 +94,9 @@ def two_mode_direct_conversion(f, system, B, label):
     assert len(system.modes) == 2
     this = system.mode(label)
     other = [m for m in system.modes if m.label != label][0]
-    chi_c = mc.susceptibility_cavity(f, system.cavity)
-    f_this = mc.mode_frequency(this.field_map, B, system.material)
-    f_other = mc.mode_frequency(other.field_map, B, system.material)
-    chi_this = mc.susceptibility_magnon(f, this, f_this)
-    chi_other = mc.susceptibility_magnon(f, other, f_other)
+    chi_c = cavity_susceptibility(f, system.cavity)
+    chi_this = magnon_susceptibility(f, this, mc.mode_frequency(this.field_map, B, system.material))
+    chi_other = magnon_susceptibility(f, other, mc.mode_frequency(other.field_map, B, system.material))
     t_other = 1.0 / (1.0 - other.g**2 * chi_other * chi_c)
     dressed = 1.0 + other.g**2 * chi_other * chi_c * t_other
     prefactor = -2.0 * np.sqrt(this.beta * this.delta * system.cavity.kappa_e)

@@ -3,7 +3,8 @@ single PASS/FAIL line (run with ``pytest tests/test_acceptance.py -s``).
 
 Tolerances are fixed here, not tuned: published reference cells carry
 measurement rounding (2-16%), algebraic identities hold to floating
-precision (1e-10 to 1e-12), and the root solver is held to 1e-9.
+precision (1e-10 to 1e-12), the root solver is held to 1e-9, and the
+normal-mode splitting to the 1% that its damping shift stays within.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     ASSEMBLIES,
     CAVITY,
     kittel_system,
+    magnon_susceptibility,
     scaled_system,
     two_mode_direct_conversion,
     two_mode_system,
@@ -110,7 +112,7 @@ def test_05_conversion_ratio_identity():
     worst_ratio = worst_direct = 0.0
     for mode in sys_.modes:
         f_m = mc.mode_frequency(mode.field_map, 0.0, sys_.material)
-        chi = mc.susceptibility_magnon(f, mode, f_m)
+        chi = magnon_susceptibility(f, mode, f_m)
         via_ratio = -1j * mode.g * chi * np.sqrt(mode.beta * mode.delta / CAVITY.kappa_e) * s21
         got = mc.s31_mode(f, sys_, 0.0, mode.label)
         direct = two_mode_direct_conversion(f, sys_, 0.0, mode.label)
@@ -218,19 +220,18 @@ def test_09_noisy_fit_round_trip():
 
 
 def test_10_normal_mode_splitting():
-    from scipy.optimize import minimize_scalar
-
+    # the two |S21|^2 maxima of the 0.45 mm Kittel assembly at the degeneracy
+    # field lie 2g apart, up to a damping shift of about kappa_t*gamma/(2g^2) = 0.38%
     sys_ = kittel_system("0.45mm")
     g = ASSEMBLIES["0.45mm"]["g_K"]
-
-    def gap(B):
-        plus, minus = mc.dispersion_branches(sys_, B)
-        return plus - minus
-
-    res = minimize_scalar(gap, bounds=(0.34, 0.42), method="bounded", options={"xatol": 1e-10})
-    rel = abs(gap(res.x) - 2 * g) / (2 * g)
-    passed = rel <= 1e-9 and abs(gap(res.x) - 57.2e6) / 57.2e6 <= 1e-9
-    report(10, "normal-mode-splitting", passed, f"gap {gap(res.x) / 1e6:.4f} MHz")
+    B = CAVITY.f_c / sys_.material.gamma_e
+    f = np.linspace(CAVITY.f_c - 60e6, CAVITY.f_c + 60e6, 120_001)  # 1 kHz steps
+    power = np.abs(mc.amplitudes(f, sys_, B)[0]) ** 2
+    peaks = np.flatnonzero((power[1:-1] > power[:-2]) & (power[1:-1] > power[2:])) + 1
+    gap = float(f[peaks[-1]] - f[peaks[0]])
+    rel = abs(gap - 2 * g) / (2 * g)
+    passed = len(peaks) == 2 and 2 * g == 57.2e6 and rel <= 1e-2
+    report(10, "normal-mode-splitting", passed, f"gap {gap / 1e6:.4f} MHz, {rel:.2%} from 2g")
     assert passed
 
 

@@ -362,6 +362,22 @@ class TestModesCommand:
         rows = [line.split(",")[:3] for line in captured.out.splitlines()]
         assert rows == [["B_T", "i", "j"], ["0.0050000000000000001", "1", "1"]]
 
+    def test_a_window_without_width_ends_the_table(self, tmp_path, capsys):
+        # (3,1) has no closed form: its default window at 5e29 T is 1.4e40 Hz +/- 7.5e9 Hz, which rounds away
+        # (from 0.2 T to 0.5 T that window holds two roots, so the table starts at 0.06 T)
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        config["modes_table"].update(indices=[[3, 1]], field={"start": 0.06, "stop": 1.0e30, "count": 3})
+        path = tmp_path / "huge_3_1.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run(["modes", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "numeric domain error: search window 1.400000e+40 +/- 7.476000e+09 Hz"
+            " has no width: both edges round to 1.400000e+40 Hz\n"
+        )
+        rows = [line.split(",")[:3] for line in captured.out.splitlines()]
+        assert rows == [["B_T", "i", "j"], ["0.059999999999999998", "3", "1"]]
+
     def test_minus_branch_of_the_walker_table_has_no_kittel_root(self, tmp_path, capsys):
         # minus (1, 1) is (1, -1), which has no root in the default window at 0.3 T
         config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())

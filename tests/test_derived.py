@@ -49,11 +49,12 @@ class TestSingleSpinCoupling:
 
 
 class TestSpinCounting:
-    def test_round_trip_identity(self):
+    def test_inverts_the_collective_coupling(self):
+        # g = g_B * sqrt(2*N*s) for N spins of spin number s
         g_B = 0.0329
         for g in (1e6, 28.6e6, 91e6):
             n = mc.spins_from_coupling(g, g_B, 2.5)
-            assert mc.collective_coupling(n, g_B, 2.5) == pytest.approx(g, rel=1e-12)
+            assert g_B * math.sqrt(2.0 * n * 2.5) == pytest.approx(g, rel=1e-12)
 
     def test_quadratic_in_coupling(self):
         n1 = mc.spins_from_coupling(10e6, 0.033, 2.5)

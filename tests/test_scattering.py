@@ -13,6 +13,7 @@ from conftest import (
     ASSEMBLIES,
     CAVITY,
     kittel_system,
+    magnon_susceptibility,
     scaled_system,
     two_mode_direct_conversion,
     two_mode_system,
@@ -104,17 +105,16 @@ class TestConversion:
         s21 = mc.s21(f, sys_, 0.0)
         for mode in sys_.modes:
             f_m = mc.mode_frequency(mode.field_map, 0.0, sys_.material)
-            chi = mc.susceptibility_magnon(f, mode, f_m)
+            chi = magnon_susceptibility(f, mode, f_m)
             expected = -1j * mode.g * chi * np.sqrt(mode.beta * mode.delta / CAVITY.kappa_e) * s21
             got = mc.s31_mode(f, sys_, 0.0, mode.label)
             assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-12
 
     def test_single_mode_resonant_power_equals_closed_form(self):
-        a = ASSEMBLIES["0.45mm"]
         sys_ = kittel_system("0.45mm")
         B = mc.field_for_frequency(CAVITY.f_c, sys_.material)
         power = abs(mc.s31_mode(CAVITY.f_c, sys_, B, "kittel")) ** 2
-        closed = mc.eta_single_resonant(a["g_K"], a["gamma_K"], a["delta_K"], CAVITY)
+        closed = mc.eta_resonant(sys_)
         assert power == pytest.approx(closed, rel=1e-10)
         assert closed == pytest.approx(3.6516e-11, rel=1e-3)
 
@@ -154,11 +154,11 @@ class TestResonantEfficiency:
             assert mc.eta_resonant(two_mode_system(name)) == pytest.approx(value, rel=1e-5)
 
     def test_single_mode_reduction(self):
+        # one mode: eta = (2*sqrt(delta*kappa_e) * C / (g*(1 + C)))^2 with C = g^2/(kappa_t*gamma)
         a = ASSEMBLIES["1.0mm"]
-        sys_ = kittel_system("1.0mm")
-        assert mc.eta_resonant(sys_) == pytest.approx(
-            mc.eta_single_resonant(a["g_K"], a["gamma_K"], a["delta_K"], CAVITY), rel=1e-12
-        )
+        c = a["g_K"] ** 2 / (CAVITY.kappa_t * a["gamma_K"])
+        closed = (2.0 * np.sqrt(a["delta_K"] * CAVITY.kappa_e) * c / (a["g_K"] * (1.0 + c))) ** 2
+        assert mc.eta_resonant(kittel_system("1.0mm")) == pytest.approx(closed, rel=1e-12)
 
     def test_matches_spectrum_at_triple_resonance(self):
         rng = np.random.default_rng(7)
@@ -192,55 +192,6 @@ class TestResonantEfficiency:
             mc.eta_resonant(bare)
         with pytest.raises(ValueError):
             mc.eta_spectrum(10.6e9, bare, 0.0)
-
-    def test_single_mode_saturation_limit(self):
-        g, gamma, delta = 28.6e6, 2.3e-3, 3.61e-3  # tiny gamma drives C huge
-        eta = mc.eta_single_resonant(g, gamma, delta, CAVITY)
-        assert eta == pytest.approx(4 * delta * CAVITY.kappa_e / g**2, rel=1e-5)
-        assert mc.eta_single_resonant(g, 2.3e6, 0.0, CAVITY) == 0.0
-        with pytest.raises(ValueError):
-            mc.eta_single_resonant(0.0, 2.3e6, 3.61e-3, CAVITY)
-
-
-class TestDispersion:
-    def test_degeneracy_point(self):
-        sys_ = kittel_system("0.45mm")
-        g = ASSEMBLIES["0.45mm"]["g_K"]
-        plus, minus = mc.dispersion_branches(sys_, 0.38, f_K=CAVITY.f_c)
-        assert plus == pytest.approx(CAVITY.f_c + g, rel=1e-12)
-        assert minus == pytest.approx(CAVITY.f_c - g, rel=1e-12)
-
-    def test_far_detuned_branches_approach_bare_frequencies(self):
-        sys_ = kittel_system("0.45mm")
-        f_K = CAVITY.f_c + 5e9
-        plus, minus = mc.dispersion_branches(sys_, 0.38, f_K=f_K)
-        assert plus == pytest.approx(f_K, rel=1e-4)
-        assert minus == pytest.approx(CAVITY.f_c, rel=1e-4)
-
-    def test_field_map_resolution_and_ordering(self):
-        sys_ = kittel_system("0.45mm")
-        B = mc.field_for_frequency(CAVITY.f_c, sys_.material) + 0.001
-        plus, minus = mc.dispersion_branches(sys_, B)
-        assert plus > minus
-
-    def test_gap_at_degeneracy_is_twice_the_coupling(self):
-        from scipy.optimize import minimize_scalar
-
-        sys_ = kittel_system("0.45mm")
-        g = ASSEMBLIES["0.45mm"]["g_K"]
-
-        def gap(B):
-            plus, minus = mc.dispersion_branches(sys_, B)
-            return plus - minus
-
-        res = minimize_scalar(gap, bounds=(0.36, 0.40), method="bounded", options={"xatol": 1e-10})
-        assert res.x == pytest.approx(CAVITY.f_c / 28e9, abs=1e-5)
-        assert gap(res.x) == pytest.approx(2 * g, rel=1e-9)
-
-    def test_requires_a_kittel_mode(self):
-        sys_ = two_mode_system("0.75mm")  # both modes use fixed maps
-        with pytest.raises(ValueError):
-            mc.dispersion_branches(sys_, 0.38)
 
 
 MIXED_SYSTEM = mc.HybridSystem(
@@ -713,6 +664,34 @@ def test_powers_are_invariant_under_one_unit_scale(sys_, detuning, lam):
 @given(fixed_systems(resonant=True))
 def test_spectrum_at_triple_resonance_equals_the_closed_form(sys_):
     assert float(mc.eta_spectrum(CAVITY.f_c, sys_)) == pytest.approx(mc.eta_resonant(sys_), rel=1e-10)
+
+
+@PROPERTY
+@given(fixed_systems(resonant=True))
+def test_transmission_at_triple_resonance_is_real_and_dressed_by_every_cooperativity(sys_):
+    # chi_m = -i/gamma_m at f = f_c = f_m, so D = i*kappa_t*(1 + sum_m C_m): a few roundings in each C_m
+    kappa_t = sys_.cavity.kappa_t
+    total_c = sum(m.g**2 / (kappa_t * m.gamma) for m in sys_.modes)
+    expected = -2.0 * sys_.cavity.kappa_e / (kappa_t * (1.0 + total_c))
+    assert complex(mc.s21(CAVITY.f_c, sys_)) == pytest.approx(expected, rel=1e-12)
+
+
+@PROPERTY
+@given(
+    st.floats(1e5, 2e8), st.floats(2.0, 9.0), st.floats(1e-4, 5.0), st.floats(0.2, 5.0),
+    st.floats(1e5, 1e7), st.floats(0.0, 1e7),
+)
+def test_single_mode_efficiency_saturates_at_four_beta_delta_kappa_e_over_g_squared(
+    g, log_c, delta, beta, kappa_e, kappa_i
+):
+    # eta / (4*beta*delta*kappa_e/g^2) = (C/(1 + C))^2, which falls short of 1 by (1 + 2C)/(1 + C)^2 < 2/C;
+    # 1e-12 allows for the rounding of C and of the ratio
+    cavity = mc.CavityParams(f_c=CAVITY.f_c, kappa_e=kappa_e, kappa_i=kappa_i)
+    c = 10.0**log_c
+    mode = mc.MagnonMode(label="m", g=g, gamma=g**2 / (cavity.kappa_t * c), delta=delta, beta=beta)
+    ratio = mc.eta_resonant(mc.HybridSystem(cavity=cavity, modes=(mode,))) / (4 * beta * delta * kappa_e / g**2)
+    assert ratio == pytest.approx((c / (1.0 + c)) ** 2, rel=1e-12)
+    assert -1e-12 <= 1.0 - ratio <= 2.0 / c + 1e-12
 
 
 @PROPERTY
