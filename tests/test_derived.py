@@ -49,7 +49,7 @@ class TestSingleSpinCoupling:
 
 
 class TestSpinCounting:
-    def test_inverts_the_collective_coupling(self):
+    def test_round_trip_identity(self):
         # g = g_B * sqrt(2*N*s) for N spins of spin number s
         g_B = 0.0329
         for g in (1e6, 28.6e6, 91e6):

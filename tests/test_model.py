@@ -1,11 +1,20 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 import magnoncavity as mc
 from magnoncavity.model import susceptibility_magnon
+from magnoncavity.scattering import shared_denominator
 
-from conftest import CAVITY
+from conftest import ASSEMBLIES, CAVITY, cavity_susceptibility, magnon_susceptibility
+
+BARE = mc.HybridSystem(cavity=CAVITY)
+
+
+def one_mode_system(g, gamma, f_m):
+    mode = mc.MagnonMode(label="m", g=g, gamma=gamma, field_map=mc.FieldMap(kind="fixed", frequency=f_m))
+    return mc.HybridSystem(cavity=CAVITY, modes=(mode,))
 
 
 def test_kappa_t_is_always_the_sum():
@@ -13,6 +22,21 @@ def test_kappa_t_is_always_the_sum():
     assert cav.kappa_t == 2.7e6
     with pytest.raises(dataclasses.FrozenInstanceError):
         cav.kappa_e = 1.0
+
+
+def test_cavity_susceptibility_on_resonance():
+    # the kernel's denominator of a bare cavity is 1/chi_c
+    d, _ = shared_denominator(CAVITY.f_c, BARE, [])
+    chi = 1.0 / complex(d)
+    assert chi == pytest.approx(-1j / 2.7e6, rel=1e-12)
+    # direct evaluation with the reference cavity numbers
+    assert chi.imag == pytest.approx(-3.7037037037037037e-7, rel=1e-12)
+    assert chi.real == 0.0
+
+
+def test_cavity_susceptibility_45_degree_point():
+    d, _ = shared_denominator(CAVITY.f_c + CAVITY.kappa_t, BARE, [])
+    assert 1.0 / complex(d) == pytest.approx((1 - 1j) / (2 * CAVITY.kappa_t), rel=1e-12)
 
 
 def test_magnon_susceptibility_on_resonance_and_decay():
@@ -27,12 +51,54 @@ def test_magnon_susceptibility_on_resonance_and_decay():
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_magnon_susceptibility_rejects_non_finite_input(bad):
+def test_susceptibilities_reject_non_finite_frequency(bad):
     mode = mc.MagnonMode(label="m", g=1e6, gamma=1e6)
+    with pytest.raises(ValueError):
+        shared_denominator(bad, BARE, [])
     with pytest.raises(ValueError):
         susceptibility_magnon(bad, mode, 1e9)
     with pytest.raises(ValueError):
         susceptibility_magnon(1e9, mode, bad)
+
+
+def test_dressing_factor_uncoupled_limit():
+    # a mode with g = 0 leaves the kernel's transmission that of the bare cavity, bit for bit
+    f = np.linspace(10.5e9, 10.8e9, 11)
+    uncoupled = one_mode_system(0.0, 2.3e6, 10.632e9)
+    assert np.array_equal(mc.s21(f, uncoupled), mc.s21(f, BARE))
+
+
+def test_dressing_factor_triple_resonance_is_inverse_one_plus_cooperativity():
+    a = ASSEMBLIES["0.45mm"]
+    coupled = one_mode_system(a["g_K"], a["gamma_K"], CAVITY.f_c)
+    t = complex(mc.s21(CAVITY.f_c, coupled) / mc.s21(CAVITY.f_c, BARE))
+    # substituting chi_c = -i/kappa_t and chi_m = -i/gamma gives 1/(1 + C)
+    c = a["g_K"] ** 2 / (CAVITY.kappa_t * a["gamma_K"])
+    assert t == pytest.approx(1.0 / (1.0 + c), rel=1e-12)
+    assert abs(t) == pytest.approx(1.0 / 132.7165861513688, rel=1e-10)
+
+
+def test_dressing_identity_holds_on_a_wide_grid():
+    # S21 = -2i*kappa_e*chi_c*T with T = 1/(1 - g^2*chi_m*chi_c), and T = 1 + g^2*chi_m*chi_c*T
+    a = ASSEMBLIES["0.75mm"]
+    f = np.linspace(10.0e9, 11.3e9, 4001)
+    f_m = 10.60e9
+    coupled = one_mode_system(a["g_K"], a["gamma_K"], f_m)
+    chi_c = cavity_susceptibility(f, CAVITY)
+    chi_m = magnon_susceptibility(f, coupled.modes[0], f_m)
+    t = 1.0 / (1.0 - a["g_K"] ** 2 * chi_m * chi_c)
+    lhs = 1.0 + a["g_K"] ** 2 * chi_m * chi_c * t
+    assert np.max(np.abs(lhs - t) / np.abs(t)) <= 1e-12
+    expected = -2j * CAVITY.kappa_e * chi_c * t
+    assert np.max(np.abs(mc.s21(f, coupled) - expected) / np.abs(expected)) <= 1e-12
+
+
+def test_dressing_factor_finite_everywhere_on_real_axis():
+    # positive kappa_t and gamma keep D off zero on the real axis, so no poles
+    f = np.linspace(1e9, 20e9, 20011)
+    s21, s31 = mc.amplitudes(f, one_mode_system(91e6, 0.95e6, CAVITY.f_c))
+    assert np.all(np.isfinite(s21))
+    assert np.all(np.isfinite(s31["m"]))
 
 
 @pytest.mark.parametrize(

@@ -193,6 +193,60 @@ class TestResonantEfficiency:
         with pytest.raises(ValueError):
             mc.eta_spectrum(10.6e9, bare, 0.0)
 
+    def test_single_mode_saturation_limit(self):
+        def one_mode(g, gamma, delta):
+            mode = mc.MagnonMode(label="m", g=g, gamma=gamma, delta=delta)
+            return mc.HybridSystem(cavity=CAVITY, modes=(mode,))
+
+        g, gamma, delta = 28.6e6, 2.3e-3, 3.61e-3  # tiny gamma drives C huge
+        saturated = 4 * delta * CAVITY.kappa_e / g**2
+        assert mc.eta_resonant(one_mode(g, gamma, delta)) == pytest.approx(saturated, rel=1e-5)
+        assert mc.eta_resonant(one_mode(g, 2.3e6, 0.0)) == 0.0
+        # an uncoupled mode converts nothing
+        assert mc.eta_resonant(one_mode(0.0, 2.3e6, delta)) == 0.0
+
+
+class TestDispersion:
+    """The normal-mode branches, read off the |S31|^2 maxima of the kernel's spectrum."""
+
+    @staticmethod
+    def branches(B, lo, hi):
+        sys_ = kittel_system("0.45mm")
+        f = np.arange(lo, hi, 1e3)  # 1 kHz steps
+        power = np.abs(mc.s31_mode(f, sys_, B, "kittel")) ** 2
+        peaks = np.flatnonzero((power[1:-1] > power[:-2]) & (power[1:-1] > power[2:])) + 1
+        return f[peaks]
+
+    def test_degeneracy_point(self):
+        # the branches sit at f_c +/- g, pulled in by about kappa_t*gamma/(2g^2) = 0.4% by the damping
+        g = ASSEMBLIES["0.45mm"]["g_K"]
+        minus, plus = self.branches(CAVITY.f_c / 28e9, CAVITY.f_c - 60e6, CAVITY.f_c + 60e6)
+        assert plus - CAVITY.f_c == pytest.approx(g, rel=1e-2)
+        assert CAVITY.f_c - minus == pytest.approx(g, rel=1e-2)
+        assert (plus + minus) / 2 == pytest.approx(CAVITY.f_c, abs=1e3)
+
+    def test_far_detuned_branches_approach_bare_frequencies(self):
+        # 5 GHz apart, each branch is pushed out by the dispersive shift g^2/5 GHz = 164 kHz
+        g = ASSEMBLIES["0.45mm"]["g_K"]
+        f_K = CAVITY.f_c + 5e9
+        (minus,) = self.branches(f_K / 28e9, CAVITY.f_c - 10e6, CAVITY.f_c + 10e6)
+        (plus,) = self.branches(f_K / 28e9, f_K - 10e6, f_K + 10e6)
+        assert plus == pytest.approx(f_K, rel=1e-4)
+        assert minus == pytest.approx(CAVITY.f_c, rel=1e-4)
+        assert plus - f_K == pytest.approx(g**2 / 5e9, abs=3e3)
+        assert CAVITY.f_c - minus == pytest.approx(g**2 / 5e9, abs=3e3)
+
+    def test_field_map_resolution_and_ordering(self):
+        # 1 mT above degeneracy the Kittel map puts f_K 28 MHz above f_c: the branches centre on
+        # (f_c + f_K)/2 and lie sqrt(4g^2 + 28 MHz^2) apart, up to the damping shift
+        g = ASSEMBLIES["0.45mm"]["g_K"]
+        B = mc.field_for_frequency(CAVITY.f_c, kittel_system("0.45mm").material) + 0.001
+        f_K = CAVITY.f_c + 28e6
+        minus, plus = self.branches(B, CAVITY.f_c - 80e6, CAVITY.f_c + 100e6)
+        assert plus > minus
+        assert (plus + minus) / 2 == pytest.approx((CAVITY.f_c + f_K) / 2, abs=20e3)
+        assert plus - minus == pytest.approx(np.sqrt(4 * g**2 + 28e6**2), rel=1e-2)
+
 
 MIXED_SYSTEM = mc.HybridSystem(
     cavity=CAVITY,
