@@ -30,14 +30,15 @@ from .model import FieldMap, MaterialParams
 # residual there is this small; pole crossings leave residuals that are
 # many orders of magnitude larger.
 _ROOT_RESIDUAL_TOL = 1e-4
-_IMAG_TOL = 1e-9
 # Probe frequencies with |gamma_e^2 B_i^2 - f^2| below this fraction of the
 # larger square are treated as the susceptibility pole itself.
 _POLE_GUARD = 1e-12
 # Queries of one index pair that :func:`_solve_walker_arrays` scans
 # together: bounds the scan's temporaries to _SCAN_BLOCK * (_N_PANELS + 1)
-# complex values whatever the table size. Brent's state is not bounded by
-# it: it grows with the number of panels the whole solve selects.
+# float64 values whatever the table size. Brent's state is not bounded by
+# it: it grows with the number of panels the whole solve selects. Of 128,
+# 256, 512 and 1024, 256 ran a 2001-field, six-pair table fastest (on a
+# 2-vCPU x86-64 VM).
 _SCAN_BLOCK = 256
 # Panels per search window, and the absolute tolerance (Hz) of Brent's
 # method; accepted roots closer than 10 * _F_TOL are one root.
@@ -144,28 +145,41 @@ def msm20_frequency(B_ext: float, material: MaterialParams) -> float:
     return material.gamma_e * material.mu0_Ms * math.sqrt(radicand)
 
 
-def _legendre_pair(i: int, j: int, z):
-    """P_i^j(z) and dP_i^j/dz for 0 <= j <= i via forward recurrences.
+def _legendre_pair(i: int, j: int, z, z_flip):
+    """P_i^j(xi) and dP_i^j/dxi for 0 <= j <= i via forward recurrences, at a real or an imaginary xi.
 
-    Complex-capable: the seed (1 - z^2)^{j/2} uses the principal branch,
-    and value and derivative share it, so ratios are branch-independent.
-    Includes the Condon-Shortley phase (matches scipy.special.lpmv on
-    real arguments in (-1, 1)). Plain arithmetic, so ``z`` may be a complex
-    scalar or a complex array; at z = +/-1 the derivative is singular, and
-    the caller masks the point.
+    ``z`` and ``z_flip`` are float arrays: xi = z where z_flip is z, and
+    xi = 1j*z where z_flip is -z, so that xi^2 = z * z_flip. The seed
+    (1 - xi^2)^{j/2} takes the principal branch, imaginary where xi^2 > 1,
+    and the Condon-Shortley phase is included (matches scipy.special.lpmv
+    on real arguments in (-1, 1)). Every term of the recurrences is then
+    purely real or purely imaginary, and each is carried as its one nonzero
+    component. The product of two imaginary terms is the negated product
+    of their components: the flipped copies of z and of sqrt(1 - xi^2)
+    supply that sign, chosen by the parity of the step. A division by c is
+    a product with 1.0/c, as in numpy's complex division, so each component
+    has the bits of a complex evaluation, but for the sign of a zero. P is
+    imaginary where xi is imaginary and i - j is odd, or where xi^2 > 1 and
+    j is odd; dP where xi is imaginary and i - j is even, or where xi^2 > 1
+    and j is odd. At xi = +/-1 the derivative is not finite.
     """
-    somx2 = (1.0 - z * z) ** 0.5
-    p_jj = 1.0 + 0.0j
+    square = z * z_flip  # xi^2
+    if j:
+        radicand = 1.0 - square
+        somx2 = np.sqrt(np.abs(radicand))
+        somx2_flip = np.copysign(somx2, radicand)
+    p_jj = 1.0
     for k in range(1, j + 1):
-        p_jj *= -(2 * k - 1) * somx2
+        p_jj = p_jj * (-(2 * k - 1) * (somx2 if k % 2 else somx2_flip))
     if i == j:
-        p_im1, p_i = 0.0 + 0.0j, p_jj  # P_{j-1}^j vanishes
+        p_im1, p_i = 0.0, p_jj  # P_{j-1}^j vanishes
     else:
         p_prev, p_curr = p_jj, z * (2 * j + 1) * p_jj
         for n in range(j + 2, i + 1):
-            p_prev, p_curr = p_curr, ((2 * n - 1) * z * p_curr - (n - 1 + j) * p_prev) / (n - j)
+            z_n = z_flip if (n - j) % 2 == 0 else z  # P_{n-1}^j is imaginary with xi where n - 1 - j is odd
+            p_prev, p_curr = p_curr, ((2 * n - 1) * z_n * p_curr - (n - 1 + j) * p_prev) * (1.0 / (n - j))
         p_im1, p_i = p_prev, p_curr
-    dp = (i * z * p_i - (i + j) * p_im1) / (z * z - 1.0)
+    dp = (i * (z_flip if (i - j) % 2 else z) * p_i - (i + j) * p_im1) * (1.0 / (square - 1.0))
     return p_i, dp
 
 
@@ -175,12 +189,15 @@ def _characteristic_grid(f, B_ext, i: int, j: int, material: MaterialParams):
     ``f`` and ``B_ext`` broadcast against each other: one row of frequencies
     per bias field in the panel scan, one field per probe in Brent's rounds.
     chi1 may put xi0^2 = 1 + 1/chi1 below zero inside the magnetostatic
-    band; the Legendre ratio xi0*P'/P is an even function of xi0 and hence
-    real for any real xi0^2, so the residual is evaluated on a complex path
-    and its (verified negligible) imaginary part discarded. The result is
-    NaN where the residual is undefined: at the pole guard, for chi1 == 0,
-    xi0 = +/-1, P_i^j == 0, and a residual that is not real. Each element's
-    bits depend only on its own f and B_ext, not on the arrays' sizes.
+    band, where xi0 is imaginary; the Legendre ratio xi0*P'/P is an even
+    function of xi0 and hence real for any real xi0^2. It is evaluated in
+    float64 on the one nonzero component of each term
+    (:func:`_legendre_pair`), with the bits a complex evaluation in numpy
+    gives, but not through numpy's complex kernels. The result is NaN where
+    the residual is undefined: at the pole guard, and wherever it is not
+    finite, which takes in chi1 == 0, xi0 = +/-1, P_i^j == 0 and overflow.
+    Each element's bits depend only on its own f and B_ext, not on the
+    arrays' sizes.
     """
     x = material.gamma_e * internal_field(B_ext, material)
     f_M = material.gamma_e * material.mu0_Ms
@@ -189,14 +206,15 @@ def _characteristic_grid(f, B_ext, i: int, j: int, material: MaterialParams):
         # |x^2 - f^2| ~ 2*x*|x - f|; guard against the susceptibility pole
         undefined = np.abs(den) < _POLE_GUARD * np.maximum(x * x, f * f)
         chi1, chi2 = f_M * x / den, f_M * f / den
-        undefined |= chi1 == 0
-        xi0 = (1.0 + 1.0 / chi1).astype(complex) ** 0.5
-        undefined |= xi0 * xi0 - 1.0 == 0
-        p, dp = _legendre_pair(i, abs(j), xi0)
-        undefined |= p == 0
-        value = (i + 1) + xi0 * dp / p + j * chi2
-        undefined |= np.abs(value.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(value.real))
-    return np.where(undefined, np.nan, value.real)
+        xi0_square = 1.0 + 1.0 / chi1
+        xi0 = np.sqrt(np.abs(xi0_square))
+        xi0_flip = np.copysign(xi0, xi0_square)
+        m = abs(j)
+        p, dp = _legendre_pair(i, m, xi0, xi0_flip)
+        # with an imaginary xi0, xi0 * dP is imaginary times imaginary where i - |j| is even
+        value = (i + 1) + (xi0_flip if (i - m) % 2 == 0 else xi0) * dp * (1.0 / p) + j * chi2
+        undefined |= ~np.isfinite(value)
+    return np.where(undefined, np.nan, value)
 
 
 def walker_characteristic(f: float, q: WalkerModeQuery, material: MaterialParams) -> float:
@@ -483,8 +501,9 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
         elif not merged:
             failures[k] = DomainError(f"no root of the ({i},{j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz")
         else:
+            at = ", ".join(f"{root:.6e}" for root in merged)  # in panel order: ascending
             failures[k] = DomainError(
-                f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(merged)} roots for ({i},{j}); narrow it"
+                f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(merged)} roots for ({i},{j}) at {at} Hz; narrow it"
             )
     return roots, failures, counts
 

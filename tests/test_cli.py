@@ -246,7 +246,8 @@ class TestModesCommand:
         [
             (
                 0.3, [3, 1], 3,
-                "numeric domain error: window (9.240000e+08, 1.587600e+10) Hz contains 2 roots for (3,1); narrow it",
+                "numeric domain error: window (9.240000e+08, 1.587600e+10) Hz contains 2 roots for (3,1)"
+                " at 7.381349e+09, 8.678158e+09 Hz; narrow it",
             ),
             (
                 0.3, [2, -1], 3,

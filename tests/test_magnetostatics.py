@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import lpmv
@@ -136,18 +136,51 @@ class TestAssocLegendre:
             assoc_legendre(2, 1, float("nan"))
 
 
+def polynomial_legendre_pair(i, j, xi):
+    """P_i^j and dP_i^j/dxi at complex xi from P_i^j = (-1)^j (1 - xi^2)^{j/2} d^j P_i/dxi^j, principal branch."""
+    q = np.polynomial.legendre.Legendre.basis(i).deriv(j)
+    root = np.emath.sqrt((1 - xi * xi).real)  # 1 - xi^2 is real for real and imaginary xi
+    sign = (-1) ** j
+    return sign * root**j * q(xi), sign * (root**j * q.deriv()(xi) - j * xi * root ** (j - 2) * q(xi))
+
+
+# the arguments of the float recurrence (z, z_flip) and the complex xi they stand for
+LEGENDRE_ARGUMENTS = {
+    "real in (-1, 1)": np.linspace(-0.95, 0.95, 39),
+    "real beyond +/-1": np.concatenate([-np.geomspace(3.0, 1.05, 20), np.geomspace(1.05, 3.0, 20)]),
+    "imaginary": np.linspace(-3.0, 3.0, 40),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEGENDRE_ARGUMENTS))
 @pytest.mark.parametrize("i", range(1, 7))
-def test_legendre_pair_on_arrays_matches_scipy(i):
-    # the residual's recurrence, on a complex array of real arguments, against lpmv and its central differences
-    x, h = np.linspace(-0.95, 0.95, 39), 1e-6
+def test_legendre_pair_matches_the_polynomials_and_the_complex_recurrence(i, kind):
+    z = LEGENDRE_ARGUMENTS[kind]
+    imaginary = kind == "imaginary"
+    z_flip, xi = (-z, 1j * z) if imaginary else (z, z + 0j)
     for j in range(i + 1):
-        p, dp = magnetostatics._legendre_pair(i, j, x.astype(complex))
-        reference = lpmv(j, i, x)
-        scale = np.abs(reference).max()
-        assert np.all(np.abs(p.imag) <= 1e-13 * scale) and np.all(np.abs(dp.imag) <= 1e-13 * scale)
-        np.testing.assert_allclose(p.real, reference, rtol=1e-10, atol=1e-12 * scale)
-        central = (lpmv(j, i, x + h) - lpmv(j, i, x - h)) / (2 * h)
-        np.testing.assert_allclose(dp.real, central, rtol=1e-6, atol=1e-6 * scale)
+        p, dp = magnetostatics._legendre_pair(i, j, z, z_flip)
+        assert p.dtype == dp.dtype == np.float64
+        # which of P and dP/dxi is imaginary: the docstring's rule
+        p_imaginary = (i - j) % 2 == 1 if imaginary else (j % 2 == 1 and "beyond" in kind)
+        dp_imaginary = (i - j) % 2 == 0 if imaginary else p_imaginary
+        p_c, dp_c = p * (1j if p_imaginary else 1), dp * (1j if dp_imaginary else 1)
+        p_ref, dp_ref = polynomial_legendre_pair(i, j, xi)
+        scale = np.abs(p_ref).max()
+        np.testing.assert_allclose(p_c, p_ref, rtol=1e-10, atol=1e-13 * scale)
+        np.testing.assert_allclose(dp_c, dp_ref, rtol=1e-10, atol=1e-12 * np.abs(dp_ref).max())
+        # and the values of the complex recurrence the residual was first written in, bit for bit
+        # but for the sign of a zero (where P is zero the residual is NaN)
+        p_o, dp_o = complex_legendre_pair(i, j, xi)
+        assert p.tolist() == (p_o.imag if p_imaginary else p_o.real).tolist()
+        assert dp.tolist() == (dp_o.imag if dp_imaginary else dp_o.real).tolist()
+        assert not np.any(p_o.real if p_imaginary else p_o.imag)
+        assert not np.any(dp_o.real if dp_imaginary else dp_o.imag)
+        if kind == "real in (-1, 1)":  # against scipy and its central differences
+            x, h = z, 1e-6
+            np.testing.assert_allclose(p, lpmv(j, i, x), rtol=1e-10, atol=1e-12 * scale)
+            central = (lpmv(j, i, x + h) - lpmv(j, i, x - h)) / (2 * h)
+            np.testing.assert_allclose(dp, central, rtol=1e-6, atol=1e-6 * scale)
 
 
 class TestClosedForms:
@@ -280,8 +313,11 @@ class TestSolver:
     def test_ambiguous_window_is_an_error(self):
         # the (3,1) family has two magnetostatic roots inside the default window
         q = mc.WalkerModeQuery(i=3, j=1, B_ext=0.38)
-        with pytest.raises(DomainError, match="2 roots"):
+        with pytest.raises(DomainError, match="2 roots") as raised:
             mc.solve_walker_mode(q, MAT)
+        # the message names them, in ascending order: the roots of the windows that isolate them
+        roots = [mc.solve_walker_mode(q, MAT, window) for window in ((9.4e9, 9.8e9), (10.8e9, 11.1e9))]
+        assert str(raised.value).endswith(f" for (3,1) at {roots[0]:.6e}, {roots[1]:.6e} Hz; narrow it")
 
     def test_bad_window_rejected(self):
         q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.38)
@@ -324,7 +360,10 @@ def scalar_scan_reference(q, window, n_panels=64, f_tol=1.0):
     if not roots:
         raise DomainError(f"no root of the ({q.i},{q.j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz")
     if len(roots) > 1:
-        raise DomainError(f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(roots)} roots for ({q.i},{q.j}); narrow it")
+        at = ", ".join(f"{root:.6e}" for root in sorted(roots))
+        raise DomainError(
+            f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(roots)} roots for ({q.i},{q.j}) at {at} Hz; narrow it"
+        )
     return roots[0]
 
 
@@ -359,6 +398,109 @@ def scalar_residual_oracle(f, q):
     if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
         return None
     return value.real, chi1
+
+
+# The residual's complex evaluation, which the float64 one replaces bit for bit.
+_IMAG_TOL = 1e-9
+
+
+def complex_legendre_pair(i: int, j: int, z):
+    """P_i^j(z) and dP_i^j/dz for 0 <= j <= i via forward recurrences.
+
+    Complex-capable: the seed (1 - z^2)^{j/2} uses the principal branch,
+    and value and derivative share it, so ratios are branch-independent.
+    Includes the Condon-Shortley phase (matches scipy.special.lpmv on
+    real arguments in (-1, 1)). Plain arithmetic, so ``z`` may be a complex
+    scalar or a complex array; at z = +/-1 the derivative is singular, and
+    the caller masks the point.
+    """
+    somx2 = (1.0 - z * z) ** 0.5
+    p_jj = 1.0 + 0.0j
+    for k in range(1, j + 1):
+        p_jj *= -(2 * k - 1) * somx2
+    if i == j:
+        p_im1, p_i = 0.0 + 0.0j, p_jj  # P_{j-1}^j vanishes
+    else:
+        p_prev, p_curr = p_jj, z * (2 * j + 1) * p_jj
+        for n in range(j + 2, i + 1):
+            p_prev, p_curr = p_curr, ((2 * n - 1) * z * p_curr - (n - 1 + j) * p_prev) / (n - j)
+        p_im1, p_i = p_prev, p_curr
+    dp = (i * z * p_i - (i + j) * p_im1) / (z * z - 1.0)
+    return p_i, dp
+
+
+def complex_characteristic_grid(f, B_ext, i: int, j: int, material):
+    """Left side of the characteristic equation on arrays of probe frequencies.
+
+    ``f`` and ``B_ext`` broadcast against each other: one row of frequencies
+    per bias field in the panel scan, one field per probe in Brent's rounds.
+    chi1 may put xi0^2 = 1 + 1/chi1 below zero inside the magnetostatic
+    band; the Legendre ratio xi0*P'/P is an even function of xi0 and hence
+    real for any real xi0^2, so the residual is evaluated on a complex path
+    and its (verified negligible) imaginary part discarded. The result is
+    NaN where the residual is undefined: at the pole guard, for chi1 == 0,
+    xi0 = +/-1, P_i^j == 0, and a residual that is not real. Each element's
+    bits depend only on its own f and B_ext, not on the arrays' sizes.
+    """
+    x = material.gamma_e * mc.internal_field(B_ext, material)
+    f_M = material.gamma_e * material.mu0_Ms
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = x * x - f * f
+        # |x^2 - f^2| ~ 2*x*|x - f|; guard against the susceptibility pole
+        undefined = np.abs(den) < magnetostatics._POLE_GUARD * np.maximum(x * x, f * f)
+        chi1, chi2 = f_M * x / den, f_M * f / den
+        undefined |= chi1 == 0
+        xi0 = (1.0 + 1.0 / chi1).astype(complex) ** 0.5
+        undefined |= xi0 * xi0 - 1.0 == 0
+        p, dp = complex_legendre_pair(i, abs(j), xi0)
+        undefined |= p == 0
+        value = (i + 1) + xi0 * dp / p + j * chi2
+        undefined |= np.abs(value.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(value.real))
+    return np.where(undefined, np.nan, value.real)
+
+
+def assert_same_residual_bits(got, expected):
+    """The same NaNs, and the same bits everywhere else (the sign of a zero included)."""
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].view(np.uint64).tolist() == expected[~nan].view(np.uint64).tolist()
+
+
+@st.composite
+def residual_arrays(draw):
+    """A random material, an index pair (i <= 8, either sign of j), a bias field and probe frequencies.
+
+    The field lies across mu0_Ms/3 (where chi1 vanishes, and a few ulps from
+    it, where xi0 is largest), at or below zero, in the usual range or up to
+    1e30 T. The probes lie in the default window, next to the chi pole (as
+    in :func:`residual_points`), at 1 Hz, or from 1e20 up to 1e40 Hz, where
+    the terms of the residual overflow next to mu0_Ms/3.
+    """
+    material = mc.MaterialParams(
+        mu0_Ms=draw(st.floats(-3.0, 1.0).map(lambda e: 10.0**e)),
+        gamma_e=draw(st.floats(8.0, 11.0).map(lambda e: 10.0**e)),
+    )
+    i = draw(st.integers(1, 8))
+    j = draw(st.integers(-i, i))
+    third = material.mu0_Ms / 3
+    B = draw(st.one_of(
+        st.floats(-1e-6, 1e-6).map(lambda u: third * (1.0 + u)),
+        st.integers(-4, 4).map(lambda k: ulps_from(third, k)),
+        st.floats(-3.0, 0.0).map(lambda r: r * material.mu0_Ms),
+        st.floats(0.0, 3.0).map(lambda r: r * material.mu0_Ms),
+        st.floats(-6.0, 30.0).map(lambda e: 10.0**e),
+    ))
+    f_M = material.gamma_e * material.mu0_Ms
+    pole = abs(material.gamma_e * mc.internal_field(B, material))
+    probe = st.one_of(
+        st.floats(-1.5, 1.5).map(lambda u: material.gamma_e * B + u * f_M),
+        st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(2.0, 16.0)).map(
+            lambda d: pole * (1.0 + d[0] * 10.0 ** -d[1])
+        ),
+        st.just(1.0),
+        st.floats(20.0, 40.0).map(lambda e: 10.0**e),
+    )
+    return material, i, j, B, np.array(draw(st.lists(probe, min_size=8, max_size=32)))
 
 
 def record_grid(monkeypatch, nan_at=()):
@@ -416,6 +558,38 @@ class TestBatchedSolver:
         # and by the residual itself next to a zero of P_i^j
         assert abs(grid - r) <= 1e-12 * max(1.0, abs(r)) * max(1.0, abs(r), abs(chi1))
         assert mc.walker_characteristic(f, q, MAT) == grid
+
+    @settings(max_examples=400, deadline=None)
+    @given(residual_arrays())
+    # an internal field of one ulp: the float terms overflow to inf where the complex ones turn NaN
+    @example((MAT, 8, 3, math.nextafter(MAT.mu0_Ms / 3, 1.0), np.array([1e38])))
+    def test_float_residual_has_the_bits_of_the_complex_one(self, drawn):
+        material, i, j, B, f = drawn
+        fields = np.full(f.shape, B)
+        got = magnetostatics._characteristic_grid(f, fields, i, j, material)
+        assert_same_residual_bits(got, complex_characteristic_grid(f, fields, i, j, material))
+
+    @pytest.mark.parametrize("ij", [(1, 0), (2, 1), (3, 0), (3, -2), (4, 4), (5, -1)])
+    def test_float_residual_is_nan_at_each_division_by_zero(self, ij):
+        # f_M = 3 Hz and x = (B - 1 T) * 1 Hz/T: at f = 2 Hz and B = 2 T, chi1 = -1, so xi0 = 0,
+        # where P_i^j vanishes for odd i - j; at B = 1 T, chi1 == 0
+        material = mc.MaterialParams(mu0_Ms=3.0, gamma_e=1.0)
+        f, fields = np.array([2.0, 0.5]), np.array([2.0, 1.0])
+        got = magnetostatics._characteristic_grid(f, fields, *ij, material)
+        assert_same_residual_bits(got, complex_characteristic_grid(f, fields, *ij, material))
+        assert np.isnan(got[0]) == ((ij[0] - abs(ij[1])) % 2 == 1) and np.isnan(got[1])
+        # xi0^2 rounds to exactly 1 at some probes next to the chi pole of a small internal field
+        B = MAT.mu0_Ms / 3 + 1e-7
+        x = MAT.gamma_e * mc.internal_field(B, MAT)
+        f = x * (1.0 + np.linspace(-1e-7, 1e-7, 20001))
+        den = x * x - f * f
+        with np.errstate(divide="ignore"):
+            xi0 = np.sqrt(1.0 + 1.0 / (F_M * x / den))
+        unit = (xi0 * xi0 == 1.0) & (np.abs(den) >= magnetostatics._POLE_GUARD * np.maximum(x * x, f * f))
+        assert unit.sum() > 0
+        got = magnetostatics._characteristic_grid(f, np.full(f.shape, B), *ij, MAT)
+        assert_same_residual_bits(got, complex_characteristic_grid(f, np.full(f.shape, B), *ij, MAT))
+        assert np.isnan(got[unit]).all()
 
     def test_array_residual_bits_do_not_depend_on_the_array_size(self):
         q = mc.WalkerModeQuery(i=3, j=2, B_ext=0.38)
