@@ -42,26 +42,42 @@ def _csv_text(rows) -> str:
     return text.getvalue()
 
 
-def _write_csv(out: str | None, header, lines) -> None:
-    """Write the CSV row ``header`` and then the text blocks ``lines`` to the path ``out`` (stdout for None or "-").
+def _write_csv(out: str | None, header, blocks) -> None:
+    """Write the CSV row ``header`` and then the byte blocks ``blocks`` to the path ``out`` (stdout for None or "-").
 
-    The header goes through ``csv.writer`` (see ``_csv_text``). Each block is
-    one or more whole rows, each ending in \r\n: ``csv.writer`` text, or a
-    "%.17g" template's. ``lines`` may be a generator: it is consumed one block at
-    a time, so the blocks before one that raises are already written. An
+    The output is UTF-8 bytes, the same on stdout and in a file whatever
+    stdout's text encoding. The header goes through ``csv.writer`` (see
+    ``_csv_text``). Each block is one or more whole rows, each ending in
+    \r\n: encoded ``csv.writer`` text, or a "%.17g" bytes template's.
+    ``blocks`` may be a generator: it is consumed one block at a time, so the
+    blocks before one that raises are already written. Stdout is flushed
+    first, so that text already printed to it comes out before the table, and
+    its binary buffer is written; a stdout without one (the ``io.StringIO``
+    of ``contextlib.redirect_stdout``) gets the same bytes, decoded. An
     OSError while writing (a full disk, a reader that closed the pipe) is a
     ConfigError: a partial ``out`` file is removed, and a failed stdout is
     pointed at os.devnull, so that the interpreter's last flush is silent.
     """
     to_stdout = out is None or out == "-"
     try:
-        handle = sys.stdout if to_stdout else open(out, "w", encoding="utf-8", newline="")
+        handle = sys.stdout if to_stdout else open(out, "wb")
     except OSError as exc:
         raise ConfigError(f"cannot write output file {out}: {exc}") from None
     try:
         with nullcontext(handle) if to_stdout else handle:
-            handle.write(_csv_text([header]))
-            handle.writelines(lines)
+            if not to_stdout:
+                write = handle.write
+            elif hasattr(handle, "buffer"):
+                handle.flush()
+                write = handle.buffer.write
+            else:
+
+                def write(block: bytes) -> None:
+                    handle.write(block.decode())
+
+            write(_csv_text([header]).encode())
+            for block in blocks:
+                write(block)
             handle.flush()
     except OSError as exc:
         if to_stdout:
@@ -144,8 +160,8 @@ def cmd_spectrum(args) -> int:
         columns[f"arg_{name}"] = np.unwrap(phase) if args.unwrap else phase
     columns["eta"] = np.broadcast_to(scattering.eta_from_amplitudes(s31), f.shape)  # 0.0 for a bare cavity
 
-    # every cell is a number: one "%.17g" template per row, as in `map`
-    template = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    # every cell is a number: one "%.17g" bytes template per row, as in `map`
+    template = b",".join([b"%.17g"] * len(columns)) + b"\r\n"
     rows = np.column_stack(list(columns.values())).tolist()
     _write_csv(args.out, columns.keys(), (template % tuple(row) for row in rows))
     return EXIT_OK
@@ -163,28 +179,25 @@ def cmd_map(args) -> int:
     if args.unwrap and config.observable.endswith("_phase"):
         values = np.unwrap(values, axis=1)
 
-    # One text block per B row, from one template that holds the formatted
-    # frequency cells and marks the B cell with "\0": "%.17g" % x is
-    # format(x, ".17g"), and a .17g cell holds no "%", no "\0" and nothing
-    # that needs quoting.
-    template = "".join(["\0," + _fmt(f) + ",%.17g\r\n" for f in sweep.frequencies.tolist()])
-    blocks = (
-        template.replace("\0", _fmt(B)) % tuple(row.tolist())
-        for B, row in zip(sweep.fields, values)
-    )
+    # One byte block per bias field: its B cell joined in before the tail of
+    # each frequency row, which holds the frequency cell (formatted once) and
+    # the value's template. b"%.17g" % x is format(x, ".17g") encoded, and a
+    # .17g cell holds no "%" and nothing that needs quoting.
+    pieces = [b"", *(b",%.17g,%%.17g\r\n" % f for f in sweep.frequencies.tolist())]
+    blocks = ((b"%.17g" % B).join(pieces) % tuple(row.tolist()) for B, row in zip(sweep.fields.tolist(), values))
     _write_csv(args.out, ["B_T", "f_hz", "value"], blocks)
     return EXIT_OK
 
 
 def _modes_rows(fields, indices, sign_branch: str, material):
-    """The `modes` rows as text blocks, one per bias field (index pairs in config order), from one batched solve.
+    """The `modes` rows as byte blocks, one per bias field (index pairs in config order), from one batched solve.
 
     The minus branch of (i, j) is the mode (i, -j): its closed form, if it
     has one, and its roots. Closed forms and windows are found per index
     pair over the whole ``fields`` array; a row found unsolvable is computed
     again by the scalar functions, which raise its ValueError (DomainError
     included), and only the rows before it are solved. A field's block fills
-    one "%.17g" template of every pair's row (a .17g cell needs no quoting),
+    one "%.17g" bytes template of every pair's row (a .17g cell needs no quoting),
     with empty closed-form cells where a pair has none. The first row that
     fails ends the rows: the blocks before it are yielded, then it raises.
     """
@@ -214,19 +227,19 @@ def _modes_rows(fields, indices, sign_branch: str, material):
         cells = np.column_stack([closed, roots, np.abs(roots - closed) / closed])
     has_closed = [magnetostatics.closed_form_map(i, signed_j) is not None for i, signed_j in pairs]
     tails = [
-        f",{i},{j},{sign_branch}," + ("%.17g,%.17g,%.17g\r\n" if closed_form else ",%.17g,\r\n")
+        f",{i},{j},{sign_branch},".encode() + (b"%.17g,%.17g,%.17g\r\n" if closed_form else b",%.17g,\r\n")
         for (i, j), closed_form in zip(indices, has_closed)
     ]
     written = np.array([[closed_form, True, closed_form] for closed_form in has_closed])
-    # "\0" marks the B cell, as in `map`
-    template = "\0" + "\0".join(tails)
+    # each field's B cell is joined in before every pair's tail, as in `map`
+    pieces = [b"", *tails]
     n_full, partial = divmod(stop, n_pairs)
     values = cells[: n_full * n_pairs].reshape(n_full, n_pairs, 3)[:, written]
     for B, row in zip(fields[:n_full].tolist(), values.tolist()):
-        yield template.replace("\0", _fmt(B)) % tuple(row)
+        yield (b"%.17g" % B).join(pieces) % tuple(row)
     if partial:  # the rows of the failing row's field before it
         head = cells[n_full * n_pairs : stop][written[:partial]]
-        yield ("\0" + "\0".join(tails[:partial])).replace("\0", _fmt(fields[n_full])) % tuple(head.tolist())
+        yield (b"%.17g" % fields[n_full]).join(pieces[: partial + 1]) % tuple(head.tolist())
     if error is not None:
         raise error
 
@@ -270,7 +283,7 @@ def cmd_derive(args) -> int:
             else:
                 rows.append([mode.label, name, _fmt(value), "", ""])
 
-    _write_csv(args.out, ["mode", "quantity", "derived", "reference", "rel_dev"], [_csv_text(rows)])
+    _write_csv(args.out, ["mode", "quantity", "derived", "reference", "rel_dev"], [_csv_text(rows).encode()])
     return EXIT_OK
 
 
@@ -305,7 +318,7 @@ def cmd_fit(args) -> int:
         ["stat", "loss", result.loss],
         *(["trace", k, _fmt(rms)] for k, rms in enumerate(result.residual_trace)),
     ]
-    _write_csv(args.out, ["kind", "name", "value"], [_csv_text(rows)])
+    _write_csv(args.out, ["kind", "name", "value"], [_csv_text(rows).encode()])
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -345,7 +358,7 @@ def cmd_scaling(args) -> int:
     ]
     for k, ((diameter, _), used) in enumerate(zip(points, result.included_points)):
         rows += [["point", f"included_{k}", int(used)], ["point", f"predicted_{k}", _fmt(result.predict(diameter))]]
-    _write_csv(args.out, ["kind", "name", "value"], [_csv_text(rows)])
+    _write_csv(args.out, ["kind", "name", "value"], [_csv_text(rows).encode()])
     return EXIT_OK
 
 

@@ -917,7 +917,7 @@ class TestCsvContract:
 
         values = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1 / 3, -2.5e300, 0.1, 10.632e9, math.pi]
         out = tmp_path / "floats.csv"
-        cli._write_csv(str(out), ["value"], [cli._csv_text(zip(map(cli._fmt, np.array(values))))])
+        cli._write_csv(str(out), ["value"], [cli._csv_text(zip(map(cli._fmt, np.array(values)))).encode()])
         cells = [row["value"] for row in read_csv(out)]
         assert [float(cell) for cell in cells] == values
         assert [math.copysign(1.0, float(cell)) for cell in cells] == [math.copysign(1.0, v) for v in values]
@@ -960,8 +960,8 @@ class TestCsvContract:
     @example(1.7976931348623157e308)
     @example(-1.7976931348623157e308)
     def test_percent_format_is_the_format_of_a_cell(self, x):
-        # map builds its rows with "%.17g" % x; every other cell is format(x, ".17g")
-        assert "%.17g" % x == format(x, ".17g") == cli._fmt(x)
+        # numeric rows fill b"%.17g" templates; every other cell is format(x, ".17g"), encoded
+        assert b"%.17g" % x == ("%.17g" % x).encode() == format(x, ".17g").encode() == cli._fmt(x).encode()
 
     def test_spectrum_cells_round_trip_exactly(self, tmp_path):
         out = tmp_path / "spectrum.csv"
@@ -1083,6 +1083,64 @@ class TestWriteErrors:
         done = run_process(self.MAP + ["--out", out], preexec_fn=small_files)
         assert (done.returncode, done.stderr) == (2, f"config error: cannot write output file {out}: [Errno 27] File too large\n")
         assert not out.exists()
+
+
+def labelled_config(path: Path) -> Path:
+    """A derive config whose first mode is labelled "kittel_ü", with a 5-point spectrum sweep, written to ``path``."""
+    config = yaml.safe_load((CONFIG_DIR / "derive_0p45mm.yaml").read_text().replace("kittel", "kittel_ü"))
+    config["sweep"] = yaml.safe_load((CONFIG_DIR / "sphere_0p45mm_spectrum.yaml").read_text())["sweep"]
+    config["sweep"]["frequency"]["count"] = 5
+    path.write_text(yaml.safe_dump(config, allow_unicode=True), encoding="utf-8")
+    return path
+
+
+class TestStdoutBytes:
+    """Stdout gets the UTF-8 bytes of --out, whatever stdout's text encoding."""
+
+    @pytest.mark.parametrize(
+        "env",
+        [
+            {"PYTHONIOENCODING": "latin-1"},
+            {"PYTHONIOENCODING": "ascii"},
+            {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": ""},
+        ],
+        ids=["latin-1", "ascii", "c_locale"],
+    )
+    @pytest.mark.parametrize("command", ["derive", "spectrum"])
+    def test_a_non_utf8_stdout_gets_the_file_bytes(self, tmp_path, command, env):
+        path = labelled_config(tmp_path / "labels.yaml")
+        out = tmp_path / "out.csv"
+        assert run([command, path, "--out", out]) == 0
+        assert "kittel_ü".encode() in out.read_bytes()
+        done = subprocess.run(cli_argv([command, path]), env={**CLI_ENV, **env}, capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == out.read_bytes()
+
+    def test_text_printed_before_the_table_comes_out_first(self, tmp_path):
+        path = labelled_config(tmp_path / "labels.yaml")
+        out = tmp_path / "out.csv"
+        assert run(["derive", path, "--out", out]) == 0
+        # a piped, buffered stdout holds printed text in its text layer until it is flushed
+        script = "import sys; from magnoncavity import cli; print('note'); sys.exit(cli.main(sys.argv[1:]))"
+        argv = [sys.executable, "-c", script, "derive", str(path)]
+        done = subprocess.run(argv, env={**CLI_ENV, "PYTHONUNBUFFERED": ""}, capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == b"note\n" + out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["derive", "labels.yaml"], ["map", CONFIG_DIR / "sphere_0p45mm_map.yaml"]],
+        ids=["derive", "map"],
+    )
+    def test_a_stdout_without_a_binary_buffer_gets_the_file_text(self, tmp_path, argv):
+        labelled_config(tmp_path / "labels.yaml")
+        argv = [tmp_path / arg if arg == "labels.yaml" else arg for arg in argv]
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", out]) == 0
+        with contextlib.redirect_stdout(io.StringIO(newline="")) as stdout:
+            print("note")
+            assert run(argv) == 0
+        assert stdout.getvalue() == "note\n" + out.read_bytes().decode()
 
 
 class TestParserReuse:
