@@ -203,11 +203,11 @@ def _modes_rows(fields, indices, sign_branch: str, material):
     """
     pairs = [(i, j if sign_branch == "plus" else -j) for i, j in indices]
     n_pairs = len(pairs)
-    # B-major (field, pair) arrays flattened to rows: closed form (NaN without one), window edges, solvable
+    # B-major (field, pair) arrays flattened to rows: closed form (NaN without one) and window edges
     columns = [magnetostatics._table_rows(i, signed_j, fields, material) for i, signed_j in pairs]
-    closed, lows, highs, valid = (np.column_stack(column).ravel() for column in zip(*columns))
-    stop, error = valid.size, None
-    for k in np.flatnonzero(~valid).tolist():
+    closed, lows, highs = (np.column_stack(column).ravel() for column in zip(*columns))
+    stop, error = closed.size, None
+    for k in np.flatnonzero(~(lows < highs)).tolist():  # an unsolvable row: lo < hi fails, a NaN edge included
         i, signed_j = pairs[k % n_pairs]
         try:
             closed[k], lows[k], highs[k] = magnetostatics._table_row(i, signed_j, fields[k // n_pairs], material)
@@ -265,15 +265,13 @@ def cmd_derive(args) -> int:
 
     rows = []  # every row is built before the output is opened, so a failing mode writes nothing
     for mode in system.modes:
-        params = derived.derive_mode_params(
-            g=mode.g,
-            gamma=mode.gamma,
-            cavity=system.cavity,
-            material=system.material,
-            optical=system.optical,
-            V_c=spec.cavity_volume,
-            g_B=spec.g_B,
-        )
+        try:
+            params = derived.derive_mode_params(
+                g=mode.g, gamma=mode.gamma, cavity=system.cavity, material=system.material,
+                optical=system.optical, V_c=spec.cavity_volume, g_B=spec.g_B,
+            )
+        except ValueError as exc:  # the same class, so the exit code holds, with the failing mode named
+            raise type(exc)(f"mode {mode.label!r}: {exc}") from exc
         reference = spec.reference.get(mode.label, {})
         for name, value in dataclasses.asdict(params).items():
             if name in reference:
@@ -405,8 +403,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:  # cmd_<command> is looked up when it runs: the reused parser holds no command function
         return globals()[f"cmd_{args.command}"](args)
-    except (DomainError, OverflowError) as exc:  # OverflowError: a float ** out of range
-        print(f"numeric domain error: {exc}", file=sys.stderr)
+    except (DomainError, OverflowError) as exc:  # OverflowError: a float ** out of range, whose args are an errno tuple
+        reason = "a float result overflowed" if isinstance(exc, OverflowError) else exc
+        print(f"numeric domain error: {reason}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ConfigError, ValueError, MemoryError) as exc:  # MemoryError: a grid too large to allocate
         print(f"config error: {exc}", file=sys.stderr)

@@ -245,16 +245,6 @@ def _positive_window(center: float, half: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _positive_windows(center, half: float):
-    """:func:`_positive_window` at each element of the array ``center``: (lo, hi, valid).
-
-    The same operations, so a valid element has the scalar edges' bits;
-    ``valid`` is False exactly where the scalar call raises.
-    """
-    lo, hi = np.maximum(center - half, _WINDOW_FLOOR), center + half
-    return lo, hi, lo < hi
-
-
 def default_search_window(q: WalkerModeQuery, material: MaterialParams) -> tuple[float, float]:
     """Kittel frequency +/- 1.5 * gamma_e*mu0_Ms, above _WINDOW_FLOOR; covers all low-order mode offsets."""
     half = _DEFAULT_HALF_WIDTH * material.gamma_e * material.mu0_Ms
@@ -558,23 +548,23 @@ def mode_frequency(field_map: FieldMap, B_ext: float, material: MaterialParams) 
 
 
 def _mode_frequency_grid(field_map: FieldMap, B_ext, material: MaterialParams):
-    """:func:`mode_frequency` at each element of the float array ``B_ext``: (frequencies, valid).
+    """:func:`mode_frequency` at each element of the float array ``B_ext``.
 
-    The same IEEE operations in the same order as the scalar call, so each
-    valid element has its bits; ``valid`` is False exactly where the scalar
-    call raises, and the frequency there is unspecified.
+    The same IEEE operations in the same order as the scalar call, so an
+    element holds the scalar's bits, +/-inf where it overflows, and NaN
+    exactly where the scalar call raises.
     """
     finite = np.isfinite(B_ext)
     with np.errstate(over="ignore", invalid="ignore"):  # the scalar call overflows to inf silently too
         if field_map.kind == "kittel":
-            return material.gamma_e * B_ext, finite
+            return np.where(finite, material.gamma_e * B_ext, np.nan)
         if field_map.kind == "walker":
-            return _walker_closed_form(field_map.i, field_map.j, B_ext, material), finite & (B_ext > 0)
+            closed = _walker_closed_form(field_map.i, field_map.j, B_ext, material)
+            return np.where(finite & (B_ext > 0), closed, np.nan)
         if field_map.kind == "msm20":
             _, radicand = _msm20_radicand(B_ext, material)
-            valid = finite & (radicand > 0)
-            return material.gamma_e * material.mu0_Ms * np.sqrt(np.where(valid, radicand, 0.0)), valid
-    return np.full(B_ext.shape, field_map.frequency, dtype=float), np.ones(B_ext.shape, dtype=bool)
+            return material.gamma_e * material.mu0_Ms * np.sqrt(np.where(finite & (radicand > 0), radicand, np.nan))
+    return np.full(B_ext.shape, field_map.frequency, dtype=float)
 
 
 def _table_row(i: int, j: int, B_ext: float, material: MaterialParams) -> tuple[float, float, float]:
@@ -593,26 +583,22 @@ def _table_row(i: int, j: int, B_ext: float, material: MaterialParams) -> tuple[
 
 
 def _table_rows(i: int, j: int, B_ext, material: MaterialParams):
-    """:func:`_table_row` at each element of the float array ``B_ext``: (closed, lo, hi, valid).
+    """:func:`_table_row` at each element of the float array ``B_ext``: (closed, lo, hi).
 
-    The indices are checked once. Each valid element has the bits of the
-    scalar row; ``valid`` is False exactly where the scalar row raises.
+    An element holds the bits of the scalar row where it returns, and
+    lo < hi exactly there: bad indices and fields that are not finite and
+    positive are NaN before the arithmetic, so their edges are NaN.
     """
     try:
         check_mode_indices(i, j)
+        B_ext = np.where(np.isfinite(B_ext) & (B_ext > 0), B_ext, np.nan)  # WalkerModeQuery's field check
     except ValueError:
-        valid = np.zeros(B_ext.shape, dtype=bool)
-    else:
-        valid = np.isfinite(B_ext) & (B_ext > 0)  # WalkerModeQuery's field check
+        B_ext = np.full(B_ext.shape, np.nan)
     closed_map = closed_form_map(i, j)
+    default = closed_map is None  # the default window, around the Kittel frequency
+    center = _mode_frequency_grid(FieldMap("kittel") if default else closed_map, B_ext, material)
+    closed = np.full(B_ext.shape, math.nan) if default else center
+    half = (_DEFAULT_HALF_WIDTH if default else _CLOSED_FORM_HALF_WIDTH) * material.gamma_e * material.mu0_Ms
     with np.errstate(over="ignore", invalid="ignore"):
-        if closed_map is None:
-            closed = np.full(B_ext.shape, math.nan)
-            half = _DEFAULT_HALF_WIDTH * material.gamma_e * material.mu0_Ms
-            lo, hi, in_window = _positive_windows(material.gamma_e * B_ext, half)
-        else:
-            closed, has_closed = _mode_frequency_grid(closed_map, B_ext, material)
-            half = _CLOSED_FORM_HALF_WIDTH * material.gamma_e * material.mu0_Ms
-            lo, hi, in_window = _positive_windows(closed, half)
-            valid &= has_closed
-    return closed, lo, hi, valid & in_window
+        lo, hi = np.maximum(center - half, _WINDOW_FLOOR), center + half  # _positive_window's edges
+    return closed, lo, hi

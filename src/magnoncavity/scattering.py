@@ -336,16 +336,13 @@ def sweep_map(
         "s31_phase": lambda t, s31, out, real: principal_phase(s31[label], out),
     }[observable]
 
-    # every (field, mode) frequency before any kernel work, one array call per
-    # mode: shape (modes, fields). A field where some mode fails is resolved
-    # again by mode_frequencies, so the first failing (field, mode) in
-    # row-major order raises the scalar path's error.
-    f_ms = np.empty((len(system.modes), B_grid.size))
-    valid = np.ones(B_grid.size, dtype=bool)
-    for f_m, mode in zip(f_ms, system.modes):
-        f_m[:], ok = magnetostatics._mode_frequency_grid(mode.field_map, B_grid, system.material)
-        valid &= ok & np.isfinite(f_m)
-    for k in np.flatnonzero(~valid).tolist():
+    # every (field, mode) frequency before any kernel work, one array call per mode: shape
+    # (modes, fields). A field where some mode is not finite (NaN where its field map fails) is
+    # resolved again by mode_frequencies: the first failing (field, mode) in row-major order raises.
+    f_ms = np.array(
+        [magnetostatics._mode_frequency_grid(mode.field_map, B_grid, system.material) for mode in system.modes]
+    ).reshape(len(system.modes), B_grid.size)
+    for k in np.flatnonzero(~np.isfinite(f_ms).all(axis=0)).tolist():
         f_ms[:, k] = mode_frequencies(system, B_grid[k].item())
     values = np.empty((B_grid.size, f_grid.size))
     rows = min(max(1, _SWEEP_CELLS // f_grid.size), B_grid.size)

@@ -423,7 +423,7 @@ class TestDeriveCommand:
         path.write_text(yaml.safe_dump(config))
         out = tmp_path / "derive.csv"
         assert run(["derive", path] + (["--out", out] if to_file else [])) == 2
-        assert capsys.readouterr() == ("", "config error: spin density must be positive\n")
+        assert capsys.readouterr() == ("", "config error: mode 'uncoupled': spin density must be positive\n")
         assert not out.exists()
 
 
@@ -687,23 +687,27 @@ class TestExitCodes:
             ("spectrum", "sphere_0p45mm_spectrum.yaml", "g", 1e200),
             ("derive", "derive_0p45mm.yaml", "g", 1e153),  # (g/g_B)**2
             ("scaling", "scaling_g_kittel.yaml", "diameter_m", 1e102),  # the sphere volume's cube
+            ("spectrum", "sphere_0p45mm_spectrum.yaml", "--beta-db", 4000),  # 10 ** (beta_db / 10)
         ],
-        ids=["map", "spectrum", "derive", "scaling"],
+        ids=["map", "spectrum", "derive", "scaling", "beta-db"],
     )
     def test_float_overflow_is_a_domain_error(self, tmp_path, capsys, command, name, key, value):
         config = yaml.safe_load((CONFIG_DIR / name).read_text())
         data = tmp_path / "points.csv"
+        flags = []
         if key == "g":
             config["system"]["modes"][0]["g"] = value
-        else:
+        elif key == "diameter_m":
             data.write_text(f"diameter_m,value\n{value!r},28.6\n0.75e-3,67.3\n")
+            flags = ["--data", data]
+        else:
+            flags = [key, str(value)]
         path = tmp_path / "overflow.yaml"
         path.write_text(yaml.safe_dump(config))
         out = tmp_path / "out.csv"
-        assert run([command, path, "--out", out] + (["--data", data] if command == "scaling" else [])) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("numeric domain error: ") and captured.err.count("\n") == 1
+        assert run([command, path, "--out", out] + flags) == 3
+        # one readable line, not the errno tuple of the OverflowError's args
+        assert capsys.readouterr() == ("", "numeric domain error: a float result overflowed\n")
         assert not out.exists()
 
     def test_stdout_output(self, capsys):
