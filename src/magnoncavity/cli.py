@@ -16,7 +16,8 @@ import io
 import math
 import os
 import sys
-from contextlib import nullcontext
+import warnings
+from contextlib import closing, nullcontext
 
 import numpy as np
 
@@ -88,6 +89,64 @@ def _write_csv(out: str | None, header, blocks) -> None:
         if os.path.isfile(out):  # not a device such as /dev/full
             os.remove(out)
         raise ConfigError(f"cannot write output file {out}: {exc}") from None
+
+
+def _parallel_blocks(block, n: int):
+    """Yield the byte blocks ``block(0)``, ..., ``block(n - 1)`` in order, formatted in W = min(CPUs, n) processes.
+
+    "%.17g" formatting holds the GIL, so threads cannot share it, but raw
+    bytes through a pipe need no pickling. W counts CPUs as ``sweep_map``
+    does, and is 1 where os.fork does not exist. This process formats the
+    blocks k with k % W == 0; forked child c (0 < c < W) formats those with
+    k % W == c and writes each to its own pipe as an 8-byte little-endian
+    length and the bytes, so it runs at most one pipe buffer and one block
+    ahead. A child runs only Python formatting, no numpy kernel or BLAS call
+    whose lock a thread of this process could hold at the fork, writes only
+    to its pipe, and leaves through os._exit: it never returns into the
+    interpreter nor flushes a buffer it inherited. A child that ends before
+    its last frame is an OSError here. When the generator ends or is closed,
+    every child is killed and reaped.
+    """
+    workers = min(scattering._cpu_count(), n) if hasattr(os, "fork") else 1
+    children = []  # (pid, the read end of its pipe) of children 1 ... W - 1
+    try:
+        for c in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            with warnings.catch_warnings():  # Python 3.12+ warns of numpy's BLAS threads, which a child never calls
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    for _, reader in children:
+                        reader.close()
+                    with open(write_fd, "wb") as pipe:
+                        for k in range(c, n, workers):
+                            data = block(k)
+                            pipe.write(len(data).to_bytes(8, "little"))
+                            pipe.write(data)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        for k in range(n):
+            if k % workers == 0:
+                yield block(k)
+                continue
+            reader = children[k % workers - 1][1]
+            header = reader.read(8)
+            size = int.from_bytes(header, "little")
+            data = reader.read(size)
+            if len(header) < 8 or len(data) < size:
+                raise OSError(f"the process formatting block {k} of {n} ended before writing it")
+            yield data
+    finally:
+        import signal  # imported here so that the commands that never fork do not pay for it
+
+        for pid, reader in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            reader.close()
 
 
 def _read_csv(path: str, required) -> list[dict]:
@@ -184,8 +243,13 @@ def cmd_map(args) -> int:
     # the value's template. b"%.17g" % x is format(x, ".17g") encoded, and a
     # .17g cell holds no "%" and nothing that needs quoting.
     pieces = [b"", *(b",%.17g,%%.17g\r\n" % f for f in sweep.frequencies.tolist())]
-    blocks = ((b"%.17g" % B).join(pieces) % tuple(row.tolist()) for B, row in zip(sweep.fields.tolist(), values))
-    _write_csv(args.out, ["B_T", "f_hz", "value"], blocks)
+    fields = sweep.fields.tolist()
+
+    def block(k: int) -> bytes:
+        return (b"%.17g" % fields[k]).join(pieces) % tuple(values[k].tolist())
+
+    with closing(_parallel_blocks(block, len(fields))) as blocks:
+        _write_csv(args.out, ["B_T", "f_hz", "value"], blocks)
     return EXIT_OK
 
 
@@ -210,7 +274,7 @@ def _modes_rows(fields, indices, sign_branch: str, material):
     for k in np.flatnonzero(~(lows < highs)).tolist():  # an unsolvable row: lo < hi fails, a NaN edge included
         i, signed_j = pairs[k % n_pairs]
         try:
-            closed[k], lows[k], highs[k] = magnetostatics._table_row(i, signed_j, fields[k // n_pairs], material)
+            closed[k], lows[k], highs[k] = magnetostatics._table_row(i, signed_j, float(fields[k // n_pairs]), material)
         except ValueError as exc:
             stop, error = k, exc
             break

@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +380,18 @@ class TestModesCommand:
         )
         rows = [line.split(",")[:3] for line in captured.out.splitlines()]
         assert rows == [["B_T", "i", "j"], ["0.059999999999999998", "3", "1"]]
+
+    def test_a_window_that_overflows_is_one_stderr_line(self, tmp_path):
+        # gamma_e * B overflows to inf at 1e300 T: the error line alone, with no RuntimeWarning before it
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        config["modes_table"].update(indices=[[3, 1]], field={"start": 1.0e300, "stop": 1.0e308, "count": 3})
+        path = tmp_path / "overflow_3_1.yaml"
+        path.write_text(yaml.safe_dump(config))
+        done = run_process(["modes", path])
+        assert (done.returncode, done.stderr) == (
+            3, "numeric domain error: search window inf +/- 7.476000e+09 Hz has no width: both edges round to inf Hz\n"
+        )
+        assert done.stdout == "B_T,i,j,sign_branch,f_closed_hz,f_solver_hz,rel_diff\n"
 
     def test_minus_branch_of_the_walker_table_has_no_kittel_root(self, tmp_path, capsys):
         # minus (1, 1) is (1, -1), which has no root in the default window at 0.3 T
@@ -772,6 +786,20 @@ def derive_reference(path) -> str:
     return text.getvalue()
 
 
+def map_reference(path, unwrap: bool = False) -> bytes:
+    """The bytes of `map` on ``path``, each row written on its own by ``csv.writer``."""
+    config = mc.load_config(path)
+    sweep = mc.sweep_map(config.system, config.field_grid.values(), config.frequency_grid.values(), config.observable)
+    values = np.unwrap(sweep.values, axis=1) if unwrap else sweep.values
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(["B_T", "f_hz", "value"])
+    for k, B in enumerate(sweep.fields):
+        for l, f in enumerate(sweep.frequencies):
+            writer.writerow([format(float(v), ".17g") for v in (B, f, values[k, l])])
+    return reference.getvalue().encode()
+
+
 def modes_reference(path) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of `modes` on ``path``, each row from its own one-query solve.
 
@@ -844,20 +872,13 @@ class TestCsvContract:
         path.write_text(yaml.safe_dump(config))
         out = tmp_path / "map.csv"
         assert run(["map", path, "--out", out] + ["--unwrap"] * unwrap) == 0
+        assert out.read_bytes() == map_reference(path, unwrap)
         config = mc.load_config(path)
-        sweep = mc.sweep_map(
+        values = mc.sweep_map(
             config.system, config.field_grid.values(), config.frequency_grid.values(), config.observable
-        )
-        values = np.unwrap(sweep.values, axis=1) if unwrap else sweep.values
-        with open(tmp_path / "reference.csv", "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["B_T", "f_hz", "value"])
-            for k, B in enumerate(sweep.fields):
-                for l, f in enumerate(sweep.frequencies):
-                    writer.writerow([format(float(v), ".17g") for v in (B, f, values[k, l])])
-        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        ).values
         cells = [float(r["value"]) for r in read_csv(out)]
-        assert cells == values.ravel().tolist()
+        assert cells == (np.unwrap(values, axis=1) if unwrap else values).ravel().tolist()
         assert len(cells) == n_fields * n_frequencies
 
     @settings(max_examples=60, deadline=None)
@@ -1087,6 +1108,153 @@ class TestWriteErrors:
         done = run_process(self.MAP + ["--out", out], preexec_fn=small_files)
         assert (done.returncode, done.stderr) == (2, f"config error: cannot write output file {out}: [Errno 27] File too large\n")
         assert not out.exists()
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+class TestParallelMap:
+    """`map` formats its field blocks in min(CPUs, fields) processes: the bytes do not depend on the number."""
+
+    MAP = ["map", CONFIG_DIR / "sphere_0p45mm_map.yaml"]  # 22 fields of 0.03 MB each, more than a pipe holds
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the processes os.fork makes, with the DeprecationWarning of Python 3.12+ in a threaded process.
+
+        numpy's BLAS pool is such a thread; the warning must not reach stderr
+        (it does under ``python -m``), and a test that lets it out fails.
+        """
+        pids = []
+        fork = os.fork
+
+        def counted_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks"
+                          " in the child.", DeprecationWarning, stacklevel=2)
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
+
+    @pytest.mark.parametrize("n_fields", [1, 2, 5])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_bytes_equal_a_row_by_row_reference(self, tmp_path, monkeypatch, capsysbinary, forks, cpus, n_fields):
+        monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
+        config = yaml.safe_load((CONFIG_DIR / "sphere_0p45mm_map.yaml").read_text())
+        config["sweep"]["field"]["count"] = n_fields
+        config["sweep"]["frequency"]["count"] = 7
+        if n_fields == 1:
+            config["sweep"]["field"]["stop"] = config["sweep"]["field"]["start"]
+        path = tmp_path / "small_map.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "map.csv"
+        assert run(["map", path, "--out", out]) == 0
+        assert_no_child_process()
+        assert run(["map", path]) == 0
+        assert_no_child_process()
+        reference = map_reference(path)
+        assert capsysbinary.readouterr() == (reference, b"")
+        assert out.read_bytes() == reference
+        assert len(forks) == 2 * (min(cpus, n_fields) - 1)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_success_leaves_no_process(self, tmp_path, monkeypatch, forks, cpus):
+        monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
+        out = tmp_path / "map.csv"
+        assert run(self.MAP + ["--out", out]) == 0
+        assert_no_child_process()
+        assert out.read_bytes() == map_reference(self.MAP[1])
+        assert len(forks) == cpus - 1
+
+    def test_one_process_where_there_is_no_fork(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "map.csv"
+        assert run(self.MAP + ["--out", out]) == 0
+        assert out.read_bytes() == map_reference(self.MAP[1])
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_closed_stdout_pipe_leaves_no_process(self, monkeypatch, capsys, forks, cpus):
+        monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        with monkeypatch.context() as patch, open(write_fd, "w") as stdout:
+            patch.setattr(sys, "stdout", stdout)
+            code = run(self.MAP)
+        assert_no_child_process()
+        assert (code, capsys.readouterr().err) == (
+            2, "config error: cannot write output to stdout: [Errno 32] Broken pipe\n"
+        )
+        assert len(forks) == cpus - 1
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_full_device_leaves_no_process(self, monkeypatch, capsys, forks, cpus):
+        monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
+        assert run(self.MAP + ["--out", "/dev/full"]) == 2
+        assert_no_child_process()
+        assert capsys.readouterr().err == (
+            "config error: cannot write output file /dev/full: [Errno 28] No space left on device\n"
+        )
+        assert len(forks) == cpus - 1
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_child_killed_mid_stream_is_a_write_error(self, tmp_path, monkeypatch, capsys, forks, cpus, to_file):
+        # the child that formats block 5 kills itself there, after writing its earlier blocks
+        monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
+        parallel_blocks = cli._parallel_blocks
+
+        def dying_child(block, n):
+            parent = os.getpid()
+
+            def block_or_death(k):
+                if k == 5 and os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return block(k)
+
+            return parallel_blocks(block_or_death, n)
+
+        monkeypatch.setattr(cli, "_parallel_blocks", dying_child)
+        out = tmp_path / "map.csv"
+        target = f"file {out}" if to_file else "to stdout"
+        with monkeypatch.context() as patch:
+            if not to_file:  # a stdout of its own, which the failed write points at os.devnull
+                patch.setattr(sys, "stdout", open(tmp_path / "stdout.csv", "w"))
+            code = run(self.MAP + (["--out", out] if to_file else []))
+            if not to_file:
+                sys.stdout.close()
+        assert_no_child_process()
+        assert (code, capsys.readouterr().err) == (
+            2,
+            f"config error: cannot write output {target}: the process formatting block 5 of 22 ended before writing it\n",
+        )
+        assert not out.exists()
+        assert len(forks) == cpus - 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_an_interrupted_write_leaves_no_process(self, monkeypatch, forks, cpus):
+        monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
+
+        class InterruptedStdout(io.StringIO):  # no binary buffer: the writer writes decoded text here
+            def write(self, text):
+                if self.tell():  # the header is written, then the first block raises
+                    raise KeyboardInterrupt
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", InterruptedStdout())
+        with pytest.raises(KeyboardInterrupt) as interrupted:
+            run(self.MAP)
+        # the children are gone while the traceback still holds every frame of the command, and its generator
+        assert interrupted.traceback[-1].name == "write"
+        assert_no_child_process()
+        assert len(forks) == cpus - 1
 
 
 def labelled_config(path: Path) -> Path:
