@@ -257,10 +257,10 @@ def _modes_rows(fields, indices, sign_branch: str, material):
     """The `modes` rows as byte blocks, one per bias field (index pairs in config order), from one batched solve.
 
     The minus branch of (i, j) is the mode (i, -j): its closed form, if it
-    has one, and its roots. Closed forms and windows are found per index
-    pair over the whole ``fields`` array; a row found unsolvable is computed
-    again by the scalar functions, which raise its ValueError (DomainError
-    included), and only the rows before it are solved. A field's block fills
+    has one, and its roots. Closed forms, windows and the rows' rules are
+    found per index pair over the whole ``fields`` array; the first row
+    where a rule fails has its ValueError (DomainError included), and only
+    the rows before it are solved. A field's block fills
     one "%.17g" bytes template of every pair's row (a .17g cell needs no quoting),
     with empty closed-form cells where a pair has none. The first row that
     fails ends the rows: the blocks before it are yielded, then it raises.
@@ -268,16 +268,9 @@ def _modes_rows(fields, indices, sign_branch: str, material):
     pairs = [(i, j if sign_branch == "plus" else -j) for i, j in indices]
     n_pairs = len(pairs)
     # B-major (field, pair) arrays flattened to rows: closed form (NaN without one) and window edges
-    columns = [magnetostatics._table_rows(i, signed_j, fields, material) for i, signed_j in pairs]
-    closed, lows, highs = (np.column_stack(column).ravel() for column in zip(*columns))
-    stop, error = closed.size, None
-    for k in np.flatnonzero(~(lows < highs)).tolist():  # an unsolvable row: lo < hi fails, a NaN edge included
-        i, signed_j = pairs[k % n_pairs]
-        try:
-            closed[k], lows[k], highs[k] = magnetostatics._table_row(i, signed_j, float(fields[k // n_pairs]), material)
-        except ValueError as exc:
-            stop, error = k, exc
-            break
+    *columns, rules = zip(*(magnetostatics._table_rows(i, signed_j, fields, material) for i, signed_j in pairs))
+    closed, lows, highs = (np.column_stack(column).ravel() for column in columns)
+    stop, error = magnetostatics._first_failure(rules) or (closed.size, None)
     roots, failures, _ = magnetostatics._solve_walker_arrays(
         pairs, np.arange(stop) % n_pairs, np.repeat(fields, n_pairs)[:stop], lows[:stop], highs[:stop], material
     )

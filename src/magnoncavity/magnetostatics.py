@@ -59,12 +59,59 @@ _BRENT_MAXITER = 100
 _ROOT, _NAN, _NO_CONVERGENCE, _SAME_SIGN = range(4)
 
 
+@dataclass(frozen=True)
+class _Rule:
+    """One validity rule of an array path: where it holds, and the error class and text of element k where it fails."""
+
+    holds: np.ndarray
+    error: type[ValueError]
+    text: object  # text(k): the error's text at element k
+
+
+def _first_failure(columns, table_rules=()):
+    """``(row, error)`` of the first row of a field-major table where a rule fails, or None.
+
+    ``columns[c]`` lists column c's rules over the fields: row k * len(columns) + c is column c at field k. A rule
+    of ``table_rules`` is over the whole table, of shape (fields, columns), and comes after a row's column rules.
+    A row's error is that of the first of its rules that fails there.
+    """
+    first = None
+    for c, rules in enumerate(columns):
+        for rule in rules:
+            k = rule.holds.argmin()  # the rule's first failing field, if it fails anywhere
+            if not rule.holds.item(k) and (first is None or k * len(columns) + c < first[0]):
+                first = int(k) * len(columns) + c, rule.error(rule.text(k))
+    for rule in table_rules:
+        row = rule.holds.argmin()
+        if not rule.holds.item(row) and (first is None or row < first[0]):
+            first = int(row), rule.error(rule.text(row))
+    return first
+
+
+def _check(rules, *arrays) -> tuple:
+    """The elements of one-element ``arrays``, unless one of ``rules`` fails there: then its error is raised."""
+    failure = _first_failure([rules])
+    if failure is not None:
+        raise failure[1]
+    return tuple(array.item() for array in arrays)
+
+
+def _positive(B_ext) -> _Rule:
+    return _Rule(np.isfinite(B_ext) & (B_ext > 0), ValueError, lambda k: "B_ext must be positive and finite")
+
+
+def _index_rules(i: int, j: int, shape) -> list[_Rule]:
+    """The rules of the indices of a Walker mode (i, j), the same at each element: i >= 1, then -i <= j <= i."""
+    return [
+        _Rule(np.full(shape, i >= 1), ValueError, lambda k: f"mode index i must be >= 1, got ({i}, {j})"),
+        _Rule(np.full(shape, -i <= j <= i), ValueError,
+              lambda k: f"mode index j must satisfy -i <= j <= i, got ({i}, {j})"),
+    ]
+
+
 def check_mode_indices(i: int, j: int) -> None:
     """Raise ValueError unless (i, j) indexes a Walker mode: i >= 1 and -i <= j <= i."""
-    if i < 1:
-        raise ValueError(f"mode index i must be >= 1, got ({i}, {j})")
-    if not -i <= j <= i:
-        raise ValueError(f"mode index j must satisfy -i <= j <= i, got ({i}, {j})")
+    _check(_index_rules(i, j, 1))
 
 
 @dataclass(frozen=True)
@@ -81,9 +128,7 @@ class WalkerModeQuery:
     B_ext: float
 
     def __post_init__(self):
-        check_mode_indices(self.i, self.j)
-        if not math.isfinite(self.B_ext) or self.B_ext <= 0:
-            raise ValueError("B_ext must be positive and finite")
+        _check(_index_rules(self.i, self.j, 1) + [_positive(np.array([float(self.B_ext)]))])
 
 
 def internal_field(B_ext: float, material: MaterialParams) -> float:
@@ -97,9 +142,7 @@ def kittel_frequency(B_ext: float, material: MaterialParams) -> float:
     f = gamma_e * B_ext; the sphere's demagnetizing field drops out for
     uniform precession.
     """
-    if not math.isfinite(B_ext):
-        raise ValueError("B_ext must be finite")
-    return material.gamma_e * B_ext
+    return mode_frequency(FieldMap("kittel"), B_ext, material)
 
 
 def field_for_frequency(f: float, material: MaterialParams) -> float:
@@ -119,30 +162,13 @@ def msm_frequency_linear(q: WalkerModeQuery, material: MaterialParams) -> float:
     return mode_frequency(FieldMap("walker", q.i, q.j), q.B_ext, material)
 
 
-def _walker_closed_form(i: int, j: int, B_ext, material: MaterialParams):
-    """The i = j or i = j + 1 closed form of :func:`msm_frequency_linear` at a float or an array ``B_ext``."""
-    offset = (j / (2 * j + (1 if i == j else 3)) - 1.0 / 3.0) * (material.gamma_e * material.mu0_Ms)
-    return material.gamma_e * B_ext + offset
-
-
-def _msm20_radicand(B_ext, material: MaterialParams):
-    """r = B_ext/mu0_Ms and the (2, 0) radicand (r - 1/3)(r + 7/15), at a float or an array ``B_ext``."""
-    r = B_ext / material.mu0_Ms
-    return r, (r - 1.0 / 3.0) * (r + 7.0 / 15.0)
-
-
 def msm20_frequency(B_ext: float, material: MaterialParams) -> float:
     """Closed form for the (2, 0) mode.
 
     f = gamma_e*mu0_Ms * sqrt((r - 1/3)(r + 7/15)) with r = B_ext/mu0_Ms;
     requires r > 1/3 so the radicand is positive.
     """
-    if not math.isfinite(B_ext):
-        raise ValueError("B_ext must be finite")
-    r, radicand = _msm20_radicand(B_ext, material)
-    if radicand <= 0:
-        raise DomainError(f"(2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = {r:g}")
-    return material.gamma_e * material.mu0_Ms * math.sqrt(radicand)
+    return mode_frequency(FieldMap("msm20"), B_ext, material)
 
 
 def _legendre_pair(i: int, j: int, z, z_flip):
@@ -231,24 +257,30 @@ def walker_characteristic(f: float, q: WalkerModeQuery, material: MaterialParams
     return value
 
 
-def _positive_window(center: float, half: float) -> tuple[float, float]:
-    """Search window center +/- half with its lower edge raised to _WINDOW_FLOOR.
+def _windows(center, half_width: float, material: MaterialParams):
+    """Search windows center +/- half_width * gamma_e*mu0_Ms, lower edge raised to _WINDOW_FLOOR: (lo, hi, rules)."""
+    half = half_width * material.gamma_e * material.mu0_Ms
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = np.maximum(center - half, _WINDOW_FLOOR), center + half
+    return lo, hi, [
+        _Rule(~(hi <= _WINDOW_FLOOR), DomainError,
+              lambda k: f"search window {center[k]:.6e} +/- {half:.6e} Hz lies below {_WINDOW_FLOOR:g} Hz"),
+        _Rule(lo < hi, DomainError, lambda k: f"search window {center[k]:.6e} +/- {half:.6e} Hz has no width:"
+                                              f" both edges round to {hi[k]:.6e} Hz"),
+    ]
 
-    Raises DomainError when nothing of the window lies above the floor, or
-    when its edges round to one frequency.
-    """
-    lo, hi = max(center - half, _WINDOW_FLOOR), center + half
-    if not lo < hi:
-        if hi <= _WINDOW_FLOOR:
-            raise DomainError(f"search window {center:.6e} +/- {half:.6e} Hz lies below {_WINDOW_FLOOR:g} Hz")
-        raise DomainError(f"search window {center:.6e} +/- {half:.6e} Hz has no width: both edges round to {hi:.6e} Hz")
-    return lo, hi
+
+def _default_windows(B_ext, material: MaterialParams):
+    """:func:`default_search_window` at each field of the 1-D float array ``B_ext``: (lo, hi, rules)."""
+    center, rules = _mode_frequency_grid(FieldMap("kittel"), B_ext, material)
+    lo, hi, window = _windows(center, _DEFAULT_HALF_WIDTH, material)
+    return lo, hi, rules + window
 
 
 def default_search_window(q: WalkerModeQuery, material: MaterialParams) -> tuple[float, float]:
     """Kittel frequency +/- 1.5 * gamma_e*mu0_Ms, above _WINDOW_FLOOR; covers all low-order mode offsets."""
-    half = _DEFAULT_HALF_WIDTH * material.gamma_e * material.mu0_Ms
-    return _positive_window(kittel_frequency(q.B_ext, material), half)
+    lo, hi, rules = _default_windows(np.array([float(q.B_ext)]), material)
+    return _check(rules, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -531,74 +563,51 @@ def closed_form_window(f_closed: float, material: MaterialParams) -> tuple[float
     Its lower edge is kept at _WINDOW_FLOOR, and a closed form too far
     below zero leaves no window: DomainError.
     """
-    return _positive_window(f_closed, _CLOSED_FORM_HALF_WIDTH * material.gamma_e * material.mu0_Ms)
+    lo, hi, rules = _windows(np.array([float(f_closed)]), _CLOSED_FORM_HALF_WIDTH, material)
+    return _check(rules, lo, hi)
 
 
 def mode_frequency(field_map: FieldMap, B_ext: float, material: MaterialParams) -> float:
-    """Evaluate a mode's field map at the one bias field B_ext."""
-    if field_map.kind == "kittel":
-        return kittel_frequency(B_ext, material)
-    if field_map.kind == "walker":  # see msm_frequency_linear
-        if not (math.isfinite(B_ext) and B_ext > 0):
-            raise ValueError("B_ext must be positive and finite")
-        return _walker_closed_form(field_map.i, field_map.j, B_ext, material)
-    if field_map.kind == "msm20":
-        return msm20_frequency(B_ext, material)
-    return field_map.frequency
+    """Evaluate a mode's field map at the one bias field B_ext: a one-element :func:`_mode_frequency_grid`."""
+    values, rules = _mode_frequency_grid(field_map, np.array([float(B_ext)]), material)
+    return _check(rules, values)[0]
 
 
 def _mode_frequency_grid(field_map: FieldMap, B_ext, material: MaterialParams):
-    """:func:`mode_frequency` at each element of the float array ``B_ext``.
+    """A mode's field map at each field of the 1-D float array ``B_ext``: (values, rules).
 
-    The same IEEE operations in the same order as the scalar call, so an
-    element holds the scalar's bits, +/-inf where it overflows, and NaN
-    exactly where the scalar call raises.
+    The rules, in order: a finite field for kittel and msm20, a finite and positive one for walker, then a
+    positive (2, 0) radicand. A value is unspecified where a rule fails, and +/-inf where the map overflows.
     """
-    finite = np.isfinite(B_ext)
-    with np.errstate(over="ignore", invalid="ignore"):  # the scalar call overflows to inf silently too
+    if field_map.kind == "fixed":
+        return np.array([float(field_map.frequency)] * B_ext.size), []  # faster than np.full on one field
+    finite = _Rule(np.isfinite(B_ext), ValueError, lambda k: "B_ext must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
         if field_map.kind == "kittel":
-            return np.where(finite, material.gamma_e * B_ext, np.nan)
-        if field_map.kind == "walker":
-            closed = _walker_closed_form(field_map.i, field_map.j, B_ext, material)
-            return np.where(finite & (B_ext > 0), closed, np.nan)
-        if field_map.kind == "msm20":
-            _, radicand = _msm20_radicand(B_ext, material)
-            return material.gamma_e * material.mu0_Ms * np.sqrt(np.where(finite & (radicand > 0), radicand, np.nan))
-    return np.full(B_ext.shape, field_map.frequency, dtype=float)
-
-
-def _table_row(i: int, j: int, B_ext: float, material: MaterialParams) -> tuple[float, float, float]:
-    """Closed form (NaN where (i, j) has none) and search window (lo, hi) of one Walker table row.
-
-    The window is :func:`closed_form_window` around the closed form, or
-    :func:`default_search_window` where there is none. Raises the ValueError
-    (DomainError included) of the first of :func:`mode_frequency`,
-    :class:`WalkerModeQuery` and the window that fails.
-    """
-    closed_map = closed_form_map(i, j)
-    closed = math.nan if closed_map is None else mode_frequency(closed_map, B_ext, material)
-    q = WalkerModeQuery(i=i, j=j, B_ext=B_ext)
-    lo, hi = default_search_window(q, material) if closed_map is None else closed_form_window(closed, material)
-    return closed, lo, hi
+            return material.gamma_e * B_ext, [finite]
+        if field_map.kind == "walker":  # see msm_frequency_linear
+            i, j = field_map.i, field_map.j
+            offset = (j / (2 * j + (1 if i == j else 3)) - 1.0 / 3.0) * (material.gamma_e * material.mu0_Ms)
+            return material.gamma_e * B_ext + offset, [_positive(B_ext)]
+        r = B_ext / material.mu0_Ms
+        radicand = (r - 1.0 / 3.0) * (r + 7.0 / 15.0)
+        return material.gamma_e * material.mu0_Ms * np.sqrt(radicand), [
+            finite,
+            _Rule(radicand > 0, DomainError, lambda k: f"(2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = {r[k]:g}"),
+        ]
 
 
 def _table_rows(i: int, j: int, B_ext, material: MaterialParams):
-    """:func:`_table_row` at each element of the float array ``B_ext``: (closed, lo, hi).
+    """The Walker table rows of (i, j) at each field of the 1-D float array ``B_ext``: (closed, lo, hi, rules).
 
-    An element holds the bits of the scalar row where it returns, and
-    lo < hi exactly there: bad indices and fields that are not finite and
-    positive are NaN before the arithmetic, so their edges are NaN.
+    ``closed`` is the closed form (NaN where there is none) and (lo, hi) the :func:`closed_form_window` around
+    it, or the :func:`default_search_window`. The rules, in order: the closed form's, the query's, the window's.
     """
-    try:
-        check_mode_indices(i, j)
-        B_ext = np.where(np.isfinite(B_ext) & (B_ext > 0), B_ext, np.nan)  # WalkerModeQuery's field check
-    except ValueError:
-        B_ext = np.full(B_ext.shape, np.nan)
     closed_map = closed_form_map(i, j)
-    default = closed_map is None  # the default window, around the Kittel frequency
-    center = _mode_frequency_grid(FieldMap("kittel") if default else closed_map, B_ext, material)
-    closed = np.full(B_ext.shape, math.nan) if default else center
-    half = (_DEFAULT_HALF_WIDTH if default else _CLOSED_FORM_HALF_WIDTH) * material.gamma_e * material.mu0_Ms
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = np.maximum(center - half, _WINDOW_FLOOR), center + half  # _positive_window's edges
-    return closed, lo, hi
+    query = _index_rules(i, j, B_ext.shape) + [_positive(B_ext)]  # WalkerModeQuery's
+    if closed_map is None:
+        lo, hi, rules = _default_windows(B_ext, material)
+        return np.full(B_ext.shape, math.nan), lo, hi, query + rules
+    closed, rules = _mode_frequency_grid(closed_map, B_ext, material)
+    lo, hi, window = _windows(closed, _CLOSED_FORM_HALF_WIDTH, material)
+    return closed, lo, hi, rules + query + window

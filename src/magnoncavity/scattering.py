@@ -100,19 +100,22 @@ def _check_grids(B: np.ndarray, f: np.ndarray) -> None:
 
 
 def mode_frequencies(system: HybridSystem, B) -> list:
-    """Every mode's frequency at the scalar bias field ``B``, in mode order.
+    """Every mode's frequency at the scalar bias field ``B``, in mode order: a one-field :func:`_resolve_field_maps`."""
+    return _resolve_field_maps(system, np.array([float(B)]))[:, 0].tolist()
 
-    The amplitude kernel's one-field resolution of its field maps;
-    :func:`sweep_map` resolves whole field arrays and hands a failing field
-    back here. The first failing mode raises: its field map's error, or
-    ValueError for a non-finite frequency.
+
+def _resolve_field_maps(system: HybridSystem, B_grid) -> np.ndarray:
+    """Every mode's frequency at every field of the 1-D float array ``B_grid``: shape (modes, fields).
+
+    The first failing (field, mode) in row-major order raises: its field map's error, or ValueError where the
+    frequency is not finite (a map that overflows to +/-inf).
     """
-    f_ms = []
-    for mode in system.modes:
-        f_m = magnetostatics.mode_frequency(mode.field_map, B, system.material)
-        if not math.isfinite(f_m):
-            raise ValueError("f_m must be finite")
-        f_ms.append(f_m)
+    resolved = [magnetostatics._mode_frequency_grid(mode.field_map, B_grid, system.material) for mode in system.modes]
+    f_ms = np.array([values for values, _ in resolved]).reshape(len(system.modes), B_grid.size)
+    finite = [magnetostatics._Rule(np.isfinite(f_ms.T), ValueError, lambda row: "f_m must be finite")] if resolved else []
+    failure = magnetostatics._first_failure([rules for _, rules in resolved], finite)
+    if failure is not None:
+        raise failure[1]
     return f_ms
 
 
@@ -303,8 +306,8 @@ def sweep_map(
     first mode). Rows follow ``B_grid`` order, columns ``f_grid`` order.
     Both grids must be finite, 1-D and strictly ascending; they are checked
     before any kernel work. Every mode's frequency at every field is then
-    resolved once, so a failing field map raises the error of the first
-    failing (field, mode) in row-major order, still before any kernel work.
+    resolved once (:func:`_resolve_field_maps`): a failing field map raises
+    the first failing (field, mode)'s error, still before any kernel work.
     The kernel runs on blocks of bias fields (see ``_SWEEP_CELLS``), spread
     round-robin over min(CPUs this process may run on, blocks) worker
     threads. Each worker fills one set of kernel buffers per call, so the
@@ -336,14 +339,7 @@ def sweep_map(
         "s31_phase": lambda t, s31, out, real: principal_phase(s31[label], out),
     }[observable]
 
-    # every (field, mode) frequency before any kernel work, one array call per mode: shape
-    # (modes, fields). A field where some mode is not finite (NaN where its field map fails) is
-    # resolved again by mode_frequencies: the first failing (field, mode) in row-major order raises.
-    f_ms = np.array(
-        [magnetostatics._mode_frequency_grid(mode.field_map, B_grid, system.material) for mode in system.modes]
-    ).reshape(len(system.modes), B_grid.size)
-    for k in np.flatnonzero(~np.isfinite(f_ms).all(axis=0)).tolist():
-        f_ms[:, k] = mode_frequencies(system, B_grid[k].item())
+    f_ms = _resolve_field_maps(system, B_grid)  # before any kernel work
     values = np.empty((B_grid.size, f_grid.size))
     rows = min(max(1, _SWEEP_CELLS // f_grid.size), B_grid.size)
     starts = range(0, B_grid.size, rows)

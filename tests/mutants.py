@@ -1,0 +1,165 @@
+"""Hand-written source mutants that the test suite must kill.
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant is a one-line plain-text substitution in one file of src/. For
+each, src/ is copied to a temporary directory, the substitution is applied
+there (its old text must occur exactly once), and pytest runs the mutant's
+named tests with that copy first on PYTHONPATH. A mutant is killed when
+those tests fail (pytest exit status 1). The named tests of every mutant
+also run once on the unmutated copy, where they must pass, so that a kill
+is the mutant's doing. pytest runs in the temporary directory, so
+hypothesis keeps the failing examples it finds there and not in the
+checkout.
+
+Prints one line per run and exits 1 unless every mutant is killed and the
+unmutated run passes. Needs only the test extra: no mutation-testing
+package is used. Not collected by pytest (its name does not start with
+``test_``).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+# two runs at a time: each is a pytest process of about 150 MB
+WORKERS = 2
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/magnoncavity
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids relative to tests/
+
+
+ORACLE = ("test_magnetostatics.py::test_field_maps_and_table_rows_are_the_scalar_oracle_bit_for_bit",)
+RESIDUAL = (
+    "test_magnetostatics.py::TestBatchedSolver::test_float_residual_has_the_bits_of_the_complex_one",
+    "test_magnetostatics.py::test_legendre_pair_matches_the_polynomials_and_the_complex_recurrence",
+)
+PARALLEL = "test_cli.py::TestParallelMap::"
+
+MUTANTS = [
+    # the validity rules of the field maps and the Walker table rows
+    Mutant(
+        "walker map without B > 0", "magnetostatics.py",
+        "return material.gamma_e * B_ext + offset, [_positive(B_ext)]",
+        "return material.gamma_e * B_ext + offset, [finite]",
+        ORACLE,
+    ),
+    Mutant("msm20 radicand >= 0", "magnetostatics.py", "_Rule(radicand > 0,", "_Rule(radicand >= 0,", ORACLE),
+    Mutant(
+        "table rows without the index check", "magnetostatics.py",
+        "query = _index_rules(i, j, B_ext.shape) + [_positive(B_ext)]", "query = [_positive(B_ext)]", ORACLE,
+    ),
+    Mutant(
+        "table rows without the field check", "magnetostatics.py",
+        "query = _index_rules(i, j, B_ext.shape) + [_positive(B_ext)]", "query = _index_rules(i, j, B_ext.shape)", ORACLE,
+    ),
+    Mutant(
+        "finite check before the map rules", "magnetostatics.py",
+        "if not rule.holds.item(row) and (first is None or row < first[0]):",
+        "if not rule.holds.item(row) and (first is None or row <= first[0]):",
+        ("test_magnetostatics.py::test_field_map_resolution_raises_the_first_failing_field_and_mode_of_the_oracle",),
+    ),
+    # the float64 Walker residual: numpy's complex division multiplies by 1.0/c, and imaginary factors flip signs
+    Mutant(
+        "a / c for a * (1.0 / c)", "magnetostatics.py",
+        "* (1.0 / (square - 1.0))", "/ (square - 1.0)", RESIDUAL,
+    ),
+    Mutant(
+        "inverted parity choice of z", "magnetostatics.py",
+        "z_n = z_flip if (n - j) % 2 == 0 else z", "z_n = z if (n - j) % 2 == 0 else z_flip", RESIDUAL,
+    ),
+    # the conversion amplitude
+    Mutant(
+        "a dropped sqrt(beta) in S31", "scattering.py",
+        "math.sqrt(mode.beta * mode.delta / kappa_e)", "math.sqrt(mode.delta / kappa_e)",
+        ("test_scattering.py::test_conversion_power_is_linear_in_beta",),
+    ),
+    # the forked map formatters
+    Mutant(
+        "no kill and reap of the formatters", "cli.py",
+        "for pid, reader in children:", "for pid, reader in []:", (PARALLEL + "test_success_leaves_no_process",),
+    ),
+    Mutant(
+        "cmd_map without contextlib.closing", "cli.py",
+        "with closing(_parallel_blocks(block, len(fields))) as blocks:",
+        "with nullcontext(_parallel_blocks(block, len(fields))) as blocks:",
+        (PARALLEL + "test_an_interrupted_write_leaves_no_process",),
+    ),
+    Mutant(
+        "no short-frame check", "cli.py",
+        "if len(header) < 8 or len(data) < size:", "if False:",
+        (PARALLEL + "test_a_child_killed_mid_stream_is_a_write_error",),
+    ),
+    Mutant(
+        "no warnings filter around os.fork", "cli.py",
+        'warnings.simplefilter("ignore", DeprecationWarning)', "pass",
+        (PARALLEL + "test_success_leaves_no_process",),
+    ),
+]
+
+
+def run(mutant: Mutant | None, tests) -> tuple[str, float]:
+    """Run ``tests`` on a copy of src/ with ``mutant`` applied (none: unmutated); returns (verdict, seconds)."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutant-") as work:
+        src = Path(work) / "src"
+        shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant is not None:
+            path = src / "magnoncavity" / mutant.path
+            text = path.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                return f"does not apply: {mutant.old!r} occurs {text.count(mutant.old)} times", 0.0
+            path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        argv += [str(REPO / "tests" / test) for test in tests]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        try:
+            done = subprocess.run(argv, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return f"timed out after {TIMEOUT_S} s", time.perf_counter() - start
+    status = done.returncode
+    if mutant is None:
+        verdict = "passes" if status == 0 else f"FAILS unmutated (pytest exit {status})"
+    else:
+        verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"pytest exit {status}")
+    return verdict, time.perf_counter() - start
+
+
+def main(names) -> int:
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    baseline = tuple(dict.fromkeys(test for m in mutants for test in m.tests))
+    start = time.perf_counter()
+    with ThreadPoolExecutor(WORKERS) as pool:
+        unmutated = pool.submit(run, None, baseline)
+        outcomes = list(pool.map(lambda m: run(m, m.tests), mutants))
+        verdict, seconds = unmutated.result()
+    print(f"{'unmutated':40s} {verdict} ({seconds:.1f} s)")
+    for mutant, (verdict, seconds) in zip(mutants, outcomes):
+        print(f"{mutant.name:40s} {verdict} ({seconds:.1f} s)")
+    killed = sum(verdict == "killed" for verdict, _ in outcomes)
+    print(f"{killed} of {len(mutants)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 0 if killed == len(mutants) and unmutated.result()[0] == "passes" else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1096,7 +1096,7 @@ def materials_and_fields(draw):
     anchors = [0.0, material.mu0_Ms / 3]
     if mc.closed_form_map(*ij) is not None and ij != (2, 0):
         # where closed + half and closed - half cross the floor: the window vanishes, and its lower edge is clamped
-        offset = magnetostatics._walker_closed_form(*ij, 0.0, material)
+        offset = oracle_walker_closed_form(*ij, 0.0, material)
         anchors += [(1.0 - half - offset) / material.gamma_e, (1.0 + half - offset) / material.gamma_e]
     near = st.builds(ulps_from, st.sampled_from(anchors), st.integers(-4, 4))
     fields = st.one_of(near, st.floats(-0.1, 1.0), st.sampled_from([-0.0, math.inf, -math.inf, math.nan]))
@@ -1107,33 +1107,155 @@ def float_bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
+# The oracle of the field-map and Walker-row rules: the scalar functions as they were written
+# before each rule became one array predicate, with every rule an if/raise of its own.
+
+
+def oracle_walker_closed_form(i: int, j: int, B_ext: float, material) -> float:
+    """The i = j or i = j + 1 closed form of msm_frequency_linear."""
+    offset = (j / (2 * j + (1 if i == j else 3)) - 1.0 / 3.0) * (material.gamma_e * material.mu0_Ms)
+    return material.gamma_e * B_ext + offset
+
+
+def oracle_kittel_frequency(B_ext: float, material) -> float:
+    if not math.isfinite(B_ext):
+        raise ValueError("B_ext must be finite")
+    return material.gamma_e * B_ext
+
+
+def oracle_msm20_frequency(B_ext: float, material) -> float:
+    if not math.isfinite(B_ext):
+        raise ValueError("B_ext must be finite")
+    r = B_ext / material.mu0_Ms
+    radicand = (r - 1.0 / 3.0) * (r + 7.0 / 15.0)
+    if radicand <= 0:
+        raise DomainError(f"(2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = {r:g}")
+    return material.gamma_e * material.mu0_Ms * math.sqrt(radicand)
+
+
+def oracle_mode_frequency(field_map, B_ext: float, material) -> float:
+    """Evaluate a mode's field map at the one bias field B_ext."""
+    if field_map.kind == "kittel":
+        return oracle_kittel_frequency(B_ext, material)
+    if field_map.kind == "walker":
+        if not (math.isfinite(B_ext) and B_ext > 0):
+            raise ValueError("B_ext must be positive and finite")
+        return oracle_walker_closed_form(field_map.i, field_map.j, B_ext, material)
+    if field_map.kind == "msm20":
+        return oracle_msm20_frequency(B_ext, material)
+    return field_map.frequency
+
+
+def oracle_positive_window(center: float, half: float) -> tuple[float, float]:
+    """Search window center +/- half with its lower edge raised to 1 Hz."""
+    lo, hi = max(center - half, 1.0), center + half
+    if not lo < hi:
+        if hi <= 1.0:
+            raise DomainError(f"search window {center:.6e} +/- {half:.6e} Hz lies below 1 Hz")
+        raise DomainError(f"search window {center:.6e} +/- {half:.6e} Hz has no width: both edges round to {hi:.6e} Hz")
+    return lo, hi
+
+
+def oracle_table_row(i: int, j: int, B_ext: float, material) -> tuple[float, float, float]:
+    """Closed form (NaN where (i, j) has none) and search window (lo, hi) of one Walker table row."""
+    closed_map = mc.closed_form_map(i, j)
+    closed = math.nan if closed_map is None else oracle_mode_frequency(closed_map, B_ext, material)
+    # WalkerModeQuery(i=i, j=j, B_ext=B_ext)
+    if i < 1:
+        raise ValueError(f"mode index i must be >= 1, got ({i}, {j})")
+    if not -i <= j <= i:
+        raise ValueError(f"mode index j must satisfy -i <= j <= i, got ({i}, {j})")
+    if not math.isfinite(B_ext) or B_ext <= 0:
+        raise ValueError("B_ext must be positive and finite")
+    if closed_map is None:  # default_search_window
+        half = 1.5 * material.gamma_e * material.mu0_Ms
+        return (closed, *oracle_positive_window(oracle_kittel_frequency(B_ext, material), half))
+    return (closed, *oracle_positive_window(closed, 0.03 * material.gamma_e * material.mu0_Ms))  # closed_form_window
+
+
 def scalar_or_error(function, *args):
+    """What ``function(*args)`` returns, or the ValueError (DomainError included) it raises."""
     try:
         return function(*args)
-    except ValueError as exc:  # DomainError included
+    except ValueError as exc:
         return exc
+
+
+def same_result(got, expected) -> bool:
+    """Equal float bits (of a float or a tuple of them), or errors of the same class and text."""
+    if isinstance(expected, ValueError):
+        return isinstance(got, ValueError) and (type(got), str(got)) == (type(expected), str(expected))
+    return [float_bits(x) for x in np.atleast_1d(got)] == [float_bits(x) for x in np.atleast_1d(expected)]
+
+
+def assert_array_path_is_the_oracle(arrays, rules, expected):
+    """The arrays hold the oracle's bits where it returns, and the first element where it raises fails first, alike."""
+    first = next(((k, e) for k, e in enumerate(expected) if isinstance(e, ValueError)), None)
+    failure = magnetostatics._first_failure([rules])
+    assert (failure is None) == (first is None), (failure, first)
+    if first is not None:
+        assert failure[0] == first[0] and same_result(failure[1], first[1]), (failure, first)
+    for k, e in enumerate(expected):
+        if not isinstance(e, ValueError):
+            assert same_result(tuple(a[k] for a in arrays), e), (k, e)
 
 
 @settings(max_examples=300, deadline=None)
 @given(materials_and_fields())
-# the Kittel map overflows to inf without raising: the array must not call that cell finite
+# the Kittel map overflows to inf without raising: the array must not call that cell a failure
 @example((MAT, (1, 1), [1e300]))
-def test_array_closed_forms_and_windows_are_the_scalar_ones_bit_for_bit(drawn):
+# the rules at the fields that sit on their edges: walker at 0 T, the (2,0) radicand's zero,
+# a row with bad indices, and a row without a closed form at 0 T
+@example((MAT, (1, 1), [0.38, 0.0]))
+@example((MAT, (2, 0), [0.38, MAT.mu0_Ms / 3]))
+@example((MAT, (0, 0), [5e-324]))
+@example((MAT, (1, -1), [0.38, 0.0]))
+def test_field_maps_and_table_rows_are_the_scalar_oracle_bit_for_bit(drawn):
     material, (i, j), fields = drawn
     B = np.array(fields)
     field_maps = [mc.FieldMap("kittel"), mc.FieldMap("msm20"), mc.FieldMap("fixed", frequency=10.632e9)]
     field_maps += [mc.closed_form_map(i, j)] if mc.closed_form_map(i, j) is not None else []
     for field_map in field_maps:
-        values = magnetostatics._mode_frequency_grid(field_map, B, material)
-        for k, B_k in enumerate(fields):
-            expected = scalar_or_error(mc.mode_frequency, field_map, B_k, material)
-            raised = isinstance(expected, ValueError)
-            # finite exactly where the scalar returns a finite value; NaN where it raises, its bits elsewhere
-            assert np.isfinite(values[k]) == (not raised and math.isfinite(expected)), (field_map, B_k)
-            assert np.isnan(values[k]) if raised else float_bits(values[k]) == float_bits(expected), (field_map, B_k)
-    closed, lo, hi = magnetostatics._table_rows(i, j, B, material)
-    for k, B_k in enumerate(fields):
-        expected = scalar_or_error(magnetostatics._table_row, i, j, B_k, material)
-        assert (lo[k] < hi[k]) == (not isinstance(expected, ValueError)), ((i, j), B_k, expected)
-        if lo[k] < hi[k]:
-            assert [float_bits(x) for x in (closed[k], lo[k], hi[k])] == [float_bits(x) for x in expected]
+        expected = [scalar_or_error(oracle_mode_frequency, field_map, B_k, material) for B_k in fields]
+        values, rules = magnetostatics._mode_frequency_grid(field_map, B, material)
+        assert_array_path_is_the_oracle([values], rules, expected)
+        # the one-field call at each field: its value, or the error of the first rule that fails there
+        for B_k, e in zip(fields, expected):
+            assert same_result(scalar_or_error(mc.mode_frequency, field_map, B_k, material), e), (field_map, B_k)
+    expected = [scalar_or_error(oracle_table_row, i, j, B_k, material) for B_k in fields]
+    closed, lo, hi, rules = magnetostatics._table_rows(i, j, B, material)
+    assert_array_path_is_the_oracle([closed, lo, hi], rules, expected)
+    for k, e in enumerate(expected):  # each row alone fails with the first of its own rules that fails
+        *row, rules = magnetostatics._table_rows(i, j, B[k : k + 1], material)
+        assert_array_path_is_the_oracle(row, rules, [e])
+
+
+@settings(max_examples=200, deadline=None)
+@given(materials_and_fields(), st.lists(st.sampled_from(list(FIELD_MAPS)), min_size=1, max_size=3))
+# at -inf the Kittel map fails its field rule and overflows: its rule's error, not the overflow's
+@example((MAT, (2, 2), [0.38, -math.inf]), ["walker i=j", "kittel"])
+@example((MAT, (1, 1), [0.38, 1e300, 0.0]), ["fixed", "kittel", "walker i=j+1"])
+def test_field_map_resolution_raises_the_first_failing_field_and_mode_of_the_oracle(drawn, kinds):
+    material, _, fields = drawn
+    modes = tuple(mc.MagnonMode(label=f"m{k}", g=1e6, gamma=1e6, field_map=FIELD_MAPS[kind]) for k, kind in enumerate(kinds))
+    system = mc.HybridSystem(cavity=mc.CavityParams(f_c=10.632e9, kappa_e=2.1e6, kappa_i=0.6e6), modes=modes,
+                             material=material)
+
+    def oracle_field(B_k):  # every mode's frequency at B_k, or the error of the first mode that fails there
+        f_ms = []
+        for mode in modes:
+            f_m = oracle_mode_frequency(mode.field_map, B_k, material)
+            if not math.isfinite(f_m):
+                raise ValueError("f_m must be finite")
+            f_ms.append(f_m)
+        return f_ms
+
+    expected = [scalar_or_error(oracle_field, B_k) for B_k in fields]
+    first_error = next((e for e in expected if isinstance(e, ValueError)), None)
+    resolved = scalar_or_error(mc.scattering._resolve_field_maps, system, np.array(fields))
+    if first_error is not None:
+        assert same_result(resolved, first_error), (resolved, first_error)
+    else:
+        assert same_result(resolved.T.ravel(), [f for f_ms in expected for f in f_ms])
+    for B_k, e in zip(fields, expected):
+        assert same_result(scalar_or_error(mc.scattering.mode_frequencies, system, B_k), e), (B_k, e)
