@@ -93,7 +93,9 @@ class GridSpec:
             raise ConfigError("grid range must be non-degenerate (stop > start)")
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+        # a span beyond the float range gives inf and nan points, which the grid check rejects: no numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.linspace(self.start, self.stop, self.count)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,16 @@ handling; bounds act as a validity box checked on the way in and out.
 
 The Jacobian is analytic. S21 = -2i*kappa_e/D and
 S31_m = -i*g_m*chi_m*sqrt(beta_m*delta_m/kappa_e)*S21 depend on the
-parameters only through kappa_e, D and the chi_m, so every column
-dS/dtheta = S * dlog S/dtheta follows in closed form from the same
-shared denominator D and susceptibilities chi_m that the model value is
-built from. Each Levenberg-Marquardt trial evaluates the model once for
-its residuals; the Jacobian is formed only at the start point and for
+parameters only through kappa_e, D and the chi_m, and dD/df_c = -1,
+dD/dkappa = i, dD/dg_m = -2*g_m*chi_m, dchi_m/df_m = chi_m^2 and
+dchi_m/dgamma_m = -i*chi_m^2. So with W = S/D, each row dS/du is one scalar
+multiple of W, W*chi_m or W*chi_m^2 (which a mode's f_m and gamma rows
+share), plus S, S/2 or S*chi_m where S itself holds the parameter. The
+complex residuals are a float64 view of model - data, Re and Im
+interleaved, and their Jacobian the (2N, P) float64 view of the rows. B is
+fixed for a fit, so the field maps resolve once per fit and each model
+evaluation puts the trial's free f_m in place. Each trial evaluates the
+model once; the Jacobian is formed only at the start point and for
 accepted steps, from the model evaluation that gave their residuals.
 """
 
@@ -236,13 +241,11 @@ def _from_internal(name: str, value: float) -> float:
 def _residual_function(data: np.ndarray, loss: str):
     """``model_values -> residuals`` of ``loss`` against the observed ``data``.
 
-    The terms that depend on the data alone are formed here, once.
+    The complex residual is a float64 view of ``model - data``, its Re and
+    Im interleaved. The terms that depend on the data alone are formed here, once.
     """
     if loss == "complex_residual":
-        def residuals(model_values):
-            diff = model_values - data
-            return np.concatenate([diff.real, diff.imag])
-        return residuals
+        return lambda model_values: (model_values - data).view(np.float64)
     power_data = np.abs(data) ** 2
     phase_data = np.unwrap(np.angle(data))
 
@@ -256,51 +259,16 @@ def _residual_function(data: np.ndarray, loss: str):
 def _residual_jacobian(loss: str, model_values: np.ndarray, d_model: np.ndarray) -> np.ndarray:
     """Jacobian of the residuals of :func:`_residual_function` from ``d_model``, the model's derivative rows (one per parameter).
 
-    A power row is 2*Re(conj(S)*dS) and a phase row Im(dS/S): the offsets
-    ``np.unwrap`` adds are piecewise constant and drop out of the derivative.
+    For the complex residual it is the ``(2N, P)`` float64 view of the
+    ``(P, N)`` rows, in the residuals' interleaved order. A power row is
+    2*Re(conj(S)*dS) and a phase row Im(dS/S): the offsets ``np.unwrap``
+    adds are piecewise constant and drop out of the derivative.
     """
     if loss == "complex_residual":
-        return np.concatenate([d_model.real, d_model.imag], axis=1).T
+        return d_model.view(np.float64).T
     power = 2.0 * (model_values.conj() * d_model).real
     phase = (d_model / model_values).imag
     return np.concatenate([power, phase], axis=1).T
-
-
-def _log_derivative(
-    field: str, label: str | None, system: HybridSystem, inv_d, chis: dict, observed_mode: str | None, d_f: dict
-):
-    """d log S / du for the internal parameter u of the parameter ``(field, label)``, over the grid.
-
-    S is S21 for ``observed_mode`` None and S31 of that mode otherwise;
-    ``inv_d`` is 1/D and ``chis`` maps each label to its chi_m, all of
-    ``system``. With dD/df_c = -1, dD/dkappa = i, dD/dg_m = -2*g_m*chi_m,
-    dchi_m/dgamma_m = -i*chi_m^2 and dchi_m/df_m = chi_m^2, the S21 forms
-    are d log S21/dtheta = d log kappa_e/dtheta - (dD/dtheta)/D; S31_m adds
-    d log(g_m*chi_m*sqrt(beta_m*delta_m/kappa_e))/dtheta. A log-space
-    parameter's column is theta * d log S/dtheta, so no form divides by
-    theta. ``d_f`` caches each mode's d log S/df_m, which its f_m and gamma
-    columns share: pass one empty dict per ``inv_d``.
-    """
-    if label is None:
-        if field == "f_c":
-            return inv_d
-        if field == "kappa_i":
-            return -1j * system.cavity.kappa_i * inv_d
-        # kappa_e: S21 is proportional to kappa_e, S31_m to sqrt(kappa_e)
-        return (1.0 if observed_mode is None else 0.5) - 1j * system.cavity.kappa_e * inv_d
-    mode = system.mode(label)
-    chi = chis[label]
-    own = label == observed_mode
-    if field in ("delta", "beta"):
-        return np.full(inv_d.shape, 0.5 if own else 0.0, dtype=complex)
-    if field == "g":
-        return 2.0 * mode.g**2 * chi * inv_d + (1.0 if own else 0.0)
-    if label not in d_f:
-        # -dD/df_m = g_m^2*chi_m^2, and S31_m's own chi_m adds chi_m
-        d_f[label] = mode.g**2 * chi**2 * inv_d + (chi if own else 0.0)
-    if field == "gamma":
-        return -1j * mode.gamma * d_f[label]
-    return d_f[label]  # f_m
 
 
 def _residuals_and_jacobian(problem: FitProblem, names):
@@ -309,34 +277,67 @@ def _residuals_and_jacobian(problem: FitProblem, names):
     ``evaluate`` builds the model once and returns its residuals and
     ``jacobian``, a zero-argument function that forms their Jacobian from
     that evaluation's D, chi_m and S; a caller that rejects ``u`` never
-    calls it. The names are parsed once here, not per evaluation.
+    calls it. The names are parsed, and the field maps of the modes whose
+    ``f_m`` is not free are resolved at ``problem.B``, once here, not per evaluation.
     """
     system = problem.system
     parsed = [_parse_name(n, system) for n in names]
     logs = [field in _LOG_FIELDS for field, _ in parsed]
+    index = {mode.label: m for m, mode in enumerate(system.modes)}
+    rows = [(field, None if label is None else index[label]) for field, label in parsed]
+    f_m_row = {m: k for k, (field, m) in enumerate(rows) if field == "f_m"}
+    chi_modes = {m for field, m in rows if field in ("g", "f_m", "gamma")}
+    chi2_modes = {m for field, m in rows if field in ("f_m", "gamma")}
     observed_mode = _observed_mode(problem.observable, system)
+    observed = index.get(observed_mode)
     # only the observed mode's S31 is formed: none for s21 and s11
     labels = () if observed_mode is None else (observed_mode,)
     s11 = problem.observable == "s11"
     f_grid = problem.observed.frequencies
     residuals = _residual_function(problem.observed.values, problem.loss)
+    # B is fixed for the fit: the maps of the modes without a free f_m resolve once, here
+    kept = HybridSystem(system.cavity, [mode for m, mode in enumerate(system.modes) if m not in f_m_row], system.material)
+    resolved = iter(scattering.mode_frequencies(kept, problem.B))
+    fixed_f_ms = [None if m in f_m_row else next(resolved) for m in range(len(system.modes))]
 
     def evaluate(u: np.ndarray):
-        sys_ = apply_params(system, {n: math.exp(ui) if log else ui for n, ui, log in zip(names, u.tolist(), logs)})
-        d, chis = scattering.shared_denominator(f_grid, sys_, scattering.mode_frequencies(sys_, problem.B))
+        values = [math.exp(ui) if log else ui for ui, log in zip(u.tolist(), logs)]
+        # validates the trial: an f_c or f_m <= 0 is a ValueError
+        sys_ = apply_params(system, dict(zip(names, values)))
+        f_ms = [values[f_m_row[m]] if m in f_m_row else f_m for m, f_m in enumerate(fixed_f_ms)]
+        d, chis = scattering.shared_denominator(f_grid, sys_, f_ms)
         s21, s31 = scattering.amplitudes_from_denominator(d, chis, sys_, labels)
-        # dS11 = dS21, so S11 differentiates through S21's logarithm
-        base = s21 if observed_mode is None else s31[observed_mode]
-        model_values = 1.0 + s21 if s11 else base
+        # dS11 = dS21, so S11 differentiates through S21
+        s = s21 if observed_mode is None else s31[observed_mode]
+        model_values = 1.0 + s21 if s11 else s
 
         def jacobian() -> np.ndarray:
-            inv_d = 1.0 / d
-            chi_of = {mode.label: chi for mode, chi in zip(sys_.modes, chis)}
-            d_f = {}
-            d_model = np.empty((len(parsed), f_grid.size), dtype=complex)
-            for row, (field, label) in zip(d_model, parsed):
-                # S first: with fused multiply-adds the operand order sets the last bits
-                np.multiply(base, _log_derivative(field, label, sys_, inv_d, chi_of, observed_mode, d_f), out=row)
+            w = s / d
+            w_chi = {m: w * chis[m] for m in chi_modes}
+            cavity, modes = sys_.cavity, sys_.modes
+            d_model = np.empty((len(rows), f_grid.size), dtype=complex)
+            # each mode's f_m row, in place if f_m is free, which its gamma row scales
+            d_f = {
+                m: np.multiply(w_chi[m] * chis[m], modes[m].g ** 2, out=d_model[f_m_row[m]] if m in f_m_row else None)
+                for m in chi2_modes
+            }
+            if observed in d_f:  # S31_m's own chi_m
+                np.add(d_f[observed], s * chis[observed], out=d_f[observed])
+            for (field, m), row in zip(rows, d_model):
+                if field == "f_c":
+                    row[...] = w
+                elif field == "kappa_i":
+                    np.multiply(w, -1j * cavity.kappa_i, out=row)
+                elif field == "kappa_e":  # S21 is proportional to kappa_e, S31_m to sqrt(kappa_e)
+                    np.add(np.multiply(w, -1j * cavity.kappa_e, out=row), s if observed is None else 0.5 * s, out=row)
+                elif field in ("delta", "beta"):  # S31_m is proportional to sqrt(delta_m * beta_m)
+                    np.multiply(s, 0.5 if m == observed else 0.0, out=row)
+                elif field == "g":
+                    np.multiply(w_chi[m], 2.0 * modes[m].g ** 2, out=row)
+                    if m == observed:
+                        np.add(row, s, out=row)
+                elif field == "gamma":
+                    np.multiply(d_f[m], -1j * modes[m].gamma, out=row)
             return _residual_jacobian(problem.loss, model_values, d_model)
 
         return residuals(model_values), jacobian
@@ -370,10 +371,9 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
     and stops when the gradient norm drops below 1e-10 of its initial
     value, when an accepted step leaves the cost exactly unchanged (the
     cost is then at its round-off floor; both count as converged), or
-    after 200 iterations. Each trial step evaluates the model
-    once for its residuals. The analytic Jacobian (see the module
-    docstring) is formed only at the start point and for accepted steps,
-    from the model evaluation that gave their residuals.
+    after 200 iterations. Each trial step evaluates the model once; the
+    analytic Jacobian (see the module docstring) is formed only for the
+    start point and for accepted steps.
     Singular normal equations end the fit with ``converged=False`` and a
     large condition estimate instead of raising.
     """

@@ -89,6 +89,19 @@ MUTANTS = [
         "math.sqrt(mode.beta * mode.delta / kappa_e)", "math.sqrt(mode.delta / kappa_e)",
         ("test_scattering.py::test_conversion_power_is_linear_in_beta",),
     ),
+    # the shared denominator, and the fit's Jacobian rows built on it
+    Mutant(
+        "kappa_e for kappa_t in D", "scattering.py", "1j * cav.kappa_t", "1j * cav.kappa_e",
+        ("test_scattering.py::test_power_balance_holds_for_any_set_of_modes",),
+    ),
+    Mutant(
+        "the wrong sign of the gamma row", "fitting.py", "-1j * modes[m].gamma", "1j * modes[m].gamma",
+        ("test_fitting.py::test_jacobian_rows_are_s_times_the_log_derivative_oracle[s21-complex_residual]",),
+    ),
+    Mutant(
+        "the g row without the observed mode's S", "fitting.py", "np.add(row, s, out=row)", "pass",
+        ("test_fitting.py::test_jacobian_rows_are_s_times_the_log_derivative_oracle[s31.kittel-complex_residual]",),
+    ),
     # the forked map formatters
     Mutant(
         "no kill and reap of the formatters", "cli.py",

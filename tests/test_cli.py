@@ -673,6 +673,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("config error: Unable to allocate ")
 
+    @pytest.mark.parametrize("grid", ["field", "frequency"])
+    def test_grid_beyond_the_float_range_is_one_config_error_line(self, tmp_path, grid):
+        # its span overflows inside np.linspace; numpy's RuntimeWarnings must not reach stderr
+        config = yaml.safe_load((CONFIG_DIR / "sphere_0p45mm_map.yaml").read_text())
+        config["sweep"][grid] = {"start": -1.0e308, "stop": 1.0e308, "count": 5}
+        path = tmp_path / "overflowing_grid.yaml"
+        path.write_text(yaml.safe_dump(config))
+        done = run_process(["map", path])
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "config error: grids must be finite\n")
+
     def test_key_error_inside_a_command_propagates(self, monkeypatch):
         def broken(args):
             raise KeyError("a bug, not a config error")

@@ -11,7 +11,6 @@ from magnoncavity import fitting, scattering
 from magnoncavity.fitting import (
     LOSSES,
     _from_internal,
-    _log_derivative,
     _residuals_and_jacobian,
     _to_internal,
     finite_difference_jacobian,
@@ -434,37 +433,57 @@ def test_analytic_jacobian_matches_four_point_stencil(kind, observable, loss):
         # delta and beta enter only the observed mode's S31: elsewhere the column is exactly zero
         invisible = kind in ("delta", "beta") and name != f"{kind}.{observable.partition('.')[2]}"
         assert np.any(analytic[:, k]) != invisible, name
-        # element by element, plus an absolute allowance far above the stencil's
-        # round-off, taken per half of the residual vector (re/im or power/phase)
-        for rows in np.split(np.arange(r0.size), 2):
+        # element by element, plus an absolute allowance far above the stencil's round-off, taken per
+        # part of the residual vector: the interleaved re/im rows (even/odd), or the power and phase halves
+        indices = np.arange(r0.size)
+        for rows in (indices[0::2], indices[1::2]) if loss == "complex_residual" else np.split(indices, 2):
             error = np.abs(analytic[rows, k] - four_point[rows, k])
             allowance = 1e-8 * np.max(np.abs(r0[rows])) / scales[k]
             assert np.all(error <= 1e-4 * np.abs(four_point[rows, k]) + allowance), name
 
 
 def eager_residuals_and_jacobian(problem, names, u):
-    """Residuals and Jacobian at ``u`` from one model evaluation that forms every column at once."""
+    """Residuals and Jacobian at ``u`` from one model evaluation that forms every row at once.
+
+    Each row is a scalar multiple of W = S/D, W*chi_m or W*chi_m^2, plus S, S/2 or S*chi_m where S
+    itself holds the parameter; the complex residuals and rows are laid out Re, Im interleaved.
+    """
     system = mc.apply_params(problem.system, {n: _from_internal(n, ui) for n, ui in zip(names, u)})
     d, chis = scattering.shared_denominator(
         problem.observed.frequencies, system, scattering.mode_frequencies(system, problem.B)
     )
     s21, s31 = scattering.amplitudes_from_denominator(d, chis, system)
     observed_mode = problem.observable.partition(".")[2] or None
-    base = s21 if observed_mode is None else s31[observed_mode]
-    model = 1.0 + s21 if problem.observable == "s11" else base
-    inv_d = 1.0 / d
+    s = s21 if observed_mode is None else s31[observed_mode]
+    model = 1.0 + s21 if problem.observable == "s11" else s
+    w = s / d
     chi_of = {mode.label: chi for mode, chi in zip(system.modes, chis)}
-    d_f = {}
-    d_log = np.array([
-        _log_derivative(field, label or None, system, inv_d, chi_of, observed_mode, d_f)
-        for field, _, label in (n.partition(".") for n in names)
-    ])
-    d_model = base * d_log
+
+    def row(field, label):
+        cavity = system.cavity
+        if not label:
+            return {
+                "f_c": w,
+                "kappa_i": w * (-1j * cavity.kappa_i),
+                "kappa_e": w * (-1j * cavity.kappa_e) + (s if observed_mode is None else 0.5 * s),
+            }[field]
+        mode, chi, own = system.mode(label), chi_of[label], label == observed_mode
+        if field in ("delta", "beta"):
+            return s * (0.5 if own else 0.0)
+        if field == "g":
+            g_row = (w * chi) * (2.0 * mode.g**2)
+            return g_row + s if own else g_row
+        f_m_row = ((w * chi) * chi) * mode.g**2
+        if own:
+            f_m_row = f_m_row + s * chi
+        return f_m_row if field == "f_m" else f_m_row * (-1j * mode.gamma)
+
+    d_model = np.array([row(field, label) for field, _, label in (n.partition(".") for n in names)])
     data = problem.observed.values
     if problem.loss == "complex_residual":
         diff = model - data
-        residuals = np.concatenate([diff.real, diff.imag])
-        jacobian = np.concatenate([d_model.real, d_model.imag], axis=1).T
+        residuals = np.stack([diff.real, diff.imag], axis=-1).ravel()
+        jacobian = np.stack([d_model.real, d_model.imag], axis=-1).reshape(len(names), -1).T
     else:
         power = np.abs(model) ** 2 - np.abs(data) ** 2
         phase = np.unwrap(np.angle(model)) - np.unwrap(np.angle(data))
@@ -509,6 +528,115 @@ def test_lazy_jacobian_matches_an_eager_build(observable, loss):
         expected_residuals, expected_jacobian = eager_residuals_and_jacobian(problem, names, u)
         assert same_bits(residuals, expected_residuals)
         assert same_bits(jacobian(), expected_jacobian)
+
+
+def oracle_log_derivative(field, label, system, inv_d, chis, observed_mode):
+    """d log S / du for the internal parameter u of the parameter ``(field, label)``, over the grid.
+
+    The per-parameter closed forms, one call per row: an oracle for the shared-product rows.
+    S is S21 for ``observed_mode`` None and S31 of that mode otherwise;
+    ``inv_d`` is 1/D and ``chis`` maps each label to its chi_m, all of
+    ``system``. With dD/df_c = -1, dD/dkappa = i, dD/dg_m = -2*g_m*chi_m,
+    dchi_m/dgamma_m = -i*chi_m^2 and dchi_m/df_m = chi_m^2, the S21 forms
+    are d log S21/dtheta = d log kappa_e/dtheta - (dD/dtheta)/D; S31_m adds
+    d log(g_m*chi_m*sqrt(beta_m*delta_m/kappa_e))/dtheta. A log-space
+    parameter's column is theta * d log S/dtheta, so no form divides by theta.
+    """
+    if label is None:
+        if field == "f_c":
+            return inv_d
+        if field == "kappa_i":
+            return -1j * system.cavity.kappa_i * inv_d
+        # kappa_e: S21 is proportional to kappa_e, S31_m to sqrt(kappa_e)
+        return (1.0 if observed_mode is None else 0.5) - 1j * system.cavity.kappa_e * inv_d
+    mode = system.mode(label)
+    chi = chis[label]
+    own = label == observed_mode
+    if field in ("delta", "beta"):
+        return np.full(inv_d.shape, 0.5 if own else 0.0, dtype=complex)
+    if field == "g":
+        return 2.0 * mode.g**2 * chi * inv_d + (1.0 if own else 0.0)
+    # -dD/df_m = g_m^2*chi_m^2, and S31_m's own chi_m adds chi_m
+    d_f = mode.g**2 * chi**2 * inv_d + (chi if own else 0.0)
+    return -1j * mode.gamma * d_f if field == "gamma" else d_f
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("observable", ["s21", "s11", "s31.kittel", "s31.msm"])
+def test_jacobian_rows_are_s_times_the_log_derivative_oracle(observable, loss, monkeypatch):
+    names = sorted(PARAMETER_NAMES)
+    observed = mc.synthesize_noisy_spectrum(JACOBIAN_TRUTH, 0.0, JACOBIAN_GRID, observable, noise_sigma=0.01, seed=6)
+    problem = mc.FitProblem(
+        observed=observed, system=JACOBIAN_TRUTH, free={n: (1e-9, 1e12) for n in names},
+        observable=observable, loss=loss,
+    )
+    rows = []
+    residual_jacobian = fitting._residual_jacobian
+
+    def capture(loss, model_values, d_model):
+        rows.append(d_model.copy())
+        return residual_jacobian(loss, model_values, d_model)
+
+    monkeypatch.setattr(fitting, "_residual_jacobian", capture)
+    evaluate = _residuals_and_jacobian(problem, names)
+    observed_mode = observable.partition(".")[2] or None
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        u = internal_point(names, rng)
+        evaluate(u)[1]()
+        system = mc.apply_params(JACOBIAN_TRUTH, {n: _from_internal(n, ui) for n, ui in zip(names, u)})
+        d, chis = scattering.shared_denominator(JACOBIAN_GRID, system, scattering.mode_frequencies(system, 0.0))
+        s21, s31 = scattering.amplitudes_from_denominator(d, chis, system)
+        s = s21 if observed_mode is None else s31[observed_mode]
+        chi_of = {mode.label: chi for mode, chi in zip(system.modes, chis)}
+        for name, row in zip(names, rows.pop()):
+            field, _, label = name.partition(".")
+            expected = s * oracle_log_derivative(field, label or None, system, 1.0 / d, chi_of, observed_mode)
+            assert np.all(np.abs(row - expected) <= 1e-12 * np.abs(expected) + 1e-13 * np.max(np.abs(row))), name
+
+
+@pytest.mark.parametrize("f_m_free", [False, True], ids=["f_m_mapped", "f_m_free"])
+def test_field_maps_resolve_once_per_fit(f_m_free, monkeypatch):
+    B = 0.37
+    truth = kittel_system("0.45mm")
+    f_K = mc.mode_frequency(truth.mode("kittel").field_map, B, truth.material)
+    grid = np.linspace(f_K - 150e6, f_K + 150e6, 801)
+    observed = mc.synthesize_noisy_spectrum(truth, B, grid, noise_sigma=1e-3, seed=12)
+    free = {"f_c": (10.0e9, 11.2e9), "kappa_e": (1e5, 1e8), "g.kittel": (1e6, 1e9), "gamma.kittel": (1e4, 1e8)}
+    truth_values = mc.read_params(truth, free, B)
+    if f_m_free:
+        free["f_m.kittel"] = (f_K - 100e6, f_K + 100e6)
+        truth_values["f_m.kittel"] = f_K
+    init = {n: v * (1.001 if n in ("f_c", "f_m.kittel") else 1.15) for n, v in truth_values.items()}
+    problem = mc.FitProblem(observed=observed, system=truth, free=free, B=B)
+
+    calls = []
+    resolve = scattering._resolve_field_maps
+
+    def counted(*args):
+        calls.append(1)
+        return resolve(*args)
+
+    monkeypatch.setattr(scattering, "_resolve_field_maps", counted)
+    result = mc.fit_spectrum(problem, init)
+    assert len(calls) == 1
+    assert result.converged
+    for name, value in truth_values.items():
+        assert result.estimates[name] == pytest.approx(value, rel=0.02), name
+
+
+def test_a_free_f_m_replaces_a_field_map_that_fails_at_the_fit_field():
+    # a walker map needs B > 0; with its f_m free the fit at B = 0 never resolves it
+    walker = mc.MagnonMode(label="w", g=20e6, gamma=2e6, field_map=mc.FieldMap(kind="walker", i=2, j=2))
+    template = mc.HybridSystem(cavity=CAVITY, modes=(walker,))
+    with pytest.raises(ValueError, match="B_ext must be positive"):
+        scattering.mode_frequencies(template, 0.0)
+    truth = mc.apply_params(template, {"f_m.w": CAVITY.f_c + 5e6})
+    observed = mc.synthesize_noisy_spectrum(truth, 0.0, F_GRID, noise_sigma=1e-3, seed=3)
+    problem = mc.FitProblem(observed=observed, system=template, free={"f_m.w": (10.0e9, 11.2e9), "g.w": (1e6, 1e8)})
+    result = mc.fit_spectrum(problem, {"f_m.w": CAVITY.f_c, "g.w": 22e6})
+    assert result.converged
+    assert result.estimates["f_m.w"] == pytest.approx(CAVITY.f_c + 5e6, rel=1e-5)
 
 
 def eight_parameter_problem():
