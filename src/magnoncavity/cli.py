@@ -208,21 +208,25 @@ def cmd_spectrum(args) -> int:
     B = _single_field(config)
     f = _frequency_grid(config)
 
-    s21, s31 = scattering.amplitudes(f, system, B)
-    amplitudes = {"s21": s21, "s11": 1.0 + s21, **{f"s31_{label}": values for label, values in s31.items()}}
-    columns: dict[str, np.ndarray] = {"f_hz": f}
-    for name, values in amplitudes.items():
-        columns[f"re_{name}"] = values.real
-        columns[f"im_{name}"] = values.imag
-        columns[f"abs2_{name}"] = np.abs(values) ** 2
-        phase = scattering.principal_phase(values)
-        columns[f"arg_{name}"] = np.unwrap(phase) if args.unwrap else phase
-    columns["eta"] = np.broadcast_to(scattering.eta_from_amplitudes(s31), f.shape)  # 0.0 for a bare cavity
+    with np.errstate(all="ignore"):  # a cell that overflows is the DomainError below, not a warning
+        s21, s31 = scattering.amplitudes(f, system, B)
+        amplitudes = {"s21": s21, "s11": 1.0 + s21, **{f"s31_{label}": values for label, values in s31.items()}}
+        columns: dict[str, np.ndarray] = {"f_hz": f}
+        for name, values in amplitudes.items():
+            columns[f"re_{name}"] = values.real
+            columns[f"im_{name}"] = values.imag
+            columns[f"abs2_{name}"] = np.abs(values) ** 2
+            phase = scattering.principal_phase(values)
+            columns[f"arg_{name}"] = np.unwrap(phase) if args.unwrap else phase
+        columns["eta"] = np.broadcast_to(scattering.eta_from_amplitudes(s31), f.shape)  # 0.0 for a bare cavity
+    table = np.column_stack(list(columns.values()))
+    if not np.isfinite(table).all():  # checked before the output is opened, so nothing is written
+        k, c = np.unravel_index(np.argmin(np.isfinite(table)), table.shape)
+        raise DomainError(f"{list(columns)[c]} is {table[k, c]} at B = {B!r} T, f = {f[k].item()!r} Hz")
 
     # every cell is a number: one "%.17g" bytes template per row, as in `map`
     template = b",".join([b"%.17g"] * len(columns)) + b"\r\n"
-    rows = np.column_stack(list(columns.values())).tolist()
-    _write_csv(args.out, columns.keys(), (template % tuple(row) for row in rows))
+    _write_csv(args.out, columns.keys(), (template % tuple(row) for row in table.tolist()))
     return EXIT_OK
 
 

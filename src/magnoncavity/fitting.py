@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import magnetostatics, scattering
+from .errors import DomainError
 from .model import CavityParams, FieldMap, HybridSystem, MagnonMode
 from .scattering import ComplexSpectrum
 
@@ -363,6 +364,12 @@ def finite_difference_jacobian(fun, u: np.ndarray, scales=None, rel_step: float 
     return jac
 
 
+def _singular(jtj: np.ndarray) -> bool:
+    """Whether the normal matrix J^T J has a zero diagonal (a parameter the data cannot see) or a non-finite entry."""
+    return bool((jtj.diagonal() == 0.0).any() or not np.isfinite(jtj).all())
+
+
+@np.errstate(all="ignore")  # an overflowing start is the DomainError below, an overflowing trial a rejected step
 def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
     """Damped least-squares extraction of the free parameters.
 
@@ -375,7 +382,9 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
     analytic Jacobian (see the module docstring) is formed only for the
     start point and for accepted steps.
     Singular normal equations end the fit with ``converged=False`` and a
-    large condition estimate instead of raising.
+    large condition estimate instead of raising; so does a zero start
+    gradient when they are singular there. A start cost that is not finite
+    (residuals that overflow, or are not finite) raises DomainError.
     """
     names = sorted(problem.free)
     for name in names:
@@ -390,23 +399,26 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
     r, jacobian = evaluate(u)
     jac = jacobian()
     cost = float(r @ r)
+    if not math.isfinite(cost):  # also where a residual is not finite
+        raise DomainError(f"the fit's start cost is {cost}: its residuals are not finite or overflow when squared")
     n_points = r.size
     trace = [math.sqrt(cost / n_points)]
 
     grad = jac.T @ r
     grad0 = np.linalg.norm(grad)
     lam = 1e-3
-    converged = grad0 == 0.0
+    # a zero start gradient is converged unless a parameter cannot move the model there
+    converged = grad0 == 0.0 and not _singular(jac.T @ jac)
     singular = False
     iterations = 0
 
     while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
         jtj = jac.T @ jac
-        diag = jtj.diagonal().copy()
-        if (diag == 0.0).any() or not np.isfinite(jtj).all():
-            singular = True  # a parameter the data cannot see, or a blown-up column
+        if _singular(jtj):
+            singular = True
             break
+        diag = jtj.diagonal().copy()
         accepted = False
         while lam < 1e15:
             try:
@@ -442,11 +454,10 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
         if stalled or np.linalg.norm(grad) < GRADIENT_RTOL * grad0:
             converged = True
 
-    with np.errstate(all="ignore"):
-        try:
-            cond = float(np.linalg.cond(jac))
-        except np.linalg.LinAlgError:
-            cond = float("inf")
+    try:
+        cond = float(np.linalg.cond(jac))
+    except np.linalg.LinAlgError:
+        cond = float("inf")
     if singular and math.isfinite(cond):
         cond = float("inf")
 

@@ -68,12 +68,11 @@ class _Rule:
     text: object  # text(k): the error's text at element k
 
 
-def _first_failure(columns, table_rules=()):
+def _first_failure(columns):
     """``(row, error)`` of the first row of a field-major table where a rule fails, or None.
 
-    ``columns[c]`` lists column c's rules over the fields: row k * len(columns) + c is column c at field k. A rule
-    of ``table_rules`` is over the whole table, of shape (fields, columns), and comes after a row's column rules.
-    A row's error is that of the first of its rules that fails there.
+    ``columns[c]`` lists column c's rules over the fields: row k * len(columns) + c is column c at field k. A row's
+    error is that of the first of its rules that fails there.
     """
     first = None
     for c, rules in enumerate(columns):
@@ -81,10 +80,6 @@ def _first_failure(columns, table_rules=()):
             k = rule.holds.argmin()  # the rule's first failing field, if it fails anywhere
             if not rule.holds.item(k) and (first is None or k * len(columns) + c < first[0]):
                 first = int(k) * len(columns) + c, rule.error(rule.text(k))
-    for rule in table_rules:
-        row = rule.holds.argmin()
-        if not rule.holds.item(row) and (first is None or row < first[0]):
-            first = int(row), rule.error(rule.text(row))
     return first
 
 

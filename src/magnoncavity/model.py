@@ -23,11 +23,6 @@ def _require_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def _require_finite_array(name: str, values) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} must be finite")
-
-
 @dataclass(frozen=True)
 class CavityParams:
     """Microwave cavity mode: resonance frequency and loss rates.
@@ -214,12 +209,13 @@ class HybridSystem:
         raise KeyError(f"no mode labeled {label!r}")
 
 
-def susceptibility_magnon(f, mode: MagnonMode, f_m):
-    """Complex magnon susceptibility 1 / ((f - f_m) + i*gamma) [1/Hz].
+def susceptibility_magnon(f, mode: MagnonMode, f_m, out=None, scratch=None):
+    """Complex magnon susceptibility chi_m = 1 / ((f - f_m) + i*gamma) [1/Hz]: the amplitude kernel's chi_m.
 
     ``f_m`` is the mode frequency already resolved at the bias field of
-    interest. Finite for every real f because gamma > 0.
+    interest, broadcasting against ``f``. Arithmetic only: the caller owns
+    the finiteness of ``f`` and ``f_m``, and for finite ones the value is
+    finite because gamma > 0. ``out``, a complex array of the broadcast
+    shape, takes chi_m, and ``scratch``, a real one, f - f_m.
     """
-    _require_finite_array("f", f)
-    _require_finite_array("f_m", f_m)
-    return 1.0 / ((np.asarray(f, dtype=float) - f_m) + 1j * mode.gamma)
+    return np.divide(1.0, np.add(np.subtract(f, f_m, out=scratch), 1j * mode.gamma, out=out), out=out)

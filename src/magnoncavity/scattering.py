@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import magnetostatics
-from .model import HybridSystem
-from .model import susceptibility_magnon  # noqa: F401  (bench/tracer.py wraps scattering.susceptibility_magnon)
+from .errors import DomainError
+from .model import HybridSystem, susceptibility_magnon
 
 OBSERVABLES = ("s21_power", "s11_power", "eta", "s21_phase", "s31_phase")
 # Grid cells per shared-denominator call of sweep_map: each block of
@@ -62,8 +62,9 @@ class SweepMap:
     """Real observable on a (bias field x frequency) grid.
 
     ``values[k, l]`` corresponds to ``fields[k]`` and ``frequencies[l]``.
-    Power-like observables (|S|^2, eta) must be non-negative; phase maps
-    hold principal values in (-pi, pi].
+    Every value must be finite (DomainError names the first cell, in
+    row-major order, that is not). Power-like observables (|S|^2, eta) must
+    be non-negative; phase maps hold principal values in (-pi, pi].
     """
 
     fields: np.ndarray
@@ -78,8 +79,9 @@ class SweepMap:
         _check_grids(B, f)
         if v.shape != (B.size, f.size):
             raise ValueError(f"values shape {v.shape} does not match grids ({B.size}, {f.size})")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("map contains non-finite values")
+        if not np.isfinite(v).all():
+            k, l = np.unravel_index(np.argmin(np.isfinite(v)), v.shape)
+            raise DomainError(f"{self.observable} is {v[k, l]} at B = {B[k].item()!r} T, f = {f[l].item()!r} Hz")
         if self.observable not in OBSERVABLES:
             raise ValueError(f"unknown observable {self.observable!r}")
         if not self.observable.endswith("_phase") and np.any(v < 0):
@@ -107,13 +109,15 @@ def mode_frequencies(system: HybridSystem, B) -> list:
 def _resolve_field_maps(system: HybridSystem, B_grid) -> np.ndarray:
     """Every mode's frequency at every field of the 1-D float array ``B_grid``: shape (modes, fields).
 
-    The first failing (field, mode) in row-major order raises: its field map's error, or ValueError where the
-    frequency is not finite (a map that overflows to +/-inf).
+    The first failing (field, mode) in row-major order raises the error of its first failing rule: its field map's
+    rules, then ValueError("f_m must be finite") where the frequency is not finite (a map that overflows to +/-inf).
     """
     resolved = [magnetostatics._mode_frequency_grid(mode.field_map, B_grid, system.material) for mode in system.modes]
     f_ms = np.array([values for values, _ in resolved]).reshape(len(system.modes), B_grid.size)
-    finite = [magnetostatics._Rule(np.isfinite(f_ms.T), ValueError, lambda row: "f_m must be finite")] if resolved else []
-    failure = magnetostatics._first_failure([rules for _, rules in resolved], finite)
+    failure = magnetostatics._first_failure(
+        [rules + [magnetostatics._Rule(np.isfinite(values), ValueError, lambda k: "f_m must be finite")]
+         for (_, rules), values in zip(resolved, f_ms)]
+    )
     if failure is not None:
         raise failure[1]
     return f_ms
@@ -154,24 +158,20 @@ def shared_denominator(f, system: HybridSystem, f_ms, *, out: KernelBuffers | No
     :func:`mode_frequencies`), each broadcasting against ``f``: scalars give
     spectra of ``f``'s shape, and ``f`` of shape (rows, F) with each
     ``f_m`` of shape (rows, 1) gives one spectrum per bias field. Element
-    for element the values equal those of the scalar-``f_m`` calls.
-    chi_m = 1 / ((f - f_m) + i*gamma_m) is
-    :func:`~magnoncavity.model.susceptibility_magnon`'s value, without its
-    per-mode check of ``f``: ``f`` is checked once per call. With ``out``
+    for element the values equal those of the scalar-``f_m`` calls. Each
+    chi_m is :func:`~magnoncavity.model.susceptibility_magnon`. Arithmetic
+    only: ``f`` and ``f_ms`` are trusted, each checked where it enters (see
+    :func:`amplitudes` and :func:`_resolve_field_maps`). With ``out``
     the results are written into its arrays (see :class:`KernelBuffers`);
     the values are the same bit for bit, for a one-cell block too.
     """
-    if not np.isfinite(f).all():
-        raise ValueError("f must be finite")
     f = np.asarray(f, dtype=float)
     cav = system.cavity
     d_out, chi_outs, scratch, real = (None, [None] * len(system.modes), None, None) if out is None else out
     d = np.add(np.subtract(f, cav.f_c, out=real), 1j * cav.kappa_t, out=d_out)
     chis = []
     for mode, f_m, chi in zip(system.modes, f_ms, chi_outs, strict=True):
-        if not np.isfinite(f_m).all():
-            raise ValueError("f_m must be finite")
-        chi = np.divide(1.0, np.add(np.subtract(f, f_m, out=real), 1j * mode.gamma, out=chi), out=chi)
+        chi = susceptibility_magnon(f, mode, f_m, chi, real)
         d = np.subtract(d, np.multiply(mode.g**2, chi, out=scratch), out=d_out)
         chis.append(chi)
     return d, chis
@@ -189,9 +189,13 @@ def amplitudes(f, system: HybridSystem, B: float = 0.0):
 
     Supports any number of magnon modes, including zero (bare cavity).
     ``B`` resolves the mode frequencies and is irrelevant for a bare
-    cavity or fixed-frequency modes.
+    cavity or fixed-frequency modes. A failing field map raises first, then
+    ValueError("f must be finite"); an overflow in the kernel is not checked.
     """
-    return amplitudes_from_denominator(*shared_denominator(f, system, mode_frequencies(system, B)), system)
+    f_ms = mode_frequencies(system, B)
+    if not np.isfinite(f).all():
+        raise ValueError("f must be finite")
+    return amplitudes_from_denominator(*shared_denominator(f, system, f_ms), system)
 
 
 def amplitudes_from_denominator(d, chis, system: HybridSystem, labels=None, *, out: KernelBuffers | None = None):
@@ -346,14 +350,15 @@ def sweep_map(
 
     def run_blocks(share):
         buffers = KernelBuffers.empty((rows, f_grid.size), len(system.modes))
-        for start in share:
-            stop = min(start + rows, B_grid.size)
-            out = buffers.head(stop - start)
-            # f at the block's full shape: one frequency point per output cell
-            f_block = np.broadcast_to(f_grid, (stop - start, f_grid.size))
-            d, chis = shared_denominator(f_block, system, f_ms[:, start:stop, None], out=out)
-            t, s31 = amplitudes_from_denominator(d, chis, system, reads, out=out)
-            reduce(t, s31, values[start:stop], out.real)
+        with np.errstate(all="ignore"):  # a value that overflows is SweepMap's DomainError, not a warning
+            for start in share:
+                stop = min(start + rows, B_grid.size)
+                out = buffers.head(stop - start)
+                # f at the block's full shape: one frequency point per output cell
+                f_block = np.broadcast_to(f_grid, (stop - start, f_grid.size))
+                d, chis = shared_denominator(f_block, system, f_ms[:, start:stop, None], out=out)
+                t, s31 = amplitudes_from_denominator(d, chis, system, reads, out=out)
+                reduce(t, s31, values[start:stop], out.real)
 
     # imported here so that importing the package does not pay for it
     from concurrent.futures import ThreadPoolExecutor

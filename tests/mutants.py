@@ -50,6 +50,7 @@ RESIDUAL = (
     "test_magnetostatics.py::test_legendre_pair_matches_the_polynomials_and_the_complex_recurrence",
 )
 PARALLEL = "test_cli.py::TestParallelMap::"
+FINITE_F_M = 'magnetostatics._Rule(np.isfinite(values), ValueError, lambda k: "f_m must be finite")'
 
 MUTANTS = [
     # the validity rules of the field maps and the Walker table rows
@@ -68,11 +69,24 @@ MUTANTS = [
         "table rows without the field check", "magnetostatics.py",
         "query = _index_rules(i, j, B_ext.shape) + [_positive(B_ext)]", "query = _index_rules(i, j, B_ext.shape)", ORACLE,
     ),
+    # each input of the amplitude kernel is checked once, where it enters: f_m per mode as its map resolves, f by
+    # the one-field calls (sweep_map and the fit check their grids); a value that is not finite is a domain error
     Mutant(
-        "finite check before the map rules", "magnetostatics.py",
-        "if not rule.holds.item(row) and (first is None or row < first[0]):",
-        "if not rule.holds.item(row) and (first is None or row <= first[0]):",
+        "finite check before the map rules", "scattering.py", f"[rules + [{FINITE_F_M}]", f"[[{FINITE_F_M}] + rules",
         ("test_magnetostatics.py::test_field_map_resolution_raises_the_first_failing_field_and_mode_of_the_oracle",),
+    ),
+    Mutant(
+        "no per-mode finite rule", "scattering.py", f"[rules + [{FINITE_F_M}]", "[rules",
+        ("test_scattering.py::test_each_f_m_is_checked_where_the_field_maps_resolve",),
+    ),
+    Mutant(
+        "amplitudes without its f check", "scattering.py", 'raise ValueError("f must be finite")', "pass",
+        ("test_model.py::test_the_one_field_calls_reject_a_non_finite_frequency",),
+    ),
+    Mutant(
+        "SweepMap raising ValueError again", "scattering.py",
+        'raise DomainError(f"{self.observable} is', 'raise ValueError(f"{self.observable} is',
+        ("test_cli.py::TestExitCodes::test_a_non_finite_cell_is_one_domain_error_line",),
     ),
     # the float64 Walker residual: numpy's complex division multiplies by 1.0/c, and imaginary factors flip signs
     Mutant(
@@ -93,6 +107,11 @@ MUTANTS = [
     Mutant(
         "kappa_e for kappa_t in D", "scattering.py", "1j * cav.kappa_t", "1j * cav.kappa_e",
         ("test_scattering.py::test_power_balance_holds_for_any_set_of_modes",),
+    ),
+    Mutant(
+        "a zero start gradient converging unseen", "fitting.py",
+        "converged = grad0 == 0.0 and not _singular(jac.T @ jac)", "converged = grad0 == 0.0",
+        ("test_fitting.py::TestFitSpectrum::test_a_zero_start_gradient_converges_only_where_every_parameter_moves_the_model",),
     ),
     Mutant(
         "the wrong sign of the gamma row", "fitting.py", "-1j * modes[m].gamma", "1j * modes[m].gamma",

@@ -734,6 +734,72 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", "numeric domain error: a float result overflowed\n")
         assert not out.exists()
 
+    # the kittel mode sits on the frequency point 10.6316 GHz, where g**2 * chi = 1e20 * 1e300i overflows D
+    NON_FINITE = {
+        "system": {
+            "cavity": {"f_c": 10.632e9, "kappa_e": 2.1e6, "kappa_i": 0.6e6},
+            "modes": [{"label": "kittel", "g": 1.0e10, "gamma": 1.0e-300, "delta": 3.61e-3,
+                       "field_map": {"kind": "kittel"}}],
+        },
+        "sweep": {"field": {"start": 0.3797, "stop": 0.3797, "count": 1},
+                  "frequency": {"start": 10.482e9, "stop": 10.782e9, "count": 1501}},
+        "observable": "eta",
+    }
+
+    @pytest.mark.parametrize(
+        "command, cell",
+        [("spectrum", "re_s31_kittel is nan"), ("map", "eta is nan")],
+        ids=["spectrum", "map"],
+    )
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_a_non_finite_cell_is_one_domain_error_line(self, tmp_path, command, cell, to_file):
+        path = tmp_path / "non_finite.yaml"
+        path.write_text(yaml.safe_dump(self.NON_FINITE))
+        out = tmp_path / "out.csv"
+        done = run_process([command, path] + (["--out", out] if to_file else []))
+        # no numpy RuntimeWarning before the line, and nothing written
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", f"numeric domain error: {cell} at B = 0.3797 T, f = 10631600000.0 Hz\n"
+        )
+        assert not out.exists()
+
+    def test_finite_cells_computed_through_an_overflow_keep_their_bytes_and_warn_nothing(self, tmp_path):
+        # |S21|^2 is finite (0) where D overflows: exit 0, the row-by-row bytes, and an empty stderr
+        path = tmp_path / "non_finite_s21.yaml"
+        path.write_text(yaml.safe_dump({**self.NON_FINITE, "observable": "s21_power"}))
+        done = subprocess.run(cli_argv(["map", path]), env=CLI_ENV, capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == map_reference(path)
+
+    def test_a_fit_no_parameter_can_move_does_not_converge(self, tmp_path, capsys):
+        # the kittel mode of fit_0p45mm has delta 0, so S31 = 0 whatever the parameters: a zero start gradient
+        data = tmp_path / "spectrum.csv"
+        assert run(["spectrum", CONFIG_DIR / "sphere_0p45mm_spectrum.yaml", "--out", data]) == 0
+        config = yaml.safe_load((CONFIG_DIR / "fit_0p45mm.yaml").read_text())
+        config["fit"]["observable"] = "s31.kittel"
+        path = tmp_path / "fit_s31.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "fit.csv"
+        assert run(["fit", path, "--data", data, "--out", out]) == 4
+        stats = {r["name"]: r["value"] for r in read_csv(out) if r["kind"] == "stat"}
+        assert (stats["converged"], stats["jacobian_condition_estimate"]) == ("false", "inf")
+
+    @pytest.mark.parametrize("loss", ["complex_residual", "power_and_phase_residual"])
+    def test_a_fit_whose_start_cost_overflows_is_one_domain_error_line(self, tmp_path, loss):
+        data = tmp_path / "huge.csv"
+        data.write_text("f_hz,re_s21,im_s21\n1e10,1e308,1e308\n1.1e10,1e308,0.2\n")
+        config = yaml.safe_load((CONFIG_DIR / "fit_0p45mm.yaml").read_text())
+        config["fit"]["loss"] = loss
+        path = tmp_path / "fit.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "fit.csv"
+        done = run_process(["fit", path, "--data", data, "--out", out])
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            "numeric domain error: the fit's start cost is inf: its residuals are not finite or overflow when squared\n"
+        )
+        assert not out.exists()
+
     def test_stdout_output(self, capsys):
         assert run(["scaling", CONFIG_DIR / "scaling_g_kittel.yaml", "--data", CONFIG_DIR / "points_g_kittel.csv"]) == 0
         captured = capsys.readouterr().out

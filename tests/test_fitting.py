@@ -357,6 +357,28 @@ class TestFitSpectrum:
         assert not result.converged
         assert result.jacobian_condition_estimate == np.inf
 
+    def test_a_zero_start_gradient_converges_only_where_every_parameter_moves_the_model(self):
+        truth = truth_system()
+        observed = mc.synthesize_noisy_spectrum(truth, 0.0, F_GRID)
+        # started at the truth in parameters fitted as they are (not as logs): every residual is 0
+        free = {"f_c": WIDE["f_c"], "f_m.kittel": WIDE["f_m.kittel"]}
+        exact = mc.fit_spectrum(make_problem(observed, truth, free), {"f_c": CAVITY.f_c, "f_m.kittel": CAVITY.f_c})
+        assert (exact.converged, exact.iterations, exact.rms_residual) == (True, 0, 0.0)
+        # delta has a zero gradient there too, but s21 cannot see it: singular, not converged
+        free = {"f_c": WIDE["f_c"], "delta.kittel": (1e-4, 1.0)}
+        blind = mc.fit_spectrum(make_problem(observed, truth, free), {"f_c": CAVITY.f_c, "delta.kittel": 3.61e-3})
+        assert blind.rms_residual == 0.0
+        assert not blind.converged
+        assert blind.jacobian_condition_estimate == np.inf
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_a_start_cost_that_is_not_finite_is_a_domain_error(self, loss):
+        truth = truth_system()
+        observed = mc.ComplexSpectrum(F_GRID[:2], np.array([1e308 + 1e308j, 1e308 + 0.2j]))
+        problem = make_problem(observed, truth, {"g.kittel": (1e6, 1e9)}, loss)
+        with pytest.raises(mc.DomainError, match="^the fit's start cost is inf: "):
+            mc.fit_spectrum(problem, {"g.kittel": 28.6e6})
+
     def test_optimum_outside_bounds_is_clipped_and_flagged(self):
         truth = truth_system()
         observed = mc.synthesize_noisy_spectrum(truth, 0.0, F_GRID)

@@ -51,14 +51,36 @@ def test_magnon_susceptibility_on_resonance_and_decay():
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_susceptibilities_reject_non_finite_frequency(bad):
-    mode = mc.MagnonMode(label="m", g=1e6, gamma=1e6)
-    with pytest.raises(ValueError):
-        shared_denominator(bad, BARE, [])
-    with pytest.raises(ValueError):
-        susceptibility_magnon(bad, mode, 1e9)
-    with pytest.raises(ValueError):
-        susceptibility_magnon(1e9, mode, bad)
+def test_the_one_field_calls_reject_a_non_finite_frequency(bad):
+    # the kernel trusts f: the one-field calls check it once, after the field maps
+    f = np.array([1e9, bad])
+    fixed = one_mode_system(1e6, 1e6, 1e9)
+    for system in (BARE, fixed):
+        for call in (mc.amplitudes, mc.s21, mc.s11):
+            with pytest.raises(ValueError, match="^f must be finite$"):
+                call(f, system)
+    with pytest.raises(ValueError, match="^f must be finite$"):
+        mc.eta_spectrum(bad, fixed)
+    with pytest.raises(ValueError, match="^f must be finite$"):
+        mc.s31_mode(f, fixed, 0.0, "m")
+    # where the field map fails as well, its error comes first
+    kittel = mc.HybridSystem(cavity=CAVITY, modes=(mc.MagnonMode(label="m", g=1e6, gamma=1e6),))
+    with pytest.raises(ValueError, match="^B_ext must be finite$"):
+        mc.amplitudes(f, kittel, bad)
+    with pytest.raises(ValueError, match="^f_m must be finite$"):  # gamma_e * B overflows
+        mc.s21(f, kittel, 1e300)
+
+
+def test_the_kernel_chi_is_susceptibility_magnon():
+    # one chi_m formula: the kernel's chi_m are susceptibility_magnon's bits, with or without buffers
+    system = one_mode_system(28.6e6, 2.3e6, 10.632e9)
+    f = np.linspace(10.5e9, 10.8e9, 31)
+    _, (chi,) = shared_denominator(f, system, [10.632e9])
+    assert chi.tobytes() == susceptibility_magnon(f, system.modes[0], 10.632e9).tobytes()
+    out, scratch = np.empty(31, complex), np.empty(31)
+    assert susceptibility_magnon(f, system.modes[0], 10.632e9, out, scratch) is out
+    assert out.tobytes() == chi.tobytes()
+    assert np.array_equal(scratch, f - 10.632e9)
 
 
 def test_dressing_factor_uncoupled_limit():

@@ -406,6 +406,20 @@ class TestSweepMap:
             with pytest.raises(ValueError):
                 mc.sweep_map(bare, [0.38], [10.6e9], observable)
 
+    @pytest.mark.parametrize("rows", [1, None])
+    def test_a_value_that_is_not_finite_is_a_domain_error_naming_its_cell(self, rows, monkeypatch):
+        # g**2 * chi = 1e20 * 1e300i overflows D where the kittel mode sits on a grid frequency; no numpy warning
+        mode = mc.MagnonMode(label="kittel", g=1.0e10, gamma=1.0e-300, delta=3.61e-3)
+        system = mc.HybridSystem(cavity=CAVITY, modes=(mode,))
+        f = np.linspace(10.482e9, 10.782e9, 1501)
+        if rows is not None:
+            monkeypatch.setattr(mc.scattering, "_SWEEP_CELLS", rows * f.size)
+        with pytest.raises(mc.DomainError, match=r"^eta is nan at B = 0\.3797 T, f = 10631600000\.0 Hz$"):
+            mc.sweep_map(system, [0.3, 0.3797, 0.38], f, "eta")
+        assert np.isfinite(mc.sweep_map(system, [0.3, 0.3797, 0.38], f, "s21_power").values).all()
+        with pytest.raises(mc.DomainError, match=r"^s21_phase is inf at B = 0\.1 T, f = 2\.0 Hz$"):
+            mc.SweepMap(np.array([0.1]), np.array([1.0, 2.0]), np.array([[0.5, np.inf]]), "s21_phase")
+
     def test_map_validation_rejects_negative_power(self):
         with pytest.raises(ValueError):
             mc.SweepMap(np.array([0.1]), np.array([1.0]), np.array([[-1.0]]), "s21_power")
@@ -525,12 +539,25 @@ def test_kernel_buffers_give_the_allocated_values():
     assert mc.scattering.eta_from_amplitudes(s31_out, np.empty((3, 41)), out.real).tobytes() == eta.tobytes()
 
 
-def test_the_kernel_checks_f_and_each_f_m():
-    f = np.array([10.5e9, np.nan])
-    with pytest.raises(ValueError, match="^f must be finite$"):
-        mc.scattering.shared_denominator(f, MIXED_SYSTEM, [10.6e9] * 4)
+def test_each_f_m_is_checked_where_the_field_maps_resolve():
+    # every field map overflows to inf at 1e300 T; the fixed mode does not, and the first failing mode raises
     with pytest.raises(ValueError, match="^f_m must be finite$"):
-        mc.scattering.shared_denominator(f[:1], MIXED_SYSTEM, [10.6e9, 10.6e9, np.inf, 10.6e9])
+        mc.scattering.mode_frequencies(MIXED_SYSTEM, 1e300)
+    fixed_first = mc.HybridSystem(cavity=CAVITY, modes=MIXED_SYSTEM.modes[::-1], material=MIXED_SYSTEM.material)
+    with pytest.raises(ValueError, match="^f_m must be finite$"):
+        mc.sweep_map(fixed_first, [0.38, 1e300], [10.6e9, 10.7e9], "eta")
+    assert mc.scattering.mode_frequencies(fixed_first, 0.38)[0] == 10.7e9
+
+
+def test_the_kernel_trusts_its_inputs():
+    # arithmetic only: a non-finite f or f_m gives non-finite values in its own cells, and the others keep their bits
+    f = np.array([10.5e9, np.nan, 10.6e9])
+    f_ms = [10.6e9, 10.6e9, np.array([10.6e9, 10.6e9, np.nan]), 10.6e9]
+    with np.errstate(invalid="ignore"):
+        d, chis = mc.scattering.shared_denominator(f, MIXED_SYSTEM, f_ms)
+    clean_d, clean_chis = mc.scattering.shared_denominator(f[[0]], MIXED_SYSTEM, [10.6e9] * 4)
+    assert np.isfinite(d).tolist() == [True, False, False]
+    assert d[0] == clean_d[0] and [chi[0] for chi in chis] == [chi[0] for chi in clean_chis]
 
 
 @st.composite
