@@ -254,10 +254,16 @@ def _modes(raw, where: str) -> tuple[MagnonMode, ...]:
     return tuple(mode(item, f"{where}[{k}]") for k, item in enumerate(_checked(raw, list, where)))
 
 
+def _index_pair(raw, where: str) -> tuple[int, int]:
+    if not (isinstance(raw, list) and len(raw) == 2):
+        raise ConfigError(f"{where}: expected an [i, j] pair, got {raw!r}")
+    return _as_int(raw[0], f"{where}[0]"), _as_int(raw[1], f"{where}[1]")
+
+
 def _indices(raw, where: str) -> tuple[tuple[int, int], ...]:
-    if not (isinstance(raw, list) and raw and all(isinstance(p, list) and len(p) == 2 for p in raw)):
+    if not (isinstance(raw, list) and raw):
         raise ConfigError(f"{where}: expected a non-empty list of [i, j] pairs, got {raw!r}")
-    return tuple((_as_int(i, where), _as_int(j, where)) for i, j in raw)
+    return tuple(_index_pair(pair, f"{where}[{k}]") for k, pair in enumerate(raw))
 
 
 _QUANTITIES = tuple(f.name for f in fields(DerivedParams))

@@ -164,9 +164,10 @@ class FitProblem:
 class FitResult:
     """Outcome of one fit: estimates, convergence report, and diagnostics.
 
-    ``residual_trace`` holds the rms residual after each accepted step
-    (monotone non-increasing); ``loss`` records the objective that was
-    minimized.
+    ``residual_trace`` holds the rms residual at the start and after each
+    accepted step (monotone non-increasing), so ``iterations``, the number
+    of accepted steps, is one less than its length; ``loss`` records the
+    objective that was minimized.
     """
 
     estimates: dict[str, float]
@@ -378,11 +379,11 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
     and stops when the gradient norm drops below 1e-10 of its initial
     value, when an accepted step leaves the cost exactly unchanged (the
     cost is then at its round-off floor; both count as converged), or
-    after 200 iterations. Each trial step evaluates the model once; the
+    after 200 accepted steps. Each trial step evaluates the model once; the
     analytic Jacobian (see the module docstring) is formed only for the
     start point and for accepted steps.
-    Singular normal equations end the fit with ``converged=False`` and a
-    large condition estimate instead of raising; so does a zero start
+    Singular normal equations end the fit with ``converged=False`` and an
+    ``inf`` condition estimate instead of raising; so does a zero start
     gradient when they are singular there. A start cost that is not finite
     (residuals that overflow, or are not finite) raises DomainError.
     """
@@ -401,65 +402,59 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
     cost = float(r @ r)
     if not math.isfinite(cost):  # also where a residual is not finite
         raise DomainError(f"the fit's start cost is {cost}: its residuals are not finite or overflow when squared")
-    n_points = r.size
-    trace = [math.sqrt(cost / n_points)]
+    trace = [math.sqrt(cost / r.size)]
 
     grad = jac.T @ r
     grad0 = np.linalg.norm(grad)
     lam = 1e-3
-    # a zero start gradient is converged unless a parameter cannot move the model there
-    converged = grad0 == 0.0 and not _singular(jac.T @ jac)
-    singular = False
-    iterations = 0
-
-    while not converged and iterations < MAX_ITERATIONS:
-        iterations += 1
+    # how the fit ended: None while it runs, set once where the loop ends; a zero start
+    # gradient is the gradient test, met unless a parameter cannot move the model there
+    end = "gradient" if grad0 == 0.0 and not _singular(jac.T @ jac) else None
+    while end is None:
+        if len(trace) > MAX_ITERATIONS:
+            end = "iteration_cap"
+            break
         jtj = jac.T @ jac
         if _singular(jtj):
-            singular = True
+            end = "singular"
             break
         diag = jtj.diagonal().copy()
-        accepted = False
         while lam < 1e15:
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
-                singular = True
-                break
-            if not np.isfinite(step).all():
-                singular = True
+                step = None
+            if step is None or not np.isfinite(step).all():
+                end = "singular"
                 break
             u_try = u + step
             try:
                 r_try, jacobian = evaluate(u_try)
-            except (ValueError, OverflowError):
-                r_try = None
-            if r_try is not None and np.isfinite(r_try).all():
                 cost_try = float(r_try @ r_try)
-                if cost_try <= cost:
-                    # an accepted step that leaves the cost unchanged has reached its round-off floor
-                    stalled = cost_try == cost
-                    u, r, cost = u_try, r_try, cost_try
-                    jac = jacobian()
-                    lam = max(lam / 3.0, 1e-12)
-                    accepted = True
-                    break
+            except (ValueError, OverflowError):  # a trial the model rejects
+                cost_try = math.inf
+            # a residual that is not finite makes the cost inf or nan, which rejects the trial
+            if cost_try <= cost:
+                # an accepted step that leaves the cost unchanged has reached its round-off floor
+                if cost_try == cost:
+                    end = "cost_floor"
+                u, r, cost = u_try, r_try, cost_try
+                jac = jacobian()
+                lam = max(lam / 3.0, 1e-12)
+                trace.append(math.sqrt(cost / r.size))
+                grad = jac.T @ r
+                if end is None and np.linalg.norm(grad) < GRADIENT_RTOL * grad0:
+                    end = "gradient"
+                break
             lam *= 10.0
-        if singular:
-            break
-        if not accepted:
-            break  # damping exhausted without progress: not converged
-        trace.append(math.sqrt(cost / n_points))
-        grad = jac.T @ r
-        if stalled or np.linalg.norm(grad) < GRADIENT_RTOL * grad0:
-            converged = True
+        else:
+            end = "damping_exhausted"
 
+    converged = end in ("gradient", "cost_floor")
     try:
-        cond = float(np.linalg.cond(jac))
+        cond = math.inf if end == "singular" else float(np.linalg.cond(jac))
     except np.linalg.LinAlgError:
-        cond = float("inf")
-    if singular and math.isfinite(cond):
-        cond = float("inf")
+        cond = math.inf
 
     estimates = {}
     for name, ui in zip(names, u):
@@ -472,8 +467,8 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
 
     return FitResult(
         estimates=estimates,
-        rms_residual=math.sqrt(cost / n_points),
-        iterations=iterations,
+        rms_residual=trace[-1],
+        iterations=len(trace) - 1,
         converged=converged,
         jacobian_condition_estimate=cond,
         loss=problem.loss,

@@ -97,6 +97,17 @@ MUTANTS = [
         "inverted parity choice of z", "magnetostatics.py",
         "z_n = z_flip if (n - j) % 2 == 0 else z", "z_n = z if (n - j) % 2 == 0 else z_flip", RESIDUAL,
     ),
+    # the Walker residual's j * chi2 term, and the (2,0) closed form the `modes` table compares roots with
+    Mutant(
+        "a wrong sign of j in the Walker residual", "magnetostatics.py",
+        "* (1.0 / p) + j * chi2", "* (1.0 / p) - j * chi2",
+        ("test_magnetostatics.py::TestSolver::test_matches_linear_closed_forms[ij1]",),
+    ),
+    Mutant(
+        "a (2,0) closed form scaled by 1 + 1e-8", "magnetostatics.py",
+        "material.mu0_Ms * np.sqrt(radicand), [", "material.mu0_Ms * np.sqrt(radicand) * (1 + 1e-8), [",
+        ("test_magnetostatics.py::TestClosedForms::test_mode20_value_and_domain",),
+    ),
     # the conversion amplitude
     Mutant(
         "a dropped sqrt(beta) in S31", "scattering.py",
@@ -109,17 +120,34 @@ MUTANTS = [
         ("test_scattering.py::test_power_balance_holds_for_any_set_of_modes",),
     ),
     Mutant(
-        "a zero start gradient converging unseen", "fitting.py",
-        "converged = grad0 == 0.0 and not _singular(jac.T @ jac)", "converged = grad0 == 0.0",
-        ("test_fitting.py::TestFitSpectrum::test_a_zero_start_gradient_converges_only_where_every_parameter_moves_the_model",),
-    ),
-    Mutant(
         "the wrong sign of the gamma row", "fitting.py", "-1j * modes[m].gamma", "1j * modes[m].gamma",
         ("test_fitting.py::test_jacobian_rows_are_s_times_the_log_derivative_oracle[s21-complex_residual]",),
     ),
     Mutant(
         "the g row without the observed mode's S", "fitting.py", "np.add(row, s, out=row)", "pass",
         ("test_fitting.py::test_jacobian_rows_are_s_times_the_log_derivative_oracle[s31.kittel-complex_residual]",),
+    ),
+    # the fit loop's end: iterations counts accepted steps, and only the gradient and cost-floor ends converge
+    Mutant(
+        "a zero start gradient converging unseen", "fitting.py",
+        'end = "gradient" if grad0 == 0.0 and not _singular(jac.T @ jac) else None',
+        'end = "gradient" if grad0 == 0.0 else None',
+        ("test_fitting.py::TestFitSpectrum::test_a_zero_start_gradient_converges_only_where_every_parameter_moves_the_model",),
+    ),
+    Mutant(
+        "a rejected trial counted as an iteration", "fitting.py",
+        "lam *= 10.0", "lam, trace = lam * 10.0, trace + [trace[-1]]",
+        ("test_fitting.py::test_every_end_of_the_fit_counts_only_its_accepted_steps[damping_exhausted]",),
+    ),
+    Mutant(
+        "the iteration cap reported as converged", "fitting.py",
+        'converged = end in ("gradient", "cost_floor")', 'converged = end in ("gradient", "cost_floor", "iteration_cap")',
+        ("test_fitting.py::test_every_end_of_the_fit_counts_only_its_accepted_steps[iteration_cap]",),
+    ),
+    # the map template: each frequency row is the B, f and value cells, in that order
+    Mutant(
+        "the f and value cells of map swapped", "cli.py", 'b",%.17g,%%.17g\\r\\n" % f', 'b",%%.17g,%.17g\\r\\n" % f',
+        ("test_cli.py::TestCsvContract::test_map_bytes_equal_a_row_by_row_reference[s21_power-wrapped-3x7]",),
     ),
     # the forked map formatters
     Mutant(

@@ -1112,22 +1112,31 @@ class TestCsvContract:
         assert lines[2].startswith(b"0.29999999999999999,4,0,plus,,")
         assert lines[2].endswith(b",")
 
-    def test_fit_rows_are_estimates_then_stats_then_trace(self, tmp_path):
-        data = TestFitCommand().synthesize_data(tmp_path)
+    @pytest.mark.parametrize("observable, code", [("s21", 0), ("s31.kittel", 4)], ids=["converged", "exit_4"])
+    def test_fit_rows_are_estimates_then_stats_then_trace(self, tmp_path, observable, code):
+        if code == 0:
+            data = TestFitCommand().synthesize_data(tmp_path)
+        else:  # as in test_a_fit_no_parameter_can_move_does_not_converge: S31 of a delta-0 mode is 0
+            data = tmp_path / "spectrum.csv"
+            assert run(["spectrum", CONFIG_DIR / "sphere_0p45mm_spectrum.yaml", "--out", data]) == 0
+        config = yaml.safe_load((CONFIG_DIR / "fit_0p45mm.yaml").read_text())
+        config["fit"]["observable"] = observable
+        path = tmp_path / "fit.yaml"
+        path.write_text(yaml.safe_dump(config))
         out = tmp_path / "fit.csv"
-        assert run(["fit", CONFIG_DIR / "fit_0p45mm.yaml", "--data", data, "--out", out]) == 0
+        assert run(["fit", path, "--data", data, "--out", out]) == code
         rows = read_csv(out)
-        free = sorted(yaml.safe_load((CONFIG_DIR / "fit_0p45mm.yaml").read_text())["fit"]["free"])
+        free = sorted(config["fit"]["free"])
         stats = ["rms_residual", "iterations", "converged", "jacobian_condition_estimate", "loss"]
         n_trace = len(rows) - len(free) - len(stats)
-        assert n_trace >= 2
+        assert n_trace >= (2 if code == 0 else 1)
         assert [(r["kind"], r["name"]) for r in rows] == (
             [("estimate", name) for name in free]
             + [("stat", name) for name in stats]
             + [("trace", str(k)) for k in range(n_trace)]
         )
         by_name = {r["name"]: r["value"] for r in rows}
-        assert by_name["converged"] == "true"
+        assert by_name["converged"] == ("true" if code == 0 else "false")
         assert by_name["loss"] == "complex_residual"
         assert int(by_name["iterations"]) == n_trace - 1
         assert float(by_name["rms_residual"]) == float(rows[-1]["value"])

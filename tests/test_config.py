@@ -143,8 +143,19 @@ def test_malformed_configs_raise_config_error(mutate):
          "derive.reference.kitel: no mode labeled 'kitel'"),
         (lambda d: d.update(modes_table={"field": {"start": 0.3, "stop": 0.4, "count": 2}, "indices": [[1, 1], [2, -3]]}),
          "modes_table.indices[1]: mode index j must satisfy -i <= j <= i, got (2, -3)"),
+        (lambda d: d.update(modes_table={"field": {"start": 0.3, "stop": 0.4, "count": 2}, "indices": [[2, 2], [1.5, 1]]}),
+         "modes_table.indices[1][0]: expected an integer, got 1.5"),
+        (lambda d: d.update(modes_table={"field": {"start": 0.3, "stop": 0.4, "count": 2}, "indices": [[2, 2], [1, 1, 0]]}),
+         "modes_table.indices[1]: expected an [i, j] pair, got [1, 1, 0]"),
+        (lambda d: d.update(modes_table={"field": {"start": 0.3, "stop": 0.4, "count": 2}, "indices": 5}),
+         "modes_table.indices: expected a non-empty list of [i, j] pairs, got 5"),
+        (lambda d: d.update(modes_table={"field": {"start": 0.3, "stop": 0.4, "count": 2}, "indices": []}),
+         "modes_table.indices: expected a non-empty list of [i, j] pairs, got []"),
     ],
-    ids=["field_map", "cavity", "sweep", "include", "reference_quantity", "reference_label", "index_pair"],
+    ids=[
+        "field_map", "cavity", "sweep", "include", "reference_quantity", "reference_label", "index_pair",
+        "index_element", "index_pair_length", "indices_not_a_list", "indices_empty",
+    ],
 )
 def test_errors_name_their_path_once(mutate, message):
     import copy

@@ -347,16 +347,6 @@ class TestFitSpectrum:
         assert result.estimates["g.kittel"] == pytest.approx(28.6e6, rel=1e-6)
         assert result.estimates["gamma.kittel"] == pytest.approx(2.3e6, rel=1e-6)
 
-    def test_invisible_parameter_reports_singularity(self):
-        # delta does not enter s21, so its Jacobian column is exactly zero
-        truth = truth_system()
-        observed = mc.synthesize_noisy_spectrum(truth, 0.0, F_GRID)
-        free = {"g.kittel": (1e6, 1e9), "delta.kittel": (1e-4, 1.0)}
-        problem = make_problem(observed, truth, free)
-        result = mc.fit_spectrum(problem, {"g.kittel": 25e6, "delta.kittel": 3.61e-3})
-        assert not result.converged
-        assert result.jacobian_condition_estimate == np.inf
-
     def test_a_zero_start_gradient_converges_only_where_every_parameter_moves_the_model(self):
         truth = truth_system()
         observed = mc.synthesize_noisy_spectrum(truth, 0.0, F_GRID)
@@ -726,3 +716,61 @@ def test_jacobian_is_formed_once_per_accepted_step(monkeypatch):
     # the fit rejected some trials, and formed no Jacobian for them
     assert len(evaluations) > result.iterations + 1
     assert len(jacobians) == result.iterations + 1
+
+
+def capped_fit(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 3)
+    return eight_parameter_problem()
+
+
+def rejecting_fit(monkeypatch):
+    """The eight-parameter fit with every model evaluation after the start raising the ValueError of an invalid trial."""
+    apply_params, calls = fitting.apply_params, []
+
+    def start_only(*args):
+        calls.append(1)
+        if len(calls) > 1:
+            raise ValueError("every trial is invalid")
+        return apply_params(*args)
+
+    monkeypatch.setattr(fitting, "apply_params", start_only)
+    return eight_parameter_problem()
+
+
+def invisible_parameter_fit(monkeypatch):
+    # delta does not enter s21: its Jacobian column is exactly zero
+    truth = truth_system()
+    observed = mc.synthesize_noisy_spectrum(truth, 0.0, F_GRID)
+    free = {"g.kittel": (1e6, 1e9), "delta.kittel": (1e-4, 1.0)}
+    return make_problem(observed, truth, free), {"g.kittel": 25e6, "delta.kittel": 3.61e-3}
+
+
+def blind_s31_fit(monkeypatch):
+    """An s31 fit of a delta-0 mode: S31 is 0 whatever the parameters, so the start gradient is 0 and J^T J singular."""
+    truth = truth_system()
+    observed = mc.synthesize_noisy_spectrum(truth, 0.0, F_GRID, observable="s31.kittel")
+    blind = mc.HybridSystem(cavity=CAVITY, modes=(dataclasses.replace(truth.mode("kittel"), delta=0.0),))
+    problem = mc.FitProblem(observed=observed, system=blind, free=WIDE, B=0.0, observable="s31.kittel")
+    return problem, mc.read_params(blind, WIDE, 0.0)
+
+
+# each way the fit loop ends: its fit, whether it converges, its accepted steps (None: more than the
+# capped fit's 3), and whether its condition estimate is inf
+ENDS = {
+    "gradient": (lambda monkeypatch: eight_parameter_problem(), True, None, False),
+    "iteration_cap": (capped_fit, False, 3, False),
+    "damping_exhausted": (rejecting_fit, False, 0, False),
+    "singular": (invisible_parameter_fit, False, 0, True),
+    "zero_start_gradient": (blind_s31_fit, False, 0, True),
+}
+
+
+@pytest.mark.parametrize("end", ENDS)
+def test_every_end_of_the_fit_counts_only_its_accepted_steps(end, monkeypatch):
+    fit, converged, steps, singular = ENDS[end]
+    result = mc.fit_spectrum(*fit(monkeypatch))
+    assert result.iterations == len(result.residual_trace) - 1
+    assert result.rms_residual == result.residual_trace[-1]
+    assert result.converged is converged  # a plain bool at every end
+    assert result.iterations > 3 if steps is None else result.iterations == steps
+    assert math.isinf(result.jacobian_condition_estimate) is singular
