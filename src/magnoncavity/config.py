@@ -134,6 +134,11 @@ class DeriveSpec:
     g_B: float | None = None
     reference: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name, value in (("cavity_volume", self.cavity_volume), ("g_B", self.g_B)):
+            if value is not None and not value > 0:  # g_B is optional
+                raise ConfigError(f"{name}: must be positive, got {value!r}")
+
 
 @dataclass(frozen=True)
 class FitSpec:
@@ -292,7 +297,10 @@ def _free(raw, where: str) -> dict:
     for name, bounds in raw.items():
         if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
             raise ConfigError(f"{where}.{name}: bounds must be a [lower, upper] pair")
-        free[str(name)] = (_as_float(bounds[0], f"{where}.{name}[0]"), _as_float(bounds[1], f"{where}.{name}[1]"))
+        lower, upper = _as_float(bounds[0], f"{where}.{name}[0]"), _as_float(bounds[1], f"{where}.{name}[1]")
+        if not lower < upper:
+            raise ConfigError(f"{where}.{name}: bounds must satisfy lower < upper, got [{lower!r}, {upper!r}]")
+        free[str(name)] = (lower, upper)
     return free
 
 

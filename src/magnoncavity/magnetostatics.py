@@ -41,7 +41,7 @@ _POLE_GUARD = 1e-12
 # 2-vCPU x86-64 VM).
 _SCAN_BLOCK = 256
 # Panels per search window, and the absolute tolerance (Hz) of Brent's
-# method; accepted roots closer than 10 * _F_TOL are one root.
+# method.
 _N_PANELS = 64
 _F_TOL = 1.0
 # Lowest edge (Hz) of a search window. The (2,0) residual has no j*chi2
@@ -56,7 +56,7 @@ _CLOSED_FORM_HALF_WIDTH = 0.03
 # defaults; and the ways one of its searches ends.
 _BRENT_RTOL = 4 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
-_ROOT, _NAN, _NO_CONVERGENCE, _SAME_SIGN = range(4)
+_ROOT, _NAN, _NO_CONVERGENCE = range(3)
 
 
 @dataclass(frozen=True)
@@ -284,18 +284,17 @@ class WalkerSolutions:
 
     ``outcomes`` holds, per query in order, its root in Hz or the
     DomainError that solving it alone raises. The counters sum over the
-    queries: panels whose scanned edge residuals change sign or touch zero,
-    Brent refinements run (strict sign changes), candidates rejected as
-    pole crossings (a residual above the root tolerance, or a refinement
-    that met a NaN residual or did not converge), accepted roots merged
-    into an earlier one within 10 * _F_TOL, and Brent's probes evaluated.
+    queries: scanned panel edges whose residual is exactly zero (each one a
+    root), Brent refinements run (one per panel whose edge residuals change
+    sign strictly), candidates rejected as pole crossings (a residual above
+    the root tolerance, or a refinement that met a NaN residual or did not
+    converge), and Brent's probes evaluated.
     """
 
     outcomes: tuple[float | DomainError, ...]
-    panels_selected: int = 0
+    edge_roots: int = 0
     brent_calls: int = 0
     poles_rejected: int = 0
-    duplicates_merged: int = 0
     residual_evals: int = 0
 
     def root(self, k: int) -> float:
@@ -309,31 +308,23 @@ class WalkerSolutions:
 def _lockstep_brent(f, xa, xb, fa, fb, xtol: float):
     """Brent's method (Brent 1973, ch. 4) on many brackets at once, in lock-step rounds.
 
-    Bracket k is [xa[k], xb[k]] with the values fa[k], fb[k] of f at its
-    edges. A line-by-line port of scipy's ``Zeros/brentq.c`` with its
-    relative tolerance ``_BRENT_RTOL`` and at most ``_BRENT_MAXITER``
-    iterations, whose state (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
-    is held as float64 arrays over the unfinished brackets. Each round
-    advances every one of them by one probe, and one ``f(x, live)`` call per
-    round evaluates the probes ``x`` of the brackets numbered ``live``. Every
-    branch of brentq.c is an ``np.where`` over the same expression, and
-    numpy's + - * / abs min give CPython's doubles, so each bracket takes the
-    probes and root bits of a search of its own. Returns the arrays (x,
-    f(x), outcome), where outcome is _ROOT (x is the root), _NAN (x is where
-    f was NaN), _NO_CONVERGENCE (x is the last probe) or _SAME_SIGN.
+    Bracket k is [xa[k], xb[k]] with the finite, nonzero values fa[k], fb[k]
+    of opposite sign at its edges. A line-by-line port of the iteration of
+    scipy's ``Zeros/brentq.c`` with its relative tolerance ``_BRENT_RTOL``
+    and at most ``_BRENT_MAXITER`` iterations, whose state (xpre, xcur, xblk,
+    fpre, fcur, fblk, spre, scur) is held as float64 arrays over the
+    unfinished brackets. Each round advances every one of them by one probe,
+    and one ``f(x, live)`` call per round evaluates the probes ``x`` of the
+    brackets numbered ``live``. Every branch of brentq.c is an ``np.where``
+    over the same expression, and numpy's + - * / abs min give CPython's
+    doubles, so each bracket takes the probes and root bits of a search of
+    its own. Returns the arrays (x, f(x), outcome), where outcome is _ROOT
+    (x is the root), _NAN (x is where f was NaN) or _NO_CONVERGENCE (x is
+    the last probe).
     """
     xpre, xcur, fpre, fcur = (np.array(v, dtype=float) for v in (xa, xb, fa, fb))
-    nan_a = np.isnan(fpre)
-    # the edge that decides a NaN or a zero: a before b, a NaN before a zero
-    at_b = ~nan_a & (np.isnan(fcur) | (fpre != 0))
-    x, f_x = np.where(at_b, xcur, xpre), np.where(at_b, fcur, fpre)
-    outcome = np.select(  # the signbit test of brentq.c, once NaNs and zeros are out
-        [nan_a | np.isnan(fcur), (fpre == 0) | (fcur == 0), (fpre < 0) == (fcur < 0)],
-        [_NAN, _ROOT, _SAME_SIGN],
-        _NO_CONVERGENCE,
-    )
-    live = np.flatnonzero(outcome == _NO_CONVERGENCE)
-    xpre, xcur, fpre, fcur = xpre[live], xcur[live], fpre[live], fcur[live]
+    x, f_x, outcome = np.empty(xcur.size), np.empty(xcur.size), np.full(xcur.size, _NO_CONVERGENCE)
+    live = np.arange(xcur.size)
     xblk = fblk = spre = scur = np.zeros(live.size)
     for _ in range(_BRENT_MAXITER):
         flip = (fpre != 0) & (fcur != 0) & ((fpre < 0) != (fcur < 0))
@@ -372,7 +363,7 @@ def _lockstep_brent(f, xa, xb, fa, fb, xtol: float):
             break
         fcur = f(xcur, live)
         nan = np.isnan(fcur)
-        x[live[nan]], outcome[live[nan]] = xcur[nan], _NAN
+        x[live[nan]], f_x[live[nan]], outcome[live[nan]] = xcur[nan], fcur[nan], _NAN
         live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
             v[~nan] for v in (live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
         )
@@ -381,21 +372,27 @@ def _lockstep_brent(f, xa, xb, fa, fb, xtol: float):
 
 
 def brentq(f, a: float, b: float, xtol: float) -> float:
-    """A root of the scalar function ``f`` in [a, b] by Brent's method: a one-bracket :func:`_lockstep_brent`.
+    """A root of the scalar function ``f`` in [a, b] by Brent's method.
 
     It evaluates f where ``scipy.optimize.brentq(f, a, b, xtol=xtol)`` does
     (f(a), then f(b) unless f(a) is NaN, then each probe) and returns the
-    same float; where scipy raises, it raises DomainError.
+    same float; where scipy raises, it raises DomainError. The edges are
+    checked in scipy's order: a NaN before a zero, and a before b. A bracket
+    that passes goes to a one-bracket :func:`_lockstep_brent`.
     """
     a, b = float(a), float(b)
     fa = float(f(a))
     fb = math.nan if math.isnan(fa) else float(f(b))
+    if math.isnan(fa) or math.isnan(fb):
+        raise DomainError(f"Brent's method met a NaN residual at x = {a if math.isnan(fa) else b!r}")
+    if fa == 0 or fb == 0:
+        return a if fa == 0 else b
+    if (fa < 0) == (fb < 0):
+        raise DomainError(f"Brent bracket ({a!r}, {b!r}) does not change sign")
     x, _, outcome = _lockstep_brent(lambda probe, _: np.array([float(f(probe.item()))]), [a], [b], [fa], [fb], xtol)
     x, outcome = x.item(), outcome.item()
     if outcome == _NAN:
         raise DomainError(f"Brent's method met a NaN residual at x = {x!r}")
-    if outcome == _SAME_SIGN:
-        raise DomainError(f"Brent bracket ({a!r}, {b!r}) does not change sign")
     if outcome == _NO_CONVERGENCE:
         raise DomainError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations (last x = {x!r})")
     return x
@@ -447,22 +444,22 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
     with lo < hi; error texts are built from these arrays. Each window is
     split into ``_N_PANELS`` panels. The queries of each index pair are
     scanned in blocks of ``_SCAN_BLOCK``: the residual at every panel edge
-    of a block is evaluated in one array call. Every panel whose edge
-    residuals change sign or touch zero is refined from them to ``_F_TOL``
-    by one lock-step Brent search over the selected panels of the whole call
+    of a block is evaluated in one array call. An edge where the residual is
+    exactly zero is a root. Every panel whose edge residuals change sign
+    strictly is refined from them to ``_F_TOL`` by one lock-step Brent
+    search over the selected panels of the whole call
     (:func:`_lockstep_brent`), whose rounds evaluate their probes in one
-    array call per index pair that still has live probes. A root is kept
-    only if the residual there is small, which weeds out sign flips across
-    poles of the residual (the chi pole and zeros of P_i^j). Candidates of
-    one query within 10 * _F_TOL are one root. Returns (roots, failures,
-    counts): the roots in query order (unspecified for a failed query), a
-    dict from each query left with no root or several to its
-    DomainError, and the :class:`WalkerSolutions` counters.
+    array call per index pair that still has live probes. A refined root is
+    kept only if the residual there is small, which weeds out sign flips
+    across poles of the residual (the chi pole and zeros of P_i^j). Returns
+    (roots, failures, counts): the roots in query order (unspecified for a
+    failed query), a dict from each query left with no root or several to
+    its DomainError, and the :class:`WalkerSolutions` counters.
     """
-    counts: Counter = Counter()
     steps = np.arange(_N_PANELS + 1, dtype=float)
-    # per selected panel, in pair, query then panel order: its query, and its edges with their residuals
-    # (an empty first entry, so that a call without queries concatenates to empty arrays)
+    # per block, in pair then query order: its zero edges, and its selected panels with their edge residuals, each
+    # with its query (empty first entries, so that a call without queries concatenates to empty arrays)
+    zeros: list[tuple] = [(np.empty(0, dtype=int), np.empty(0))]
     selected: list[tuple] = [(np.empty(0, dtype=int),) + (np.empty(0),) * 4]
     for pair, (i, j) in enumerate(pairs):
         members = np.flatnonzero(pair_of == pair)
@@ -471,14 +468,15 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
             # the scalar edges lo + (hi - lo) * k / _N_PANELS, bit for bit
             edges = lows[block, None] + (highs - lows)[block, None] * steps / _N_PANELS
             values = _characteristic_grid(edges, fields[block, None], i, j, material)
+            rows, at = np.nonzero(values == 0)
+            zeros.append((block[rows], edges[rows, at]))
             signs = np.sign(values)  # NaN edges select nothing
-            crossing = signs[:, :-1] * signs[:, 1:]
-            counts["panels_selected"] += int((crossing <= 0).sum())
-            counts["brent_calls"] += int((crossing < 0).sum())
-            rows, panels = np.nonzero(crossing <= 0)
+            rows, panels = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
             selected.append((block[rows], edges[rows, panels], edges[rows, panels + 1],
                              values[rows, panels], values[rows, panels + 1]))
+    zero_query, zero_edge = (np.concatenate(column) for column in zip(*zeros))
     query_of, xa, xb, fa, fb = (np.concatenate(column) for column in zip(*selected))
+    counts = Counter(edge_roots=zero_query.size, brent_calls=query_of.size)
 
     def residual(x, live):
         counts["residual_evals"] += x.size
@@ -496,32 +494,23 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
     accepted = (outcome == _ROOT) & (np.abs(f_found) <= _ROOT_RESIDUAL_TOL)
     counts["poles_rejected"] += int((~accepted).sum())
 
-    owner, candidates = query_of[accepted], found[accepted]
-    # a query with one candidate has it as its root; the candidates of the
-    # others are merged in panel order, and a query left with none or several fails
+    # every query's candidates, ascending, in query order: a query with one has it as its root
+    owner = np.concatenate([query_of[accepted], zero_query])
+    candidates = np.concatenate([found[accepted], zero_edge])
+    order = np.lexsort((candidates, owner))
+    owner, candidates = owner[order], candidates[order]
     n_candidates = np.bincount(owner, minlength=pair_of.size)
+    first = np.cumsum(n_candidates) - n_candidates
     roots = np.zeros(pair_of.size)
     roots[owner] = candidates
-    kept: dict[int, list[float]] = {}
-    several = n_candidates[owner] > 1
-    for k, root in zip(owner[several].tolist(), candidates[several].tolist()):
-        merged = kept.setdefault(k, [])
-        if any(abs(root - r) <= 10 * _F_TOL for r in merged):
-            counts["duplicates_merged"] += 1
-        else:
-            merged.append(root)
     failures: dict[int, DomainError] = {}
     for k in np.flatnonzero(n_candidates != 1).tolist():
-        (i, j), lo, hi, merged = pairs[pair_of[k]], lows[k], highs[k], kept.get(k, [])
-        if len(merged) == 1:
-            roots[k] = merged[0]
-        elif not merged:
-            failures[k] = DomainError(f"no root of the ({i},{j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz")
-        else:
-            at = ", ".join(f"{root:.6e}" for root in merged)  # in panel order: ascending
-            failures[k] = DomainError(
-                f"window ({lo:.6e}, {hi:.6e}) Hz contains {len(merged)} roots for ({i},{j}) at {at} Hz; narrow it"
-            )
+        (i, j), lo, hi, n = pairs[pair_of[k]], lows[k], highs[k], n_candidates[k]
+        at = ", ".join(f"{root:.6e}" for root in candidates[first[k] : first[k] + n].tolist())
+        failures[k] = DomainError(
+            f"window ({lo:.6e}, {hi:.6e}) Hz contains {n} roots for ({i},{j}) at {at} Hz; narrow it" if n
+            else f"no root of the ({i},{j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz"
+        )
     return roots, failures, counts
 
 

@@ -108,6 +108,17 @@ MUTANTS = [
         "material.mu0_Ms * np.sqrt(radicand), [", "material.mu0_Ms * np.sqrt(radicand) * (1 + 1e-8), [",
         ("test_magnetostatics.py::TestClosedForms::test_mode20_value_and_domain",),
     ),
+    # the Walker candidates: a zero edge is a root, and Brent refines only the panels that change sign strictly
+    Mutant(
+        "zero-touch panels handed to Brent again", "magnetostatics.py",
+        "np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)", "np.nonzero(signs[:, :-1] * signs[:, 1:] <= 0)",
+        ("test_magnetostatics.py::TestBatchedSolver::test_a_root_on_a_panel_edge_is_one_edge_root",),
+    ),
+    Mutant(
+        "zero edges not taken as roots", "magnetostatics.py",
+        "zeros.append((block[rows], edges[rows, at]))", "pass",
+        ("test_magnetostatics.py::TestBatchedSolver::test_a_root_on_a_panel_edge_is_one_edge_root",),
+    ),
     # the conversion amplitude
     Mutant(
         "a dropped sqrt(beta) in S31", "scattering.py",

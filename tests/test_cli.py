@@ -657,6 +657,36 @@ class TestExitCodes:
         assert run(["fit", path, "--data", tmp_path / "absent.csv", "--out", tmp_path / "r.csv"]) == 2
         assert capsys.readouterr().err.startswith("config error: fit: ")
 
+    @pytest.mark.parametrize("data", ["absent", "present"])
+    def test_reversed_fit_bounds_are_a_config_error_before_the_data_is_read(self, tmp_path, capsys, data):
+        config = yaml.safe_load((CONFIG_DIR / "fit_0p45mm.yaml").read_text())
+        config["fit"]["free"]["f_c"] = [10.7e9, 10.6e9]
+        path = tmp_path / "reversed.yaml"
+        path.write_text(yaml.safe_dump(config))
+        points = tmp_path / "measured.csv"
+        if data == "present":
+            points.write_text("f_hz,re_s21,im_s21\n10.6e9,1.0,0.0\n10.7e9,1.0,0.0\n")
+        out = tmp_path / "r.csv"
+        assert run(["fit", path, "--data", points, "--out", out]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: fit.free.f_c: bounds must satisfy lower < upper, got [10700000000.0, 10600000000.0]\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("cavity_volume", 0.0), ("cavity_volume", -1.0e-6), ("g_B", -1.0)],
+        ids=["cavity_volume_zero", "cavity_volume_negative", "g_B"],
+    )
+    def test_a_bad_derive_spec_is_blamed_on_derive_not_a_mode(self, tmp_path, capsys, key, value):
+        config = yaml.safe_load((CONFIG_DIR / "derive_0p45mm.yaml").read_text())
+        config["derive"][key] = value
+        path = tmp_path / "bad_derive.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "derive.csv"
+        assert run(["derive", path, "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"config error: derive.{key}: must be positive, got {value!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, name, grid",
         [("map", "sphere_0p45mm_map.yaml", ("sweep", "field")), ("modes", "walker_modes.yaml", ("modes_table", "field"))],

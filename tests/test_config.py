@@ -151,10 +151,19 @@ def test_malformed_configs_raise_config_error(mutate):
          "modes_table.indices: expected a non-empty list of [i, j] pairs, got 5"),
         (lambda d: d.update(modes_table={"field": {"start": 0.3, "stop": 0.4, "count": 2}, "indices": []}),
          "modes_table.indices: expected a non-empty list of [i, j] pairs, got []"),
+        (lambda d: d.update(derive={"cavity_volume": 0.0}), "derive.cavity_volume: must be positive, got 0.0"),
+        (lambda d: d.update(derive={"cavity_volume": -1.0e-6}), "derive.cavity_volume: must be positive, got -1e-06"),
+        (lambda d: d.update(derive={"cavity_volume": 1.6e-6, "g_B": -1.0}), "derive.g_B: must be positive, got -1.0"),
+        (lambda d: d.update(derive={"cavity_volume": 1.6e-6, "g_B": 0.0}), "derive.g_B: must be positive, got 0.0"),
+        (lambda d: d.update(fit={"free": {"f_c": [10.7e9, 10.6e9]}}),
+         "fit.free.f_c: bounds must satisfy lower < upper, got [10700000000.0, 10600000000.0]"),
+        (lambda d: d.update(fit={"free": {"g.kittel": [1e6, 1e9], "f_c": [10.6e9, 10.6e9]}}),
+         "fit.free.f_c: bounds must satisfy lower < upper, got [10600000000.0, 10600000000.0]"),
     ],
     ids=[
         "field_map", "cavity", "sweep", "include", "reference_quantity", "reference_label", "index_pair",
-        "index_element", "index_pair_length", "indices_not_a_list", "indices_empty",
+        "index_element", "index_pair_length", "indices_not_a_list", "indices_empty", "cavity_volume_zero",
+        "cavity_volume_negative", "g_B_negative", "g_B_zero", "free_bounds_reversed", "free_bounds_equal",
     ],
 )
 def test_errors_name_their_path_once(mutate, message):

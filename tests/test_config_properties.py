@@ -225,7 +225,8 @@ BREAKS = [
     ),
     (("modes_table",), "sign_branch", words_except("plus", "minus")),
     ((), "derive", not_mapping),
-    (("derive",), "cavity_volume", required(not_number)),
+    (("derive",), "cavity_volume", required(not_positive)),
+    (("derive",), "g_B", st.one_of(non_numbers.filter(lambda v: v is not None), st.floats(max_value=0.0))),
     (("derive",), "reference", st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers()))),
     # generated labels are lowercase letters only, so no mode is labeled "ghost_mode"
     (("derive", "reference"), "ghost_mode", st.dictionaries(st.sampled_from(QUANTITIES), written(finite))),
@@ -237,6 +238,8 @@ BREAKS = [
     ),
     ((), "fit", not_mapping),
     (("fit",), "free", st.one_of(st.just(DELETE), not_mapping, st.just({}))),
+    # f_c is a free name of every config; its bounds must rise
+    (("fit", "free"), "f_c", st.tuples(finite, finite).map(lambda p: [max(p), min(p)])),
     (("fit",), "loss", words_except(*LOSSES)),
     ((), "scaling", not_mapping),
     (("scaling",), "model", st.one_of(st.just(DELETE), words_except(*SCALING_MODELS))),

@@ -335,8 +335,10 @@ class TestSolver:
 def scalar_scan_reference(q, window, n_panels=64, f_tol=1.0):
     """The Walker solve as one scalar loop: every panel edge through walker_characteristic.
 
-    The batched solver must return exactly this root, or raise exactly
-    this error.
+    An edge where the residual is 0.0 is a root, and so is each root that
+    scipy's brentq finds in a panel whose edges change sign strictly, if the
+    residual there is small. The batched solver must return exactly this
+    root, or raise exactly this error.
     """
     lo, hi = default_search_window(q, MAT) if window is None else window
 
@@ -345,18 +347,16 @@ def scalar_scan_reference(q, window, n_panels=64, f_tol=1.0):
 
     edges = [lo + (hi - lo) * k / n_panels for k in range(n_panels + 1)]
     values = [math.nan if isinstance(r, str) else r for r in (outcome(residual, f) for f in edges)]
-    roots = []
+    roots = [f for f, r in zip(edges, values) if r == 0]
     for (fa, ra), (fb, rb) in zip(zip(edges, values), zip(edges[1:], values[1:])):
-        if not np.sign(ra) * np.sign(rb) <= 0:  # no sign change, or a NaN edge
+        if not (ra < 0 < rb or rb < 0 < ra):  # no strict sign change, or a NaN edge
             continue
         try:
-            candidate = brentq(residual, fa, fb, xtol=f_tol)  # returns an edge where the residual is 0
-            if abs(residual(candidate)) > 1e-4:
-                continue
+            candidate = brentq(residual, fa, fb, xtol=f_tol)
+            if abs(residual(candidate)) <= 1e-4:
+                roots.append(candidate)
         except DomainError:
             continue
-        if not any(abs(candidate - r) <= 10 * f_tol for r in roots):
-            roots.append(candidate)
     if not roots:
         raise DomainError(f"no root of the ({q.i},{q.j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz")
     if len(roots) > 1:
@@ -629,18 +629,17 @@ class TestBatchedSolver:
         assert solved.root(0) == scalar_scan_reference(q, None)
         assert solved.brent_calls == 2  # two sign changes: the root and the pole crossing
         assert solved.poles_rejected == 1
-        assert solved.duplicates_merged == 0
-        # the root sits near the window's centre edge, but no panel is picked for that alone
-        assert solved.panels_selected == 2
+        # the root sits near the window's centre edge, not on it
+        assert solved.edge_roots == 0
 
     def test_counters_sum_over_queries(self):
         queries = [mc.WalkerModeQuery(i=1, j=1, B_ext=B) for B in (0.38, 0.38)]
         solved = solve_walker_modes(queries, MAT, [None, None])
         assert solved.outcomes == (solved.root(0), solved.root(0))
-        assert (solved.panels_selected, solved.brent_calls, solved.poles_rejected) == (4, 4, 2)
+        assert (solved.edge_roots, solved.brent_calls, solved.poles_rejected) == (0, 4, 2)
 
-    def test_a_root_on_a_panel_edge_is_merged_not_doubled(self):
-        # the residual is exactly 0.0 at the centre edge: both panels it bounds yield it
+    def test_a_root_on_a_panel_edge_is_one_edge_root(self):
+        # the residual is exactly 0.0 at the centre edge: a root, and neither panel it bounds goes to Brent
         q = EDGE_ROOT
         closed = mc.msm_frequency_linear(q, MAT)
         assert mc.walker_characteristic(closed, q, MAT) == 0.0
@@ -648,8 +647,7 @@ class TestBatchedSolver:
         assert window[0] + (window[1] - window[0]) * 32 / 64 == closed
         solved = solve_walker_modes([q], MAT, [window])
         assert solved.root(0) == closed == scalar_scan_reference(q, window)
-        assert (solved.panels_selected, solved.brent_calls, solved.duplicates_merged) == (2, 0, 1)
-        assert solved.residual_evals == 0
+        assert (solved.edge_roots, solved.brent_calls, solved.residual_evals) == (1, 0, 0)
 
     @pytest.mark.parametrize("ij", [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (2, 0), (3, 1), (4, 1)])
     def test_each_probe_of_a_query_is_evaluated_once(self, monkeypatch, ij):
@@ -675,15 +673,37 @@ class TestBatchedSolver:
             assert [outcome(solved.root, k) for k in range(len(queries))] == expected
 
     def test_a_nan_residual_is_evaluated_once_and_rejects_its_panels(self, monkeypatch):
-        # NaN at the edge two selected panels share (see above): neither is selected
+        # NaN at the root edge of the test above: no edge root, and neither panel it bounds is selected
         q = EDGE_ROOT
         closed = mc.msm_frequency_linear(q, MAT)
         calls = record_grid(monkeypatch, nan_at=[closed])
         solved = solve_walker_modes([q], MAT, [magnetostatics.closed_form_window(closed, MAT)])
         assert [f for call in calls for _, f in call].count(closed) == 1
-        assert (solved.panels_selected, solved.brent_calls, solved.residual_evals) == (0, 0, 0)
+        assert (solved.edge_roots, solved.brent_calls, solved.residual_evals) == (0, 0, 0)
         with pytest.raises(DomainError, match=r"no root of the \(2,2\) characteristic equation"):
             solved.root(0)
+
+    def test_a_zero_edge_between_nan_edges_is_a_root(self, monkeypatch):
+        # NaN at both neighbours of the root edge above: no panel changes sign, but the zero edge is still a root
+        q = EDGE_ROOT
+        closed = mc.msm_frequency_linear(q, MAT)
+        lo, hi = magnetostatics.closed_form_window(closed, MAT)
+        record_grid(monkeypatch, nan_at=[lo + (hi - lo) * k / 64 for k in (31, 33)])
+        solved = solve_walker_modes([q], MAT, [(lo, hi)])
+        assert solved.root(0) == closed
+        assert (solved.edge_roots, solved.brent_calls, solved.residual_evals) == (1, 0, 0)
+
+    def test_sign_changes_a_few_hertz_apart_in_adjacent_panels_are_two_roots(self, monkeypatch):
+        # a residual |f - 1320| - 2.5 Hz on a window whose panel edges are 10 Hz apart: negative only at the
+        # centre edge 1320 Hz, so each panel it bounds changes sign, at 1317.5 and 1322.5 Hz
+        monkeypatch.setattr(
+            magnetostatics, "_characteristic_grid",
+            lambda f, B_ext, i, j, material: np.abs(np.broadcast_arrays(f, B_ext)[0] - 1320.0) - 2.5,
+        )
+        solved = solve_walker_modes([EDGE_ROOT], MAT, [(1000.0, 1640.0)])
+        with pytest.raises(DomainError, match=r"contains 2 roots for \(2,2\) at 1\.317500e\+03, 1\.322500e\+03 Hz"):
+            solved.root(0)
+        assert (solved.edge_roots, solved.brent_calls, solved.poles_rejected) == (0, 2, 0)
 
     def test_a_nan_brent_probe_rejects_its_panel_as_a_pole_crossing(self, monkeypatch):
         q = mc.WalkerModeQuery(i=2, j=2, B_ext=0.38)
@@ -706,7 +726,7 @@ class TestBatchedSolver:
         pairs = [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (2, 0), (3, 1), (2, -1)]
         queries = [mc.WalkerModeQuery(i, j, B) for B in np.linspace(0.3, 0.45, 201).tolist() for i, j in pairs]
         mixed = solve_walker_modes(queries, MAT, [None] * len(queries))
-        counters = ("panels_selected", "brent_calls", "poles_rejected", "duplicates_merged", "residual_evals")
+        counters = ("edge_roots", "brent_calls", "poles_rejected", "residual_evals")
         totals = dict.fromkeys(counters, 0)
         kinds = set()
         for pair in pairs:
@@ -826,7 +846,6 @@ def smooth_brackets(draw):
 BRENT_FAILURES = {
     magnetostatics._NAN: "met a NaN residual at x = {x!r}",
     magnetostatics._NO_CONVERGENCE: "did not converge in {maxiter} iterations (last x = {x!r})",
-    magnetostatics._SAME_SIGN: "Brent bracket ({a!r}, {b!r}) does not change sign",
 }
 
 
@@ -841,40 +860,56 @@ class TestBrent:
         functions, a, b = (list(column) for column in zip(*brackets))
         fa = [f(x) for f, x in zip(functions, a)]
         fb = [math.nan if math.isnan(y) else f(x) for f, x, y in zip(functions, b, fa)]
-        probes = [[] for _ in brackets]
+        # the lock-step search gets the brackets whose edges change sign strictly; brentq checks the others
+        strict = [k for k in range(len(brackets)) if fa[k] < 0 < fb[k] or fb[k] < 0 < fa[k]]
+        probes = [[] for _ in strict]
         rounds = []
 
         def all_at_once(x, live):
             rounds.append(live.tolist())
-            for k, xk in zip(live.tolist(), x.tolist()):
-                probes[k].append(xk.hex())
-            return np.array([functions[k](xk) for k, xk in zip(live.tolist(), x.tolist())])
+            for n, xn in zip(live.tolist(), x.tolist()):
+                probes[n].append(xn.hex())
+            return np.array([functions[strict[n]](xn) for n, xn in zip(live.tolist(), x.tolist())])
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(magnetostatics, "_BRENT_MAXITER", maxiter)
-            x, f_x, outcome = magnetostatics._lockstep_brent(all_at_once, a, b, fa, fb, xtol)
+            x, f_x, outcome = magnetostatics._lockstep_brent(
+                all_at_once, *([column[k] for k in strict] for column in (a, b, fa, fb)), xtol
+            )
             alone = [
                 brent_run(lambda g, a, b: magnetostatics.brentq(g, a, b, xtol), f, ak, bk)
                 for f, ak, bk in zip(functions, a, b)
             ]
         assert len(rounds) <= maxiter
         for k, (calls, result) in enumerate(alone):
-            edges = [a[k].hex()] + ([] if math.isnan(fa[k]) else [b[k].hex()])
-            assert edges + probes[k] == calls
             scipy_calls, scipy_result = brent_run(
                 lambda g, a, b: brentq(g, a, b, xtol=xtol, maxiter=maxiter), functions[k], a[k], b[k]
             )
             assert calls == scipy_calls
             if isinstance(scipy_result, str):
-                assert (outcome[k], x[k].hex(), result) == (magnetostatics._ROOT, scipy_result, scipy_result)
-                assert f_x[k] == functions[k](x[k])
+                assert result == scipy_result
             else:
-                assert outcome[k] != magnetostatics._ROOT
-                text = BRENT_FAILURES[outcome[k]].format(x=x[k].item(), a=a[k], b=b[k], maxiter=maxiter)
-                assert text in str(result)
+                assert isinstance(result, DomainError)
+            if k in strict:
+                continue
+            if math.isnan(fa[k]) or math.isnan(fb[k]):
+                assert f"met a NaN residual at x = {a[k] if math.isnan(fa[k]) else b[k]!r}" in str(result)
+            elif fa[k] != 0 and fb[k] != 0:
+                assert f"Brent bracket ({a[k]!r}, {b[k]!r}) does not change sign" in str(result)
+            else:  # a zero edge, a before b
+                assert result == (a[k] if fa[k] == 0 else b[k]).hex()
+        for n, k in enumerate(strict):
+            calls, result = alone[k]
+            assert [a[k].hex(), b[k].hex()] + probes[n] == calls
+            if isinstance(result, str):
+                assert (outcome[n], x[n].hex()) == (magnetostatics._ROOT, result)
+                assert f_x[n] == functions[k](x[n])
+            else:
+                assert outcome[n] != magnetostatics._ROOT
+                assert BRENT_FAILURES[outcome[n]].format(x=x[n].item(), maxiter=maxiter) in str(result)
         # lock-step: each round probes every bracket that still has a probe to come, in bracket order
         for r, live in enumerate(rounds):
-            assert live == [k for k in range(len(brackets)) if len(probes[k]) > r]
+            assert live == [n for n in range(len(strict)) if len(probes[n]) > r]
 
     @settings(max_examples=300, deadline=None)
     @given(walker_panels())
