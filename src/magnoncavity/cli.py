@@ -258,30 +258,15 @@ def cmd_map(args) -> int:
 
 
 def _modes_rows(fields, indices, sign_branch: str, material):
-    """The `modes` rows as byte blocks, one per bias field (index pairs in config order), from one batched solve.
+    """The `modes` rows as byte blocks, one per bias field, from :func:`magnetostatics._modes_table`.
 
-    The minus branch of (i, j) is the mode (i, -j): its closed form, if it
-    has one, and its roots. Closed forms, windows and the rows' rules are
-    found per index pair over the whole ``fields`` array; the first row
-    where a rule fails has its ValueError (DomainError included), and only
-    the rows before it are solved. A field's block fills
-    one "%.17g" bytes template of every pair's row (a .17g cell needs no quoting),
-    with empty closed-form cells where a pair has none. The first row that
-    fails ends the rows: the blocks before it are yielded, then it raises.
+    The minus branch of (i, j) is the mode (i, -j). A field's block fills one "%.17g" bytes template of every pair's
+    row (a .17g cell needs no quoting), with empty closed-form cells where a pair has none. The blocks before the
+    table's failing row are yielded, then its error is raised.
     """
     pairs = [(i, j if sign_branch == "plus" else -j) for i, j in indices]
     n_pairs = len(pairs)
-    # B-major (field, pair) arrays flattened to rows: closed form (NaN without one) and window edges
-    *columns, rules = zip(*(magnetostatics._table_rows(i, signed_j, fields, material) for i, signed_j in pairs))
-    closed, lows, highs = (np.column_stack(column).ravel() for column in columns)
-    stop, error = magnetostatics._first_failure(rules) or (closed.size, None)
-    roots, failures, _ = magnetostatics._solve_walker_arrays(
-        pairs, np.arange(stop) % n_pairs, np.repeat(fields, n_pairs)[:stop], lows[:stop], highs[:stop], material
-    )
-    if failures:
-        stop = min(failures)
-        error = failures[stop]
-    closed, roots = closed[:stop], roots[:stop]
+    closed, roots, error = magnetostatics._modes_table(pairs, fields, material)
 
     # per row: closed form, root and relative difference, of which a pair without a closed form writes the root
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -294,12 +279,12 @@ def _modes_rows(fields, indices, sign_branch: str, material):
     written = np.array([[closed_form, True, closed_form] for closed_form in has_closed])
     # each field's B cell is joined in before every pair's tail, as in `map`
     pieces = [b"", *tails]
-    n_full, partial = divmod(stop, n_pairs)
+    n_full, partial = divmod(roots.size, n_pairs)
     values = cells[: n_full * n_pairs].reshape(n_full, n_pairs, 3)[:, written]
     for B, row in zip(fields[:n_full].tolist(), values.tolist()):
         yield (b"%.17g" % B).join(pieces) % tuple(row)
     if partial:  # the rows of the failing row's field before it
-        head = cells[n_full * n_pairs : stop][written[:partial]]
+        head = cells[n_full * n_pairs :][written[:partial]]
         yield (b"%.17g" % fields[n_full]).join(pieces[: partial + 1]) % tuple(head.tolist())
     if error is not None:
         raise error
@@ -373,6 +358,7 @@ def cmd_fit(args) -> int:
         ["stat", "rms_residual", _fmt(result.rms_residual)],
         ["stat", "iterations", result.iterations],
         ["stat", "converged", str(result.converged).lower()],
+        ["stat", "stop_reason", result.stop_reason],
         ["stat", "jacobian_condition_estimate", _fmt(result.jacobian_condition_estimate)],
         ["stat", "loss", result.loss],
         *(["trace", k, _fmt(rms)] for k, rms in enumerate(result.residual_trace)),

@@ -166,14 +166,18 @@ class FitResult:
 
     ``residual_trace`` holds the rms residual at the start and after each
     accepted step (monotone non-increasing), so ``iterations``, the number
-    of accepted steps, is one less than its length; ``loss`` records the
-    objective that was minimized.
+    of accepted steps, is one less than its length; ``stop_reason`` names how
+    the loop ended: "gradient" or "cost_floor" (converged), "singular",
+    "damping_exhausted" or "iteration_cap". An estimate clamped to its bounds
+    clears ``converged`` and leaves ``stop_reason`` as it was. ``loss``
+    records the objective that was minimized.
     """
 
     estimates: dict[str, float]
     rms_residual: float
     iterations: int
     converged: bool
+    stop_reason: str
     jacobian_condition_estimate: float
     loss: str
     residual_trace: tuple[float, ...]
@@ -470,6 +474,7 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
         rms_residual=trace[-1],
         iterations=len(trace) - 1,
         converged=converged,
+        stop_reason=end,
         jacobian_condition_estimate=cond,
         loss=problem.loss,
         residual_trace=tuple(trace),

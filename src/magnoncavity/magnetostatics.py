@@ -429,10 +429,8 @@ def solve_walker_modes(
     fields = np.array([q.B_ext for q in queries], dtype=float)
     index_pairs: dict[tuple[int, int], int] = {}
     pair_of = np.array([index_pairs.setdefault((q.i, q.j), len(index_pairs)) for q in queries])
-    roots, failures, counts = _solve_walker_arrays(list(index_pairs), pair_of, fields, lows, highs, material)
-    outcomes: list[float | DomainError] = roots.tolist()
-    for k, error in failures.items():
-        outcomes[k] = error
+    roots, n_roots, error, counts = _solve_walker_arrays(list(index_pairs), pair_of, fields, lows, highs, material)
+    outcomes = (root if n == 1 else error(k) for k, (root, n) in enumerate(zip(roots.tolist(), n_roots.tolist())))
     return WalkerSolutions(outcomes=tuple(outcomes), **counts)
 
 
@@ -452,9 +450,10 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
     array call per index pair that still has live probes. A refined root is
     kept only if the residual there is small, which weeds out sign flips
     across poles of the residual (the chi pole and zeros of P_i^j). Returns
-    (roots, failures, counts): the roots in query order (unspecified for a
-    failed query), a dict from each query left with no root or several to
-    its DomainError, and the :class:`WalkerSolutions` counters.
+    (roots, counts of roots, error, counters): per query in order, its root
+    (unspecified unless it has exactly one) and its number of roots; the
+    function ``error(k)`` that builds the DomainError of a query k with no
+    root or several; and the :class:`WalkerSolutions` counters.
     """
     steps = np.arange(_N_PANELS + 1, dtype=float)
     # per block, in pair then query order: its zero edges, and its selected panels with their edge residuals, each
@@ -503,15 +502,15 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
     first = np.cumsum(n_candidates) - n_candidates
     roots = np.zeros(pair_of.size)
     roots[owner] = candidates
-    failures: dict[int, DomainError] = {}
-    for k in np.flatnonzero(n_candidates != 1).tolist():
+
+    def error(k: int) -> DomainError:
         (i, j), lo, hi, n = pairs[pair_of[k]], lows[k], highs[k], n_candidates[k]
         at = ", ".join(f"{root:.6e}" for root in candidates[first[k] : first[k] + n].tolist())
-        failures[k] = DomainError(
+        return DomainError(
             f"window ({lo:.6e}, {hi:.6e}) Hz contains {n} roots for ({i},{j}) at {at} Hz; narrow it" if n
             else f"no root of the ({i},{j}) characteristic equation in ({lo:.6e}, {hi:.6e}) Hz"
         )
-    return roots, failures, counts
+    return roots, n_candidates, error, counts
 
 
 def solve_walker_mode(
@@ -595,3 +594,24 @@ def _table_rows(i: int, j: int, B_ext, material: MaterialParams):
     closed, rules = _mode_frequency_grid(closed_map, B_ext, material)
     lo, hi, window = _windows(closed, _CLOSED_FORM_HALF_WIDTH, material)
     return closed, lo, hi, rules + query + window
+
+
+def _modes_table(pairs, fields, material: MaterialParams):
+    """The `modes` table of ``pairs`` over the 1-D float array ``fields``, field-major, to its first failing row.
+
+    A row fails where a :func:`_table_rows` rule fails, or where its window holds no root or several. Returns
+    (closed, roots, error): the closed forms (NaN without one) and roots of the rows before it, and its ValueError
+    (DomainError included) or None. Only the rows before the first rule failure are solved, and only the failing
+    row's error is built.
+    """
+    *columns, rules = zip(*(_table_rows(i, j, fields, material) for i, j in pairs))
+    closed, lows, highs = (np.column_stack(column).ravel() for column in columns)
+    stop, error = _first_failure(rules) or (closed.size, None)
+    roots, n_roots, root_error, _ = _solve_walker_arrays(
+        pairs, np.arange(stop) % len(pairs), np.repeat(fields, len(pairs))[:stop], lows[:stop], highs[:stop], material
+    )
+    failing = np.flatnonzero(n_roots != 1)
+    if failing.size:
+        stop = int(failing[0])
+        error = root_error(stop)
+    return closed[:stop], roots[:stop], error

@@ -84,6 +84,31 @@ def magnon_susceptibility(f, mode, f_m):
     return 1.0 / ((np.asarray(f, dtype=float) - f_m) + 1j * mode.gamma)
 
 
+def hybrid_matrix(system, B):
+    """H = [[f_c - i*kappa_t, g_1 ... g_M], [g_m, diag(f_m - i*gamma_m)]], with every f_m resolved at B.
+
+    Written out here rather than taken from the package: det(f - H) / prod_m (f - f_m + i*gamma_m) is the
+    kernel's shared denominator D(f), by the Schur complement of the modes' diagonal block.
+    """
+    n = len(system.modes) + 1
+    h = np.zeros((n, n), dtype=complex)
+    h[0, 0] = system.cavity.f_c - 1j * system.cavity.kappa_t
+    for m, mode in enumerate(system.modes, 1):
+        h[0, m] = h[m, 0] = mode.g
+        h[m, m] = mc.mode_frequency(mode.field_map, B, system.material) - 1j * mode.gamma
+    return h
+
+
+def normal_modes(system, B):
+    """The hybrid normal modes: the eigenvalues of :func:`hybrid_matrix`, in ascending order of their real parts.
+
+    They are found for H - f_c and shifted back, so that their round-off scales with the detunings, couplings and
+    rates rather than with f_c.
+    """
+    h, f_c = hybrid_matrix(system, B), system.cavity.f_c
+    return np.sort_complex(np.linalg.eigvals(h - f_c * np.eye(len(h)))) + f_c
+
+
 def two_mode_direct_conversion(f, system, B, label):
     """Independent oracle: the closed two-mode conversion coefficients.
 

@@ -50,6 +50,7 @@ RESIDUAL = (
     "test_magnetostatics.py::test_legendre_pair_matches_the_polynomials_and_the_complex_recurrence",
 )
 PARALLEL = "test_cli.py::TestParallelMap::"
+MODES = "test_cli.py::TestModesCommand::"
 FINITE_F_M = 'magnetostatics._Rule(np.isfinite(values), ValueError, lambda k: "f_m must be finite")'
 
 MUTANTS = [
@@ -119,6 +120,17 @@ MUTANTS = [
         "zeros.append((block[rows], edges[rows, at]))", "pass",
         ("test_magnetostatics.py::TestBatchedSolver::test_a_root_on_a_panel_edge_is_one_edge_root",),
     ),
+    # the `modes` table ends at its first row whose window holds no root or several
+    Mutant(
+        "a no-root window not ending the table", "magnetostatics.py",
+        "failing = np.flatnonzero(n_roots != 1)", "failing = np.flatnonzero(n_roots > 1)",
+        (MODES + "test_failing_row_ends_the_table_where_it_stands[2_-1_no_root]",),
+    ),
+    Mutant(
+        "the table ending at its last failing row", "magnetostatics.py",
+        "stop = int(failing[0])", "stop = int(failing[-1])",
+        (MODES + "test_a_table_that_fails_early_builds_only_its_first_error",),
+    ),
     # the conversion amplitude
     Mutant(
         "a dropped sqrt(beta) in S31", "scattering.py",
@@ -128,7 +140,10 @@ MUTANTS = [
     # the shared denominator, and the fit's Jacobian rows built on it
     Mutant(
         "kappa_e for kappa_t in D", "scattering.py", "1j * cav.kappa_t", "1j * cav.kappa_e",
-        ("test_scattering.py::test_power_balance_holds_for_any_set_of_modes",),
+        (
+            "test_scattering.py::test_power_balance_holds_for_any_set_of_modes",
+            "test_scattering.py::test_shared_denominator_is_det_f_minus_h_over_the_mode_poles",
+        ),
     ),
     Mutant(
         "the wrong sign of the gamma row", "fitting.py", "-1j * modes[m].gamma", "1j * modes[m].gamma",

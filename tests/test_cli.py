@@ -393,6 +393,31 @@ class TestModesCommand:
         )
         assert done.stdout == "B_T,i,j,sign_branch,f_closed_hz,f_solver_hz,rel_diff\n"
 
+    def test_a_table_that_fails_early_builds_only_its_first_error(self, tmp_path, capsys, monkeypatch):
+        # 2001 fields of (1, 1) and (3, 1) from 0.3 T: the (3,1) default window holds two roots at the first field,
+        # and no root or several at 1170 of the 2001 fields; the table ends at the first, whose error alone is built
+        built = []
+
+        class CountedDomainError(mc.DomainError):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(magnetostatics, "DomainError", CountedDomainError)
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        config["modes_table"].update(indices=[[1, 1], [3, 1]], field={"start": 0.3, "stop": 1.0, "count": 2001})
+        path = tmp_path / "early_3_1.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run(["modes", path]) == 3
+        captured = capsys.readouterr()
+        assert len(built) == 1
+        assert captured.err == (
+            "numeric domain error: window (9.240000e+08, 1.587600e+10) Hz contains 2 roots for (3,1)"
+            " at 7.381349e+09, 8.678158e+09 Hz; narrow it\n"
+        )
+        rows = [line.split(",")[:4] for line in captured.out.splitlines()]
+        assert rows == [["B_T", "i", "j", "sign_branch"], ["0.29999999999999999", "1", "1", "plus"]]
+
     def test_minus_branch_of_the_walker_table_has_no_kittel_root(self, tmp_path, capsys):
         # minus (1, 1) is (1, -1), which has no root in the default window at 0.3 T
         config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
@@ -1157,7 +1182,7 @@ class TestCsvContract:
         assert run(["fit", path, "--data", data, "--out", out]) == code
         rows = read_csv(out)
         free = sorted(config["fit"]["free"])
-        stats = ["rms_residual", "iterations", "converged", "jacobian_condition_estimate", "loss"]
+        stats = ["rms_residual", "iterations", "converged", "stop_reason", "jacobian_condition_estimate", "loss"]
         n_trace = len(rows) - len(free) - len(stats)
         assert n_trace >= (2 if code == 0 else 1)
         assert [(r["kind"], r["name"]) for r in rows] == (
@@ -1167,6 +1192,8 @@ class TestCsvContract:
         )
         by_name = {r["name"]: r["value"] for r in rows}
         assert by_name["converged"] == ("true" if code == 0 else "false")
+        # the seeded fit ends on its gradient test; the blind s31 fit's normal equations are singular
+        assert by_name["stop_reason"] == ("gradient" if code == 0 else "singular")
         assert by_name["loss"] == "complex_residual"
         assert int(by_name["iterations"]) == n_trace - 1
         assert float(by_name["rms_residual"]) == float(rows[-1]["value"])

@@ -755,20 +755,22 @@ def blind_s31_fit(monkeypatch):
 
 
 # each way the fit loop ends: its fit, whether it converges, its accepted steps (None: more than the
-# capped fit's 3), and whether its condition estimate is inf
+# capped fit's 3), whether its condition estimate is inf, and its stop reason
 ENDS = {
-    "gradient": (lambda monkeypatch: eight_parameter_problem(), True, None, False),
-    "iteration_cap": (capped_fit, False, 3, False),
-    "damping_exhausted": (rejecting_fit, False, 0, False),
-    "singular": (invisible_parameter_fit, False, 0, True),
-    "zero_start_gradient": (blind_s31_fit, False, 0, True),
+    "gradient": (lambda monkeypatch: eight_parameter_problem(), True, None, False, "gradient"),
+    "iteration_cap": (capped_fit, False, 3, False, "iteration_cap"),
+    "damping_exhausted": (rejecting_fit, False, 0, False, "damping_exhausted"),
+    "singular": (invisible_parameter_fit, False, 0, True, "singular"),
+    # a zero start gradient where J^T J is singular does not converge on it: the loop's singular test ends it
+    "zero_start_gradient": (blind_s31_fit, False, 0, True, "singular"),
 }
 
 
 @pytest.mark.parametrize("end", ENDS)
 def test_every_end_of_the_fit_counts_only_its_accepted_steps(end, monkeypatch):
-    fit, converged, steps, singular = ENDS[end]
+    fit, converged, steps, singular, stop_reason = ENDS[end]
     result = mc.fit_spectrum(*fit(monkeypatch))
+    assert result.stop_reason == stop_reason
     assert result.iterations == len(result.residual_trace) - 1
     assert result.rms_residual == result.residual_trace[-1]
     assert result.converged is converged  # a plain bool at every end
