@@ -218,7 +218,7 @@ def synthesize_noisy_spectrum(
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
-    f_grid = np.asarray(f_grid, dtype=float)
+    f_grid = scattering._real(f_grid, "f_grid")
     if f_grid.size == 0:
         raise ValueError("frequency grid must be non-empty")
     _observed_mode(observable, system)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import walker_polynomial
 from .errors import DomainError
 from .model import FieldMap, MaterialParams
 
@@ -33,13 +34,6 @@ _ROOT_RESIDUAL_TOL = 1e-4
 # Probe frequencies with |gamma_e^2 B_i^2 - f^2| below this fraction of the
 # larger square are treated as the susceptibility pole itself.
 _POLE_GUARD = 1e-12
-# Queries of one index pair that :func:`_solve_walker_arrays` scans
-# together: bounds the scan's temporaries to _SCAN_BLOCK * (_N_PANELS + 1)
-# float64 values whatever the table size. Brent's state is not bounded by
-# it: it grows with the number of panels the whole solve selects. Of 128,
-# 256, 512 and 1024, 256 ran a 2001-field, six-pair table fastest (on a
-# 2-vCPU x86-64 VM).
-_SCAN_BLOCK = 256
 # Panels per search window, and the absolute tolerance (Hz) of Brent's
 # method.
 _N_PANELS = 64
@@ -284,11 +278,13 @@ class WalkerSolutions:
 
     ``outcomes`` holds, per query in order, its root in Hz or the
     DomainError that solving it alone raises. The counters sum over the
-    queries: scanned panel edges whose residual is exactly zero (each one a
-    root), Brent refinements run (one per panel whose edge residuals change
-    sign strictly), candidates rejected as pole crossings (a residual above
-    the root tolerance, or a refinement that met a NaN residual or did not
-    converge), and Brent's probes evaluated.
+    queries, and count only the panels the solve scans, those next to a
+    root of the characteristic polynomial: scanned panel edges whose
+    residual is exactly zero (each one a root), Brent refinements run (one
+    per scanned panel whose edge residuals change sign strictly), candidates
+    rejected as pole crossings (a residual above the root tolerance, or a
+    refinement that met a NaN residual or did not converge), and Brent's
+    probes evaluated. A pole crossing far from every root is not counted.
     """
 
     outcomes: tuple[float | DomainError, ...]
@@ -440,39 +436,45 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
     Query k is the index pair ``pairs[pair_of[k]]`` at the bias field
     ``fields[k]``, searched in the finite window (``lows[k]``, ``highs[k]``)
     with lo < hi; error texts are built from these arrays. Each window is
-    split into ``_N_PANELS`` panels. The queries of each index pair are
-    scanned in blocks of ``_SCAN_BLOCK``: the residual at every panel edge
-    of a block is evaluated in one array call. An edge where the residual is
-    exactly zero is a root. Every panel whose edge residuals change sign
-    strictly is refined from them to ``_F_TOL`` by one lock-step Brent
-    search over the selected panels of the whole call
+    split into ``_N_PANELS`` panels. The residual is evaluated, in one array
+    call per index pair and at each edge once, at the edges of the panels
+    next to a real root of the pair's characteristic polynomial, found for
+    all of its fields at once (:func:`walker_polynomial.scanned_edges`), or
+    at every edge where that polynomial is degenerate. Any other panel
+    holds no root, at most a pole crossing. An edge where the residual is
+    exactly zero is a root. Every panel of two scanned edges whose residuals
+    change sign strictly is refined from them to ``_F_TOL`` by one lock-step
+    Brent search over the selected panels of the whole call
     (:func:`_lockstep_brent`), whose rounds evaluate their probes in one
     array call per index pair that still has live probes. A refined root is
     kept only if the residual there is small, which weeds out sign flips
-    across poles of the residual (the chi pole and zeros of P_i^j). Returns
-    (roots, counts of roots, error, counters): per query in order, its root
-    (unspecified unless it has exactly one) and its number of roots; the
-    function ``error(k)`` that builds the DomainError of a query k with no
-    root or several; and the :class:`WalkerSolutions` counters.
+    across poles of the residual (the chi pole and zeros of P_i^j). So the
+    roots, their counts and the error texts are those of a scan of every
+    panel edge. Returns (roots, counts of roots, error, counters):
+    per query in order, its root (unspecified unless it has exactly one)
+    and its number of roots; the function ``error(k)`` that builds the
+    DomainError of a query k with no root or several; and the
+    :class:`WalkerSolutions` counters.
     """
-    steps = np.arange(_N_PANELS + 1, dtype=float)
-    # per block, in pair then query order: its zero edges, and its selected panels with their edge residuals, each
-    # with its query (empty first entries, so that a call without queries concatenates to empty arrays)
+    widths, f_M = highs - lows, material.gamma_e * material.mu0_Ms
+    # the internal fields and the windows in units of gamma_e*mu0_Ms
+    h, unit_lows, unit_highs = material.gamma_e * internal_field(fields, material) / f_M, lows / f_M, highs / f_M
+    # per index pair: its zero edges, and its selected panels with their edge residuals, each with its query (empty
+    # first entries, so that a call without queries concatenates to empty arrays)
     zeros: list[tuple] = [(np.empty(0, dtype=int), np.empty(0))]
     selected: list[tuple] = [(np.empty(0, dtype=int),) + (np.empty(0),) * 4]
     for pair, (i, j) in enumerate(pairs):
         members = np.flatnonzero(pair_of == pair)
-        for start in range(0, members.size, _SCAN_BLOCK):
-            block = members[start : start + _SCAN_BLOCK]
-            # the scalar edges lo + (hi - lo) * k / _N_PANELS, bit for bit
-            edges = lows[block, None] + (highs - lows)[block, None] * steps / _N_PANELS
-            values = _characteristic_grid(edges, fields[block, None], i, j, material)
-            rows, at = np.nonzero(values == 0)
-            zeros.append((block[rows], edges[rows, at]))
-            signs = np.sign(values)  # NaN edges select nothing
-            rows, panels = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
-            selected.append((block[rows], edges[rows, panels], edges[rows, panels + 1],
-                             values[rows, panels], values[rows, panels + 1]))
+        rows, at = walker_polynomial.scanned_edges(i, j, h[members], unit_lows[members], unit_highs[members], _N_PANELS)
+        query = members[rows]
+        # the scalar edges lo + (hi - lo) * k / _N_PANELS, bit for bit
+        edges = lows[query] + widths[query] * at / _N_PANELS
+        values = _characteristic_grid(edges, fields[query], i, j, material)
+        zero = values == 0
+        zeros.append((query[zero], edges[zero]))
+        signs = np.sign(values)  # NaN edges select nothing
+        panels = np.flatnonzero((at[1:] == at[:-1] + 1) & (query[1:] == query[:-1]) & (signs[:-1] * signs[1:] < 0))
+        selected.append((query[panels], edges[panels], edges[panels + 1], values[panels], values[panels + 1]))
     zero_query, zero_edge = (np.concatenate(column) for column in zip(*zeros))
     query_of, xa, xb, fa, fb = (np.concatenate(column) for column in zip(*selected))
     counts = Counter(edge_roots=zero_query.size, brent_calls=query_of.size)

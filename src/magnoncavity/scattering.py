@@ -43,7 +43,7 @@ class ComplexSpectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
+        f = _real(self.frequencies, "frequencies")
         v = np.asarray(self.values, dtype=complex)
         if f.ndim != 1 or f.size == 0:
             raise ValueError("frequency grid must be a non-empty 1D array")
@@ -89,6 +89,13 @@ class SweepMap:
         object.__setattr__(self, "fields", B)
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "values", v)
+
+
+def _real(values, name: str) -> np.ndarray:
+    """``values`` as a float array; ValueError naming them where they are complex, which a float cast truncates."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real")
+    return np.asarray(values, dtype=float)
 
 
 def _check_grids(B: np.ndarray, f: np.ndarray) -> None:
@@ -190,10 +197,11 @@ def amplitudes(f, system: HybridSystem, B: float = 0.0):
     Supports any number of magnon modes, including zero (bare cavity).
     ``B`` resolves the mode frequencies and is irrelevant for a bare
     cavity or fixed-frequency modes. A failing field map raises first, then
-    ValueError("f must be finite"); an overflow in the kernel is not checked.
+    ValueError("f must be real") or ("f must be finite"); an overflow in
+    the kernel is not checked.
     """
     f_ms = mode_frequencies(system, B)
-    if not np.isfinite(f).all():
+    if not np.isfinite(_real(f, "f")).all():
         raise ValueError("f must be finite")
     return amplitudes_from_denominator(*shared_denominator(f, system, f_ms), system)
 
@@ -308,7 +316,7 @@ def sweep_map(
 
     ``mode_label`` selects the mode for ``s31_phase`` (defaults to the
     first mode). Rows follow ``B_grid`` order, columns ``f_grid`` order.
-    Both grids must be finite, 1-D and strictly ascending; they are checked
+    Both grids must be real, finite, 1-D and strictly ascending; they are checked
     before any kernel work. Every mode's frequency at every field is then
     resolved once (:func:`_resolve_field_maps`): a failing field map raises
     the first failing (field, mode)'s error, still before any kernel work.
@@ -323,8 +331,8 @@ def sweep_map(
     """
     if observable not in OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}; choose from {OBSERVABLES}")
-    B_grid = np.atleast_1d(np.asarray(B_grid, dtype=float))
-    f_grid = np.atleast_1d(np.asarray(f_grid, dtype=float))
+    B_grid = np.atleast_1d(_real(B_grid, "B_grid"))
+    f_grid = np.atleast_1d(_real(f_grid, "f_grid"))
     _check_grids(B_grid, f_grid)
 
     if observable in ("eta", "s31_phase") and not system.modes:

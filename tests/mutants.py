@@ -112,13 +112,25 @@ MUTANTS = [
     # the Walker candidates: a zero edge is a root, and Brent refines only the panels that change sign strictly
     Mutant(
         "zero-touch panels handed to Brent again", "magnetostatics.py",
-        "np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)", "np.nonzero(signs[:, :-1] * signs[:, 1:] <= 0)",
+        "(signs[:-1] * signs[1:] < 0)", "(signs[:-1] * signs[1:] <= 0)",
         ("test_magnetostatics.py::TestBatchedSolver::test_a_root_on_a_panel_edge_is_one_edge_root",),
     ),
     Mutant(
         "zero edges not taken as roots", "magnetostatics.py",
-        "zeros.append((block[rows], edges[rows, at]))", "pass",
+        "zeros.append((query[zero], edges[zero]))", "pass",
         ("test_magnetostatics.py::TestBatchedSolver::test_a_root_on_a_panel_edge_is_one_edge_root",),
+    ),
+    # the scanned panels: those next to each root of the characteristic polynomial, or all of a degenerate row's
+    Mutant(
+        "only a root's own panel scanned", "walker_polynomial.py",
+        "first, last = np.floor(at - slack) - 1, np.floor(at + slack) + 2",
+        "first, last = np.floor(at), np.floor(at) + 1",
+        ("test_magnetostatics.py::TestBatchedSolver::test_solve_equals_the_scalar_scan_of_every_panel",),
+    ),
+    Mutant(
+        "a degenerate row scanned like any other", "walker_polynomial.py",
+        "first[degenerate, 0], last[degenerate, 0] = 0, panels", "pass",
+        ("test_magnetostatics.py::TestBatchedSolver::test_a_degenerate_polynomial_scans_every_panel",),
     ),
     # the `modes` table ends at its first row whose window holds no root or several
     Mutant(

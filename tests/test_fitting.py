@@ -66,6 +66,10 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             mc.synthesize_noisy_spectrum(sys_, 0.0, F_GRID, noise_sigma=-0.1)
 
+    def test_complex_grid_rejected(self):
+        with pytest.raises(ValueError, match="^f_grid must be real$"):
+            mc.synthesize_noisy_spectrum(truth_system(), 0.0, F_GRID + 5e6j, noise_sigma=0.0)
+
     def test_other_observables(self):
         sys_ = truth_system()
         spec = mc.synthesize_noisy_spectrum(sys_, 0.0, F_GRID, observable="s31.kittel")

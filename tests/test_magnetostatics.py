@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from scipy.special import lpmv
 
 import magnoncavity as mc
-from magnoncavity import magnetostatics
+from magnoncavity import magnetostatics, walker_polynomial
 from magnoncavity.errors import DomainError
 from magnoncavity.magnetostatics import default_search_window, solve_walker_modes
 
@@ -332,18 +332,19 @@ class TestSolver:
             assert abs(mc.walker_characteristic(root, q, MAT)) < 1e-6
 
 
-def scalar_scan_reference(q, window, n_panels=64, f_tol=1.0):
+def scalar_scan_reference(q, window, n_panels=64, f_tol=1.0, material=MAT):
     """The Walker solve as one scalar loop: every panel edge through walker_characteristic.
 
     An edge where the residual is 0.0 is a root, and so is each root that
     scipy's brentq finds in a panel whose edges change sign strictly, if the
-    residual there is small. The batched solver must return exactly this
-    root, or raise exactly this error.
+    residual there is small. The batched solver, which scans only the panels
+    next to a root of the characteristic polynomial, must return exactly
+    this root, or raise exactly this error.
     """
-    lo, hi = default_search_window(q, MAT) if window is None else window
+    lo, hi = default_search_window(q, material) if window is None else window
 
     def residual(f):
-        return mc.walker_characteristic(f, q, MAT)
+        return mc.walker_characteristic(f, q, material)
 
     edges = [lo + (hi - lo) * k / n_panels for k in range(n_panels + 1)]
     values = [math.nan if isinstance(r, str) else r for r in (outcome(residual, f) for f in edges)]
@@ -503,6 +504,15 @@ def residual_arrays(draw):
     return material, i, j, B, np.array(draw(st.lists(probe, min_size=8, max_size=32)))
 
 
+def scan_every_panel(monkeypatch):
+    """Make the solver scan every panel edge of every window, as though a root were next to each."""
+
+    def every_edge(n, j, h, lows, highs, panels):
+        return np.divmod(np.arange(h.size * (panels + 1)), panels + 1)
+
+    monkeypatch.setattr(walker_polynomial, "scanned_edges", every_edge)
+
+
 def record_grid(monkeypatch, nan_at=()):
     """Record every (B_ext, f) point each call of the array residual evaluates, in a list of calls.
 
@@ -539,6 +549,54 @@ def residual_points(draw):
 # (2,2) at 0.367 T: the array residual is exactly 0.0 at the closed form,
 # which is the centre edge of its closed-form window
 EDGE_ROOT = mc.WalkerModeQuery(i=2, j=2, B_ext=0.367)
+
+
+@st.composite
+def walker_solves(draw):
+    """A material, an index pair (n <= 7, either sign of j), and one to four fields of it, each with its window.
+
+    mu0_Ms is drawn from 0.05 to 0.8 T and gamma_e from 20 to 35 GHz/T. A
+    field lies from mu0_Ms/6, below mu0_Ms/3 where the internal field is
+    negative, up to 1 T above mu0_Ms/3. A window is the default one, the
+    closed-form window of (n, |j|) where it has a closed form there, or a
+    narrow window 1e-6 to 0.03 gamma_e*mu0_Ms wide around that closed form
+    or a point of the default window. Returns (material, (n, j), fields,
+    windows), None for a default window.
+    """
+    material = mc.MaterialParams(mu0_Ms=draw(st.floats(0.05, 0.8)), gamma_e=draw(st.floats(20e9, 35e9)))
+    n = draw(st.integers(1, 7))
+    j = draw(st.integers(-n, n))
+    third = material.mu0_Ms / 3
+    fields = draw(st.lists(st.floats(third / 2, third + 1.0), min_size=1, max_size=4))
+    closed_map = magnetostatics.closed_form_map(n, abs(j))
+    windows = []
+    for B in fields:
+        kind = draw(st.sampled_from(["default", "closed", "narrow"]))
+        try:
+            closed = mc.mode_frequency(closed_map, B, material) if closed_map is not None else None
+            closed_window = magnetostatics.closed_form_window(closed, material) if closed is not None else None
+        except ValueError:  # no closed form at this field, or no window around it
+            closed = closed_window = None
+        if kind == "closed" and closed_window is not None:
+            windows.append(closed_window)
+        elif kind == "narrow":
+            lo, hi = default_search_window(mc.WalkerModeQuery(n, j, B), material)
+            centre = closed if closed is not None and draw(st.booleans()) else lo + (hi - lo) * draw(st.floats(0, 1))
+            half = material.gamma_e * material.mu0_Ms * 10.0 ** draw(st.floats(-6.3, -1.8))
+            windows.append((max(centre - half, 1.0), centre + half))
+        else:
+            windows.append(None)
+    return material, (n, j), fields, windows
+
+
+def table_solves(i, j, fields):
+    """The queries of (i, j) in a `modes` table of the default material over ``fields``, as walker_solves draws them."""
+    _, lo, hi, _ = magnetostatics._table_rows(i, j, np.array(fields), MAT)
+    return MAT, (i, j), fields, list(zip(lo.tolist(), hi.tolist()))
+
+
+# the fields of the `modes` table that CI runs as fails_at_row.yaml
+FAILS_AT_ROW = np.linspace(0.06, 0.3, 9).tolist()
 
 
 class TestBatchedSolver:
@@ -603,13 +661,11 @@ class TestBatchedSolver:
                 )
                 np.testing.assert_array_equal(part, whole[start : start + size])
 
-    @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize(
         "ij, narrow",
         [((2, 2), True), ((3, 1), False), ((2, -1), False), ((2, 0), True), ((1, 1), False), ((3, -2), True)],
     )
-    def test_roots_equal_the_scalar_scan_at_any_block_size(self, monkeypatch, block, ij, narrow):
-        monkeypatch.setattr(magnetostatics, "_SCAN_BLOCK", block)
+    def test_roots_equal_the_scalar_scan(self, ij, narrow):
         fields = np.linspace(0.25, 0.5, 7).tolist()
         queries = [mc.WalkerModeQuery(i=ij[0], j=ij[1], B_ext=B) for B in fields]
         half = 0.03 * F_M
@@ -620,22 +676,28 @@ class TestBatchedSolver:
         assert [outcome(solved.root, k) for k in range(len(queries))] == expected
         assert [outcome(mc.solve_walker_mode, q, MAT, w) for q, w in zip(queries, windows)] == expected
 
-    def test_counters_report_the_rejected_pole_crossing(self):
-        # the default window of (1,1) at 0.38 T holds the chi pole at gamma_e * B_internal
+    def test_counters_report_the_rejected_pole_crossing(self, monkeypatch):
+        # the default window of (1,1) at 0.38 T holds the chi pole at gamma_e * B_internal, far from its root
         q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.38)
         lo, hi = default_search_window(q, MAT)
         assert lo < MAT.gamma_e * mc.internal_field(0.38, MAT) < hi
         solved = solve_walker_modes([q], MAT, [None])
         assert solved.root(0) == scalar_scan_reference(q, None)
-        assert solved.brent_calls == 2  # two sign changes: the root and the pole crossing
-        assert solved.poles_rejected == 1
-        # the root sits near the window's centre edge, not on it
-        assert solved.edge_roots == 0
+        # only the root's panels are scanned: the pole crossing is not refined
+        assert (solved.edge_roots, solved.brent_calls, solved.poles_rejected) == (0, 1, 0)
+        # scanned, it changes sign and is refined, then rejected: the same root
+        scan_every_panel(monkeypatch)
+        solved = solve_walker_modes([q], MAT, [None])
+        assert solved.root(0) == scalar_scan_reference(q, None)
+        assert (solved.edge_roots, solved.brent_calls, solved.poles_rejected) == (0, 2, 1)
 
-    def test_counters_sum_over_queries(self):
+    def test_counters_sum_over_queries(self, monkeypatch):
         queries = [mc.WalkerModeQuery(i=1, j=1, B_ext=B) for B in (0.38, 0.38)]
         solved = solve_walker_modes(queries, MAT, [None, None])
         assert solved.outcomes == (solved.root(0), solved.root(0))
+        assert (solved.edge_roots, solved.brent_calls, solved.poles_rejected) == (0, 2, 0)
+        scan_every_panel(monkeypatch)
+        solved = solve_walker_modes(queries, MAT, [None, None])
         assert (solved.edge_roots, solved.brent_calls, solved.poles_rejected) == (0, 4, 2)
 
     def test_a_root_on_a_panel_edge_is_one_edge_root(self):
@@ -666,8 +728,13 @@ class TestBatchedSolver:
             solved = solve_walker_modes(queries, MAT, windows)
             points = [point for call in calls for point in call]
             assert len(calls) > 1 and len(set(points)) == len(points)
-            # the first call is the panel scan; every later one holds Brent's probes
-            assert len(calls[0]) == len(queries) * (magnetostatics._N_PANELS + 1)
+            # the first call is the panel scan, of some edges of each window; every later one holds Brent's probes
+            bounds = [w or default_search_window(q, MAT) for q, w in zip(queries, windows)]
+            edges = {
+                (q.B_ext, lo + (hi - lo) * k / magnetostatics._N_PANELS)
+                for q, (lo, hi) in zip(queries, bounds) for k in range(magnetostatics._N_PANELS + 1)
+            }
+            assert set(calls[0]) < edges
             assert solved.residual_evals == len(points) - len(calls[0])
             expected = [outcome(scalar_scan_reference, q, w) for q, w in zip(queries, windows)]
             assert [outcome(solved.root, k) for k in range(len(queries))] == expected
@@ -696,6 +763,7 @@ class TestBatchedSolver:
     def test_sign_changes_a_few_hertz_apart_in_adjacent_panels_are_two_roots(self, monkeypatch):
         # a residual |f - 1320| - 2.5 Hz on a window whose panel edges are 10 Hz apart: negative only at the
         # centre edge 1320 Hz, so each panel it bounds changes sign, at 1317.5 and 1322.5 Hz
+        scan_every_panel(monkeypatch)
         monkeypatch.setattr(
             magnetostatics, "_characteristic_grid",
             lambda f, B_ext, i, j, material: np.abs(np.broadcast_arrays(f, B_ext)[0] - 1320.0) - 2.5,
@@ -718,11 +786,9 @@ class TestBatchedSolver:
         with pytest.raises(DomainError, match=r"no root of the \(2,2\) characteristic equation"):
             solved.root(0)
 
-    @pytest.mark.parametrize("block", [256, 50])
-    def test_a_mixed_pair_solve_gives_the_one_pair_solves(self, monkeypatch, block):
+    def test_a_mixed_pair_solve_gives_the_one_pair_solves(self):
         # queries B-major, as `modes` passes them; the default windows hold roots, pairs of roots,
         # empty windows and pole crossings
-        monkeypatch.setattr(magnetostatics, "_SCAN_BLOCK", block)
         pairs = [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (2, 0), (3, 1), (2, -1)]
         queries = [mc.WalkerModeQuery(i, j, B) for B in np.linspace(0.3, 0.45, 201).tolist() for i, j in pairs]
         mixed = solve_walker_modes(queries, MAT, [None] * len(queries))
@@ -740,6 +806,53 @@ class TestBatchedSolver:
         assert kinds == {float, str}  # roots and errors both
         assert {name: getattr(mixed, name) for name in counters} == totals
         assert min(totals.values()) > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(walker_solves())
+    @example(table_solves(2, 2, [EDGE_ROOT.B_ext]))
+    @example(table_solves(2, 0, FAILS_AT_ROW))
+    @example(table_solves(3, 1, FAILS_AT_ROW))
+    @example(table_solves(4, 1, FAILS_AT_ROW))
+    def test_solve_equals_the_scalar_scan_of_every_panel(self, drawn):
+        # the same root bits, or the same error text, for n <= 7
+        material, (n, j), fields, windows = drawn
+        queries = [mc.WalkerModeQuery(n, j, B) for B in fields]
+        solved = solve_walker_modes(queries, material, windows)
+        expected = [outcome(scalar_scan_reference, q, w, 64, 1.0, material) for q, w in zip(queries, windows)]
+        got = [outcome(solved.root, k) for k in range(len(queries))]
+        assert [v.hex() if isinstance(v, float) else v for v in got] == [
+            v.hex() if isinstance(v, float) else v for v in expected
+        ]
+
+    def test_a_degenerate_polynomial_scans_every_panel(self, monkeypatch):
+        # below mu0_Ms/3 the internal field is negative: every edge of the window is scanned, and the (1,1) root
+        # there is the full scan's
+        q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.05)
+        calls = record_grid(monkeypatch)
+        solved = solve_walker_modes([q], MAT, [None])
+        assert len(calls[0]) == magnetostatics._N_PANELS + 1
+        assert solved.root(0) == scalar_scan_reference(q, None)
+
+    @pytest.mark.parametrize("ij", [(1, 1), (2, 0), (3, 1), (4, -2), (6, 0), (7, 3)])
+    def test_the_polynomial_is_the_residual_times_its_denominators(self, ij):
+        # poly(w) = R(w) h^(d+1) q(s) (h^2 - w^2) up to one constant, where s = 1 + (h^2 - w^2)/h = xi^2 > 0 and
+        # d^m P_n / dxi^m = xi^p q(xi^2), here from numpy's Legendre series
+        n, j = ij
+        m, p, d = abs(j), (n - abs(j)) % 2, (n - abs(j)) // 2
+        rng = np.random.default_rng(n * 10 + j)
+        h = rng.uniform(0.1, 3.0, 400)
+        w = rng.uniform(0.0, 0.95, 400) * np.sqrt(h * h + h)
+        s = 1 + (h * h - w * w) / h
+        q = np.polynomial.legendre.Legendre.basis(n).deriv(m)(np.sqrt(s)) / np.sqrt(s) ** p
+        B = h * F_M / MAT.gamma_e + MAT.mu0_Ms / 3
+        residual = magnetostatics._characteristic_grid(w * F_M, B, n, j, MAT)
+        terms = walker_polynomial.characteristic_polynomial(n, j, h)
+        poly = sum(c * (w * w if j == 0 else w) ** k for k, c in enumerate(terms))
+        ratio = poly / (residual * h ** (d + 1) * q * (h * h - w * w))
+        moderate = np.abs(residual) > 1e-3  # away from the roots, where the ratio is 0/0
+        assert moderate.sum() > 300
+        np.testing.assert_allclose(ratio[moderate], np.median(ratio[moderate]), rtol=1e-8)
+        assert len(terms) == (d + 2 if j == 0 else 2 * d + 3)
 
     def test_the_windows_must_match_the_queries_and_an_empty_call_finds_nothing(self):
         mixed = [mc.WalkerModeQuery(i=2, j=2, B_ext=0.38), mc.WalkerModeQuery(i=2, j=1, B_ext=0.38)]
@@ -924,6 +1037,7 @@ class TestBrent:
         fb = fa + (fb - fa) * 1.0 / 1  # the one edge of a one-panel window, as the scan forms it
         with pytest.MonkeyPatch.context() as patch:
             calls = record_grid(patch)
+            scan_every_panel(patch)  # a pole crossing too
             patch.setattr(magnetostatics, "_N_PANELS", 1)
             solved = solve_walker_modes([q], MAT, [(fa, fb)])
             probes = [f for call in calls[1:] for _, f in call]
@@ -982,11 +1096,11 @@ class TestBrent:
         assert isinstance(result, DomainError)
 
     def test_failed_refinement_is_a_rejected_candidate_not_a_root(self, monkeypatch):
-        # one Brent iteration cannot refine the (1,1) panel at 0.38 T to 1 Hz
+        # one Brent iteration cannot refine the (1,1) root's panel at 0.38 T to 1 Hz
         monkeypatch.setattr(magnetostatics, "_BRENT_MAXITER", 1)
         q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.38)
         solved = solve_walker_modes([q], MAT, [None])
-        assert (solved.brent_calls, solved.poles_rejected) == (2, 2)
+        assert (solved.brent_calls, solved.poles_rejected) == (1, 1)
         with pytest.raises(DomainError, match=r"no root of the \(1,1\) characteristic equation"):
             solved.root(0)
 

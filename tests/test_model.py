@@ -71,6 +71,17 @@ def test_the_one_field_calls_reject_a_non_finite_frequency(bad):
         mc.s21(f, kittel, 1e300)
 
 
+def test_the_one_field_calls_reject_a_complex_frequency():
+    # a float cast would keep 10.6 GHz of 10.6 GHz + 5 MHz j, and warn only
+    f = np.array([10.6e9 + 5e6j])
+    kittel = mc.HybridSystem(cavity=CAVITY, modes=(mc.MagnonMode(label="m", g=1e6, gamma=1e6),))
+    for call in (mc.amplitudes, mc.s21, mc.s11):
+        with pytest.raises(ValueError, match="^f must be real$"):
+            call(f, kittel, 0.38)
+    with pytest.raises(ValueError, match="^f must be real$"):
+        mc.s21(10.6e9 + 0j, kittel, 0.38)
+
+
 def test_the_kernel_chi_is_susceptibility_magnon():
     # one chi_m formula: the kernel's chi_m are susceptibility_magnon's bits, with or without buffers
     system = one_mode_system(28.6e6, 2.3e6, 10.632e9)

@@ -380,6 +380,9 @@ class TestSweepMap:
             ([0.3797, np.nan], [10.6e9, 10.7e9], "grids must be finite"),
             ([0.3797, 0.3818], [10.6e9, np.inf], "grids must be finite"),
             ([[0.3797, 0.3818]], [10.6e9, 10.7e9], "grids must be non-empty 1D arrays"),
+            # a float cast would drop the imaginary parts
+            ([0.3797, 0.3818 + 1e-3j], [10.6e9, 10.7e9], "^B_grid must be real$"),
+            ([0.3797, 0.3818], np.array([10.6e9, 10.7e9 + 5e6j]), "^f_grid must be real$"),
         ],
     )
     def test_bad_grids_are_rejected_before_any_kernel_work(self, B, f, message, monkeypatch):
@@ -646,6 +649,12 @@ def test_principal_phase_convention():
     assert mc.principal_phase(np.array([-1.0 + 0j]))[0] == np.pi  # fold -pi onto +pi
     assert mc.principal_phase(np.array([1.0 + 0j]))[0] == 0.0
     assert mc.principal_phase(np.array([-1j]))[0] == -np.pi / 2
+
+
+def test_complex_spectrum_rejects_complex_frequencies():
+    # a float cast would keep 1, 2 and 3 Hz and warn only
+    with pytest.raises(ValueError, match="^frequencies must be real$"):
+        mc.ComplexSpectrum(np.array([1.0, 2.0, 3.0]) + 1j, np.zeros(3, dtype=complex))
 
 
 def test_complex_spectrum_validation():
