@@ -484,7 +484,7 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
         f_x = np.empty(x.size)
         live_queries = query_of[live]
         live_pairs = pair_of[live_queries]
-        for pair in np.unique(live_pairs).tolist():
+        for pair in np.flatnonzero(np.bincount(live_pairs)).tolist():  # np.unique hashes: ten times slower here
             here = live_pairs == pair
             i, j = pairs[pair]
             f_x[here] = _characteristic_grid(x[here], fields[live_queries[here]], i, j, material)
