@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import walker_polynomial
 from .errors import DomainError
 from .model import FieldMap, MaterialParams
 
@@ -34,10 +33,22 @@ _ROOT_RESIDUAL_TOL = 1e-4
 # Probe frequencies with |gamma_e^2 B_i^2 - f^2| below this fraction of the
 # larger square are treated as the susceptibility pole itself.
 _POLE_GUARD = 1e-12
+# Queries of one index pair that :func:`_solve_walker_arrays` scans
+# together: bounds the scan's temporaries to _SCAN_BLOCK * (_N_PANELS + 1)
+# float64 values whatever the table size. Brent's state is not bounded by
+# it: it grows with the number of panels the whole solve selects. Of 128,
+# 256, 512 and 1024, 256 ran a 2001-field, six-pair table fastest (on a
+# 2-vCPU x86-64 VM).
+_SCAN_BLOCK = 256
 # Panels per search window, and the absolute tolerance (Hz) of Brent's
 # method.
 _N_PANELS = 64
 _F_TOL = 1.0
+# Half-width, in units of gamma_e*mu0_Ms, of the span around a root of the
+# characteristic polynomial whose panels are scanned: far above the
+# distance between that root and the float residual's sign change, since a
+# spare panel costs one or two residual evaluations and a missed one a root.
+_ROOT_SLACK = 1e-6
 # Lowest edge (Hz) of a search window. The (2,0) residual has no j*chi2
 # term and is even in f, so a window reaching below zero can hold the
 # mirror root -f of a positive one.
@@ -278,8 +289,9 @@ class WalkerSolutions:
 
     ``outcomes`` holds, per query in order, its root in Hz or the
     DomainError that solving it alone raises. The counters sum over the
-    queries, and count only the panels the solve scans, those next to a
-    root of the characteristic polynomial: scanned panel edges whose
+    queries, and count only the panels the solve scans: those next to a
+    root of the characteristic polynomial, or every panel of a query whose
+    polynomial's roots are not known. They are scanned panel edges whose
     residual is exactly zero (each one a root), Brent refinements run (one
     per scanned panel whose edge residuals change sign strictly), candidates
     rejected as pole crossings (a residual above the root tolerance, or a
@@ -430,51 +442,101 @@ def solve_walker_modes(
     return WalkerSolutions(outcomes=tuple(outcomes), **counts)
 
 
+def _walker_roots(i: int, j: int, h):
+    """The real roots of the (i, j) residual multiplied through by its denominators, at each internal field ``h``.
+
+    Frequencies and ``h`` are in units of gamma_e*mu0_Ms. With s = xi0^2 and
+    d^|j| P_i / dxi^|j| = xi^p q(xi^2), the residual times h^(d+1) q(s)
+    (h^2 - f^2), d the degree of q, is a polynomial in f (Walker 1957),
+    a quadratic in f where i - |j| is 0 or 1 and j != 0, and in f^2 where
+    j = 0 and i is 2 or 3. Those quadratics factor into (f - sigma (h +
+    |j|/(2i + 1))) (f + sigma h), sigma the sign of j, and (f^2 - h^2)
+    (f^2 - h^2 - 4h/(2i + 1)): the closed forms of ``FieldMap("walker")``
+    and msm20, and that of (3, 0). Returns one column per root, or a single
+    NaN in a row where h is not positive and in every row of any other pair.
+    """
+    with np.errstate(invalid="ignore"):
+        if j and i - abs(j) <= 1:
+            sigma = math.copysign(1.0, j)
+            roots = [sigma * (h + abs(j) / (2 * i + 1)), -sigma * h]
+        elif not j and i in (2, 3):
+            mode = np.sqrt(h * h + 4 * h / (2 * i + 1))
+            roots = [h, -h, mode, -mode]
+        else:
+            return np.full((h.size, 1), math.nan)
+    return np.where(h[:, None] > 0, np.stack(roots, axis=1), math.nan)
+
+
 def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: MaterialParams):
     """The array core of :func:`solve_walker_modes`: the queries as arrays of pair numbers, fields and windows.
 
     Query k is the index pair ``pairs[pair_of[k]]`` at the bias field
     ``fields[k]``, searched in the finite window (``lows[k]``, ``highs[k]``)
     with lo < hi; error texts are built from these arrays. Each window is
-    split into ``_N_PANELS`` panels. The residual is evaluated, in one array
-    call per index pair and at each edge once, at the edges of the panels
-    next to a real root of the pair's characteristic polynomial, found for
-    all of its fields at once (:func:`walker_polynomial.scanned_edges`), or
-    at every edge where that polynomial is degenerate. Any other panel
-    holds no root, at most a pole crossing. An edge where the residual is
-    exactly zero is a root. Every panel of two scanned edges whose residuals
-    change sign strictly is refined from them to ``_F_TOL`` by one lock-step
-    Brent search over the selected panels of the whole call
-    (:func:`_lockstep_brent`), whose rounds evaluate their probes in one
-    array call per index pair that still has live probes. A refined root is
-    kept only if the residual there is small, which weeds out sign flips
-    across poles of the residual (the chi pole and zeros of P_i^j). So the
-    roots, their counts and the error texts are those of a scan of every
-    panel edge. Returns (roots, counts of roots, error, counters):
+    split into ``_N_PANELS`` panels. The queries of each index pair are
+    scanned in blocks of ``_SCAN_BLOCK``: the residual is evaluated in one
+    array call per block, at each edge once, at the edges of the panels
+    within ``_ROOT_SLACK`` of a real root of the pair's characteristic
+    polynomial (:func:`_walker_roots`) and of the panel on either side of
+    them, and at every edge of a row whose roots are not known: a pair
+    whose polynomial is not a quadratic, or a field with h <= 0. Any other
+    panel holds no root, at most a pole crossing. An edge where the
+    residual is exactly zero is a root. Every panel of two scanned edges
+    whose residuals change sign strictly is refined from them to ``_F_TOL``
+    by one lock-step Brent search over the selected panels of the whole
+    call (:func:`_lockstep_brent`), whose rounds evaluate their probes in
+    one array call per index pair that still has live probes. A refined
+    root is kept only if the residual there is small, which weeds out sign
+    flips across poles of the residual (the chi pole and zeros of P_i^j).
+    So the roots, their counts and the error texts are those of a scan of
+    every panel edge. Returns (roots, counts of roots, error, counters):
     per query in order, its root (unspecified unless it has exactly one)
     and its number of roots; the function ``error(k)`` that builds the
     DomainError of a query k with no root or several; and the
     :class:`WalkerSolutions` counters.
     """
-    widths, f_M = highs - lows, material.gamma_e * material.mu0_Ms
-    # the internal fields and the windows in units of gamma_e*mu0_Ms
-    h, unit_lows, unit_highs = material.gamma_e * internal_field(fields, material) / f_M, lows / f_M, highs / f_M
-    # per index pair: its zero edges, and its selected panels with their edge residuals, each with its query (empty
-    # first entries, so that a call without queries concatenates to empty arrays)
+    steps, widths, f_M = np.arange(_N_PANELS + 1, dtype=float), highs - lows, material.gamma_e * material.mu0_Ms
+    h = material.gamma_e * internal_field(fields, material) / f_M
+    # per block, in pair then query order: its zero edges, and its selected panels with their edge residuals, each
+    # with its query (empty first entries, so that a call without queries concatenates to empty arrays)
     zeros: list[tuple] = [(np.empty(0, dtype=int), np.empty(0))]
     selected: list[tuple] = [(np.empty(0, dtype=int),) + (np.empty(0),) * 4]
     for pair, (i, j) in enumerate(pairs):
         members = np.flatnonzero(pair_of == pair)
-        rows, at = walker_polynomial.scanned_edges(i, j, h[members], unit_lows[members], unit_highs[members], _N_PANELS)
-        query = members[rows]
-        # the scalar edges lo + (hi - lo) * k / _N_PANELS, bit for bit
-        edges = lows[query] + widths[query] * at / _N_PANELS
-        values = _characteristic_grid(edges, fields[query], i, j, material)
-        zero = values == 0
-        zeros.append((query[zero], edges[zero]))
-        signs = np.sign(values)  # NaN edges select nothing
-        panels = np.flatnonzero((at[1:] == at[:-1] + 1) & (query[1:] == query[:-1]) & (signs[:-1] * signs[1:] < 0))
-        selected.append((query[panels], edges[panels], edges[panels + 1], values[panels], values[panels + 1]))
+        for start in range(0, members.size, _SCAN_BLOCK):
+            block = members[start : start + _SCAN_BLOCK]
+            # each root's place and slack in panels from lo, and the first and the last edge of the panels within
+            # the slack of it and of the panel on either side, clipped to the window
+            scale = _N_PANELS / widths[block, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                place = (_walker_roots(i, j, h[block]) * f_M - lows[block, None]) * scale
+                slack = _ROOT_SLACK * f_M * scale
+                first, last = np.floor(place - slack) - 1, np.floor(place + slack) + 2
+                first, last = np.maximum(first, 0), np.minimum(last, _N_PANELS)
+                # a row with a root that is NaN or out of range takes every edge, as its first root's span
+                unknown = ~np.isfinite(first + last).all(axis=1)
+            if unknown.all():  # every edge of every row, evaluated as a grid, without gathering
+                # the scalar edges lo + (hi - lo) * k / _N_PANELS, bit for bit
+                edges = lows[block, None] + widths[block, None] * steps / _N_PANELS
+                values = _characteristic_grid(edges, fields[block, None], i, j, material).ravel()
+                rows, at = np.divmod(np.arange(edges.size), _N_PANELS + 1)
+                query, edges = block[rows], edges.ravel()
+            else:
+                first[unknown], last[unknown] = 0, -1
+                first[unknown, 0], last[unknown, 0] = 0, _N_PANELS
+                # the spans' edges, numbered row * (_N_PANELS + 1) + edge, each once
+                lengths = np.maximum(last - first + 1, 0).astype(int).ravel()
+                starts = (first + np.arange(block.size)[:, None] * (_N_PANELS + 1)).astype(int).ravel()
+                numbers = np.sort(np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths))
+                rows, at = np.divmod(numbers[np.diff(numbers, prepend=-1) > 0], _N_PANELS + 1)
+                query = block[rows]
+                edges = lows[query] + widths[query] * at / _N_PANELS  # the same bits
+                values = _characteristic_grid(edges, fields[query], i, j, material)
+            zero = values == 0
+            zeros.append((query[zero], edges[zero]))
+            signs = np.sign(values)  # NaN edges select nothing
+            panels = np.flatnonzero((at[1:] == at[:-1] + 1) & (rows[1:] == rows[:-1]) & (signs[:-1] * signs[1:] < 0))
+            selected.append((query[panels], edges[panels], edges[panels + 1], values[panels], values[panels + 1]))
     zero_query, zero_edge = (np.concatenate(column) for column in zip(*zeros))
     query_of, xa, xb, fa, fb = (np.concatenate(column) for column in zip(*selected))
     counts = Counter(edge_roots=zero_query.size, brent_calls=query_of.size)

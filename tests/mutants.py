@@ -120,17 +120,17 @@ MUTANTS = [
         "zeros.append((query[zero], edges[zero]))", "pass",
         ("test_magnetostatics.py::TestBatchedSolver::test_a_root_on_a_panel_edge_is_one_edge_root",),
     ),
-    # the scanned panels: those next to each root of the characteristic polynomial, or all of a degenerate row's
+    # the scanned panels: those next to each root of the characteristic polynomial, or all of a row without known roots
     Mutant(
-        "only a root's own panel scanned", "walker_polynomial.py",
-        "first, last = np.floor(at - slack) - 1, np.floor(at + slack) + 2",
-        "first, last = np.floor(at), np.floor(at) + 1",
-        ("test_magnetostatics.py::TestBatchedSolver::test_solve_equals_the_scalar_scan_of_every_panel",),
+        "only a root's own panel scanned", "magnetostatics.py",
+        "first, last = np.floor(place - slack) - 1, np.floor(place + slack) + 2",
+        "first, last = np.floor(place), np.floor(place) + 1",
+        ("test_magnetostatics.py::TestBatchedSolver::test_a_root_up_to_a_panel_from_its_polynomial_root_is_found",),
     ),
     Mutant(
-        "a degenerate row scanned like any other", "walker_polynomial.py",
-        "first[degenerate, 0], last[degenerate, 0] = 0, panels", "pass",
-        ("test_magnetostatics.py::TestBatchedSolver::test_a_degenerate_polynomial_scans_every_panel",),
+        "a row without known roots scanned like any other", "magnetostatics.py",
+        "first[unknown, 0], last[unknown, 0] = 0, _N_PANELS", "pass",
+        ("test_magnetostatics.py::TestBatchedSolver::test_a_row_without_known_roots_scans_every_panel",),
     ),
     # the `modes` table ends at its first row whose window holds no root or several
     Mutant(

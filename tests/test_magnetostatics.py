@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from scipy.special import lpmv
 
 import magnoncavity as mc
-from magnoncavity import magnetostatics, walker_polynomial
+from magnoncavity import magnetostatics
 from magnoncavity.errors import DomainError
 from magnoncavity.magnetostatics import default_search_window, solve_walker_modes
 
@@ -507,10 +507,7 @@ def residual_arrays(draw):
 def scan_every_panel(monkeypatch):
     """Make the solver scan every panel edge of every window, as though a root were next to each."""
 
-    def every_edge(n, j, h, lows, highs, panels):
-        return np.divmod(np.arange(h.size * (panels + 1)), panels + 1)
-
-    monkeypatch.setattr(walker_polynomial, "scanned_edges", every_edge)
+    monkeypatch.setattr(magnetostatics, "_walker_roots", lambda i, j, h: np.full((h.size, 1), math.nan))
 
 
 def record_grid(monkeypatch, nan_at=()):
@@ -661,11 +658,13 @@ class TestBatchedSolver:
                 )
                 np.testing.assert_array_equal(part, whole[start : start + size])
 
+    @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize(
         "ij, narrow",
         [((2, 2), True), ((3, 1), False), ((2, -1), False), ((2, 0), True), ((1, 1), False), ((3, -2), True)],
     )
-    def test_roots_equal_the_scalar_scan(self, ij, narrow):
+    def test_roots_equal_the_scalar_scan_at_any_block_size(self, monkeypatch, block, ij, narrow):
+        monkeypatch.setattr(magnetostatics, "_SCAN_BLOCK", block)
         fields = np.linspace(0.25, 0.5, 7).tolist()
         queries = [mc.WalkerModeQuery(i=ij[0], j=ij[1], B_ext=B) for B in fields]
         half = 0.03 * F_M
@@ -728,13 +727,14 @@ class TestBatchedSolver:
             solved = solve_walker_modes(queries, MAT, windows)
             points = [point for call in calls for point in call]
             assert len(calls) > 1 and len(set(points)) == len(points)
-            # the first call is the panel scan, of some edges of each window; every later one holds Brent's probes
+            # the first call is the panel scan, of some edges of each window where the pair's polynomial is a
+            # quadratic and of all of them where it is not; every later one holds Brent's probes
             bounds = [w or default_search_window(q, MAT) for q, w in zip(queries, windows)]
             edges = {
                 (q.B_ext, lo + (hi - lo) * k / magnetostatics._N_PANELS)
                 for q, (lo, hi) in zip(queries, bounds) for k in range(magnetostatics._N_PANELS + 1)
             }
-            assert set(calls[0]) < edges
+            assert set(calls[0]) < edges if ij not in [(3, 1), (4, 1)] else set(calls[0]) == edges
             assert solved.residual_evals == len(points) - len(calls[0])
             expected = [outcome(scalar_scan_reference, q, w) for q, w in zip(queries, windows)]
             assert [outcome(solved.root, k) for k in range(len(queries))] == expected
@@ -786,9 +786,11 @@ class TestBatchedSolver:
         with pytest.raises(DomainError, match=r"no root of the \(2,2\) characteristic equation"):
             solved.root(0)
 
-    def test_a_mixed_pair_solve_gives_the_one_pair_solves(self):
+    @pytest.mark.parametrize("block", [256, 50])
+    def test_a_mixed_pair_solve_gives_the_one_pair_solves(self, monkeypatch, block):
         # queries B-major, as `modes` passes them; the default windows hold roots, pairs of roots,
         # empty windows and pole crossings
+        monkeypatch.setattr(magnetostatics, "_SCAN_BLOCK", block)
         pairs = [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (2, 0), (3, 1), (2, -1)]
         queries = [mc.WalkerModeQuery(i, j, B) for B in np.linspace(0.3, 0.45, 201).tolist() for i, j in pairs]
         mixed = solve_walker_modes(queries, MAT, [None] * len(queries))
@@ -824,19 +826,37 @@ class TestBatchedSolver:
             v.hex() if isinstance(v, float) else v for v in expected
         ]
 
-    def test_a_degenerate_polynomial_scans_every_panel(self, monkeypatch):
-        # below mu0_Ms/3 the internal field is negative: every edge of the window is scanned, and the (1,1) root
-        # there is the full scan's
-        q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.05)
+    @pytest.mark.parametrize(
+        "ij, fields", [((1, 1), [0.05]), ((1, 1), [0.45, 0.05]), ((1, 0), [0.38]), ((3, 1), [0.38]), ((6, 0), [0.38])],
+    )
+    def test_a_row_without_known_roots_scans_every_panel(self, monkeypatch, ij, fields):
+        # below mu0_Ms/3 the internal field is negative, alone or next to a row whose roots are known, and the
+        # other three pairs' polynomials are not quadratics: every edge of the window at the last field is scanned,
+        # and the roots or the errors are the full scan's
+        queries = [mc.WalkerModeQuery(*ij, B_ext=B) for B in fields]
         calls = record_grid(monkeypatch)
-        solved = solve_walker_modes([q], MAT, [None])
-        assert len(calls[0]) == magnetostatics._N_PANELS + 1
-        assert solved.root(0) == scalar_scan_reference(q, None)
+        solved = solve_walker_modes(queries, MAT, [None] * len(queries))
+        lo, hi = default_search_window(queries[-1], MAT)
+        n = magnetostatics._N_PANELS
+        edges = {(fields[-1], lo + (hi - lo) * k / n) for k in range(n + 1)}
+        assert edges <= set(calls[0])
+        expected = [outcome(scalar_scan_reference, q, None) for q in queries]
+        assert [outcome(solved.root, k) for k in range(len(queries))] == expected
 
-    @pytest.mark.parametrize("ij", [(1, 1), (2, 0), (3, 1), (4, -2), (6, 0), (7, 3)])
-    def test_the_polynomial_is_the_residual_times_its_denominators(self, ij):
-        # poly(w) = R(w) h^(d+1) q(s) (h^2 - w^2) up to one constant, where s = 1 + (h^2 - w^2)/h = xi^2 > 0 and
-        # d^m P_n / dxi^m = xi^p q(xi^2), here from numpy's Legendre series
+    @pytest.mark.parametrize("shift", [-0.99, 0.99])
+    def test_a_root_up_to_a_panel_from_its_polynomial_root_is_found(self, monkeypatch, shift):
+        # the panels on either side of a root's are scanned too, for a float residual whose sign change is not in
+        # the exact root's panel: here every root is moved by 0.99 of the default window's panel width
+        q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.45)
+        roots = magnetostatics._walker_roots
+        panel = 2 * magnetostatics._DEFAULT_HALF_WIDTH / magnetostatics._N_PANELS  # in units of gamma_e*mu0_Ms
+        monkeypatch.setattr(magnetostatics, "_walker_roots", lambda i, j, h: roots(i, j, h) + shift * panel)
+        assert solve_walker_modes([q], MAT, [None]).root(0) == scalar_scan_reference(q, None)
+
+    @pytest.mark.parametrize("ij", [(1, 1), (1, -1), (2, 1), (3, -2), (7, 7), (2, 0), (3, 0)])
+    def test_the_roots_are_those_of_the_residual_times_its_denominators(self, ij):
+        # h prod(w - root) = R(w) h^(d+1) q(s) (h^2 - w^2) up to one constant, where s = 1 + (h^2 - w^2)/h = xi^2 > 0
+        # and d^m P_n / dxi^m = xi^p q(xi^2), here from numpy's Legendre series
         n, j = ij
         m, p, d = abs(j), (n - abs(j)) % 2, (n - abs(j)) // 2
         rng = np.random.default_rng(n * 10 + j)
@@ -846,13 +866,12 @@ class TestBatchedSolver:
         q = np.polynomial.legendre.Legendre.basis(n).deriv(m)(np.sqrt(s)) / np.sqrt(s) ** p
         B = h * F_M / MAT.gamma_e + MAT.mu0_Ms / 3
         residual = magnetostatics._characteristic_grid(w * F_M, B, n, j, MAT)
-        terms = walker_polynomial.characteristic_polynomial(n, j, h)
-        poly = sum(c * (w * w if j == 0 else w) ** k for k, c in enumerate(terms))
-        ratio = poly / (residual * h ** (d + 1) * q * (h * h - w * w))
+        roots = magnetostatics._walker_roots(n, j, h)
+        ratio = h * np.prod(w[:, None] - roots, axis=1) / (residual * h ** (d + 1) * q * (h * h - w * w))
         moderate = np.abs(residual) > 1e-3  # away from the roots, where the ratio is 0/0
         assert moderate.sum() > 300
         np.testing.assert_allclose(ratio[moderate], np.median(ratio[moderate]), rtol=1e-8)
-        assert len(terms) == (d + 2 if j == 0 else 2 * d + 3)
+        assert roots.shape == (h.size, 4 if j == 0 else 2)
 
     def test_the_windows_must_match_the_queries_and_an_empty_call_finds_nothing(self):
         mixed = [mc.WalkerModeQuery(i=2, j=2, B_ext=0.38), mc.WalkerModeQuery(i=2, j=1, B_ext=0.38)]
