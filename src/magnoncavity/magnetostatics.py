@@ -101,8 +101,10 @@ def _positive(B_ext) -> _Rule:
 
 
 def _index_rules(i: int, j: int, shape) -> list[_Rule]:
-    """The rules of the indices of a Walker mode (i, j), the same at each element: i >= 1, then -i <= j <= i."""
+    """The rules of the indices of a Walker mode (i, j), the same at each element: integers, i >= 1, -i <= j <= i."""
     return [
+        _Rule(np.full(shape, isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))), ValueError,
+              lambda k: f"mode indices must be integers, got ({i}, {j})"),
         _Rule(np.full(shape, i >= 1), ValueError, lambda k: f"mode index i must be >= 1, got ({i}, {j})"),
         _Rule(np.full(shape, -i <= j <= i), ValueError,
               lambda k: f"mode index j must satisfy -i <= j <= i, got ({i}, {j})"),
@@ -110,7 +112,7 @@ def _index_rules(i: int, j: int, shape) -> list[_Rule]:
 
 
 def check_mode_indices(i: int, j: int) -> None:
-    """Raise ValueError unless (i, j) indexes a Walker mode: i >= 1 and -i <= j <= i."""
+    """Raise ValueError unless (i, j) indexes a Walker mode: integers with i >= 1 and -i <= j <= i."""
     _check(_index_rules(i, j, 1))
 
 
@@ -289,14 +291,14 @@ class WalkerSolutions:
 
     ``outcomes`` holds, per query in order, its root in Hz or the
     DomainError that solving it alone raises. The counters sum over the
-    queries, and count only the panels the solve scans: those next to a
-    root of the characteristic polynomial, or every panel of a query whose
-    polynomial's roots are not known. They are scanned panel edges whose
+    queries, and count only the panels the solve scans: those next to the
+    root of the characteristic polynomial that the window can hold, or every
+    panel of a query where it is not known. They are scanned panel edges whose
     residual is exactly zero (each one a root), Brent refinements run (one
     per scanned panel whose edge residuals change sign strictly), candidates
     rejected as pole crossings (a residual above the root tolerance, or a
     refinement that met a NaN residual or did not converge), and Brent's
-    probes evaluated. A pole crossing far from every root is not counted.
+    probes evaluated. A pole crossing far from that root is not counted.
     """
 
     outcomes: tuple[float | DomainError, ...]
@@ -442,8 +444,8 @@ def solve_walker_modes(
     return WalkerSolutions(outcomes=tuple(outcomes), **counts)
 
 
-def _walker_roots(i: int, j: int, h):
-    """The real roots of the (i, j) residual multiplied through by its denominators, at each internal field ``h``.
+def _walker_root(i: int, j: int, h):
+    """The one root of the (i, j) residual that a search window can hold, at each internal field ``h``.
 
     Frequencies and ``h`` are in units of gamma_e*mu0_Ms. With s = xi0^2 and
     d^|j| P_i / dxi^|j| = xi^p q(xi^2), the residual times h^(d+1) q(s)
@@ -451,20 +453,21 @@ def _walker_roots(i: int, j: int, h):
     a quadratic in f where i - |j| is 0 or 1 and j != 0, and in f^2 where
     j = 0 and i is 2 or 3. Those quadratics factor into (f - sigma (h +
     |j|/(2i + 1))) (f + sigma h), sigma the sign of j, and (f^2 - h^2)
-    (f^2 - h^2 - 4h/(2i + 1)): the closed forms of ``FieldMap("walker")``
-    and msm20, and that of (3, 0). Returns one column per root, or a single
-    NaN in a row where h is not positive and in every row of any other pair.
+    (f^2 - h^2 - 4h/(2i + 1)). Their other roots are negative, or the chi
+    pole f = h that the factor (h^2 - f^2) brings in, never a root of the
+    residual. Returns sigma (h + |j|/(2i + 1)), negative for j < 0, and
+    sqrt(h^2 + 4h/(2i + 1)): the closed forms of ``FieldMap("walker")``
+    and msm20, and that of (3, 0). It is NaN where h is not positive and
+    at every field of any other pair.
     """
-    with np.errstate(invalid="ignore"):
-        if j and i - abs(j) <= 1:
-            sigma = math.copysign(1.0, j)
-            roots = [sigma * (h + abs(j) / (2 * i + 1)), -sigma * h]
-        elif not j and i in (2, 3):
-            mode = np.sqrt(h * h + 4 * h / (2 * i + 1))
-            roots = [h, -h, mode, -mode]
-        else:
-            return np.full((h.size, 1), math.nan)
-    return np.where(h[:, None] > 0, np.stack(roots, axis=1), math.nan)
+    if j and i - abs(j) <= 1:
+        root = math.copysign(1.0, j) * (h + abs(j) / (2 * i + 1))
+    elif not j and i in (2, 3):
+        with np.errstate(invalid="ignore"):
+            root = np.sqrt(h * h + 4 * h / (2 * i + 1))
+    else:
+        return np.full(h.size, math.nan)
+    return np.where(h > 0, root, math.nan)
 
 
 def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: MaterialParams):
@@ -475,13 +478,15 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
     with lo < hi; error texts are built from these arrays. Each window is
     split into ``_N_PANELS`` panels. The queries of each index pair are
     scanned in blocks of ``_SCAN_BLOCK``: the residual is evaluated in one
-    array call per block, at each edge once, at the edges of the panels
-    within ``_ROOT_SLACK`` of a real root of the pair's characteristic
-    polynomial (:func:`_walker_roots`) and of the panel on either side of
-    them, and at every edge of a row whose roots are not known: a pair
-    whose polynomial is not a quadratic, or a field with h <= 0. Any other
-    panel holds no root, at most a pole crossing. An edge where the
-    residual is exactly zero is a root. Every panel of two scanned edges
+    array call per block, on one span of edges per query, each edge once.
+    The span is that of the panels within ``_ROOT_SLACK`` of the one root
+    of the pair's characteristic polynomial that a window can hold
+    (:func:`_walker_root`) and of the panel on either side of them, clipped
+    to the window, so empty where that root lies outside it; and every edge
+    of a query whose root is not known: a pair whose polynomial is not a
+    quadratic, or a field with h <= 0. Any other panel holds no root, at
+    most a pole crossing. An edge where the residual is exactly zero is a
+    root. Every panel of two scanned edges
     whose residuals change sign strictly is refined from them to ``_F_TOL``
     by one lock-step Brent search over the selected panels of the whole
     call (:func:`_lockstep_brent`), whose rounds evaluate their probes in
@@ -495,7 +500,7 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
     DomainError of a query k with no root or several; and the
     :class:`WalkerSolutions` counters.
     """
-    steps, widths, f_M = np.arange(_N_PANELS + 1, dtype=float), highs - lows, material.gamma_e * material.mu0_Ms
+    widths, f_M = highs - lows, material.gamma_e * material.mu0_Ms
     h = material.gamma_e * internal_field(fields, material) / f_M
     # per block, in pair then query order: its zero edges, and its selected panels with their edge residuals, each
     # with its query (empty first entries, so that a call without queries concatenates to empty arrays)
@@ -505,37 +510,28 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
         members = np.flatnonzero(pair_of == pair)
         for start in range(0, members.size, _SCAN_BLOCK):
             block = members[start : start + _SCAN_BLOCK]
-            # each root's place and slack in panels from lo, and the first and the last edge of the panels within
+            # the root's place and slack in panels from lo, and the first and the last edge of the panels within
             # the slack of it and of the panel on either side, clipped to the window
-            scale = _N_PANELS / widths[block, None]
+            scale = _N_PANELS / widths[block]
             with np.errstate(over="ignore", invalid="ignore"):
-                place = (_walker_roots(i, j, h[block]) * f_M - lows[block, None]) * scale
+                place = (_walker_root(i, j, h[block]) * f_M - lows[block]) * scale
                 slack = _ROOT_SLACK * f_M * scale
                 first, last = np.floor(place - slack) - 1, np.floor(place + slack) + 2
                 first, last = np.maximum(first, 0), np.minimum(last, _N_PANELS)
-                # a row with a root that is NaN or out of range takes every edge, as its first root's span
-                unknown = ~np.isfinite(first + last).all(axis=1)
-            if unknown.all():  # every edge of every row, evaluated as a grid, without gathering
-                # the scalar edges lo + (hi - lo) * k / _N_PANELS, bit for bit
-                edges = lows[block, None] + widths[block, None] * steps / _N_PANELS
-                values = _characteristic_grid(edges, fields[block, None], i, j, material).ravel()
-                rows, at = np.divmod(np.arange(edges.size), _N_PANELS + 1)
-                query, edges = block[rows], edges.ravel()
-            else:
-                first[unknown], last[unknown] = 0, -1
-                first[unknown, 0], last[unknown, 0] = 0, _N_PANELS
-                # the spans' edges, numbered row * (_N_PANELS + 1) + edge, each once
-                lengths = np.maximum(last - first + 1, 0).astype(int).ravel()
-                starts = (first + np.arange(block.size)[:, None] * (_N_PANELS + 1)).astype(int).ravel()
-                numbers = np.sort(np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths))
-                rows, at = np.divmod(numbers[np.diff(numbers, prepend=-1) > 0], _N_PANELS + 1)
-                query = block[rows]
-                edges = lows[query] + widths[query] * at / _N_PANELS  # the same bits
-                values = _characteristic_grid(edges, fields[query], i, j, material)
+                # a row whose root is NaN or out of range takes every edge
+                unknown = ~np.isfinite(first + last)
+            first[unknown], last[unknown] = 0, _N_PANELS
+            # each row's span of edges, in row then edge order: the row, and the edges first, first + 1, ..., last
+            lengths = np.maximum(last - first + 1, 0).astype(int)
+            rows = np.repeat(np.arange(block.size), lengths)
+            at = np.arange(rows.size) - (np.cumsum(lengths) - lengths - first.astype(int))[rows]
+            query = block[rows]
+            edges = lows[query] + widths[query] * at / _N_PANELS  # the scalar edges lo + (hi - lo) * k / _N_PANELS
+            values = _characteristic_grid(edges, fields[query], i, j, material)
             zero = values == 0
             zeros.append((query[zero], edges[zero]))
             signs = np.sign(values)  # NaN edges select nothing
-            panels = np.flatnonzero((at[1:] == at[:-1] + 1) & (rows[1:] == rows[:-1]) & (signs[:-1] * signs[1:] < 0))
+            panels = np.flatnonzero((rows[1:] == rows[:-1]) & (signs[:-1] * signs[1:] < 0))
             selected.append((query[panels], edges[panels], edges[panels + 1], values[panels], values[panels + 1]))
     zero_query, zero_edge = (np.concatenate(column) for column in zip(*zeros))
     query_of, xa, xb, fa, fb = (np.concatenate(column) for column in zip(*selected))

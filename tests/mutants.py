@@ -120,7 +120,8 @@ MUTANTS = [
         "zeros.append((query[zero], edges[zero]))", "pass",
         ("test_magnetostatics.py::TestBatchedSolver::test_a_root_on_a_panel_edge_is_one_edge_root",),
     ),
-    # the scanned panels: those next to each root of the characteristic polynomial, or all of a row without known roots
+    # the scanned panels: those next to the root of the characteristic polynomial that a window can hold, or all of a
+    # row where it is not known
     Mutant(
         "only a root's own panel scanned", "magnetostatics.py",
         "first, last = np.floor(place - slack) - 1, np.floor(place + slack) + 2",
@@ -129,8 +130,12 @@ MUTANTS = [
     ),
     Mutant(
         "a row without known roots scanned like any other", "magnetostatics.py",
-        "first[unknown, 0], last[unknown, 0] = 0, _N_PANELS", "pass",
+        "first[unknown], last[unknown] = 0, _N_PANELS", "first[unknown], last[unknown] = 0, -1",
         ("test_magnetostatics.py::TestBatchedSolver::test_a_row_without_known_roots_scans_every_panel",),
+    ),
+    Mutant(
+        "the j = 0 root at the chi pole", "magnetostatics.py", "np.sqrt(h * h + 4 * h / (2 * i + 1))", "h",
+        ("test_magnetostatics.py::TestSolver::test_matches_mode20_closed_form",),
     ),
     # the `modes` table ends at its first row whose window holds no root or several
     Mutant(

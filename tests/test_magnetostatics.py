@@ -507,7 +507,7 @@ def residual_arrays(draw):
 def scan_every_panel(monkeypatch):
     """Make the solver scan every panel edge of every window, as though a root were next to each."""
 
-    monkeypatch.setattr(magnetostatics, "_walker_roots", lambda i, j, h: np.full((h.size, 1), math.nan))
+    monkeypatch.setattr(magnetostatics, "_walker_root", lambda i, j, h: np.full(h.size, math.nan))
 
 
 def record_grid(monkeypatch, nan_at=()):
@@ -843,20 +843,42 @@ class TestBatchedSolver:
         expected = [outcome(scalar_scan_reference, q, None) for q in queries]
         assert [outcome(solved.root, k) for k in range(len(queries))] == expected
 
+    def test_only_the_root_a_window_can_hold_is_scanned(self, monkeypatch):
+        calls = record_grid(monkeypatch)
+        # (1,-1) at 0.38 T: the root is negative and the default window holds the chi pole, which is not scanned;
+        # the outcome is still the full scan's
+        q = mc.WalkerModeQuery(i=1, j=-1, B_ext=0.38)
+        lo, hi = default_search_window(q, MAT)
+        assert lo < MAT.gamma_e * mc.internal_field(q.B_ext, MAT) < hi
+        solved = solve_walker_modes([q], MAT, [None])
+        assert [point for call in calls for point in call] == []
+        with pytest.raises(DomainError, match=r"no root of the \(1,-1\) characteristic equation") as raised:
+            solved.root(0)
+        assert outcome(scalar_scan_reference, q, None) == str(raised.value)
+        # (3,0): only the edges within two panels of its root, not those next to the chi pole
+        q = mc.WalkerModeQuery(i=3, j=0, B_ext=0.38)
+        calls.clear()
+        root = solve_walker_modes([q], MAT, [None]).root(0)
+        lo, hi = default_search_window(q, MAT)
+        panel = (hi - lo) / magnetostatics._N_PANELS
+        assert calls and all(abs(f - root) <= 2 * panel for _, f in calls[0])
+        assert root == scalar_scan_reference(q, None)
+
     @pytest.mark.parametrize("shift", [-0.99, 0.99])
     def test_a_root_up_to_a_panel_from_its_polynomial_root_is_found(self, monkeypatch, shift):
         # the panels on either side of a root's are scanned too, for a float residual whose sign change is not in
-        # the exact root's panel: here every root is moved by 0.99 of the default window's panel width
+        # the exact root's panel: here the root is moved by 0.99 of the default window's panel width
         q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.45)
-        roots = magnetostatics._walker_roots
+        root = magnetostatics._walker_root
         panel = 2 * magnetostatics._DEFAULT_HALF_WIDTH / magnetostatics._N_PANELS  # in units of gamma_e*mu0_Ms
-        monkeypatch.setattr(magnetostatics, "_walker_roots", lambda i, j, h: roots(i, j, h) + shift * panel)
+        monkeypatch.setattr(magnetostatics, "_walker_root", lambda i, j, h: root(i, j, h) + shift * panel)
         assert solve_walker_modes([q], MAT, [None]).root(0) == scalar_scan_reference(q, None)
 
     @pytest.mark.parametrize("ij", [(1, 1), (1, -1), (2, 1), (3, -2), (7, 7), (2, 0), (3, 0)])
-    def test_the_roots_are_those_of_the_residual_times_its_denominators(self, ij):
+    def test_the_root_is_one_of_those_of_the_residual_times_its_denominators(self, ij):
         # h prod(w - root) = R(w) h^(d+1) q(s) (h^2 - w^2) up to one constant, where s = 1 + (h^2 - w^2)/h = xi^2 > 0
-        # and d^m P_n / dxi^m = xi^p q(xi^2), here from numpy's Legendre series
+        # and d^m P_n / dxi^m = xi^p q(xi^2), here from numpy's Legendre series; the roots are the returned one
+        # and -sign(j) h for j != 0, and +/-h and +/- the returned one for j = 0
         n, j = ij
         m, p, d = abs(j), (n - abs(j)) % 2, (n - abs(j)) // 2
         rng = np.random.default_rng(n * 10 + j)
@@ -866,12 +888,15 @@ class TestBatchedSolver:
         q = np.polynomial.legendre.Legendre.basis(n).deriv(m)(np.sqrt(s)) / np.sqrt(s) ** p
         B = h * F_M / MAT.gamma_e + MAT.mu0_Ms / 3
         residual = magnetostatics._characteristic_grid(w * F_M, B, n, j, MAT)
-        roots = magnetostatics._walker_roots(n, j, h)
+        root = magnetostatics._walker_root(n, j, h)
+        sigma = math.copysign(1.0, j)
+        roots = np.stack([root, -sigma * h] if j else [h, -h, root, -root], axis=1)
         ratio = h * np.prod(w[:, None] - roots, axis=1) / (residual * h ** (d + 1) * q * (h * h - w * w))
         moderate = np.abs(residual) > 1e-3  # away from the roots, where the ratio is 0/0
         assert moderate.sum() > 300
         np.testing.assert_allclose(ratio[moderate], np.median(ratio[moderate]), rtol=1e-8)
-        assert roots.shape == (h.size, 4 if j == 0 else 2)
+        # the positive root, negative for j < 0: the one a window above 1 Hz can hold
+        assert root.shape == h.shape and (sigma * root > 0).all()
 
     def test_the_windows_must_match_the_queries_and_an_empty_call_finds_nothing(self):
         mixed = [mc.WalkerModeQuery(i=2, j=2, B_ext=0.38), mc.WalkerModeQuery(i=2, j=1, B_ext=0.38)]
@@ -1190,6 +1215,25 @@ def test_walker_closed_form_checks_scalar_fields():
         with pytest.raises(ValueError, match="B_ext must be positive and finite"):
             mc.mode_frequency(walker, B, MAT)
     assert mc.mode_frequency(walker, 1, MAT) == mc.mode_frequency(walker, 1.0, MAT)
+
+
+def test_a_query_with_non_integer_indices_is_a_value_error_naming_the_pair():
+    with pytest.raises(ValueError, match=r"mode indices must be integers, got \(2\.5, 1\)"):
+        mc.WalkerModeQuery(2.5, 1, 0.3)
+    assert mc.WalkerModeQuery(np.int64(2), np.int32(1), 0.3).j == 1
+
+
+def test_check_mode_indices_rejects_non_integer_indices():
+    with pytest.raises(ValueError, match=r"mode indices must be integers, got \(3, 1\.5\)"):
+        magnetostatics.check_mode_indices(3, 1.5)
+    magnetostatics.check_mode_indices(np.int64(3), np.int64(-1))
+
+
+def test_table_rows_of_non_integer_indices_fail_their_index_rule():
+    # (2.0, 1) has the closed form of (2, 1), and only its index rule fails
+    _, _, _, rules = magnetostatics._table_rows(2.0, 1, np.array([0.3, 0.4]), MAT)
+    row, error = magnetostatics._first_failure([rules])
+    assert row == 0 and isinstance(error, ValueError) and str(error) == "mode indices must be integers, got (2.0, 1)"
 
 
 def test_default_window_covers_tabulated_offsets():
