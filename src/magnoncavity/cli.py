@@ -36,6 +36,23 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+# `map` and `spectrum` format blocks of about _BLOCK_CELLS cells: a block's (3, n) uint64 temporaries in
+# cells.cells then stay below glibc's 128 KiB mmap threshold, so they reuse heap memory and not fresh pages (at 24 000
+# cells each ufunc call took about 3 to 4 times as long per cell).
+_BLOCK_CELLS = 5000
+
+
+def _cells(values) -> list[bytes]:
+    """``b"%.17g" % v`` for each float64 ``v`` of ``values``, flattened, byte for byte: :func:`cells.cells`.
+
+    The module is imported on the first call, not with this one: where bytecode is not cached, compiling it at every
+    start-up would add about 2.5 ms and a 0.6 MB memory peak.
+    """
+    from .cells import cells
+
+    return cells(values)
+
+
 def _csv_text(rows) -> str:
     """The text ``csv.writer`` writes for ``rows``: minimal quoting, each row ending in \r\n."""
     text = io.StringIO()
@@ -49,7 +66,8 @@ def _write_csv(out: str | None, header, blocks) -> None:
     The output is UTF-8 bytes, the same on stdout and in a file whatever
     stdout's text encoding. The header goes through ``csv.writer`` (see
     ``_csv_text``). Each block is one or more whole rows, each ending in
-    \r\n: encoded ``csv.writer`` text, or a "%.17g" bytes template's.
+    \r\n: encoded ``csv.writer`` text, or a bytes template's, filled with
+    :func:`_cells` in "%b" slots (`map`, `spectrum`) or by "%.17g" (`modes`).
     ``blocks`` may be a generator: it is consumed one block at a time, so the
     blocks before one that raises are already written. Stdout is flushed
     first, so that text already printed to it comes out before the table, and
@@ -94,18 +112,21 @@ def _write_csv(out: str | None, header, blocks) -> None:
 def _parallel_blocks(block, n: int):
     """Yield the byte blocks ``block(0)``, ..., ``block(n - 1)`` in order, formatted in W = min(CPUs, n) processes.
 
-    "%.17g" formatting holds the GIL, so threads cannot share it, but raw
-    bytes through a pipe need no pickling. W counts CPUs as ``sweep_map``
+    A block's formatting holds the GIL for much of its time (the cells'
+    tolist, the template fill, and the Python work between :func:`_cells`'
+    numpy calls), so threads would not share it well, but raw bytes
+    through a pipe need no pickling. W counts CPUs as ``sweep_map``
     does, and is 1 where os.fork does not exist. This process formats the
     blocks k with k % W == 0; forked child c (0 < c < W) formats those with
     k % W == c and writes each to its own pipe as an 8-byte little-endian
     length and the bytes, so it runs at most one pipe buffer and one block
-    ahead. A child runs only Python formatting, no numpy kernel or BLAS call
-    whose lock a thread of this process could hold at the fork, writes only
-    to its pipe, and leaves through os._exit: it never returns into the
-    interpreter nor flushes a buffer it inherited. A child that ends before
-    its last frame is an OSError here. When the generator ends or is closed,
-    every child is killed and reaped.
+    ahead. A child runs only the formatting, Python and numpy's elementwise
+    ufuncs, no threaded numpy kernel or BLAS call whose lock a thread of this
+    process could hold at the fork, writes only to its pipe, and leaves
+    through os._exit: it never returns into the interpreter nor flushes a
+    buffer it inherited. A child that ends before its last frame is an
+    OSError here. When the generator ends or is closed, every child is
+    killed and reaped.
     """
     workers = min(scattering._cpu_count(), n) if hasattr(os, "fork") else 1
     children = []  # (pid, the read end of its pipe) of children 1 ... W - 1
@@ -224,9 +245,12 @@ def cmd_spectrum(args) -> int:
         k, c = np.unravel_index(np.argmin(np.isfinite(table)), table.shape)
         raise DomainError(f"{list(columns)[c]} is {table[k, c]} at B = {B!r} T, f = {f[k].item()!r} Hz")
 
-    # every cell is a number: one "%.17g" bytes template per row, as in `map`
-    template = b",".join([b"%.17g"] * len(columns)) + b"\r\n"
-    _write_csv(args.out, columns.keys(), (template % tuple(row) for row in table.tolist()))
+    # every cell is a number: blocks of about _BLOCK_CELLS cells of whole rows, each row a "%b" bytes template
+    # filled with _cells, as in `map`
+    template = b",".join([b"%b"] * len(columns)) + b"\r\n"
+    per_block = max(1, _BLOCK_CELLS // len(columns))
+    blocks = (table[k : k + per_block] for k in range(0, len(f), per_block))
+    _write_csv(args.out, columns.keys(), (template * len(rows) % tuple(_cells(rows)) for rows in blocks))
     return EXIT_OK
 
 
@@ -242,17 +266,19 @@ def cmd_map(args) -> int:
     if args.unwrap and config.observable.endswith("_phase"):
         values = np.unwrap(values, axis=1)
 
-    # One byte block per bias field: its B cell joined in before the tail of
-    # each frequency row, which holds the frequency cell (formatted once) and
-    # the value's template. b"%.17g" % x is format(x, ".17g") encoded, and a
-    # .17g cell holds no "%" and nothing that needs quoting.
-    pieces = [b"", *(b",%.17g,%%.17g\r\n" % f for f in sweep.frequencies.tolist())]
-    fields = sweep.fields.tolist()
+    # One byte block per run of about _BLOCK_CELLS cells of whole bias fields: each field's B cell joined in before
+    # the tail of each frequency row, which holds the frequency cell (formatted once) and a "%b" slot for the value's
+    # cell. The cells are _cells' (b"%.17g" % x, which is format(x, ".17g") encoded), and a cell holds no "%" and
+    # nothing that needs quoting.
+    pieces = [b"", *(b",%b,%%b\r\n" % f for f in _cells(sweep.frequencies))]
+    fields = _cells(sweep.fields)
+    per_block = max(1, _BLOCK_CELLS // values.shape[1])
 
     def block(k: int) -> bytes:
-        return (b"%.17g" % fields[k]).join(pieces) % tuple(values[k].tolist())
+        rows = slice(k * per_block, (k + 1) * per_block)
+        return b"".join([B.join(pieces) for B in fields[rows]]) % tuple(_cells(values[rows]))
 
-    with closing(_parallel_blocks(block, len(fields))) as blocks:
+    with closing(_parallel_blocks(block, math.ceil(len(fields) / per_block))) as blocks:
         _write_csv(args.out, ["B_T", "f_hz", "value"], blocks)
     return EXIT_OK
 

@@ -65,7 +65,8 @@ class FieldMap:
 
     * ``"kittel"`` -- uniform-precession mode, linear in B.
     * ``"walker"`` -- closed-form magnetostatic-mode frequency for the
-      index families i = j or i = j + 1 with j >= 1 (requires ``i`` and ``j``).
+      index families i = j or i = j + 1 with j >= 1 (requires ``i`` and ``j``,
+      Python or numpy integers).
     * ``"msm20"`` -- the (2,0) magnetostatic mode closed form.
     * ``"fixed"`` -- constant frequency, independent of B (requires
       ``frequency``).
@@ -84,6 +85,8 @@ class FieldMap:
         if self.kind == "walker":
             if self.i is None or self.j is None:
                 raise ValueError("walker field map requires indices i, j")
+            if not all(isinstance(k, (int, np.integer)) for k in (self.i, self.j)):  # the Walker index rule's text
+                raise ValueError(f"mode indices must be integers, got ({self.i}, {self.j})")
             if self.j < 1 or self.i not in (self.j, self.j + 1):
                 raise ValueError(f"walker field map needs j >= 1 and i in (j, j + 1), got ({self.i}, {self.j})")
         if self.kind == "fixed":

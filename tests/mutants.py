@@ -51,10 +51,16 @@ RESIDUAL = (
 )
 PARALLEL = "test_cli.py::TestParallelMap::"
 MODES = "test_cli.py::TestModesCommand::"
+CELLS = "test_cli.py::TestCells::"
 FINITE_F_M = 'magnetostatics._Rule(np.isfinite(values), ValueError, lambda k: "f_m must be finite")'
 
 MUTANTS = [
     # the validity rules of the field maps and the Walker table rows
+    Mutant(
+        "walker FieldMap without the integer check", "model.py",
+        "if not all(isinstance(k, (int, np.integer)) for k in (self.i, self.j)):", "if False:",
+        ("test_model.py::test_walker_field_map_rejects_non_integer_indices_with_the_index_rule_text",),
+    ),
     Mutant(
         "walker map without B > 0", "magnetostatics.py",
         "return material.gamma_e * B_ext + offset, [_positive(B_ext)]",
@@ -189,8 +195,17 @@ MUTANTS = [
     ),
     # the map template: each frequency row is the B, f and value cells, in that order
     Mutant(
-        "the f and value cells of map swapped", "cli.py", 'b",%.17g,%%.17g\\r\\n" % f', 'b",%%.17g,%.17g\\r\\n" % f',
+        "the f and value cells of map swapped", "cli.py", 'b",%b,%%b\\r\\n" % f', 'b",%%b,%b\\r\\n" % f',
         ("test_cli.py::TestCsvContract::test_map_bytes_equal_a_row_by_row_reference[s21_power-wrapped-3x7]",),
+    ),
+    # the vectorized "%.17g" cells: the double-double product's tail, and %g's switch to exponent notation at X = 17
+    Mutant(
+        "a double-double product without x * lo", "cells.py", "e += x * lo", "e += 0.0 * lo",
+        (CELLS + "test_any_finite_float",),
+    ),
+    Mutant(
+        "fixed notation up to X = 17", "cells.py", "fixed = (-4 <= X) & (X < 17)", "fixed = (-4 <= X) & (X <= 17)",
+        (CELLS + "test_any_finite_float",),
     ),
     # the forked map formatters
     Mutant(
@@ -199,8 +214,8 @@ MUTANTS = [
     ),
     Mutant(
         "cmd_map without contextlib.closing", "cli.py",
-        "with closing(_parallel_blocks(block, len(fields))) as blocks:",
-        "with nullcontext(_parallel_blocks(block, len(fields))) as blocks:",
+        "with closing(_parallel_blocks(block, math.ceil(len(fields) / per_block))) as blocks:",
+        "with nullcontext(_parallel_blocks(block, math.ceil(len(fields) / per_block))) as blocks:",
         (PARALLEL + "test_an_interrupted_write_leaves_no_process",),
     ),
     Mutant(

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import fractions
 import hashlib
 import io
 import json
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magnoncavity as mc
-from magnoncavity import cli, magnetostatics
+from magnoncavity import cells, cli, magnetostatics
 from magnoncavity.cli import main
 from magnoncavity.scattering import OBSERVABLES
 
@@ -69,6 +70,21 @@ def test_importing_the_cli_leaves_scipy_out():
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["modes", "map"])
+def test_the_cell_module_is_imported_only_when_a_cell_is_made(tmp_path, command):
+    # where bytecode is not cached, compiling magnoncavity.cells at every start-up would cost about 2.5 ms and 0.6 MB
+    src = Path(cli.__file__).resolve().parent.parent
+    config = CONFIG_DIR / ("walker_modes.yaml" if command == "modes" else "sphere_0p45mm_map.yaml")
+    code = (
+        "import sys, magnoncavity.cli as cli; imported = 'magnoncavity.cells' in sys.modules; "
+        f"cli.main([{command!r}, {str(config)!r}, '--out', {str(tmp_path / 'out.csv')!r}]); "
+        "print(imported, 'magnoncavity.cells' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == f"False {command == 'map'}\n"
 
 
 class TestSpectrumCommand:
@@ -1212,6 +1228,128 @@ def run_process(args, **kwargs):
     return subprocess.run(cli_argv(args), env=CLI_ENV, text=True, **kwargs)
 
 
+def percent_17g(values) -> list[bytes]:
+    """``b"%.17g" % x`` for each float64 of ``values``: CPython's own conversion, value by value."""
+    return [b"%.17g" % x for x in np.asarray(values, dtype=np.float64).ravel().tolist()]
+
+
+def powers_of_ten_carried() -> list[float]:
+    """The doubles nearest 10**k, k in the cell table's range, that lie just below it: their 17 digits round up to it.
+
+    1e-14 and 1e+153 are two: N = 10**17 there, carried to 10**16 and the next X.
+    """
+    carried = []
+    for k in cells.EXPONENTS:
+        power = fractions.Fraction(10) ** k
+        nearest = float(power)
+        if 0 < 10**17 - fractions.Fraction(nearest) / power * 10**17 <= fractions.Fraction(1, 2):
+            carried.append(nearest)
+    return carried
+
+
+def cell_edges() -> np.ndarray:
+    """Edge values of the cells: zero, subnormal, the ends of the float range, %g's switch points, every power of ten
+    of the table's range and beyond with its neighbours, around 2**53, the powers of ten that carry, and exact ties."""
+    powers = np.array([10.0**k for k in range(cells.EXPONENTS.start - 30, 309)])
+    values = [
+        0.0, 5e-324, sys.float_info.min, np.nextafter(sys.float_info.min, 0), sys.float_info.max,
+        1e-5, 1e-4, 1e16, 1e17, 2.0**53, 2.0**53 - 1, 2.0**53 + 2, np.nextafter(2.0**53, 0), 2.0**63, 2.0**64,
+        1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125,  # ties of the 17th digit, which CPython rounds half to even
+        *powers, *np.nextafter(powers, 0), *np.nextafter(powers, np.inf), *powers_of_ten_carried(),
+    ]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+class TestCells:
+    """cli._cells: b"%.17g" % x for every float64 x, byte for byte, from its vectorized path or from CPython."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    @example([1e-5, 1e-4, 9.9999999999999e16, 1e17, -1.5e17])  # %g's switch points: X = -5, -4, 16 and 17
+    def test_any_finite_float(self, values):
+        assert cli._cells(np.array(values)) == percent_17g(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+    def test_any_bit_pattern(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)  # NaN and infinities among them
+        assert cli._cells(values) == percent_17g(values)
+
+    def test_edge_values(self):
+        values = cell_edges()
+        assert cli._cells(values) == percent_17g(values)
+        assert {1e-14, 1e153} <= set(powers_of_ten_carried())  # the carry is among them
+
+    def test_random_values_of_every_magnitude(self):
+        rng = np.random.default_rng(36)
+        values = np.concatenate([
+            rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),
+            rng.uniform(-1.0, 1.0, 20_000) * 10.0 ** rng.uniform(-30.0, 30.0, 20_000),
+            np.round(rng.uniform(-1e4, 1e4, 20_000), 3),  # short decimals: trailing zeros stripped
+            rng.integers(-10**6, 10**6, 20_000) / 4,  # exact binary fractions
+        ])
+        assert cli._cells(values) == percent_17g(values)
+
+    def test_a_tie_of_the_17th_digit_goes_to_cpython(self):
+        _, _, slow = cells.significands(np.array([1e15 + 0.25, 1e15 + 0.5]))
+        assert slow.tolist() == [True, False]
+
+    def test_values_forced_through_cpython_are_its_bytes(self, monkeypatch):
+        monkeypatch.setattr(cells, "TIE_MARGIN", 1.0)  # every value lies within 1.0 of a tie
+        values = np.concatenate([cell_edges(), np.random.default_rng(7).normal(size=1000)])
+        _, _, slow = cells.significands(values)
+        assert slow.all()
+        assert cli._cells(values) == percent_17g(values)
+
+    def test_shapes_and_types(self):
+        assert cli._cells(np.empty(0)) == []
+        assert cli._cells(np.array([[0.5, -2.0], [1e22, 3]])) == [b"0.5", b"-2", b"1e+22", b"3"]
+        assert cli._cells([1, 2.5]) == [b"1", b"2.5"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(OBSERVABLES),
+        st.floats(0.30, 0.45),
+        st.floats(1e-4, 0.02),
+        st.integers(1, 6),
+        st.floats(10.3e9, 10.9e9),
+        st.floats(1e6, 0.4e9),
+        st.integers(1, 40),
+        st.integers(1, 100),
+    )
+    def test_map_bytes_equal_a_row_by_row_reference(
+        self, tmp_path_factory, observable, b_start, b_span, n_fields, f_start, f_span, n_frequencies, block_cells
+    ):
+        config = yaml.safe_load((CONFIG_DIR / "sphere_0p75mm_map.yaml").read_text())
+        config["observable"] = observable
+        config["sweep"] = {
+            "field": {"start": b_start, "stop": b_start + b_span * (n_fields > 1), "count": n_fields},
+            "frequency": {"start": f_start, "stop": f_start + f_span * (n_frequencies > 1), "count": n_frequencies},
+        }
+        path = tmp_path_factory.getbasetemp() / "random_map.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path_factory.getbasetemp() / "random_map.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK_CELLS", block_cells)  # blocks of one field up to all of them
+            assert run(["map", path, "--out", out]) == 0
+        assert out.read_bytes() == map_reference(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.30, 0.45), st.floats(10.3e9, 10.9e9), st.floats(1e6, 0.4e9), st.integers(1, 300))
+    def test_spectrum_bytes_equal_a_row_by_row_reference(self, tmp_path_factory, field, f_start, f_span, count):
+        config = yaml.safe_load((CONFIG_DIR / "sphere_0p45mm_spectrum.yaml").read_text())
+        config["sweep"] = {
+            "field": {"start": field, "stop": field, "count": 1},
+            "frequency": {"start": f_start, "stop": f_start + f_span * (count > 1), "count": count},
+        }
+        path = tmp_path_factory.getbasetemp() / "random_spectrum.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path_factory.getbasetemp() / "random_spectrum.csv"
+        assert run(["spectrum", path, "--out", out]) == 0
+        assert out.read_bytes() == spectrum_reference(path).encode()
+
+
 class TestWriteErrors:
     """A write that fails after its target opened exits 2 with one line and no traceback."""
 
@@ -1259,9 +1397,14 @@ def assert_no_child_process():
 
 @pytest.mark.filterwarnings("error::DeprecationWarning")
 class TestParallelMap:
-    """`map` formats its field blocks in min(CPUs, fields) processes: the bytes do not depend on the number."""
+    """`map` formats its field blocks in min(CPUs, blocks) processes: the bytes do not depend on the number."""
 
     MAP = ["map", CONFIG_DIR / "sphere_0p45mm_map.yaml"]  # 22 fields of 0.03 MB each, more than a pipe holds
+
+    @pytest.fixture(autouse=True)
+    def one_field_per_block(self, monkeypatch):
+        """Blocks of one field each (cmd_map packs fields into blocks of about _BLOCK_CELLS cells): MAP has 22."""
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -1284,10 +1427,14 @@ class TestParallelMap:
         monkeypatch.setattr(os, "fork", counted_fork)
         return pids
 
+    @pytest.mark.parametrize("fields_per_block", [1, 2])
     @pytest.mark.parametrize("n_fields", [1, 2, 5])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_bytes_equal_a_row_by_row_reference(self, tmp_path, monkeypatch, capsysbinary, forks, cpus, n_fields):
+    def test_bytes_equal_a_row_by_row_reference(
+        self, tmp_path, monkeypatch, capsysbinary, forks, cpus, n_fields, fields_per_block
+    ):
         monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 7 * fields_per_block)
         config = yaml.safe_load((CONFIG_DIR / "sphere_0p45mm_map.yaml").read_text())
         config["sweep"]["field"]["count"] = n_fields
         config["sweep"]["frequency"]["count"] = 7
@@ -1303,7 +1450,8 @@ class TestParallelMap:
         reference = map_reference(path)
         assert capsysbinary.readouterr() == (reference, b"")
         assert out.read_bytes() == reference
-        assert len(forks) == 2 * (min(cpus, n_fields) - 1)
+        n_blocks = -(-n_fields // fields_per_block)
+        assert len(forks) == 2 * (min(cpus, n_blocks) - 1)
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_success_leaves_no_process(self, tmp_path, monkeypatch, forks, cpus):

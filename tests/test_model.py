@@ -213,3 +213,20 @@ def test_field_map_validation():
     with pytest.raises(ValueError):
         mc.FieldMap(kind="fixed")  # frequency required
     assert mc.FieldMap(kind="fixed", frequency=1e9).frequency == 1e9
+
+
+@pytest.mark.parametrize("i, j", [(2.5, 1.5), (2.0, 1), (2, 1.0), (np.float64(3.0), np.int64(2))])
+def test_walker_field_map_rejects_non_integer_indices_with_the_index_rule_text(i, j):
+    with pytest.raises(ValueError) as field_map:
+        mc.FieldMap(kind="walker", i=i, j=j)
+    with pytest.raises(ValueError) as rule:
+        mc.magnetostatics.check_mode_indices(i, j)
+    assert str(field_map.value) == str(rule.value) == f"mode indices must be integers, got ({i}, {j})"
+    assert mc.closed_form_map(i, j) is None
+
+
+@pytest.mark.parametrize("i, j", [(2, 1), (np.int64(2), np.int32(1)), (np.uint8(2), 1)])
+def test_walker_field_map_takes_python_and_numpy_integers(i, j):
+    field_map = mc.FieldMap(kind="walker", i=i, j=j)
+    material = mc.MaterialParams()
+    assert mc.mode_frequency(field_map, 0.3, material) == mc.mode_frequency(mc.FieldMap("walker", 2, 1), 0.3, material)
