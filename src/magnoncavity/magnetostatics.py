@@ -26,29 +26,26 @@ import numpy as np
 from .errors import DomainError
 from .model import FieldMap, MaterialParams
 
-# A candidate bracketing root is accepted only if the characteristic
-# residual there is this small; pole crossings leave residuals that are
-# many orders of magnitude larger.
-_ROOT_RESIDUAL_TOL = 1e-4
 # Probe frequencies with |gamma_e^2 B_i^2 - f^2| below this fraction of the
-# larger square are treated as the susceptibility pole itself.
+# larger square are the chi pole itself to :func:`walker_characteristic`.
 _POLE_GUARD = 1e-12
 # Queries of one index pair that :func:`_solve_walker_arrays` scans
-# together: bounds the scan's temporaries to _SCAN_BLOCK * (_N_PANELS + 1)
+# together: bounds the scan's temporaries to _SCAN_BLOCK * (panels + 1)
 # float64 values whatever the table size. Brent's state is not bounded by
 # it: it grows with the number of panels the whole solve selects. Of 128,
 # 256, 512 and 1024, 256 ran a 2001-field, six-pair table fastest (on a
 # 2-vCPU x86-64 VM).
 _SCAN_BLOCK = 256
-# Panels per search window, and the absolute tolerance (Hz) of Brent's
-# method.
-_N_PANELS = 64
+# The absolute tolerance (Hz) of Brent's method.
 _F_TOL = 1.0
 # Half-width, in units of gamma_e*mu0_Ms, of the span around a root of the
 # characteristic polynomial whose panels are scanned: far above the
 # distance between that root and the float residual's sign change, since a
 # spare panel costs one or two residual evaluations and a missed one a root.
 _ROOT_SLACK = 1e-6
+# Internal fields h / mu0_Ms where the band x < f < sqrt(x^2 + x f_M) is 0, 0.2 and 0.4 f_M wide, and the factors
+# of :func:`_n_panels` up to, between and above them (NaN sorts last)
+_BAND_EDGES, _BAND_FACTORS = np.array([0.0, 1 / 15, 0.8]), np.array([1.0, 4.0, 2.0, 1.0])
 # Lowest edge (Hz) of a search window. The (2,0) residual has no j*chi2
 # term and is even in f, so a window reaching below zero can hold the
 # mirror root -f of a positive one.
@@ -102,11 +99,12 @@ def _positive(B_ext) -> _Rule:
 
 def _index_rules(i: int, j: int, shape) -> list[_Rule]:
     """The rules of the indices of a Walker mode (i, j), the same at each element: integers, i >= 1, -i <= j <= i."""
+    integers = isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))  # else bounds go unchecked
     return [
-        _Rule(np.full(shape, isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))), ValueError,
-              lambda k: f"mode indices must be integers, got ({i}, {j})"),
-        _Rule(np.full(shape, i >= 1), ValueError, lambda k: f"mode index i must be >= 1, got ({i}, {j})"),
-        _Rule(np.full(shape, -i <= j <= i), ValueError,
+        _Rule(np.full(shape, integers), ValueError, lambda k: f"mode indices must be integers, got ({i}, {j})"),
+        _Rule(np.full(shape, not integers or i >= 1), ValueError,
+              lambda k: f"mode index i must be >= 1, got ({i}, {j})"),
+        _Rule(np.full(shape, not integers or -i <= j <= i), ValueError,
               lambda k: f"mode index j must satisfy -i <= j <= i, got ({i}, {j})"),
     ]
 
@@ -174,7 +172,7 @@ def msm20_frequency(B_ext: float, material: MaterialParams) -> float:
 
 
 def _legendre_pair(i: int, j: int, z, z_flip):
-    """P_i^j(xi) and dP_i^j/dxi for 0 <= j <= i via forward recurrences, at a real or an imaginary xi.
+    """P_i^j(xi) and N = (xi^2 - 1) dP_i^j/dxi for 0 <= j <= i via forward recurrences, at a real or an imaginary xi.
 
     ``z`` and ``z_flip`` are float arrays: xi = z where z_flip is z, and
     xi = 1j*z where z_flip is -z, so that xi^2 = z * z_flip. The seed
@@ -188,12 +186,11 @@ def _legendre_pair(i: int, j: int, z, z_flip):
     a product with 1.0/c, as in numpy's complex division, so each component
     has the bits of a complex evaluation, but for the sign of a zero. P is
     imaginary where xi is imaginary and i - j is odd, or where xi^2 > 1 and
-    j is odd; dP where xi is imaginary and i - j is even, or where xi^2 > 1
-    and j is odd. At xi = +/-1 the derivative is not finite.
+    j is odd; N where xi is imaginary and i - j is even, or where xi^2 > 1
+    and j is odd.
     """
-    square = z * z_flip  # xi^2
     if j:
-        radicand = 1.0 - square
+        radicand = 1.0 - z * z_flip  # 1 - xi^2
         somx2 = np.sqrt(np.abs(radicand))
         somx2_flip = np.copysign(somx2, radicand)
     p_jj = 1.0
@@ -207,53 +204,50 @@ def _legendre_pair(i: int, j: int, z, z_flip):
             z_n = z_flip if (n - j) % 2 == 0 else z  # P_{n-1}^j is imaginary with xi where n - 1 - j is odd
             p_prev, p_curr = p_curr, ((2 * n - 1) * z_n * p_curr - (n - 1 + j) * p_prev) * (1.0 / (n - j))
         p_im1, p_i = p_prev, p_curr
-    dp = (i * (z_flip if (i - j) % 2 else z) * p_i - (i + j) * p_im1) * (1.0 / (square - 1.0))
-    return p_i, dp
+    return p_i, i * (z_flip if (i - j) % 2 else z) * p_i - (i + j) * p_im1
 
 
-def _characteristic_grid(f, B_ext, i: int, j: int, material: MaterialParams):
-    """Left side of the characteristic equation on arrays of probe frequencies.
+def _cleared_grid(f, B_ext, i: int, j: int, material: MaterialParams, residual: bool = False):
+    """The characteristic residual R cleared of its poles, C = R P (x^2 - f^2), on arrays of probe frequencies.
 
-    ``f`` and ``B_ext`` broadcast against each other: one row of frequencies
-    per bias field in the panel scan, one field per probe in Brent's rounds.
-    chi1 may put xi0^2 = 1 + 1/chi1 below zero inside the magnetostatic
-    band, where xi0 is imaginary; the Legendre ratio xi0*P'/P is an even
-    function of xi0 and hence real for any real xi0^2. It is evaluated in
-    float64 on the one nonzero component of each term
-    (:func:`_legendre_pair`), with the bits a complex evaluation in numpy
-    gives, but not through numpy's complex kernels. The result is NaN where
-    the residual is undefined: at the pole guard, and wherever it is not
-    finite, which takes in chi1 == 0, xi0 = +/-1, P_i^j == 0 and overflow.
-    Each element's bits depend only on its own f and B_ext, not on the
-    arrays' sizes.
+    ``f`` and ``B_ext`` broadcast. With x = gamma_e (B_ext - mu0_Ms/3), f_M = gamma_e mu0_Ms, P = P_i^|j|(xi0),
+    xi0^2 = 1 + (x^2 - f^2)/(f_M x) and N (:func:`_legendre_pair`), C = (i+1) P (x^2 - f^2) + xi0 N f_M x + j f_M f P,
+    carried as its one nonzero component with a numpy complex evaluation's bits. It changes sign at the roots of R,
+    and at the chi pole f^2 = x^2 for the pairs with (floor(|j|/2) odd) == (j x > 0), above which it is negated.
+    NaN where the recurrence sees xi0^2 = 1 (the chi pole) or 0 (a touch of zero for odd i - |j|), or it is not
+    finite. With ``residual``, R = C / (P (x^2 - f^2)), NaN at the pole guard, at xi0^2 = 1 or where not finite.
     """
     x = material.gamma_e * internal_field(B_ext, material)
     f_M = material.gamma_e * material.mu0_Ms
+    m = abs(j)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = x * x - f * f
-        # |x^2 - f^2| ~ 2*x*|x - f|; guard against the susceptibility pole
-        undefined = np.abs(den) < _POLE_GUARD * np.maximum(x * x, f * f)
-        chi1, chi2 = f_M * x / den, f_M * f / den
-        xi0_square = 1.0 + 1.0 / chi1
-        xi0 = np.sqrt(np.abs(xi0_square))
-        xi0_flip = np.copysign(xi0, xi0_square)
-        m = abs(j)
-        p, dp = _legendre_pair(i, m, xi0, xi0_flip)
-        # with an imaginary xi0, xi0 * dP is imaginary times imaginary where i - |j| is even
-        value = (i + 1) + (xi0_flip if (i - m) % 2 == 0 else xi0) * dp * (1.0 / p) + j * chi2
-        undefined |= ~np.isfinite(value)
-    return np.where(undefined, np.nan, value)
+        den, f_M_x = x * x - f * f, f_M * x
+        square = 1.0 + den / f_M_x  # xi0^2
+        xi0 = np.sqrt(np.abs(square))
+        xi0_flip = np.copysign(xi0, square)
+        seen = xi0 * xi0_flip  # the xi0^2 of the recurrence: 1 where square is 1 + 2**-52
+        p, n = _legendre_pair(i, m, xi0, xi0_flip)
+        # with an imaginary xi0, xi0 * N is imaginary times imaginary where i - |j| is even
+        value = (i + 1) * p * den + (xi0_flip if (i - m) % 2 == 0 else xi0) * n * f_M_x + j * f_M * f * p
+        if residual:
+            value = value / (p * den)
+            defined = np.abs(den) >= _POLE_GUARD * np.maximum(x * x, f * f)
+        else:
+            # above the chi pole, where (floor(|j|/2) odd) == (j x > 0)
+            value = np.where((den < 0) & (j * x > 0 if m // 2 % 2 else j * x <= 0), -value, value)
+            defined = seen != 0
+        defined &= (seen != 1) & np.isfinite(value)
+    return np.where(defined, value, np.nan)
 
 
 def walker_characteristic(f: float, q: WalkerModeQuery, material: MaterialParams) -> float:
-    """Left side of the sphere's magnetostatic characteristic equation at one probe frequency.
+    """Left side R of the sphere's magnetostatic characteristic equation at one probe frequency.
 
-    A one-point :func:`_characteristic_grid`, so it returns the bits the
-    solver sees; raises DomainError where the residual is undefined.
+    A one-point :func:`_cleared_grid` of R; raises DomainError where R is undefined.
     """
     if not math.isfinite(f):
         raise ValueError("f must be finite")
-    value = _characteristic_grid(np.array([f], dtype=float), np.array([q.B_ext]), q.i, q.j, material).item()
+    value = _cleared_grid(np.array([f], dtype=float), np.array([q.B_ext]), q.i, q.j, material, residual=True).item()
     if math.isnan(value):
         raise DomainError(f"characteristic residual of ({q.i},{q.j}) is undefined at f = {f:.6e} Hz")
     return value
@@ -293,18 +287,15 @@ class WalkerSolutions:
     DomainError that solving it alone raises. The counters sum over the
     queries, and count only the panels the solve scans: those next to the
     root of the characteristic polynomial that the window can hold, or every
-    panel of a query where it is not known. They are scanned panel edges whose
-    residual is exactly zero (each one a root), Brent refinements run (one
-    per scanned panel whose edge residuals change sign strictly), candidates
-    rejected as pole crossings (a residual above the root tolerance, or a
-    refinement that met a NaN residual or did not converge), and Brent's
-    probes evaluated. A pole crossing far from that root is not counted.
+    panel of a query where it is not known. They are scanned panel edges
+    where the cleared residual is exactly zero (each one a root), Brent
+    refinements run (one per scanned panel whose edge values change sign
+    strictly), and Brent's probes evaluated.
     """
 
     outcomes: tuple[float | DomainError, ...]
     edge_roots: int = 0
     brent_calls: int = 0
-    poles_rejected: int = 0
     residual_evals: int = 0
 
     def root(self, k: int) -> float:
@@ -328,12 +319,12 @@ def _lockstep_brent(f, xa, xb, fa, fb, xtol: float):
     brackets numbered ``live``. Every branch of brentq.c is an ``np.where``
     over the same expression, and numpy's + - * / abs min give CPython's
     doubles, so each bracket takes the probes and root bits of a search of
-    its own. Returns the arrays (x, f(x), outcome), where outcome is _ROOT
-    (x is the root), _NAN (x is where f was NaN) or _NO_CONVERGENCE (x is
-    the last probe).
+    its own. Returns the arrays (x, outcome), where outcome is _ROOT (x is
+    the root), _NAN (x is where f was NaN) or _NO_CONVERGENCE (x is the last
+    probe).
     """
     xpre, xcur, fpre, fcur = (np.array(v, dtype=float) for v in (xa, xb, fa, fb))
-    x, f_x, outcome = np.empty(xcur.size), np.empty(xcur.size), np.full(xcur.size, _NO_CONVERGENCE)
+    x, outcome = np.empty(xcur.size), np.full(xcur.size, _NO_CONVERGENCE)
     live = np.arange(xcur.size)
     xblk = fblk = spre = scur = np.zeros(live.size)
     for _ in range(_BRENT_MAXITER):
@@ -347,7 +338,7 @@ def _lockstep_brent(f, xa, xb, fa, fb, xtol: float):
         delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         done = (fcur == 0) | (np.abs(sbis) < delta)
-        x[live[done]], f_x[live[done]], outcome[live[done]] = xcur[done], fcur[done], _ROOT
+        x[live[done]], outcome[live[done]] = xcur[done], _ROOT
 
         with np.errstate(all="ignore"):  # the branch not taken may divide 0 by 0
             dpre = (fpre - fcur) / (xpre - xcur)
@@ -373,12 +364,12 @@ def _lockstep_brent(f, xa, xb, fa, fb, xtol: float):
             break
         fcur = f(xcur, live)
         nan = np.isnan(fcur)
-        x[live[nan]], f_x[live[nan]], outcome[live[nan]] = xcur[nan], fcur[nan], _NAN
+        x[live[nan]], outcome[live[nan]] = xcur[nan], _NAN
         live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
             v[~nan] for v in (live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
         )
-    x[live], f_x[live] = xcur, fcur  # no convergence: the last probe
-    return x, f_x, outcome
+    x[live] = xcur  # no convergence: the last probe
+    return x, outcome
 
 
 def brentq(f, a: float, b: float, xtol: float) -> float:
@@ -399,7 +390,7 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
         return a if fa == 0 else b
     if (fa < 0) == (fb < 0):
         raise DomainError(f"Brent bracket ({a!r}, {b!r}) does not change sign")
-    x, _, outcome = _lockstep_brent(lambda probe, _: np.array([float(f(probe.item()))]), [a], [b], [fa], [fb], xtol)
+    x, outcome = _lockstep_brent(lambda probe, _: np.array([float(f(probe.item()))]), [a], [b], [fa], [fb], xtol)
     x, outcome = x.item(), outcome.item()
     if outcome == _NAN:
         raise DomainError(f"Brent's method met a NaN residual at x = {x!r}")
@@ -470,39 +461,48 @@ def _walker_root(i: int, j: int, h):
     return np.where(h > 0, root, math.nan)
 
 
+def _n_panels(i: int, h):
+    """Panels per search window of a pair of degree i at each internal field ``h`` (in units of mu0_Ms): floats.
+
+    Roots that share a panel are missed. They crowd with the degree: 16 panels per degree, at least 64, and 2 more
+    at a multiple of 18 (the chi pole, where the scan is NaN, is 7/18 up a default window with a lower edge above
+    1 Hz). They crowd into the band x < f < sqrt(x^2 + x f_M), too, whose width f_M (sqrt(h^2 + h) - h) is below
+    0.4 f_M at 0 < h < 0.8 and below 0.2 f_M at 0 < h < 1/15: there 2 and 4 times as many.
+    """
+    base = max(64, 16 * i)
+    return (base + 2 * (base % 18 == 0)) * _BAND_FACTORS.take(_BAND_EDGES.searchsorted(h))
+
+
 def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: MaterialParams):
     """The array core of :func:`solve_walker_modes`: the queries as arrays of pair numbers, fields and windows.
 
     Query k is the index pair ``pairs[pair_of[k]]`` at the bias field
     ``fields[k]``, searched in the finite window (``lows[k]``, ``highs[k]``)
-    with lo < hi; error texts are built from these arrays. Each window is
-    split into ``_N_PANELS`` panels. The queries of each index pair are
-    scanned in blocks of ``_SCAN_BLOCK``: the residual is evaluated in one
-    array call per block, on one span of edges per query, each edge once.
-    The span is that of the panels within ``_ROOT_SLACK`` of the one root
-    of the pair's characteristic polynomial that a window can hold
-    (:func:`_walker_root`) and of the panel on either side of them, clipped
-    to the window, so empty where that root lies outside it; and every edge
-    of a query whose root is not known: a pair whose polynomial is not a
-    quadratic, or a field with h <= 0. Any other panel holds no root, at
-    most a pole crossing. An edge where the residual is exactly zero is a
-    root. Every panel of two scanned edges
-    whose residuals change sign strictly is refined from them to ``_F_TOL``
-    by one lock-step Brent search over the selected panels of the whole
-    call (:func:`_lockstep_brent`), whose rounds evaluate their probes in
-    one array call per index pair that still has live probes. A refined
-    root is kept only if the residual there is small, which weeds out sign
-    flips across poles of the residual (the chi pole and zeros of P_i^j).
-    So the roots, their counts and the error texts are those of a scan of
-    every panel edge. Returns (roots, counts of roots, error, counters):
-    per query in order, its root (unspecified unless it has exactly one)
-    and its number of roots; the function ``error(k)`` that builds the
-    DomainError of a query k with no root or several; and the
+    with lo < hi; error texts are built from these arrays. A window of (i, j)
+    at an internal field h is split into ``_n_panels(i, h)`` panels. The
+    queries of each index pair are scanned in blocks of ``_SCAN_BLOCK``: the
+    cleared residual C (:func:`_cleared_grid`) is evaluated in one array call
+    per block, on one span of edges per query, each edge once. The span is
+    that of the panels within ``_ROOT_SLACK`` of the one root of the pair's
+    characteristic polynomial that a window can hold (:func:`_walker_root`)
+    and of the panel on either side of them, clipped to the window, so empty
+    where that root lies outside it; and every edge of a query whose root is
+    not known: a pair whose polynomial is not a quadratic, or a field with
+    h <= 0. Any other panel holds no root. An edge where C is exactly zero
+    is a root, and so is one in every panel of two scanned edges whose
+    values change sign strictly, refined from them to ``_F_TOL`` by one
+    lock-step Brent search over the selected panels of the whole call
+    (:func:`_lockstep_brent`), whose rounds evaluate their probes in one
+    array call per index pair that still has live probes, unless it meets a
+    NaN or does not converge. Returns (roots, counts of roots, error,
+    counters): per query in order, its root (unspecified unless it has
+    exactly one) and its number of roots; the function ``error(k)`` that
+    builds the DomainError of a query k with no root or several; and the
     :class:`WalkerSolutions` counters.
     """
     widths, f_M = highs - lows, material.gamma_e * material.mu0_Ms
     h = material.gamma_e * internal_field(fields, material) / f_M
-    # per block, in pair then query order: its zero edges, and its selected panels with their edge residuals, each
+    # per block, in pair then query order: its zero edges, and its selected panels with their edge values, each
     # with its query (empty first entries, so that a call without queries concatenates to empty arrays)
     zeros: list[tuple] = [(np.empty(0, dtype=int), np.empty(0))]
     selected: list[tuple] = [(np.empty(0, dtype=int),) + (np.empty(0),) * 4]
@@ -512,22 +512,23 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
             block = members[start : start + _SCAN_BLOCK]
             # the root's place and slack in panels from lo, and the first and the last edge of the panels within
             # the slack of it and of the panel on either side, clipped to the window
-            scale = _N_PANELS / widths[block]
+            n_panels = _n_panels(i, h[block])
+            scale = n_panels / widths[block]
             with np.errstate(over="ignore", invalid="ignore"):
                 place = (_walker_root(i, j, h[block]) * f_M - lows[block]) * scale
                 slack = _ROOT_SLACK * f_M * scale
                 first, last = np.floor(place - slack) - 1, np.floor(place + slack) + 2
-                first, last = np.maximum(first, 0), np.minimum(last, _N_PANELS)
+                first, last = np.maximum(first, 0), np.minimum(last, n_panels)
                 # a row whose root is NaN or out of range takes every edge
                 unknown = ~np.isfinite(first + last)
-            first[unknown], last[unknown] = 0, _N_PANELS
+            first[unknown], last[unknown] = 0, n_panels[unknown]
             # each row's span of edges, in row then edge order: the row, and the edges first, first + 1, ..., last
             lengths = np.maximum(last - first + 1, 0).astype(int)
             rows = np.repeat(np.arange(block.size), lengths)
             at = np.arange(rows.size) - (np.cumsum(lengths) - lengths - first.astype(int))[rows]
             query = block[rows]
-            edges = lows[query] + widths[query] * at / _N_PANELS  # the scalar edges lo + (hi - lo) * k / _N_PANELS
-            values = _characteristic_grid(edges, fields[query], i, j, material)
+            edges = lows[query] + widths[query] * at / n_panels[rows]  # the scalar edges lo + (hi - lo) * k / n
+            values = _cleared_grid(edges, fields[query], i, j, material)
             zero = values == 0
             zeros.append((query[zero], edges[zero]))
             signs = np.sign(values)  # NaN edges select nothing
@@ -537,7 +538,7 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
     query_of, xa, xb, fa, fb = (np.concatenate(column) for column in zip(*selected))
     counts = Counter(edge_roots=zero_query.size, brent_calls=query_of.size)
 
-    def residual(x, live):
+    def cleared(x, live):
         counts["residual_evals"] += x.size
         f_x = np.empty(x.size)
         live_queries = query_of[live]
@@ -545,17 +546,15 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
         for pair in np.flatnonzero(np.bincount(live_pairs)).tolist():  # np.unique hashes: ten times slower here
             here = live_pairs == pair
             i, j = pairs[pair]
-            f_x[here] = _characteristic_grid(x[here], fields[live_queries[here]], i, j, material)
+            f_x[here] = _cleared_grid(x[here], fields[live_queries[here]], i, j, material)
         return f_x
 
-    found, f_found, outcome = _lockstep_brent(residual, xa, xb, fa, fb, _F_TOL)
-    # a sign change across a pole, a NaN residual or no convergence: not a root
-    accepted = (outcome == _ROOT) & (np.abs(f_found) <= _ROOT_RESIDUAL_TOL)
-    counts["poles_rejected"] += int((~accepted).sum())
+    found, outcome = _lockstep_brent(cleared, xa, xb, fa, fb, _F_TOL)
+    refined = outcome == _ROOT
 
-    # every query's candidates, ascending, in query order: a query with one has it as its root
-    owner = np.concatenate([query_of[accepted], zero_query])
-    candidates = np.concatenate([found[accepted], zero_edge])
+    # every query's roots, ascending, in query order: a query with one has it as its root
+    owner = np.concatenate([query_of[refined], zero_query])
+    candidates = np.concatenate([found[refined], zero_edge])
     order = np.lexsort((candidates, owner))
     owner, candidates = owner[order], candidates[order]
     n_candidates = np.bincount(owner, minlength=pair_of.size)
@@ -592,7 +591,7 @@ def closed_form_map(i: int, j: int) -> FieldMap | None:
     (2, 0) has the msm20 form; a Walker family map is returned for the
     indices :class:`FieldMap` accepts.
     """
-    if (i, j) == (2, 0):
+    if (i, j) == (2, 0) and isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer)):
         return FieldMap("msm20")
     try:
         return FieldMap("walker", i, j)

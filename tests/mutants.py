@@ -49,6 +49,7 @@ RESIDUAL = (
     "test_magnetostatics.py::TestBatchedSolver::test_float_residual_has_the_bits_of_the_complex_one",
     "test_magnetostatics.py::test_legendre_pair_matches_the_polynomials_and_the_complex_recurrence",
 )
+DENSE = ("test_magnetostatics.py::TestBatchedSolver::test_roots_equal_those_of_a_dense_scan_of_the_residual",)
 PARALLEL = "test_cli.py::TestParallelMap::"
 MODES = "test_cli.py::TestModesCommand::"
 CELLS = "test_cli.py::TestCells::"
@@ -98,17 +99,25 @@ MUTANTS = [
     # the float64 Walker residual: numpy's complex division multiplies by 1.0/c, and imaginary factors flip signs
     Mutant(
         "a / c for a * (1.0 / c)", "magnetostatics.py",
-        "* (1.0 / (square - 1.0))", "/ (square - 1.0)", RESIDUAL,
+        "* (1.0 / (n - j))", "/ (n - j)", RESIDUAL,
     ),
     Mutant(
         "inverted parity choice of z", "magnetostatics.py",
         "z_n = z_flip if (n - j) % 2 == 0 else z", "z_n = z if (n - j) % 2 == 0 else z_flip", RESIDUAL,
     ),
-    # the Walker residual's j * chi2 term, and the (2,0) closed form the `modes` table compares roots with
+    # the cleared Walker residual's j * f_M * f * P term, its P_{i-1} term, its negation above the chi pole, and the
+    # (2,0) closed form the `modes` table compares roots with
     Mutant(
         "a wrong sign of j in the Walker residual", "magnetostatics.py",
-        "* (1.0 / p) + j * chi2", "* (1.0 / p) - j * chi2",
+        "+ j * f_M * f * p", "- j * f_M * f * p",
         ("test_magnetostatics.py::TestSolver::test_matches_linear_closed_forms[ij1]",),
+    ),
+    Mutant(
+        "a wrong sign on the P_{i-1} term", "magnetostatics.py", "- (i + j) * p_im1", "+ (i + j) * p_im1", DENSE,
+    ),
+    Mutant(
+        "C not negated above the chi pole", "magnetostatics.py",
+        "-value, value)", "value, value)", DENSE,
     ),
     Mutant(
         "a (2,0) closed form scaled by 1 + 1e-8", "magnetostatics.py",
@@ -136,7 +145,7 @@ MUTANTS = [
     ),
     Mutant(
         "a row without known roots scanned like any other", "magnetostatics.py",
-        "first[unknown], last[unknown] = 0, _N_PANELS", "first[unknown], last[unknown] = 0, -1",
+        "first[unknown], last[unknown] = 0, n_panels[unknown]", "first[unknown], last[unknown] = 0, -1",
         ("test_magnetostatics.py::TestBatchedSolver::test_a_row_without_known_roots_scans_every_panel",),
     ),
     Mutant(

@@ -382,10 +382,12 @@ class TestModesCommand:
         assert rows == [["B_T", "i", "j"], ["0.0050000000000000001", "1", "1"]]
 
     def test_a_window_without_width_ends_the_table(self, tmp_path, capsys):
-        # (3,1) has no closed form: its default window at 5e29 T is 1.4e40 Hz +/- 7.5e9 Hz, which rounds away
-        # (from 0.2 T to 0.5 T that window holds two roots, so the table starts at 0.06 T)
+        # (3,-1) has no closed form: its default window at 5e29 T is 1.4e40 Hz +/- 7.5e9 Hz, which rounds away
+        # (at 0.06 T that window holds one root)
         config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
-        config["modes_table"].update(indices=[[3, 1]], field={"start": 0.06, "stop": 1.0e30, "count": 3})
+        config["modes_table"].update(
+            indices=[[3, 1]], sign_branch="minus", field={"start": 0.06, "stop": 1.0e30, "count": 3}
+        )
         path = tmp_path / "huge_3_1.yaml"
         path.write_text(yaml.safe_dump(config))
         assert run(["modes", path]) == 3
@@ -410,8 +412,8 @@ class TestModesCommand:
         assert done.stdout == "B_T,i,j,sign_branch,f_closed_hz,f_solver_hz,rel_diff\n"
 
     def test_a_table_that_fails_early_builds_only_its_first_error(self, tmp_path, capsys, monkeypatch):
-        # 2001 fields of (1, 1) and (3, 1) from 0.3 T: the (3,1) default window holds two roots at the first field,
-        # and no root or several at 1170 of the 2001 fields; the table ends at the first, whose error alone is built
+        # 2001 fields of (1, 1) and (3, 1) from 0.3 T: the (3,1) default window holds two roots at each field; the
+        # table ends at the first, whose error alone is built
         built = []
 
         class CountedDomainError(mc.DomainError):
@@ -1032,10 +1034,12 @@ class TestCsvContract:
     @given(modes_tables())
     @example(([[1, 1], [2, 0], [2, 1]], "plus", (0.3, 0.45, 7)))  # closed forms: exit 0
     @example(([[2, 0], [4, 1]], "minus", (0.3, 0.45, 7)))  # (4,-1) has no closed form: exit 0
-    @example(([[2, 0], [3, 1], [4, 1]], "plus", (0.06, 0.3, 9)))  # two (4,1) roots at the second field: exit 3
-    @example(([[2, 0], [4, 1], [3, 1]], "minus", (0.3, 0.45, 9)))  # no (3,-1) root at the first field: exit 3
-    @example(([[2, 0], [3, 0], [4, 0], [4, 1]], "minus", (0.3, 0.45, 9)))  # one closed form, three bare pairs: exit 0
-    @example(([[2, 0], [4, 1], [4, 2], [3, 0]], "minus", (0.3, 0.45, 9)))  # no (4,-2) root at the third field: exit 3
+    @example(([[2, 0], [3, 1], [4, 1]], "plus", (0.06, 0.3, 9)))  # two (3,1) roots at the first field: exit 3
+    @example(([[2, 0], [4, 1], [3, 1]], "minus", (0.3, 0.45, 9)))  # one closed form, two bare pairs: exit 0
+    @example(([[2, 0], [3, 0], [4, 0], [4, 1]], "minus", (0.3, 0.45, 9)))  # two (4,0) roots at the first field: exit 3
+    @example(([[2, 0], [4, 1], [4, 2], [3, 0]], "minus", (0.3, 0.45, 9)))  # one closed form, three bare pairs: exit 0
+    # every edge of (3,-1), (4,-2), (4,-1) and (5,-3) is scanned, across the chi pole in both sign classes: exit 0
+    @example(([[3, 1], [4, 2], [4, 1], [5, 3]], "minus", (0.3, 0.45, 9)))
     # a later (3,1) default window collapses (at 5e29 T): the first field's failing (3,1) row still ends the table
     @example(([[2, 2], [3, 1]], "plus", (0.3, 1e30, 3)))
     def test_modes_bytes_equal_a_row_by_row_reference(self, tmp_path_factory, table):
@@ -1166,21 +1170,21 @@ class TestCsvContract:
 
     def test_modes_without_closed_form_have_empty_cells(self, tmp_path):
         config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
-        config["modes_table"]["indices"] = [[1, 1], [4, 0]]  # (4, 0) has no closed form
+        config["modes_table"]["indices"] = [[1, 1], [3, 0]]  # (3, 0) has no closed form
         config["modes_table"]["field"]["count"] = 2
         path = tmp_path / "open.yaml"
         path.write_text(yaml.safe_dump(config))
         out = tmp_path / "modes.csv"
         assert run(["modes", path, "--out", out]) == 0
         rows = read_csv(out)
-        assert [(r["i"], r["j"]) for r in rows] == [("1", "1"), ("4", "0")] * 2
+        assert [(r["i"], r["j"]) for r in rows] == [("1", "1"), ("3", "0")] * 2
         for row in rows:
-            no_closed_form = row["i"] == "4"
+            no_closed_form = row["i"] == "3"
             assert (row["f_closed_hz"] == "") == no_closed_form
             assert (row["rel_diff"] == "") == no_closed_form
             assert float(row["f_solver_hz"]) > 0
         lines = out.read_bytes().split(b"\r\n")
-        assert lines[2].startswith(b"0.29999999999999999,4,0,plus,,")
+        assert lines[2].startswith(b"0.29999999999999999,3,0,plus,,")
         assert lines[2].endswith(b",")
 
     @pytest.mark.parametrize("observable, code", [("s21", 0), ("s31.kittel", 4)], ids=["converged", "exit_4"])

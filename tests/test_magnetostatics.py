@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,28 +160,28 @@ def test_legendre_pair_matches_the_polynomials_and_the_complex_recurrence(i, kin
     imaginary = kind == "imaginary"
     z_flip, xi = (-z, 1j * z) if imaginary else (z, z + 0j)
     for j in range(i + 1):
-        p, dp = magnetostatics._legendre_pair(i, j, z, z_flip)
-        assert p.dtype == dp.dtype == np.float64
-        # which of P and dP/dxi is imaginary: the docstring's rule
+        p, n = magnetostatics._legendre_pair(i, j, z, z_flip)
+        assert p.dtype == n.dtype == np.float64
+        # which of P and N = (xi^2 - 1) dP/dxi is imaginary: the docstring's rule
         p_imaginary = (i - j) % 2 == 1 if imaginary else (j % 2 == 1 and "beyond" in kind)
-        dp_imaginary = (i - j) % 2 == 0 if imaginary else p_imaginary
-        p_c, dp_c = p * (1j if p_imaginary else 1), dp * (1j if dp_imaginary else 1)
+        n_imaginary = (i - j) % 2 == 0 if imaginary else p_imaginary
+        p_c, n_c = p * (1j if p_imaginary else 1), n * (1j if n_imaginary else 1)
         p_ref, dp_ref = polynomial_legendre_pair(i, j, xi)
+        n_ref = dp_ref * (xi * xi - 1)
         scale = np.abs(p_ref).max()
         np.testing.assert_allclose(p_c, p_ref, rtol=1e-10, atol=1e-13 * scale)
-        np.testing.assert_allclose(dp_c, dp_ref, rtol=1e-10, atol=1e-12 * np.abs(dp_ref).max())
-        # and the values of the complex recurrence the residual was first written in, bit for bit
-        # but for the sign of a zero (where P is zero the residual is NaN)
-        p_o, dp_o = complex_legendre_pair(i, j, xi)
+        np.testing.assert_allclose(n_c, n_ref, rtol=1e-10, atol=1e-12 * np.abs(n_ref).max())
+        # and the values of the complex recurrence, bit for bit but for the sign of a zero
+        p_o, n_o = complex_legendre_pair(i, j, xi)
         assert p.tolist() == (p_o.imag if p_imaginary else p_o.real).tolist()
-        assert dp.tolist() == (dp_o.imag if dp_imaginary else dp_o.real).tolist()
+        assert n.tolist() == (n_o.imag if n_imaginary else n_o.real).tolist()
         assert not np.any(p_o.real if p_imaginary else p_o.imag)
-        assert not np.any(dp_o.real if dp_imaginary else dp_o.imag)
+        assert not np.any(n_o.real if n_imaginary else n_o.imag)
         if kind == "real in (-1, 1)":  # against scipy and its central differences
             x, h = z, 1e-6
             np.testing.assert_allclose(p, lpmv(j, i, x), rtol=1e-10, atol=1e-12 * scale)
             central = (lpmv(j, i, x + h) - lpmv(j, i, x - h)) / (2 * h)
-            np.testing.assert_allclose(dp, central, rtol=1e-6, atol=1e-6 * scale)
+            np.testing.assert_allclose(n / (x * x - 1), central, rtol=1e-6, atol=1e-6 * scale)
 
 
 class TestClosedForms:
@@ -332,30 +333,44 @@ class TestSolver:
             assert abs(mc.walker_characteristic(root, q, MAT)) < 1e-6
 
 
-def scalar_scan_reference(q, window, n_panels=64, f_tol=1.0, material=MAT):
-    """The Walker solve as one scalar loop: every panel edge through walker_characteristic.
+def panels_of(q, material=MAT) -> int:
+    """The number of panels the solver splits the windows of ``q`` into: _n_panels at its internal field."""
+    h = material.gamma_e * mc.internal_field(q.B_ext, material) / (material.gamma_e * material.mu0_Ms)
+    return int(magnetostatics._n_panels(q.i, np.array([h])).item())
 
-    An edge where the residual is 0.0 is a root, and so is each root that
-    scipy's brentq finds in a panel whose edges change sign strictly, if the
-    residual there is small. The batched solver, which scans only the panels
+
+def one_point_cleared(q, material=MAT):
+    """The cleared residual of ``q`` as a scalar function: a one-point _cleared_grid, DomainError at a NaN."""
+
+    def cleared(f):
+        value = magnetostatics._cleared_grid(np.array([f]), np.array([q.B_ext]), q.i, q.j, material).item()
+        if math.isnan(value):
+            raise DomainError(f"the cleared residual of ({q.i},{q.j}) is NaN at f = {f!r}")
+        return value
+
+    return cleared
+
+
+def scalar_scan_reference(q, window, f_tol=1.0, material=MAT):
+    """The Walker solve as one scalar loop: every panel edge through the one-point cleared residual.
+
+    An edge where it is 0.0 is a root, and so is the root that scipy's
+    brentq finds in each panel whose edges change sign strictly, unless the
+    search meets a NaN. The batched solver, which scans only the panels
     next to a root of the characteristic polynomial, must return exactly
     this root, or raise exactly this error.
     """
     lo, hi = default_search_window(q, material) if window is None else window
-
-    def residual(f):
-        return mc.walker_characteristic(f, q, material)
-
+    cleared = one_point_cleared(q, material)
+    n_panels = panels_of(q, material)
     edges = [lo + (hi - lo) * k / n_panels for k in range(n_panels + 1)]
-    values = [math.nan if isinstance(r, str) else r for r in (outcome(residual, f) for f in edges)]
+    values = [math.nan if isinstance(r, str) else r for r in (outcome(cleared, f) for f in edges)]
     roots = [f for f, r in zip(edges, values) if r == 0]
     for (fa, ra), (fb, rb) in zip(zip(edges, values), zip(edges[1:], values[1:])):
         if not (ra < 0 < rb or rb < 0 < ra):  # no strict sign change, or a NaN edge
             continue
         try:
-            candidate = brentq(residual, fa, fb, xtol=f_tol)
-            if abs(residual(candidate)) <= 1e-4:
-                roots.append(candidate)
+            roots.append(brentq(cleared, fa, fb, xtol=f_tol))
         except DomainError:
             continue
     if not roots:
@@ -379,41 +394,35 @@ def scalar_residual_oracle(f, q):
     """The characteristic residual at one point in CPython float and complex arithmetic.
 
     Returns the residual and chi1, or None where it is undefined: at the
-    pole guard, for chi1 == 0, xi0 = +/-1, P_i^j == 0, and a residual that
+    pole guard, for chi1 == 0, xi0^2 = 1, P_i^j == 0, and a residual that
     is not real.
     """
     x = MAT.gamma_e * mc.internal_field(q.B_ext, MAT)
     den = x * x - f * f
-    if abs(den) < 1e-12 * max(x * x, f * f):
+    if abs(den) < 1e-12 * max(x * x, f * f) or x == 0:
         return None
-    chi1, chi2 = F_M * x / den, F_M * f / den
-    if chi1 == 0:
-        return None
-    xi0 = complex(1.0 + 1.0 / chi1) ** 0.5
-    if xi0 * xi0 - 1.0 == 0:
+    xi0 = complex(1.0 + den / (F_M * x)) ** 0.5  # xi0^2 = 1 + 1/chi1
+    if xi0 * xi0 == 1:
         return None
     p, dp = _oracle_legendre_pair(q.i, abs(q.j), xi0)
     if p == 0:
         return None
-    value = (q.i + 1) + xi0 * dp / p + q.j * chi2
+    value = (q.i + 1) + xi0 * dp / p + q.j * F_M * f / den
     if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
         return None
-    return value.real, chi1
+    return value.real, F_M * x / den
 
 
-# The residual's complex evaluation, which the float64 one replaces bit for bit.
-_IMAG_TOL = 1e-9
+# The cleared residual's complex evaluation, which the float64 one replaces bit for bit.
 
 
 def complex_legendre_pair(i: int, j: int, z):
-    """P_i^j(z) and dP_i^j/dz for 0 <= j <= i via forward recurrences.
+    """P_i^j(z) and N = i z P_i^j - (i + j) P_{i-1}^j = (z^2 - 1) dP_i^j/dz for 0 <= j <= i via forward recurrences.
 
-    Complex-capable: the seed (1 - z^2)^{j/2} uses the principal branch,
-    and value and derivative share it, so ratios are branch-independent.
+    Complex-capable: the seed (1 - z^2)^{j/2} uses the principal branch.
     Includes the Condon-Shortley phase (matches scipy.special.lpmv on
     real arguments in (-1, 1)). Plain arithmetic, so ``z`` may be a complex
-    scalar or a complex array; at z = +/-1 the derivative is singular, and
-    the caller masks the point.
+    scalar or a complex array.
     """
     somx2 = (1.0 - z * z) ** 0.5
     p_jj = 1.0 + 0.0j
@@ -426,38 +435,33 @@ def complex_legendre_pair(i: int, j: int, z):
         for n in range(j + 2, i + 1):
             p_prev, p_curr = p_curr, ((2 * n - 1) * z * p_curr - (n - 1 + j) * p_prev) / (n - j)
         p_im1, p_i = p_prev, p_curr
-    dp = (i * z * p_i - (i + j) * p_im1) / (z * z - 1.0)
-    return p_i, dp
+    return p_i, i * z * p_i - (i + j) * p_im1
 
 
-def complex_characteristic_grid(f, B_ext, i: int, j: int, material):
-    """Left side of the characteristic equation on arrays of probe frequencies.
+def complex_cleared_grid(f, B_ext, i: int, j: int, material, negate=True):
+    """The cleared residual C = (i+1) P (x^2 - f^2) + xi0 N f_M x + j f_M f P in numpy complex arithmetic.
 
-    ``f`` and ``B_ext`` broadcast against each other: one row of frequencies
-    per bias field in the panel scan, one field per probe in Brent's rounds.
-    chi1 may put xi0^2 = 1 + 1/chi1 below zero inside the magnetostatic
-    band; the Legendre ratio xi0*P'/P is an even function of xi0 and hence
-    real for any real xi0^2, so the residual is evaluated on a complex path
-    and its (verified negligible) imaginary part discarded. The result is
-    NaN where the residual is undefined: at the pole guard, for chi1 == 0,
-    xi0 = +/-1, P_i^j == 0, and a residual that is not real. Each element's
-    bits depend only on its own f and B_ext, not on the arrays' sizes.
+    C is real or imaginary; this returns its one nonzero component, the imaginary part where P is imaginary. As
+    in the package (with ``negate``), it is negated where f^2 > x^2 for the pairs whose C changes sign at the chi
+    pole, those with (floor(|j|/2) odd) == (j x > 0), and it is NaN where xi0^2 is 0 or 1 and where it is not
+    finite.
     """
     x = material.gamma_e * mc.internal_field(B_ext, material)
     f_M = material.gamma_e * material.mu0_Ms
+    m = abs(j)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den = x * x - f * f
-        # |x^2 - f^2| ~ 2*x*|x - f|; guard against the susceptibility pole
-        undefined = np.abs(den) < magnetostatics._POLE_GUARD * np.maximum(x * x, f * f)
-        chi1, chi2 = f_M * x / den, f_M * f / den
-        undefined |= chi1 == 0
-        xi0 = (1.0 + 1.0 / chi1).astype(complex) ** 0.5
-        undefined |= xi0 * xi0 - 1.0 == 0
-        p, dp = complex_legendre_pair(i, abs(j), xi0)
-        undefined |= p == 0
-        value = (i + 1) + xi0 * dp / p + j * chi2
-        undefined |= np.abs(value.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(value.real))
-    return np.where(undefined, np.nan, value.real)
+        square = 1.0 + den / (f_M * x)
+        xi0 = square.astype(complex) ** 0.5
+        p, n = complex_legendre_pair(i, m, xi0)
+        value = (i + 1) * p * den + xi0 * n * (f_M * x) + j * f_M * f * p
+        imaginary = ((square < 0) & ((i - m) % 2 == 1)) | ((square > 1) & (m % 2 == 1))
+        component = np.where(imaginary, value.imag, value.real)
+        if negate:
+            component = np.where((den < 0) & ((m // 2 % 2 == 1) == (j * x > 0)), -component, component)
+        seen = xi0 * xi0  # the xi0^2 of the recurrence
+        undefined = (seen == 0) | (seen == 1) | ~np.isfinite(component)
+    return np.where(undefined, np.nan, component)
 
 
 def assert_same_residual_bits(got, expected):
@@ -511,20 +515,20 @@ def scan_every_panel(monkeypatch):
 
 
 def record_grid(monkeypatch, nan_at=()):
-    """Record every (B_ext, f) point each call of the array residual evaluates, in a list of calls.
+    """Record every (B_ext, f) point each call of the array cleared residual evaluates, in a list of calls.
 
-    The residual is NaN at the frequencies in ``nan_at``.
+    The cleared residual is NaN at the frequencies in ``nan_at``.
     """
     calls = []
-    grid = magnetostatics._characteristic_grid
+    grid = magnetostatics._cleared_grid
 
-    def recorded(f, B_ext, i, j, material):
+    def recorded(f, B_ext, i, j, material, residual=False):
         fs, fields = np.broadcast_arrays(f, B_ext)
         calls.append(list(zip(fields.ravel().tolist(), fs.ravel().tolist())))
-        values = grid(f, B_ext, i, j, material)
+        values = grid(f, B_ext, i, j, material, residual)
         return np.where(np.isin(fs, list(nan_at)), np.nan, values)
 
-    monkeypatch.setattr(magnetostatics, "_characteristic_grid", recorded)
+    monkeypatch.setattr(magnetostatics, "_cleared_grid", recorded)
     return calls
 
 
@@ -543,28 +547,29 @@ def residual_points(draw):
     return q, lo + (hi - lo) * draw(st.floats(0.0, 1.0))
 
 
-# (2,2) at 0.367 T: the array residual is exactly 0.0 at the closed form,
-# which is the centre edge of its closed-form window
-EDGE_ROOT = mc.WalkerModeQuery(i=2, j=2, B_ext=0.367)
+# (2,2) at 0.365 T: the array cleared residual is exactly 0.0 at the closed
+# form, which is the centre edge of its closed-form window
+EDGE_ROOT = mc.WalkerModeQuery(i=2, j=2, B_ext=0.365)
 
 
 @st.composite
-def walker_solves(draw):
-    """A material, an index pair (n <= 7, either sign of j), and one to four fields of it, each with its window.
+def walker_solves(draw, max_n=7, saturated=False):
+    """A material, an index pair (n <= max_n, either sign of j), and one to four fields of it, each with its window.
 
     mu0_Ms is drawn from 0.05 to 0.8 T and gamma_e from 20 to 35 GHz/T. A
     field lies from mu0_Ms/6, below mu0_Ms/3 where the internal field is
-    negative, up to 1 T above mu0_Ms/3. A window is the default one, the
-    closed-form window of (n, |j|) where it has a closed form there, or a
-    narrow window 1e-6 to 0.03 gamma_e*mu0_Ms wide around that closed form
-    or a point of the default window. Returns (material, (n, j), fields,
-    windows), None for a default window.
+    negative (from mu0_Ms/3 + 0.01 T if ``saturated``), up to 1 T above
+    mu0_Ms/3. A window is the default one, the closed-form window of
+    (n, |j|) where it has a closed form there, or a narrow window 1e-6 to
+    0.03 gamma_e*mu0_Ms wide around that closed form or a point of the
+    default window. Returns (material, (n, j), fields, windows), None for a
+    default window.
     """
     material = mc.MaterialParams(mu0_Ms=draw(st.floats(0.05, 0.8)), gamma_e=draw(st.floats(20e9, 35e9)))
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, max_n))
     j = draw(st.integers(-n, n))
     third = material.mu0_Ms / 3
-    fields = draw(st.lists(st.floats(third / 2, third + 1.0), min_size=1, max_size=4))
+    fields = draw(st.lists(st.floats(third + 0.01 if saturated else third / 2, third + 1.0), min_size=1, max_size=4))
     closed_map = magnetostatics.closed_form_map(n, abs(j))
     windows = []
     for B in fields:
@@ -594,6 +599,46 @@ def table_solves(i, j, fields):
 
 # the fields of the `modes` table that CI runs as fails_at_row.yaml
 FAILS_AT_ROW = np.linspace(0.06, 0.3, 9).tolist()
+# the highest degree n of the dense-reference property below
+DENSE_MAX_N = 10
+
+
+def complex_residual_grid(f, B_ext, i: int, j: int, material):
+    """R = (i+1) + xi0 P'/P + j chi2 in complex arithmetic, P' = N/(xi0^2 - 1): NaN where not finite or not real."""
+    x = material.gamma_e * mc.internal_field(B_ext, material)
+    f_M = material.gamma_e * material.mu0_Ms
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = x * x - f * f
+        xi0 = (1.0 + den / (f_M * x)).astype(complex) ** 0.5
+        p, n = complex_legendre_pair(i, abs(j), xi0)
+        value = (i + 1) + xi0 * n / ((xi0 * xi0 - 1.0) * p) + j * f_M * f / den
+        real = np.abs(value.imag) <= 1e-9 * np.maximum(1.0, np.abs(value.real))
+    return np.where(np.isfinite(value) & real, value.real, np.nan)
+
+
+def dense_reference_roots(q, window, material, points=200_001):
+    """The roots of R in ``window`` from ``points`` equally spaced probes, and their spacing.
+
+    A root is a probe where R is 0, or the midpoint of two adjacent probes
+    where R changes sign strictly and |R| < 1e2 at both: a pole crossing
+    has a large |R| on either side.
+    """
+    lo, hi = window
+    f = np.linspace(lo, hi, points)
+    r = complex_residual_grid(f, np.full(points, q.B_ext), q.i, q.j, material)
+    small = np.abs(r) < 1e2
+    cells = np.flatnonzero(small[:-1] & small[1:] & (r[:-1] * r[1:] < 0))
+    return np.sort(np.concatenate([(f[cells] + f[cells + 1]) / 2, f[r == 0]])), f[1] - f[0]
+
+
+def solver_roots(queries, material, windows):
+    """Each query's roots as solve_walker_modes finds them: its root, or those its error text names."""
+    solved = solve_walker_modes(queries, material, windows)
+    roots = []
+    for found in solved.outcomes:
+        named = None if isinstance(found, float) else re.search(r" at (.*) Hz; narrow it$", str(found))
+        roots.append([found] if isinstance(found, float) else [float(v) for v in named[1].split(", ")] if named else [])
+    return roots
 
 
 class TestBatchedSolver:
@@ -601,7 +646,7 @@ class TestBatchedSolver:
     @given(residual_points())
     def test_array_residual_is_nan_exactly_where_the_scalar_one_raises(self, point):
         q, f = point
-        grid = magnetostatics._characteristic_grid(np.array([f]), np.array([q.B_ext]), q.i, q.j, MAT).item()
+        grid = magnetostatics._cleared_grid(np.array([f]), np.array([q.B_ext]), q.i, q.j, MAT, residual=True).item()
         oracle = scalar_residual_oracle(f, q)
         if oracle is None:
             assert math.isnan(grid)
@@ -609,9 +654,10 @@ class TestBatchedSolver:
                 mc.walker_characteristic(f, q, MAT)
             return
         r, chi1 = oracle
-        # round-off is amplified by chi1 = 1/(xi0^2 - 1) next to the chi pole,
-        # and by the residual itself next to a zero of P_i^j
-        assert abs(grid - r) <= 1e-12 * max(1.0, abs(r)) * max(1.0, abs(r), abs(chi1))
+        # round-off is amplified by chi1 = 1/(xi0^2 - 1) next to the chi pole, and by the residual itself next to a
+        # zero of P_i^j; the oracle's dP = N/(xi0^2 - 1) and its chi terms of size chi1 also carry the rounding
+        # of xi0^2, so they lose about eps * chi1^2 there, where R = C / (P (x^2 - f^2)) does not
+        assert abs(grid - r) <= 1e-12 * max(1.0, abs(r)) * max(1.0, abs(r), abs(chi1)) + 1e-14 * chi1 * chi1
         assert mc.walker_characteristic(f, q, MAT) == grid
 
     @settings(max_examples=400, deadline=None)
@@ -619,44 +665,71 @@ class TestBatchedSolver:
     # an internal field of one ulp: the float terms overflow to inf where the complex ones turn NaN
     @example((MAT, 8, 3, math.nextafter(MAT.mu0_Ms / 3, 1.0), np.array([1e38])))
     def test_float_residual_has_the_bits_of_the_complex_one(self, drawn):
+        # the cleared residual C, whose bits reach the solver's roots
         material, i, j, B, f = drawn
         fields = np.full(f.shape, B)
-        got = magnetostatics._characteristic_grid(f, fields, i, j, material)
-        assert_same_residual_bits(got, complex_characteristic_grid(f, fields, i, j, material))
+        got = magnetostatics._cleared_grid(f, fields, i, j, material)
+        assert_same_residual_bits(got, complex_cleared_grid(f, fields, i, j, material))
 
     @pytest.mark.parametrize("ij", [(1, 0), (2, 1), (3, 0), (3, -2), (4, 4), (5, -1)])
-    def test_float_residual_is_nan_at_each_division_by_zero(self, ij):
-        # f_M = 3 Hz and x = (B - 1 T) * 1 Hz/T: at f = 2 Hz and B = 2 T, chi1 = -1, so xi0 = 0,
-        # where P_i^j vanishes for odd i - j; at B = 1 T, chi1 == 0
+    def test_cleared_residual_is_nan_where_the_recurrence_sees_xi0_squared_0_or_1(self, ij):
+        # f_M = 3 Hz and x = (B - 1 T) * 1 Hz/T: at f = 2 Hz and B = 2 T, xi0^2 = 0, where C touches zero for odd
+        # i - |j| (and R is NaN there, P_i^j being zero); at B = 1 T, x = 0 and chi1 == 0
         material = mc.MaterialParams(mu0_Ms=3.0, gamma_e=1.0)
         f, fields = np.array([2.0, 0.5]), np.array([2.0, 1.0])
-        got = magnetostatics._characteristic_grid(f, fields, *ij, material)
-        assert_same_residual_bits(got, complex_characteristic_grid(f, fields, *ij, material))
-        assert np.isnan(got[0]) == ((ij[0] - abs(ij[1])) % 2 == 1) and np.isnan(got[1])
-        # xi0^2 rounds to exactly 1 at some probes next to the chi pole of a small internal field
+        got = magnetostatics._cleared_grid(f, fields, *ij, material)
+        assert_same_residual_bits(got, complex_cleared_grid(f, fields, *ij, material))
+        assert np.isnan(got).all()
+        residual = magnetostatics._cleared_grid(f, fields, *ij, material, residual=True)
+        assert np.isnan(residual[0]) == ((ij[0] - abs(ij[1])) % 2 == 1) and np.isnan(residual[1])
+        # xi0^2 rounds to exactly 1 at some probes next to the chi pole of a small internal field, outside the
+        # pole guard: C and R are NaN there, and C only there
         B = MAT.mu0_Ms / 3 + 1e-7
         x = MAT.gamma_e * mc.internal_field(B, MAT)
         f = x * (1.0 + np.linspace(-1e-7, 1e-7, 20001))
         den = x * x - f * f
         with np.errstate(divide="ignore"):
-            xi0 = np.sqrt(1.0 + 1.0 / (F_M * x / den))
-        unit = (xi0 * xi0 == 1.0) & (np.abs(den) >= magnetostatics._POLE_GUARD * np.maximum(x * x, f * f))
-        assert unit.sum() > 0
-        got = magnetostatics._characteristic_grid(f, np.full(f.shape, B), *ij, MAT)
-        assert_same_residual_bits(got, complex_characteristic_grid(f, np.full(f.shape, B), *ij, MAT))
-        assert np.isnan(got[unit]).all()
+            square = 1.0 + den / (F_M * x)
+        xi0 = np.sqrt(np.abs(square))
+        unit = xi0 * np.copysign(xi0, square) == 1.0  # the xi0^2 of the recurrence
+        assert (unit & (np.abs(den) >= magnetostatics._POLE_GUARD * np.maximum(x * x, f * f))).sum() > 0
+        fields = np.full(f.shape, B)
+        got = magnetostatics._cleared_grid(f, fields, *ij, MAT)
+        assert_same_residual_bits(got, complex_cleared_grid(f, fields, *ij, MAT))
+        np.testing.assert_array_equal(np.isnan(got), unit)
+        assert np.isnan(magnetostatics._cleared_grid(f, fields, *ij, MAT, residual=True)[unit]).all()
 
     def test_array_residual_bits_do_not_depend_on_the_array_size(self):
         q = mc.WalkerModeQuery(i=3, j=2, B_ext=0.38)
         lo, hi = default_search_window(q, MAT)
         f = np.linspace(lo, hi, 3000)
-        whole = magnetostatics._characteristic_grid(f, np.full(f.shape, q.B_ext), q.i, q.j, MAT)
-        for size in (1, 3, 7, 17):
-            for start in range(0, 400, size):
-                part = magnetostatics._characteristic_grid(
-                    f[start : start + size], np.full(size, q.B_ext), q.i, q.j, MAT
-                )
-                np.testing.assert_array_equal(part, whole[start : start + size])
+        for residual in (False, True):
+            whole = magnetostatics._cleared_grid(f, np.full(f.shape, q.B_ext), q.i, q.j, MAT, residual)
+            for size in (1, 3, 7, 17):
+                for start in range(0, 400, size):
+                    part = magnetostatics._cleared_grid(
+                        f[start : start + size], np.full(size, q.B_ext), q.i, q.j, MAT, residual
+                    )
+                    np.testing.assert_array_equal(part, whole[start : start + size])
+
+    @pytest.mark.parametrize("negative_x", [False, True], ids=["above_third", "below_third"])
+    def test_the_cleared_residual_keeps_its_sign_across_the_chi_pole(self, negative_x):
+        # C = R P (x^2 - f^2) vanishes at the chi pole f = |x|. For x > 0 it changes sign there exactly for j = 0,
+        # for j > 0 with floor(|j|/2) odd and for j < 0 with floor(|j|/2) even; for x < 0, for the mirror pairs
+        # (i, -j). The package negates C above the pole for those pairs, so that C keeps its sign across it.
+        rng = np.random.default_rng(12 + negative_x)
+        for _ in range(40):
+            material = mc.MaterialParams(mu0_Ms=rng.uniform(0.05, 0.8), gamma_e=rng.uniform(20e9, 35e9))
+            h = rng.uniform(0.01, 2.0) * (-1 if negative_x else 1)
+            B = np.full(2, material.mu0_Ms / 3 + h * material.mu0_Ms)
+            f = abs(material.gamma_e * mc.internal_field(B, material)) * (1.0 + np.array([-1e-6, 1e-6]))
+            for i in range(1, 13):
+                for j in range(-i, i + 1):
+                    raw = complex_cleared_grid(f, B, i, j, material, negate=False)
+                    sign_j = -j if negative_x else j
+                    assert (raw[0] * raw[1] < 0) == (j == 0 or (abs(j) // 2 % 2 == 1) == (sign_j > 0)), (i, j, B)
+                    got = magnetostatics._cleared_grid(f, B, i, j, material)
+                    assert got[0] * got[1] > 0, (i, j, B)
 
     @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize(
@@ -675,36 +748,39 @@ class TestBatchedSolver:
         assert [outcome(solved.root, k) for k in range(len(queries))] == expected
         assert [outcome(mc.solve_walker_mode, q, MAT, w) for q, w in zip(queries, windows)] == expected
 
-    def test_counters_report_the_rejected_pole_crossing(self, monkeypatch):
-        # the default window of (1,1) at 0.38 T holds the chi pole at gamma_e * B_internal, far from its root
-        q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.38)
+    @pytest.mark.parametrize("ij", [(1, 1), (1, -1), (1, 0), (2, 2), (3, 0)])
+    def test_the_chi_pole_is_no_sign_change_scanned_or_not(self, monkeypatch, ij):
+        # the default window at 0.38 T holds the chi pole at gamma_e * B_internal; the cleared residual, negated
+        # above it where it changes sign there, takes the same sign on either side, so a scan of every panel
+        # refines only the roots, as the scan of the root's panels does
+        q = mc.WalkerModeQuery(*ij, B_ext=0.38)
         lo, hi = default_search_window(q, MAT)
         assert lo < MAT.gamma_e * mc.internal_field(0.38, MAT) < hi
         solved = solve_walker_modes([q], MAT, [None])
-        assert solved.root(0) == scalar_scan_reference(q, None)
-        # only the root's panels are scanned: the pole crossing is not refined
-        assert (solved.edge_roots, solved.brent_calls, solved.poles_rejected) == (0, 1, 0)
-        # scanned, it changes sign and is refined, then rejected: the same root
+        expected = outcome(scalar_scan_reference, q, None)
+        assert outcome(solved.root, 0) == expected
         scan_every_panel(monkeypatch)
-        solved = solve_walker_modes([q], MAT, [None])
-        assert solved.root(0) == scalar_scan_reference(q, None)
-        assert (solved.edge_roots, solved.brent_calls, solved.poles_rejected) == (0, 2, 1)
+        every = solve_walker_modes([q], MAT, [None])
+        assert outcome(every.root, 0) == expected
+        assert every.brent_calls + every.edge_roots == (1 if isinstance(expected, float) else 0)
 
     def test_counters_sum_over_queries(self, monkeypatch):
         queries = [mc.WalkerModeQuery(i=1, j=1, B_ext=B) for B in (0.38, 0.38)]
         solved = solve_walker_modes(queries, MAT, [None, None])
         assert solved.outcomes == (solved.root(0), solved.root(0))
-        assert (solved.edge_roots, solved.brent_calls, solved.poles_rejected) == (0, 2, 0)
+        assert (solved.edge_roots, solved.brent_calls) == (0, 2)
+        assert solved.residual_evals == 2 * solve_walker_modes(queries[:1], MAT, [None]).residual_evals > 0
         scan_every_panel(monkeypatch)
         solved = solve_walker_modes(queries, MAT, [None, None])
-        assert (solved.edge_roots, solved.brent_calls, solved.poles_rejected) == (0, 4, 2)
+        assert (solved.edge_roots, solved.brent_calls) == (0, 2)
 
     def test_a_root_on_a_panel_edge_is_one_edge_root(self):
-        # the residual is exactly 0.0 at the centre edge: a root, and neither panel it bounds goes to Brent
+        # the cleared residual is exactly 0.0 at the centre edge: a root, and neither panel it bounds goes to Brent
         q = EDGE_ROOT
         closed = mc.msm_frequency_linear(q, MAT)
-        assert mc.walker_characteristic(closed, q, MAT) == 0.0
+        assert one_point_cleared(q)(closed) == 0.0 == mc.walker_characteristic(closed, q, MAT)
         window = magnetostatics.closed_form_window(closed, MAT)
+        assert panels_of(q) == 64
         assert window[0] + (window[1] - window[0]) * 32 / 64 == closed
         solved = solve_walker_modes([q], MAT, [window])
         assert solved.root(0) == closed == scalar_scan_reference(q, window)
@@ -715,7 +791,7 @@ class TestBatchedSolver:
         calls = record_grid(monkeypatch)
         queries = [mc.WalkerModeQuery(i=ij[0], j=ij[1], B_ext=B) for B in (0.3, 0.375, 0.38, 0.45)]
         closed_map = magnetostatics.closed_form_map(*ij)
-        # the default windows (two roots, or a rejected pole crossing at 0.38 T),
+        # the default windows (two roots, or the chi pole at 0.38 T),
         # and the closed-form windows where there is a closed form
         window_sets = [[None] * len(queries)]
         if closed_map is not None:
@@ -731,8 +807,8 @@ class TestBatchedSolver:
             # quadratic and of all of them where it is not; every later one holds Brent's probes
             bounds = [w or default_search_window(q, MAT) for q, w in zip(queries, windows)]
             edges = {
-                (q.B_ext, lo + (hi - lo) * k / magnetostatics._N_PANELS)
-                for q, (lo, hi) in zip(queries, bounds) for k in range(magnetostatics._N_PANELS + 1)
+                (q.B_ext, lo + (hi - lo) * k / panels_of(q))
+                for q, (lo, hi) in zip(queries, bounds) for k in range(panels_of(q) + 1)
             }
             assert set(calls[0]) < edges if ij not in [(3, 1), (4, 1)] else set(calls[0]) == edges
             assert solved.residual_evals == len(points) - len(calls[0])
@@ -755,25 +831,25 @@ class TestBatchedSolver:
         q = EDGE_ROOT
         closed = mc.msm_frequency_linear(q, MAT)
         lo, hi = magnetostatics.closed_form_window(closed, MAT)
-        record_grid(monkeypatch, nan_at=[lo + (hi - lo) * k / 64 for k in (31, 33)])
+        record_grid(monkeypatch, nan_at=[lo + (hi - lo) * k / panels_of(q) for k in (31, 33)])
         solved = solve_walker_modes([q], MAT, [(lo, hi)])
         assert solved.root(0) == closed
         assert (solved.edge_roots, solved.brent_calls, solved.residual_evals) == (1, 0, 0)
 
     def test_sign_changes_a_few_hertz_apart_in_adjacent_panels_are_two_roots(self, monkeypatch):
-        # a residual |f - 1320| - 2.5 Hz on a window whose panel edges are 10 Hz apart: negative only at the
-        # centre edge 1320 Hz, so each panel it bounds changes sign, at 1317.5 and 1322.5 Hz
+        # a cleared residual |f - 1320| - 2.5 Hz on a window whose 64 panel edges are 10 Hz apart: negative only at
+        # the centre edge 1320 Hz, so each panel it bounds changes sign, at 1317.5 and 1322.5 Hz
         scan_every_panel(monkeypatch)
         monkeypatch.setattr(
-            magnetostatics, "_characteristic_grid",
+            magnetostatics, "_cleared_grid",
             lambda f, B_ext, i, j, material: np.abs(np.broadcast_arrays(f, B_ext)[0] - 1320.0) - 2.5,
         )
         solved = solve_walker_modes([EDGE_ROOT], MAT, [(1000.0, 1640.0)])
         with pytest.raises(DomainError, match=r"contains 2 roots for \(2,2\) at 1\.317500e\+03, 1\.322500e\+03 Hz"):
             solved.root(0)
-        assert (solved.edge_roots, solved.brent_calls, solved.poles_rejected) == (0, 2, 0)
+        assert (solved.edge_roots, solved.brent_calls) == (0, 2)
 
-    def test_a_nan_brent_probe_rejects_its_panel_as_a_pole_crossing(self, monkeypatch):
+    def test_a_nan_brent_probe_ends_its_search_without_a_root(self, monkeypatch):
         q = mc.WalkerModeQuery(i=2, j=2, B_ext=0.38)
         window = magnetostatics.closed_form_window(mc.msm_frequency_linear(q, MAT), MAT)
         calls = record_grid(monkeypatch)
@@ -782,19 +858,19 @@ class TestBatchedSolver:
         calls = record_grid(monkeypatch, nan_at=[first_probe])
         solved = solve_walker_modes([q], MAT, [window])
         assert len(calls) == 2  # the scan and one Brent round, which stops at the NaN
-        assert (solved.brent_calls, solved.poles_rejected, solved.residual_evals) == (1, 1, 1)
+        assert (solved.brent_calls, solved.residual_evals) == (1, 1)
         with pytest.raises(DomainError, match=r"no root of the \(2,2\) characteristic equation"):
             solved.root(0)
 
     @pytest.mark.parametrize("block", [256, 50])
     def test_a_mixed_pair_solve_gives_the_one_pair_solves(self, monkeypatch, block):
         # queries B-major, as `modes` passes them; the default windows hold roots, pairs of roots,
-        # empty windows and pole crossings
+        # empty windows and the chi pole
         monkeypatch.setattr(magnetostatics, "_SCAN_BLOCK", block)
         pairs = [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (2, 0), (3, 1), (2, -1)]
         queries = [mc.WalkerModeQuery(i, j, B) for B in np.linspace(0.3, 0.45, 201).tolist() for i, j in pairs]
         mixed = solve_walker_modes(queries, MAT, [None] * len(queries))
-        counters = ("edge_roots", "brent_calls", "poles_rejected", "residual_evals")
+        counters = ("edge_roots", "brent_calls", "residual_evals")
         totals = dict.fromkeys(counters, 0)
         kinds = set()
         for pair in pairs:
@@ -820,11 +896,65 @@ class TestBatchedSolver:
         material, (n, j), fields, windows = drawn
         queries = [mc.WalkerModeQuery(n, j, B) for B in fields]
         solved = solve_walker_modes(queries, material, windows)
-        expected = [outcome(scalar_scan_reference, q, w, 64, 1.0, material) for q, w in zip(queries, windows)]
+        expected = [outcome(scalar_scan_reference, q, w, 1.0, material) for q, w in zip(queries, windows)]
         got = [outcome(solved.root, k) for k in range(len(queries))]
         assert [v.hex() if isinstance(v, float) else v for v in got] == [
             v.hex() if isinstance(v, float) else v for v in expected
         ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(walker_solves(max_n=DENSE_MAX_N, saturated=True))
+    @example(table_solves(3, 1, FAILS_AT_ROW))
+    @example(table_solves(4, 0, [0.3]))
+    # two of its four roots share one of 64 panels, but not one of the 292 it is split into
+    @example((mc.MaterialParams(mu0_Ms=0.344, gamma_e=27.4e9), (9, 3), [0.18], [None]))
+    def test_roots_equal_those_of_a_dense_scan_of_the_residual(self, drawn):
+        # every root the solver finds, and no other, for n <= DENSE_MAX_N: the sign changes of R on 200,001
+        # probes of each window, pole crossings left out
+        material, (n, j), fields, windows = drawn
+        queries = [mc.WalkerModeQuery(n, j, B) for B in fields]
+        for q, window, roots in zip(queries, windows, solver_roots(queries, material, windows)):
+            reference, step = dense_reference_roots(q, window or default_search_window(q, material), material)
+            assert len(roots) == reference.size, (q, window, roots, reference.tolist())
+            np.testing.assert_allclose(roots, reference, rtol=1e-6, atol=step + 1.0)
+
+    def test_a_default_window_of_4_0_holds_two_roots(self):
+        with pytest.raises(DomainError, match=r"contains 2 roots for \(4,0\) at 7\.703065e\+09, 8\.732853e\+09 Hz"):
+            mc.solve_walker_mode(mc.WalkerModeQuery(4, 0, 0.30), MAT)
+
+    def test_panel_counts_grow_with_the_degree_and_the_narrowing_band_and_are_never_a_multiple_of_18(self):
+        # the chi pole lies 7/18 of the way up a default window whose lower edge is not raised
+        q = mc.WalkerModeQuery(9, 0, 0.38)
+        lo, hi = default_search_window(q, MAT)
+        x = MAT.gamma_e * mc.internal_field(q.B_ext, MAT)
+        assert (x - lo) / (hi - lo) == pytest.approx(7 / 18, rel=1e-12)
+        h = np.concatenate([[-2.0, -0.5, 0.0, math.nan, math.inf], np.geomspace(1e-6, 1e3, 200)])
+        with np.errstate(invalid="ignore"):
+            band = np.sqrt(h * h + h) - h  # the width of x < f < sqrt(x^2 + x f_M), in units of f_M
+        # 1, 2 and 4 times the base count where the band is 0.4 f_M wide or wider (or h <= 0: there is none),
+        # narrower, and narrower than 0.2 f_M
+        factor = np.where(h <= 0, 1, np.where(band < 0.2, 4, np.where(band < 0.4, 2, 1)))
+        for i in range(1, 201):
+            counts = magnetostatics._n_panels(i, h)
+            base = max(64, 16 * i)
+            assert (counts % 18 != 0).all() and (counts % 2 == 0).all()
+            assert (counts == (base + 2 * (base % 18 == 0)) * factor).all()
+        assert magnetostatics._n_panels(9, np.array([1.0])).tolist() == [146]
+
+    @pytest.mark.parametrize("ij", [(1, 0), (2, 2), (3, -1), (4, 1)])
+    def test_a_probe_where_xi0_squared_is_0_or_1_is_no_root(self, ij):
+        # on the centre edge of a window: the chi pole f = x, where C is zero, and xi0 = 0 (f_M = 3 Hz, x = 1 Hz,
+        # f = 2 Hz), where C touches zero for odd i - |j|; both are NaN, neither a root
+        x = MAT.gamma_e * mc.internal_field(0.38, MAT)
+        for q, material, window, centre in [
+            (mc.WalkerModeQuery(*ij, 0.38), MAT, (0.75 * x, 1.25 * x), x),
+            (mc.WalkerModeQuery(*ij, 2.0), mc.MaterialParams(mu0_Ms=3.0, gamma_e=1.0), (1.0, 3.0), 2.0),
+        ]:
+            lo, hi = window
+            assert lo + (hi - lo) * (panels_of(q, material) // 2) / panels_of(q, material) == centre
+            assert np.isnan(magnetostatics._cleared_grid(np.array([centre]), np.array([q.B_ext]), *ij, material)).all()
+            assert solve_walker_modes([q], material, [window]).edge_roots == 0
+            assert centre not in solver_roots([q], material, [window])[0]
 
     @pytest.mark.parametrize(
         "ij, fields", [((1, 1), [0.05]), ((1, 1), [0.45, 0.05]), ((1, 0), [0.38]), ((3, 1), [0.38]), ((6, 0), [0.38])],
@@ -837,7 +967,7 @@ class TestBatchedSolver:
         calls = record_grid(monkeypatch)
         solved = solve_walker_modes(queries, MAT, [None] * len(queries))
         lo, hi = default_search_window(queries[-1], MAT)
-        n = magnetostatics._N_PANELS
+        n = panels_of(queries[-1])
         edges = {(fields[-1], lo + (hi - lo) * k / n) for k in range(n + 1)}
         assert edges <= set(calls[0])
         expected = [outcome(scalar_scan_reference, q, None) for q in queries]
@@ -860,7 +990,7 @@ class TestBatchedSolver:
         calls.clear()
         root = solve_walker_modes([q], MAT, [None]).root(0)
         lo, hi = default_search_window(q, MAT)
-        panel = (hi - lo) / magnetostatics._N_PANELS
+        panel = (hi - lo) / panels_of(q)
         assert calls and all(abs(f - root) <= 2 * panel for _, f in calls[0])
         assert root == scalar_scan_reference(q, None)
 
@@ -870,7 +1000,7 @@ class TestBatchedSolver:
         # the exact root's panel: here the root is moved by 0.99 of the default window's panel width
         q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.45)
         root = magnetostatics._walker_root
-        panel = 2 * magnetostatics._DEFAULT_HALF_WIDTH / magnetostatics._N_PANELS  # in units of gamma_e*mu0_Ms
+        panel = 2 * magnetostatics._DEFAULT_HALF_WIDTH / panels_of(q)  # in units of gamma_e*mu0_Ms
         monkeypatch.setattr(magnetostatics, "_walker_root", lambda i, j, h: root(i, j, h) + shift * panel)
         assert solve_walker_modes([q], MAT, [None]).root(0) == scalar_scan_reference(q, None)
 
@@ -887,7 +1017,7 @@ class TestBatchedSolver:
         s = 1 + (h * h - w * w) / h
         q = np.polynomial.legendre.Legendre.basis(n).deriv(m)(np.sqrt(s)) / np.sqrt(s) ** p
         B = h * F_M / MAT.gamma_e + MAT.mu0_Ms / 3
-        residual = magnetostatics._characteristic_grid(w * F_M, B, n, j, MAT)
+        residual = magnetostatics._cleared_grid(w * F_M, B, n, j, MAT, residual=True)
         root = magnetostatics._walker_root(n, j, h)
         sigma = math.copysign(1.0, j)
         roots = np.stack([root, -sigma * h] if j else [h, -h, root, -root], axis=1)
@@ -936,14 +1066,18 @@ def assert_port_is_scipy(f, a, b, xtol, maxiter=magnetostatics._BRENT_MAXITER):
 
 
 @st.composite
-def walker_panels(draw):
-    """A panel of a default Walker search window whose scalar residuals change sign: a root or a pole crossing."""
+def walker_panels(draw, cleared=False):
+    """A panel of a default Walker search window whose residuals change sign: a root or a pole crossing of R.
+
+    With ``cleared``, a panel where the cleared residual C changes sign: a root.
+    """
     i = draw(st.integers(1, 5))
     q = mc.WalkerModeQuery(i=i, j=draw(st.integers(-i, i)), B_ext=draw(st.floats(0.05, 0.6)))
     lo, hi = default_search_window(q, MAT)
-    n = magnetostatics._N_PANELS
+    n = panels_of(q)
     edges = [lo + (hi - lo) * k / n for k in range(n + 1)]
-    values = [outcome(mc.walker_characteristic, f, q, MAT) for f in edges]
+    function = one_point_cleared(q) if cleared else lambda f: mc.walker_characteristic(f, q, MAT)
+    values = [outcome(function, f) for f in edges]
     panels = [
         k for k in range(n)
         if not isinstance(values[k], str) and not isinstance(values[k + 1], str) and values[k] * values[k + 1] < 0
@@ -1030,7 +1164,7 @@ class TestBrent:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(magnetostatics, "_BRENT_MAXITER", maxiter)
-            x, f_x, outcome = magnetostatics._lockstep_brent(
+            x, outcome = magnetostatics._lockstep_brent(
                 all_at_once, *([column[k] for k in strict] for column in (a, b, fa, fb)), xtol
             )
             alone = [
@@ -1060,7 +1194,6 @@ class TestBrent:
             assert [a[k].hex(), b[k].hex()] + probes[n] == calls
             if isinstance(result, str):
                 assert (outcome[n], x[n].hex()) == (magnetostatics._ROOT, result)
-                assert f_x[n] == functions[k](x[n])
             else:
                 assert outcome[n] != magnetostatics._ROOT
                 assert BRENT_FAILURES[outcome[n]].format(x=x[n].item(), maxiter=maxiter) in str(result)
@@ -1075,27 +1208,25 @@ class TestBrent:
         assert_port_is_scipy(lambda f: mc.walker_characteristic(f, q, MAT), fa, fb, magnetostatics._F_TOL)
 
     @settings(max_examples=200, deadline=None)
-    @given(walker_panels())
+    @given(walker_panels(cleared=True))
     def test_batched_solve_takes_the_probes_and_root_of_brentq_on_the_one_point_residual(self, panel):
         q, fa, fb = panel
         fb = fa + (fb - fa) * 1.0 / 1  # the one edge of a one-panel window, as the scan forms it
         with pytest.MonkeyPatch.context() as patch:
             calls = record_grid(patch)
-            scan_every_panel(patch)  # a pole crossing too
-            patch.setattr(magnetostatics, "_N_PANELS", 1)
+            scan_every_panel(patch)
+            patch.setattr(magnetostatics, "_n_panels", lambda i, h: np.ones(h.size))
             solved = solve_walker_modes([q], MAT, [(fa, fb)])
             probes = [f for call in calls[1:] for _, f in call]
             calls.clear()
             ref_probes, ref = brent_run(
-                lambda g, a, b: magnetostatics.brentq(g, a, b, magnetostatics._F_TOL),
-                lambda f: mc.walker_characteristic(f, q, MAT), fa, fb,
+                lambda g, a, b: magnetostatics.brentq(g, a, b, magnetostatics._F_TOL), one_point_cleared(q), fa, fb
             )
         # brentq starts by evaluating both edges; the solve takes them from its scan
         assert [f.hex() for f in probes] == ref_probes[2:]
-        if isinstance(ref, str) and abs(mc.walker_characteristic(float.fromhex(ref), q, MAT)) <= 1e-4:
+        if isinstance(ref, str):
             assert solved.root(0).hex() == ref
-        else:  # a pole crossing, or a refinement that failed
-            assert solved.poles_rejected == 1
+        else:  # a refinement that failed
             with pytest.raises(DomainError, match="no root"):
                 solved.root(0)
 
@@ -1144,7 +1275,7 @@ class TestBrent:
         monkeypatch.setattr(magnetostatics, "_BRENT_MAXITER", 1)
         q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.38)
         solved = solve_walker_modes([q], MAT, [None])
-        assert (solved.brent_calls, solved.poles_rejected) == (1, 1)
+        assert (solved.brent_calls, solved.residual_evals) == (1, 1)
         with pytest.raises(DomainError, match=r"no root of the \(1,1\) characteristic equation"):
             solved.root(0)
 
@@ -1229,8 +1360,26 @@ def test_check_mode_indices_rejects_non_integer_indices():
     magnetostatics.check_mode_indices(np.int64(3), np.int64(-1))
 
 
+def test_check_mode_indices_compares_only_integer_indices():
+    # a str index fails the integer rule, before "2" >= 1 could raise a TypeError
+    with pytest.raises(ValueError, match=r"^mode indices must be integers, got \(2, 1\)$"):
+        magnetostatics.check_mode_indices("2", 1)
+
+
+def test_a_query_compares_only_integer_indices():
+    with pytest.raises(ValueError, match=r"^mode indices must be integers, got \(2, 1\)$"):
+        mc.WalkerModeQuery("2", 1, 0.3)
+
+
+def test_closed_form_map_of_non_integer_indices_is_none():
+    # (2.0, 0) equals (2, 0), whose closed form is msm20, but it is no pair of integers, like (2.0, 1)
+    assert mc.closed_form_map(2.0, 0) is None
+    assert mc.closed_form_map(2.0, 1) is None
+    assert mc.closed_form_map(np.int64(2), np.int64(0)) == mc.FieldMap("msm20")
+
+
 def test_table_rows_of_non_integer_indices_fail_their_index_rule():
-    # (2.0, 1) has the closed form of (2, 1), and only its index rule fails
+    # (2.0, 1) has no closed form, and only its index rule fails
     _, _, _, rules = magnetostatics._table_rows(2.0, 1, np.array([0.3, 0.4]), MAT)
     row, error = magnetostatics._first_failure([rules])
     assert row == 0 and isinstance(error, ValueError) and str(error) == "mode indices must be integers, got (2.0, 1)"
