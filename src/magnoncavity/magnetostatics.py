@@ -43,9 +43,6 @@ _F_TOL = 1.0
 # distance between that root and the float residual's sign change, since a
 # spare panel costs one or two residual evaluations and a missed one a root.
 _ROOT_SLACK = 1e-6
-# Internal fields h / mu0_Ms where the band x < f < sqrt(x^2 + x f_M) is 0, 0.2 and 0.4 f_M wide, and the factors
-# of :func:`_n_panels` up to, between and above them (NaN sorts last)
-_BAND_EDGES, _BAND_FACTORS = np.array([0.0, 1 / 15, 0.8]), np.array([1.0, 4.0, 2.0, 1.0])
 # Lowest edge (Hz) of a search window. The (2,0) residual has no j*chi2
 # term and is even in f, so a window reaching below zero can hold the
 # mirror root -f of a positive one.
@@ -467,10 +464,11 @@ def _n_panels(i: int, h):
     Roots that share a panel are missed. They crowd with the degree: 16 panels per degree, at least 64, and 2 more
     at a multiple of 18 (the chi pole, where the scan is NaN, is 7/18 up a default window with a lower edge above
     1 Hz). They crowd into the band x < f < sqrt(x^2 + x f_M), too, whose width f_M (sqrt(h^2 + h) - h) is below
-    0.4 f_M at 0 < h < 0.8 and below 0.2 f_M at 0 < h < 1/15: there 2 and 4 times as many.
+    0.2 f_M at 0 < h < 1/15: there twice as many.
     """
     base = max(64, 16 * i)
-    return (base + 2 * (base % 18 == 0)) * _BAND_FACTORS.take(_BAND_EDGES.searchsorted(h))
+    base += 2 * (base % 18 == 0)
+    return np.where((0 < h) & (h < 1 / 15), 2.0 * base, float(base))
 
 
 def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: MaterialParams):

@@ -149,6 +149,10 @@ MUTANTS = [
         ("test_magnetostatics.py::TestBatchedSolver::test_a_row_without_known_roots_scans_every_panel",),
     ),
     Mutant(
+        "the panels of a narrow band not doubled", "magnetostatics.py",
+        "2.0 * base, float(base)", "1.0 * base, float(base)", DENSE,
+    ),
+    Mutant(
         "the j = 0 root at the chi pole", "magnetostatics.py", "np.sqrt(h * h + 4 * h / (2 * i + 1))", "h",
         ("test_magnetostatics.py::TestSolver::test_matches_mode20_closed_form",),
     ),

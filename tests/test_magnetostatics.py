@@ -40,14 +40,14 @@ LEGENDRE_TABLE = {
 
 
 def _oracle_legendre_pair(i, m, z):
-    """P_i^m(z) and dP_i^m/dz for 0 <= m <= i in CPython complex arithmetic (forward recurrences)."""
+    """P_i^m(z) and N = (z^2 - 1) dP_i^m/dz for 0 <= m <= i in CPython complex arithmetic (forward recurrences)."""
     p_mm = 1.0 + 0.0j
     for k in range(1, m + 1):
         p_mm *= -(2 * k - 1) * (1.0 - z * z) ** 0.5
     p_prev, p_curr = 0.0 + 0.0j, p_mm
     for n in range(m + 1, i + 1):
         p_prev, p_curr = p_curr, ((2 * n - 1) * z * p_curr - (n - 1 + m) * p_prev) / (n - m)
-    return p_curr, (i * z * p_curr - (i + m) * p_prev) / (z * z - 1.0)
+    return p_curr, i * z * p_curr - (i + m) * p_prev
 
 
 def assoc_legendre(i: int, j: int, x):
@@ -68,7 +68,8 @@ def assoc_legendre(i: int, j: int, x):
     if z * z - 1.0 == 0:
         raise DomainError("Legendre derivative is singular at z = +/-1")
     m = abs(j)
-    p, dp = _oracle_legendre_pair(i, m, z)
+    p, n = _oracle_legendre_pair(i, m, z)
+    dp = n / (z * z - 1.0)
     if j < 0:
         scale = (-1) ** m * math.factorial(i - m) / math.factorial(i + m)
         p, dp = scale * p, scale * dp
@@ -404,13 +405,15 @@ def scalar_residual_oracle(f, q):
     xi0 = complex(1.0 + den / (F_M * x)) ** 0.5  # xi0^2 = 1 + 1/chi1
     if xi0 * xi0 == 1:
         return None
-    p, dp = _oracle_legendre_pair(q.i, abs(q.j), xi0)
+    p, n = _oracle_legendre_pair(q.i, abs(q.j), xi0)
     if p == 0:
         return None
-    value = (q.i + 1) + xi0 * dp / p + q.j * F_M * f / den
+    # dP = N/(xi0^2 - 1) = N chi1, with chi1 from x and f rather than from the rounded xi0
+    chi1 = F_M * x / den
+    value = (q.i + 1) + xi0 * n * chi1 / p + q.j * F_M * f / den
     if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
         return None
-    return value.real, F_M * x / den
+    return value.real, chi1
 
 
 # The cleared residual's complex evaluation, which the float64 one replaces bit for bit.
@@ -553,23 +556,26 @@ EDGE_ROOT = mc.WalkerModeQuery(i=2, j=2, B_ext=0.365)
 
 
 @st.composite
-def walker_solves(draw, max_n=7, saturated=False):
+def walker_solves(draw, max_n=7, field_range="any"):
     """A material, an index pair (n <= max_n, either sign of j), and one to four fields of it, each with its window.
 
     mu0_Ms is drawn from 0.05 to 0.8 T and gamma_e from 20 to 35 GHz/T. A
     field lies from mu0_Ms/6, below mu0_Ms/3 where the internal field is
-    negative (from mu0_Ms/3 + 0.01 T if ``saturated``), up to 1 T above
-    mu0_Ms/3. A window is the default one, the closed-form window of
-    (n, |j|) where it has a closed form there, or a narrow window 1e-6 to
-    0.03 gamma_e*mu0_Ms wide around that closed form or a point of the
-    default window. Returns (material, (n, j), fields, windows), None for a
-    default window.
+    negative, up to 1 T above mu0_Ms/3; with ``field_range`` "above", from
+    mu0_Ms/3 + 0.01 T, and with "below", up to mu0_Ms/3. A window is the
+    default one, the closed-form window of (n, |j|) where it has a closed
+    form there, or a narrow window 1e-6 to 0.03 gamma_e*mu0_Ms wide around
+    that closed form or a point of the default window. Returns (material,
+    (n, j), fields, windows), None for a default window.
     """
     material = mc.MaterialParams(mu0_Ms=draw(st.floats(0.05, 0.8)), gamma_e=draw(st.floats(20e9, 35e9)))
     n = draw(st.integers(1, max_n))
     j = draw(st.integers(-n, n))
     third = material.mu0_Ms / 3
-    fields = draw(st.lists(st.floats(third + 0.01 if saturated else third / 2, third + 1.0), min_size=1, max_size=4))
+    low, high = {"any": (third / 2, third + 1.0), "above": (third + 0.01, third + 1.0), "below": (third / 2, third)}[
+        field_range
+    ]
+    fields = draw(st.lists(st.floats(low, high), min_size=1, max_size=4))
     closed_map = magnetostatics.closed_form_map(n, abs(j))
     windows = []
     for B in fields:
@@ -604,14 +610,18 @@ DENSE_MAX_N = 10
 
 
 def complex_residual_grid(f, B_ext, i: int, j: int, material):
-    """R = (i+1) + xi0 P'/P + j chi2 in complex arithmetic, P' = N/(xi0^2 - 1): NaN where not finite or not real."""
+    """R = (i+1) + xi0 P'/P + j chi2 in complex arithmetic: NaN where not finite or not real.
+
+    P' = N/(xi0^2 - 1) = N chi1, with chi1 = f_M x/(x^2 - f^2) from x and f rather than from the rounded xi0, whose
+    xi0^2 - 1 loses about eps * chi1^2 next to f = |x|.
+    """
     x = material.gamma_e * mc.internal_field(B_ext, material)
     f_M = material.gamma_e * material.mu0_Ms
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den = x * x - f * f
         xi0 = (1.0 + den / (f_M * x)).astype(complex) ** 0.5
         p, n = complex_legendre_pair(i, abs(j), xi0)
-        value = (i + 1) + xi0 * n / ((xi0 * xi0 - 1.0) * p) + j * f_M * f / den
+        value = (i + 1) + xi0 * n * (f_M * x / den) / p + j * f_M * f / den
         real = np.abs(value.imag) <= 1e-9 * np.maximum(1.0, np.abs(value.real))
     return np.where(np.isfinite(value) & real, value.real, np.nan)
 
@@ -654,10 +664,9 @@ class TestBatchedSolver:
                 mc.walker_characteristic(f, q, MAT)
             return
         r, chi1 = oracle
-        # round-off is amplified by chi1 = 1/(xi0^2 - 1) next to the chi pole, and by the residual itself next to a
-        # zero of P_i^j; the oracle's dP = N/(xi0^2 - 1) and its chi terms of size chi1 also carry the rounding
-        # of xi0^2, so they lose about eps * chi1^2 there, where R = C / (P (x^2 - f^2)) does not
-        assert abs(grid - r) <= 1e-12 * max(1.0, abs(r)) * max(1.0, abs(r), abs(chi1)) + 1e-14 * chi1 * chi1
+        # round-off is amplified by chi1 = 1/(xi0^2 - 1) next to the chi pole,
+        # and by the residual itself next to a zero of P_i^j
+        assert abs(grid - r) <= 1e-12 * max(1.0, abs(r)) * max(1.0, abs(r), abs(chi1))
         assert mc.walker_characteristic(f, q, MAT) == grid
 
     @settings(max_examples=400, deadline=None)
@@ -903,14 +912,26 @@ class TestBatchedSolver:
         ]
 
     @settings(max_examples=100, deadline=None)
-    @given(walker_solves(max_n=DENSE_MAX_N, saturated=True))
+    @given(walker_solves(max_n=DENSE_MAX_N, field_range="above"))
     @example(table_solves(3, 1, FAILS_AT_ROW))
     @example(table_solves(4, 0, [0.3]))
-    # two of its four roots share one of 64 panels, but not one of the 292 it is split into
+    # two of its four roots share one of 64 panels, but not one of the 146 it is split into
     @example((mc.MaterialParams(mu0_Ms=0.344, gamma_e=27.4e9), (9, 3), [0.18], [None]))
+    # h = 0.027: two of its four roots, 115 MHz apart, share one of 112 panels of 122 MHz, but not one of the 224
+    @example((mc.MaterialParams(mu0_Ms=0.367, gamma_e=20e9), (7, 1), [0.367 / 3 + 0.01], [None]))
     def test_roots_equal_those_of_a_dense_scan_of_the_residual(self, drawn):
         # every root the solver finds, and no other, for n <= DENSE_MAX_N: the sign changes of R on 200,001
         # probes of each window, pole crossings left out
+        self.check_roots_against_a_dense_scan(drawn)
+
+    @settings(max_examples=40, deadline=None)
+    @given(walker_solves(max_n=DENSE_MAX_N, field_range="below"))
+    def test_roots_equal_those_of_a_dense_scan_of_the_residual_below_a_third_of_mu0_ms(self, drawn):
+        # the internal field is negative, where C is negated above the chi pole by the mirrored rule
+        self.check_roots_against_a_dense_scan(drawn)
+
+    @staticmethod
+    def check_roots_against_a_dense_scan(drawn):
         material, (n, j), fields, windows = drawn
         queries = [mc.WalkerModeQuery(n, j, B) for B in fields]
         for q, window, roots in zip(queries, windows, solver_roots(queries, material, windows)):
@@ -931,9 +952,8 @@ class TestBatchedSolver:
         h = np.concatenate([[-2.0, -0.5, 0.0, math.nan, math.inf], np.geomspace(1e-6, 1e3, 200)])
         with np.errstate(invalid="ignore"):
             band = np.sqrt(h * h + h) - h  # the width of x < f < sqrt(x^2 + x f_M), in units of f_M
-        # 1, 2 and 4 times the base count where the band is 0.4 f_M wide or wider (or h <= 0: there is none),
-        # narrower, and narrower than 0.2 f_M
-        factor = np.where(h <= 0, 1, np.where(band < 0.2, 4, np.where(band < 0.4, 2, 1)))
+        # twice the base count where the band is narrower than 0.2 f_M (at h <= 0 there is none)
+        factor = np.where((h > 0) & (band < 0.2), 2, 1)
         for i in range(1, 201):
             counts = magnetostatics._n_panels(i, h)
             base = max(64, 16 * i)
