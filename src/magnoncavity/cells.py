@@ -1,4 +1,4 @@
-"""The numeric cells of `map` and `spectrum`: ``b"%.17g" % v`` for every float64 ``v`` of an array, byte for byte.
+"""The numeric cells of `map`, `spectrum` and `modes`: ``b"%.17g" % v`` for every float64 ``v``, byte for byte.
 
 :func:`cells` scales |v| by 10**(16 - X), X = floor(log10 |v|), in double-double arithmetic (Dekker, Numer. Math. 18,
 224, 1971), rounds it to the 17-digit integer N, reads N's digits with integer arithmetic (as Ryu printf does: Adams,
@@ -6,8 +6,8 @@ Proc. ACM Program. Lang. 3, OOPSLA, 169, 2019) and lays them out by %g's rules, 
 value whose X lies outside EXPONENTS, or whose scaled digits lie within TIE_MARGIN of a rounding tie, is formatted by
 CPython instead, so every cell is CPython's.
 
-``cli`` imports this module when `map` or `spectrum` first formats a cell: the other commands, and every start-up, do
-not compile it.
+``cli`` imports this module when `map`, `spectrum` or `modes` first formats a cell: the other commands, and every
+start-up, do not compile it.
 """
 
 from __future__ import annotations

@@ -36,9 +36,9 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-# `map` and `spectrum` format blocks of about _BLOCK_CELLS cells: a block's (3, n) uint64 temporaries in
-# cells.cells then stay below glibc's 128 KiB mmap threshold, so they reuse heap memory and not fresh pages (at 24 000
-# cells each ufunc call took about 3 to 4 times as long per cell).
+# _write_table formats blocks of about _BLOCK_CELLS cells: a block's (3, n) uint64 temporaries in cells.cells then
+# stay below glibc's 128 KiB mmap threshold, so they reuse heap memory and not fresh pages (at 24 000 cells each ufunc
+# call took about 3 to 4 times as long per cell).
 _BLOCK_CELLS = 5000
 
 
@@ -67,7 +67,7 @@ def _write_csv(out: str | None, header, blocks) -> None:
     stdout's text encoding. The header goes through ``csv.writer`` (see
     ``_csv_text``). Each block is one or more whole rows, each ending in
     \r\n: encoded ``csv.writer`` text, or a bytes template's, filled with
-    :func:`_cells` in "%b" slots (`map`, `spectrum`) or by "%.17g" (`modes`).
+    :func:`_cells` in "%b" slots (:func:`_write_table`).
     ``blocks`` may be a generator: it is consumed one block at a time, so the
     blocks before one that raises are already written. Stdout is flushed
     first, so that text already printed to it comes out before the table, and
@@ -114,19 +114,21 @@ def _parallel_blocks(block, n: int):
 
     A block's formatting holds the GIL for much of its time (the cells'
     tolist, the template fill, and the Python work between :func:`_cells`'
-    numpy calls), so threads would not share it well, but raw bytes
-    through a pipe need no pickling. W counts CPUs as ``sweep_map``
-    does, and is 1 where os.fork does not exist. This process formats the
-    blocks k with k % W == 0; forked child c (0 < c < W) formats those with
-    k % W == c and writes each to its own pipe as an 8-byte little-endian
-    length and the bytes, so it runs at most one pipe buffer and one block
-    ahead. A child runs only the formatting, Python and numpy's elementwise
-    ufuncs, no threaded numpy kernel or BLAS call whose lock a thread of this
-    process could hold at the fork, writes only to its pipe, and leaves
-    through os._exit: it never returns into the interpreter nor flushes a
-    buffer it inherited. A child that ends before its last frame is an
-    OSError here. When the generator ends or is closed, every child is
-    killed and reaped.
+    numpy calls), so threads would not share it well, but raw bytes through
+    a pipe need no pickling. W counts CPUs as ``sweep_map`` does, and is 1
+    where os.fork does not exist. This process formats the blocks k with
+    k % W == 0; forked child c (0 < c < W) formats those with k % W == c and
+    writes each to its own pipe as an 8-byte little-endian length and the
+    bytes, flushed at once, so it runs at most one pipe buffer and one block
+    ahead. The blocks are :func:`_write_table`'s: none of `map`, `spectrum`
+    and `modes` runs a thread or BLAS call while it formats (``sweep_map``
+    joins its threads before it returns). A child runs only Python and
+    numpy's elementwise ufuncs, no threaded numpy kernel or BLAS call whose
+    lock a thread of this process could hold at the fork, writes only to its
+    pipe, and leaves through os._exit: it never returns into the interpreter
+    nor flushes a buffer it inherited. A child that ends before its last
+    frame is an OSError here. When the generator ends or is closed, every
+    child is killed and reaped.
     """
     workers = min(scattering._cpu_count(), n) if hasattr(os, "fork") else 1
     children = []  # (pid, the read end of its pipe) of children 1 ... W - 1
@@ -146,6 +148,7 @@ def _parallel_blocks(block, n: int):
                             data = block(k)
                             pipe.write(len(data).to_bytes(8, "little"))
                             pipe.write(data)
+                            pipe.flush()  # a small block too goes out whole before the next is made
                 finally:
                     os._exit(0)
             os.close(write_fd)
@@ -168,6 +171,35 @@ def _parallel_blocks(block, n: int):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             reader.close()
+
+
+def _write_table(out: str | None, header, fields, tails, values, n_rows: int) -> None:
+    """Write the ``n_rows`` rows of a numeric table under the CSV row ``header`` to ``out`` (see _write_csv).
+
+    Row k * len(tails) + c is the cell of ``fields[k]`` and the bytes template ``tails[c]``, whose "%b" slots take the
+    next cells of ``values`` in row-major order: the last field's tails are cut at ``n_rows`` (a `modes` table's
+    failing row). Every cell is :func:`_cells`' and needs no quoting. The rows go out in blocks of whole fields of
+    about _BLOCK_CELLS slots, formatted by :func:`_parallel_blocks`, each with one _cells call: a second call's fixed
+    cost, about a hundred numpy calls, would show on a `modes` table of a few thousand cells.
+    """
+    offsets = np.cumsum([0] + [tail.count(b"%b") for tail in tails]).tolist()  # a field's slots before each tail
+    per_field = offsets[-1]
+    values = np.ravel(values)
+    n_fields = -(-n_rows // len(tails))
+    per_block = max(1, _BLOCK_CELLS // per_field)
+    pieces = [b"", *tails]  # a field's rows: its cell joined in before each tail
+
+    def block(k: int) -> bytes:
+        first, stop = k * per_block, min((k + 1) * per_block, n_fields)
+        last = min(n_rows - (stop - 1) * len(tails), len(tails))  # the rows of the block's last field
+        end = (stop - 1) * per_field + offsets[last]  # the slots up to the block's last row
+        cells = _cells(np.concatenate([fields[first:stop], values[first * per_field : end]]))
+        n = stop - first
+        template = b"".join([B.join(pieces) for B in cells[: n - 1]]) + cells[n - 1].join(pieces[: last + 1])
+        return template % tuple(cells[n:])
+
+    with closing(_parallel_blocks(block, -(-n_fields // per_block))) as blocks:
+        _write_csv(out, header, blocks)
 
 
 def _read_csv(path: str, required) -> list[dict]:
@@ -245,12 +277,7 @@ def cmd_spectrum(args) -> int:
         k, c = np.unravel_index(np.argmin(np.isfinite(table)), table.shape)
         raise DomainError(f"{list(columns)[c]} is {table[k, c]} at B = {B!r} T, f = {f[k].item()!r} Hz")
 
-    # every cell is a number: blocks of about _BLOCK_CELLS cells of whole rows, each row a "%b" bytes template
-    # filled with _cells, as in `map`
-    template = b",".join([b"%b"] * len(columns)) + b"\r\n"
-    per_block = max(1, _BLOCK_CELLS // len(columns))
-    blocks = (table[k : k + per_block] for k in range(0, len(f), per_block))
-    _write_csv(args.out, columns.keys(), (template * len(rows) % tuple(_cells(rows)) for rows in blocks))
+    _write_table(args.out, columns.keys(), f, [b",%b" * (len(columns) - 1) + b"\r\n"], table[:, 1:], f.size)
     return EXIT_OK
 
 
@@ -266,54 +293,9 @@ def cmd_map(args) -> int:
     if args.unwrap and config.observable.endswith("_phase"):
         values = np.unwrap(values, axis=1)
 
-    # One byte block per run of about _BLOCK_CELLS cells of whole bias fields: each field's B cell joined in before
-    # the tail of each frequency row, which holds the frequency cell (formatted once) and a "%b" slot for the value's
-    # cell. The cells are _cells' (b"%.17g" % x, which is format(x, ".17g") encoded), and a cell holds no "%" and
-    # nothing that needs quoting.
-    pieces = [b"", *(b",%b,%%b\r\n" % f for f in _cells(sweep.frequencies))]
-    fields = _cells(sweep.fields)
-    per_block = max(1, _BLOCK_CELLS // values.shape[1])
-
-    def block(k: int) -> bytes:
-        rows = slice(k * per_block, (k + 1) * per_block)
-        return b"".join([B.join(pieces) for B in fields[rows]]) % tuple(_cells(values[rows]))
-
-    with closing(_parallel_blocks(block, math.ceil(len(fields) / per_block))) as blocks:
-        _write_csv(args.out, ["B_T", "f_hz", "value"], blocks)
+    tails = [b",%b,%%b\r\n" % f for f in _cells(sweep.frequencies)]  # each frequency cell formatted once
+    _write_table(args.out, ["B_T", "f_hz", "value"], sweep.fields, tails, values, values.size)
     return EXIT_OK
-
-
-def _modes_rows(fields, indices, sign_branch: str, material):
-    """The `modes` rows as byte blocks, one per bias field, from :func:`magnetostatics._modes_table`.
-
-    The minus branch of (i, j) is the mode (i, -j). A field's block fills one "%.17g" bytes template of every pair's
-    row (a .17g cell needs no quoting), with empty closed-form cells where a pair has none. The blocks before the
-    table's failing row are yielded, then its error is raised.
-    """
-    pairs = [(i, j if sign_branch == "plus" else -j) for i, j in indices]
-    n_pairs = len(pairs)
-    closed, roots, error = magnetostatics._modes_table(pairs, fields, material)
-
-    # per row: closed form, root and relative difference, of which a pair without a closed form writes the root
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cells = np.column_stack([closed, roots, np.abs(roots - closed) / closed])
-    has_closed = [magnetostatics.closed_form_map(i, signed_j) is not None for i, signed_j in pairs]
-    tails = [
-        f",{i},{j},{sign_branch},".encode() + (b"%.17g,%.17g,%.17g\r\n" if closed_form else b",%.17g,\r\n")
-        for (i, j), closed_form in zip(indices, has_closed)
-    ]
-    written = np.array([[closed_form, True, closed_form] for closed_form in has_closed])
-    # each field's B cell is joined in before every pair's tail, as in `map`
-    pieces = [b"", *tails]
-    n_full, partial = divmod(roots.size, n_pairs)
-    values = cells[: n_full * n_pairs].reshape(n_full, n_pairs, 3)[:, written]
-    for B, row in zip(fields[:n_full].tolist(), values.tolist()):
-        yield (b"%.17g" % B).join(pieces) % tuple(row)
-    if partial:  # the rows of the failing row's field before it
-        head = cells[n_full * n_pairs :][written[:partial]]
-        yield (b"%.17g" % fields[n_full]).join(pieces[: partial + 1]) % tuple(head.tolist())
-    if error is not None:
-        raise error
 
 
 def cmd_modes(args) -> int:
@@ -321,8 +303,24 @@ def cmd_modes(args) -> int:
     if config.modes_table is None:
         raise ConfigError("config must provide a modes_table section")
     spec = config.modes_table
-    rows = _modes_rows(spec.field_grid.values(), spec.indices, spec.sign_branch, config.system.material)
-    _write_csv(args.out, ["B_T", "i", "j", "sign_branch", "f_closed_hz", "f_solver_hz", "rel_diff"], rows)
+    fields = spec.field_grid.values()
+    pairs = [(i, j if spec.sign_branch == "plus" else -j) for i, j in spec.indices]  # (i, j)'s minus branch: (i, -j)
+    closed, roots, error = magnetostatics._modes_table(pairs, fields, config.system.material)
+
+    # per row: closed form, root and relative difference, of which a pair without a closed form writes the root
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells = np.column_stack([closed, roots, np.abs(roots - closed) / closed])
+    has_closed = [magnetostatics.closed_form_map(i, signed_j) is not None for i, signed_j in pairs]
+    tails = [
+        f",{i},{j},{spec.sign_branch},".encode() + (b"%b,%b,%b\r\n" if closed_form else b",%b,\r\n")
+        for (i, j), closed_form in zip(spec.indices, has_closed)
+    ]
+    written = np.array([[closed_form, True, closed_form] for closed_form in has_closed])
+    values = cells[written[np.arange(roots.size) % len(pairs)]]
+    header = ["B_T", "i", "j", "sign_branch", "f_closed_hz", "f_solver_hz", "rel_diff"]
+    _write_table(args.out, header, fields, tails, values, roots.size)
+    if error is not None:  # the rows before the failing one are written
+        raise error
     return EXIT_OK
 
 

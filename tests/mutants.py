@@ -211,6 +211,12 @@ MUTANTS = [
         "the f and value cells of map swapped", "cli.py", 'b",%b,%%b\\r\\n" % f', 'b",%%b,%b\\r\\n" % f',
         ("test_cli.py::TestCsvContract::test_map_bytes_equal_a_row_by_row_reference[s21_power-wrapped-3x7]",),
     ),
+    # the table writer: a `modes` table that ends at a failing row ends within its last field
+    Mutant(
+        "the failing field's tails not cut", "cli.py",
+        "cells[n - 1].join(pieces[: last + 1])", "cells[n - 1].join(pieces)",
+        ("test_cli.py::TestCsvContract::test_modes_bytes_equal_a_row_by_row_reference",),
+    ),
     # the vectorized "%.17g" cells: the double-double product's tail, and %g's switch to exponent notation at X = 17
     Mutant(
         "a double-double product without x * lo", "cells.py", "e += x * lo", "e += 0.0 * lo",
@@ -226,10 +232,15 @@ MUTANTS = [
         "for pid, reader in children:", "for pid, reader in []:", (PARALLEL + "test_success_leaves_no_process",),
     ),
     Mutant(
-        "cmd_map without contextlib.closing", "cli.py",
-        "with closing(_parallel_blocks(block, math.ceil(len(fields) / per_block))) as blocks:",
-        "with nullcontext(_parallel_blocks(block, math.ceil(len(fields) / per_block))) as blocks:",
+        "the table writer without contextlib.closing", "cli.py",
+        "with closing(_parallel_blocks(block, -(-n_fields // per_block))) as blocks:",
+        "with nullcontext(_parallel_blocks(block, -(-n_fields // per_block))) as blocks:",
         (PARALLEL + "test_an_interrupted_write_leaves_no_process",),
+    ),
+    Mutant(
+        "no flush after each formatted block", "cli.py",
+        "pipe.flush()  # a small block too", "pass  # a small block too",
+        (PARALLEL + "test_a_child_killed_mid_stream_is_a_write_error",),
     ),
     Mutant(
         "no short-frame check", "cli.py",

@@ -72,19 +72,20 @@ def test_importing_the_cli_leaves_scipy_out():
     assert done.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("command", ["modes", "map"])
+@pytest.mark.parametrize("command", ["spectrum", "map", "modes", "derive", "scaling"])
 def test_the_cell_module_is_imported_only_when_a_cell_is_made(tmp_path, command):
     # where bytecode is not cached, compiling magnoncavity.cells at every start-up would cost about 2.5 ms and 0.6 MB
     src = Path(cli.__file__).resolve().parent.parent
-    config = CONFIG_DIR / ("walker_modes.yaml" if command == "modes" else "sphere_0p45mm_map.yaml")
+    golden = next(argv for argv in GOLDEN_ARGV.values() if argv[0] == command)
+    argv = [str(CONFIG_DIR / a) if a.endswith((".yaml", ".csv")) else a for a in golden]
     code = (
         "import sys, magnoncavity.cli as cli; imported = 'magnoncavity.cells' in sys.modules; "
-        f"cli.main([{command!r}, {str(config)!r}, '--out', {str(tmp_path / 'out.csv')!r}]); "
+        f"cli.main({argv + ['--out', str(tmp_path / 'out.csv')]!r}); "
         "print(imported, 'magnoncavity.cells' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == f"False {command == 'map'}\n"
+    assert done.stdout == f"False {command in ('spectrum', 'map', 'modes')}\n"
 
 
 class TestSpectrumCommand:
@@ -1031,18 +1032,28 @@ class TestCsvContract:
         assert len(cells) == n_fields * n_frequencies
 
     @settings(max_examples=60, deadline=None)
-    @given(modes_tables())
-    @example(([[1, 1], [2, 0], [2, 1]], "plus", (0.3, 0.45, 7)))  # closed forms: exit 0
-    @example(([[2, 0], [4, 1]], "minus", (0.3, 0.45, 7)))  # (4,-1) has no closed form: exit 0
-    @example(([[2, 0], [3, 1], [4, 1]], "plus", (0.06, 0.3, 9)))  # two (3,1) roots at the first field: exit 3
-    @example(([[2, 0], [4, 1], [3, 1]], "minus", (0.3, 0.45, 9)))  # one closed form, two bare pairs: exit 0
-    @example(([[2, 0], [3, 0], [4, 0], [4, 1]], "minus", (0.3, 0.45, 9)))  # two (4,0) roots at the first field: exit 3
-    @example(([[2, 0], [4, 1], [4, 2], [3, 0]], "minus", (0.3, 0.45, 9)))  # one closed form, three bare pairs: exit 0
+    # blocks of about 1 slot (one field each) up to the whole table (at most 9 fields of 6 rows of 3 slots), formatted
+    # in 1 to 3 processes
+    @given(modes_tables(), st.integers(1, 162), st.integers(1, 3))
+    @example(([[1, 1], [2, 0], [2, 1]], "plus", (0.3, 0.45, 7)), 5000, 1)  # closed forms: exit 0
+    @example(([[2, 0], [4, 1]], "minus", (0.3, 0.45, 7)), 5000, 1)  # (4,-1) has no closed form: exit 0
+    @example(([[2, 0], [3, 1], [4, 1]], "plus", (0.06, 0.3, 9)), 5000, 1)  # two (3,1) roots at the first field: exit 3
+    @example(([[2, 0], [4, 1], [3, 1]], "minus", (0.3, 0.45, 9)), 5000, 1)  # one closed form, two bare pairs: exit 0
+    # two (4,0) roots at the first field: exit 3
+    @example(([[2, 0], [3, 0], [4, 0], [4, 1]], "minus", (0.3, 0.45, 9)), 5000, 1)
+    # one closed form, three bare pairs: exit 0
+    @example(([[2, 0], [4, 1], [4, 2], [3, 0]], "minus", (0.3, 0.45, 9)), 5000, 1)
     # every edge of (3,-1), (4,-2), (4,-1) and (5,-3) is scanned, across the chi pole in both sign classes: exit 0
-    @example(([[3, 1], [4, 2], [4, 1], [5, 3]], "minus", (0.3, 0.45, 9)))
+    @example(([[3, 1], [4, 2], [4, 1], [5, 3]], "minus", (0.3, 0.45, 9)), 5000, 1)
     # a later (3,1) default window collapses (at 5e29 T): the first field's failing (3,1) row still ends the table
-    @example(([[2, 2], [3, 1]], "plus", (0.3, 1e30, 3)))
-    def test_modes_bytes_equal_a_row_by_row_reference(self, tmp_path_factory, table):
+    @example(([[2, 2], [3, 1]], "plus", (0.3, 1e30, 3)), 5000, 1)
+    # (2,-1) has no root above 0.0237 T: the table ends at field 7 (0.024 T), after its (3,-1) row (exit 3), in one
+    # block, in a forked block of fields 6 and 7, and on the first field of a block, forked or not
+    @example(([[3, 1], [2, 1]], "minus", (0.01, 0.026, 9)), 5000, 3)
+    @example(([[3, 1], [2, 1]], "minus", (0.01, 0.026, 9)), 4, 2)
+    @example(([[3, 1], [2, 1]], "minus", (0.01, 0.026, 9)), 14, 2)
+    @example(([[3, 1], [2, 1]], "minus", (0.01, 0.026, 9)), 2, 1)
+    def test_modes_bytes_equal_a_row_by_row_reference(self, tmp_path_factory, table, block_cells, cpus):
         indices, branch, (start, stop, count) = table
         config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
         config["modes_table"] = {
@@ -1050,9 +1061,12 @@ class TestCsvContract:
         }
         path = tmp_path_factory.getbasetemp() / "table.yaml"
         path.write_text(yaml.safe_dump(config))
-        with contextlib.redirect_stdout(io.StringIO(newline="")) as stdout:
-            with contextlib.redirect_stderr(io.StringIO()) as stderr:
-                code = run(["modes", path])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK_CELLS", block_cells)
+            patch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
+            with contextlib.redirect_stdout(io.StringIO(newline="")) as stdout:
+                with contextlib.redirect_stderr(io.StringIO()) as stderr:
+                    code = run(["modes", path])
         assert (code, stdout.getvalue(), stderr.getvalue()) == modes_reference(path)
 
 
@@ -1340,8 +1354,16 @@ class TestCells:
         assert out.read_bytes() == map_reference(path)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.floats(0.30, 0.45), st.floats(10.3e9, 10.9e9), st.floats(1e6, 0.4e9), st.integers(1, 300))
-    def test_spectrum_bytes_equal_a_row_by_row_reference(self, tmp_path_factory, field, f_start, f_span, count):
+    @given(
+        st.floats(0.30, 0.45),
+        st.floats(10.3e9, 10.9e9),
+        st.floats(1e6, 0.4e9),
+        st.integers(1, 300),
+        st.integers(1, 24 * 300),
+    )
+    def test_spectrum_bytes_equal_a_row_by_row_reference(
+        self, tmp_path_factory, field, f_start, f_span, count, block_cells
+    ):
         config = yaml.safe_load((CONFIG_DIR / "sphere_0p45mm_spectrum.yaml").read_text())
         config["sweep"] = {
             "field": {"start": field, "stop": field, "count": 1},
@@ -1350,7 +1372,9 @@ class TestCells:
         path = tmp_path_factory.getbasetemp() / "random_spectrum.yaml"
         path.write_text(yaml.safe_dump(config))
         out = tmp_path_factory.getbasetemp() / "random_spectrum.csv"
-        assert run(["spectrum", path, "--out", out]) == 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK_CELLS", block_cells)  # blocks of one frequency row up to all of them
+            assert run(["spectrum", path, "--out", out]) == 0
         assert out.read_bytes() == spectrum_reference(path).encode()
 
 
@@ -1401,14 +1425,33 @@ def assert_no_child_process():
 
 @pytest.mark.filterwarnings("error::DeprecationWarning")
 class TestParallelMap:
-    """`map` formats its field blocks in min(CPUs, blocks) processes: the bytes do not depend on the number."""
+    """The numeric tables' field blocks are formatted in min(CPUs, blocks) processes: the bytes do not depend on it."""
 
     MAP = ["map", CONFIG_DIR / "sphere_0p45mm_map.yaml"]  # 22 fields of 0.03 MB each, more than a pipe holds
 
     @pytest.fixture(autouse=True)
     def one_field_per_block(self, monkeypatch):
-        """Blocks of one field each (cmd_map packs fields into blocks of about _BLOCK_CELLS cells): MAP has 22."""
+        """Blocks of one field each (_write_table packs fields into blocks of about _BLOCK_CELLS cells): MAP has 22."""
         monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)
+
+    @pytest.fixture(params=["map", "modes"])
+    def table(self, request, tmp_path):
+        """(argv, exit code, bytes, blocks) of MAP, or of a `modes` table that ends at a failing row of its block 7.
+
+        (2,-1) has no root above 0.0237 T: the table ends after the (3,-1) row of its eighth field, 0.024 T, so its
+        last block comes after at least 3 forked ones.
+        """
+        if request.param == "map":
+            return self.MAP, 0, map_reference(self.MAP[1]), 22
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        config["modes_table"] = {
+            "field": {"start": 0.01, "stop": 0.026, "count": 9}, "indices": [[3, 1], [2, 1]], "sign_branch": "minus"
+        }
+        path = tmp_path / "table.yaml"
+        path.write_text(yaml.safe_dump(config))
+        code, text, _ = modes_reference(path)
+        assert (code, text.count("\r\n")) == (3, 16)  # the header and 15 rows
+        return ["modes", path], code, text.encode(), 8
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -1458,12 +1501,13 @@ class TestParallelMap:
         assert len(forks) == 2 * (min(cpus, n_blocks) - 1)
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_success_leaves_no_process(self, tmp_path, monkeypatch, forks, cpus):
+    def test_success_leaves_no_process(self, tmp_path, monkeypatch, forks, cpus, table):
+        argv, code, reference, _ = table
         monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
-        out = tmp_path / "map.csv"
-        assert run(self.MAP + ["--out", out]) == 0
+        out = tmp_path / "table.csv"
+        assert run(argv + ["--out", out]) == code
         assert_no_child_process()
-        assert out.read_bytes() == map_reference(self.MAP[1])
+        assert out.read_bytes() == reference
         assert len(forks) == cpus - 1
 
     def test_one_process_where_there_is_no_fork(self, tmp_path, monkeypatch):
@@ -1474,13 +1518,13 @@ class TestParallelMap:
         assert out.read_bytes() == map_reference(self.MAP[1])
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_a_closed_stdout_pipe_leaves_no_process(self, monkeypatch, capsys, forks, cpus):
+    def test_a_closed_stdout_pipe_leaves_no_process(self, monkeypatch, capsys, forks, cpus, table):
         monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
         read_fd, write_fd = os.pipe()
         os.close(read_fd)
         with monkeypatch.context() as patch, open(write_fd, "w") as stdout:
             patch.setattr(sys, "stdout", stdout)
-            code = run(self.MAP)
+            code = run(table[0])
         assert_no_child_process()
         assert (code, capsys.readouterr().err) == (
             2, "config error: cannot write output to stdout: [Errno 32] Broken pipe\n"
@@ -1489,9 +1533,9 @@ class TestParallelMap:
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_a_full_device_leaves_no_process(self, monkeypatch, capsys, forks, cpus):
+    def test_a_full_device_leaves_no_process(self, monkeypatch, capsys, forks, cpus, table):
         monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
-        assert run(self.MAP + ["--out", "/dev/full"]) == 2
+        assert run(table[0] + ["--out", "/dev/full"]) == 2
         assert_no_child_process()
         assert capsys.readouterr().err == (
             "config error: cannot write output file /dev/full: [Errno 28] No space left on device\n"
@@ -1500,8 +1544,11 @@ class TestParallelMap:
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_a_child_killed_mid_stream_is_a_write_error(self, tmp_path, monkeypatch, capsys, forks, cpus, to_file):
+    def test_a_child_killed_mid_stream_is_a_write_error(
+        self, tmp_path, monkeypatch, capsys, forks, cpus, to_file, table
+    ):
         # the child that formats block 5 kills itself there, after writing its earlier blocks
+        argv, _, _, n_blocks = table
         monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
         parallel_blocks = cli._parallel_blocks
 
@@ -1516,24 +1563,25 @@ class TestParallelMap:
             return parallel_blocks(block_or_death, n)
 
         monkeypatch.setattr(cli, "_parallel_blocks", dying_child)
-        out = tmp_path / "map.csv"
+        out = tmp_path / "table.csv"
         target = f"file {out}" if to_file else "to stdout"
         with monkeypatch.context() as patch:
             if not to_file:  # a stdout of its own, which the failed write points at os.devnull
                 patch.setattr(sys, "stdout", open(tmp_path / "stdout.csv", "w"))
-            code = run(self.MAP + (["--out", out] if to_file else []))
+            code = run(argv + (["--out", out] if to_file else []))
             if not to_file:
                 sys.stdout.close()
         assert_no_child_process()
         assert (code, capsys.readouterr().err) == (
             2,
-            f"config error: cannot write output {target}: the process formatting block 5 of 22 ended before writing it\n",
+            f"config error: cannot write output {target}: the process formatting block 5 of {n_blocks} ended before"
+            " writing it\n",
         )
         assert not out.exists()
         assert len(forks) == cpus - 1
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_an_interrupted_write_leaves_no_process(self, monkeypatch, forks, cpus):
+    def test_an_interrupted_write_leaves_no_process(self, monkeypatch, forks, cpus, table):
         monkeypatch.setattr(mc.scattering, "_cpu_count", lambda: cpus)
 
         class InterruptedStdout(io.StringIO):  # no binary buffer: the writer writes decoded text here
@@ -1544,7 +1592,7 @@ class TestParallelMap:
 
         monkeypatch.setattr(sys, "stdout", InterruptedStdout())
         with pytest.raises(KeyboardInterrupt) as interrupted:
-            run(self.MAP)
+            run(table[0])
         # the children are gone while the traceback still holds every frame of the command, and its generator
         assert interrupted.traceback[-1].name == "write"
         assert_no_child_process()
