@@ -26,9 +26,6 @@ import numpy as np
 from .errors import DomainError
 from .model import FieldMap, MaterialParams
 
-# Probe frequencies with |gamma_e^2 B_i^2 - f^2| below this fraction of the
-# larger square are the chi pole itself to :func:`walker_characteristic`.
-_POLE_GUARD = 1e-12
 # Queries of one index pair that :func:`_solve_walker_arrays` scans
 # together: bounds the scan's temporaries to _SCAN_BLOCK * (panels + 1)
 # float64 values whatever the table size. Brent's state is not bounded by
@@ -36,13 +33,11 @@ _POLE_GUARD = 1e-12
 # 256, 512 and 1024, 256 ran a 2001-field, six-pair table fastest (on a
 # 2-vCPU x86-64 VM).
 _SCAN_BLOCK = 256
+# The lowest internal field, in units of mu0_Ms, at which :func:`_n_panels`
+# was checked against a dense count of the roots (every pair with i <= 10).
+_H_FLOOR = 2e-4
 # The absolute tolerance (Hz) of Brent's method.
 _F_TOL = 1.0
-# Half-width, in units of gamma_e*mu0_Ms, of the span around a root of the
-# characteristic polynomial whose panels are scanned: far above the
-# distance between that root and the float residual's sign change, since a
-# spare panel costs one or two residual evaluations and a missed one a root.
-_ROOT_SLACK = 1e-6
 # Lowest edge (Hz) of a search window. The (2,0) residual has no j*chi2
 # term and is even in f, so a window reaching below zero can hold the
 # mirror root -f of a positive one.
@@ -212,7 +207,9 @@ def _cleared_grid(f, B_ext, i: int, j: int, material: MaterialParams, residual: 
     carried as its one nonzero component with a numpy complex evaluation's bits. It changes sign at the roots of R,
     and at the chi pole f^2 = x^2 for the pairs with (floor(|j|/2) odd) == (j x > 0), above which it is negated.
     NaN where the recurrence sees xi0^2 = 1 (the chi pole) or 0 (a touch of zero for odd i - |j|), or it is not
-    finite. With ``residual``, R = C / (P (x^2 - f^2)), NaN at the pole guard, at xi0^2 = 1 or where not finite.
+    finite. With ``residual``, R = C / (P (x^2 - f^2)), NaN where the recurrence sees xi0^2 = 1 or it is not finite
+    (P = 0, an overflow, or the division at f^2 = x^2); R is finite at xi0^2 = 0 for even i - |j|, and next to the
+    chi pole for the pairs without a pole there.
     """
     x = material.gamma_e * internal_field(B_ext, material)
     f_M = material.gamma_e * material.mu0_Ms
@@ -227,20 +224,19 @@ def _cleared_grid(f, B_ext, i: int, j: int, material: MaterialParams, residual: 
         # with an imaginary xi0, xi0 * N is imaginary times imaginary where i - |j| is even
         value = (i + 1) * p * den + (xi0_flip if (i - m) % 2 == 0 else xi0) * n * f_M_x + j * f_M * f * p
         if residual:
-            value = value / (p * den)
-            defined = np.abs(den) >= _POLE_GUARD * np.maximum(x * x, f * f)
+            value, defined = value / (p * den), seen != 1
         else:
             # above the chi pole, where (floor(|j|/2) odd) == (j x > 0)
             value = np.where((den < 0) & (j * x > 0 if m // 2 % 2 else j * x <= 0), -value, value)
-            defined = seen != 0
-        defined &= (seen != 1) & np.isfinite(value)
-    return np.where(defined, value, np.nan)
+            defined = (seen != 1) & (seen != 0)
+    return np.where(defined & np.isfinite(value), value, np.nan)
 
 
 def walker_characteristic(f: float, q: WalkerModeQuery, material: MaterialParams) -> float:
     """Left side R of the sphere's magnetostatic characteristic equation at one probe frequency.
 
-    A one-point :func:`_cleared_grid` of R; raises DomainError where R is undefined.
+    A one-point :func:`_cleared_grid` of R; raises DomainError where R is undefined: where the recurrence sees
+    xi0^2 = 1, or the value is not finite.
     """
     if not math.isfinite(f):
         raise ValueError("f must be finite")
@@ -458,17 +454,25 @@ def _walker_root(i: int, j: int, h):
     return np.where(h > 0, root, math.nan)
 
 
-def _n_panels(i: int, h):
+def _n_panels(i, h):
     """Panels per search window of a pair of degree i at each internal field ``h`` (in units of mu0_Ms): floats.
+
+    ``i`` is an int, or an int array shaped like ``h``.
 
     Roots that share a panel are missed. They crowd with the degree: 16 panels per degree, at least 64, and 2 more
     at a multiple of 18 (the chi pole, where the scan is NaN, is 7/18 up a default window with a lower edge above
     1 Hz). They crowd into the band x < f < sqrt(x^2 + x f_M), too, whose width f_M (sqrt(h^2 + h) - h) is below
-    0.2 f_M at 0 < h < 1/15: there twice as many.
+    0.2 f_M at 0 < h < 1/15: there max(2, 0.2 f_M / width) times as many, rounded to an even count, and 2 more at a
+    multiple of 18. That is twice as many down to h = 0.0125, where the width is 0.1 f_M. Below h = _H_FLOOR the
+    count is that of _H_FLOOR (2294 for i = 10), which bounds the scan's temporaries.
     """
-    base = max(64, 16 * i)
-    base += 2 * (base % 18 == 0)
-    return np.where((0 < h) & (h < 1 / 15), 2.0 * base, float(base))
+    base = np.maximum(64, 16 * i)
+    base = base + 2 * (base % 18 == 0)
+    # 0.2 f_M / width = 0.2 (1 + sqrt(1 + 1/h))
+    factor = np.maximum(2.0, 0.2 * (1.0 + np.sqrt(1.0 + 1.0 / np.maximum(h, _H_FLOOR))))
+    counts = 2 * np.round(base / 2 * factor)
+    counts += 2 * (counts % 18 == 0)
+    return np.where((0 < h) & (h < 1 / 15), counts, base)
 
 
 def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: MaterialParams):
@@ -481,12 +485,13 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
     queries of each index pair are scanned in blocks of ``_SCAN_BLOCK``: the
     cleared residual C (:func:`_cleared_grid`) is evaluated in one array call
     per block, on one span of edges per query, each edge once. The span is
-    that of the panels within ``_ROOT_SLACK`` of the one root of the pair's
-    characteristic polynomial that a window can hold (:func:`_walker_root`)
-    and of the panel on either side of them, clipped to the window, so empty
-    where that root lies outside it; and every edge of a query whose root is
-    not known: a pair whose polynomial is not a quadratic, or a field with
-    h <= 0. Any other panel holds no root. An edge where C is exactly zero
+    that of the panel of the one root of the pair's characteristic
+    polynomial that a window can hold (:func:`_walker_root`) and of the
+    panel on either side, clipped to the window, so empty where that root
+    lies outside it: the float residual's sign change is far closer than a
+    panel to it. The span is every edge of a query whose root is not known:
+    a pair whose polynomial is not a quadratic, or a field with h <= 0. Any
+    other panel holds no root. An edge where C is exactly zero
     is a root, and so is one in every panel of two scanned edges whose
     values change sign strictly, refined from them to ``_F_TOL`` by one
     lock-step Brent search over the selected panels of the whole call
@@ -500,6 +505,7 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
     """
     widths, f_M = highs - lows, material.gamma_e * material.mu0_Ms
     h = material.gamma_e * internal_field(fields, material) / f_M
+    query_panels = _n_panels(np.array([i for i, _ in pairs], dtype=int)[pair_of], h)
     # per block, in pair then query order: its zero edges, and its selected panels with their edge values, each
     # with its query (empty first entries, so that a call without queries concatenates to empty arrays)
     zeros: list[tuple] = [(np.empty(0, dtype=int), np.empty(0))]
@@ -508,17 +514,14 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
         members = np.flatnonzero(pair_of == pair)
         for start in range(0, members.size, _SCAN_BLOCK):
             block = members[start : start + _SCAN_BLOCK]
-            # the root's place and slack in panels from lo, and the first and the last edge of the panels within
-            # the slack of it and of the panel on either side, clipped to the window
-            n_panels = _n_panels(i, h[block])
-            scale = n_panels / widths[block]
+            # the panel of the root, counted from lo, and the first and the last edge of it and of the panel on
+            # either side, clipped to the window
+            n_panels = query_panels[block]
             with np.errstate(over="ignore", invalid="ignore"):
-                place = (_walker_root(i, j, h[block]) * f_M - lows[block]) * scale
-                slack = _ROOT_SLACK * f_M * scale
-                first, last = np.floor(place - slack) - 1, np.floor(place + slack) + 2
-                first, last = np.maximum(first, 0), np.minimum(last, n_panels)
+                panel = np.floor((_walker_root(i, j, h[block]) * f_M - lows[block]) * (n_panels / widths[block]))
+                first, last = np.maximum(panel - 1, 0), np.minimum(panel + 2, n_panels)
                 # a row whose root is NaN or out of range takes every edge
-                unknown = ~np.isfinite(first + last)
+                unknown = ~np.isfinite(panel)
             first[unknown], last[unknown] = 0, n_panels[unknown]
             # each row's span of edges, in row then edge order: the row, and the edges first, first + 1, ..., last
             lengths = np.maximum(last - first + 1, 0).astype(int)

@@ -119,6 +119,15 @@ MUTANTS = [
         "C not negated above the chi pole", "magnetostatics.py",
         "-value, value)", "value, value)", DENSE,
     ),
+    # R is NaN only where the recurrence sees xi0^2 = 1 or its value is not finite: finite next to the chi pole
+    # for the pairs without a pole there
+    Mutant(
+        "the pole guard put back", "magnetostatics.py",
+        "value, defined = value / (p * den), seen != 1",
+        "value, defined = value / (p * den), (seen != 1) & (np.abs(den) >= 1e-12 * np.maximum(x * x, f * f))",
+        ("test_magnetostatics.py::TestCharacteristicEquation::"
+         "test_a_pair_without_a_pole_at_the_internal_field_frequency_is_finite_next_to_it",),
+    ),
     Mutant(
         "a (2,0) closed form scaled by 1 + 1e-8", "magnetostatics.py",
         "material.mu0_Ms * np.sqrt(radicand), [", "material.mu0_Ms * np.sqrt(radicand) * (1 + 1e-8), [",
@@ -139,8 +148,8 @@ MUTANTS = [
     # row where it is not known
     Mutant(
         "only a root's own panel scanned", "magnetostatics.py",
-        "first, last = np.floor(place - slack) - 1, np.floor(place + slack) + 2",
-        "first, last = np.floor(place), np.floor(place) + 1",
+        "np.maximum(panel - 1, 0), np.minimum(panel + 2, n_panels)",
+        "np.maximum(panel, 0), np.minimum(panel + 1, n_panels)",
         ("test_magnetostatics.py::TestBatchedSolver::test_a_root_up_to_a_panel_from_its_polynomial_root_is_found",),
     ),
     Mutant(
@@ -150,7 +159,13 @@ MUTANTS = [
     ),
     Mutant(
         "the panels of a narrow band not doubled", "magnetostatics.py",
-        "2.0 * base, float(base)", "1.0 * base, float(base)", DENSE,
+        "(h < 1 / 15), counts, base)", "(h < 1 / 15), base, base)", DENSE,
+    ),
+    Mutant(
+        "the band factor held at 2", "magnetostatics.py", "counts = 2 * np.round(base / 2 * factor)",
+        "counts = 2 * np.round(base / 2 * 2.0)",
+        ("test_magnetostatics.py::TestBatchedSolver::"
+         "test_roots_equal_those_of_a_dense_scan_of_the_residual_next_to_a_third_of_mu0_ms",),
     ),
     Mutant(
         "the j = 0 root at the chi pole", "magnetostatics.py", "np.sqrt(h * h + 4 * h / (2 * i + 1))", "h",

@@ -276,6 +276,17 @@ class TestCharacteristicEquation:
         with pytest.raises(DomainError):
             mc.walker_characteristic(f_pole, q, MAT)
 
+    @pytest.mark.parametrize("offset", [-1e-13, 1e-13])
+    def test_a_pair_without_a_pole_at_the_internal_field_frequency_is_finite_next_to_it(self, offset):
+        # R of (1,-1) has no pole at f = x: it tends to 3 + f_M/(x + f) there, and raises only exactly at f = x,
+        # where the recurrence sees xi0^2 = 1
+        q = mc.WalkerModeQuery(i=1, j=-1, B_ext=0.38)
+        x = MAT.gamma_e * mc.internal_field(0.38, MAT)
+        f = x * (1.0 + offset)
+        assert mc.walker_characteristic(f, q, MAT) == pytest.approx(3 + F_M / (x + f), abs=1e-3)
+        with pytest.raises(DomainError, match=r"characteristic residual of \(1,-1\) is undefined"):
+            mc.walker_characteristic(x, q, MAT)
+
     def test_non_finite_frequency_rejected(self):
         q = mc.WalkerModeQuery(i=1, j=1, B_ext=0.38)
         with pytest.raises(ValueError):
@@ -395,12 +406,12 @@ def scalar_residual_oracle(f, q):
     """The characteristic residual at one point in CPython float and complex arithmetic.
 
     Returns the residual and chi1, or None where it is undefined: at the
-    pole guard, for chi1 == 0, xi0^2 = 1, P_i^j == 0, and a residual that
-    is not real.
+    chi pole f^2 = x^2, for chi1 == 0, xi0^2 = 1, P_i^j == 0, and a residual
+    that is not real.
     """
     x = MAT.gamma_e * mc.internal_field(q.B_ext, MAT)
     den = x * x - f * f
-    if abs(den) < 1e-12 * max(x * x, f * f) or x == 0:
+    if den == 0 or x == 0:
         return None
     xi0 = complex(1.0 + den / (F_M * x)) ** 0.5  # xi0^2 = 1 + 1/chi1
     if xi0 * xi0 == 1:
@@ -543,7 +554,7 @@ def residual_points(draw):
     B = draw(st.floats(0.07, 0.6))
     q = mc.WalkerModeQuery(i=i, j=j, B_ext=B)
     if draw(st.booleans()):
-        # relative offsets below about 5e-13 fall inside the pole guard
+        # within relative offsets of 1e-2 to 1e-13 of the chi pole, where R is finite for j <= 0
         pole = MAT.gamma_e * mc.internal_field(B, MAT)
         return q, pole * (1.0 + draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** -draw(st.floats(2.0, 13.0)))
     lo, hi = default_search_window(q, MAT)
@@ -562,7 +573,9 @@ def walker_solves(draw, max_n=7, field_range="any"):
     mu0_Ms is drawn from 0.05 to 0.8 T and gamma_e from 20 to 35 GHz/T. A
     field lies from mu0_Ms/6, below mu0_Ms/3 where the internal field is
     negative, up to 1 T above mu0_Ms/3; with ``field_range`` "above", from
-    mu0_Ms/3 + 0.01 T, and with "below", up to mu0_Ms/3. A window is the
+    mu0_Ms/3 + 0.01 T, with "below", up to mu0_Ms/3, and with "near", at
+    an internal field h mu0_Ms, h log-uniform from _H_FLOOR to 0.0125,
+    where the panel count grows as the band narrows. A window is the
     default one, the closed-form window of (n, |j|) where it has a closed
     form there, or a narrow window 1e-6 to 0.03 gamma_e*mu0_Ms wide around
     that closed form or a point of the default window. Returns (material,
@@ -572,10 +585,13 @@ def walker_solves(draw, max_n=7, field_range="any"):
     n = draw(st.integers(1, max_n))
     j = draw(st.integers(-n, n))
     third = material.mu0_Ms / 3
-    low, high = {"any": (third / 2, third + 1.0), "above": (third + 0.01, third + 1.0), "below": (third / 2, third)}[
-        field_range
-    ]
-    fields = draw(st.lists(st.floats(low, high), min_size=1, max_size=4))
+    if field_range == "near":
+        h = st.floats(math.log10(magnetostatics._H_FLOOR), math.log10(0.0125)).map(lambda e: 10.0**e)
+        field = h.map(lambda h: third + h * material.mu0_Ms)
+    else:
+        field = st.floats(*{"any": (third / 2, third + 1.0), "above": (third + 0.01, third + 1.0),
+                            "below": (third / 2, third)}[field_range])
+    fields = draw(st.lists(field, min_size=1, max_size=4))
     closed_map = magnetostatics.closed_form_map(n, abs(j))
     windows = []
     for B in fields:
@@ -626,17 +642,19 @@ def complex_residual_grid(f, B_ext, i: int, j: int, material):
     return np.where(np.isfinite(value) & real, value.real, np.nan)
 
 
-def dense_reference_roots(q, window, material, points=200_001):
+def dense_reference_roots(q, window, material, points=200_001, cleared=False):
     """The roots of R in ``window`` from ``points`` equally spaced probes, and their spacing.
 
     A root is a probe where R is 0, or the midpoint of two adjacent probes
     where R changes sign strictly and |R| < 1e2 at both: a pole crossing
-    has a large |R| on either side.
+    has a large |R| on either side. With ``cleared``, the zeros and sign
+    changes of the complex C (:func:`complex_cleared_grid`), which changes
+    sign at the roots of R and nowhere else, whatever |R| next to them.
     """
     lo, hi = window
     f = np.linspace(lo, hi, points)
-    r = complex_residual_grid(f, np.full(points, q.B_ext), q.i, q.j, material)
-    small = np.abs(r) < 1e2
+    r = (complex_cleared_grid if cleared else complex_residual_grid)(f, np.full(points, q.B_ext), q.i, q.j, material)
+    small = np.abs(r) < (math.inf if cleared else 1e2)
     cells = np.flatnonzero(small[:-1] & small[1:] & (r[:-1] * r[1:] < 0))
     return np.sort(np.concatenate([(f[cells] + f[cells + 1]) / 2, f[r == 0]])), f[1] - f[0]
 
@@ -691,8 +709,8 @@ class TestBatchedSolver:
         assert np.isnan(got).all()
         residual = magnetostatics._cleared_grid(f, fields, *ij, material, residual=True)
         assert np.isnan(residual[0]) == ((ij[0] - abs(ij[1])) % 2 == 1) and np.isnan(residual[1])
-        # xi0^2 rounds to exactly 1 at some probes next to the chi pole of a small internal field, outside the
-        # pole guard: C and R are NaN there, and C only there
+        # xi0^2 rounds to exactly 1 at some probes next to the chi pole of a small internal field: C and R are NaN
+        # there, and C only there
         B = MAT.mu0_Ms / 3 + 1e-7
         x = MAT.gamma_e * mc.internal_field(B, MAT)
         f = x * (1.0 + np.linspace(-1e-7, 1e-7, 20001))
@@ -701,7 +719,7 @@ class TestBatchedSolver:
             square = 1.0 + den / (F_M * x)
         xi0 = np.sqrt(np.abs(square))
         unit = xi0 * np.copysign(xi0, square) == 1.0  # the xi0^2 of the recurrence
-        assert (unit & (np.abs(den) >= magnetostatics._POLE_GUARD * np.maximum(x * x, f * f))).sum() > 0
+        assert unit.sum() > 0
         fields = np.full(f.shape, B)
         got = magnetostatics._cleared_grid(f, fields, *ij, MAT)
         assert_same_residual_bits(got, complex_cleared_grid(f, fields, *ij, MAT))
@@ -930,12 +948,22 @@ class TestBatchedSolver:
         # the internal field is negative, where C is negated above the chi pole by the mirrored rule
         self.check_roots_against_a_dense_scan(drawn)
 
+    @settings(max_examples=40, deadline=None)
+    @given(walker_solves(max_n=DENSE_MAX_N, field_range="near"))
+    # h = 5.6e-4: three roots, 74, 113 and 460 MHz, of which twice the base count of 80 panels finds one
+    @example((MAT, (5, 1), [MAT.mu0_Ms / 3 + 1e-4], [None]))
+    def test_roots_equal_those_of_a_dense_scan_of_the_residual_next_to_a_third_of_mu0_ms(self, drawn):
+        # the band x < f < sqrt(x^2 + x f_M) that the roots crowd into narrows like sqrt(h) down to _H_FLOOR; R
+        # is steep at its roots next to the band's top, so the reference is the sign changes of C on twice the probes
+        self.check_roots_against_a_dense_scan(drawn, points=400_001, cleared=True)
+
     @staticmethod
-    def check_roots_against_a_dense_scan(drawn):
+    def check_roots_against_a_dense_scan(drawn, points=200_001, cleared=False):
         material, (n, j), fields, windows = drawn
         queries = [mc.WalkerModeQuery(n, j, B) for B in fields]
         for q, window, roots in zip(queries, windows, solver_roots(queries, material, windows)):
-            reference, step = dense_reference_roots(q, window or default_search_window(q, material), material)
+            window = window or default_search_window(q, material)
+            reference, step = dense_reference_roots(q, window, material, points, cleared)
             assert len(roots) == reference.size, (q, window, roots, reference.tolist())
             np.testing.assert_allclose(roots, reference, rtol=1e-6, atol=step + 1.0)
 
@@ -950,16 +978,26 @@ class TestBatchedSolver:
         x = MAT.gamma_e * mc.internal_field(q.B_ext, MAT)
         assert (x - lo) / (hi - lo) == pytest.approx(7 / 18, rel=1e-12)
         h = np.concatenate([[-2.0, -0.5, 0.0, math.nan, math.inf], np.geomspace(1e-6, 1e3, 200)])
+        floored = np.maximum(h, magnetostatics._H_FLOOR)
         with np.errstate(invalid="ignore"):
-            band = np.sqrt(h * h + h) - h  # the width of x < f < sqrt(x^2 + x f_M), in units of f_M
-        # twice the base count where the band is narrower than 0.2 f_M (at h <= 0 there is none)
-        factor = np.where((h > 0) & (band < 0.2), 2, 1)
+            band = np.sqrt(floored * floored + floored) - floored  # the width of x < f < sqrt(x^2 + x f_M) over f_M
+        # max(2, 0.2 f_M / width) times the base count where the band is narrower than 0.2 f_M (at h <= 0 there is
+        # none), to within the rounding to an even count that is not a multiple of 18; twice it down to h = 0.0125,
+        # and that of _H_FLOOR below it
+        narrow = (h > 0) & (h < 1 / 15)
+        factor = np.where(narrow, np.maximum(2.0, 0.2 / band), 1.0)
         for i in range(1, 201):
             counts = magnetostatics._n_panels(i, h)
             base = max(64, 16 * i)
+            base += 2 * (base % 18 == 0)
             assert (counts % 18 != 0).all() and (counts % 2 == 0).all()
-            assert (counts == (base + 2 * (base % 18 == 0)) * factor).all()
+            assert (np.abs(counts - base * factor) <= 3).all()
+            assert (counts[~narrow | (h >= 0.0125)] == base * factor[~narrow | (h >= 0.0125)]).all()
+            assert (np.diff(counts[narrow]) <= 0).all()
         assert magnetostatics._n_panels(9, np.array([1.0])).tolist() == [146]
+        assert magnetostatics._n_panels(10, np.array([1e-6, magnetostatics._H_FLOOR, 1e-3])).tolist() == [
+            2294, 2294, 1046
+        ]
 
     @pytest.mark.parametrize("ij", [(1, 0), (2, 2), (3, -1), (4, 1)])
     def test_a_probe_where_xi0_squared_is_0_or_1_is_no_root(self, ij):
@@ -1023,6 +1061,18 @@ class TestBatchedSolver:
         panel = 2 * magnetostatics._DEFAULT_HALF_WIDTH / panels_of(q)  # in units of gamma_e*mu0_Ms
         monkeypatch.setattr(magnetostatics, "_walker_root", lambda i, j, h: root(i, j, h) + shift * panel)
         assert solve_walker_modes([q], MAT, [None]).root(0) == scalar_scan_reference(q, None)
+
+    def test_a_row_with_a_known_root_scans_the_4_edges_of_its_panel_and_the_panel_on_either_side(self, monkeypatch):
+        # (2,2) at 0.38 T in its closed-form window, centred on the root: 4 consecutive edges around it
+        q = mc.WalkerModeQuery(i=2, j=2, B_ext=0.38)
+        lo, hi = magnetostatics.closed_form_window(mc.msm_frequency_linear(q, MAT), MAT)
+        calls = record_grid(monkeypatch)
+        root = solve_walker_modes([q], MAT, [(lo, hi)]).root(0)
+        n = panels_of(q)
+        first = round((calls[0][0][1] - lo) / (hi - lo) * n)
+        assert calls[0] == [(q.B_ext, lo + (hi - lo) * k / n) for k in range(first, first + 4)]
+        assert calls[0][0][1] < root < calls[0][-1][1]
+        assert root == scalar_scan_reference(q, (lo, hi))
 
     @pytest.mark.parametrize("ij", [(1, 1), (1, -1), (2, 1), (3, -2), (7, 7), (2, 0), (3, 0)])
     def test_the_root_is_one_of_those_of_the_residual_times_its_denominators(self, ij):
