@@ -39,7 +39,10 @@ from .scattering import OBSERVABLES
 
 
 def _as_float(value, where: str) -> float:
+    """A finite float; numeric strings are accepted, booleans (YAML true and false) rejected."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         out = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
@@ -49,10 +52,12 @@ def _as_float(value, where: str) -> float:
 
 
 def _as_int(value, where: str) -> int:
-    """An integer; integral floats and numeric strings are accepted, fractional values rejected."""
-    if isinstance(value, int):
-        return int(value)
+    """An integer; integral floats and numeric strings are accepted, fractional values and booleans rejected."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
+        if isinstance(value, int):
+            return int(value)
         number = float(value)
         out = int(number)
     except (TypeError, ValueError, OverflowError):

@@ -26,13 +26,12 @@ import numpy as np
 from .errors import DomainError
 from .model import FieldMap, MaterialParams
 
-# Queries of one index pair that :func:`_solve_walker_arrays` scans
-# together: bounds the scan's temporaries to _SCAN_BLOCK * (panels + 1)
-# float64 values whatever the table size. Brent's state is not bounded by
-# it: it grows with the number of panels the whole solve selects. Of 128,
-# 256, 512 and 1024, 256 ran a 2001-field, six-pair table fastest (on a
-# 2-vCPU x86-64 VM).
-_SCAN_BLOCK = 256
+# Edges of the panel scan of :func:`_solve_walker_arrays` per block: a block holds the whole queries whose spans start
+# within one multiple of it, so at most _SCAN_EDGES edges plus one span, of at most the largest panel count + 1. That
+# bounds the scan's temporaries; Brent's state is not bounded by it, and grows with the number of panels the whole
+# solve selects. Of 2**13 to 2**17, 2**14 ran two 201-field four-pair tables that scan every edge fastest, within 4%
+# of blocks of 256 queries of one pair (2-vCPU x86-64 VM); larger blocks ran slower.
+_SCAN_EDGES = 2**14
 # The lowest internal field, in units of mu0_Ms, at which :func:`_n_panels`
 # was checked against a dense count of the roots (every pair with i <= 10).
 _H_FLOOR = 2e-4
@@ -428,30 +427,28 @@ def solve_walker_modes(
     return WalkerSolutions(outcomes=tuple(outcomes), **counts)
 
 
-def _walker_root(i: int, j: int, h):
+def _walker_root(i, j, h):
     """The one root of the (i, j) residual that a search window can hold, at each internal field ``h``.
 
-    Frequencies and ``h`` are in units of gamma_e*mu0_Ms. With s = xi0^2 and
-    d^|j| P_i / dxi^|j| = xi^p q(xi^2), the residual times h^(d+1) q(s)
-    (h^2 - f^2), d the degree of q, is a polynomial in f (Walker 1957),
-    a quadratic in f where i - |j| is 0 or 1 and j != 0, and in f^2 where
-    j = 0 and i is 2 or 3. Those quadratics factor into (f - sigma (h +
-    |j|/(2i + 1))) (f + sigma h), sigma the sign of j, and (f^2 - h^2)
-    (f^2 - h^2 - 4h/(2i + 1)). Their other roots are negative, or the chi
-    pole f = h that the factor (h^2 - f^2) brings in, never a root of the
-    residual. Returns sigma (h + |j|/(2i + 1)), negative for j < 0, and
-    sqrt(h^2 + 4h/(2i + 1)): the closed forms of ``FieldMap("walker")``
-    and msm20, and that of (3, 0). It is NaN where h is not positive and
-    at every field of any other pair.
+    ``i`` and ``j`` are ints, or int arrays shaped like ``h``: one pair per
+    field. Frequencies and ``h`` are in units of gamma_e*mu0_Ms. With
+    s = xi0^2 and d^|j| P_i / dxi^|j| = xi^p q(xi^2), the residual times
+    h^(d+1) q(s) (h^2 - f^2), d the degree of q, is a polynomial in f
+    (Walker 1957), a quadratic in f where i - |j| is 0 or 1 and j != 0, and
+    in f^2 where j = 0 and i is 2 or 3. Those quadratics factor into (f -
+    sigma (h + |j|/(2i + 1))) (f + sigma h), sigma the sign of j, and (f^2 -
+    h^2) (f^2 - h^2 - 4h/(2i + 1)). Their other roots are negative, or the
+    chi pole f = h that the factor (h^2 - f^2) brings in, never a root of
+    the residual. Returns sigma (h + |j|/(2i + 1)), negative for j < 0, and
+    sqrt(h^2 + 4h/(2i + 1)): the closed forms of ``FieldMap("walker")`` and
+    msm20, and that of (3, 0). It is NaN where h is not positive and where
+    the pair's polynomial is not one of those quadratics.
     """
-    if j and i - abs(j) <= 1:
-        root = math.copysign(1.0, j) * (h + abs(j) / (2 * i + 1))
-    elif not j and i in (2, 3):
-        with np.errstate(invalid="ignore"):
-            root = np.sqrt(h * h + 4 * h / (2 * i + 1))
-    else:
-        return np.full(h.size, math.nan)
-    return np.where(h > 0, root, math.nan)
+    linear, even = (j != 0) & (i - np.abs(j) <= 1), (j == 0) & ((i == 2) | (i == 3))
+    with np.errstate(invalid="ignore"):
+        root = np.where(linear, np.copysign(1.0, j) * (h + np.abs(j) / (2 * i + 1)),
+                        np.sqrt(h * h + 4 * h / (2 * i + 1)))
+    return np.where((linear | even) & (h > 0), root, math.nan)
 
 
 def _n_panels(i, h):
@@ -464,7 +461,7 @@ def _n_panels(i, h):
     1 Hz). They crowd into the band x < f < sqrt(x^2 + x f_M), too, whose width f_M (sqrt(h^2 + h) - h) is below
     0.2 f_M at 0 < h < 1/15: there max(2, 0.2 f_M / width) times as many, rounded to an even count, and 2 more at a
     multiple of 18. That is twice as many down to h = 0.0125, where the width is 0.1 f_M. Below h = _H_FLOOR the
-    count is that of _H_FLOOR (2294 for i = 10), which bounds the scan's temporaries.
+    count is that of _H_FLOOR (2294 for i = 10), which bounds a span and so a scan block.
     """
     base = np.maximum(64, 16 * i)
     base = base + 2 * (base % 18 == 0)
@@ -481,76 +478,77 @@ def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: Material
     Query k is the index pair ``pairs[pair_of[k]]`` at the bias field
     ``fields[k]``, searched in the finite window (``lows[k]``, ``highs[k]``)
     with lo < hi; error texts are built from these arrays. A window of (i, j)
-    at an internal field h is split into ``_n_panels(i, h)`` panels. The
-    queries of each index pair are scanned in blocks of ``_SCAN_BLOCK``: the
-    cleared residual C (:func:`_cleared_grid`) is evaluated in one array call
-    per block, on one span of edges per query, each edge once. The span is
-    that of the panel of the one root of the pair's characteristic
-    polynomial that a window can hold (:func:`_walker_root`) and of the
-    panel on either side, clipped to the window, so empty where that root
-    lies outside it: the float residual's sign change is far closer than a
-    panel to it. The span is every edge of a query whose root is not known:
-    a pair whose polynomial is not a quadratic, or a field with h <= 0. Any
-    other panel holds no root. An edge where C is exactly zero
-    is a root, and so is one in every panel of two scanned edges whose
-    values change sign strictly, refined from them to ``_F_TOL`` by one
-    lock-step Brent search over the selected panels of the whole call
-    (:func:`_lockstep_brent`), whose rounds evaluate their probes in one
-    array call per index pair that still has live probes, unless it meets a
-    NaN or does not converge. Returns (roots, counts of roots, error,
-    counters): per query in order, its root (unspecified unless it has
-    exactly one) and its number of roots; the function ``error(k)`` that
-    builds the DomainError of a query k with no root or several; and the
+    at an internal field h is split into ``_n_panels(i, h)`` panels. Each
+    query scans one span of edges, each edge once: that of the panel of the
+    one root of the pair's characteristic polynomial that a window can hold
+    (:func:`_walker_root`) and of the panel on either side, clipped to the
+    window, so empty where that root lies outside it: the float residual's
+    sign change is far closer than a panel to it. The span is every edge of
+    a query whose root is not known: a pair whose polynomial is not a
+    quadratic, or a field with h <= 0. Any other panel holds no root. The
+    spans are cut, in query order, into blocks of whole queries whose spans
+    start within one multiple of ``_SCAN_EDGES``, and the cleared residual C
+    (:func:`_cleared_grid`) is evaluated on each block's edges in one call
+    per index pair present. An edge where C is exactly zero is a root, and
+    so is one in every panel of two scanned edges whose values change sign
+    strictly, refined from them to ``_F_TOL`` by one lock-step Brent search
+    over the selected panels of the whole call (:func:`_lockstep_brent`),
+    whose rounds evaluate their probes the same way, unless it meets a NaN
+    or does not converge. Returns (roots, counts of roots, error, counters):
+    per query in order, its root (unspecified unless it has exactly one) and
+    its number of roots; the function ``error(k)`` that builds the
+    DomainError of a query k with no root or several; and the
     :class:`WalkerSolutions` counters.
     """
     widths, f_M = highs - lows, material.gamma_e * material.mu0_Ms
     h = material.gamma_e * internal_field(fields, material) / f_M
-    query_panels = _n_panels(np.array([i for i, _ in pairs], dtype=int)[pair_of], h)
-    # per block, in pair then query order: its zero edges, and its selected panels with their edge values, each
-    # with its query (empty first entries, so that a call without queries concatenates to empty arrays)
+    i, j = np.array(pairs, dtype=int)[pair_of].T
+    n_panels = _n_panels(i, h)
+    # the panel of the root, counted from lo, and the first and the last edge of it and of the panel on either side,
+    # clipped to the window
+    with np.errstate(over="ignore", invalid="ignore"):
+        panel = np.floor((_walker_root(i, j, h) * f_M - lows) * (n_panels / widths))
+        first, last = np.maximum(panel - 1, 0), np.minimum(panel + 2, n_panels)
+        # a query whose root is NaN or out of range takes every edge
+        unknown = ~np.isfinite(panel)
+    first[unknown], last[unknown] = 0, n_panels[unknown]
+    lengths = np.maximum(last - first + 1, 0).astype(int)
+    ends = np.cumsum(lengths)
+    offsets = ends - lengths - first.astype(int)  # an edge's k is its number, counted over all spans, minus this
+
+    def cleared(x, query):
+        """C at the probes ``x`` of the queries numbered ``query``: one :func:`_cleared_grid` call per index pair."""
+        values, pair = np.empty(x.size), pair_of[query]
+        for p in np.flatnonzero(np.bincount(pair)).tolist():  # np.unique hashes: ten times slower here
+            here = np.flatnonzero(pair == p)
+            values[here] = _cleared_grid(x[here], fields[query[here]], *pairs[p], material)
+        return values
+
+    # per block: its zero edges, and its selected panels with their edge values, each with its query (empty first
+    # entries, so that a call without queries concatenates to empty arrays)
     zeros: list[tuple] = [(np.empty(0, dtype=int), np.empty(0))]
     selected: list[tuple] = [(np.empty(0, dtype=int),) + (np.empty(0),) * 4]
-    for pair, (i, j) in enumerate(pairs):
-        members = np.flatnonzero(pair_of == pair)
-        for start in range(0, members.size, _SCAN_BLOCK):
-            block = members[start : start + _SCAN_BLOCK]
-            # the panel of the root, counted from lo, and the first and the last edge of it and of the panel on
-            # either side, clipped to the window
-            n_panels = query_panels[block]
-            with np.errstate(over="ignore", invalid="ignore"):
-                panel = np.floor((_walker_root(i, j, h[block]) * f_M - lows[block]) * (n_panels / widths[block]))
-                first, last = np.maximum(panel - 1, 0), np.minimum(panel + 2, n_panels)
-                # a row whose root is NaN or out of range takes every edge
-                unknown = ~np.isfinite(panel)
-            first[unknown], last[unknown] = 0, n_panels[unknown]
-            # each row's span of edges, in row then edge order: the row, and the edges first, first + 1, ..., last
-            lengths = np.maximum(last - first + 1, 0).astype(int)
-            rows = np.repeat(np.arange(block.size), lengths)
-            at = np.arange(rows.size) - (np.cumsum(lengths) - lengths - first.astype(int))[rows]
-            query = block[rows]
-            edges = lows[query] + widths[query] * at / n_panels[rows]  # the scalar edges lo + (hi - lo) * k / n
-            values = _cleared_grid(edges, fields[query], i, j, material)
-            zero = values == 0
-            zeros.append((query[zero], edges[zero]))
-            signs = np.sign(values)  # NaN edges select nothing
-            panels = np.flatnonzero((rows[1:] == rows[:-1]) & (signs[:-1] * signs[1:] < 0))
-            selected.append((query[panels], edges[panels], edges[panels + 1], values[panels], values[panels + 1]))
+    heads = np.flatnonzero(np.diff((ends - lengths) // _SCAN_EDGES, prepend=-1)).tolist()  # each block's first query
+    for begin, end in zip(heads, heads[1:] + [pair_of.size]):
+        # each query's span of edges, in query then edge order: the query, and the edges first, first + 1, ..., last
+        query = np.repeat(np.arange(begin, end), lengths[begin:end])
+        at = np.arange(ends[begin] - lengths[begin], ends[end - 1]) - offsets[query]
+        edges = lows[query] + widths[query] * at / n_panels[query]  # the scalar edges lo + (hi - lo) * k / n
+        values = cleared(edges, query)
+        zero = values == 0
+        zeros.append((query[zero], edges[zero]))
+        signs = np.sign(values)  # NaN edges select nothing
+        panels = np.flatnonzero((query[1:] == query[:-1]) & (signs[:-1] * signs[1:] < 0))
+        selected.append((query[panels], edges[panels], edges[panels + 1], values[panels], values[panels + 1]))
     zero_query, zero_edge = (np.concatenate(column) for column in zip(*zeros))
     query_of, xa, xb, fa, fb = (np.concatenate(column) for column in zip(*selected))
     counts = Counter(edge_roots=zero_query.size, brent_calls=query_of.size)
 
-    def cleared(x, live):
+    def probes(x, live):
         counts["residual_evals"] += x.size
-        f_x = np.empty(x.size)
-        live_queries = query_of[live]
-        live_pairs = pair_of[live_queries]
-        for pair in np.flatnonzero(np.bincount(live_pairs)).tolist():  # np.unique hashes: ten times slower here
-            here = live_pairs == pair
-            i, j = pairs[pair]
-            f_x[here] = _cleared_grid(x[here], fields[live_queries[here]], i, j, material)
-        return f_x
+        return cleared(x, query_of[live])
 
-    found, outcome = _lockstep_brent(cleared, xa, xb, fa, fb, _F_TOL)
+    found, outcome = _lockstep_brent(probes, xa, xb, fa, fb, _F_TOL)
     refined = outcome == _ROOT
 
     # every query's roots, ascending, in query order: a query with one has it as its root

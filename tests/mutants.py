@@ -157,6 +157,13 @@ MUTANTS = [
         "first[unknown], last[unknown] = 0, n_panels[unknown]", "first[unknown], last[unknown] = 0, -1",
         ("test_magnetostatics.py::TestBatchedSolver::test_a_row_without_known_roots_scans_every_panel",),
     ),
+    # the scan's blocks: whole queries whose spans start within one multiple of _SCAN_EDGES, not a count of queries
+    Mutant(
+        "scan blocks cut by query count", "magnetostatics.py",
+        "heads = np.flatnonzero(np.diff((ends - lengths) // _SCAN_EDGES, prepend=-1)).tolist()",
+        "heads = list(range(0, pair_of.size, 256))",
+        ("test_magnetostatics.py::TestBatchedSolver::test_a_scan_block_holds_at_most_scan_edges_and_one_span",),
+    ),
     Mutant(
         "the panels of a narrow band not doubled", "magnetostatics.py",
         "(h < 1 / 15), counts, base)", "(h < 1 / 15), base, base)", DENSE,

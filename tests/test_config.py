@@ -247,6 +247,28 @@ def test_integer_fields_accept_integral_floats_and_strings():
     assert parse_config(data).field_grid.count == 3
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("field: {start: 0.3, stop: 0.3, count: true}\n  indices: [[1, 1]]",
+         "modes_table.field.count: expected an integer, got True"),
+        ("field: {start: 0.3, stop: 0.3, count: 1}\n  indices: [[true, true]]",
+         "modes_table.indices[0][0]: expected an integer, got True"),
+        ("field: {start: false, stop: 0.3, count: 2}\n  indices: [[1, 1]]",
+         "modes_table.field.start: expected a number, got False"),
+    ],
+    ids=["count", "indices", "start"],
+)
+def test_yaml_booleans_are_not_numbers(tmp_path, capsys, text, message):
+    # YAML's true and false load as Python bools, which are ints: a number or an integer of a config rejects them,
+    # and `modes` exits 2 before any row
+    path = tmp_path / "booleans.yaml"
+    path.write_text(f"system:\n  cavity: {{f_c: 10.632e+9, kappa_e: 2.1e+6}}\nmodes_table:\n  {text}\n")
+    assert cli.main(["modes", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: {message}\n"
+
+
 def test_derive_reference_cells_are_numbers():
     import copy
 

@@ -625,38 +625,18 @@ FAILS_AT_ROW = np.linspace(0.06, 0.3, 9).tolist()
 DENSE_MAX_N = 10
 
 
-def complex_residual_grid(f, B_ext, i: int, j: int, material):
-    """R = (i+1) + xi0 P'/P + j chi2 in complex arithmetic: NaN where not finite or not real.
-
-    P' = N/(xi0^2 - 1) = N chi1, with chi1 = f_M x/(x^2 - f^2) from x and f rather than from the rounded xi0, whose
-    xi0^2 - 1 loses about eps * chi1^2 next to f = |x|.
-    """
-    x = material.gamma_e * mc.internal_field(B_ext, material)
-    f_M = material.gamma_e * material.mu0_Ms
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = x * x - f * f
-        xi0 = (1.0 + den / (f_M * x)).astype(complex) ** 0.5
-        p, n = complex_legendre_pair(i, abs(j), xi0)
-        value = (i + 1) + xi0 * n * (f_M * x / den) / p + j * f_M * f / den
-        real = np.abs(value.imag) <= 1e-9 * np.maximum(1.0, np.abs(value.real))
-    return np.where(np.isfinite(value) & real, value.real, np.nan)
-
-
-def dense_reference_roots(q, window, material, points=200_001, cleared=False):
+def dense_reference_roots(q, window, material, points=200_001):
     """The roots of R in ``window`` from ``points`` equally spaced probes, and their spacing.
 
-    A root is a probe where R is 0, or the midpoint of two adjacent probes
-    where R changes sign strictly and |R| < 1e2 at both: a pole crossing
-    has a large |R| on either side. With ``cleared``, the zeros and sign
-    changes of the complex C (:func:`complex_cleared_grid`), which changes
-    sign at the roots of R and nowhere else, whatever |R| next to them.
+    A root is a probe where the complex C (:func:`complex_cleared_grid`) is 0, or the midpoint of two adjacent
+    probes where it changes sign strictly: C changes sign at the roots of R and nowhere else, whatever |R| next to
+    them.
     """
     lo, hi = window
     f = np.linspace(lo, hi, points)
-    r = (complex_cleared_grid if cleared else complex_residual_grid)(f, np.full(points, q.B_ext), q.i, q.j, material)
-    small = np.abs(r) < (math.inf if cleared else 1e2)
-    cells = np.flatnonzero(small[:-1] & small[1:] & (r[:-1] * r[1:] < 0))
-    return np.sort(np.concatenate([(f[cells] + f[cells + 1]) / 2, f[r == 0]])), f[1] - f[0]
+    c = complex_cleared_grid(f, np.full(points, q.B_ext), q.i, q.j, material)
+    cells = np.flatnonzero(c[:-1] * c[1:] < 0)
+    return np.sort(np.concatenate([(f[cells] + f[cells + 1]) / 2, f[c == 0]])), f[1] - f[0]
 
 
 def solver_roots(queries, material, windows):
@@ -758,13 +738,14 @@ class TestBatchedSolver:
                     got = magnetostatics._cleared_grid(f, B, i, j, material)
                     assert got[0] * got[1] > 0, (i, j, B)
 
-    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("budget", [1, 3])
     @pytest.mark.parametrize(
         "ij, narrow",
         [((2, 2), True), ((3, 1), False), ((2, -1), False), ((2, 0), True), ((1, 1), False), ((3, -2), True)],
     )
-    def test_roots_equal_the_scalar_scan_at_any_block_size(self, monkeypatch, block, ij, narrow):
-        monkeypatch.setattr(magnetostatics, "_SCAN_BLOCK", block)
+    def test_roots_equal_the_scalar_scan_at_any_block_size(self, monkeypatch, budget, ij, narrow):
+        # scan blocks of one query each
+        monkeypatch.setattr(magnetostatics, "_SCAN_EDGES", budget)
         fields = np.linspace(0.25, 0.5, 7).tolist()
         queries = [mc.WalkerModeQuery(i=ij[0], j=ij[1], B_ext=B) for B in fields]
         half = 0.03 * F_M
@@ -889,11 +870,11 @@ class TestBatchedSolver:
         with pytest.raises(DomainError, match=r"no root of the \(2,2\) characteristic equation"):
             solved.root(0)
 
-    @pytest.mark.parametrize("block", [256, 50])
-    def test_a_mixed_pair_solve_gives_the_one_pair_solves(self, monkeypatch, block):
+    @pytest.mark.parametrize("budget", [256, 50])
+    def test_a_mixed_pair_solve_gives_the_one_pair_solves(self, monkeypatch, budget):
         # queries B-major, as `modes` passes them; the default windows hold roots, pairs of roots,
-        # empty windows and the chi pole
-        monkeypatch.setattr(magnetostatics, "_SCAN_BLOCK", block)
+        # empty windows and the chi pole; the scan is cut into about 70 blocks of mixed pairs, or more
+        monkeypatch.setattr(magnetostatics, "_SCAN_EDGES", budget)
         pairs = [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (2, 0), (3, 1), (2, -1)]
         queries = [mc.WalkerModeQuery(i, j, B) for B in np.linspace(0.3, 0.45, 201).tolist() for i, j in pairs]
         mixed = solve_walker_modes(queries, MAT, [None] * len(queries))
@@ -911,6 +892,25 @@ class TestBatchedSolver:
         assert kinds == {float, str}  # roots and errors both
         assert {name: getattr(mixed, name) for name in counters} == totals
         assert min(totals.values()) > 0
+
+    def test_a_scan_block_holds_at_most_scan_edges_and_one_span(self, monkeypatch):
+        # (10,3) from 0.036 mT above mu0_Ms/3: every window is split into more than 2000 panels, all scanned; a
+        # block of whole queries whose spans start within one multiple of _SCAN_EDGES holds at most one span more
+        sizes = []
+        grid = magnetostatics._cleared_grid
+
+        def sized(f, B_ext, i, j, material, residual=False):
+            sizes.append(np.size(f))
+            return grid(f, B_ext, i, j, material, residual)
+
+        monkeypatch.setattr(magnetostatics, "_cleared_grid", sized)
+        fields = np.linspace(0.059369, 0.0594, 2001)[:300].tolist()
+        queries = [mc.WalkerModeQuery(10, 3, B) for B in fields]
+        solved = solve_walker_modes(queries, MAT, [None] * len(queries))
+        widest = magnetostatics._n_panels(10, np.array([magnetostatics._H_FLOOR])).item()  # at h <= _H_FLOOR
+        assert widest == 2294
+        assert sum(sizes) - solved.residual_evals > len(queries) * 2000 > 10 * magnetostatics._SCAN_EDGES
+        assert max(sizes) <= magnetostatics._SCAN_EDGES + widest + 1
 
     @settings(max_examples=150, deadline=None)
     @given(walker_solves())
@@ -938,8 +938,8 @@ class TestBatchedSolver:
     # h = 0.027: two of its four roots, 115 MHz apart, share one of 112 panels of 122 MHz, but not one of the 224
     @example((mc.MaterialParams(mu0_Ms=0.367, gamma_e=20e9), (7, 1), [0.367 / 3 + 0.01], [None]))
     def test_roots_equal_those_of_a_dense_scan_of_the_residual(self, drawn):
-        # every root the solver finds, and no other, for n <= DENSE_MAX_N: the sign changes of R on 200,001
-        # probes of each window, pole crossings left out
+        # every root the solver finds, and no other, for n <= DENSE_MAX_N: the sign changes of C on 200,001
+        # probes of each window
         self.check_roots_against_a_dense_scan(drawn)
 
     @settings(max_examples=40, deadline=None)
@@ -952,18 +952,21 @@ class TestBatchedSolver:
     @given(walker_solves(max_n=DENSE_MAX_N, field_range="near"))
     # h = 5.6e-4: three roots, 74, 113 and 460 MHz, of which twice the base count of 80 panels finds one
     @example((MAT, (5, 1), [MAT.mu0_Ms / 3 + 1e-4], [None]))
+    # h = 1e-3: three roots, 252.8, 309.4 and 2364.9 MHz; |R| is 18 and 181 at the probes on either side of the
+    # second, steep next to the band's top
+    @example((mc.MaterialParams(mu0_Ms=0.5, gamma_e=20e9), (8, 4), [0.1671667], [None]))
     def test_roots_equal_those_of_a_dense_scan_of_the_residual_next_to_a_third_of_mu0_ms(self, drawn):
-        # the band x < f < sqrt(x^2 + x f_M) that the roots crowd into narrows like sqrt(h) down to _H_FLOOR; R
-        # is steep at its roots next to the band's top, so the reference is the sign changes of C on twice the probes
-        self.check_roots_against_a_dense_scan(drawn, points=400_001, cleared=True)
+        # the band x < f < sqrt(x^2 + x f_M) that the roots crowd into narrows like sqrt(h) down to _H_FLOOR: the
+        # reference takes twice the probes
+        self.check_roots_against_a_dense_scan(drawn, points=400_001)
 
     @staticmethod
-    def check_roots_against_a_dense_scan(drawn, points=200_001, cleared=False):
+    def check_roots_against_a_dense_scan(drawn, points=200_001):
         material, (n, j), fields, windows = drawn
         queries = [mc.WalkerModeQuery(n, j, B) for B in fields]
         for q, window, roots in zip(queries, windows, solver_roots(queries, material, windows)):
             window = window or default_search_window(q, material)
-            reference, step = dense_reference_roots(q, window, material, points, cleared)
+            reference, step = dense_reference_roots(q, window, material, points)
             assert len(roots) == reference.size, (q, window, roots, reference.tolist())
             np.testing.assert_allclose(roots, reference, rtol=1e-6, atol=step + 1.0)
 
