@@ -234,6 +234,8 @@ def _read_csv(path: str, required) -> list[dict]:
 def _apply_beta_db(system: HybridSystem, beta_db: float | None) -> HybridSystem:
     if beta_db is None:
         return system
+    if not math.isfinite(beta_db):  # rejected here whether or not the system has modes to apply it to
+        raise ConfigError(f"--beta-db must be finite, got {beta_db!r}")
     beta = 10.0 ** (beta_db / 10.0)
     return fitting.apply_params(system, {f"beta.{m.label}": beta for m in system.modes})
 

@@ -248,6 +248,17 @@ MUTANTS = [
         "fixed notation up to X = 17", "cells.py", "fixed = (-4 <= X) & (X < 17)", "fixed = (-4 <= X) & (X <= 17)",
         (CELLS + "test_any_finite_float",),
     ),
+    # the runs of equal bits whose first value's cell the rest reuse, and the zeros written without the layout
+    Mutant(
+        "repeats found by float ==", "cells.py",
+        "np.not_equal(raw[1:], raw[:-1], out=first[1:])", "np.not_equal(v[1:], v[:-1], out=first[1:])",
+        (CELLS + "test_runs_of_a_small_pool",),
+    ),
+    Mutant(
+        "a negative zero written as 0", "cells.py",
+        "len(out) - 2 + np.signbit(v[zeros])", "len(out) - 2 + 0 * np.signbit(v[zeros])",
+        (CELLS + "test_runs_of_a_small_pool",),
+    ),
     # the forked map formatters
     Mutant(
         "no kill and reap of the formatters", "cli.py",

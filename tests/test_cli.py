@@ -808,6 +808,24 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", "numeric domain error: a float result overflowed\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("spectrum", "bare_cavity.yaml"),
+            ("spectrum", "sphere_0p45mm_spectrum.yaml"),
+            ("map", "sphere_0p45mm_map.yaml"),
+        ],
+        ids=["no_modes", "one_mode", "map"],
+    )
+    def test_a_non_finite_beta_db_is_a_config_error_with_or_without_modes(
+        self, tmp_path, capsys, command, name, value
+    ):
+        out = tmp_path / "out.csv"
+        assert run([command, CONFIG_DIR / name, "--out", out, f"--beta-db={value}"]) == 2
+        assert capsys.readouterr() == ("", f"config error: --beta-db must be finite, got {float(value)!r}\n")
+        assert not out.exists()
+
     # the kittel mode sits on the frequency point 10.6316 GHz, where g**2 * chi = 1e20 * 1e300i overflows D
     NON_FINITE = {
         "system": {
@@ -1293,6 +1311,43 @@ class TestCells:
     def test_any_bit_pattern(self, patterns):
         values = np.array(patterns, dtype=np.uint64).view(np.float64)  # NaN and infinities among them
         assert cli._cells(values) == percent_17g(values)
+
+    # a small pool, so that runs of equal bits and signed zeros are common: zero, a subnormal, values of the digit
+    # pipeline, a tie of the 17th digit, NaNs of two payloads and the infinities
+    POOL = [
+        0.0, -0.0, 5e-324, 1.5, -1.5, 1e300, 1e15 + 0.25,
+        *np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(np.float64).tolist(),
+        math.inf, -math.inf,
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(POOL), min_size=1, max_size=50))
+    @example([0.0, -0.0, -0.0, 0.0, 1.5, 1.5])
+    def test_runs_of_a_small_pool(self, values):
+        assert cli._cells(np.array(values)) == percent_17g(values)
+
+    @pytest.mark.parametrize(
+        "argv, most",
+        [
+            # 3819 cells, whose roots mostly equal the closed form before them and so have a rel_diff of 0: 1449 laid
+            (["modes", CONFIG_DIR.parent / "bench" / "inputs" / "walker_table.yaml"], 1500),
+            (["spectrum", CONFIG_DIR / "bare_cavity.yaml"], 8010 - 801),  # 801 rows of 10 cells, eta 0 in each
+        ],
+        ids=["walker_table", "bare_cavity"],
+    )
+    def test_only_the_nonzero_first_value_of_each_run_is_laid_out(self, tmp_path, monkeypatch, argv, most):
+        calls, laid = [], []
+        cells_of, significands = cells.cells, cells.significands
+        monkeypatch.setattr(cells, "cells", lambda values: calls.append(np.ravel(values)) or cells_of(values))
+        monkeypatch.setattr(cells, "significands", lambda v: laid.append(v.copy()) or significands(v))
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 10**6)  # one block, formatted in this process
+        assert run(argv + ["--out", tmp_path / "table.csv"]) == 0
+        [values] = calls
+        patterns = values.view(np.uint64)
+        first = np.concatenate([[True], patterns[1:] != patterns[:-1]])
+        expected = values[first & (values != 0)]
+        assert [v.view(np.uint64).tolist() for v in laid] == [expected.view(np.uint64).tolist()]
+        assert expected.size <= most
 
     def test_edge_values(self):
         values = cell_edges()
