@@ -26,7 +26,7 @@ import yaml
 from .derived import SCALING_MODELS, DerivedParams
 from .errors import ConfigError
 from .fitting import LOSSES, validate_names
-from .magnetostatics import check_mode_indices
+from .magnetostatics import check_mode_indices, check_saturated
 from .model import (
     CavityParams,
     FieldMap,
@@ -114,9 +114,6 @@ class ModesTableSpec:
     def __post_init__(self):
         if self.sign_branch not in ("plus", "minus"):
             raise ConfigError("sign_branch must be 'plus' or 'minus'")
-        # the grid ascends, so its start is its least field; the Walker solver needs B_ext > 0
-        if self.field_grid.start <= 0:
-            raise ConfigError(f"field: bias fields must be positive, got start {self.field_grid.start!r}")
         # the pair as written: under "minus" the solver's j is -j, which obeys the same bounds
         for k, (i, j) in enumerate(self.indices):
             try:
@@ -185,6 +182,17 @@ class RunConfig:
     def __post_init__(self):
         if self.observable not in OBSERVABLES:
             raise ConfigError(f"observable must be one of {OBSERVABLES}")
+        # the least bias field of each part where a field meets the material (a grid ascends: its start); a bare
+        # cavity and fixed modes need no field
+        least = [("modes_table.field", self.modes_table and self.modes_table.field_grid.start)]
+        if any(mode.field_map.kind != "fixed" for mode in self.system.modes):
+            least += [("sweep.field", self.field_grid and self.field_grid.start), ("fit.B", self.fit and self.fit.B)]
+        for key, B in least:
+            if B is not None:
+                try:
+                    check_saturated(B, self.system.material)
+                except ValueError as exc:
+                    raise ConfigError(f"{key}: {exc}") from None
 
 
 # How a scalar field is read, by its annotation; annotations are strings
@@ -223,9 +231,9 @@ def _record(cls, raw, where: str, **parse):
     which also takes null) is coerced from its key. No other field is read
     from ``raw``. An absent key leaves the dataclass default; a missing
     required key, or a value ``cls`` rejects, is a ConfigError at ``where``,
-    or at ``where.field`` or ``where.indices[1]`` when ``cls`` names the key
-    or the element of one of its fields that it rejects (``"field: ..."``,
-    ``"indices[1]: ..."``).
+    or at ``where.field``, ``where.indices[1]`` or ``where.fit.B`` when
+    ``cls`` names the key, the element or the key within one of its fields
+    that it rejects (``"field: ..."``, ``"indices[1]: ..."``, ``"fit.B: ..."``).
     """
     name = where or "config"
     data = {**_CONFIG_DEFAULTS.get(cls, {}), **_checked(raw, dict, name)}
@@ -248,9 +256,11 @@ def _record(cls, raw, where: str, **parse):
         return cls(**values)
     except ValueError as exc:
         text = str(exc)
-        head = re.match(r"\w+(?=[\[:])", text)
-        located = head is not None and head.group() in {".".join(_key(cls, f.name)) for f in fields(cls)}
-        raise ConfigError(f"{name}.{text}" if located else f"{name}: {text}") from None
+        head = re.match(r"[\w.]+(?=[\[:])", text)
+        located = head is not None and any(
+            f"{head.group()}.".startswith(f"{'.'.join(_key(cls, f.name))}.") for f in fields(cls)
+        )
+        raise ConfigError(_at(where, text) if located else f"{name}: {text}") from None
 
 
 def _field_map(raw, where: str) -> FieldMap:

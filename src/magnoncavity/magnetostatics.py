@@ -84,8 +84,15 @@ def _check(rules, *arrays) -> tuple:
     return tuple(array.item() for array in arrays)
 
 
-def _positive(B_ext) -> _Rule:
-    return _Rule(np.isfinite(B_ext) & (B_ext > 0), ValueError, lambda k: "B_ext must be positive and finite")
+def _saturated(B_ext, material: MaterialParams) -> _Rule:
+    """The rule of every bias field that meets a material: finite and above mu0_Ms/3, so that it saturates the sphere.
+
+    The Kittel line, the Walker closed forms and the characteristic equation hold only for a saturated sphere, whose
+    internal field B_ext - mu0_Ms/3 is positive (Walker 1957; Fletcher and Bell 1959).
+    """
+    return _Rule(np.isfinite(B_ext) & (internal_field(B_ext, material) > 0), ValueError,
+                 lambda k: f"B_ext = {B_ext[k].item()!r} T does not saturate the sphere: it must be finite and above"
+                           f" mu0_Ms/3 = {material.mu0_Ms / 3.0!r} T")
 
 
 def _index_rules(i: int, j: int, shape) -> list[_Rule]:
@@ -105,10 +112,17 @@ def check_mode_indices(i: int, j: int) -> None:
     _check(_index_rules(i, j, 1))
 
 
+def check_saturated(B_ext: float, material: MaterialParams) -> None:
+    """Raise the ValueError of the saturation rule unless the bias field B_ext saturates the sphere of ``material``."""
+    _check([_saturated(np.array([float(B_ext)]), material)])
+
+
 @dataclass(frozen=True)
 class WalkerModeQuery:
     """One magnetostatic-mode request: indices and bias field.
 
+    Only the indices are checked here. The field is checked where it meets
+    a material, by the saturation rule of the solver and the residual.
     ``j`` carries the sign branch: the characteristic equation's
     +/-|j|*chi2 term is j*chi2. The closed forms of the i = j and i = j + 1
     families are roots for positive j, not for their (i, -j) twins.
@@ -119,7 +133,7 @@ class WalkerModeQuery:
     B_ext: float
 
     def __post_init__(self):
-        _check(_index_rules(self.i, self.j, 1) + [_positive(np.array([float(self.B_ext)]))])
+        _check(_index_rules(self.i, self.j, 1))
 
 
 def internal_field(B_ext: float, material: MaterialParams) -> float:
@@ -131,7 +145,7 @@ def kittel_frequency(B_ext: float, material: MaterialParams) -> float:
     """Uniform-precession mode frequency, linear in the external field.
 
     f = gamma_e * B_ext; the sphere's demagnetizing field drops out for
-    uniform precession.
+    uniform precession. B_ext must saturate the sphere (ValueError).
     """
     return mode_frequency(FieldMap("kittel"), B_ext, material)
 
@@ -157,7 +171,8 @@ def msm20_frequency(B_ext: float, material: MaterialParams) -> float:
     """Closed form for the (2, 0) mode.
 
     f = gamma_e*mu0_Ms * sqrt((r - 1/3)(r + 7/15)) with r = B_ext/mu0_Ms;
-    requires r > 1/3 so the radicand is positive.
+    B_ext must saturate the sphere (ValueError), which makes r > 1/3 and the
+    radicand positive.
     """
     return mode_frequency(FieldMap("msm20"), B_ext, material)
 
@@ -203,8 +218,9 @@ def _cleared_grid(f, B_ext, i: int, j: int, material: MaterialParams, residual: 
 
     ``f`` and ``B_ext`` broadcast. With x = gamma_e (B_ext - mu0_Ms/3), f_M = gamma_e mu0_Ms, P = P_i^|j|(xi0),
     xi0^2 = 1 + (x^2 - f^2)/(f_M x) and N (:func:`_legendre_pair`), C = (i+1) P (x^2 - f^2) + xi0 N f_M x + j f_M f P,
-    carried as its one nonzero component with a numpy complex evaluation's bits. It changes sign at the roots of R,
-    and at the chi pole f^2 = x^2 for the pairs with (floor(|j|/2) odd) == (j x > 0), above which it is negated.
+    carried as its one nonzero component with a numpy complex evaluation's bits. The fields saturate the sphere, so
+    x > 0. C changes sign at the roots of R, and at the chi pole f^2 = x^2 for the pairs with (floor(|j|/2) odd) ==
+    (j > 0), above which it is negated.
     NaN where the recurrence sees xi0^2 = 1 (the chi pole) or 0 (a touch of zero for odd i - |j|), or it is not
     finite. With ``residual``, R = C / (P (x^2 - f^2)), NaN where the recurrence sees xi0^2 = 1 or it is not finite
     (P = 0, an overflow, or the division at f^2 = x^2); R is finite at xi0^2 = 0 for even i - |j|, and next to the
@@ -225,8 +241,8 @@ def _cleared_grid(f, B_ext, i: int, j: int, material: MaterialParams, residual: 
         if residual:
             value, defined = value / (p * den), seen != 1
         else:
-            # above the chi pole, where (floor(|j|/2) odd) == (j x > 0)
-            value = np.where((den < 0) & (j * x > 0 if m // 2 % 2 else j * x <= 0), -value, value)
+            # above the chi pole, where (floor(|j|/2) odd) == (j > 0)
+            value = np.where(den < 0, -value, value) if (m // 2 % 2 == 1) == (j > 0) else value
             defined = (seen != 1) & (seen != 0)
     return np.where(defined & np.isfinite(value), value, np.nan)
 
@@ -234,12 +250,15 @@ def _cleared_grid(f, B_ext, i: int, j: int, material: MaterialParams, residual: 
 def walker_characteristic(f: float, q: WalkerModeQuery, material: MaterialParams) -> float:
     """Left side R of the sphere's magnetostatic characteristic equation at one probe frequency.
 
-    A one-point :func:`_cleared_grid` of R; raises DomainError where R is undefined: where the recurrence sees
-    xi0^2 = 1, or the value is not finite.
+    A one-point :func:`_cleared_grid` of R; raises the ValueError of the saturation rule where ``q.B_ext`` does not
+    saturate the sphere, and DomainError where R is undefined: where the recurrence sees xi0^2 = 1, or the value is
+    not finite.
     """
     if not math.isfinite(f):
         raise ValueError("f must be finite")
-    value = _cleared_grid(np.array([f], dtype=float), np.array([q.B_ext]), q.i, q.j, material, residual=True).item()
+    B_ext = np.array([float(q.B_ext)])
+    _check([_saturated(B_ext, material)])
+    value = _cleared_grid(np.array([f], dtype=float), B_ext, q.i, q.j, material, residual=True).item()
     if math.isnan(value):
         raise DomainError(f"characteristic residual of ({q.i},{q.j}) is undefined at f = {f:.6e} Hz")
     return value
@@ -258,17 +277,11 @@ def _windows(center, half_width: float, material: MaterialParams):
     ]
 
 
-def _default_windows(B_ext, material: MaterialParams):
-    """:func:`default_search_window` at each field of the 1-D float array ``B_ext``: (lo, hi, rules)."""
-    center, rules = _mode_frequency_grid(FieldMap("kittel"), B_ext, material)
-    lo, hi, window = _windows(center, _DEFAULT_HALF_WIDTH, material)
-    return lo, hi, rules + window
-
-
 def default_search_window(q: WalkerModeQuery, material: MaterialParams) -> tuple[float, float]:
     """Kittel frequency +/- 1.5 * gamma_e*mu0_Ms, above _WINDOW_FLOOR; covers all low-order mode offsets."""
-    lo, hi, rules = _default_windows(np.array([float(q.B_ext)]), material)
-    return _check(rules, lo, hi)
+    center, rules = _mode_frequency_grid(FieldMap("kittel"), np.array([float(q.B_ext)]), material)
+    lo, hi, window = _windows(center, _DEFAULT_HALF_WIDTH, material)
+    return _check(rules + window, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -399,9 +412,11 @@ def solve_walker_modes(
     """Roots of the characteristic equation for many queries, of one index pair or of several.
 
     ``windows`` gives each query's search window, or None for
-    :func:`default_search_window`. The index pairs are numbered in order of
-    first appearance, and the queries go to :func:`_solve_walker_arrays` as
-    arrays of pair numbers, fields and window edges. A query must keep
+    :func:`default_search_window`. The first query whose field does not
+    saturate the sphere raises the ValueError of the saturation rule. The
+    index pairs are numbered in order of first appearance, and the queries
+    go to :func:`_solve_walker_arrays` as arrays of pair numbers, fields
+    and window edges. A query must keep
     exactly one root; otherwise its outcome is the DomainError that reports
     an empty or ambiguous window. Each element of the residual depends only
     on its own probe and field, so outcomes and counters are those of one
@@ -412,6 +427,8 @@ def solve_walker_modes(
         raise ValueError(f"{len(queries)} queries but {len(windows)} search windows")
     if not queries:
         return WalkerSolutions(outcomes=())
+    fields = np.array([q.B_ext for q in queries], dtype=float)
+    _check([_saturated(fields, material)])
     bounds = []
     for q, window in zip(queries, windows):
         lo, hi = default_search_window(q, material) if window is None else window
@@ -419,7 +436,6 @@ def solve_walker_modes(
             raise ValueError(f"invalid search window ({lo}, {hi})")
         bounds.append((lo, hi))
     lows, highs = np.array(bounds, dtype=float).T
-    fields = np.array([q.B_ext for q in queries], dtype=float)
     index_pairs: dict[tuple[int, int], int] = {}
     pair_of = np.array([index_pairs.setdefault((q.i, q.j), len(index_pairs)) for q in queries])
     roots, n_roots, error, counts = _solve_walker_arrays(list(index_pairs), pair_of, fields, lows, highs, material)
@@ -441,25 +457,25 @@ def _walker_root(i, j, h):
     chi pole f = h that the factor (h^2 - f^2) brings in, never a root of
     the residual. Returns sigma (h + |j|/(2i + 1)), negative for j < 0, and
     sqrt(h^2 + 4h/(2i + 1)): the closed forms of ``FieldMap("walker")`` and
-    msm20, and that of (3, 0). It is NaN where h is not positive and where
-    the pair's polynomial is not one of those quadratics.
+    msm20, and that of (3, 0). The fields saturate the sphere, so h > 0. It
+    is NaN where the pair's polynomial is not one of those quadratics.
     """
     linear, even = (j != 0) & (i - np.abs(j) <= 1), (j == 0) & ((i == 2) | (i == 3))
     with np.errstate(invalid="ignore"):
         root = np.where(linear, np.copysign(1.0, j) * (h + np.abs(j) / (2 * i + 1)),
                         np.sqrt(h * h + 4 * h / (2 * i + 1)))
-    return np.where((linear | even) & (h > 0), root, math.nan)
+    return np.where(linear | even, root, math.nan)
 
 
 def _n_panels(i, h):
-    """Panels per search window of a pair of degree i at each internal field ``h`` (in units of mu0_Ms): floats.
+    """Panels per search window of a pair of degree i at each positive internal field ``h`` (in units of mu0_Ms).
 
     ``i`` is an int, or an int array shaped like ``h``.
 
     Roots that share a panel are missed. They crowd with the degree: 16 panels per degree, at least 64, and 2 more
     at a multiple of 18 (the chi pole, where the scan is NaN, is 7/18 up a default window with a lower edge above
     1 Hz). They crowd into the band x < f < sqrt(x^2 + x f_M), too, whose width f_M (sqrt(h^2 + h) - h) is below
-    0.2 f_M at 0 < h < 1/15: there max(2, 0.2 f_M / width) times as many, rounded to an even count, and 2 more at a
+    0.2 f_M at h < 1/15: there max(2, 0.2 f_M / width) times as many, rounded to an even count, and 2 more at a
     multiple of 18. That is twice as many down to h = 0.0125, where the width is 0.1 f_M. Below h = _H_FLOOR the
     count is that of _H_FLOOR (2294 for i = 10), which bounds a span and so a scan block.
     """
@@ -469,36 +485,36 @@ def _n_panels(i, h):
     factor = np.maximum(2.0, 0.2 * (1.0 + np.sqrt(1.0 + 1.0 / np.maximum(h, _H_FLOOR))))
     counts = 2 * np.round(base / 2 * factor)
     counts += 2 * (counts % 18 == 0)
-    return np.where((0 < h) & (h < 1 / 15), counts, base)
+    return np.where(h < 1 / 15, counts, base)
 
 
 def _solve_walker_arrays(pairs, pair_of, fields, lows, highs, material: MaterialParams):
     """The array core of :func:`solve_walker_modes`: the queries as arrays of pair numbers, fields and windows.
 
     Query k is the index pair ``pairs[pair_of[k]]`` at the bias field
-    ``fields[k]``, searched in the finite window (``lows[k]``, ``highs[k]``)
-    with lo < hi; error texts are built from these arrays. A window of (i, j)
-    at an internal field h is split into ``_n_panels(i, h)`` panels. Each
-    query scans one span of edges, each edge once: that of the panel of the
-    one root of the pair's characteristic polynomial that a window can hold
-    (:func:`_walker_root`) and of the panel on either side, clipped to the
-    window, so empty where that root lies outside it: the float residual's
-    sign change is far closer than a panel to it. The span is every edge of
-    a query whose root is not known: a pair whose polynomial is not a
-    quadratic, or a field with h <= 0. Any other panel holds no root. The
-    spans are cut, in query order, into blocks of whole queries whose spans
-    start within one multiple of ``_SCAN_EDGES``, and the cleared residual C
-    (:func:`_cleared_grid`) is evaluated on each block's edges in one call
-    per index pair present. An edge where C is exactly zero is a root, and
-    so is one in every panel of two scanned edges whose values change sign
-    strictly, refined from them to ``_F_TOL`` by one lock-step Brent search
-    over the selected panels of the whole call (:func:`_lockstep_brent`),
-    whose rounds evaluate their probes the same way, unless it meets a NaN
-    or does not converge. Returns (roots, counts of roots, error, counters):
-    per query in order, its root (unspecified unless it has exactly one) and
-    its number of roots; the function ``error(k)`` that builds the
-    DomainError of a query k with no root or several; and the
-    :class:`WalkerSolutions` counters.
+    ``fields[k]``, which saturates the sphere, searched in the finite window
+    (``lows[k]``, ``highs[k]``) with lo < hi; error texts are built from
+    these arrays. A window of (i, j) at an internal field h is split into
+    ``_n_panels(i, h)`` panels. Each query scans one span of edges, each
+    edge once: that of the panel of the one root of the pair's
+    characteristic polynomial that a window can hold (:func:`_walker_root`)
+    and of the panel on either side, clipped to the window, so empty where
+    that root lies outside it: the float residual's sign change is far
+    closer than a panel to it. The span is every edge of a query whose root
+    is not known: a pair whose polynomial is not a quadratic. Any other
+    panel holds no root. The spans are cut, in query order, into blocks of
+    whole queries whose spans start within one multiple of ``_SCAN_EDGES``,
+    and the cleared residual C (:func:`_cleared_grid`) is evaluated on each
+    block's edges in one call per index pair present. An edge where C is
+    exactly zero is a root, and so is one in every panel of two scanned
+    edges whose values change sign strictly, refined from them to ``_F_TOL``
+    by one lock-step Brent search over the selected panels of the whole call
+    (:func:`_lockstep_brent`), whose rounds evaluate their probes the same
+    way, unless it meets a NaN or does not converge. Returns (roots, counts
+    of roots, error, counters): per query in order, its root (unspecified
+    unless it has exactly one) and its number of roots; the function
+    ``error(k)`` that builds the DomainError of a query k with no root or
+    several; and the :class:`WalkerSolutions` counters.
     """
     widths, f_M = highs - lows, material.gamma_e * material.mu0_Ms
     h = material.gamma_e * internal_field(fields, material) / f_M
@@ -617,41 +633,34 @@ def mode_frequency(field_map: FieldMap, B_ext: float, material: MaterialParams) 
 def _mode_frequency_grid(field_map: FieldMap, B_ext, material: MaterialParams):
     """A mode's field map at each field of the 1-D float array ``B_ext``: (values, rules).
 
-    The rules, in order: a finite field for kittel and msm20, a finite and positive one for walker, then a
-    positive (2, 0) radicand. A value is unspecified where a rule fails, and +/-inf where the map overflows.
+    The one rule of every map but a fixed one is the saturation rule. A value is unspecified where it fails, and
+    +/-inf where the map overflows.
     """
     if field_map.kind == "fixed":
         return np.array([float(field_map.frequency)] * B_ext.size), []  # faster than np.full on one field
-    finite = _Rule(np.isfinite(B_ext), ValueError, lambda k: "B_ext must be finite")
+    rules, f_M = [_saturated(B_ext, material)], material.gamma_e * material.mu0_Ms
     with np.errstate(over="ignore", invalid="ignore"):
         if field_map.kind == "kittel":
-            return material.gamma_e * B_ext, [finite]
+            return material.gamma_e * B_ext, rules
         if field_map.kind == "walker":  # see msm_frequency_linear
             i, j = field_map.i, field_map.j
-            offset = (j / (2 * j + (1 if i == j else 3)) - 1.0 / 3.0) * (material.gamma_e * material.mu0_Ms)
-            return material.gamma_e * B_ext + offset, [_positive(B_ext)]
-        r = B_ext / material.mu0_Ms
-        radicand = (r - 1.0 / 3.0) * (r + 7.0 / 15.0)
-        return material.gamma_e * material.mu0_Ms * np.sqrt(radicand), [
-            finite,
-            _Rule(radicand > 0, DomainError, lambda k: f"(2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = {r[k]:g}"),
-        ]
+            return material.gamma_e * B_ext + (j / (2 * j + (1 if i == j else 3)) - 1.0 / 3.0) * f_M, rules
+        r = B_ext / material.mu0_Ms  # saturation makes r - 1/3 >= 0 in floats too
+        return f_M * np.sqrt((r - 1.0 / 3.0) * (r + 7.0 / 15.0)), rules
 
 
 def _table_rows(i: int, j: int, B_ext, material: MaterialParams):
     """The Walker table rows of (i, j) at each field of the 1-D float array ``B_ext``: (closed, lo, hi, rules).
 
     ``closed`` is the closed form (NaN where there is none) and (lo, hi) the :func:`closed_form_window` around
-    it, or the :func:`default_search_window`. The rules, in order: the closed form's, the query's, the window's.
+    it, or the :func:`default_search_window`. The rules, in order: the indices', the saturation rule (that of the
+    closed form's or the Kittel line's map), the window's.
     """
     closed_map = closed_form_map(i, j)
-    query = _index_rules(i, j, B_ext.shape) + [_positive(B_ext)]  # WalkerModeQuery's
-    if closed_map is None:
-        lo, hi, rules = _default_windows(B_ext, material)
-        return np.full(B_ext.shape, math.nan), lo, hi, query + rules
-    closed, rules = _mode_frequency_grid(closed_map, B_ext, material)
-    lo, hi, window = _windows(closed, _CLOSED_FORM_HALF_WIDTH, material)
-    return closed, lo, hi, rules + query + window
+    center, saturated = _mode_frequency_grid(closed_map or FieldMap("kittel"), B_ext, material)
+    lo, hi, window = _windows(center, _DEFAULT_HALF_WIDTH if closed_map is None else _CLOSED_FORM_HALF_WIDTH, material)
+    closed = np.full(B_ext.shape, math.nan) if closed_map is None else center
+    return closed, lo, hi, _index_rules(i, j, B_ext.shape) + saturated + window
 
 
 def _modes_table(pairs, fields, material: MaterialParams):

@@ -212,13 +212,15 @@ class HybridSystem:
         raise KeyError(f"no mode labeled {label!r}")
 
 
-def susceptibility_magnon(f, mode: MagnonMode, f_m, out=None, scratch=None):
+def susceptibility_magnon(f, mode: MagnonMode, f_m, out=None):
     """Complex magnon susceptibility chi_m = 1 / ((f - f_m) + i*gamma) [1/Hz]: the amplitude kernel's chi_m.
 
     ``f_m`` is the mode frequency already resolved at the bias field of
     interest, broadcasting against ``f``. Arithmetic only: the caller owns
     the finiteness of ``f`` and ``f_m``, and for finite ones the value is
     finite because gamma > 0. ``out``, a complex array of the broadcast
-    shape, takes chi_m, and ``scratch``, a real one, f - f_m.
+    shape, takes chi_m. The denominator is one complex subtraction,
+    f - (f_m - i*gamma): its real part is f - f_m and its imaginary part
+    0 - (-gamma) = gamma exactly.
     """
-    return np.divide(1.0, np.add(np.subtract(f, f_m, out=scratch), 1j * mode.gamma, out=out), out=out)
+    return np.divide(1.0, np.subtract(f, f_m - 1j * mode.gamma, out=out), out=out)

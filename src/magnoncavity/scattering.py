@@ -134,9 +134,10 @@ class KernelBuffers(NamedTuple):
     """Arrays that one kernel call fills in place instead of allocating its results.
 
     :func:`shared_denominator` writes D into ``d`` and chi_m into
-    ``chis[m]``, with ``scratch`` and ``real`` as its temporaries;
+    ``chis[m]``, with ``scratch`` as its temporary;
     :func:`amplitudes_from_denominator` then overwrites D with S21 and each
-    formed chi_m with S31_m, again through ``scratch``. Every array has the
+    formed chi_m with S31_m, again through ``scratch``. ``real`` is the
+    real temporary of the observable's reduction. Every array has the
     kernel's broadcast shape.
     """
 
@@ -174,11 +175,13 @@ def shared_denominator(f, system: HybridSystem, f_ms, *, out: KernelBuffers | No
     """
     f = np.asarray(f, dtype=float)
     cav = system.cavity
-    d_out, chi_outs, scratch, real = (None, [None] * len(system.modes), None, None) if out is None else out
-    d = np.add(np.subtract(f, cav.f_c, out=real), 1j * cav.kappa_t, out=d_out)
+    d_out, chi_outs, scratch = (
+        (None, [None] * len(system.modes), None) if out is None else (out.d, out.chis, out.scratch)
+    )
+    d = np.subtract(f, cav.f_c - 1j * cav.kappa_t, out=d_out)  # as in susceptibility_magnon: one ufunc call
     chis = []
     for mode, f_m, chi in zip(system.modes, f_ms, chi_outs, strict=True):
-        chi = susceptibility_magnon(f, mode, f_m, chi, real)
+        chi = susceptibility_magnon(f, mode, f_m, chi)
         d = np.subtract(d, np.multiply(mode.g**2, chi, out=scratch), out=d_out)
         chis.append(chi)
     return d, chis

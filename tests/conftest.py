@@ -1,5 +1,7 @@
 """Shared fixtures: reference parameter sets for the three sphere assemblies."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,19 @@ ASSEMBLIES = {
 
 CAVITY = mc.CavityParams(f_c=10.632e9, kappa_e=2.1e6, kappa_i=0.6e6)
 CAVITY_VOLUME = 20e-3 * 20e-3 * 4e-3  # m^3
+
+
+def saturation_text(B, material=mc.MaterialParams()):
+    """The error text of a bias field B that does not saturate the sphere of ``material``."""
+    return (
+        f"B_ext = {float(B)!r} T does not saturate the sphere: it must be finite and above"
+        f" mu0_Ms/3 = {material.mu0_Ms / 3.0!r} T"
+    )
+
+
+def saturation_pattern(B, material=mc.MaterialParams()):
+    """A pattern that matches the whole of :func:`saturation_text`."""
+    return "^" + re.escape(saturation_text(B, material)) + "$"
 
 
 @pytest.fixture

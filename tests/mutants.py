@@ -50,6 +50,10 @@ RESIDUAL = (
     "test_magnetostatics.py::test_legendre_pair_matches_the_polynomials_and_the_complex_recurrence",
 )
 DENSE = ("test_magnetostatics.py::TestBatchedSolver::test_roots_equal_those_of_a_dense_scan_of_the_residual",)
+SATURATION = ORACLE + (
+    "test_magnetostatics.py::"
+    "test_a_field_that_does_not_saturate_the_sphere_is_one_error_wherever_it_meets_the_material",
+)
 PARALLEL = "test_cli.py::TestParallelMap::"
 MODES = "test_cli.py::TestModesCommand::"
 CELLS = "test_cli.py::TestCells::"
@@ -62,20 +66,22 @@ MUTANTS = [
         "if not all(isinstance(k, (int, np.integer)) for k in (self.i, self.j)):", "if False:",
         ("test_model.py::test_walker_field_map_rejects_non_integer_indices_with_the_index_rule_text",),
     ),
+    # one saturation rule: a field that meets a material is finite and above mu0_Ms/3
     Mutant(
-        "walker map without B > 0", "magnetostatics.py",
-        "return material.gamma_e * B_ext + offset, [_positive(B_ext)]",
-        "return material.gamma_e * B_ext + offset, [finite]",
-        ORACLE,
+        "saturation rule dropped", "magnetostatics.py",
+        "np.isfinite(B_ext) & (internal_field(B_ext, material) > 0)", "np.isfinite(B_ext)", SATURATION,
     ),
-    Mutant("msm20 radicand >= 0", "magnetostatics.py", "_Rule(radicand > 0,", "_Rule(radicand >= 0,", ORACLE),
+    Mutant(
+        "B = mu0_Ms/3 accepted", "magnetostatics.py",
+        "(internal_field(B_ext, material) > 0)", "(internal_field(B_ext, material) >= 0)", SATURATION,
+    ),
     Mutant(
         "table rows without the index check", "magnetostatics.py",
-        "query = _index_rules(i, j, B_ext.shape) + [_positive(B_ext)]", "query = [_positive(B_ext)]", ORACLE,
+        "_index_rules(i, j, B_ext.shape) + saturated + window", "saturated + window", ORACLE,
     ),
     Mutant(
         "table rows without the field check", "magnetostatics.py",
-        "query = _index_rules(i, j, B_ext.shape) + [_positive(B_ext)]", "query = _index_rules(i, j, B_ext.shape)", ORACLE,
+        "_index_rules(i, j, B_ext.shape) + saturated + window", "_index_rules(i, j, B_ext.shape) + window", ORACLE,
     ),
     # each input of the amplitude kernel is checked once, where it enters: f_m per mode as its map resolves, f by
     # the one-field calls (sweep_map and the fit check their grids); a value that is not finite is a domain error
@@ -130,7 +136,8 @@ MUTANTS = [
     ),
     Mutant(
         "a (2,0) closed form scaled by 1 + 1e-8", "magnetostatics.py",
-        "material.mu0_Ms * np.sqrt(radicand), [", "material.mu0_Ms * np.sqrt(radicand) * (1 + 1e-8), [",
+        "f_M * np.sqrt((r - 1.0 / 3.0) * (r + 7.0 / 15.0)), rules",
+        "f_M * np.sqrt((r - 1.0 / 3.0) * (r + 7.0 / 15.0)) * (1 + 1e-8), rules",
         ("test_magnetostatics.py::TestClosedForms::test_mode20_value_and_domain",),
     ),
     # the Walker candidates: a zero edge is a root, and Brent refines only the panels that change sign strictly
@@ -166,7 +173,7 @@ MUTANTS = [
     ),
     Mutant(
         "the panels of a narrow band not doubled", "magnetostatics.py",
-        "(h < 1 / 15), counts, base)", "(h < 1 / 15), base, base)", DENSE,
+        "h < 1 / 15, counts, base)", "h < 1 / 15, base, base)", DENSE,
     ),
     Mutant(
         "the band factor held at 2", "magnetostatics.py", "counts = 2 * np.round(base / 2 * factor)",

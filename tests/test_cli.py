@@ -24,6 +24,8 @@ from magnoncavity import cells, cli, magnetostatics
 from magnoncavity.cli import main
 from magnoncavity.scattering import OBSERVABLES
 
+from conftest import saturation_text
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 
@@ -206,16 +208,18 @@ class TestMapCommand:
 
     @pytest.mark.parametrize("rows", [1, 3, None])
     @pytest.mark.parametrize(
-        "start, code, message",
+        "start, stop, message",
         [
-            (0.01, 3, "numeric domain error: (2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = 0.0561798"),
-            # msm20 holds at -0.1 T (r < -7/15) and fails from 0 T; walker fails at -0.1 T, the first field
-            (-0.1, 2, "config error: B_ext must be positive and finite"),
+            # the grid is rejected when the config is parsed, at its first field
+            (0.01, 0.5, "config error: sweep.field: " + saturation_text(0.01)),
+            # the msm20 map's r * r overflows from 2.4e153 T, so its frequency is inf at the second field, 1.7e159 T,
+            # where the kittel map before it is still finite
+            (0.3, 1.0e160, "config error: f_m must be finite"),
         ],
-        ids=["from_0.01T", "from_-0.1T"],
+        ids=["from_0.01T", "msm20_overflow"],
     )
     def test_failing_field_reports_the_first_failing_row_and_mode(
-        self, tmp_path, capsys, monkeypatch, rows, start, code, message
+        self, tmp_path, capsys, monkeypatch, rows, start, stop, message
     ):
         config = {
             "system": {
@@ -228,7 +232,7 @@ class TestMapCommand:
                 "material": {"diameter": 0.75e-3},
             },
             "sweep": {
-                "field": {"start": start, "stop": 0.5, "count": 7},
+                "field": {"start": start, "stop": stop, "count": 7},
                 "frequency": {"start": 10.5e9, "stop": 10.7e9, "count": 5},
             },
             "observable": "eta",
@@ -238,7 +242,7 @@ class TestMapCommand:
         path = tmp_path / "failing.yaml"
         path.write_text(yaml.safe_dump(config))
         out = tmp_path / "map.csv"
-        assert run(["map", path, "--out", out]) == code
+        assert run(["map", path, "--out", out]) == 2
         assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
@@ -272,9 +276,8 @@ class TestModesCommand:
                 0.3, [2, -1], 3,
                 "numeric domain error: no root of the (2,-1) characteristic equation in (9.240000e+08, 1.587600e+10) Hz",
             ),
-            (0.01, [2, 0], 3, "numeric domain error: (2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = 0.0561798"),
         ],
-        ids=["3_1_two_roots", "2_-1_no_root", "2_0_closed_form_domain"],
+        ids=["3_1_two_roots", "2_-1_no_root"],
     )
     def test_failing_row_ends_the_table_where_it_stands(self, tmp_path, capsys, start, failing, code, message):
         # rows are B-major: the first field's (1, 1) row is written, then the failing pair's row raises
@@ -317,18 +320,27 @@ class TestModesCommand:
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize(
-        "grid", [{"start": -0.1, "stop": 0.5, "count": 7}, {"start": 0.0, "stop": 0.0}], ids=["from_-0.1T", "at_0T"]
+        "grid",
+        [
+            {"start": -0.1, "stop": 0.5, "count": 7},
+            {"start": 0.0, "stop": 0.0},
+            {"start": 0.178 / 3, "stop": 0.3, "count": 3},
+            {"start": 0.05, "stop": 0.3, "count": 6},
+        ],
+        ids=["from_-0.1T", "at_0T", "from_mu0_Ms_over_3", "from_0.05T"],
     )
-    def test_field_grid_reaching_zero_is_a_config_error_before_any_output(self, tmp_path, capsys, grid, to_file):
-        # the Walker family (1, 1) would fail at the first field: the grid is rejected when the config is parsed
+    def test_field_grid_that_does_not_saturate_the_sphere_is_a_config_error_before_any_output(
+        self, tmp_path, capsys, grid, to_file
+    ):
+        # the grid is rejected when the config is parsed, by its start: every pair's rows need a saturated sphere
         config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
-        config["modes_table"].update(field=grid, indices=[[1, 1], [2, 2]])
+        config["modes_table"].update(field=grid, indices=[[1, 1], [2, 0]])
         path = tmp_path / "low_field.yaml"
         path.write_text(yaml.safe_dump(config))
         out = tmp_path / "modes.csv"
         assert run(["modes", path] + (["--out", out] if to_file else [])) == 2
-        message = f"config error: modes_table.field: bias fields must be positive, got start {grid['start']!r}\n"
-        assert capsys.readouterr() == ("", message)
+        stdout, stderr = capsys.readouterr()
+        assert (stdout, stderr) == ("", f"config error: modes_table.field: {saturation_text(grid['start'])}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("ij", [(4, 1), (3, 1), (2, 0), (2, 2)], ids=["4_1", "3_1", "2_0", "2_2"])
@@ -369,18 +381,18 @@ class TestModesCommand:
             assert 0 < root and abs(root - closed) <= 1e-6 * closed
             assert float(row["rel_diff"]) <= 1e-6
 
-    def test_a_closed_form_below_every_positive_window_ends_the_table(self, tmp_path, capsys):
-        # the (2,1) closed form is -5.2e8 Hz at 0.005 T: no window is left above 1 Hz
+    def test_a_closed_form_window_below_one_hertz_ends_the_table(self, tmp_path, capsys):
+        # with gamma_e = 1 Hz/T the (1,1) closed form is 0.3 Hz at 0.3 T and its window 0.3 +/- 0.00534 Hz: no window
+        # is left above 1 Hz
         config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
-        config["modes_table"].update(indices=[[1, 1], [2, 1]], field={"start": 0.005, "stop": 0.3, "count": 3})
-        path = tmp_path / "low_2_1.yaml"
+        config["system"]["material"] = {"gamma_e": 1.0}
+        config["modes_table"].update(indices=[[1, 1], [2, 1]], field={"start": 0.3, "stop": 0.9, "count": 3})
+        path = tmp_path / "slow_1_1.yaml"
         path.write_text(yaml.safe_dump(config))
         assert run(["modes", path]) == 3
         captured = capsys.readouterr()
-        assert captured.err == "numeric domain error: search window -5.245333e+08 +/- 1.495200e+08 Hz lies below 1 Hz\n"
-        # B-major: the (1, 1) row of the first field is written before the (2, 1) row raises
-        rows = [line.split(",")[:3] for line in captured.out.splitlines()]
-        assert rows == [["B_T", "i", "j"], ["0.0050000000000000001", "1", "1"]]
+        assert captured.err == "numeric domain error: search window 3.000000e-01 +/- 5.340000e-03 Hz lies below 1 Hz\n"
+        assert captured.out.splitlines() == ["B_T,i,j,sign_branch,f_closed_hz,f_solver_hz,rel_diff"]
 
     def test_a_window_without_width_ends_the_table(self, tmp_path, capsys):
         # (3,-1) has no closed form: its default window at 5e29 T is 1.4e40 Hz +/- 7.5e9 Hz, which rounds away
@@ -658,6 +670,35 @@ class TestExitCodes:
         path.write_text("system:\n  cavity: {f_c: -1.0, kappa_e: 2.1e+6, kappa_i: 0.0}\n")
         assert run(["spectrum", path]) == 2
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize(
+        "command, name, key, B",
+        [
+            ("map", "sphere_0p45mm_map.yaml", "sweep.field", 0.05),
+            ("spectrum", "sphere_0p45mm_spectrum.yaml", "sweep.field", 0.178 / 3),
+            ("modes", "walker_modes.yaml", "modes_table.field", -0.1),
+            ("fit", "fit_0p45mm.yaml", "fit.B", 0.0),
+        ],
+        ids=["map", "spectrum", "modes", "fit"],
+    )
+    def test_a_field_that_does_not_saturate_the_sphere_is_a_config_error_naming_its_key(
+        self, tmp_path, capsys, command, name, key, B, to_file
+    ):
+        config = yaml.safe_load((CONFIG_DIR / name).read_text())
+        if command == "fit":  # B = 0.0 is the fit's default: it holds for fixed modes, not for a Kittel line
+            config["system"]["modes"][0]["field_map"] = {"kind": "kittel"}
+        elif command == "modes":
+            config["modes_table"]["field"]["start"] = B
+        else:
+            config["sweep"]["field"].update(start=B, stop=B if command == "spectrum" else 0.4)
+        path = tmp_path / "unsaturated.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "out.csv"
+        argv = [command, path] + (["--data", tmp_path / "absent.csv"] if command == "fit" else [])
+        assert run(argv + (["--out", out] if to_file else [])) == 2
+        assert capsys.readouterr() == ("", f"config error: {key}: {saturation_text(B)}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("walker_indices", [5, [1, 1], "x"])
     def test_legacy_walker_indices_key_is_ignored(self, tmp_path, walker_indices):
         config = yaml.safe_load((CONFIG_DIR / "sphere_0p45mm_spectrum.yaml").read_text())
@@ -752,6 +793,8 @@ class TestExitCodes:
         # its span overflows inside np.linspace; numpy's RuntimeWarnings must not reach stderr
         config = yaml.safe_load((CONFIG_DIR / "sphere_0p45mm_map.yaml").read_text())
         config["sweep"][grid] = {"start": -1.0e308, "stop": 1.0e308, "count": 5}
+        # a fixed mode needs no saturating field, so the field grid reaches the map
+        config["system"]["modes"][0]["field_map"] = {"kind": "fixed", "frequency": 10.6e9}
         path = tmp_path / "overflowing_grid.yaml"
         path.write_text(yaml.safe_dump(config))
         done = run_process(["map", path])
@@ -770,13 +813,12 @@ class TestExitCodes:
         assert run(["derive", CONFIG_DIR / "derive_0p45mm.yaml", "--out", out]) == 2
 
     def test_numeric_domain_error(self, tmp_path):
-        config = yaml.safe_load((CONFIG_DIR / "sphere_0p75mm_map.yaml").read_text())
-        # drive the (2,0) closed form below its validity range
-        config["sweep"]["field"] = {"start": 0.01, "stop": 0.02, "count": 2}
-        config["sweep"]["frequency"]["count"] = 5
-        path = tmp_path / "low_field.yaml"
+        config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
+        # a field so large that each closed-form window rounds to one point
+        config["modes_table"]["field"] = {"start": 1.0e30, "stop": 2.0e30, "count": 2}
+        path = tmp_path / "huge_field.yaml"
         path.write_text(yaml.safe_dump(config))
-        assert run(["map", path, "--out", tmp_path / "x.csv"]) == 3
+        assert run(["modes", path, "--out", tmp_path / "x.csv"]) == 3
 
     @pytest.mark.parametrize(
         "command, name, key, value",
@@ -1009,10 +1051,10 @@ def modes_tables(draw):
     """(indices, sign_branch, (start, stop, count)) of a `modes` table.
 
     Its field grid lies above mu0_Ms/3 (0.0593 T for the default material),
-    crosses it, or starts at or below 0 T.
+    starts just above it, or starts at or below it, which is a config error.
     """
     indices = draw(st.lists(st.sampled_from(MODES_PAIRS).map(list), min_size=1, max_size=6))
-    start = draw(st.one_of(st.floats(0.3, 0.45), st.floats(0.01, 0.0593), st.floats(-0.1, 0.0)))
+    start = draw(st.one_of(st.floats(0.3, 0.45), st.floats(0.0594, 0.1), st.floats(-0.1, 0.178 / 3)))
     count = draw(st.integers(1, 9))
     stop = start if count == 1 else start + draw(st.floats(0.005, 0.3))
     return indices, draw(st.sampled_from(["plus", "minus"])), (start, stop, count)
@@ -1065,12 +1107,13 @@ class TestCsvContract:
     @example(([[3, 1], [4, 2], [4, 1], [5, 3]], "minus", (0.3, 0.45, 9)), 5000, 1)
     # a later (3,1) default window collapses (at 5e29 T): the first field's failing (3,1) row still ends the table
     @example(([[2, 2], [3, 1]], "plus", (0.3, 1e30, 3)), 5000, 1)
-    # (2,-1) has no root above 0.0237 T: the table ends at field 7 (0.024 T), after its (3,-1) row (exit 3), in one
-    # block, in a forked block of fields 6 and 7, and on the first field of a block, forked or not
-    @example(([[3, 1], [2, 1]], "minus", (0.01, 0.026, 9)), 5000, 3)
-    @example(([[3, 1], [2, 1]], "minus", (0.01, 0.026, 9)), 4, 2)
-    @example(([[3, 1], [2, 1]], "minus", (0.01, 0.026, 9)), 14, 2)
-    @example(([[3, 1], [2, 1]], "minus", (0.01, 0.026, 9)), 2, 1)
+    # (4,-1) finds no root at 3.675e14 T, where its default window is about 7 floats wide: the table ends at field 7,
+    # after its (3,-1) row (exit 3), in one block, in a forked block of fields 6 and 7, and on the first field of a
+    # block, forked or not
+    @example(([[3, 1], [4, 1]], "minus", (0.3, 4.2e14, 9)), 5000, 3)
+    @example(([[3, 1], [4, 1]], "minus", (0.3, 4.2e14, 9)), 4, 2)
+    @example(([[3, 1], [4, 1]], "minus", (0.3, 4.2e14, 9)), 14, 2)
+    @example(([[3, 1], [4, 1]], "minus", (0.3, 4.2e14, 9)), 2, 1)
     def test_modes_bytes_equal_a_row_by_row_reference(self, tmp_path_factory, table, block_cells, cpus):
         indices, branch, (start, stop, count) = table
         config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
@@ -1493,14 +1536,14 @@ class TestParallelMap:
     def table(self, request, tmp_path):
         """(argv, exit code, bytes, blocks) of MAP, or of a `modes` table that ends at a failing row of its block 7.
 
-        (2,-1) has no root above 0.0237 T: the table ends after the (3,-1) row of its eighth field, 0.024 T, so its
-        last block comes after at least 3 forked ones.
+        (4,-1) finds no root at 3.675e14 T, where its default window is about 7 floats wide: the table ends after
+        the (3,-1) row of its eighth field, so its last block comes after at least 3 forked ones.
         """
         if request.param == "map":
             return self.MAP, 0, map_reference(self.MAP[1]), 22
         config = yaml.safe_load((CONFIG_DIR / "walker_modes.yaml").read_text())
         config["modes_table"] = {
-            "field": {"start": 0.01, "stop": 0.026, "count": 9}, "indices": [[3, 1], [2, 1]], "sign_branch": "minus"
+            "field": {"start": 0.3, "stop": 4.2e14, "count": 9}, "indices": [[3, 1], [4, 1]], "sign_branch": "minus"
         }
         path = tmp_path / "table.yaml"
         path.write_text(yaml.safe_dump(config))

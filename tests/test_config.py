@@ -204,7 +204,7 @@ def test_fit_section_accepts_every_observable_and_parameter_kind(observable):
 
     data = copy.deepcopy(MINIMAL)
     names = ["f_c", "kappa_e", "kappa_i", "g.kittel", "gamma.kittel", "f_m.kittel", "delta.kittel", "beta.kittel"]
-    data["fit"] = {"free": {name: [1e-3, 1e12] for name in names}, "observable": observable}
+    data["fit"] = {"free": {name: [1e-3, 1e12] for name in names}, "observable": observable, "B": 0.38}
     config = parse_config(data)
     assert config.fit.observable == observable
     assert sorted(config.fit.free) == sorted(names)

@@ -12,6 +12,7 @@ is absent, its data file is malformed) exit 2 and write nothing too.
 import contextlib
 import copy
 import io
+import math
 import string
 from dataclasses import fields
 
@@ -82,15 +83,17 @@ materials = st.fixed_dictionaries(
 opticals = st.fixed_dictionaries({}, optional={"wavelength": positive, "power": non_negative})
 
 
-def fits(labels):
+def fits(labels, saturating=None):
+    """Fit sections; with a ``saturating`` field (for field-mapped modes) B is written and at least that."""
     names = ["f_c", "kappa_e", "kappa_i"] + [
         f"{field}.{label}" for label in labels for field in ("g", "gamma", "f_m", "delta", "beta")
     ]
     bounds = st.tuples(st.floats(-1e12, 1e12), st.floats(1.0, 1e12)).map(lambda p: [p[0], p[0] + abs(p[0]) + p[1]])
+    B = {"B": finite if saturating is None else st.floats(min_value=saturating, max_value=1e12)}
     return st.fixed_dictionaries(
-        {"free": st.dictionaries(st.sampled_from(names), bounds, min_size=1)},
+        {"free": st.dictionaries(st.sampled_from(names), bounds, min_size=1), **({} if saturating is None else B)},
         optional={
-            "B": finite,
+            **(B if saturating is None else {}),
             "observable": st.sampled_from(["s21", "s11"] + [f"s31.{label}" for label in labels]),
             "loss": st.sampled_from(LOSSES),
         },
@@ -121,16 +124,20 @@ def configs(draw, full=False):
     if labels or draw(st.booleans()):
         system["modes"] = [draw(modes(label)) for label in labels]
     system.update(draw(subsets({"material": materials, "optical": opticals}, full)))
+    # a field that meets the material saturates the sphere: the modes table's, and the sweep's and the fit's where a
+    # mode is field-mapped
+    saturating = math.nextafter(system.get("material", {}).get("mu0_Ms", 0.178) / 3.0, math.inf)
+    mapped = any((mode.get("field_map") or {}).get("kind") != "fixed" for mode in system.get("modes", []))
     # reference labels must name modes: a config without modes has only empty references
     cells = st.dictionaries(st.sampled_from(QUANTITIES), written(finite))
     references = st.dictionaries(st.sampled_from(labels), cells) if labels else st.just({})
     sections = {
-        "sweep": subsets({"field": grids(), "frequency": grids()}, full),
+        "sweep": subsets({"field": grids(min_start=saturating if mapped else -1e9), "frequency": grids()}, full),
         "observable": st.sampled_from(OBSERVABLES),
         "seed": st.integers(min_value=-(2**31), max_value=2**31),  # a retired key: accepted and ignored
         "modes_table": st.fixed_dictionaries(
             {
-                "field": grids(min_start=1e-6),  # the Walker solver needs B_ext > 0
+                "field": grids(min_start=saturating),
                 "indices": st.lists(index_pairs, min_size=1, max_size=4),
             },
             optional={"sign_branch": st.sampled_from(["plus", "minus"])},
@@ -143,7 +150,7 @@ def configs(draw, full=False):
                 **({} if full else {"reference": st.one_of(st.none(), references)}),
             },
         ),
-        "fit": fits(labels),
+        "fit": fits(labels, saturating if mapped else None),
         "scaling": st.fixed_dictionaries(
             {"model": st.sampled_from(sorted(SCALING_MODELS))},
             optional={"include": st.one_of(st.none(), st.lists(st.sampled_from([True, False, 0, 1]), max_size=5))},
@@ -209,7 +216,7 @@ BREAKS = [
     ((), "observable", words_except(*OBSERVABLES)),
     ((), "modes_table", not_mapping),
     (("modes_table",), "field", required(not_mapping)),
-    # a start <= 0 below a valid grid's start, or off a single-point grid's stop
+    # a start that does not saturate the sphere, below a valid grid's start, or off a single-point grid's stop
     (("modes_table", "field"), "start", st.floats(min_value=-1e9, max_value=0.0)),
     (
         ("modes_table",),

@@ -16,7 +16,7 @@ from magnoncavity.fitting import (
     finite_difference_jacobian,
 )
 
-from conftest import ASSEMBLIES, CAVITY, kittel_system, two_mode_system
+from conftest import ASSEMBLIES, CAVITY, kittel_system, saturation_pattern, two_mode_system
 
 F_GRID = np.linspace(CAVITY.f_c - 150e6, CAVITY.f_c + 150e6, 801)
 
@@ -642,10 +642,10 @@ def test_field_maps_resolve_once_per_fit(f_m_free, monkeypatch):
 
 
 def test_a_free_f_m_replaces_a_field_map_that_fails_at_the_fit_field():
-    # a walker map needs B > 0; with its f_m free the fit at B = 0 never resolves it
+    # a walker map needs a field that saturates the sphere; with its f_m free the fit at B = 0 never resolves it
     walker = mc.MagnonMode(label="w", g=20e6, gamma=2e6, field_map=mc.FieldMap(kind="walker", i=2, j=2))
     template = mc.HybridSystem(cavity=CAVITY, modes=(walker,))
-    with pytest.raises(ValueError, match="B_ext must be positive"):
+    with pytest.raises(ValueError, match=saturation_pattern(0.0)):
         scattering.mode_frequencies(template, 0.0)
     truth = mc.apply_params(template, {"f_m.w": CAVITY.f_c + 5e6})
     observed = mc.synthesize_noisy_spectrum(truth, 0.0, F_GRID, noise_sigma=1e-3, seed=3)

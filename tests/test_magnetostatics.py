@@ -13,6 +13,8 @@ from magnoncavity import magnetostatics
 from magnoncavity.errors import DomainError
 from magnoncavity.magnetostatics import default_search_window, solve_walker_modes
 
+from conftest import CAVITY, saturation_pattern
+
 MAT = mc.MaterialParams()
 F_M = MAT.gamma_e * MAT.mu0_Ms  # 4.984 GHz for the default material
 
@@ -188,7 +190,8 @@ def test_legendre_pair_matches_the_polynomials_and_the_complex_recurrence(i, kin
 class TestClosedForms:
     def test_kittel_line(self):
         assert mc.kittel_frequency(0.3797, MAT) == pytest.approx(1.06316e10, rel=1e-5)
-        assert mc.kittel_frequency(0.0, MAT) == 0.0
+        with pytest.raises(ValueError, match=saturation_pattern(0.0)):  # the line holds for a saturated sphere only
+            mc.kittel_frequency(0.0, MAT)
         assert mc.kittel_frequency(0.76, MAT) == pytest.approx(2 * mc.kittel_frequency(0.38, MAT), rel=1e-14)
 
     def test_degeneracy_field_of_reference_cavity(self):
@@ -232,8 +235,9 @@ class TestClosedForms:
         expected = F_M * math.sqrt((r - 1 / 3) * (r + 7 / 15))
         assert mc.msm20_frequency(0.38, MAT) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(1.079e10, rel=1e-3)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=saturation_pattern(MAT.mu0_Ms / 3)) as raised:
             mc.msm20_frequency(MAT.mu0_Ms / 3, MAT)
+        assert not isinstance(raised.value, DomainError)
 
     def test_mode20_large_field_asymptote(self):
         B = 100 * MAT.mu0_Ms
@@ -245,8 +249,10 @@ class TestClosedForms:
             mc.WalkerModeQuery(i=0, j=0, B_ext=0.38)
         with pytest.raises(ValueError):
             mc.WalkerModeQuery(i=2, j=3, B_ext=0.38)
-        with pytest.raises(ValueError):
-            mc.WalkerModeQuery(i=2, j=1, B_ext=-0.1)
+        # a query checks only its indices; its field is checked where it meets the material
+        q = mc.WalkerModeQuery(i=2, j=1, B_ext=-0.1)
+        with pytest.raises(ValueError, match=saturation_pattern(-0.1)):
+            mc.solve_walker_mode(q, MAT)
 
 
 class TestCharacteristicEquation:
@@ -457,8 +463,8 @@ def complex_cleared_grid(f, B_ext, i: int, j: int, material, negate=True):
 
     C is real or imaginary; this returns its one nonzero component, the imaginary part where P is imaginary. As
     in the package (with ``negate``), it is negated where f^2 > x^2 for the pairs whose C changes sign at the chi
-    pole, those with (floor(|j|/2) odd) == (j x > 0), and it is NaN where xi0^2 is 0 or 1 and where it is not
-    finite.
+    pole of a saturating field (x > 0), those with (floor(|j|/2) odd) == (j > 0), and it is NaN where xi0^2 is 0
+    or 1 and where it is not finite.
     """
     x = material.gamma_e * mc.internal_field(B_ext, material)
     f_M = material.gamma_e * material.mu0_Ms
@@ -472,7 +478,7 @@ def complex_cleared_grid(f, B_ext, i: int, j: int, material, negate=True):
         imaginary = ((square < 0) & ((i - m) % 2 == 1)) | ((square > 1) & (m % 2 == 1))
         component = np.where(imaginary, value.imag, value.real)
         if negate:
-            component = np.where((den < 0) & ((m // 2 % 2 == 1) == (j * x > 0)), -component, component)
+            component = np.where((den < 0) & ((m // 2 % 2 == 1) == (j > 0)), -component, component)
         seen = xi0 * xi0  # the xi0^2 of the recurrence
         undefined = (seen == 0) | (seen == 1) | ~np.isfinite(component)
     return np.where(undefined, np.nan, component)
@@ -489,9 +495,9 @@ def assert_same_residual_bits(got, expected):
 def residual_arrays(draw):
     """A random material, an index pair (i <= 8, either sign of j), a bias field and probe frequencies.
 
-    The field lies across mu0_Ms/3 (where chi1 vanishes, and a few ulps from
-    it, where xi0 is largest), at or below zero, in the usual range or up to
-    1e30 T. The probes lie in the default window, next to the chi pole (as
+    The field saturates the sphere: it lies just above mu0_Ms/3 (where chi1
+    vanishes, and a few ulps from it, where xi0 is largest), in the usual
+    range or up to 1e30 T. The probes lie in the default window, next to the chi pole (as
     in :func:`residual_points`), at 1 Hz, or from 1e20 up to 1e40 Hz, where
     the terms of the residual overflow next to mu0_Ms/3.
     """
@@ -503,12 +509,11 @@ def residual_arrays(draw):
     j = draw(st.integers(-i, i))
     third = material.mu0_Ms / 3
     B = draw(st.one_of(
-        st.floats(-1e-6, 1e-6).map(lambda u: third * (1.0 + u)),
-        st.integers(-4, 4).map(lambda k: ulps_from(third, k)),
-        st.floats(-3.0, 0.0).map(lambda r: r * material.mu0_Ms),
-        st.floats(0.0, 3.0).map(lambda r: r * material.mu0_Ms),
+        st.floats(0.0, 1e-6, exclude_min=True).map(lambda u: third * (1.0 + u)),
+        st.integers(1, 4).map(lambda k: ulps_from(third, k)),
+        st.floats(1.0 / 3.0, 3.0, exclude_min=True).map(lambda r: r * material.mu0_Ms),
         st.floats(-6.0, 30.0).map(lambda e: 10.0**e),
-    ))
+    ).filter(lambda B: B > third))
     f_M = material.gamma_e * material.mu0_Ms
     pole = abs(material.gamma_e * mc.internal_field(B, material))
     probe = st.one_of(
@@ -571,10 +576,9 @@ def walker_solves(draw, max_n=7, field_range="any"):
     """A material, an index pair (n <= max_n, either sign of j), and one to four fields of it, each with its window.
 
     mu0_Ms is drawn from 0.05 to 0.8 T and gamma_e from 20 to 35 GHz/T. A
-    field lies from mu0_Ms/6, below mu0_Ms/3 where the internal field is
-    negative, up to 1 T above mu0_Ms/3; with ``field_range`` "above", from
-    mu0_Ms/3 + 0.01 T, with "below", up to mu0_Ms/3, and with "near", at
-    an internal field h mu0_Ms, h log-uniform from _H_FLOOR to 0.0125,
+    field saturates the sphere: it lies above mu0_Ms/3, up to 1 T above it;
+    with ``field_range`` "above", from mu0_Ms/3 + 0.01 T, and with "near",
+    at an internal field h mu0_Ms, h log-uniform from _H_FLOOR to 0.0125,
     where the panel count grows as the band narrows. A window is the
     default one, the closed-form window of (n, |j|) where it has a closed
     form there, or a narrow window 1e-6 to 0.03 gamma_e*mu0_Ms wide around
@@ -589,8 +593,8 @@ def walker_solves(draw, max_n=7, field_range="any"):
         h = st.floats(math.log10(magnetostatics._H_FLOOR), math.log10(0.0125)).map(lambda e: 10.0**e)
         field = h.map(lambda h: third + h * material.mu0_Ms)
     else:
-        field = st.floats(*{"any": (third / 2, third + 1.0), "above": (third + 0.01, third + 1.0),
-                            "below": (third / 2, third)}[field_range])
+        field = st.floats(*{"any": (third, third + 1.0), "above": (third + 0.01, third + 1.0)}[field_range],
+                          exclude_min=True)
     fields = draw(st.lists(field, min_size=1, max_size=4))
     closed_map = magnetostatics.closed_form_map(n, abs(j))
     windows = []
@@ -719,22 +723,20 @@ class TestBatchedSolver:
                     )
                     np.testing.assert_array_equal(part, whole[start : start + size])
 
-    @pytest.mark.parametrize("negative_x", [False, True], ids=["above_third", "below_third"])
-    def test_the_cleared_residual_keeps_its_sign_across_the_chi_pole(self, negative_x):
-        # C = R P (x^2 - f^2) vanishes at the chi pole f = |x|. For x > 0 it changes sign there exactly for j = 0,
-        # for j > 0 with floor(|j|/2) odd and for j < 0 with floor(|j|/2) even; for x < 0, for the mirror pairs
-        # (i, -j). The package negates C above the pole for those pairs, so that C keeps its sign across it.
-        rng = np.random.default_rng(12 + negative_x)
+    def test_the_cleared_residual_keeps_its_sign_across_the_chi_pole(self):
+        # C = R P (x^2 - f^2) vanishes at the chi pole f = x > 0. It changes sign there exactly for j = 0, for j > 0
+        # with floor(|j|/2) odd and for j < 0 with floor(|j|/2) even. The package negates C above the pole for
+        # those pairs, so that C keeps its sign across it.
+        rng = np.random.default_rng(12)
         for _ in range(40):
             material = mc.MaterialParams(mu0_Ms=rng.uniform(0.05, 0.8), gamma_e=rng.uniform(20e9, 35e9))
-            h = rng.uniform(0.01, 2.0) * (-1 if negative_x else 1)
+            h = rng.uniform(0.01, 2.0)
             B = np.full(2, material.mu0_Ms / 3 + h * material.mu0_Ms)
-            f = abs(material.gamma_e * mc.internal_field(B, material)) * (1.0 + np.array([-1e-6, 1e-6]))
+            f = material.gamma_e * mc.internal_field(B, material) * (1.0 + np.array([-1e-6, 1e-6]))
             for i in range(1, 13):
                 for j in range(-i, i + 1):
                     raw = complex_cleared_grid(f, B, i, j, material, negate=False)
-                    sign_j = -j if negative_x else j
-                    assert (raw[0] * raw[1] < 0) == (j == 0 or (abs(j) // 2 % 2 == 1) == (sign_j > 0)), (i, j, B)
+                    assert (raw[0] * raw[1] < 0) == (j == 0 or (abs(j) // 2 % 2 == 1) == (j > 0)), (i, j, B)
                     got = magnetostatics._cleared_grid(f, B, i, j, material)
                     assert got[0] * got[1] > 0, (i, j, B)
 
@@ -943,12 +945,6 @@ class TestBatchedSolver:
         self.check_roots_against_a_dense_scan(drawn)
 
     @settings(max_examples=40, deadline=None)
-    @given(walker_solves(max_n=DENSE_MAX_N, field_range="below"))
-    def test_roots_equal_those_of_a_dense_scan_of_the_residual_below_a_third_of_mu0_ms(self, drawn):
-        # the internal field is negative, where C is negated above the chi pole by the mirrored rule
-        self.check_roots_against_a_dense_scan(drawn)
-
-    @settings(max_examples=40, deadline=None)
     @given(walker_solves(max_n=DENSE_MAX_N, field_range="near"))
     # h = 5.6e-4: three roots, 74, 113 and 460 MHz, of which twice the base count of 80 panels finds one
     @example((MAT, (5, 1), [MAT.mu0_Ms / 3 + 1e-4], [None]))
@@ -980,14 +976,14 @@ class TestBatchedSolver:
         lo, hi = default_search_window(q, MAT)
         x = MAT.gamma_e * mc.internal_field(q.B_ext, MAT)
         assert (x - lo) / (hi - lo) == pytest.approx(7 / 18, rel=1e-12)
-        h = np.concatenate([[-2.0, -0.5, 0.0, math.nan, math.inf], np.geomspace(1e-6, 1e3, 200)])
+        h = np.concatenate([[math.inf], np.geomspace(1e-6, 1e3, 200)])  # a saturating field has h > 0
         floored = np.maximum(h, magnetostatics._H_FLOOR)
         with np.errstate(invalid="ignore"):
             band = np.sqrt(floored * floored + floored) - floored  # the width of x < f < sqrt(x^2 + x f_M) over f_M
-        # max(2, 0.2 f_M / width) times the base count where the band is narrower than 0.2 f_M (at h <= 0 there is
-        # none), to within the rounding to an even count that is not a multiple of 18; twice it down to h = 0.0125,
-        # and that of _H_FLOOR below it
-        narrow = (h > 0) & (h < 1 / 15)
+        # max(2, 0.2 f_M / width) times the base count where the band is narrower than 0.2 f_M, to within the
+        # rounding to an even count that is not a multiple of 18; twice it down to h = 0.0125, and that of _H_FLOOR
+        # below it
+        narrow = h < 1 / 15
         factor = np.where(narrow, np.maximum(2.0, 0.2 / band), 1.0)
         for i in range(1, 201):
             counts = magnetostatics._n_panels(i, h)
@@ -1018,12 +1014,11 @@ class TestBatchedSolver:
             assert centre not in solver_roots([q], material, [window])[0]
 
     @pytest.mark.parametrize(
-        "ij, fields", [((1, 1), [0.05]), ((1, 1), [0.45, 0.05]), ((1, 0), [0.38]), ((3, 1), [0.38]), ((6, 0), [0.38])],
+        "ij, fields", [((1, 0), [0.38]), ((3, 1), [0.38]), ((6, 0), [0.45, 0.38])],
     )
     def test_a_row_without_known_roots_scans_every_panel(self, monkeypatch, ij, fields):
-        # below mu0_Ms/3 the internal field is negative, alone or next to a row whose roots are known, and the
-        # other three pairs' polynomials are not quadratics: every edge of the window at the last field is scanned,
-        # and the roots or the errors are the full scan's
+        # the pairs' polynomials are not quadratics: every edge of the window at the last field is scanned, and the
+        # roots or the errors are the full scan's
         queries = [mc.WalkerModeQuery(*ij, B_ext=B) for B in fields]
         calls = record_grid(monkeypatch)
         solved = solve_walker_modes(queries, MAT, [None] * len(queries))
@@ -1145,7 +1140,7 @@ def walker_panels(draw, cleared=False):
     With ``cleared``, a panel where the cleared residual C changes sign: a root.
     """
     i = draw(st.integers(1, 5))
-    q = mc.WalkerModeQuery(i=i, j=draw(st.integers(-i, i)), B_ext=draw(st.floats(0.05, 0.6)))
+    q = mc.WalkerModeQuery(i=i, j=draw(st.integers(-i, i)), B_ext=draw(st.floats(0.06, 0.6)))
     lo, hi = default_search_window(q, MAT)
     n = panels_of(q)
     edges = [lo + (hi - lo) * k / n for k in range(n + 1)]
@@ -1407,7 +1402,7 @@ def test_every_search_window_stays_above_one_hertz():
     closed = mc.msm20_frequency(0.05935, MAT)
     assert closed < 0.03 * F_M
     assert magnetostatics.closed_form_window(closed, MAT) == (1.0, closed + 0.03 * F_M)
-    assert default_search_window(mc.WalkerModeQuery(i=1, j=1, B_ext=0.05), MAT) == (1.0, 0.05 * MAT.gamma_e + 1.5 * F_M)
+    assert default_search_window(mc.WalkerModeQuery(i=1, j=1, B_ext=0.06), MAT) == (1.0, 0.06 * MAT.gamma_e + 1.5 * F_M)
     # nothing of the window is left above the floor
     with pytest.raises(DomainError, match=r"search window -5\.245333e\+08 \+/- 1\.495200e\+08 Hz lies below 1 Hz"):
         magnetostatics.closed_form_window(-5.245333e8, MAT)
@@ -1415,8 +1410,8 @@ def test_every_search_window_stays_above_one_hertz():
 
 def test_walker_closed_form_checks_scalar_fields():
     walker = mc.FieldMap("walker", 2, 2)
-    for B in (0, 0.0, -0.1, math.nan, math.inf, np.float64("nan")):
-        with pytest.raises(ValueError, match="B_ext must be positive and finite"):
+    for B in (0, 0.0, -0.1, MAT.mu0_Ms / 3, math.nan, math.inf, np.float64("nan")):
+        with pytest.raises(ValueError, match=saturation_pattern(B)):
             mc.mode_frequency(walker, B, MAT)
     assert mc.mode_frequency(walker, 1, MAT) == mc.mode_frequency(walker, 1.0, MAT)
 
@@ -1521,8 +1516,9 @@ def materials_and_fields(draw):
     """A material, a table index pair and bias fields at the edges where the closed forms or windows fail.
 
     The fields include B <= 0 and non-finite ones, fields a few ulps from
-    mu0_Ms/3 (the (2,0) radicand's zero) and from where the closed-form
-    window's edges meet the 1 Hz floor, and fields drawn at random.
+    mu0_Ms/3 (the saturation rule's edge, and the (2,0) radicand's zero)
+    and from where the closed-form window's edges meet the 1 Hz floor, and
+    fields drawn at random.
     """
     material = mc.MaterialParams(mu0_Ms=draw(st.floats(0.1, 0.25)), gamma_e=draw(st.floats(27.0e9, 29.0e9)))
     ij = draw(st.sampled_from(TABLE_PAIRS))
@@ -1551,20 +1547,25 @@ def oracle_walker_closed_form(i: int, j: int, B_ext: float, material) -> float:
     return material.gamma_e * B_ext + offset
 
 
+def oracle_saturated(B_ext: float, material) -> None:
+    """The saturation rule: a bias field that meets a material is finite and above mu0_Ms/3."""
+    third = material.mu0_Ms / 3.0
+    if not (math.isfinite(B_ext) and B_ext - third > 0):
+        raise ValueError(
+            f"B_ext = {B_ext!r} T does not saturate the sphere: it must be finite and above mu0_Ms/3 = {third!r} T"
+        )
+
+
 def oracle_kittel_frequency(B_ext: float, material) -> float:
-    if not math.isfinite(B_ext):
-        raise ValueError("B_ext must be finite")
+    oracle_saturated(B_ext, material)
     return material.gamma_e * B_ext
 
 
 def oracle_msm20_frequency(B_ext: float, material) -> float:
-    if not math.isfinite(B_ext):
-        raise ValueError("B_ext must be finite")
+    oracle_saturated(B_ext, material)
     r = B_ext / material.mu0_Ms
-    radicand = (r - 1.0 / 3.0) * (r + 7.0 / 15.0)
-    if radicand <= 0:
-        raise DomainError(f"(2,0) closed form needs B_ext/mu0_Ms > 1/3, got r = {r:g}")
-    return material.gamma_e * material.mu0_Ms * math.sqrt(radicand)
+    # math.sqrt raises on a negative radicand, which saturation rules out
+    return material.gamma_e * material.mu0_Ms * math.sqrt((r - 1.0 / 3.0) * (r + 7.0 / 15.0))
 
 
 def oracle_mode_frequency(field_map, B_ext: float, material) -> float:
@@ -1572,8 +1573,7 @@ def oracle_mode_frequency(field_map, B_ext: float, material) -> float:
     if field_map.kind == "kittel":
         return oracle_kittel_frequency(B_ext, material)
     if field_map.kind == "walker":
-        if not (math.isfinite(B_ext) and B_ext > 0):
-            raise ValueError("B_ext must be positive and finite")
+        oracle_saturated(B_ext, material)
         return oracle_walker_closed_form(field_map.i, field_map.j, B_ext, material)
     if field_map.kind == "msm20":
         return oracle_msm20_frequency(B_ext, material)
@@ -1592,15 +1592,14 @@ def oracle_positive_window(center: float, half: float) -> tuple[float, float]:
 
 def oracle_table_row(i: int, j: int, B_ext: float, material) -> tuple[float, float, float]:
     """Closed form (NaN where (i, j) has none) and search window (lo, hi) of one Walker table row."""
-    closed_map = mc.closed_form_map(i, j)
-    closed = math.nan if closed_map is None else oracle_mode_frequency(closed_map, B_ext, material)
     # WalkerModeQuery(i=i, j=j, B_ext=B_ext)
     if i < 1:
         raise ValueError(f"mode index i must be >= 1, got ({i}, {j})")
     if not -i <= j <= i:
         raise ValueError(f"mode index j must satisfy -i <= j <= i, got ({i}, {j})")
-    if not math.isfinite(B_ext) or B_ext <= 0:
-        raise ValueError("B_ext must be positive and finite")
+    oracle_saturated(B_ext, material)
+    closed_map = mc.closed_form_map(i, j)
+    closed = math.nan if closed_map is None else oracle_mode_frequency(closed_map, B_ext, material)
     if closed_map is None:  # default_search_window
         half = 1.5 * material.gamma_e * material.mu0_Ms
         return (closed, *oracle_positive_window(oracle_kittel_frequency(B_ext, material), half))
@@ -1638,10 +1637,12 @@ def assert_array_path_is_the_oracle(arrays, rules, expected):
 @given(materials_and_fields())
 # the Kittel map overflows to inf without raising: the array must not call that cell a failure
 @example((MAT, (1, 1), [1e300]))
-# the rules at the fields that sit on their edges: walker at 0 T, the (2,0) radicand's zero,
-# a row with bad indices, and a row without a closed form at 0 T
+# the rules at the fields that sit on their edges: walker at 0 T, saturation at mu0_Ms/3 and one ulp above it,
+# msm20 at -1 T (r < -7/15, where its radicand is positive), a row with bad indices, and a row without a closed
+# form at 0 T
 @example((MAT, (1, 1), [0.38, 0.0]))
-@example((MAT, (2, 0), [0.38, MAT.mu0_Ms / 3]))
+@example((MAT, (2, 0), [0.38, MAT.mu0_Ms / 3, math.nextafter(MAT.mu0_Ms / 3, 1.0)]))
+@example((MAT, (2, 0), [-1.0]))
 @example((MAT, (0, 0), [5e-324]))
 @example((MAT, (1, -1), [0.38, 0.0]))
 def test_field_maps_and_table_rows_are_the_scalar_oracle_bit_for_bit(drawn):
@@ -1693,3 +1694,63 @@ def test_field_map_resolution_raises_the_first_failing_field_and_mode_of_the_ora
         assert same_result(resolved.T.ravel(), [f for f_ms in expected for f in f_ms])
     for B_k, e in zip(fields, expected):
         assert same_result(scalar_or_error(mc.scattering.mode_frequencies, system, B_k), e), (B_k, e)
+
+
+# every field-mapped kind, and the (i, j) a Walker solve of it takes
+SATURATED_KINDS = [(mc.FieldMap("kittel"), (1, 1)), (mc.FieldMap("msm20"), (2, 0))] + [
+    (mc.FieldMap("walker", i, j), (i, j)) for j in range(1, 5) for i in (j, j + 1)
+]
+
+
+@st.composite
+def unsaturating_fields(draw):
+    """A random material, a field-mapped kind with its (i, j), and a bias field that does not saturate the sphere.
+
+    The field is exactly mu0_Ms/3, below it down to zero, at zero of either sign, negative, infinite or NaN.
+    """
+    material = mc.MaterialParams(
+        mu0_Ms=draw(st.floats(-3.0, 1.0).map(lambda e: 10.0**e)),
+        gamma_e=draw(st.floats(8.0, 11.0).map(lambda e: 10.0**e)),
+    )
+    third = material.mu0_Ms / 3
+    B = draw(st.one_of(
+        st.sampled_from([third, 0.0, -0.0, math.inf, -math.inf, math.nan]),
+        st.floats(0.0, 1.0).map(lambda u: third * u),
+        st.floats(-1e6, 0.0),
+    ))
+    return material, *draw(st.sampled_from(SATURATED_KINDS)), B
+
+
+@settings(max_examples=200, deadline=None)
+@given(unsaturating_fields())
+# msm20's radicand is positive at r < -7/15, and the walker (2,1) closed form is -384.5 MHz at 0.01 T
+@example((MAT, mc.FieldMap("msm20"), (2, 0), -1.0))
+@example((MAT, mc.FieldMap("walker", 2, 1), (2, 1), 0.01))
+def test_a_field_that_does_not_saturate_the_sphere_is_one_error_wherever_it_meets_the_material(drawn):
+    material, field_map, (i, j), B = drawn
+    text = saturation_pattern(B, material)
+
+    def raises_the_saturation_error(call, *args):
+        with pytest.raises(ValueError, match=text) as raised:
+            call(*args)
+        assert type(raised.value) is ValueError
+
+    q = mc.WalkerModeQuery(i, j, B)  # a query checks only its indices
+    raises_the_saturation_error(mc.mode_frequency, field_map, B, material)
+    saturated = mc.WalkerModeQuery(i, j, material.mu0_Ms)  # after it, the first query that fails raises
+    raises_the_saturation_error(solve_walker_modes, [saturated, q], material, [None, None])
+    raises_the_saturation_error(solve_walker_modes, [q], material, [(1.0, 2.0)])
+    raises_the_saturation_error(mc.walker_characteristic, 1e9, q, material)
+    closed, roots, error = magnetostatics._modes_table([(i, j)], np.array([B]), material)
+    assert closed.size == roots.size == 0
+    assert type(error) is ValueError and re.search(text, str(error))
+    mode = mc.MagnonMode("m", 1e6, 1e6, field_map=field_map)
+    system = mc.HybridSystem(cavity=CAVITY, modes=(mode,), material=material)
+    if math.isfinite(B):
+        raises_the_saturation_error(mc.sweep_map, system, [B, 2 * abs(B) + 1.0], [1e9, 2e9])
+    else:  # a grid that is not finite is rejected before any field meets the material
+        with pytest.raises(ValueError, match="^grids must be finite$"):
+            mc.sweep_map(system, [B], [1e9, 2e9])
+    # just above mu0_Ms/3 the field saturates the sphere
+    above = mc.mode_frequency(field_map, material.mu0_Ms / 3 * (1 + 1e-9), material)
+    assert math.isfinite(above) and above > 0

@@ -7,7 +7,7 @@ import magnoncavity as mc
 from magnoncavity.model import susceptibility_magnon
 from magnoncavity.scattering import shared_denominator
 
-from conftest import ASSEMBLIES, CAVITY, cavity_susceptibility, magnon_susceptibility
+from conftest import ASSEMBLIES, CAVITY, cavity_susceptibility, magnon_susceptibility, saturation_pattern
 
 BARE = mc.HybridSystem(cavity=CAVITY)
 
@@ -65,7 +65,7 @@ def test_the_one_field_calls_reject_a_non_finite_frequency(bad):
         mc.s31_mode(f, fixed, 0.0, "m")
     # where the field map fails as well, its error comes first
     kittel = mc.HybridSystem(cavity=CAVITY, modes=(mc.MagnonMode(label="m", g=1e6, gamma=1e6),))
-    with pytest.raises(ValueError, match="^B_ext must be finite$"):
+    with pytest.raises(ValueError, match=saturation_pattern(bad)):
         mc.amplitudes(f, kittel, bad)
     with pytest.raises(ValueError, match="^f_m must be finite$"):  # gamma_e * B overflows
         mc.s21(f, kittel, 1e300)
@@ -88,10 +88,9 @@ def test_the_kernel_chi_is_susceptibility_magnon():
     f = np.linspace(10.5e9, 10.8e9, 31)
     _, (chi,) = shared_denominator(f, system, [10.632e9])
     assert chi.tobytes() == susceptibility_magnon(f, system.modes[0], 10.632e9).tobytes()
-    out, scratch = np.empty(31, complex), np.empty(31)
-    assert susceptibility_magnon(f, system.modes[0], 10.632e9, out, scratch) is out
+    out = np.empty(31, complex)
+    assert susceptibility_magnon(f, system.modes[0], 10.632e9, out) is out
     assert out.tobytes() == chi.tobytes()
-    assert np.array_equal(scratch, f - 10.632e9)
 
 
 def test_dressing_factor_uncoupled_limit():
