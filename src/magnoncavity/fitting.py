@@ -18,18 +18,25 @@ fixed for a fit, so the field maps resolve once per fit and each model
 evaluation puts the trial's free f_m in place. Each trial evaluates the
 model once; the Jacobian is formed only at the start point and for
 accepted steps, from the model evaluation that gave their residuals.
+
+A trial is a vector of parameter values, not a HybridSystem. Its free
+values are checked by the rules that apply_params' constructors apply
+(the rule lists of :mod:`magnoncavity.model`), so a trial the model
+rejects raises the text that building it would, and the kernel reads a
+small record of the template's values with the free ones in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import magnetostatics, scattering
 from .errors import DomainError
-from .model import CavityParams, FieldMap, HybridSystem, MagnonMode
+from .model import CAVITY_RULES, FIXED_MAP_RULES, MODE_RULES, CavityParams, FieldMap, HybridSystem, MagnonMode
 from .scattering import ComplexSpectrum
 
 MAX_ITERATIONS = 200
@@ -170,7 +177,12 @@ class FitResult:
     the loop ended: "gradient" or "cost_floor" (converged), "singular",
     "damping_exhausted" or "iteration_cap". An estimate clamped to its bounds
     clears ``converged`` and leaves ``stop_reason`` as it was. ``loss``
-    records the objective that was minimized.
+    records the objective that was minimized. ``rejected_steps`` counts the
+    trial steps the fit rejected, because the model rejects their values
+    (a ValueError or OverflowError) or because they raise the cost. So the
+    fit checked ``1 + iterations + rejected_steps`` trials, its start
+    included, and evaluated the model once for each that passed the check.
+    It is not written to the ``fit`` CSV.
     """
 
     estimates: dict[str, float]
@@ -181,6 +193,7 @@ class FitResult:
     jacobian_condition_estimate: float
     loss: str
     residual_trace: tuple[float, ...]
+    rejected_steps: int = 0
 
 
 def _observed_mode(observable: str, system: HybridSystem) -> str | None:
@@ -277,16 +290,36 @@ def _residual_jacobian(loss: str, model_values: np.ndarray, d_model: np.ndarray)
     return np.concatenate([power, phase], axis=1).T
 
 
-def _residuals_and_jacobian(problem: FitProblem, names):
+def _trial_values(u, logs, rules) -> list[float]:
+    """The parameter values of the internal values ``u``, checked by the model's rules.
+
+    ``logs`` marks the log-space values, which ``math.exp`` maps (an
+    OverflowError where one overflows). ``rules`` holds ``(index, test,
+    error text)`` in the order :func:`apply_params`' constructors check the
+    values; the first that a value breaks raises its ValueError, so a trial
+    raises the text that building it would.
+    """
+    values = [math.exp(ui) if log else ui for ui, log in zip(u.tolist(), logs)]
+    for k, test, text in rules:
+        if not test(values[k]):
+            raise ValueError(text)
+    return values
+
+
+def _residuals_and_jacobian(problem: FitProblem, names, system: HybridSystem):
     """``evaluate(u) -> (residuals, jacobian)`` at internal values ``u`` of ``names``.
 
-    ``evaluate`` builds the model once and returns its residuals and
-    ``jacobian``, a zero-argument function that forms their Jacobian from
-    that evaluation's D, chi_m and S; a caller that rejects ``u`` never
-    calls it. The names are parsed, and the field maps of the modes whose
-    ``f_m`` is not free are resolved at ``problem.B``, once here, not per evaluation.
+    ``evaluate`` checks the trial (:func:`_trial_values`), evaluates the
+    model once and returns its residuals and ``jacobian``, a zero-argument
+    function that forms their Jacobian from that evaluation's D, chi_m and
+    S; a caller that rejects ``u`` never calls it. The trial's model is no
+    :class:`HybridSystem` but a record of the values the kernel reads: those
+    of ``system``, the template, which differs from ``problem.system`` in
+    free values at most (:func:`fit_spectrum` passes its start model), with
+    the free ones in place. The names are parsed, their rules gathered, and the
+    field maps of the modes whose ``f_m`` is not free resolved at
+    ``problem.B``, once here, not per evaluation.
     """
-    system = problem.system
     parsed = [_parse_name(n, system) for n in names]
     logs = [field in _LOG_FIELDS for field, _ in parsed]
     index = {mode.label: m for m, mode in enumerate(system.modes)}
@@ -306,12 +339,41 @@ def _residuals_and_jacobian(problem: FitProblem, names):
     resolved = iter(scattering.mode_frequencies(kept, problem.B))
     fixed_f_ms = [None if m in f_m_row else next(resolved) for m in range(len(system.modes))]
 
+    # The template's values in one list: the cavity's three, then each mode's five, both in the order of the
+    # parameter names. Each trial copies the list and puts its free values in place.
+    layout = [(field, None) for field in _CAVITY_PARAMS]
+    layout += [(field, m) for m in range(len(system.modes)) for field in _MODE_PARAMS]
+    places = [layout.index(row) for row in rows]
+    cavity = system.cavity
+    base = [cavity.f_c, cavity.kappa_e, cavity.kappa_i]
+    for mode, f_m in zip(system.modes, fixed_f_ms):
+        base += [mode.g, mode.gamma, f_m, mode.delta, mode.beta]
+    mode_labels = [mode.label for mode in system.modes]
+    # the free values' rules, in the order apply_params' constructors check them: the cavity's, then for each mode
+    # those of its fixed field map (a free f_m is its frequency), built first, and the mode's own
+    free = {("frequency" if field == "f_m" else field, m): k for k, (field, m) in enumerate(rows)}
+    constructors = [(None, CAVITY_RULES)] + [
+        (m, owner_rules) for m in range(len(system.modes)) for owner_rules in (FIXED_MAP_RULES, MODE_RULES)
+    ]
+    rules = [
+        (free[name, owner], test, text)
+        for owner, owner_rules in constructors for name, test, text in owner_rules if (name, owner) in free
+    ]
+
     def evaluate(u: np.ndarray):
-        values = [math.exp(ui) if log else ui for ui, log in zip(u.tolist(), logs)]
-        # validates the trial: an f_c or f_m <= 0 is a ValueError
-        sys_ = apply_params(system, dict(zip(names, values)))
-        f_ms = [values[f_m_row[m]] if m in f_m_row else f_m for m, f_m in enumerate(fixed_f_ms)]
-        d, chis = scattering.shared_denominator(f_grid, sys_, f_ms)
+        x = base.copy()
+        for place, value in zip(places, _trial_values(u, logs, rules)):
+            x[place] = value
+        # the trial's model: the attributes of a HybridSystem, its CavityParams and MagnonModes that the kernel
+        # and the Jacobian read, with kappa_t summed as CavityParams sums it
+        sys_ = SimpleNamespace(
+            cavity=SimpleNamespace(f_c=x[0], kappa_e=x[1], kappa_i=x[2], kappa_t=x[1] + x[2]),
+            modes=[
+                SimpleNamespace(label=label, g=g, gamma=gamma, delta=delta, beta=beta)
+                for label, g, gamma, delta, beta in zip(mode_labels, x[3::5], x[4::5], x[6::5], x[7::5])
+            ],
+        )
+        d, chis = scattering.shared_denominator(f_grid, sys_, x[5::5])
         s21, s31 = scattering.amplitudes_from_denominator(d, chis, sys_, labels)
         # dS11 = dS21, so S11 differentiates through S21
         s = s21 if observed_mode is None else s31[observed_mode]
@@ -389,7 +451,10 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
     Singular normal equations end the fit with ``converged=False`` and an
     ``inf`` condition estimate instead of raising; so does a zero start
     gradient when they are singular there. A start cost that is not finite
-    (residuals that overflow, or are not finite) raises DomainError.
+    (residuals that overflow, or are not finite) raises DomainError. The
+    start model is built once, by :func:`apply_params`, so an ``init`` that
+    breaks a model rule raises its constructor's ValueError; each trial is
+    then a vector of values that the same rules check (see the module docstring).
     """
     names = sorted(problem.free)
     for name in names:
@@ -399,8 +464,9 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
         if not lo <= init[name] <= hi:
             raise ValueError(f"init for {name!r} is outside its bounds")
 
-    evaluate = _residuals_and_jacobian(problem, names)
     u = np.array([_to_internal(n, init[n]) for n in names])
+    # the start model, built once: an init that breaks a model rule raises its constructor's error here
+    evaluate = _residuals_and_jacobian(problem, names, apply_params(problem.system, init))
     r, jacobian = evaluate(u)
     jac = jacobian()
     cost = float(r @ r)
@@ -411,6 +477,7 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
     grad = jac.T @ r
     grad0 = np.linalg.norm(grad)
     lam = 1e-3
+    rejected = 0
     # how the fit ended: None while it runs, set once where the loop ends; a zero start
     # gradient is the gradient test, met unless a parameter cannot move the model there
     end = "gradient" if grad0 == 0.0 and not _singular(jac.T @ jac) else None
@@ -450,6 +517,7 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
                 if end is None and np.linalg.norm(grad) < GRADIENT_RTOL * grad0:
                     end = "gradient"
                 break
+            rejected += 1
             lam *= 10.0
         else:
             end = "damping_exhausted"
@@ -478,4 +546,5 @@ def fit_spectrum(problem: FitProblem, init: dict[str, float]) -> FitResult:
         jacobian_condition_estimate=cond,
         loss=problem.loss,
         residual_trace=tuple(trace),
+        rejected_steps=rejected,
     )

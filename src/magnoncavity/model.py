@@ -17,10 +17,47 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _require_finite(name: str, value) -> None:
-    """Reject a non-finite scalar; ``math.isfinite`` because fits rebuild parameters on every trial."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite")
+# Every scalar rule of the parameter types, written once: each value must be
+# finite, then > 0 ("positive") or >= 0 ("non-negative") where it is listed.
+# The constructors check their fields by the rule lists below, and a fit
+# checks each trial's free values by the same lists (see fitting).
+_SIGNS = {
+    "f_c": "positive", "kappa_e": "positive", "kappa_i": "non-negative",
+    "g": "non-negative", "gamma": "positive", "delta": "non-negative", "beta": "positive",
+    "frequency": "positive",  # a fixed field map's
+    "mu0_Ms": "positive", "gamma_e": "positive", "diameter": "positive",
+    "wavelength": "positive", "power": "non-negative",
+}
+_TESTS = {"finite": math.isfinite, "positive": lambda value: value > 0, "non-negative": lambda value: value >= 0}
+# the texts that differ from "<name> must be <rule>": those of a fixed field map name the map
+_TEXTS = {
+    ("frequency", "finite"): "fixed field map requires a finite frequency",
+    ("frequency", "positive"): "fixed mode frequency must be positive",
+}
+
+
+def _value_rules(names) -> list:
+    """``(name, test, error text)`` of each rule of one object's fields ``names``, in the order its constructor checks.
+
+    Each name's finiteness comes first, then each listed name's sign rule,
+    both in the order of ``names``. A value breaks a rule where ``test(value)`` is false.
+    """
+    rules = [(name, "finite") for name in names] + [(name, _SIGNS[name]) for name in names if name in _SIGNS]
+    return [(name, _TESTS[rule], _TEXTS.get((name, rule), f"{name} must be {rule}")) for name, rule in rules]
+
+
+def _check(obj, rules) -> None:
+    """Raise the ValueError of the first of ``rules`` (see :func:`_value_rules`) that a field of ``obj`` breaks."""
+    for name, test, text in rules:
+        if not test(getattr(obj, name)):
+            raise ValueError(text)
+
+
+CAVITY_RULES = _value_rules(("f_c", "kappa_e", "kappa_i"))
+FIXED_MAP_RULES = _value_rules(("frequency",))
+MODE_RULES = _value_rules(("g", "gamma", "delta", "beta"))
+MATERIAL_RULES = _value_rules(("mu0_Ms", "gamma_e", "verdet", "spin", "diameter", "xi"))
+OPTICAL_RULES = _value_rules(("wavelength", "power"))
 
 
 @dataclass(frozen=True)
@@ -42,14 +79,7 @@ class CavityParams:
     kappa_i: float
 
     def __post_init__(self):
-        for name in ("f_c", "kappa_e", "kappa_i"):
-            _require_finite(name, getattr(self, name))
-        if self.f_c <= 0:
-            raise ValueError("f_c must be positive")
-        if self.kappa_e <= 0:
-            raise ValueError("kappa_e must be positive")
-        if self.kappa_i < 0:
-            raise ValueError("kappa_i must be non-negative")
+        _check(self, CAVITY_RULES)
 
     @property
     def kappa_t(self) -> float:
@@ -90,10 +120,9 @@ class FieldMap:
             if self.j < 1 or self.i not in (self.j, self.j + 1):
                 raise ValueError(f"walker field map needs j >= 1 and i in (j, j + 1), got ({self.i}, {self.j})")
         if self.kind == "fixed":
-            if self.frequency is None or not math.isfinite(self.frequency):
-                raise ValueError("fixed field map requires a finite frequency")
-            if self.frequency <= 0:
-                raise ValueError("fixed mode frequency must be positive")
+            if self.frequency is None:
+                raise ValueError(_TEXTS["frequency", "finite"])
+            _check(self, FIXED_MAP_RULES)
 
 
 @dataclass(frozen=True)
@@ -127,16 +156,7 @@ class MagnonMode:
     def __post_init__(self):
         if not self.label:
             raise ValueError("mode label must be non-empty")
-        for name in ("g", "gamma", "delta", "beta"):
-            _require_finite(name, getattr(self, name))
-        if self.g < 0:
-            raise ValueError("g must be non-negative")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        _check(self, MODE_RULES)
 
 
 @dataclass(frozen=True)
@@ -158,14 +178,7 @@ class MaterialParams:
     xi: float = 1.0
 
     def __post_init__(self):
-        for name in ("mu0_Ms", "gamma_e", "verdet", "spin", "diameter", "xi"):
-            _require_finite(name, getattr(self, name))
-        if self.mu0_Ms <= 0:
-            raise ValueError("mu0_Ms must be positive")
-        if self.gamma_e <= 0:
-            raise ValueError("gamma_e must be positive")
-        if self.diameter <= 0:
-            raise ValueError("diameter must be positive")
+        _check(self, MATERIAL_RULES)
         if not 0 < self.xi <= 1:
             raise ValueError("xi must lie in (0, 1]")
 
@@ -178,12 +191,7 @@ class OpticalDrive:
     power: float = 15e-3
 
     def __post_init__(self):
-        _require_finite("wavelength", self.wavelength)
-        _require_finite("power", self.power)
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
-        if self.power < 0:
-            raise ValueError("power must be non-negative")
+        _check(self, OPTICAL_RULES)
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,21 @@ MUTANTS = [
         "the g row without the observed mode's S", "fitting.py", "np.add(row, s, out=row)", "pass",
         ("test_fitting.py::test_jacobian_rows_are_s_times_the_log_derivative_oracle[s31.kittel-complex_residual]",),
     ),
-    # the fit loop's end: iterations counts accepted steps, and only the gradient and cost-floor ends converge
+    # a fit's trial is checked by the rules of the constructors that apply_params would call: a free f_m by those of
+    # a fixed field map
+    Mutant(
+        "trial check accepts f_m = 0", "fitting.py",
+        '("frequency" if field == "f_m" else field, m)', "(field, m)",
+        ("test_fitting.py::test_a_trial_raises_what_apply_params_raises_or_evaluates_its_model_bit_for_bit"
+         "[s21-complex_residual]",),
+    ),
+    # the fit loop's end: iterations counts accepted steps, rejected_steps the others, and only the gradient and
+    # cost-floor ends converge
+    Mutant(
+        "rejected_steps counts accepted steps", "fitting.py",
+        "rejected_steps=rejected,", "rejected_steps=len(trace) - 1,",
+        ("test_fitting.py::test_every_trial_is_checked_once_and_counted_once[gradient]",),
+    ),
     Mutant(
         "a zero start gradient converging unseen", "fitting.py",
         'end = "gradient" if grad0 == 0.0 and not _singular(jac.T @ jac) else None',

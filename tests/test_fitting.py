@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import magnoncavity as mc
@@ -430,7 +430,7 @@ def test_analytic_jacobian_matches_four_point_stencil(kind, observable, loss):
         observed=observed, system=JACOBIAN_TRUTH, free={n: (1e-9, 1e12) for n in names},
         observable=observable, loss=loss,
     )
-    evaluate = _residuals_and_jacobian(problem, names)
+    evaluate = _residuals_and_jacobian(problem, names, problem.system)
     u0 = np.array([_to_internal(n, offset_value(JACOBIAN_TRUTH, n)) for n in names])
     r0, jacobian = evaluate(u0)
     analytic = jacobian()
@@ -535,7 +535,7 @@ def test_lazy_jacobian_matches_an_eager_build(observable, loss):
         observed=observed, system=JACOBIAN_TRUTH, free={n: (1e-9, 1e12) for n in names},
         observable=observable, loss=loss,
     )
-    evaluate = _residuals_and_jacobian(problem, names)
+    evaluate = _residuals_and_jacobian(problem, names, problem.system)
     rng = np.random.default_rng(5)
     points = [internal_point(names, rng) for _ in range(20)]
     evaluations = [evaluate(u) for u in points]
@@ -544,6 +544,67 @@ def test_lazy_jacobian_matches_an_eager_build(observable, loss):
         expected_residuals, expected_jacobian = eager_residuals_and_jacobian(problem, names, u)
         assert same_bits(residuals, expected_residuals)
         assert same_bits(jacobian(), expected_jacobian)
+
+
+# internal values u of every free field: f_c and f_m are their own values, a log-space parameter's value is exp(u),
+# so 0.0 comes from an exp that underflows (u = -800 or -inf) and an OverflowError from one that overflows (u = 710)
+ODD_LINEAR = [0.0, -0.0, -1.0, -2.5e6, math.nan, math.inf, -math.inf]
+ODD_LOG = [-800.0, -math.inf, math.inf, math.nan, 710.0]
+
+
+def internal_value(name, odd):
+    """The internal value u of parameter ``name``: one that gives a valid value, or with ``odd`` one that may not."""
+    linear = name.partition(".")[0] in ("f_c", "f_m")
+    if not odd:
+        return st.floats(9.0e9, 1.2e10) if linear else st.floats(-7.0, 23.7)
+    if linear:
+        return st.one_of(st.sampled_from(ODD_LINEAR), st.floats(max_value=-1e-300))
+    return st.one_of(st.sampled_from(ODD_LOG), st.floats(-1e4, 1e3))
+
+
+def trial_points(odd, max_size=None):
+    entry = st.sampled_from(PARAMETER_NAMES).flatmap(lambda name: st.tuples(st.just(name), internal_value(name, odd)))
+    return st.lists(entry, max_size=max_size).map(dict)
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("observable", ["s21", "s11", "s31.kittel"])
+@settings(max_examples=60, deadline=None)
+@given(valid=trial_points(False), odd=trial_points(True, max_size=2))
+@example(valid={}, odd={"f_c": 0.0})
+@example(valid={}, odd={"f_m.kittel": -0.0})
+@example(valid={}, odd={"f_m.msm": -2.5e6, "g.kittel": 17.0})
+@example(valid={}, odd={"f_c": math.inf, "kappa_e": 15.0})
+@example(valid={}, odd={"f_m.kittel": -math.inf})
+@example(valid={}, odd={"kappa_e": math.nan})
+@example(valid={}, odd={"gamma.kittel": -800.0})  # exp underflows: gamma = 0.0, which must be positive
+@example(valid={}, odd={"g.msm": -800.0, "kappa_i": -math.inf, "delta.kittel": -800.0})  # 0.0: valid g, kappa_i, delta
+@example(valid={}, odd={"beta.kittel": 710.0})  # exp overflows
+@example(valid={}, odd={"f_c": -1.0, "kappa_e": math.nan})  # every finite check comes before the sign checks
+@example(valid={}, odd={"g.kittel": math.nan, "f_m.kittel": 0.0})  # a mode's fixed field map is built first
+@example(valid={}, odd={"f_m.msm": math.nan, "gamma.kittel": -800.0})  # the modes in order
+def test_a_trial_raises_what_apply_params_raises_or_evaluates_its_model_bit_for_bit(observable, loss, valid, odd):
+    point = {**valid, **odd}
+    assume(point)
+    names = sorted(point)
+    u = np.array([point[n] for n in names])
+    observed = mc.synthesize_noisy_spectrum(JACOBIAN_TRUTH, 0.0, JACOBIAN_GRID, observable, noise_sigma=0.01, seed=9)
+    problem = mc.FitProblem(
+        observed=observed, system=JACOBIAN_TRUTH, free={n: (1e-9, 1e12) for n in names},
+        observable=observable, loss=loss,
+    )
+    evaluate = _residuals_and_jacobian(problem, names, problem.system)
+    with np.errstate(all="ignore"):
+        try:  # the reference builds the trial's system with apply_params and runs the kernel on it
+            expected = eager_residuals_and_jacobian(problem, names, u)
+        except (ValueError, OverflowError) as error:
+            with pytest.raises(type(error)) as raised:
+                evaluate(u)
+            assert str(raised.value) == str(error)
+        else:
+            residuals, jacobian = evaluate(u)
+            assert same_bits(residuals, expected[0])
+            assert same_bits(jacobian(), expected[1])
 
 
 def oracle_log_derivative(field, label, system, inv_d, chis, observed_mode):
@@ -594,7 +655,7 @@ def test_jacobian_rows_are_s_times_the_log_derivative_oracle(observable, loss, m
         return residual_jacobian(loss, model_values, d_model)
 
     monkeypatch.setattr(fitting, "_residual_jacobian", capture)
-    evaluate = _residuals_and_jacobian(problem, names)
+    evaluate = _residuals_and_jacobian(problem, names, problem.system)
     observed_mode = observable.partition(".")[2] or None
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -702,23 +763,18 @@ def test_converged_fit_builds_one_denominator_per_trial(monkeypatch):
 
 def test_jacobian_is_formed_once_per_accepted_step(monkeypatch):
     problem, init = eight_parameter_problem()
-    jacobians, evaluations = [], []
-    residual_jacobian, apply_params = fitting._residual_jacobian, fitting.apply_params
+    jacobians = []
+    residual_jacobian = fitting._residual_jacobian
 
     def counted_jacobian(*args):
         jacobians.append(1)
         return residual_jacobian(*args)
 
-    def counted_evaluation(*args):
-        evaluations.append(1)
-        return apply_params(*args)
-
     monkeypatch.setattr(fitting, "_residual_jacobian", counted_jacobian)
-    monkeypatch.setattr(fitting, "apply_params", counted_evaluation)
     result = mc.fit_spectrum(problem, init)
     assert result.converged
     # the fit rejected some trials, and formed no Jacobian for them
-    assert len(evaluations) > result.iterations + 1
+    assert result.rejected_steps > 0
     assert len(jacobians) == result.iterations + 1
 
 
@@ -728,16 +784,16 @@ def capped_fit(monkeypatch):
 
 
 def rejecting_fit(monkeypatch):
-    """The eight-parameter fit with every model evaluation after the start raising the ValueError of an invalid trial."""
-    apply_params, calls = fitting.apply_params, []
+    """The eight-parameter fit with every trial check after the start's raising the ValueError of an invalid trial."""
+    trial_values, calls = fitting._trial_values, []
 
     def start_only(*args):
         calls.append(1)
         if len(calls) > 1:
             raise ValueError("every trial is invalid")
-        return apply_params(*args)
+        return trial_values(*args)
 
-    monkeypatch.setattr(fitting, "apply_params", start_only)
+    monkeypatch.setattr(fitting, "_trial_values", start_only)
     return eight_parameter_problem()
 
 
@@ -780,3 +836,33 @@ def test_every_end_of_the_fit_counts_only_its_accepted_steps(end, monkeypatch):
     assert result.converged is converged  # a plain bool at every end
     assert result.iterations > 3 if steps is None else result.iterations == steps
     assert math.isinf(result.jacobian_condition_estimate) is singular
+
+
+@pytest.mark.parametrize("end", ENDS)
+def test_every_trial_is_checked_once_and_counted_once(end, monkeypatch):
+    """The start and each trial pass the trial check once; a trial it passes evaluates the model once."""
+    problem, init = ENDS[end][0](monkeypatch)  # the damping_exhausted fit patches the trial check
+    checks, raised, denominators = [], [], []
+    trial_values, shared_denominator = fitting._trial_values, scattering.shared_denominator
+
+    def counted_check(*args):
+        checks.append(1)
+        try:
+            return trial_values(*args)
+        except (ValueError, OverflowError):
+            raised.append(1)
+            raise
+
+    def counted_denominator(*args, **kwargs):
+        denominators.append(1)
+        return shared_denominator(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "_trial_values", counted_check)
+    monkeypatch.setattr(scattering, "shared_denominator", counted_denominator)
+    result = mc.fit_spectrum(problem, init)
+    assert len(checks) == 1 + result.iterations + result.rejected_steps
+    assert len(denominators) == len(checks) - len(raised)
+    if end == "damping_exhausted":  # lambda from 1e-3 up to 1e15, one rejected trial per factor of 10
+        assert (result.rejected_steps, len(denominators)) == (18, 1)
+    else:  # the model rejects no trial of these fits
+        assert raised == []

@@ -178,6 +178,52 @@ def test_material_and_optical_validation():
     assert mc.OpticalDrive().wavelength == 1.55e-6
 
 
+NAN, INF = float("nan"), float("inf")
+CAVITY_ARGS = dict(f_c=1e9, kappa_e=1e6, kappa_i=0.0)
+MODE_ARGS = dict(label="m", g=1e6, gamma=1e6)
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: mc.CavityParams(**{**CAVITY_ARGS, "f_c": NAN}), "f_c must be finite"),
+        (lambda: mc.CavityParams(**{**CAVITY_ARGS, "f_c": -0.0}), "f_c must be positive"),
+        (lambda: mc.CavityParams(**{**CAVITY_ARGS, "kappa_e": INF}), "kappa_e must be finite"),
+        (lambda: mc.CavityParams(**{**CAVITY_ARGS, "kappa_e": 0.0}), "kappa_e must be positive"),
+        (lambda: mc.CavityParams(**{**CAVITY_ARGS, "kappa_i": -INF}), "kappa_i must be finite"),
+        (lambda: mc.CavityParams(**{**CAVITY_ARGS, "kappa_i": -1e-300}), "kappa_i must be non-negative"),
+        # every finiteness rule of an object before any sign rule, each in field order
+        (lambda: mc.CavityParams(f_c=-1.0, kappa_e=NAN, kappa_i=-1.0), "kappa_e must be finite"),
+        (lambda: mc.CavityParams(f_c=1e9, kappa_e=-1.0, kappa_i=-1.0), "kappa_e must be positive"),
+        (lambda: mc.MagnonMode(**{**MODE_ARGS, "g": NAN}), "g must be finite"),
+        (lambda: mc.MagnonMode(**{**MODE_ARGS, "g": -1.0}), "g must be non-negative"),
+        (lambda: mc.MagnonMode(**{**MODE_ARGS, "gamma": -0.0}), "gamma must be positive"),
+        (lambda: mc.MagnonMode(**MODE_ARGS, delta=INF), "delta must be finite"),
+        (lambda: mc.MagnonMode(**MODE_ARGS, delta=-1.0), "delta must be non-negative"),
+        (lambda: mc.MagnonMode(**MODE_ARGS, beta=0.0), "beta must be positive"),
+        (lambda: mc.MagnonMode(label="m", g=-1.0, gamma=1e6, beta=NAN), "beta must be finite"),
+        (lambda: mc.MagnonMode(label="", g=NAN, gamma=1e6), "mode label must be non-empty"),
+        (lambda: mc.FieldMap(kind="fixed"), "fixed field map requires a finite frequency"),
+        (lambda: mc.FieldMap(kind="fixed", frequency=NAN), "fixed field map requires a finite frequency"),
+        (lambda: mc.FieldMap(kind="fixed", frequency=-0.0), "fixed mode frequency must be positive"),
+        (lambda: mc.MaterialParams(verdet=INF), "verdet must be finite"),
+        (lambda: mc.MaterialParams(spin=NAN, mu0_Ms=-1.0), "spin must be finite"),
+        (lambda: mc.MaterialParams(mu0_Ms=0.0), "mu0_Ms must be positive"),
+        (lambda: mc.MaterialParams(gamma_e=-1.0), "gamma_e must be positive"),
+        (lambda: mc.MaterialParams(diameter=0.0, xi=2.0), "diameter must be positive"),
+        (lambda: mc.MaterialParams(xi=NAN), "xi must be finite"),
+        (lambda: mc.MaterialParams(xi=0.0), "xi must lie in (0, 1]"),
+        (lambda: mc.OpticalDrive(power=NAN, wavelength=0.0), "power must be finite"),
+        (lambda: mc.OpticalDrive(wavelength=0.0, power=-1.0), "wavelength must be positive"),
+        (lambda: mc.OpticalDrive(power=-1e-3), "power must be non-negative"),
+    ],
+)
+def test_each_rule_of_the_parameter_types_raises_its_own_text(build, text):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == text
+
+
 def test_system_rejects_duplicate_labels():
     m1 = mc.MagnonMode(label="m", g=1e6, gamma=1e6)
     m2 = mc.MagnonMode(label="m", g=2e6, gamma=1e6)
